@@ -32,7 +32,7 @@ from .oracle import oracle_intersection
 from .products import ProductSystem, dissipativity_scan
 from .serde import format_int, format_rational, parse_rational
 from .spectral import correlations, fejer_density, suspension_correlation
-from .tower import LevelSet, apply_power_bounds, parse_level_set
+from .tower import LevelSet, apply_power_bounds, env_stage_cap, parse_level_set
 from .weak_limits import (
     parse_polynomial,
     parse_sequence,
@@ -40,6 +40,10 @@ from .weak_limits import (
     verify_mixture_law,
     verify_limit,
 )
+
+# Largest stage the oracle command materializes, in cells (= h_J).  It admits
+# toy stage 20 (~270 MB, a few seconds); utv1 stage 30 would need 31! cells.
+_ORACLE_MAX_CELLS = 1 << 20
 
 _FAMILY_SPEC = re.compile(r"^\s*(\w+)\s*(?:\(\s*([^)]+?)\s*\))?\s*$")
 _SET_SUGAR = re.compile(r"^\s*(?:T\^?(-?\d+)\s*)?E_?(\d+)\s*$")
@@ -89,12 +93,21 @@ def _parse_set(text: str, params) -> LevelSet:
         raise click.UsageError(f"bad set {text!r}: {exc}") from exc
 
 
+class _BadInput(click.ClickException):
+    """Bad input or configuration: a one-line message and exit code 2."""
+
+    exit_code = 2
+
+
 def _parse_span(text: str) -> range:
     """"a..b" (inclusive) or a single integer."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    value = int(text)
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return range(int(lo), int(hi) + 1)
+        value = int(text)
+    except ValueError:
+        raise _BadInput(f"bad integer or range {text!r}, expected e.g. 5 or 3..8") from None
     return range(value, value + 1)
 
 
@@ -175,10 +188,23 @@ _max_stage_option = click.option("--max-stage", default=None, type=int,
                                  help="absolute resolution stage cap")
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        # a construction can turn out invalid only at the stage that breaks it
+        try:
+            return super().invoke(ctx)
+        except InvalidConstructionError as exc:
+            raise _BadInput(f"invalid construction: {exc}") from exc
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__)
 def main():
     """Exact-arithmetic experiments on rank-one cutting-and-stacking systems."""
+    try:
+        env_stage_cap()
+    except ValueError as exc:
+        raise _BadInput(str(exc)) from exc
 
 
 @main.command()
@@ -261,6 +287,10 @@ def oracle(family, config_path, set_a, set_b, n, stage, fmt, out):
     a = _parse_set(set_a, params)
     b = _parse_set(set_b, params) if set_b else a
     try:
+        cells = stage_geometry(params, stage).h
+        if cells > _ORACLE_MAX_CELLS:
+            raise ValueError(f"stage {stage} has {cells} cells; the oracle "
+                             f"materializes at most {_ORACLE_MAX_CELLS}")
         result = oracle_intersection(a, b, n, stage)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .construction import ConstructionParams, stage_geometry
-from .tower import LevelSet, MeasureBound, apply_power_bounds, _refined_index
+from .tower import LevelSet, MeasureBound, apply_power_bounds, tower_of
 
 
 def delta_shift(a: LevelSet, b: LevelSet, k: int, max_stage: int | None = None) -> MeasureBound:
@@ -32,14 +32,7 @@ def partial_joining(a: LevelSet, b: LevelSet, k: int, j: int) -> MeasureBound:
         raise ValueError(f"|k| = {abs(k)} exceeds tower height {geom.h} at stage {j}")
     if max(a.stage, b.stage) > j:
         raise ValueError("sets are not representable at the requested stage")
-    a_levels = _refined_index(a, j)
-    b_levels = _refined_index(b, j)
-    h = geom.h
-    if k >= 0:
-        count = sum(1 for i in a_levels if i + k < h and i + k in b_levels)
-    else:
-        m = -k
-        count = sum(1 for i in a_levels if i >= m and i - m in b_levels)
+    count = tower_of(a.params).pair_count(a, b, k, j)
     return MeasureBound.exactly(count * geom.level_width, j)
 
 

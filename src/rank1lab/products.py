@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .construction import ConstructionParams, stage_geometry
-from .tower import LevelSet, MeasureBound, apply_power_bounds
+from .tower import LevelSet, MeasureBound, tower_of
 
 PROVEN_ZERO = "PROVEN-ZERO"
 NONZERO = "NONZERO"
@@ -37,11 +36,6 @@ class ProductSystem:
             raise ValueError("product exponents must be nonzero")
 
 
-@lru_cache(maxsize=None)
-def _return_factor(a: LevelSet, shift: int, max_stage: int | None) -> MeasureBound:
-    return apply_power_bounds(a, a, shift, max_stage)
-
-
 def _check_rectangle(sys: ProductSystem, a: LevelSet, a2: LevelSet):
     if a.params != sys.left_params or a2.params != sys.right_params:
         raise ValueError("rectangle sides must live over the product's constructions")
@@ -52,8 +46,8 @@ def product_return(
 ) -> MeasureBound:
     """mu(T^{mk} A /\\ A) * mu(T^{nk} A' /\\ A')."""
     _check_rectangle(sys, a, a2)
-    left = _return_factor(a, sys.left_power * k, max_stage)
-    right = _return_factor(a2, sys.right_power * k, max_stage)
+    left = tower_of(a.params).self_return(a, sys.left_power * k, max_stage)
+    right = tower_of(a2.params).self_return(a2, sys.right_power * k, max_stage)
     return left.times(right)
 
 
@@ -107,17 +101,19 @@ def dissipativity_scan(
     if k_lo < 1:
         raise ValueError("k_lo must be >= 1")
     _check_rectangle(sys, a, a2)
+    left_tower = tower_of(a.params)
+    right_tower = tower_of(a2.params)
     rows = []
     nonzero = []
     unresolved = []
     scanned = sample_shifts(k_lo, k_hi, samples)
     for k in scanned:
-        left = _return_factor(a, sys.left_power * k, max_stage)
+        left = left_tower.self_return(a, sys.left_power * k, max_stage)
         if left.hi == 0:
             right = None
             product = MeasureBound.exactly(0, left.resolved_stage)
         else:
-            right = _return_factor(a2, sys.right_power * k, max_stage)
+            right = right_tower.self_return(a2, sys.right_power * k, max_stage)
             product = left.times(right)
         if product.hi == 0:
             verdict = PROVEN_ZERO

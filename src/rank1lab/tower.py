@@ -6,24 +6,45 @@ an exact rational.  Refining to a deeper stage rewrites level l of stage j
 as the levels {pos_j(i) + l : i = 1..r_j} of stage j+1 and preserves measure
 exactly.
 
-``apply_power_bounds`` computes mu(T^n A /\\ B) as an exact rational interval:
-at a common stage J with h_J > |n| the map T^n sends level l to level l+n as
-long as l+n stays inside [0, h_J); levels shifted past the top are deferred,
-refined one stage deeper, and retried.  Whatever remains unresolved when the
-stage budget runs out widens the interval; it never fabricates a point value.
-Negative powers go through mu(T^n A /\\ B) = mu(T^{-n} B /\\ A), so only the
-forward shifter exists.
+``apply_power_bounds`` computes mu(T^n A /\\ B), n >= 0, as an exact
+rational interval without listing refined levels.  Bring A and B to their
+common stage j0.  At a stage K >= j0 every level of A is a + o, with a a
+stage-j0 level of A and o in O_{j0,K}, the sums o_{j0}(i_{j0}) + ... +
+o_{K-1}(i_{K-1}) of one column offset per stage; likewise for B.  T^n sends
+level x to x + n while that stays below h_K, so the levels of A_K landing in
+B_K number
 
-Everything here is pure and immutable; memo tables are internal.
+    sum_{a,b} N_K(n + a - b),  N_K(m) = #{(o, o') in O_{j0,K}^2 : o' - o = m},
+
+and N obeys the digit recursion N_K(m) = sum_d mult_{K-1}(d) N_{K-1}(m - d):
+d runs over the stage-(K-1) offset differences o(i') - o(i), mult counts the
+pairs (i, i') giving d, N_{j0}(m) = [m == 0], and N_k(m) = 0 once |m|
+exceeds the largest element of O_{j0,k}, which leaves a few live d per stage.
+The levels pushed past the top, #{x in A_K : x + n >= h_K}, come from the
+same offsets top-down.  With w_K the level width,
+
+    lo = w_K * sum_{a,b} N_K(n + a - b),   hi = lo + w_K * overflow,
+
+where K is the first stage with h_K > n at which nothing overflows, capped by
+the stage budget.  Unresolved mass at the budget widens the interval; it
+never fabricates a point value.  Negative powers go through
+mu(T^n A /\\ B) = mu(T^{-n} B /\\ A), so only the forward count exists.
+
+The public functions are pure.  Per-construction state (stage tables,
+refined level tuples, the self-return memo of product scans) lives on one
+``Tower`` per construction, and memo keys carry the resolved stage budget.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, NamedTuple
 
 from .construction import ConstructionParams, stage_geometry
 
@@ -140,25 +161,175 @@ def measure(a: LevelSet) -> Fraction:
     return a.measure
 
 
-@lru_cache(maxsize=None)
-def _refined_levels(a: LevelSet, to_stage: int) -> tuple[int, ...]:
-    if to_stage == a.stage:
-        return a.levels
-    prev = _refined_levels(a, to_stage - 1)
-    offsets = stage_geometry(a.params, to_stage - 1).column_offsets
-    return tuple(sorted(off + lvl for off in offsets for lvl in prev))
+class _Stage(NamedTuple):
+    """Kernel table of stage k: its geometry plus prefix sums over stages < k."""
+
+    h: int
+    width: Fraction
+    offsets: tuple[int, ...]
+    diffs: tuple[int, ...]  # sorted distinct column-offset differences o(i') - o(i)
+    mults: tuple[int, ...]  # number of column pairs (i, i') giving each difference
+    top: int  # sum of the last column offsets of stages < k
+    paths: int  # product of the cut counts of stages < k
 
 
-@lru_cache(maxsize=None)
-def _refined_index(a: LevelSet, to_stage: int) -> frozenset[int]:
-    return frozenset(_refined_levels(a, to_stage))
+class Tower:
+    """Kernel tables and memos of one construction.
+
+    Offset sums of stages j0..k-1 form the set O_{j0,k}; its largest element
+    is ``stage(k).top - stage(j0).top`` and it has
+    ``stage(k).paths // stage(j0).paths`` elements.  The self-return memo is
+    keyed on the resolved stage budget, so it follows ``RANK1_MAX_STAGE``.
+    """
+
+    def __init__(self, params: ConstructionParams):
+        self.params = params
+        self._stages: list[_Stage] = []
+        self._lock = threading.Lock()
+        self._refined: dict[tuple[int, tuple[int, ...], int], tuple[int, ...]] = {}
+        self._returns: dict[tuple[int, tuple[int, ...], int, int], MeasureBound] = {}
+
+    def stage(self, k: int) -> _Stage:
+        if k > len(self._stages):
+            with self._lock:
+                self._extend(k)
+        return self._stages[k - 1]
+
+    def _extend(self, k: int):
+        stages = self._stages
+        while len(stages) < k:
+            geom = stage_geometry(self.params, len(stages) + 1)
+            if stages:
+                prev = stages[-1]
+                top, paths = prev.top + prev.offsets[-1], prev.paths * len(prev.offsets)
+            else:
+                top, paths = 0, 1
+            offsets = geom.column_offsets
+            mult = Counter(q - p for p in offsets for q in offsets)
+            diffs = tuple(sorted(mult))
+            stages.append(_Stage(geom.h, geom.level_width, offsets, diffs,
+                                 tuple(mult[d] for d in diffs), top, paths))
+
+    def refined_levels(self, a: LevelSet, to_stage: int) -> tuple[int, ...]:
+        if to_stage == a.stage:
+            return a.levels
+        key = (a.stage, a.levels, to_stage)
+        levels = self._refined.get(key)
+        if levels is None:
+            prev = self.refined_levels(a, to_stage - 1)
+            # already increasing: consecutive columns sit h + s >= h apart
+            levels = tuple(off + lvl for off in self.stage(to_stage - 1).offsets for lvl in prev)
+            self._refined[key] = levels
+        return levels
+
+    def pair_count(self, a: LevelSet, b: LevelSet, n: int, K: int) -> int:
+        """#{(x, y) : x in A, y in B at stage K, y - x = n}, for K >= both stages.
+
+        This is sum_{a,b} N_K(n + a - b) over the levels a of A and b of B at
+        their common stage j0: a level pair of stage K is (a + o, b + o') with
+        o, o' in O_{j0,K}.  The recursion runs top-down on
+        v = n + a - (o' - o), peeling one stage's offset difference d at a
+        time with its multiplicity; the pair counts when v ends on a level of B.
+        """
+        j0 = max(a.stage, b.stage)
+        a_levels = self.refined_levels(a, j0)
+        b_levels = self.refined_levels(b, j0)
+        if not a_levels or not b_levels:
+            return 0
+        low, high = b_levels[0], b_levels[-1]
+        base = self.stage(j0).top
+        frontier = {n + x: 1 for x in a_levels}
+        for k in range(K - 1, j0 - 1, -1):
+            st = self.stage(k)
+            reach = st.top - base  # the offset sums still to peel differ by at most this
+            diffs, mults = st.diffs, st.mults
+            step: dict[int, int] = {}
+            for v, weight in frontier.items():
+                for i in range(bisect_left(diffs, v - high - reach),
+                               bisect_right(diffs, v - low + reach)):
+                    rest = v - diffs[i]
+                    step[rest] = step.get(rest, 0) + weight * mults[i]
+            if not step:
+                return 0
+            frontier = step
+        return sum(frontier.get(y, 0) for y in b_levels)
+
+    def _count_at_least(self, j0: int, K: int, t: int) -> int:
+        """#{o in O_{j0,K} : o >= t}.
+
+        Columns of a stage sit more than the largest offset sum of the stages
+        below apart, so at most one column per stage counts only partly.
+        """
+        base = self.stage(j0)
+        count = 0
+        for k in range(K, j0, -1):
+            if t <= 0:
+                return count + self.stage(k).paths // base.paths
+            st = self.stage(k - 1)
+            i = bisect_left(st.offsets, t)
+            count += (len(st.offsets) - i) * (st.paths // base.paths)
+            if i == 0:
+                return count
+            t -= st.offsets[i - 1]
+            if t > st.top - base.top:
+                return count
+        return count + (t <= 0)
+
+    def _plan(self, a: LevelSet, b: LevelSet, n: int, max_stage: int | None):
+        """Common stage j0, first stage with h > n, and the stage budget (n >= 0)."""
+        j0 = max(a.stage, b.stage)
+        # heights increase, so the stages built so far locate the first h > n
+        start = max(j0, bisect_right(self._stages, n, key=attrgetter("h")) + 1)
+        while self.stage(start).h <= n:
+            start += 1
+        return j0, start, _resolve_stage_budget(max_stage, start)
+
+    def power_bounds(
+        self, a: LevelSet, b: LevelSet, n: int, max_stage: int | None
+    ) -> MeasureBound:
+        """mu(T^n A /\\ B) for n >= 0; see ``apply_power_bounds``."""
+        j0, K, budget = self._plan(a, b, n, max_stage)
+        a_levels = self.refined_levels(a, j0)
+        st = self.stage(K)
+        overflow = 0
+        if a_levels:
+            # the top level of A_K is a_levels[-1] + (top_K - top_j0); nothing
+            # overflows once it plus n stays below h_K
+            peak = n + a_levels[-1] - self.stage(j0).top
+            while st.top + peak >= st.h and K < budget:
+                K += 1
+                st = self.stage(K)
+            if st.top + peak >= st.h:
+                overflow = sum(self._count_at_least(j0, K, st.h - n - x) for x in a_levels)
+        lo = self.pair_count(a, b, n, K) * st.width
+        return MeasureBound(lo, lo + overflow * st.width if overflow else lo, K)
+
+    def self_return(self, a: LevelSet, n: int, max_stage: int | None) -> MeasureBound:
+        """mu(T^n A /\\ A) = mu(T^{-n} A /\\ A), memoized for product scans."""
+        n = abs(n)
+        key = (a.stage, a.levels, n, self._plan(a, a, n, max_stage)[2])
+        bound = self._returns.get(key)
+        if bound is None:
+            bound = self._returns[key] = apply_power_bounds(a, a, n, max_stage)
+        return bound
+
+
+_towers: dict[ConstructionParams, Tower] = {}
+
+
+def tower_of(params: ConstructionParams) -> Tower:
+    """The one ``Tower`` of a construction."""
+    tower = _towers.get(params)
+    if tower is None:
+        tower = _towers.setdefault(params, Tower(params))
+    return tower
 
 
 def refine(a: LevelSet, to_stage: int) -> LevelSet:
     """Same point set, represented at a deeper stage.  Measure is preserved."""
     if to_stage < a.stage:
         raise ValueError("cannot refine to a shallower stage")
-    return LevelSet(a.params, to_stage, _refined_levels(a, to_stage))
+    return LevelSet(a.params, to_stage, tower_of(a.params).refined_levels(a, to_stage))
 
 
 def _check_same_construction(a: LevelSet, b: LevelSet):
@@ -187,12 +358,23 @@ def difference(a: LevelSet, b: LevelSet) -> LevelSet:
     return LevelSet.from_levels(a.params, j, set(ra.levels) - set(rb.levels))
 
 
+def env_stage_cap() -> int | None:
+    """The global stage cap set by ``RANK1_MAX_STAGE``, if any."""
+    text = os.environ.get(_MAX_STAGE_ENV)
+    if text is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{_MAX_STAGE_ENV} must be an integer, got {text!r}") from None
+
+
 def _resolve_stage_budget(max_stage: int | None, start: int) -> int:
     if max_stage is None:
         max_stage = start + DEFAULT_EXTRA_STAGES
-    env_cap = os.environ.get(_MAX_STAGE_ENV)
+    env_cap = env_stage_cap()
     if env_cap is not None:
-        max_stage = min(max_stage, int(env_cap))
+        max_stage = min(max_stage, env_cap)
     return max(max_stage, start)
 
 
@@ -201,46 +383,14 @@ def apply_power_bounds(
 ) -> MeasureBound:
     """Exact rational bounds on mu(T^n A /\\ B).
 
-    The interval collapses (lo == hi) when every deferred piece resolves
-    within the stage budget; raising ``max_stage`` never widens the result.
-    ``RANK1_MAX_STAGE`` caps the budget globally.
+    The interval collapses (lo == hi) when nothing is pushed past the top of
+    the tower by the stage budget; raising ``max_stage`` never widens the
+    result.  ``RANK1_MAX_STAGE`` caps the budget globally.
     """
     _check_same_construction(a, b)
     if n < 0:
         return apply_power_bounds(b, a, -n, max_stage)
-    if n == 0:
-        both = intersect(a, b)
-        return MeasureBound.exactly(both.measure, both.stage)
-
-    start = max(a.stage, b.stage)
-    while stage_geometry(a.params, start).h <= n:
-        start += 1
-    budget = _resolve_stage_budget(max_stage, start)
-
-    pending = list(_refined_levels(a, start))
-    lo = Fraction(0)
-    j = start
-    while True:
-        geom = stage_geometry(a.params, j)
-        b_levels = _refined_index(b, j)
-        hits = 0
-        deferred = []
-        for lvl in pending:
-            moved = lvl + n
-            if moved < geom.h:
-                if moved in b_levels:
-                    hits += 1
-            else:
-                deferred.append(lvl)
-        if hits:
-            lo += hits * geom.level_width
-        if not deferred:
-            return MeasureBound(lo, lo, j)
-        if j >= budget:
-            return MeasureBound(lo, lo + len(deferred) * geom.level_width, j)
-        offsets = geom.column_offsets
-        pending = [off + lvl for off in offsets for lvl in deferred]
-        j += 1
+    return tower_of(a.params).power_bounds(a, b, n, max_stage)
 
 
 # ---------------------------------------------------------------------------

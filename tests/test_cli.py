@@ -99,6 +99,38 @@ def test_env_cap_is_honored(runner, monkeypatch):
     assert result.exit_code == 3
 
 
+def test_bad_env_cap_is_config_error(runner, monkeypatch):
+    monkeypatch.setenv("RANK1_MAX_STAGE", "abc")
+    result = runner.invoke(main, [
+        "measure", "--family", "toy", "--set", "E1", "--n", "3",
+    ])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [
+        "Error: RANK1_MAX_STAGE must be an integer, got 'abc'"
+    ]
+
+
+def test_bad_shift_range_is_usage_error(runner):
+    result = runner.invoke(main, [
+        "measure", "--family", "toy", "--set", "E1", "--n", "2..x",
+    ])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [
+        "Error: bad integer or range '2..x', expected e.g. 5 or 3..8"
+    ]
+
+
+def test_construction_invalid_at_a_stage_is_config_error(runner):
+    # scaled(11/10) needs a spacer shorter than the tower: rejected while
+    # its stages are built, not when the family is parsed
+    result = runner.invoke(main, [
+        "geometry", "--family", "scaled(11/10)", "--j", "1..8",
+    ])
+    assert result.exit_code == 2
+    (line,) = result.output.splitlines()
+    assert line.startswith("Error: invalid construction: scaled target spacer")
+
+
 def test_oracle_command_and_refusal(runner):
     result = runner.invoke(main, [
         "oracle", "--family", "toy", "--set", "E1", "--n", "3", "--stage", "4",
@@ -110,6 +142,20 @@ def test_oracle_command_and_refusal(runner):
         "oracle", "--family", "toy", "--set", "E1", "--n", "7", "--stage", "3",
     ])
     assert refusal.exit_code == 2
+
+
+def test_oracle_refuses_huge_stages(runner):
+    # h_30 = 31! cells: refused from the height alone, nothing is built
+    huge = runner.invoke(main, [
+        "oracle", "--family", "utv1", "--set", "E2", "--n", "3", "--stage", "30",
+    ])
+    assert huge.exit_code == 2
+    assert "the oracle materializes at most" in huge.output
+    # criterion 1's deep toy check needs stage 18 (262,143 cells)
+    deep = runner.invoke(main, [
+        "oracle", "--family", "toy", "--set", "E1", "--n", "15", "--stage", "18",
+    ])
+    assert deep.exit_code == 0
 
 
 def test_limits_verify_pass_and_fail(runner):

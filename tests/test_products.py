@@ -58,6 +58,18 @@ def test_factorization_against_direct_values():
         assert (combined.lo, combined.hi) == (left.lo * right.lo, left.hi * right.hi)
 
 
+def test_return_memo_honors_env_cap(monkeypatch):
+    t = toy()
+    e1 = LevelSet.base(t, 1)
+    system = ProductSystem(t, 1, t, 1)
+    free = product_return(system, e1, e1, 15)
+    assert free.resolved_stage == 13
+    monkeypatch.setenv("RANK1_MAX_STAGE", "6")
+    direct = apply_power_bounds(e1, e1, 15)
+    assert direct.resolved_stage == 6
+    assert product_return(system, e1, e1, 15) == direct.times(direct)
+
+
 def test_sample_shifts_properties():
     shifts = sample_shifts(100, 800, 256)
     assert all(100 < k <= 800 for k in shifts)

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rank1lab.construction import stage_geometry, toy, utv1
+from rank1lab.construction import height, params_from_config, stage_geometry, thm2, toy, utv1
+from rank1lab.oracle import oracle_intersection
 from rank1lab.tower import (
     LevelSet,
     MeasureBound,
@@ -156,6 +157,82 @@ def test_invertibility_identity(a, b, n):
 def test_low_bound_below_both_masses(a, b, n):
     bound = apply_power_bounds(a, b, n)
     assert bound.lo <= min(measure(a), measure(b))
+
+
+_spacer_rules = st.one_of(
+    st.just("zero"),
+    st.builds(lambda c: {"rule": "constant", "c": c}, st.integers(0, 3)),
+    st.builds(lambda c: {"rule": "linear", "c": c}, st.integers(0, 2)),
+    st.builds(lambda c: {"rule": "times_height", "c": c}, st.integers(0, 1)),
+    st.just({"rule": "j_times_h"}),
+    st.just({"rule": "blocks"}),
+)
+_constructions = st.builds(
+    lambda h1, r, spacers, width: params_from_config(
+        {"h1": h1, "base_width": width, "stages": {"r": r, "spacers": spacers}}),
+    st.integers(1, 3),
+    st.sampled_from([2, 3, {"rule": "j_plus", "c": 1}]),
+    st.lists(_spacer_rules, max_size=2),
+    st.sampled_from(["1/1", "2/3"]),
+)
+_ORACLE_CELLS = 400  # keeps each brute-force walk small
+
+
+@st.composite
+def _oracle_queries(draw):
+    params = draw(_constructions)
+    # the budget J, at most the deepest stage <= 6 whose tower the oracle
+    # can walk quickly; J may equal the sets' own stage
+    deepest = 1
+    while deepest < 6 and stage_geometry(params, deepest + 1).h <= _ORACLE_CELLS:
+        deepest += 1
+    J = draw(st.integers(1, deepest))
+
+    def level_set():
+        stage = draw(st.integers(1, min(J, 3)))
+        h = stage_geometry(params, stage).h
+        levels = draw(st.lists(st.integers(0, h - 1), max_size=4))
+        return LevelSet.from_levels(params, stage, levels)
+
+    a, b = level_set(), level_set()
+    h_J = stage_geometry(params, J).h
+    return a, b, draw(st.integers(-(h_J - 1), h_J - 1)), J
+
+
+@settings(max_examples=150, deadline=None)
+@given(_oracle_queries())
+def test_kernel_matches_oracle_at_matched_budget(query):
+    """(lo, hi - lo) is the oracle's (value, undefined mass) at stage J, for
+    random constructions of the config grammar; n < 0 is the forward walk of
+    the swapped pair."""
+    a, b, n, J = query
+    bound = apply_power_bounds(a, b, n, max_stage=J)
+    res = oracle_intersection(a, b, n, J) if n >= 0 else oracle_intersection(b, a, -n, J)
+    assert (bound.lo, bound.hi - bound.lo) == (res.value, res.undefined_mass)
+    assert bound.resolved_stage <= J
+
+
+@pytest.mark.parametrize("level", [1, 3, 5])
+def test_utv1_closed_forms_far_beyond_enumeration(level):
+    a = LevelSet.single(UTV, 2, level)
+    b = LevelSet.single(UTV, 2, level - 1)  # T B = A
+    pair = LevelSet.from_levels(UTV, 3, (3, 17))
+    for j in range(25, 41):
+        h_j = height(UTV, j)
+        quarter = apply_power_bounds(a, a, h_j + height(UTV, j - 3))
+        assert quarter.exact and quarter.value == a.measure / 4
+        unit = apply_power_bounds(a, b, -(h_j + 1))
+        assert unit.exact and unit.value == a.measure / 2
+        halving = apply_power_bounds(pair, pair, h_j)
+        assert halving.exact and halving.value == pair.measure / 2
+
+
+def test_thm2_four_resolves_exactly_at_stage_thirty():
+    p = thm2(4)
+    e2 = LevelSet.base(p, 2)
+    bound = apply_power_bounds(e2, e2, -height(p, 30))
+    # the mixture law: (N - 1)/(N + 1) of E2 returns, N = 4
+    assert bound.exact and bound.value == Fraction(3, 5) * e2.measure
 
 
 def test_textual_form_roundtrip():
