@@ -1,19 +1,28 @@
-"""Config-driven experiment runner.
+"""The ``rank1lab`` command: config-driven experiments.
 
 Every verification in the acceptance suite is reachable as a named
 subcommand; reports embed the resolved construction config and the tool
 version, rationals travel as "p/q" and big integers as decimal strings, and
-output files are written only after a run completes.  Exit codes: 0 PASS,
-1 FAIL, 2 usage or config error, 3 INCONCLUSIVE (resolution budget ran out).
+output files are written only after a run completes.
+
+Rejected input is decided in one place.  The library rejects input with
+``ValueError`` (``InvalidConstructionError`` for constructions, sometimes only
+at the stage that breaks one), and ``_Main.invoke`` turns every such error into
+a one-line ``Error:`` and exit 2; an unwritable ``--out`` exits 2 the same way.
+``run`` re-enters ``main`` with its experiment's subcommand path and one
+``--option`` per params key, so the subcommands' own options are its schema;
+it parses the construction once and hands it over as the click context object.
+
+Exit codes: 0 PASS, 1 FAIL, 2 usage or config error, 3 INCONCLUSIVE
+(resolution budget ran out).
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import os
 import re
 import sys
-import tempfile
 
 import click
 
@@ -49,28 +58,30 @@ _FAMILY_SPEC = re.compile(r"^\s*(\w+)\s*(?:\(\s*([^)]+?)\s*\))?\s*$")
 _SET_SUGAR = re.compile(r"^\s*(?:T\^?(-?\d+)\s*)?E_?(\d+)\s*$")
 
 
+class _BadInput(click.ClickException):
+    """Bad input or configuration: a one-line message and exit code 2."""
+
+    exit_code = 2
+
+
 def _parse_family(text: str):
     m = _FAMILY_SPEC.match(text)
     if not m:
         raise click.UsageError(f"cannot parse family {text!r}")
     name, arg = m.group(1), m.group(2)
-    try:
-        if name == "thm2":
-            if arg is None:
-                raise click.UsageError("thm2 needs N, e.g. thm2(2)")
-            return family_builder("thm2", N=int(arg))
-        if name == "scaled":
-            if arg is None:
-                raise click.UsageError("scaled needs a, e.g. scaled(3/2)")
-            return family_builder("scaled", a=parse_rational(arg))
-        if arg is not None:
-            raise click.UsageError(f"family {name} takes no argument")
+    if arg is None:
         return family_builder(name)
-    except InvalidConstructionError as exc:
-        raise click.UsageError(str(exc)) from exc
+    if name == "thm2":
+        return family_builder("thm2", N=int(arg))
+    if name == "scaled":
+        return family_builder("scaled", a=parse_rational(arg))
+    raise click.UsageError(f"family {name} takes no argument")
 
 
 def _load_params(family: str | None, config_path: str | None):
+    handed = click.get_current_context().obj  # the construction `run` parsed
+    if handed is not None:
+        return handed
     if (family is None) == (config_path is None):
         raise click.UsageError("give exactly one of --family or --config")
     if family is not None:
@@ -78,8 +89,8 @@ def _load_params(family: str | None, config_path: str | None):
     try:
         with open(config_path) as fh:
             return params_from_config(json.load(fh))
-    except (OSError, ValueError, InvalidConstructionError) as exc:
-        raise click.UsageError(f"bad construction config: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise _BadInput(f"bad construction config: {exc}") from exc
 
 
 def _parse_set(text: str, params) -> LevelSet:
@@ -91,12 +102,6 @@ def _parse_set(text: str, params) -> LevelSet:
         return parse_level_set(text, params)
     except ValueError as exc:
         raise click.UsageError(f"bad set {text!r}: {exc}") from exc
-
-
-class _BadInput(click.ClickException):
-    """Bad input or configuration: a one-line message and exit code 2."""
-
-    exit_code = 2
 
 
 def _parse_span(text: str) -> range:
@@ -148,8 +153,11 @@ def _emit(meta: dict, rows: list[dict], fmt: str, out: str | None, status: str |
                 lines.append(",".join(str(row.get(col, "")) for col in header))
         text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _BadInput(f"cannot write --out: {exc}") from exc
     else:
         click.echo(text, nl=False)
 
@@ -195,16 +203,15 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except InvalidConstructionError as exc:
             raise _BadInput(f"invalid construction: {exc}") from exc
+        except ValueError as exc:
+            raise _BadInput(str(exc)) from exc
 
 
 @click.group(cls=_Main)
 @click.version_option(version=__version__)
 def main():
     """Exact-arithmetic experiments on rank-one cutting-and-stacking systems."""
-    try:
-        env_stage_cap()
-    except ValueError as exc:
-        raise _BadInput(str(exc)) from exc
+    env_stage_cap()  # reject a bad RANK1_MAX_STAGE before any work
 
 
 @main.command()
@@ -238,10 +245,7 @@ def geometry(family, config_path, span, star_check, measure_sum, fmt, out):
             "diverging": report.diverging,
         }
     if star_check:
-        try:
-            report = condition_star_check(params, max(stages[-1], 2))
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
+        report = condition_star_check(params, max(stages[-1], 2))
         meta["condition_star"] = {
             "passed": report.passed,
             "violations": list(report.violations),
@@ -286,14 +290,11 @@ def oracle(family, config_path, set_a, set_b, n, stage, fmt, out):
     params = _load_params(family, config_path)
     a = _parse_set(set_a, params)
     b = _parse_set(set_b, params) if set_b else a
-    try:
-        cells = stage_geometry(params, stage).h
-        if cells > _ORACLE_MAX_CELLS:
-            raise ValueError(f"stage {stage} has {cells} cells; the oracle "
-                             f"materializes at most {_ORACLE_MAX_CELLS}")
-        result = oracle_intersection(a, b, n, stage)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    cells = stage_geometry(params, stage).h
+    if cells > _ORACLE_MAX_CELLS:
+        raise _BadInput(f"stage {stage} has {cells} cells; the oracle "
+                        f"materializes at most {_ORACLE_MAX_CELLS}")
+    result = oracle_intersection(a, b, n, stage)
     rows = [{
         "n": format_int(n),
         "value": format_rational(result.value),
@@ -322,11 +323,8 @@ def limits():
 def limits_verify(family, config_path, seq, poly, span, pairs, tol, max_stage, fmt, out):
     """Check mu(T^{n(k)} A /\\ B) against a polynomial limit candidate."""
     params = _load_params(family, config_path)
-    try:
-        sequence = parse_sequence(seq)
-        polynomial = parse_polynomial(poly)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    sequence = parse_sequence(seq)
+    polynomial = parse_polynomial(poly)
     if pairs:
         test_pairs = []
         for pair in pairs:
@@ -371,10 +369,7 @@ def limits_scan(family, config_path, j, set_a, set_b, step, dead_samples, max_st
     a = _parse_set(set_a, params)
     b = _parse_set(set_b, params) if set_b else a
     samples = None if dead_samples == "all" else int(dead_samples)
-    try:
-        report = scan_window(params, j, a, b, step, samples, max_stage)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    report = scan_window(params, j, a, b, step, samples, max_stage)
     rows = [
         {"zone": zone, "n": format_int(n), **_bound_fields(bound),
          "prediction": "", "deviation": ""}
@@ -413,11 +408,8 @@ def limits_eq4(big_n, n, p, set_a, set_b, stages, j_max, tol, max_stage, fmt, ou
     a = _parse_set(set_a, params)
     b = _parse_set(set_b, params) if set_b else a
     stage_list = _parse_int_list(stages) if stages else None
-    try:
-        report = verify_mixture_law(big_n, n, p, a, b, stage_list, j_max,
-                            parse_rational(tol), max_stage)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    report = verify_mixture_law(big_n, n, p, a, b, stage_list, j_max,
+                                parse_rational(tol), max_stage)
     rows = [{
         "n": format_int(r.shift),
         "lo": format_rational(r.value.lo),
@@ -498,11 +490,8 @@ def products_scan(family, config_path, right_family, m, n, set_a, set_b, k_lo, k
     a = _parse_set(set_a, params)
     b = _parse_set(set_b, right_params) if set_b else _parse_set(set_a, right_params)
     target = parse_rational(ratio_target) if ratio_target else None
-    try:
-        report = dissipativity_scan(system, a, b, k_lo, k_hi, samples, max_stage,
-                                    ratio_target=target)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    report = dissipativity_scan(system, a, b, k_lo, k_hi, samples, max_stage,
+                                ratio_target=target)
     rows = [{
         "k": format_int(r.k),
         "left_value": format_rational(r.left.lo)
@@ -634,44 +623,24 @@ def acceptance_cmd(only, fmt, out):
         sys.exit(reports.EXIT_CODES[reports.FAIL])
 
 
-_EXPERIMENTS = {
-    "geometry": (geometry, {"j": "--j", "star_check": "--star-check",
-                            "measure_sum": "--measure-sum"}),
-    "measure": (measure_cmd, {"set": "--set", "set_b": "--set-b", "n": "--n",
-                              "max_stage": "--max-stage"}),
-    "oracle": (oracle, {"set": "--set", "set_b": "--set-b", "n": "--n",
-                        "stage": "--stage"}),
-    "limits": (limits_verify, {"seq": "--seq", "poly": "--poly", "j": "--j",
-                               "pair": "--pair", "tol": "--tol",
-                               "max_stage": "--max-stage"}),
-    "scan": (limits_scan, {"j": "--j", "set": "--set", "set_b": "--set-b",
-                           "step": "--step", "dead_samples": "--dead-samples",
-                           "max_stage": "--max-stage"}),
-    "eq4": (limits_eq4, {"N": "--big-n", "n": "--n", "p": "--p", "set": "--set",
-                         "set_b": "--set-b", "stages": "--stages",
-                         "j_max": "--j-max", "tol": "--tol",
-                         "max_stage": "--max-stage"}),
-    "joinings": (joinings_witness, {"m": "--m", "j": "--j", "grid": "--grid",
-                                    "eps": "--eps", "max_stage": "--max-stage"}),
-    "products": (products_scan, {"right_family": "--right-family", "m": "--m",
-                                 "n": "--n", "set": "--set", "set_b": "--set-b",
-                                 "k_lo": "--k-lo", "k_hi": "--k-hi",
-                                 "samples": "--samples",
-                                 "ratio_target": "--ratio-target",
-                                 "max_stage": "--max-stage"}),
-    "spectral": (None, None),  # resolved from the "op" key below
-    "acceptance": (acceptance_cmd, {"only": "--only"}),
+# `run` experiment names -> subcommand paths; "spectral" appends params["op"]
+_RUN_PATHS = {
+    "geometry": ["geometry"],
+    "measure": ["measure"],
+    "oracle": ["oracle"],
+    "limits": ["limits", "verify"],
+    "scan": ["limits", "scan"],
+    "eq4": ["limits", "eq4"],
+    "joinings": ["joinings", "witness"],
+    "products": ["products", "scan"],
+    "spectral": ["spectral"],
+    "acceptance": ["acceptance"],
 }
-
-_SPECTRAL_OPS = {
-    "corr": (spectral_corr, {"set": "--set", "n": "--n", "h_stages": "--h-stages",
-                             "max_stage": "--max-stage"}),
-    "density": (spectral_density, {"set": "--set", "n": "--n",
-                                   "h_stages": "--h-stages", "order": "--order",
-                                   "grid": "--grid", "max_stage": "--max-stage"}),
-    "suspend": (spectral_suspend, {"set": "--set", "k": "--k",
-                                   "max_stage": "--max-stage"}),
-}
+# options that are not experiment parameters: the construction and the output
+# have top-level keys, and --help would print help and exit 0
+_NOT_PARAMS = {"family", "config", "out", "format", "help"}
+# a key like "j=2" or "" would reach click as "--j=2" or the "--" separator
+_PARAM_KEY = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 @main.command("run")
@@ -681,51 +650,43 @@ def run_config(ctx, config_path):
     """Run an experiment described by a JSON config file.
 
     Schema: {"experiment": name, "construction": {...}, "params": {...},
-    "out": path?, "format": "csv"|"json"?}.  Unknown keys are rejected; the
-    exit status is the dispatched experiment's.
+    "out": path?, "format": "csv"|"json"?}.  Each params key is a long option
+    of the experiment's subcommand with "_" for "-" ({"set_b": "E3"} is
+    --set-b E3); true adds a flag, a list repeats the option.  Unknown keys
+    are rejected; the exit status is the dispatched experiment's.
     """
     try:
         with open(config_path) as fh:
             config = json.load(fh)
     except (OSError, ValueError) as exc:
         raise click.UsageError(f"cannot read experiment config: {exc}") from exc
+    if not isinstance(config, dict):
+        raise _BadInput("experiment config must be a JSON object")
     unknown = set(config) - {"experiment", "construction", "params", "out", "format"}
     if unknown:
         raise click.UsageError(f"unknown experiment config keys {sorted(unknown)}")
     name = config.get("experiment")
-    if name not in _EXPERIMENTS:
+    if not isinstance(name, str) or name not in _RUN_PATHS:
         raise click.UsageError(f"unknown experiment {name!r}")
-    exp_params = dict(config.get("params", {}))
+    exp_params = config.get("params", {})
+    if not isinstance(exp_params, dict):
+        raise _BadInput('experiment "params" must be a JSON object')
+    argv = list(_RUN_PATHS[name])
     if name == "spectral":
-        op = exp_params.pop("op", "corr")
-        if op not in _SPECTRAL_OPS:
+        op = str(exp_params.pop("op", "corr"))
+        if op not in spectral.commands:
             raise click.UsageError(f"unknown spectral op {op!r}")
-        command, mapping = _SPECTRAL_OPS[op]
-    else:
-        command, mapping = _EXPERIMENTS[name]
-    argv: list[str] = []
-    tmp_path = None
+        argv.append(op)
+    construction = None
     if "construction" in config:
-        construction = config["construction"]
-        if isinstance(construction, dict) and "family" in construction:
-            label = construction["family"]
-            if "N" in construction:
-                label += f"({construction['N']})"
-            elif "a" in construction:
-                label += f"({construction['a']})"
-            argv += ["--family", label]
-        else:
-            tmp = tempfile.NamedTemporaryFile(
-                "w", suffix=".json", delete=False, prefix="rank1lab-construction-"
-            )
-            json.dump(construction, tmp)
-            tmp.close()
-            tmp_path = tmp.name
-            argv += ["--config", tmp_path]
+        command = functools.reduce(lambda group, part: group.commands[part], argv, main)
+        if not any(param.name == "family" for param in command.params):
+            raise click.UsageError(f"experiment {name} takes no construction")
+        construction = params_from_config(config["construction"])
     for key, value in exp_params.items():
-        if key not in mapping:
+        if key in _NOT_PARAMS or not _PARAM_KEY.fullmatch(key):
             raise click.UsageError(f"unknown parameter {key!r} for experiment {name}")
-        flag = mapping[key]
+        flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
             if value:
                 argv.append(flag)
@@ -738,11 +699,8 @@ def run_config(ctx, config_path):
         argv += ["--out", str(config["out"])]
     if "format" in config:
         argv += ["--format", str(config["format"])]
-    try:
-        ctx.exit(command.main(args=argv, standalone_mode=False) or 0)
-    finally:
-        if tmp_path:
-            os.unlink(tmp_path)
+    main.main(args=argv, prog_name=ctx.find_root().info_name,
+              standalone_mode=False, obj=construction)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ config file reproduces a construction exactly.
 
 from __future__ import annotations
 
+import inspect
 import math
 import threading
 from dataclasses import dataclass, field
@@ -296,10 +297,14 @@ _FAMILY_BUILDERS = {"toy": toy, "utv1": utv1, "thm2": thm2, "scaled": scaled}
 
 def family(name: str, **kwargs) -> ConstructionParams:
     """Build a preset by name: toy, utv1, thm2 (N=...), scaled (a=...)."""
-    try:
-        builder = _FAMILY_BUILDERS[name]
-    except KeyError:
-        raise InvalidConstructionError(f"unknown family {name!r}") from None
+    builder = _FAMILY_BUILDERS.get(name) if isinstance(name, str) else None
+    if builder is None:
+        raise InvalidConstructionError(f"unknown family {name!r}")
+    wanted = list(inspect.signature(builder).parameters)
+    if set(kwargs) != set(wanted):
+        raise InvalidConstructionError(
+            f"family {name} takes arguments {wanted}, got {sorted(kwargs)}"
+        )
     return builder(**kwargs)
 
 
@@ -419,7 +424,8 @@ def _spacer_rule_from_config(entry) -> SpacerRule:
         raise InvalidConstructionError(f"unknown spacer rule keys {sorted(unknown)}")
     kind = entry.get("rule")
     if kind == "scaled_target":
-        return SpacerRule(kind, a=parse_rational(entry["a"]))
+        a = entry.get("a")
+        return SpacerRule(kind, a=None if a is None else parse_rational(a))
     if "c" in entry:
         return SpacerRule(kind, c=parse_int(entry["c"]))
     return SpacerRule(kind)
@@ -462,6 +468,8 @@ def params_from_config(config: dict) -> ConstructionParams:
     if "h1" not in config or "stages" not in config:
         raise InvalidConstructionError("config needs either 'family' or 'h1' + 'stages'")
     stages = config["stages"]
+    if not isinstance(stages, dict):
+        raise InvalidConstructionError("'stages' must be an object")
     unknown = set(stages) - {"r", "spacers"}
     if unknown:
         raise InvalidConstructionError(f"unknown stage keys {sorted(unknown)}")
@@ -473,11 +481,14 @@ def params_from_config(config: dict) -> ConstructionParams:
         cuts = CutRule(r_entry.get("rule"), parse_int(r_entry.get("c", 1)))
     else:
         cuts = CutRule("constant", parse_int(r_entry))
-    spacers = tuple(_spacer_rule_from_config(e) for e in stages.get("spacers", []))
+    spacers = stages.get("spacers", [])
+    if not isinstance(spacers, list):
+        raise InvalidConstructionError("'spacers' must be a list")
+    spacer_tail = tuple(_spacer_rule_from_config(e) for e in spacers)
     return ConstructionParams(
         h1=parse_int(config["h1"]),
         cuts=cuts,
-        spacer_tail=spacers,
+        spacer_tail=spacer_tail,
         base_width=parse_rational(config.get("base_width", "1/1")),
     )
 

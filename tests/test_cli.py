@@ -266,16 +266,20 @@ def test_run_config_dispatch(runner, tmp_path):
 
 def test_run_config_rejects_unknown_keys(runner, tmp_path):
     config = tmp_path / "exp.json"
-    config.write_text(json.dumps({"experiment": "geometry", "bogus": 1}))
-    result = runner.invoke(main, ["run", "--config", str(config)])
-    assert result.exit_code == 2
-    config.write_text(json.dumps({
-        "experiment": "geometry",
-        "construction": {"family": "toy"},
-        "params": {"j": "2", "bogus": True},
-    }))
-    result = runner.invoke(main, ["run", "--config", str(config)])
-    assert result.exit_code == 2
+    for rejected in (
+        {"experiment": "geometry", "bogus": 1},
+        {"experiment": "geometry", "construction": {"family": "toy"},
+         "params": {"j": "2", "bogus": True}},
+        {"experiment": "geometry", "construction": {"family": "toy"},
+         "params": {"j": "2", "family": "utv1"}},
+        {"experiment": "geometry", "construction": {"family": "toy"},
+         "params": {"j": "2", "help": True}},
+        {"experiment": "eq4", "construction": {"family": "toy"},
+         "params": {"N": 2, "n": 2, "p": 1}},
+    ):
+        config.write_text(json.dumps(rejected))
+        result = runner.invoke(main, ["run", "--config", str(config)])
+        assert result.exit_code == 2, rejected
 
 
 def test_run_config_unknown_experiment(runner, tmp_path):
@@ -325,3 +329,119 @@ def test_reports_are_deterministic(runner):
     first = runner.invoke(main, args)
     second = runner.invoke(main, args)
     assert first.output == second.output
+
+
+def _materialize(args, tmp_path):
+    """Write each JSON value in args to a file and put its path in its place."""
+    out = []
+    for i, arg in enumerate(args):
+        if isinstance(arg, str):
+            out.append(arg.replace("{tmp}", str(tmp_path)))
+        else:
+            path = tmp_path / f"arg{i}.json"
+            path.write_text(json.dumps(arg))
+            out.append(str(path))
+    return out
+
+
+_REJECTED_INPUTS = [
+    ["geometry", "--family", "toy", "--j", "0"],
+    ["geometry", "--config", {"family": "thm2"}, "--j", "2"],
+    ["geometry", "--config", {"family": "toy", "N": 2}, "--j", "2"],
+    ["geometry", "--config", {"h1": 2, "stages": 5}, "--j", "2"],
+    ["geometry", "--family", "thm2(x)", "--j", "2"],
+    ["limits", "scan", "--family", "utv1", "--j", "5", "--dead-samples", "abc"],
+    ["limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/2*T^0",
+     "--j", "3..4", "--tol", "abc"],
+    ["limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/2*T^0",
+     "--j", "3..4", "--tol", "1/0"],
+    ["limits", "verify", "--family", "utv1", "--seq", "h_{k-3}", "--poly", "1/2*T^0",
+     "--j", "3..4"],
+    ["joinings", "witness", "--family", "utv1", "--eps", "x"],
+    ["joinings", "witness", "--family", "utv1", "--j", "1..2"],
+    ["products", "scan", "--family", "utv1", "--k-lo", "1", "--k-hi", "5",
+     "--ratio-target", "x"],
+    ["products", "scan", "--family", "utv1", "--k-lo", "1", "--k-hi", "5", "--m", "0"],
+    ["spectral", "density", "--family", "utv1", "--order", "0"],
+    ["spectral", "suspend", "--family", "utv1", "--set", "stage=2; levels=", "--k", "3"],
+    ["geometry", "--family", "toy", "--j", "2", "--out", "{tmp}/missing/report.json"],
+    ["geometry", "--family", "toy", "--j", "2", "--out", "{tmp}"],
+    ["run", "--config", [1, 2]],
+    ["run", "--config", {"experiment": "geometry", "params": 5}],
+]
+
+
+@pytest.mark.parametrize("args", _REJECTED_INPUTS, ids=lambda args: " ".join(
+    a if isinstance(a, str) else json.dumps(a) for a in args))
+def test_rejected_input_exits_2_with_one_line(runner, tmp_path, args):
+    result = runner.invoke(main, _materialize(args, tmp_path))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    (line,) = result.output.splitlines()
+    assert line.startswith("Error: ")
+
+
+_EXPLICIT = {
+    "h1": 1,
+    "base_width": "1/1",
+    "stages": {"r": 2, "spacers": ["zero", {"rule": "j_times_h"}]},
+}
+
+# (run config, the same experiment as a direct subcommand)
+_RUN_VERSUS_DIRECT = [
+    ({"experiment": "geometry", "construction": {"family": "toy"}, "format": "csv",
+      "params": {"j": "1..3", "star_check": True, "measure_sum": True}},
+     ["geometry", "--family", "toy", "--j", "1..3", "--star-check", "--measure-sum",
+      "--format", "csv"]),
+    ({"experiment": "geometry", "construction": _EXPLICIT, "params": {"j": "1..4"}},
+     ["geometry", "--config", _EXPLICIT, "--j", "1..4"]),
+    ({"experiment": "measure", "construction": {"family": "toy"},
+      "params": {"set": "E1", "n": "15", "max_stage": 6}},
+     ["measure", "--family", "toy", "--set", "E1", "--n", "15", "--max-stage", "6"]),
+    ({"experiment": "oracle", "construction": {"family": "toy"},
+      "params": {"set": "E1", "n": 3, "stage": 4}},
+     ["oracle", "--family", "toy", "--set", "E1", "--n", "3", "--stage", "4"]),
+    ({"experiment": "limits", "construction": {"family": "utv1"},
+      "params": {"seq": "h_k", "poly": "1/4*T^0", "j": "3..4", "pair": ["E2|E2", "E2"]}},
+     ["limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/4*T^0",
+      "--j", "3..4", "--pair", "E2|E2", "--pair", "E2"]),
+    ({"experiment": "scan", "construction": {"family": "utv1"},
+      "params": {"j": 4, "dead_samples": 8}},
+     ["limits", "scan", "--family", "utv1", "--j", "4", "--dead-samples", "8"]),
+    ({"experiment": "eq4", "params": {"N": 2, "n": 2, "p": 1}},
+     ["limits", "eq4", "--big-n", "2", "--n", "2", "--p", "1"]),
+    ({"experiment": "eq4", "params": {"big_n": 2, "n": 1, "p": 1}},
+     ["limits", "eq4", "--N", "2", "--n", "1", "--p", "1"]),
+    ({"experiment": "joinings", "construction": {"family": "utv1"},
+      "params": {"m": 1, "j": "4..5", "grid": 2}},
+     ["joinings", "witness", "--family", "utv1", "--m", "1", "--j", "4..5", "--grid", "2"]),
+    ({"experiment": "products", "construction": {"family": "thm2", "N": 2},
+      "params": {"n": 3, "k_lo": 1, "k_hi": 500, "samples": 8}},
+     ["products", "scan", "--family", "thm2(2)", "--n", "3", "--k-lo", "1",
+      "--k-hi", "500", "--samples", "8"]),
+    ({"experiment": "spectral", "construction": {"family": "utv1"},
+      "params": {"n": "0..6"}, "format": "csv"},
+     ["spectral", "corr", "--family", "utv1", "--n", "0..6", "--format", "csv"]),
+    ({"experiment": "spectral", "construction": {"family": "scaled", "a": "3/2"},
+      "params": {"op": "density", "n": "0..8", "order": 9, "grid": 8}},
+     ["spectral", "density", "--family", "scaled(3/2)", "--n", "0..8", "--order", "9",
+      "--grid", "8"]),
+    ({"experiment": "spectral", "construction": {"family": "utv1"},
+      "params": {"op": "suspend", "k": "24,120"}},
+     ["spectral", "suspend", "--family", "utv1", "--k", "24,120"]),
+    ({"experiment": "acceptance", "params": {"only": "2"}},
+     ["acceptance", "--only", "2"]),
+]
+
+
+@pytest.mark.parametrize("config,direct", _RUN_VERSUS_DIRECT,
+                         ids=[direct[0] + "-" + str(i) for i, (_, direct)
+                              in enumerate(_RUN_VERSUS_DIRECT)])
+def test_run_matches_direct_subcommand(runner, tmp_path, config, direct):
+    via_run = runner.invoke(main, _materialize(["run", "--config", config], tmp_path))
+    via_direct = runner.invoke(main, _materialize(direct, tmp_path))
+    assert via_direct.exception is None or isinstance(via_direct.exception, SystemExit)
+    assert via_run.stdout == via_direct.stdout
+    assert via_run.exit_code == via_direct.exit_code
+

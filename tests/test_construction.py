@@ -278,3 +278,43 @@ def test_unknown_family_rejected():
 def test_geometry_rejects_stage_zero():
     with pytest.raises(ValueError):
         stage_geometry(toy(), 0)
+
+
+@pytest.mark.parametrize("config", [
+    {"family": []},
+    {"family": "thm2"},
+    {"family": "toy", "N": 2},
+    {"family": "thm2", "N": 2, "a": "3/2"},
+    {"h1": 2, "stages": 5},
+    {"h1": 2, "stages": {"r": 2, "spacers": 5}},
+    {"h1": 2, "stages": {"r": 2, "spacers": ["zero", {"rule": "scaled_target"}]}},
+])
+def test_malformed_config_is_invalid_construction(config):
+    with pytest.raises(InvalidConstructionError):
+        params_from_config(config)
+
+
+_CONFIG_KEYS = st.sampled_from(
+    ["family", "N", "a", "h1", "base_width", "stages", "r", "spacers", "rule", "c"]
+) | st.text(max_size=3)
+_CONFIG_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["toy", "thm2", "scaled", "zero", "j_times_h", "scaled_target",
+                       "j_plus", "3/2", "1/0", "2"])
+)
+_JSON_VALUES = st.recursive(
+    _CONFIG_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_CONFIG_KEYS, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_any_json_builds_params_or_raises_value_error(config):
+    try:
+        params = params_from_config(config)
+    except ValueError:
+        return
+    assert isinstance(params, ConstructionParams)
