@@ -27,7 +27,7 @@ from .spectral import (
     suspension_correlation,
     toeplitz_min_eigenvalue,
 )
-from .tower import LevelSet, apply_power_bounds
+from .tower import LevelSet, apply_power_bounds, power_profile
 from .weak_limits import block_value_stages, scan_window, verify_mixture_law
 
 
@@ -70,21 +70,26 @@ def criterion_1() -> CriterionResult:
         system = IntervalSystem(params, J)
         width = system.cell_width
         b_cells = {b: frozenset(system.cells_of(b)) for b in sets}
+        shifts = range(h4 + 1)
         for a in sets:
             walker = OrbitWalker(a, J)
-            for n in range(h4 + 1):
+            orbit = []  # (cells, undefined mass) of T^n A for each n in shifts
+            for n in shifts:
                 if n:
                     walker.step(1)
-                for b in sets:
-                    calc = apply_power_bounds(a, b, n, max_stage=J)
-                    value = len(walker.cells & b_cells[b]) * width
+                orbit.append((walker.cells, walker.undefined))
+            for b in sets:
+                b_set = b_cells[b]
+                profile = power_profile(a, b, shifts, max_stage=J)
+                for n, (cells, undefined), calc in zip(shifts, orbit, profile):
+                    value = len(cells & b_set) * width
                     checked += 1
-                    if value != calc.lo or walker.undefined != calc.hi - calc.lo:
+                    if value != calc.lo or undefined != calc.hi - calc.lo:
                         return CriterionResult(
                             1, "oracle-equivalence", False,
                             f"mismatch at {params.label()} stage{a.stage} n={n}",
                         )
-                    if walker.undefined == 0:
+                    if undefined == 0:
                         exact += 1
                         if not calc.exact:
                             return CriterionResult(
@@ -353,7 +358,12 @@ CRITERIA = (
 
 
 def run_all(numbers=None) -> list[CriterionResult]:
+    """Run the selected criteria (all of them when ``numbers`` is empty), in order."""
     selected = set(numbers) if numbers else None
+    unknown = sorted(selected - set(range(1, len(CRITERIA) + 1))) if selected else []
+    if unknown:
+        raise ValueError(f"no acceptance criterion {', '.join(map(str, unknown))}; "
+                         f"choose from 1..{len(CRITERIA)}")
     results = []
     for index, func in enumerate(CRITERIA, start=1):
         if selected is None or index in selected:

@@ -105,15 +105,17 @@ def _parse_set(text: str, params) -> LevelSet:
 
 
 def _parse_span(text: str) -> range:
-    """"a..b" (inclusive) or a single integer."""
+    """"a..b" (inclusive, a <= b) or a single integer."""
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            return range(int(lo), int(hi) + 1)
-        value = int(text)
+            lo, hi = (int(part) for part in text.split("..", 1))
+        else:
+            lo = hi = int(text)
     except ValueError:
         raise _BadInput(f"bad integer or range {text!r}, expected e.g. 5 or 3..8") from None
-    return range(value, value + 1)
+    if lo > hi:
+        raise _BadInput(f"empty range {text!r}: the start is past the end")
+    return range(lo, hi + 1)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -368,7 +370,10 @@ def limits_scan(family, config_path, j, set_a, set_b, step, dead_samples, max_st
     params = _load_params(family, config_path)
     a = _parse_set(set_a, params)
     b = _parse_set(set_b, params) if set_b else a
-    samples = None if dead_samples == "all" else int(dead_samples)
+    try:
+        samples = None if dead_samples == "all" else int(dead_samples)
+    except ValueError:
+        raise _BadInput(f"--dead-samples must be a count or 'all', got {dead_samples!r}") from None
     report = scan_window(params, j, a, b, step, samples, max_stage)
     rows = [
         {"zone": zone, "n": format_int(n), **_bound_fields(bound),

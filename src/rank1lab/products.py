@@ -46,8 +46,8 @@ def product_return(
 ) -> MeasureBound:
     """mu(T^{mk} A /\\ A) * mu(T^{nk} A' /\\ A')."""
     _check_rectangle(sys, a, a2)
-    left = tower_of(a.params).self_return(a, sys.left_power * k, max_stage)
-    right = tower_of(a2.params).self_return(a2, sys.right_power * k, max_stage)
+    (left,) = tower_of(a.params).self_returns(a, [sys.left_power * k], max_stage)
+    (right,) = tower_of(a2.params).self_returns(a2, [sys.right_power * k], max_stage)
     return left.times(right)
 
 
@@ -101,19 +101,23 @@ def dissipativity_scan(
     if k_lo < 1:
         raise ValueError("k_lo must be >= 1")
     _check_rectangle(sys, a, a2)
-    left_tower = tower_of(a.params)
-    right_tower = tower_of(a2.params)
+    scanned = sample_shifts(k_lo, k_hi, samples)
+    lefts = tower_of(a.params).self_returns(a, [sys.left_power * k for k in scanned], max_stage)
+    live = [k for k, left in zip(scanned, lefts) if left.hi != 0]
+    rights = dict(zip(live, tower_of(a2.params).self_returns(
+        a2, [sys.right_power * k for k in live], max_stage)))
+    zeros: dict[int, MeasureBound] = {}  # one [0, 0] product per resolved stage
     rows = []
     nonzero = []
     unresolved = []
-    scanned = sample_shifts(k_lo, k_hi, samples)
-    for k in scanned:
-        left = left_tower.self_return(a, sys.left_power * k, max_stage)
-        if left.hi == 0:
-            right = None
-            product = MeasureBound.exactly(0, left.resolved_stage)
+    for k, left in zip(scanned, lefts):
+        right = rights.get(k)
+        if right is None:
+            stage = left.resolved_stage
+            if stage not in zeros:
+                zeros[stage] = MeasureBound.exactly(0, stage)
+            product = zeros[stage]
         else:
-            right = right_tower.self_return(a2, sys.right_power * k, max_stage)
             product = left.times(right)
         if product.hi == 0:
             verdict = PROVEN_ZERO

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tower import LevelSet, apply_power_bounds
+from .tower import LevelSet, power_profile
 
 
 @dataclass(frozen=True)
@@ -82,13 +82,10 @@ def correlations(a: LevelSet, n_list, max_stage: int | None = None) -> Correlati
     mass = a.measure
     if mass == 0:
         raise ValueError("base set must have positive measure")
+    shifts = sorted({abs(int(n)) for n in n_list} - {0})
     entries: dict[int, Fraction] = {0: Fraction(1)}
     unresolved: dict[int, tuple[Fraction, Fraction]] = {}
-    for n in n_list:
-        n = abs(int(n))
-        if n in entries or n in unresolved:
-            continue
-        bound = apply_power_bounds(a, a, n, max_stage)
+    for n, bound in zip(shifts, power_profile(a, a, shifts, max_stage)):
         if bound.exact:
             entries[n] = bound.lo / mass
         else:

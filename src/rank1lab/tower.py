@@ -30,6 +30,12 @@ the stage budget.  Unresolved mass at the budget widens the interval; it
 never fabricates a point value.  Negative powers go through
 mu(T^n A /\\ B) = mu(T^{-n} B /\\ A), so only the forward count exists.
 
+``power_profile`` answers a list of shifts for one (A, B) in one call, and
+``apply_power_bounds`` is its one-shift case.  The tower is looked up,
+``RANK1_MAX_STAGE`` read and A and B refined to j0 once per call; each shift
+is planned from the stage heights and counted by ``Tower.pair_count``, the
+only counting recursion, and equal (count, overflow, K) share one bound.
+
 The public functions are pure.  Per-construction state (stage tables,
 refined level tuples, the self-return memo of product scans) lives on one
 ``Tower`` per construction, and memo keys carry the resolved stage budget.
@@ -275,43 +281,67 @@ class Tower:
                 return count
         return count + (t <= 0)
 
-    def _plan(self, a: LevelSet, b: LevelSet, n: int, max_stage: int | None):
-        """Common stage j0, first stage with h > n, and the stage budget (n >= 0)."""
+    def _plans(self, j0: int, shifts: Iterable[int], max_stage: int | None):
+        """(n, first stage >= j0 with h > |n|, stage budget) for each shift;
+        the environment is read once for the whole list."""
+        cap = env_stage_cap()
+        plans = []
+        for n in shifts:
+            # heights increase, so the stages built so far locate the first h > |n|
+            start = max(j0, bisect_right(self._stages, abs(n), key=attrgetter("h")) + 1)
+            while self.stage(start).h <= abs(n):
+                start += 1
+            plans.append((n, start, _stage_budget(max_stage, start, cap)))
+        return plans
+
+    def _bounds(self, a: LevelSet, b: LevelSet, plans) -> list[MeasureBound]:
+        """mu(T^n A /\\ B) for each plan of ``_plans``; equal results share one bound."""
         j0 = max(a.stage, b.stage)
-        # heights increase, so the stages built so far locate the first h > n
-        start = max(j0, bisect_right(self._stages, n, key=attrgetter("h")) + 1)
-        while self.stage(start).h <= n:
-            start += 1
-        return j0, start, _resolve_stage_budget(max_stage, start)
+        base = self.stage(j0).top
+        a_levels, b_levels = self.refined_levels(a, j0), self.refined_levels(b, j0)
+        made: dict[tuple[int, int, int], MeasureBound] = {}
+        bounds = []
+        for n, K, budget in plans:
+            # mu(T^n A /\ B) = mu(T^{-n} B /\ A): count forward from the source set
+            src, dst, levels = (a, b, a_levels) if n >= 0 else (b, a, b_levels)
+            n = abs(n)
+            st = self.stage(K)
+            overflow = 0
+            if levels:
+                # the top level of the source at stage K is levels[-1] + (top_K - top_j0);
+                # nothing overflows once it plus n stays below h_K
+                peak = n + levels[-1] - base
+                while st.top + peak >= st.h and K < budget:
+                    K += 1
+                    st = self.stage(K)
+                if st.top + peak >= st.h:
+                    overflow = sum(self._count_at_least(j0, K, st.h - n - x) for x in levels)
+            count = self.pair_count(src, dst, n, K)
+            bound = made.get((count, overflow, K))
+            if bound is None:
+                lo = count * st.width
+                bound = made[count, overflow, K] = MeasureBound(
+                    lo, lo + overflow * st.width if overflow else lo, K)
+            bounds.append(bound)
+        return bounds
 
-    def power_bounds(
-        self, a: LevelSet, b: LevelSet, n: int, max_stage: int | None
-    ) -> MeasureBound:
-        """mu(T^n A /\\ B) for n >= 0; see ``apply_power_bounds``."""
-        j0, K, budget = self._plan(a, b, n, max_stage)
-        a_levels = self.refined_levels(a, j0)
-        st = self.stage(K)
-        overflow = 0
-        if a_levels:
-            # the top level of A_K is a_levels[-1] + (top_K - top_j0); nothing
-            # overflows once it plus n stays below h_K
-            peak = n + a_levels[-1] - self.stage(j0).top
-            while st.top + peak >= st.h and K < budget:
-                K += 1
-                st = self.stage(K)
-            if st.top + peak >= st.h:
-                overflow = sum(self._count_at_least(j0, K, st.h - n - x) for x in a_levels)
-        lo = self.pair_count(a, b, n, K) * st.width
-        return MeasureBound(lo, lo + overflow * st.width if overflow else lo, K)
+    def power_profile(
+        self, a: LevelSet, b: LevelSet, shifts: Iterable[int], max_stage: int | None
+    ) -> list[MeasureBound]:
+        """mu(T^n A /\\ B) for every n in ``shifts``; see ``tower.power_profile``."""
+        return self._bounds(a, b, self._plans(max(a.stage, b.stage), shifts, max_stage))
 
-    def self_return(self, a: LevelSet, n: int, max_stage: int | None) -> MeasureBound:
-        """mu(T^n A /\\ A) = mu(T^{-n} A /\\ A), memoized for product scans."""
-        n = abs(n)
-        key = (a.stage, a.levels, n, self._plan(a, a, n, max_stage)[2])
-        bound = self._returns.get(key)
-        if bound is None:
-            bound = self._returns[key] = apply_power_bounds(a, a, n, max_stage)
-        return bound
+    def self_returns(
+        self, a: LevelSet, shifts: Iterable[int], max_stage: int | None
+    ) -> list[MeasureBound]:
+        """mu(T^n A /\\ A) = mu(T^{-n} A /\\ A) for every n in ``shifts``, memoized
+        for product scans on (A, |n|, resolved stage budget); one profile fills
+        the misses."""
+        plans = self._plans(a.stage, [abs(n) for n in shifts], max_stage)
+        keys = [(a.stage, a.levels, n, budget) for n, _, budget in plans]
+        missing = {key: plan for key, plan in zip(keys, plans) if key not in self._returns}
+        self._returns.update(zip(missing, self._bounds(a, a, missing.values())))
+        return [self._returns[key] for key in keys]
 
 
 _towers: dict[ConstructionParams, Tower] = {}
@@ -369,10 +399,9 @@ def env_stage_cap() -> int | None:
         raise ValueError(f"{_MAX_STAGE_ENV} must be an integer, got {text!r}") from None
 
 
-def _resolve_stage_budget(max_stage: int | None, start: int) -> int:
+def _stage_budget(max_stage: int | None, start: int, env_cap: int | None) -> int:
     if max_stage is None:
         max_stage = start + DEFAULT_EXTRA_STAGES
-    env_cap = env_stage_cap()
     if env_cap is not None:
         max_stage = min(max_stage, env_cap)
     return max(max_stage, start)
@@ -390,7 +419,21 @@ def apply_power_bounds(
     _check_same_construction(a, b)
     if n < 0:
         return apply_power_bounds(b, a, -n, max_stage)
-    return tower_of(a.params).power_bounds(a, b, n, max_stage)
+    return tower_of(a.params).power_profile(a, b, (n,), max_stage)[0]
+
+
+def power_profile(
+    a: LevelSet, b: LevelSet, shifts: Iterable[int], max_stage: int | None = None
+) -> list[MeasureBound]:
+    """``[apply_power_bounds(a, b, n, max_stage) for n in shifts]`` in one call.
+
+    The shifts may be negative, repeated and in any order.  The tower is
+    looked up, ``RANK1_MAX_STAGE`` read and A and B refined to their common
+    stage once for the whole list; each shift is then planned and counted on
+    its own, and equal results share one ``MeasureBound``.
+    """
+    _check_same_construction(a, b)
+    return tower_of(a.params).power_profile(a, b, shifts, max_stage)
 
 
 # ---------------------------------------------------------------------------

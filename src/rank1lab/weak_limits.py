@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import reports
 from .construction import ConstructionParams, block_sequence, stage_geometry, thm2
-from .tower import LevelSet, MeasureBound, apply_power_bounds, intersect
+from .tower import LevelSet, MeasureBound, apply_power_bounds, intersect, power_profile
 
 
 @dataclass(frozen=True)
@@ -257,6 +257,8 @@ def scan_window(
     dead_lo, dead_hi = h_j + 2 * h_prev, h_next - 2 * h_j
     if step is None:
         step = max(1, (win_hi - win_lo) // 64)
+    elif step < 1:
+        raise ValueError(f"step must be >= 1, got {step}")
     window_ns = sorted(set(range(win_lo, win_hi + 1, step)) | {h_j, win_hi})
     if dead_hi < dead_lo:
         dead_ns = []  # spacers too small to open a dead zone at this stage
@@ -266,8 +268,8 @@ def scan_window(
         dead_ns = list(range(dead_lo, dead_hi + 1))
     else:
         dead_ns = _spread(dead_lo, dead_hi, dead_samples)
-    window_rows = tuple((n, apply_power_bounds(a, b, n, max_stage)) for n in window_ns)
-    dead_rows = tuple((n, apply_power_bounds(a, b, n, max_stage)) for n in dead_ns)
+    window_rows = tuple(zip(window_ns, power_profile(a, b, window_ns, max_stage)))
+    dead_rows = tuple(zip(dead_ns, power_profile(a, b, dead_ns, max_stage)))
     exact_zero = all(bound.exact and bound.lo == 0 for _, bound in dead_rows)
     return WindowScanReport(
         j=j,

@@ -14,11 +14,11 @@ from fractions import Fraction
 
 import pytest
 
-from rank1lab import acceptance
-from rank1lab.construction import height, thm2, utv1
+from rank1lab import acceptance, tower
+from rank1lab.construction import height, stage_geometry, thm2, utv1
 from rank1lab.products import ProductSystem, dissipativity_scan
 from rank1lab.spectral import correlations, fejer_density, correlation_sequence
-from rank1lab.tower import LevelSet
+from rank1lab.tower import LevelSet, MeasureBound
 
 DEFECT_NOTE = (
     "known defect: the asserted finite-stage emptiness fails below stage 6 "
@@ -36,6 +36,26 @@ def _report(result):
 def test_criterion_1_oracle_equivalence():
     result = _report(acceptance.criterion_1())
     assert result.passed, result.detail
+    assert result.detail == "125840 matched-budget identities, 124707 exact, 3 deep toy checks"
+
+
+def test_criterion_1_catches_a_kernel_off_by_one_level(monkeypatch):
+    """The batched kernel is still checked against the orbit oracle: moving
+    one shift's answer by one level width fails the criterion."""
+    profile = tower.Tower.power_profile
+
+    def skewed(self, a, b, shifts, max_stage):
+        bounds = profile(self, a, b, shifts, max_stage)
+        if len(bounds) > 5:
+            bound = bounds[5]
+            width = stage_geometry(a.params, bound.resolved_stage).level_width
+            bounds[5] = MeasureBound(bound.lo + width, bound.hi + width, bound.resolved_stage)
+        return bounds
+
+    monkeypatch.setattr(tower.Tower, "power_profile", skewed)
+    result = acceptance.criterion_1()
+    assert not result.passed
+    assert result.detail.startswith("mismatch at") and result.detail.endswith("n=5")
 
 
 def test_criterion_2_halving():
@@ -151,3 +171,9 @@ def test_run_all_selects_criteria():
     results = acceptance.run_all([2, 4])
     assert [r.number for r in results] == [2, 4]
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("numbers", [[10], [0, 2], [-1]])
+def test_run_all_rejects_unknown_criteria(numbers):
+    with pytest.raises(ValueError, match="no acceptance criterion"):
+        acceptance.run_all(numbers)

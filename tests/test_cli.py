@@ -344,13 +344,24 @@ def _materialize(args, tmp_path):
     return out
 
 
-_REJECTED_INPUTS = [
+# rejected inputs whose message must name what was wrong: (args, fragment)
+_NAMED_REJECTIONS = [
+    (["limits", "scan", "--family", "utv1", "--j", "5", "--dead-samples", "abc"],
+     "--dead-samples"),
+    (["limits", "scan", "--family", "utv1", "--j", "5", "--step", "0"], "step"),
+    (["limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/4*T^0",
+      "--j", "4..3"], "'4..3'"),
+    (["joinings", "witness", "--family", "utv1", "--j", "5..4"], "'5..4'"),
+    (["geometry", "--family", "utv1", "--j", "3..1", "--measure-sum"], "'3..1'"),
+    (["acceptance", "--only", "10"], "criterion 10"),
+]
+
+_REJECTED_INPUTS = [args for args, _ in _NAMED_REJECTIONS] + [
     ["geometry", "--family", "toy", "--j", "0"],
     ["geometry", "--config", {"family": "thm2"}, "--j", "2"],
     ["geometry", "--config", {"family": "toy", "N": 2}, "--j", "2"],
     ["geometry", "--config", {"h1": 2, "stages": 5}, "--j", "2"],
     ["geometry", "--family", "thm2(x)", "--j", "2"],
-    ["limits", "scan", "--family", "utv1", "--j", "5", "--dead-samples", "abc"],
     ["limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/2*T^0",
      "--j", "3..4", "--tol", "abc"],
     ["limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/2*T^0",
@@ -380,6 +391,14 @@ def test_rejected_input_exits_2_with_one_line(runner, tmp_path, args):
     assert "Traceback" not in result.output
     (line,) = result.output.splitlines()
     assert line.startswith("Error: ")
+
+
+@pytest.mark.parametrize("args,fragment", _NAMED_REJECTIONS,
+                         ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_rejection_names_the_bad_input(runner, args, fragment):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert fragment in result.output
 
 
 _EXPLICIT = {

@@ -13,7 +13,7 @@ from rank1lab.products import (
     ratio_condition,
     sample_shifts,
 )
-from rank1lab.tower import LevelSet, apply_power_bounds, measure
+from rank1lab.tower import LevelSet, MeasureBound, apply_power_bounds, measure
 
 UTV = utv1()
 THM = thm2(2)
@@ -122,6 +122,23 @@ def test_scan_verdicts_on_self_product():
 def test_scan_skips_right_factor_when_left_is_zero():
     report = dissipativity_scan(SELF_PRODUCT, E2, E2, 1, 3, samples=2)
     assert all(row.right is None for row in report.rows if row.left.hi == 0)
+
+
+def test_scan_rows_match_single_queries():
+    # one batch of left factors, right factors only where the left can be nonzero
+    system = ProductSystem(THM, 1, THM, 3)
+    h4 = stage_geometry(THM, 4).h
+    a, b = LevelSet.single(THM, 2, 0), LevelSet.single(THM, 2, 4)
+    report = dissipativity_scan(system, a, b, h4, 8 * h4, samples=128)
+    assert report.nonzero_returns
+    for row in report.rows:
+        assert row.left == apply_power_bounds(a, a, row.k)
+        if row.left.hi == 0:
+            assert row.right is None
+            assert row.product == MeasureBound.exactly(0, row.left.resolved_stage)
+        else:
+            assert row.right == apply_power_bounds(b, b, 3 * row.k)
+            assert row.product == row.left.times(row.right)
 
 
 def test_scan_rejects_bad_range():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rank1lab.construction import height, params_from_config, stage_geometry, thm2, toy, utv1
 from rank1lab.oracle import oracle_intersection
@@ -14,6 +14,7 @@ from rank1lab.tower import (
     intersect,
     measure,
     parse_level_set,
+    power_profile,
     refine,
     union,
 )
@@ -210,6 +211,51 @@ def test_kernel_matches_oracle_at_matched_budget(query):
     res = oracle_intersection(a, b, n, J) if n >= 0 else oracle_intersection(b, a, -n, J)
     assert (bound.lo, bound.hi - bound.lo) == (res.value, res.undefined_mass)
     assert bound.resolved_stage <= J
+
+
+@st.composite
+def _profile_queries(draw):
+    params = draw(_constructions)
+
+    def level_set():
+        stage = draw(st.integers(1, 4))
+        h = stage_geometry(params, stage).h
+        levels = draw(st.lists(st.integers(0, h - 1), max_size=5))
+        return LevelSet.from_levels(params, stage, levels)
+
+    a, b = level_set(), level_set()
+    reach = stage_geometry(params, draw(st.integers(2, 7))).h
+    # unsorted, with repeats and negative shifts
+    shifts = draw(st.lists(st.integers(-reach, reach), min_size=1, max_size=30))
+    shifts += draw(st.lists(st.sampled_from(shifts), max_size=5))
+    max_stage = draw(st.none() | st.integers(1, 12))
+    cap = draw(st.none() | st.integers(1, 12))
+    return a, b, shifts, max_stage, cap
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_profile_queries())
+def test_power_profile_equals_single_queries(monkeypatch, query):
+    """One profile call answers exactly like one apply_power_bounds per shift,
+    for random config-grammar constructions, budgets and env caps."""
+    a, b, shifts, max_stage, cap = query
+    if cap is None:
+        monkeypatch.delenv("RANK1_MAX_STAGE", raising=False)
+    else:
+        monkeypatch.setenv("RANK1_MAX_STAGE", str(cap))
+    profile = power_profile(a, b, shifts, max_stage)
+    single = [apply_power_bounds(a, b, n, max_stage) for n in shifts]
+    assert [(x.lo, x.hi, x.resolved_stage) for x in profile] == [
+        (x.lo, x.hi, x.resolved_stage) for x in single]
+
+
+def test_power_profile_edge_cases():
+    e1 = LevelSet.base(TOY, 1)
+    assert power_profile(e1, e1, []) == []
+    assert power_profile(e1, e1, iter([3, -3])) == [apply_power_bounds(e1, e1, 3)] * 2
+    with pytest.raises(ValueError):
+        power_profile(e1, LevelSet.base(UTV, 1), [1])
 
 
 @pytest.mark.parametrize("level", [1, 3, 5])

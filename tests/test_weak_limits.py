@@ -179,6 +179,12 @@ def test_scan_window_degenerate_zone_for_toy():
     assert report.dead_zone_exact_zero  # vacuously
 
 
+@pytest.mark.parametrize("step", [0, -2])
+def test_scan_window_rejects_step_below_one(step):
+    with pytest.raises(ValueError, match="step"):
+        scan_window(UTV, 5, E2, E2, step=step)
+
+
 def test_scan_window_rejects_sets_too_deep():
     with pytest.raises(ValueError):
         scan_window(UTV, 4, LevelSet.base(UTV, 3), LevelSet.base(UTV, 3))
