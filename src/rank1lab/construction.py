@@ -21,8 +21,10 @@ from __future__ import annotations
 import inspect
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .serde import format_int, format_rational, parse_int, parse_rational
 
@@ -188,17 +190,33 @@ class StageGeometry:
     spacers: tuple[int, ...]
     column_offsets: tuple[int, ...]
     space_measure: Fraction
+    copies: int  # copies of stage 1 stacked into stage j: r_1 * ... * r_{j-1}
+    top: int  # where the highest copy starts: the last column offsets below, summed
 
     @property
     def next_height(self) -> int:
         return self.column_offsets[-1] + self.h + self.spacers[-1]
+
+    @cached_property
+    def offset_differences(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The sorted distinct column-offset differences o(i') - o(i), and the
+        number of column pairs (i, i') giving each."""
+        offsets = self.column_offsets
+        mult = Counter(q - p for p in offsets for q in offsets)
+        diffs = tuple(sorted(mult))
+        return diffs, tuple(mult[d] for d in diffs)
 
 
 _geometry_cache: dict[ConstructionParams, list[StageGeometry]] = {}
 _geometry_lock = threading.Lock()
 
 
-def _build_stage(params: ConstructionParams, j: int, h: int, width: Fraction) -> StageGeometry:
+def _build_stage(params: ConstructionParams, below: StageGeometry | None) -> StageGeometry:
+    if below is None:
+        j, h, width, copies, top = 1, params.h1, params.base_width, 1, 0
+    else:
+        j, h, width = below.j + 1, below.next_height, below.level_width / below.r
+        copies, top = below.copies * below.r, below.top + below.column_offsets[-1]
     spacers = params.spacer_vector(j, h)
     offsets = [0]
     for s in spacers[:-1]:
@@ -211,7 +229,16 @@ def _build_stage(params: ConstructionParams, j: int, h: int, width: Fraction) ->
         spacers=spacers,
         column_offsets=tuple(offsets),
         space_measure=h * width,
+        copies=copies,
+        top=top,
     )
+
+
+def stage_chain(params: ConstructionParams) -> list[StageGeometry]:
+    """The live list of stages 1, 2, ... built so far.  ``stage_geometry``
+    only appends to it, so a reader may index it without the lock."""
+    with _geometry_lock:
+        return _geometry_cache.setdefault(params, [])
 
 
 def stage_geometry(params: ConstructionParams, j: int) -> StageGeometry:
@@ -220,13 +247,8 @@ def stage_geometry(params: ConstructionParams, j: int) -> StageGeometry:
         raise ValueError("stage index must be >= 1")
     with _geometry_lock:
         chain = _geometry_cache.setdefault(params, [])
-        if not chain:
-            chain.append(_build_stage(params, 1, params.h1, params.base_width))
         while len(chain) < j:
-            prev = chain[-1]
-            chain.append(
-                _build_stage(params, prev.j + 1, prev.next_height, prev.level_width / prev.r)
-            )
+            chain.append(_build_stage(params, chain[-1] if chain else None))
         return chain[j - 1]
 
 

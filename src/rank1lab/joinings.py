@@ -30,9 +30,11 @@ def partial_joining(a: LevelSet, b: LevelSet, k: int, j: int) -> MeasureBound:
     geom = stage_geometry(a.params, j)
     if abs(k) > geom.h:
         raise ValueError(f"|k| = {abs(k)} exceeds tower height {geom.h} at stage {j}")
-    if max(a.stage, b.stage) > j:
+    j0 = max(a.stage, b.stage)
+    if j0 > j:
         raise ValueError("sets are not representable at the requested stage")
-    count = tower_of(a.params).pair_count(a, b, k, j)
+    tower = tower_of(a.params)
+    count = tower.pair_count(tower.refined_levels(a, j0), tower.refined_levels(b, j0), j0, k, j)
     return MeasureBound.exactly(count * geom.level_width, j)
 
 

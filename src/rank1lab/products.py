@@ -75,6 +75,8 @@ def sample_shifts(k_lo: int, k_hi: int, samples: int) -> list[int]:
     """`samples` distinct shifts from the half-open range (k_lo, k_hi]."""
     if k_hi <= k_lo:
         raise ValueError("empty shift range")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     span = k_hi - k_lo
     points = set()
     for t in range(1, samples + 1):

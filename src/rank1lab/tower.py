@@ -36,23 +36,24 @@ mu(T^n A /\\ B) = mu(T^{-n} B /\\ A), so only the forward count exists.
 is planned from the stage heights and counted by ``Tower.pair_count``, the
 only counting recursion, and equal (count, overflow, K) share one bound.
 
-The public functions are pure.  Per-construction state (stage tables,
-refined level tuples, the self-return memo of product scans) lives on one
-``Tower`` per construction, and memo keys carry the resolved stage budget.
+The public functions are pure.  The kernel's stage table is the geometry
+chain of the construction (``construction.stage_chain``): each
+``StageGeometry`` carries the prefix data the kernel reads (``copies``,
+``top``) and its offset differences.  The one ``Tower`` per construction
+reads that chain and owns only the self-return memo of product scans, whose
+keys carry the resolved stage budget.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
-from .construction import ConstructionParams, stage_geometry
+from .construction import ConstructionParams, StageGeometry, stage_chain, stage_geometry
 
 DEFAULT_EXTRA_STAGES = 8
 _MAX_STAGE_ENV = "RANK1_MAX_STAGE"
@@ -167,79 +168,46 @@ def measure(a: LevelSet) -> Fraction:
     return a.measure
 
 
-class _Stage(NamedTuple):
-    """Kernel table of stage k: its geometry plus prefix sums over stages < k."""
-
-    h: int
-    width: Fraction
-    offsets: tuple[int, ...]
-    diffs: tuple[int, ...]  # sorted distinct column-offset differences o(i') - o(i)
-    mults: tuple[int, ...]  # number of column pairs (i, i') giving each difference
-    top: int  # sum of the last column offsets of stages < k
-    paths: int  # product of the cut counts of stages < k
-
-
 class Tower:
-    """Kernel tables and memos of one construction.
+    """The kernel of one construction, read off its geometry chain.
 
     Offset sums of stages j0..k-1 form the set O_{j0,k}; its largest element
     is ``stage(k).top - stage(j0).top`` and it has
-    ``stage(k).paths // stage(j0).paths`` elements.  The self-return memo is
-    keyed on the resolved stage budget, so it follows ``RANK1_MAX_STAGE``.
+    ``stage(k).copies // stage(j0).copies`` elements.  The stage table is the
+    chain ``stage_geometry`` builds; the one memo of its own is the
+    self-return memo, keyed on the resolved stage budget, so it follows
+    ``RANK1_MAX_STAGE``.
     """
 
     def __init__(self, params: ConstructionParams):
         self.params = params
-        self._stages: list[_Stage] = []
-        self._lock = threading.Lock()
-        self._refined: dict[tuple[int, tuple[int, ...], int], tuple[int, ...]] = {}
+        self._chain = stage_chain(params)
         self._returns: dict[tuple[int, tuple[int, ...], int, int], MeasureBound] = {}
 
-    def stage(self, k: int) -> _Stage:
-        if k > len(self._stages):
-            with self._lock:
-                self._extend(k)
-        return self._stages[k - 1]
-
-    def _extend(self, k: int):
-        stages = self._stages
-        while len(stages) < k:
-            geom = stage_geometry(self.params, len(stages) + 1)
-            if stages:
-                prev = stages[-1]
-                top, paths = prev.top + prev.offsets[-1], prev.paths * len(prev.offsets)
-            else:
-                top, paths = 0, 1
-            offsets = geom.column_offsets
-            mult = Counter(q - p for p in offsets for q in offsets)
-            diffs = tuple(sorted(mult))
-            stages.append(_Stage(geom.h, geom.level_width, offsets, diffs,
-                                 tuple(mult[d] for d in diffs), top, paths))
+    def stage(self, k: int) -> StageGeometry:
+        if k > len(self._chain):
+            stage_geometry(self.params, k)
+        return self._chain[k - 1]
 
     def refined_levels(self, a: LevelSet, to_stage: int) -> tuple[int, ...]:
-        if to_stage == a.stage:
-            return a.levels
-        key = (a.stage, a.levels, to_stage)
-        levels = self._refined.get(key)
-        if levels is None:
-            prev = self.refined_levels(a, to_stage - 1)
+        levels = a.levels
+        for k in range(a.stage, to_stage):
             # already increasing: consecutive columns sit h + s >= h apart
-            levels = tuple(off + lvl for off in self.stage(to_stage - 1).offsets for lvl in prev)
-            self._refined[key] = levels
+            levels = tuple(off + lvl for off in self.stage(k).column_offsets for lvl in levels)
         return levels
 
-    def pair_count(self, a: LevelSet, b: LevelSet, n: int, K: int) -> int:
-        """#{(x, y) : x in A, y in B at stage K, y - x = n}, for K >= both stages.
+    def pair_count(
+        self, a_levels: tuple[int, ...], b_levels: tuple[int, ...], j0: int, n: int, K: int
+    ) -> int:
+        """#{(x, y) : x in A, y in B at stage K, y - x = n}, for K >= j0, given
+        the levels of A and B at stage j0.
 
         This is sum_{a,b} N_K(n + a - b) over the levels a of A and b of B at
-        their common stage j0: a level pair of stage K is (a + o, b + o') with
+        stage j0: a level pair of stage K is (a + o, b + o') with
         o, o' in O_{j0,K}.  The recursion runs top-down on
         v = n + a - (o' - o), peeling one stage's offset difference d at a
         time with its multiplicity; the pair counts when v ends on a level of B.
         """
-        j0 = max(a.stage, b.stage)
-        a_levels = self.refined_levels(a, j0)
-        b_levels = self.refined_levels(b, j0)
         if not a_levels or not b_levels:
             return 0
         low, high = b_levels[0], b_levels[-1]
@@ -248,7 +216,7 @@ class Tower:
         for k in range(K - 1, j0 - 1, -1):
             st = self.stage(k)
             reach = st.top - base  # the offset sums still to peel differ by at most this
-            diffs, mults = st.diffs, st.mults
+            diffs, mults = st.offset_differences
             step: dict[int, int] = {}
             for v, weight in frontier.items():
                 for i in range(bisect_left(diffs, v - high - reach),
@@ -270,13 +238,13 @@ class Tower:
         count = 0
         for k in range(K, j0, -1):
             if t <= 0:
-                return count + self.stage(k).paths // base.paths
+                return count + self.stage(k).copies // base.copies
             st = self.stage(k - 1)
-            i = bisect_left(st.offsets, t)
-            count += (len(st.offsets) - i) * (st.paths // base.paths)
+            i = bisect_left(st.column_offsets, t)
+            count += (st.r - i) * (st.copies // base.copies)
             if i == 0:
                 return count
-            t -= st.offsets[i - 1]
+            t -= st.column_offsets[i - 1]
             if t > st.top - base.top:
                 return count
         return count + (t <= 0)
@@ -288,7 +256,7 @@ class Tower:
         plans = []
         for n in shifts:
             # heights increase, so the stages built so far locate the first h > |n|
-            start = max(j0, bisect_right(self._stages, abs(n), key=attrgetter("h")) + 1)
+            start = max(j0, bisect_right(self._chain, abs(n), key=attrgetter("h")) + 1)
             while self.stage(start).h <= abs(n):
                 start += 1
             plans.append((n, start, _stage_budget(max_stage, start, cap)))
@@ -303,25 +271,25 @@ class Tower:
         bounds = []
         for n, K, budget in plans:
             # mu(T^n A /\ B) = mu(T^{-n} B /\ A): count forward from the source set
-            src, dst, levels = (a, b, a_levels) if n >= 0 else (b, a, b_levels)
+            src, dst = (a_levels, b_levels) if n >= 0 else (b_levels, a_levels)
             n = abs(n)
             st = self.stage(K)
             overflow = 0
-            if levels:
-                # the top level of the source at stage K is levels[-1] + (top_K - top_j0);
+            if src:
+                # the top level of the source at stage K is src[-1] + (top_K - top_j0);
                 # nothing overflows once it plus n stays below h_K
-                peak = n + levels[-1] - base
+                peak = n + src[-1] - base
                 while st.top + peak >= st.h and K < budget:
                     K += 1
                     st = self.stage(K)
                 if st.top + peak >= st.h:
-                    overflow = sum(self._count_at_least(j0, K, st.h - n - x) for x in levels)
-            count = self.pair_count(src, dst, n, K)
+                    overflow = sum(self._count_at_least(j0, K, st.h - n - x) for x in src)
+            count = self.pair_count(src, dst, j0, n, K)
             bound = made.get((count, overflow, K))
             if bound is None:
-                lo = count * st.width
+                lo = count * st.level_width
                 bound = made[count, overflow, K] = MeasureBound(
-                    lo, lo + overflow * st.width if overflow else lo, K)
+                    lo, lo + overflow * st.level_width if overflow else lo, K)
             bounds.append(bound)
         return bounds
 

@@ -199,11 +199,11 @@ def verify_limit(
     tol = Fraction(tol)
     rows = []
     max_dev = Fraction(0)
+    predicted = [(a, b, predict(poly, a, b, max_stage)) for a, b in test_pairs]
     for k in k_range:
-        for idx, (a, b) in enumerate(test_pairs):
-            n = seq.evaluate(params, k)
+        n = seq.evaluate(params, k)
+        for idx, (a, b, pred) in enumerate(predicted):
             value = apply_power_bounds(a, b, n, max_stage)
-            pred = predict(poly, a, b, max_stage)
             dev_lo, dev_hi = value.deviation_from(pred)
             status = reports.classify_deviation(dev_lo, dev_hi, tol)
             rows.append(LimitCheckRow(k, n, idx, value, pred, dev_lo, dev_hi, status))
@@ -243,8 +243,8 @@ def scan_window(
     """Tabulate mu(T^n A /\\ B) over the active window around h_j and sample
     the dead zone [h_j + 2h_{j-1}, h_{j+1} - 2h_j], where values must vanish.
 
-    ``dead_samples=None`` scans the dead zone exhaustively (toy-sized
-    constructions only).
+    ``dead_samples`` interior points are sampled besides the two endpoints;
+    ``None`` scans the dead zone exhaustively (toy-sized constructions only).
     """
     if j < 3:
         raise ValueError("scan needs j >= 3")
@@ -259,6 +259,8 @@ def scan_window(
         step = max(1, (win_hi - win_lo) // 64)
     elif step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
+    if dead_samples is not None and dead_samples < 0:
+        raise ValueError(f"dead_samples must be >= 0, got {dead_samples}")
     window_ns = sorted(set(range(win_lo, win_hi + 1, step)) | {h_j, win_hi})
     if dead_hi < dead_lo:
         dead_ns = []  # spacers too small to open a dead zone at this stage

@@ -354,6 +354,10 @@ _NAMED_REJECTIONS = [
     (["joinings", "witness", "--family", "utv1", "--j", "5..4"], "'5..4'"),
     (["geometry", "--family", "utv1", "--j", "3..1", "--measure-sum"], "'3..1'"),
     (["acceptance", "--only", "10"], "criterion 10"),
+    (["products", "scan", "--family", "utv1", "--k-lo", "1", "--k-hi", "30",
+      "--samples", "0"], "samples"),
+    (["limits", "scan", "--family", "utv1", "--j", "5", "--dead-samples", "-5"],
+     "dead_samples"),
 ]
 
 _REJECTED_INPUTS = [args for args, _ in _NAMED_REJECTIONS] + [

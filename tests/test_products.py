@@ -79,6 +79,14 @@ def test_sample_shifts_properties():
         sample_shifts(5, 5, 4)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_scan_rejects_samples_below_one(samples):
+    with pytest.raises(ValueError, match="samples"):
+        sample_shifts(1, 30, samples)
+    with pytest.raises(ValueError, match="samples"):
+        dissipativity_scan(SELF_PRODUCT, E2, E2, 1, 30, samples=samples)
+
+
 def test_thm2_tail_scan_is_proven_zero_at_stage_six():
     system = ProductSystem(THM, 1, THM, 3)
     a = LevelSet.base(THM, 2)

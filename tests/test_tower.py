@@ -1,3 +1,7 @@
+import math
+import sys
+import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +20,7 @@ from rank1lab.tower import (
     parse_level_set,
     power_profile,
     refine,
+    tower_of,
     union,
 )
 
@@ -279,6 +284,67 @@ def test_thm2_four_resolves_exactly_at_stage_thirty():
     bound = apply_power_bounds(e2, e2, -height(p, 30))
     # the mixture law: (N - 1)/(N + 1) of E2 returns, N = 4
     assert bound.exact and bound.value == Fraction(3, 5) * e2.measure
+
+
+@pytest.mark.parametrize("params", [TOY, UTV, thm2(3)], ids=lambda p: p.label())
+def test_kernel_and_geometry_share_one_chain(params):
+    tower = tower_of(params)
+    for k in range(1, 9):
+        assert tower.stage(k) is stage_geometry(params, k)
+
+
+def test_shared_chain_grows_consistently_under_threads():
+    # a construction no other test builds, so its chain starts empty here
+    params = params_from_config(
+        {"h1": 3, "stages": {"r": 3, "spacers": ["zero", "zero", {"rule": "constant", "c": 2}]}})
+    tower = tower_of(params)
+    seen, errors = [], []
+
+    def work(offset):
+        try:
+            for i in range(200):
+                k = 1 + (7 * i + offset) % 40
+                st = tower.stage(k) if offset % 2 else stage_geometry(params, k)
+                seen.append((k, st))
+        except Exception as exc:  # reported below; a thread cannot fail the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(seen) == 8 * 200
+    chain = [stage_geometry(params, k) for k in range(1, 41)]
+    assert [st.j for st in chain] == list(range(1, 41))
+    assert [st.copies for st in chain] == [3 ** (k - 1) for k in range(1, 41)]
+    assert all(st is chain[k - 1] for k, st in seen)
+
+
+def test_stage_prefix_data_closed_forms():
+    # utv1: r = 2 and the second column starts at h_i = (i+1)!
+    geoms = [stage_geometry(UTV, j) for j in range(1, 6)]
+    assert [g.copies for g in geoms] == [2 ** (j - 1) for j in range(1, 6)]
+    tops = [sum(math.factorial(i + 1) for i in range(1, j)) for j in range(1, 6)]
+    assert [g.top for g in geoms] == tops == [0, 2, 8, 32, 152]
+
+
+def test_offset_differences_count_column_pairs():
+    geom = stage_geometry(thm2(3), 4)
+    pairs = Counter()
+    for p in geom.column_offsets:
+        for q in geom.column_offsets:
+            pairs[q - p] += 1
+    diffs, mults = geom.offset_differences
+    assert list(diffs) == sorted(pairs)
+    assert dict(zip(diffs, mults)) == pairs
 
 
 def test_textual_form_roundtrip():

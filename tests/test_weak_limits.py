@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from rank1lab import reports
+from rank1lab import reports, weak_limits
 from rank1lab.construction import stage_geometry, thm2, toy, utv1
 from rank1lab.tower import LevelSet, apply_power_bounds, measure
 from rank1lab.weak_limits import (
@@ -80,6 +80,22 @@ def test_verify_limit_halving_sequence():
     )
     assert report.status == reports.PASS
     assert report.max_deviation == 0
+
+
+def test_verify_limit_predicts_each_pair_once(monkeypatch):
+    calls = []
+
+    def counted(poly, a, b, max_stage=None):
+        calls.append((a, b))
+        return predict(poly, a, b, max_stage)
+
+    monkeypatch.setattr(weak_limits, "predict", counted)
+    pairs = [(E2, E2), (E2, LevelSet.base(UTV, 3))]
+    report = verify_limit(
+        UTV, parse_sequence("h_k"), parse_polynomial("1/2*T^0"), pairs, range(3, 9),
+    )
+    assert len(report.rows) == 12
+    assert calls == pairs
 
 
 def test_verify_limit_double_halving():
@@ -183,6 +199,17 @@ def test_scan_window_degenerate_zone_for_toy():
 def test_scan_window_rejects_step_below_one(step):
     with pytest.raises(ValueError, match="step"):
         scan_window(UTV, 5, E2, E2, step=step)
+
+
+@pytest.mark.parametrize("dead_samples", [-1, -5])
+def test_scan_window_rejects_negative_dead_samples(dead_samples):
+    with pytest.raises(ValueError, match="dead_samples"):
+        scan_window(UTV, 5, E2, E2, dead_samples=dead_samples)
+
+
+def test_scan_window_zero_dead_samples_checks_the_endpoints():
+    report = scan_window(UTV, 5, E2, E2, dead_samples=0)
+    assert [n for n, _ in report.dead_rows] == list(report.dead_zone)
 
 
 def test_scan_window_rejects_sets_too_deep():
