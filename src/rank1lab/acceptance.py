@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import reports
-from .construction import height, thm2, toy, utv1
+from .construction import height, stage_geometry, thm2, toy, utv1
 from .joinings import delta_shift, partial_joining, domination_witness
 from .oracle import IntervalSystem, OrbitWalker, oracle_intersection
 from .products import ProductSystem, dissipativity_scan, product_return, sample_shifts
@@ -27,7 +27,7 @@ from .spectral import (
     suspension_correlation,
     toeplitz_min_eigenvalue,
 )
-from .tower import LevelSet, apply_power_bounds, power_profile
+from .tower import LevelSet, apply_power_bounds, tower_of
 from .weak_limits import block_value_stages, scan_window, verify_mixture_law
 
 
@@ -53,7 +53,10 @@ def criterion_1() -> CriterionResult:
 
     For every ordered pair of stage <= 3 single-level sets and every
     0 <= n <= h_4, the oracle's (value, undefined mass) must equal the
-    calculus' (lo, hi - lo) as rationals; n < 0 is the mirrored ordered pair.
+    calculus' (lo, hi - lo); n < 0 is the mirrored ordered pair.  Both are
+    compared as integer counts on the stage-J grid: a level of stage K <= J
+    covers ``scale[K]`` oracle cells, so the kernel's (count, overflow, K)
+    scaled by ``scale[K]`` must be the oracle's (cells hit, cells lost).
     Exact-value equality is asserted wherever the orbit fully resolves at
     J = 6 (all of utv1), plus deep toy spot checks where exactness needs
     stage ~18.
@@ -68,30 +71,38 @@ def criterion_1() -> CriterionResult:
             for lvl in range(height(params, s))
         ]
         system = IntervalSystem(params, J)
-        width = system.cell_width
+        scale = {}  # oracle cells per kernel level of stage K
+        for K in range(1, J + 1):
+            ratio = stage_geometry(params, K).level_width / system.cell_width
+            if ratio.denominator != 1:
+                return CriterionResult(
+                    1, "oracle-equivalence", False,
+                    f"stage-{K} level of {params.label()} is not a whole number of cells",
+                )
+            scale[K] = ratio.numerator
+        kernel = tower_of(params)
         b_cells = {b: frozenset(system.cells_of(b)) for b in sets}
         shifts = range(h4 + 1)
         for a in sets:
             walker = OrbitWalker(a, J)
-            orbit = []  # (cells, undefined mass) of T^n A for each n in shifts
+            orbit = []  # (cells, cells lost) of T^n A for each n in shifts
             for n in shifts:
                 if n:
                     walker.step(1)
-                orbit.append((walker.cells, walker.undefined))
+                orbit.append((walker.cells, walker.lost))
             for b in sets:
                 b_set = b_cells[b]
-                profile = power_profile(a, b, shifts, max_stage=J)
-                for n, (cells, undefined), calc in zip(shifts, orbit, profile):
-                    value = len(cells & b_set) * width
+                counts = kernel.level_counts(a, b, shifts, J)
+                for n, (cells, lost), (count, overflow, K) in zip(shifts, orbit, counts):
                     checked += 1
-                    if value != calc.lo or undefined != calc.hi - calc.lo:
+                    if len(cells & b_set) != count * scale[K] or lost != overflow * scale[K]:
                         return CriterionResult(
                             1, "oracle-equivalence", False,
                             f"mismatch at {params.label()} stage{a.stage} n={n}",
                         )
-                    if undefined == 0:
+                    if lost == 0:
                         exact += 1
-                        if not calc.exact:
+                        if overflow:
                             return CriterionResult(
                                 1, "oracle-equivalence", False,
                                 f"calculus not exact where oracle is, n={n}",

@@ -118,16 +118,21 @@ class OracleResult:
 class OrbitWalker:
     """Tracks the image of a set under repeated T or T^{-1} steps.
 
-    Mass whose orbit leaves the stage-J tower is removed and accumulated as
-    undefined.  Intended for incremental sweeps over consecutive powers.
+    Cells whose orbit leaves the stage-J tower are removed and counted in
+    ``lost``; their mass is ``undefined``.  Intended for incremental sweeps
+    over consecutive powers.
     """
 
     def __init__(self, a: LevelSet, stage: int):
         self.system = IntervalSystem(a.params, stage)
         self._data = self.system._data
         self.cells = self.system.cells_of(a)
-        self.undefined = Fraction(0)
+        self.lost = 0
         self.power = 0
+
+    @property
+    def undefined(self) -> Fraction:
+        return self.lost * self.system.cell_width
 
     def step(self, direction: int = 1):
         data = self._data
@@ -145,7 +150,7 @@ class OrbitWalker:
                 if level > 0:
                     moved.add(data.cell_of_level[level - 1])
             self.power -= 1
-        self.undefined += (len(self.cells) - len(moved)) * self.system.cell_width
+        self.lost += len(self.cells) - len(moved)
         self.cells = moved
 
     def value_against(self, b: LevelSet) -> Fraction:

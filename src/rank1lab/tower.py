@@ -30,11 +30,14 @@ the stage budget.  Unresolved mass at the budget widens the interval; it
 never fabricates a point value.  Negative powers go through
 mu(T^n A /\\ B) = mu(T^{-n} B /\\ A), so only the forward count exists.
 
-``power_profile`` answers a list of shifts for one (A, B) in one call, and
-``apply_power_bounds`` is its one-shift case.  The tower is looked up,
-``RANK1_MAX_STAGE`` read and A and B refined to j0 once per call; each shift
-is planned from the stage heights and counted by ``Tower.pair_count``, the
-only counting recursion, and equal (count, overflow, K) share one bound.
+The kernel answers in integers: ``Tower.level_counts`` gives, for each shift
+of a list, the triple (count, overflow, K) of level pairs and overflowing
+levels at the resolved stage K.  The tower is looked up, ``RANK1_MAX_STAGE``
+read and A and B refined to j0 once per call; each shift is planned from the
+stage heights and counted by ``Tower.pair_count``, the only counting
+recursion.  ``power_profile`` is the rational view of those triples, with
+equal triples sharing one bound, and ``apply_power_bounds`` is its one-shift
+case.
 
 The public functions are pure.  The kernel's stage table is the geometry
 chain of the construction (``construction.stage_chain``): each
@@ -262,13 +265,12 @@ class Tower:
             plans.append((n, start, _stage_budget(max_stage, start, cap)))
         return plans
 
-    def _bounds(self, a: LevelSet, b: LevelSet, plans) -> list[MeasureBound]:
-        """mu(T^n A /\\ B) for each plan of ``_plans``; equal results share one bound."""
+    def _counts(self, a: LevelSet, b: LevelSet, plans) -> list[tuple[int, int, int]]:
+        """(count, overflow, K) of mu(T^n A /\\ B) for each plan of ``_plans``."""
         j0 = max(a.stage, b.stage)
         base = self.stage(j0).top
         a_levels, b_levels = self.refined_levels(a, j0), self.refined_levels(b, j0)
-        made: dict[tuple[int, int, int], MeasureBound] = {}
-        bounds = []
+        counts = []
         for n, K, budget in plans:
             # mu(T^n A /\ B) = mu(T^{-n} B /\ A): count forward from the source set
             src, dst = (a_levels, b_levels) if n >= 0 else (b_levels, a_levels)
@@ -284,20 +286,40 @@ class Tower:
                     st = self.stage(K)
                 if st.top + peak >= st.h:
                     overflow = sum(self._count_at_least(j0, K, st.h - n - x) for x in src)
-            count = self.pair_count(src, dst, j0, n, K)
-            bound = made.get((count, overflow, K))
+            counts.append((self.pair_count(src, dst, j0, n, K), overflow, K))
+        return counts
+
+    def _bounds(self, counts: list[tuple[int, int, int]]) -> list[MeasureBound]:
+        """The rational view of ``(count, overflow, K)`` triples; equal triples
+        share one bound."""
+        made: dict[tuple[int, int, int], MeasureBound] = {}
+        bounds = []
+        for triple in counts:
+            bound = made.get(triple)
             if bound is None:
-                lo = count * st.level_width
-                bound = made[count, overflow, K] = MeasureBound(
-                    lo, lo + overflow * st.level_width if overflow else lo, K)
+                count, overflow, K = triple
+                width = self.stage(K).level_width
+                lo = count * width
+                bound = made[triple] = MeasureBound(
+                    lo, lo + overflow * width if overflow else lo, K)
             bounds.append(bound)
         return bounds
+
+    def level_counts(
+        self, a: LevelSet, b: LevelSet, shifts: Iterable[int], max_stage: int | None
+    ) -> list[tuple[int, int, int]]:
+        """``(count, overflow, K)`` for every n in ``shifts``: the level pairs
+        (x, y) of A and B at the resolved stage K with y - x = n, and the levels
+        of the source set pushed past the top of the stage-K tower.  The
+        measure interval is ``[count, count + overflow]`` times
+        ``stage(K).level_width``; negative n count T^{-n} B /\\ A."""
+        return self._counts(a, b, self._plans(max(a.stage, b.stage), shifts, max_stage))
 
     def power_profile(
         self, a: LevelSet, b: LevelSet, shifts: Iterable[int], max_stage: int | None
     ) -> list[MeasureBound]:
         """mu(T^n A /\\ B) for every n in ``shifts``; see ``tower.power_profile``."""
-        return self._bounds(a, b, self._plans(max(a.stage, b.stage), shifts, max_stage))
+        return self._bounds(self.level_counts(a, b, shifts, max_stage))
 
     def self_returns(
         self, a: LevelSet, shifts: Iterable[int], max_stage: int | None
@@ -308,7 +330,7 @@ class Tower:
         plans = self._plans(a.stage, [abs(n) for n in shifts], max_stage)
         keys = [(a.stage, a.levels, n, budget) for n, _, budget in plans]
         missing = {key: plan for key, plan in zip(keys, plans) if key not in self._returns}
-        self._returns.update(zip(missing, self._bounds(a, a, missing.values())))
+        self._returns.update(zip(missing, self._bounds(self._counts(a, a, missing.values()))))
         return [self._returns[key] for key in keys]
 
 

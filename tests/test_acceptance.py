@@ -15,15 +15,17 @@ from fractions import Fraction
 import pytest
 
 from rank1lab import acceptance, tower
-from rank1lab.construction import height, stage_geometry, thm2, utv1
+from rank1lab.construction import height, thm2, utv1
+from rank1lab.oracle import oracle_intersection
 from rank1lab.products import ProductSystem, dissipativity_scan
 from rank1lab.spectral import correlations, fejer_density, correlation_sequence
-from rank1lab.tower import LevelSet, MeasureBound
+from rank1lab.tower import LevelSet, MeasureBound, apply_power_bounds
 
 DEFECT_NOTE = (
-    "known defect: the asserted finite-stage emptiness fails below stage 6 "
-    "(k=453 = 2h4-2h3-2h2-1 with 3k = h5-2h4-h3-h2-2 over thm2(2); "
-    "oracle-confirmed); see the README known-deviations section"
+    "known defect: the asserted finite-stage emptiness fails below stage 7 "
+    "(k=453 = 2h4-2h3-2h2-1 with 3k = h5-2h4-h3-h2-2 over thm2(2), and "
+    "k=35476 in (h6, 8h6]; oracle-confirmed; the 256 sampled stage-6 shifts "
+    "all vanish); see the README known-deviations section"
 )
 
 
@@ -39,20 +41,33 @@ def test_criterion_1_oracle_equivalence():
     assert result.detail == "125840 matched-budget identities, 124707 exact, 3 deep toy checks"
 
 
-def test_criterion_1_catches_a_kernel_off_by_one_level(monkeypatch):
-    """The batched kernel is still checked against the orbit oracle: moving
-    one shift's answer by one level width fails the criterion."""
-    profile = tower.Tower.power_profile
+def _skew_shift_five(monkeypatch, move):
+    """Patch the kernel so that shift 5 of every batch answers ``move(count,
+    overflow)`` in place of its own (count, overflow)."""
+    level_counts = tower.Tower.level_counts
 
     def skewed(self, a, b, shifts, max_stage):
-        bounds = profile(self, a, b, shifts, max_stage)
-        if len(bounds) > 5:
-            bound = bounds[5]
-            width = stage_geometry(a.params, bound.resolved_stage).level_width
-            bounds[5] = MeasureBound(bound.lo + width, bound.hi + width, bound.resolved_stage)
-        return bounds
+        counts = level_counts(self, a, b, shifts, max_stage)
+        if len(counts) > 5:
+            count, overflow, K = counts[5]
+            counts[5] = (*move(count, overflow), K)
+        return counts
 
-    monkeypatch.setattr(tower.Tower, "power_profile", skewed)
+    monkeypatch.setattr(tower.Tower, "level_counts", skewed)
+
+
+def test_criterion_1_catches_a_kernel_off_by_one_level(monkeypatch):
+    """The batched kernel is still checked against the orbit oracle: moving
+    one shift's count by one level fails the criterion."""
+    _skew_shift_five(monkeypatch, lambda count, overflow: (count + 1, overflow))
+    result = acceptance.criterion_1()
+    assert not result.passed
+    assert result.detail.startswith("mismatch at") and result.detail.endswith("n=5")
+
+
+def test_criterion_1_catches_a_kernel_overflow_off_by_one(monkeypatch):
+    """Moving one shift's overflow by one level fails the criterion too."""
+    _skew_shift_five(monkeypatch, lambda count, overflow: (count, overflow + 1))
     result = acceptance.criterion_1()
     assert not result.passed
     assert result.detail.startswith("mismatch at") and result.detail.endswith("n=5")
@@ -112,6 +127,8 @@ def test_criterion_6_defect_is_precisely_the_known_one():
 
 
 def test_criterion_6_tail_holds_from_stage_six():
+    # true for these 256 samples only: k = 35476 in (h_6, 8h_6] is a nonzero
+    # return (test_criterion_6_stage_six_window_has_a_nonzero_return)
     params = thm2(2)
     system = ProductSystem(params, 1, params, 3)
     h6 = height(params, 6)
@@ -121,6 +138,20 @@ def test_criterion_6_tail_holds_from_stage_six():
             b = LevelSet.single(params, 2, lvl_b)
             report = dissipativity_scan(system, a, b, h6, 8 * h6, samples=256)
             assert report.all_proven_zero
+
+
+def test_criterion_6_stage_six_window_has_a_nonzero_return():
+    """The window (h_6, 8h_6] still has nonzero T x T^3 returns over thm2(2);
+    the 256 samples of criterion 6 merely miss them."""
+    params = thm2(2)
+    e2 = LevelSet.base(params, 2)
+    k = 35476
+    h6 = height(params, 6)
+    assert h6 < k <= 8 * h6
+    assert apply_power_bounds(e2, e2, k) == MeasureBound.exactly(Fraction(1, 729), 7)
+    assert apply_power_bounds(e2, e2, 3 * k) == MeasureBound.exactly(Fraction(2, 2187), 8)
+    res = oracle_intersection(e2, e2, k, 7)
+    assert res.fully_defined and res.value == Fraction(1, 729)
 
 
 def test_criterion_9_healthy_clauses():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -217,6 +218,24 @@ def test_products_scan_with_ratio(runner):
     ])
     payload = json.loads(result.output)
     assert payload["ratio_check"][0]["ratio"] == "2/1"
+
+
+def test_huge_sample_counts_return_the_covered_range_fast(runner):
+    """A count past the size of the range emits each shift once, without a
+    loop over the count."""
+    def scan(samples):
+        return runner.invoke(main, [
+            "products", "scan", "--family", "utv1", "--k-lo", "1", "--k-hi", "30",
+            "--samples", samples,
+        ])
+
+    start = time.perf_counter()
+    huge = scan("10000000")
+    assert time.perf_counter() - start < 1.0
+    small = scan("1000")
+    assert (huge.exit_code, huge.output) == (small.exit_code, small.output)
+    rows = json.loads(huge.output)["rows"]
+    assert [int(row["k"]) for row in rows] == list(range(2, 31))
 
 
 def test_spectral_commands(runner):

@@ -115,16 +115,18 @@ def test_matched_budget_identity(params, a_spec, b_spec, n):
 
 def test_walker_sweep_matches_one_shot_runs():
     a = LevelSet.base(UTV, 2)
-    walker = OrbitWalker(a, 5)
     system = IntervalSystem(UTV, 5)
     b_cells = frozenset(system.cells_of(a))
-    for n in range(0, 30):
-        if n:
-            walker.step()
-        value = len(walker.cells & b_cells) * system.cell_width
-        res = oracle_intersection(a, a, n, 5)
-        assert value == res.value
-        assert walker.undefined == res.undefined_mass
+    for direction in (1, -1):
+        walker = OrbitWalker(a, 5)
+        for n in range(0, 30):
+            if n:
+                walker.step(direction)
+            value = len(walker.cells & b_cells) * system.cell_width
+            res = oracle_intersection(a, a, direction * n, 5)
+            assert value == res.value
+            assert walker.undefined == res.undefined_mass
+            assert walker.lost * system.cell_width == res.undefined_mass
 
 
 def test_mismatched_constructions_rejected():

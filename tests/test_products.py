@@ -79,6 +79,15 @@ def test_sample_shifts_properties():
         sample_shifts(5, 5, 4)
 
 
+@pytest.mark.parametrize("span", range(1, 61))
+def test_sample_shifts_match_the_sampling_loop(span):
+    for k_lo in (0, 7):
+        for samples in range(1, 64):
+            loop = sorted({k_lo + max(1, (t * span) // samples)
+                           for t in range(1, samples + 1)})
+            assert sample_shifts(k_lo, k_lo + span, samples) == loop
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_scan_rejects_samples_below_one(samples):
     with pytest.raises(ValueError, match="samples"):
@@ -88,6 +97,8 @@ def test_scan_rejects_samples_below_one(samples):
 
 
 def test_thm2_tail_scan_is_proven_zero_at_stage_six():
+    # true for these 256 samples only: (h_6, 8h_6] also holds nonzero returns,
+    # such as k = 35476 (tests/test_acceptance.py)
     system = ProductSystem(THM, 1, THM, 3)
     a = LevelSet.base(THM, 2)
     h6 = stage_geometry(THM, 6).h

@@ -255,6 +255,25 @@ def test_power_profile_equals_single_queries(monkeypatch, query):
         (x.lo, x.hi, x.resolved_stage) for x in single]
 
 
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_profile_queries())
+def test_level_counts_scale_to_power_profile(monkeypatch, query):
+    """The kernel's integer triples, times the level width of their stage, are
+    exactly the bounds of power_profile."""
+    a, b, shifts, max_stage, cap = query
+    if cap is None:
+        monkeypatch.delenv("RANK1_MAX_STAGE", raising=False)
+    else:
+        monkeypatch.setenv("RANK1_MAX_STAGE", str(cap))
+    scaled = []
+    for count, overflow, K in tower_of(a.params).level_counts(a, b, shifts, max_stage):
+        width = stage_geometry(a.params, K).level_width
+        scaled.append((count * width, (count + overflow) * width, K))
+    assert scaled == [(x.lo, x.hi, x.resolved_stage)
+                      for x in power_profile(a, b, shifts, max_stage)]
+
+
 def test_power_profile_edge_cases():
     e1 = LevelSet.base(TOY, 1)
     assert power_profile(e1, e1, []) == []

@@ -212,6 +212,15 @@ def test_scan_window_zero_dead_samples_checks_the_endpoints():
     assert [n for n, _ in report.dead_rows] == list(report.dead_zone)
 
 
+@pytest.mark.parametrize("span", range(0, 61))
+def test_dead_zone_spread_matches_the_sampling_loop(span):
+    for lo in (0, 11):
+        for interior in range(0, 64):
+            loop = sorted({lo, lo + span} | {lo + (t * span) // (interior + 1)
+                                             for t in range(1, interior + 1)})
+            assert weak_limits._spread(lo, lo + span, interior) == loop
+
+
 def test_scan_window_rejects_sets_too_deep():
     with pytest.raises(ValueError):
         scan_window(UTV, 4, LevelSet.base(UTV, 3), LevelSet.base(UTV, 3))
