@@ -78,8 +78,7 @@ def sample_shifts(k_lo: int, k_hi: int, samples: int) -> list[int]:
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     span = k_hi - k_lo
-    if samples >= span:
-        return list(range(k_lo + 1, k_hi + 1))  # what the loop below would emit
+    samples = min(samples, span)  # more would only repeat points
     points = set()
     for t in range(1, samples + 1):
         points.add(k_lo + max(1, (t * span) // samples))

@@ -225,8 +225,7 @@ class WindowScanReport:
 def _spread(lo: int, hi: int, interior: int) -> list[int]:
     """lo, hi and `interior` evenly spread sample points of [lo, hi]."""
     span = hi - lo
-    if interior + 1 >= span:
-        return list(range(lo, hi + 1))  # what the loop below would emit
+    interior = min(interior, span - 1)  # more would only repeat points
     points = {lo, hi}
     for t in range(1, interior + 1):
         points.add(lo + (t * span) // (interior + 1))

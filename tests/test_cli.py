@@ -229,11 +229,15 @@ def test_huge_sample_counts_return_the_covered_range_fast(runner):
             "--samples", samples,
         ])
 
-    start = time.perf_counter()
-    huge = scan("10000000")
-    assert time.perf_counter() - start < 1.0
     small = scan("1000")
+    huge = scan("10000000")
     assert (huge.exit_code, huge.output) == (small.exit_code, small.output)
+    # a loop over 10^15 samples could never finish; the bound only tells
+    # O(span) from O(samples), not how fast the host is
+    start = time.perf_counter()
+    vast = scan(str(10**15))
+    assert time.perf_counter() - start < 10.0
+    assert (vast.exit_code, vast.output) == (small.exit_code, small.output)
     rows = json.loads(huge.output)["rows"]
     assert [int(row["k"]) for row in rows] == list(range(2, 31))
 
