@@ -51,7 +51,8 @@ from .weak_limits import (
 )
 
 # Largest stage the oracle command materializes, in cells (= h_J).  It admits
-# toy stage 20 (~270 MB, a few seconds); utv1 stage 30 would need 31! cells.
+# toy stage 20 (~270 MB, about 2 s for any n on a 2-vCPU host with Python
+# 3.11); utv1 stage 30 would need 31! cells.
 _ORACLE_MAX_CELLS = 1 << 20
 
 _FAMILY_SPEC = re.compile(r"^\s*(\w+)\s*(?:\(\s*([^)]+?)\s*\))?\s*$")

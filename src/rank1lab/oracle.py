@@ -116,11 +116,13 @@ class OracleResult:
 
 
 class OrbitWalker:
-    """Tracks the image of a set under repeated T or T^{-1} steps.
+    """Tracks the image of a set under powers of T.
 
-    Cells whose orbit leaves the stage-J tower are removed and counted in
-    ``lost``; their mass is ``undefined``.  Intended for incremental sweeps
-    over consecutive powers.
+    ``step(n)`` applies T^n (T^{-|n|} for n < 0) in one pass over the cells.
+    Cells whose orbit leaves the stage-J tower on the way are removed and
+    counted in ``lost``; their mass is ``undefined``.  ``power`` is the
+    total power applied so far, so a sweep over consecutive powers steps by
+    1 and a single power is one step.
     """
 
     def __init__(self, a: LevelSet, stage: int):
@@ -134,24 +136,20 @@ class OrbitWalker:
     def undefined(self) -> Fraction:
         return self.lost * self.system.cell_width
 
-    def step(self, direction: int = 1):
+    def step(self, n: int = 1):
+        # T moves one level at a time, so a cell survives all |n| steps exactly
+        # when its final level is still in the tower
         data = self._data
         top = len(data.cell_of_level) - 1
+        level_of_cell, cell_of_level = data.level_of_cell, data.cell_of_level
         moved = set()
-        if direction >= 0:
-            for cell in self.cells:
-                level = data.level_of_cell[cell]
-                if level < top:
-                    moved.add(data.cell_of_level[level + 1])
-            self.power += 1
-        else:
-            for cell in self.cells:
-                level = data.level_of_cell[cell]
-                if level > 0:
-                    moved.add(data.cell_of_level[level - 1])
-            self.power -= 1
+        for cell in self.cells:
+            level = level_of_cell[cell] + n
+            if 0 <= level <= top:
+                moved.add(cell_of_level[level])
         self.lost += len(self.cells) - len(moved)
         self.cells = moved
+        self.power += n
 
     def value_against(self, b: LevelSet) -> Fraction:
         hits = self.cells & self.system.cells_of(b)
@@ -169,6 +167,5 @@ def oracle_intersection(a: LevelSet, b: LevelSet, n: int, stage: int) -> OracleR
     if abs(n) >= system.height:
         raise ValueError(f"|n| = {abs(n)} >= tower height {system.height} at stage {stage}")
     walker = OrbitWalker(a, stage)
-    for _ in range(abs(n)):
-        walker.step(1 if n >= 0 else -1)
+    walker.step(n)
     return OracleResult(walker.value_against(b), walker.undefined, stage)

@@ -33,18 +33,20 @@ mu(T^n A /\\ B) = mu(T^{-n} B /\\ A), so only the forward count exists.
 The kernel answers in integers: ``Tower.level_counts`` gives, for each shift
 of a list, the triple (count, overflow, K) of level pairs and overflowing
 levels at the resolved stage K.  The tower is looked up, ``RANK1_MAX_STAGE``
-read and A and B refined to j0 once per call; each shift is planned from the
-stage heights and counted by ``Tower.pair_count``, the only counting
-recursion.  ``power_profile`` is the rational view of those triples, with
-equal triples sharing one bound, and ``apply_power_bounds`` is its one-shift
-case.
+read, the stage heights listed and A and B refined to j0 once per call;
+each shift is planned from those heights, with one budget per start stage,
+and counted by ``Tower.pair_count``, the only counting recursion.
+``power_profile`` is the rational view of those triples, with equal triples
+sharing one bound, and ``apply_power_bounds`` is its one-shift case.
 
 The public functions are pure.  The kernel's stage table is the geometry
 chain of the construction (``construction.stage_chain``): each
 ``StageGeometry`` carries the prefix data the kernel reads (``copies``,
 ``top``) and its offset differences.  The one ``Tower`` per construction
-reads that chain and owns only the self-return memo of product scans, whose
-keys carry the resolved stage budget.
+reads that chain and owns only the self-return memo of product scans.  Its
+keys hold the inputs of the stage budget (A, |n|, ``max_stage`` and
+``RANK1_MAX_STAGE``), which fix the budget for one construction, so a hit
+plans nothing.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterable
 
 from .construction import ConstructionParams, StageGeometry, stage_chain, stage_geometry
@@ -178,14 +179,16 @@ class Tower:
     is ``stage(k).top - stage(j0).top`` and it has
     ``stage(k).copies // stage(j0).copies`` elements.  The stage table is the
     chain ``stage_geometry`` builds; the one memo of its own is the
-    self-return memo, keyed on the resolved stage budget, so it follows
-    ``RANK1_MAX_STAGE``.
+    self-return memo, keyed on the inputs of the stage budget (A, |n|,
+    ``max_stage``, ``RANK1_MAX_STAGE``), so it follows both and a hit does
+    no planning.
     """
 
     def __init__(self, params: ConstructionParams):
         self.params = params
         self._chain = stage_chain(params)
-        self._returns: dict[tuple[int, tuple[int, ...], int, int], MeasureBound] = {}
+        # (A's stage, A's levels, |n|, max_stage, RANK1_MAX_STAGE) -> bound
+        self._returns: dict[tuple, MeasureBound] = {}
 
     def stage(self, k: int) -> StageGeometry:
         if k > len(self._chain):
@@ -252,17 +255,21 @@ class Tower:
                 return count
         return count + (t <= 0)
 
-    def _plans(self, j0: int, shifts: Iterable[int], max_stage: int | None):
-        """(n, first stage >= j0 with h > |n|, stage budget) for each shift;
-        the environment is read once for the whole list."""
-        cap = env_stage_cap()
+    def _plans(self, j0: int, shifts: Iterable[int], max_stage: int | None, cap: int | None):
+        """(n, first stage >= j0 with h > |n|, stage budget) for each shift,
+        under the environment cap ``cap``."""
+        heights = [st.h for st in self._chain]
+        budgets: dict[int, int] = {}  # by start stage
         plans = []
         for n in shifts:
             # heights increase, so the stages built so far locate the first h > |n|
-            start = max(j0, bisect_right(self._chain, abs(n), key=attrgetter("h")) + 1)
+            start = max(j0, bisect_right(heights, abs(n)) + 1)
             while self.stage(start).h <= abs(n):
                 start += 1
-            plans.append((n, start, _stage_budget(max_stage, start, cap)))
+            budget = budgets.get(start)
+            if budget is None:
+                budget = budgets[start] = _stage_budget(max_stage, start, cap)
+            plans.append((n, start, budget))
         return plans
 
     def _counts(self, a: LevelSet, b: LevelSet, plans) -> list[tuple[int, int, int]]:
@@ -313,7 +320,8 @@ class Tower:
         of the source set pushed past the top of the stage-K tower.  The
         measure interval is ``[count, count + overflow]`` times
         ``stage(K).level_width``; negative n count T^{-n} B /\\ A."""
-        return self._counts(a, b, self._plans(max(a.stage, b.stage), shifts, max_stage))
+        plans = self._plans(max(a.stage, b.stage), shifts, max_stage, env_stage_cap())
+        return self._counts(a, b, plans)
 
     def power_profile(
         self, a: LevelSet, b: LevelSet, shifts: Iterable[int], max_stage: int | None
@@ -325,12 +333,15 @@ class Tower:
         self, a: LevelSet, shifts: Iterable[int], max_stage: int | None
     ) -> list[MeasureBound]:
         """mu(T^n A /\\ A) = mu(T^{-n} A /\\ A) for every n in ``shifts``, memoized
-        for product scans on (A, |n|, resolved stage budget); one profile fills
-        the misses."""
-        plans = self._plans(a.stage, [abs(n) for n in shifts], max_stage)
-        keys = [(a.stage, a.levels, n, budget) for n, _, budget in plans]
-        missing = {key: plan for key, plan in zip(keys, plans) if key not in self._returns}
-        self._returns.update(zip(missing, self._bounds(self._counts(a, a, missing.values()))))
+        for product scans on the inputs of the stage budget (A, |n|,
+        ``max_stage``, ``RANK1_MAX_STAGE``), so a hit plans nothing; one
+        profile fills the misses."""
+        cap = env_stage_cap()
+        keys = [(a.stage, a.levels, abs(n), max_stage, cap) for n in shifts]
+        missing = [key for key in dict.fromkeys(keys) if key not in self._returns]
+        if missing:
+            plans = self._plans(a.stage, [key[2] for key in missing], max_stage, cap)
+            self._returns.update(zip(missing, self._bounds(self._counts(a, a, plans))))
         return [self._returns[key] for key in keys]
 
 

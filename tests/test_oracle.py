@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,20 @@ def test_walker_sweep_matches_one_shot_runs():
             assert value == res.value
             assert walker.undefined == res.undefined_mass
             assert walker.lost * system.cell_width == res.undefined_mass
+
+
+def test_deep_power_is_one_pass():
+    # a per-step walk costs about n x |A| set operations, here 65,534 steps
+    # over 32,768 cells; the bound is a count no such loop can finish, so
+    # the check does not depend on host speed
+    e1 = LevelSet.base(TOY, 1)
+    n = stage_geometry(TOY, 16).h - 1
+    start = time.perf_counter()
+    res = oracle_intersection(e1, e1, n, 16)
+    elapsed = time.perf_counter() - start
+    calc = apply_power_bounds(e1, e1, n, max_stage=16)
+    assert (res.value, res.undefined_mass) == (calc.lo, calc.hi - calc.lo)
+    assert elapsed < 10
 
 
 def test_mismatched_constructions_rejected():

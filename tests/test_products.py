@@ -13,7 +13,8 @@ from rank1lab.products import (
     ratio_condition,
     sample_shifts,
 )
-from rank1lab.tower import LevelSet, MeasureBound, apply_power_bounds, measure
+from rank1lab import tower
+from rank1lab.tower import LevelSet, MeasureBound, Tower, apply_power_bounds, measure
 
 UTV = utv1()
 THM = thm2(2)
@@ -68,6 +69,34 @@ def test_return_memo_honors_env_cap(monkeypatch):
     direct = apply_power_bounds(e1, e1, 15)
     assert direct.resolved_stage == 6
     assert product_return(system, e1, e1, 15) == direct.times(direct)
+
+
+def test_return_memo_hits_plan_nothing(monkeypatch):
+    monkeypatch.setattr(tower, "_towers", {})  # a fresh memo for this test
+    planned = []
+    plans = Tower._plans
+    monkeypatch.setattr(
+        Tower, "_plans", lambda self, *args: planned.append(args) or plans(self, *args))
+    system = ProductSystem(THM, 1, THM, 3)
+    a = LevelSet.single(THM, 2, 1)
+    h4 = stage_geometry(THM, 4).h
+    first = dissipativity_scan(system, a, a, h4, 8 * h4)
+    assert planned
+    planned.clear()
+    assert dissipativity_scan(system, a, a, h4, 8 * h4) == first
+    assert planned == []
+
+
+def test_return_memo_honors_max_stage():
+    t = toy()
+    e1 = LevelSet.base(t, 1)
+    system = ProductSystem(t, 1, t, 1)
+    free = product_return(system, e1, e1, 15)
+    capped = product_return(system, e1, e1, 15, max_stage=6)
+    assert (free.resolved_stage, capped.resolved_stage) == (13, 6)
+    direct = apply_power_bounds(e1, e1, 15, max_stage=6)
+    assert capped == direct.times(direct)
+    assert product_return(system, e1, e1, 15) == free
 
 
 def test_sample_shifts_properties():

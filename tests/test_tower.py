@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rank1lab.construction import height, params_from_config, stage_geometry, thm2, toy, utv1
-from rank1lab.oracle import oracle_intersection
+from rank1lab.oracle import IntervalSystem, OrbitWalker, oracle_intersection
 from rank1lab.tower import (
     LevelSet,
     MeasureBound,
@@ -184,15 +184,19 @@ _constructions = st.builds(
 _ORACLE_CELLS = 400  # keeps each brute-force walk small
 
 
-@st.composite
-def _oracle_queries(draw):
-    params = draw(_constructions)
-    # the budget J, at most the deepest stage <= 6 whose tower the oracle
-    # can walk quickly; J may equal the sets' own stage
+def _deepest_oracle_stage(params):
+    """The deepest stage <= 6 whose tower the oracle can walk quickly."""
     deepest = 1
     while deepest < 6 and stage_geometry(params, deepest + 1).h <= _ORACLE_CELLS:
         deepest += 1
-    J = draw(st.integers(1, deepest))
+    return deepest
+
+
+@st.composite
+def _oracle_queries(draw):
+    params = draw(_constructions)
+    # the budget J may equal the sets' own stage
+    J = draw(st.integers(1, _deepest_oracle_stage(params)))
 
     def level_set():
         stage = draw(st.integers(1, min(J, 3)))
@@ -216,6 +220,55 @@ def test_kernel_matches_oracle_at_matched_budget(query):
     res = oracle_intersection(a, b, n, J) if n >= 0 else oracle_intersection(b, a, -n, J)
     assert (bound.lo, bound.hi - bound.lo) == (res.value, res.undefined_mass)
     assert bound.resolved_stage <= J
+
+
+def _stepped(system, cells, n):
+    """T^n of a cell set through |n| single moves of one level, read off the
+    interval layout; returns the image and the number of cells lost."""
+    level_of = {int(system.interval(level)[0] / system.cell_width): level
+                for level in range(system.height)}
+    cell_of = {level: cell for cell, level in level_of.items()}
+    lost = 0
+    for _ in range(abs(n)):
+        moved = set()
+        for cell in cells:
+            image = cell_of.get(level_of[cell] + (1 if n > 0 else -1))
+            if image is None:
+                lost += 1
+            else:
+                moved.add(image)
+        cells = moved
+    return cells, lost
+
+
+@st.composite
+def _walks(draw):
+    params = draw(_constructions)
+    J = draw(st.integers(1, _deepest_oracle_stage(params)))
+    stage = draw(st.integers(1, min(J, 3)))
+    h = stage_geometry(params, stage).h
+    a = LevelSet.from_levels(params, stage, draw(st.lists(st.integers(0, h - 1), max_size=4)))
+    # both signs, and powers past the tower height that empty the set
+    h_J = stage_geometry(params, J).h
+    return a, J, draw(st.lists(st.integers(-h_J - 2, h_J + 2), min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_walks())
+def test_walker_power_matches_single_steps(walk):
+    """One OrbitWalker.step(n) moves the cells, the lost count and the power
+    exactly as |n| literal one-level moves, for random config-grammar
+    constructions and multi-level sets."""
+    a, J, powers = walk
+    walker = OrbitWalker(a, J)
+    system = IntervalSystem(a.params, J)
+    cells, lost = set(walker.cells), 0
+    for n in powers:
+        walker.step(n)
+        cells, dropped = _stepped(system, cells, n)
+        lost += dropped
+        assert (walker.cells, walker.lost) == (cells, lost)
+    assert walker.power == sum(powers)
 
 
 @st.composite
