@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .construction import ConstructionParams, stage_geometry
-from .tower import LevelSet, MeasureBound, apply_power_bounds, tower_of
+from .tower import LevelSet, MeasureBound, apply_power_bounds, power_profile, tower_of
 
 
 def delta_shift(a: LevelSet, b: LevelSet, k: int, max_stage: int | None = None) -> MeasureBound:
@@ -125,29 +125,36 @@ def domination_witness(
     The margin is min over the grid of Delta^{k}(A x B) - (1/2) Delta^m(A x B);
     PASS needs margin >= -eps at every stage.  Candidates are the finite menu
     k = m, +-h_j + m, +-h_j +- h_{j-1} + m; ties prefer the largest |k| so the
-    reported witness is a genuinely escaping shift.
+    reported witness is a genuinely escaping shift.  The menu needs h_{j-1},
+    so every stage must be >= 2.  Each rectangle takes one ``power_profile``
+    over m and every stage's menu.
     """
     eps = Fraction(eps)
+    j_range = list(j_range)
+    for j in j_range:
+        if j < 2:
+            raise ValueError(
+                f"witness stage j = {j} must be >= 2: its shift menu uses h_(j-1)"
+            )
     rect_grid = list(rect_grid)
     if not rect_grid:
         rows = tuple(WitnessRow(j, None, None, None) for j in j_range)
         return WitnessReport(m=m, rows=rows, passed=True, vacuous=True)
-    half_base = [
-        delta_shift(a, b, m, max_stage).scaled(Fraction(1, 2)) for a, b in rect_grid
-    ]
+    menus = [_witness_candidates(params, j, m) for j in j_range]
+    shifts = [m] + [k for menu in menus for k in menu]
+    profiles = [power_profile(a, b, shifts, max_stage) for a, b in rect_grid]
+    half = Fraction(1, 2)
+    half_lo = [p[0].lo * half for p in profiles]
+    half_hi = [p[0].hi * half for p in profiles]
     rows = []
     passed = True
-    for j in j_range:
+    col = 1
+    for j, menu in zip(j_range, menus):
         best = None
-        for k in _witness_candidates(params, j, m):
-            margin_lo = None
-            margin_hi = None
-            for (a, b), half in zip(rect_grid, half_base):
-                dk = delta_shift(a, b, k, max_stage)
-                lo = dk.lo - half.hi
-                hi = dk.hi - half.lo
-                margin_lo = lo if margin_lo is None else min(margin_lo, lo)
-                margin_hi = hi if margin_hi is None else min(margin_hi, hi)
+        for k in menu:
+            margin_lo = min(p[col].lo - h for p, h in zip(profiles, half_hi))
+            margin_hi = min(p[col].hi - h for p, h in zip(profiles, half_lo))
+            col += 1
             key = (margin_lo, abs(k), k)
             if best is None or key > best[0]:
                 best = (key, k, margin_lo, margin_hi)

@@ -146,21 +146,23 @@ def fejer_density(c: CorrelationSequence, order: int, grid_size: int) -> Spectra
 
     Shifts not stored in the sequence count as zero, so the cost scales with
     the support, not with N; a huge N therefore probes stabilization of a
-    finitely supported sequence for free.
+    finitely supported sequence for free.  Each stored shift adds one vector
+    term over the whole grid, in support order, so every grid point receives
+    the same float additions in the same order as a per-theta loop would, and
+    memory stays one grid wide.
     """
     if order < 1 or grid_size < 1:
         raise ValueError("order and grid size must be >= 1")
     support = [(n, float(c.value(n))) for n in c.support() if n < order]
     thetas = [2.0 * math.pi * t / grid_size for t in range(grid_size)]
-    values = []
-    for theta in thetas:
-        acc = 0.0
-        for n, cn in support:
-            if n == 0:
-                acc += cn
-            else:
-                acc += 2.0 * (1.0 - n / order) * cn * math.cos(n * theta)
-        values.append(acc)
+    grid = np.array(thetas)
+    acc = np.zeros(grid_size)
+    for n, cn in support:
+        if n == 0:
+            acc += cn
+        else:
+            acc += 2.0 * (1.0 - n / order) * cn * np.cos(n * grid)
+    values = acc.tolist()
     mean = sum(values) / grid_size
     ratio = max(values) / mean if mean != 0 else float("inf")
     top_count = max(1, -(-grid_size // 20))
@@ -177,6 +179,8 @@ def fejer_density(c: CorrelationSequence, order: int, grid_size: int) -> Spectra
 
 def toeplitz_min_eigenvalue(c: CorrelationSequence, order: int = 8) -> float:
     """Smallest eigenvalue of the Toeplitz section [c(i-j)], i,j < order."""
+    if order < 1:
+        raise ValueError("Toeplitz order must be >= 1")
     row = [float(c.value(n)) for n in range(order)]
     matrix = np.array([[row[abs(i - j)] for j in range(order)] for i in range(order)])
     return float(np.linalg.eigvalsh(matrix)[0])

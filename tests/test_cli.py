@@ -375,6 +375,9 @@ _NAMED_REJECTIONS = [
     (["limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/4*T^0",
       "--j", "4..3"], "'4..3'"),
     (["joinings", "witness", "--family", "utv1", "--j", "5..4"], "'5..4'"),
+    # the shift menu of stage j needs h_(j-1); the message names the typed stage
+    (["joinings", "witness", "--family", "utv1", "--j", "1..3"],
+     "Error: witness stage j = 1 must be >= 2: its shift menu uses h_(j-1)"),
     (["geometry", "--family", "utv1", "--j", "3..1", "--measure-sum"], "'3..1'"),
     (["acceptance", "--only", "10"], "criterion 10"),
     (["products", "scan", "--family", "utv1", "--k-lo", "1", "--k-hi", "30",

@@ -2,9 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from rank1lab.construction import stage_geometry, toy, utv1
+import rank1lab.joinings as joinings_module
+import rank1lab.tower as tower_module
+from rank1lab.construction import stage_geometry, thm2, toy, utv1
 from rank1lab.joinings import (
     JoiningCombination,
+    WitnessRow,
+    _witness_candidates,
     combination_value,
     delta_shift,
     partial_joining,
@@ -161,3 +165,80 @@ def test_witness_row_json_uses_decimal_strings():
     row = report.rows[0].to_json()
     assert set(row) == {"j", "k_chosen", "margin_lo", "margin_hi"}
     assert isinstance(row["k_chosen"], str)
+
+
+def _witness_reference(params, m, rect_grid, j_range, eps=Fraction(0), max_stage=None):
+    """The witness as one delta_shift per (rectangle, candidate shift)."""
+    half_base = [delta_shift(a, b, m, max_stage).scaled(Fraction(1, 2)) for a, b in rect_grid]
+    rows = []
+    passed = True
+    for j in j_range:
+        best = None
+        for k in _witness_candidates(params, j, m):
+            margin_lo = margin_hi = None
+            for (a, b), half in zip(rect_grid, half_base):
+                dk = delta_shift(a, b, k, max_stage)
+                lo, hi = dk.lo - half.hi, dk.hi - half.lo
+                margin_lo = lo if margin_lo is None else min(margin_lo, lo)
+                margin_hi = hi if margin_hi is None else min(margin_hi, hi)
+            key = (margin_lo, abs(k), k)
+            if best is None or key > best[0]:
+                best = (key, k, margin_lo, margin_hi)
+        _, k_chosen, margin_lo, margin_hi = best
+        rows.append(WitnessRow(j, k_chosen, margin_lo, margin_hi))
+        passed = passed and margin_lo >= -eps
+    return tuple(rows), passed
+
+
+def _single_grid(params, stage, levels):
+    return [(LevelSet.single(params, stage, i), LevelSet.single(params, stage, k))
+            for i in levels for k in levels]
+
+
+THM2 = thm2(2)
+_WITNESS_CASES = [
+    # toy keeps its margins unresolved at j = 4, 5 (margin_lo != margin_hi)
+    (TOY, _single_grid(TOY, 2, range(3)), 0, range(2, 6), 0, None),
+    (TOY, _single_grid(TOY, 2, range(3)), -2, range(2, 6), Fraction(1, 100), 6),
+    (TOY, _single_grid(TOY, 2, range(3)), 1, range(3, 3), 0, None),
+    # at max_stage 5 the base Delta^5 itself is unresolved on 6 of the 9 rectangles
+    (TOY, _single_grid(TOY, 2, range(3)), 5, range(2, 5), 0, 5),
+    (UTV, GRID, -3, range(4, 8), 0, None),
+    (UTV, GRID[::4], 2, range(3, 7), 0, 7),
+    (THM2, _single_grid(THM2, 2, range(0, 9, 2)), -1, range(3, 6), 0, None),
+    (THM2, _single_grid(THM2, 2, (0, 4)), 0, range(2, 5), 0, 5),
+]
+
+
+@pytest.mark.parametrize("params,grid,m,j_range,eps,max_stage", _WITNESS_CASES)
+def test_witness_equals_per_rectangle_reference(monkeypatch, params, grid, m, j_range,
+                                                 eps, max_stage):
+    rows, passed = _witness_reference(params, m, grid, j_range, eps, max_stage)
+    calls = {"profile": 0, "single": 0}
+
+    def counted_profile(*args, **kwargs):
+        calls["profile"] += 1
+        return tower_module.power_profile(*args, **kwargs)
+
+    def counted_single(*args, **kwargs):
+        calls["single"] += 1
+        return tower_module.apply_power_bounds(*args, **kwargs)
+
+    monkeypatch.setattr(joinings_module, "power_profile", counted_profile)
+    monkeypatch.setattr(joinings_module, "apply_power_bounds", counted_single)
+    report = domination_witness(params, m, grid, j_range, eps, max_stage)
+    assert report.rows == rows
+    assert (report.passed, report.vacuous) == (passed, False)
+    assert calls == {"profile": len(grid), "single": 0}
+    if params == TOY and max_stage is None and report.rows:
+        assert any(row.margin_lo != row.margin_hi for row in report.rows)
+
+
+@pytest.mark.parametrize("j_range", [range(1, 4), range(0, 1), [4, 1]])
+def test_witness_rejects_stages_below_two_before_any_query(monkeypatch, j_range):
+    def no_query(*args, **kwargs):
+        raise AssertionError("queried before checking the stages")
+
+    monkeypatch.setattr(joinings_module, "power_profile", no_query)
+    with pytest.raises(ValueError, match=r"j = [01] must be >= 2.*h_\(j-1\)"):
+        domination_witness(UTV, 0, GRID, j_range)

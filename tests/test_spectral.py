@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rank1lab.construction import stage_geometry, thm2, utv1
 from rank1lab.products import ProductSystem, product_return
@@ -163,6 +164,56 @@ def test_fejer_rejects_bad_arguments():
     seq = correlation_sequence({0: Fraction(1)})
     with pytest.raises(ValueError):
         fejer_density(seq, order=0, grid_size=16)
+
+
+def _fejer_per_theta(c, order, grid_size):
+    """The per-theta double loop over the grid and the support, written out."""
+    support = [(n, float(c.value(n))) for n in c.support() if n < order]
+    values = []
+    for t in range(grid_size):
+        theta = 2.0 * math.pi * t / grid_size
+        acc = 0.0
+        for n, cn in support:
+            if n == 0:
+                acc += cn
+            else:
+                acc += 2.0 * (1.0 - n / order) * cn * math.cos(n * theta)
+        values.append(acc)
+    mean = sum(values) / grid_size
+    ratio = max(values) / mean if mean != 0 else float("inf")
+    top_count = max(1, -(-grid_size // 20))
+    total = sum(values)
+    top_share = sum(sorted(values, reverse=True)[:top_count]) / total if total else 0.0
+    return values, ratio, top_share
+
+
+_sparse_sequences = st.dictionaries(
+    st.integers(min_value=1, max_value=300) | st.integers(min_value=1, max_value=10**12),
+    st.fractions(min_value=-1, max_value=1, max_denominator=1000),
+    max_size=30,
+).map(correlation_sequence)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _sparse_sequences,
+    st.one_of(st.integers(min_value=1, max_value=3000), st.just(10**12),
+              st.integers(min_value=1, max_value=10**13)),
+    st.one_of(st.sampled_from([1, 257]), st.integers(min_value=1, max_value=300)),
+)
+def test_fejer_equals_per_theta_loop(seq, order, grid_size):
+    # exact equality: each grid point receives the same float additions in the
+    # same order; a failure here means np.cos and math.cos differ on this host
+    est = fejer_density(seq, order, grid_size)
+    values, ratio, top_share = _fejer_per_theta(seq, order, grid_size)
+    assert (list(est.values), est.max_mean_ratio, est.top_share) == (values, ratio, top_share)
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_toeplitz_rejects_orders_below_one(order):
+    seq = correlation_sequence({0: Fraction(1)})
+    with pytest.raises(ValueError, match="order"):
+        toeplitz_min_eigenvalue(seq, order=order)
 
 
 def test_toeplitz_section_is_positive_semidefinite():
