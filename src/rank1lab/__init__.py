@@ -62,6 +62,7 @@ from .tower import (
     intersect,
     measure,
     parse_level_set,
+    power_grid,
     power_profile,
     refine,
     union,

@@ -90,9 +90,9 @@ def criterion_1() -> CriterionResult:
                 if n:
                     walker.step(1)
                 orbit.append((walker.cells, walker.lost))
-            for b in sets:
+            rows = kernel.grid_counts([(a, b) for b in sets], shifts, J)
+            for b, counts in zip(sets, rows):
                 b_set = b_cells[b]
-                counts = kernel.level_counts(a, b, shifts, J)
                 for n, (cells, lost), (count, overflow, K) in zip(shifts, orbit, counts):
                     checked += 1
                     if len(cells & b_set) != count * scale[K] or lost != overflow * scale[K]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .construction import ConstructionParams, stage_geometry
-from .tower import LevelSet, MeasureBound, apply_power_bounds, power_profile, tower_of
+from .tower import LevelSet, MeasureBound, apply_power_bounds, power_grid, tower_of
 
 
 def delta_shift(a: LevelSet, b: LevelSet, k: int, max_stage: int | None = None) -> MeasureBound:
@@ -34,7 +34,8 @@ def partial_joining(a: LevelSet, b: LevelSet, k: int, j: int) -> MeasureBound:
     if j0 > j:
         raise ValueError("sets are not representable at the requested stage")
     tower = tower_of(a.params)
-    count = tower.pair_count(tower.refined_levels(a, j0), tower.refined_levels(b, j0), j0, k, j)
+    (count,) = tower.pair_counts(
+        tower.refined_levels(a, j0), (tower.refined_levels(b, j0),), j0, k, j)
     return MeasureBound.exactly(count * geom.level_width, j)
 
 
@@ -126,8 +127,8 @@ def domination_witness(
     PASS needs margin >= -eps at every stage.  Candidates are the finite menu
     k = m, +-h_j + m, +-h_j +- h_{j-1} + m; ties prefer the largest |k| so the
     reported witness is a genuinely escaping shift.  The menu needs h_{j-1},
-    so every stage must be >= 2.  Each rectangle takes one ``power_profile``
-    over m and every stage's menu.
+    so every stage must be >= 2.  One ``power_grid`` answers every rectangle
+    at m and at every stage's menu.
     """
     eps = Fraction(eps)
     j_range = list(j_range)
@@ -142,7 +143,7 @@ def domination_witness(
         return WitnessReport(m=m, rows=rows, passed=True, vacuous=True)
     menus = [_witness_candidates(params, j, m) for j in j_range]
     shifts = [m] + [k for menu in menus for k in menu]
-    profiles = [power_profile(a, b, shifts, max_stage) for a, b in rect_grid]
+    profiles = power_grid(rect_grid, shifts, max_stage)
     half = Fraction(1, 2)
     half_lo = [p[0].lo * half for p in profiles]
     half_hi = [p[0].hi * half for p in profiles]

@@ -30,14 +30,18 @@ the stage budget.  Unresolved mass at the budget widens the interval; it
 never fabricates a point value.  Negative powers go through
 mu(T^n A /\\ B) = mu(T^{-n} B /\\ A), so only the forward count exists.
 
-The kernel answers in integers: ``Tower.level_counts`` gives, for each shift
-of a list, the triple (count, overflow, K) of level pairs and overflowing
-levels at the resolved stage K.  The tower is looked up, ``RANK1_MAX_STAGE``
-read, the stage heights listed and A and B refined to j0 once per call;
-each shift is planned from those heights, with one budget per start stage,
-and counted by ``Tower.pair_count``, the only counting recursion.
-``power_profile`` is the rational view of those triples, with equal triples
-sharing one bound, and ``apply_power_bounds`` is its one-shift case.
+The kernel answers in integers.  ``Tower.grid_counts`` is its one entry point:
+for each (A, B) of a grid and each shift of a list it gives the triple
+(count, overflow, K) of level pairs and overflowing levels at the resolved
+stage K.  The tower is looked up and ``RANK1_MAX_STAGE`` read once per grid;
+the shifts are planned once per common stage j0, with one budget per start
+stage, and every set is refined to j0 once.  The queries are grouped by
+source set (A for n >= 0, B for n < 0): K and the overflow depend on the
+source alone, and ``Tower.pair_counts``, the only counting recursion, runs
+one frontier per (source, j0, |n|, K) and reads every target's count off it.
+``power_grid`` is the rational view of those rows, with equal triples
+sharing one bound; ``power_profile`` is its one-pair case and
+``apply_power_bounds`` the one-shift case of that.
 
 The public functions are pure.  The kernel's stage table is the geometry
 chain of the construction (``construction.stage_chain``): each
@@ -55,12 +59,14 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 from .construction import ConstructionParams, StageGeometry, stage_chain, stage_geometry
 
 DEFAULT_EXTRA_STAGES = 8
 _MAX_STAGE_ENV = "RANK1_MAX_STAGE"
+_height = attrgetter("h")
 
 
 @dataclass(frozen=True)
@@ -202,25 +208,46 @@ class Tower:
             levels = tuple(off + lvl for off in self.stage(k).column_offsets for lvl in levels)
         return levels
 
-    def pair_count(
-        self, a_levels: tuple[int, ...], b_levels: tuple[int, ...], j0: int, n: int, K: int
-    ) -> int:
-        """#{(x, y) : x in A, y in B at stage K, y - x = n}, for K >= j0, given
-        the levels of A and B at stage j0.
+    def _levels_at(self, a: LevelSet, j0: int, refined: dict) -> tuple[int, ...]:
+        """A's levels at stage j0, refined once per ``refined`` memo."""
+        levels = refined.get((a.stage, a.levels))
+        if levels is None:
+            levels = refined[a.stage, a.levels] = self.refined_levels(a, j0)
+        return levels
 
-        This is sum_{a,b} N_K(n + a - b) over the levels a of A and b of B at
-        stage j0: a level pair of stage K is (a + o, b + o') with
+    def pair_counts(
+        self, src_levels: tuple[int, ...], targets: Sequence[tuple[int, ...]],
+        j0: int, n: int, K: int,
+    ) -> list[int]:
+        """#{(x, y) : x in S, y in B at stage K, y - x = n} for each target B of
+        ``targets``, for K >= j0, given the levels of the source S and of every
+        B at stage j0.
+
+        For one B this is sum_{s,b} N_K(n + s - b) over the levels s of S and
+        b of B at stage j0: a level pair of stage K is (s + o, b + o') with
         o, o' in O_{j0,K}.  The recursion runs top-down on
-        v = n + a - (o' - o), peeling one stage's offset difference d at a
-        time with its multiplicity; the pair counts when v ends on a level of B.
+        v = n + s - (o' - o), peeling one stage's offset difference d at a
+        time with its multiplicity; the pair counts when v ends on a level of
+        B.  The frontier never reads B, so one recursion serves every target:
+        it prunes only the values that end outside the span of all targets,
+        and each count sums the final frontier over its target's levels.
         """
-        if not a_levels or not b_levels:
-            return 0
-        low, high = b_levels[0], b_levels[-1]
-        base = self.stage(j0).top
-        frontier = {n + x: 1 for x in a_levels}
+        if len(targets) == 1:
+            (dst,) = targets
+            if not src_levels or not dst:
+                return [0]
+            low, high = dst[0], dst[-1]
+        else:
+            live = [t for t in targets if t]
+            if not src_levels or not live:
+                return [0] * len(targets)
+            low, high = min(t[0] for t in live), max(t[-1] for t in live)
+        self.stage(K)  # builds the chain through stage K
+        chain = self._chain
+        base = chain[j0 - 1].top
+        frontier = {n + x: 1 for x in src_levels}
         for k in range(K - 1, j0 - 1, -1):
-            st = self.stage(k)
+            st = chain[k - 1]
             reach = st.top - base  # the offset sums still to peel differ by at most this
             diffs, mults = st.offset_differences
             step: dict[int, int] = {}
@@ -230,9 +257,9 @@ class Tower:
                     rest = v - diffs[i]
                     step[rest] = step.get(rest, 0) + weight * mults[i]
             if not step:
-                return 0
+                return [0] * len(targets)
             frontier = step
-        return sum(frontier.get(y, 0) for y in b_levels)
+        return [sum(frontier.get(y, 0) for y in dst) for dst in targets]
 
     def _count_at_least(self, j0: int, K: int, t: int) -> int:
         """#{o in O_{j0,K} : o >= t}.
@@ -255,62 +282,113 @@ class Tower:
                 return count
         return count + (t <= 0)
 
-    def _plans(self, j0: int, shifts: Iterable[int], max_stage: int | None, cap: int | None):
-        """(n, first stage >= j0 with h > |n|, stage budget) for each shift,
-        under the environment cap ``cap``."""
-        heights = [st.h for st in self._chain]
+    def _plans(self, j0: int, shifts: list[int], max_stage: int | None, cap: int | None):
+        """The shifts by sign, ``n < 0 -> [(column, |n|, start, budget)]``: start
+        is the first stage >= j0 with h > |n| and budget the stage budget under
+        the environment cap ``cap``.  Only the signs that occur get a list."""
         budgets: dict[int, int] = {}  # by start stage
-        plans = []
-        for n in shifts:
+        plans: dict[bool, list[tuple[int, int, int, int]]] = {}
+        for col, n in enumerate(shifts):
+            backward, m = n < 0, abs(n)
             # heights increase, so the stages built so far locate the first h > |n|
-            start = max(j0, bisect_right(heights, abs(n)) + 1)
-            while self.stage(start).h <= abs(n):
+            start = max(j0, bisect_right(self._chain, m, key=_height) + 1)
+            while self.stage(start).h <= m:
                 start += 1
             budget = budgets.get(start)
             if budget is None:
                 budget = budgets[start] = _stage_budget(max_stage, start, cap)
-            plans.append((n, start, budget))
+            plan = (col, m, start, budget)
+            if backward in plans:
+                plans[backward].append(plan)
+            else:
+                plans[backward] = [plan]
         return plans
 
-    def _counts(self, a: LevelSet, b: LevelSet, plans) -> list[tuple[int, int, int]]:
-        """(count, overflow, K) of mu(T^n A /\\ B) for each plan of ``_plans``."""
-        j0 = max(a.stage, b.stage)
-        base = self.stage(j0).top
-        a_levels, b_levels = self.refined_levels(a, j0), self.refined_levels(b, j0)
-        counts = []
-        for n, K, budget in plans:
-            # mu(T^n A /\ B) = mu(T^{-n} B /\ A): count forward from the source set
-            src, dst = (a_levels, b_levels) if n >= 0 else (b_levels, a_levels)
-            n = abs(n)
-            st = self.stage(K)
-            overflow = 0
-            if src:
-                # the top level of the source at stage K is src[-1] + (top_K - top_j0);
-                # nothing overflows once it plus n stays below h_K
-                peak = n + src[-1] - base
-                while st.top + peak >= st.h and K < budget:
-                    K += 1
-                    st = self.stage(K)
-                if st.top + peak >= st.h:
-                    overflow = sum(self._count_at_least(j0, K, st.h - n - x) for x in src)
-            counts.append((self.pair_count(src, dst, j0, n, K), overflow, K))
-        return counts
+    def grid_counts(
+        self, pairs: Sequence[tuple[LevelSet, LevelSet]], shifts: Iterable[int],
+        max_stage: int | None,
+    ) -> list[list[tuple[int, int, int]]]:
+        """One row of ``level_counts`` for each (A, B) of ``pairs``, all of this
+        construction.
 
-    def _bounds(self, counts: list[tuple[int, int, int]]) -> list[MeasureBound]:
-        """The rational view of ``(count, overflow, K)`` triples; equal triples
-        share one bound."""
+        The shifts are planned once per common stage j0 and each set is
+        refined once per j0.  A query counts forward from its source set, A
+        for n >= 0 and B for n < 0 (mu(T^n A /\\ B) = mu(T^{-n} B /\\ A)).
+        Its resolved stage K and overflow depend on the source alone, so the
+        pairs that share a source and j0 share one overflow count and one
+        ``pair_counts`` recursion per shift, and each (pair, shift) costs one
+        store into its row.
+        """
+        shifts = list(shifts)
+        width = len(shifts)
+        cap = env_stage_cap()
+        rows = []
+        by_j0: dict[int, list[int]] = {}
+        for i, (a, b) in enumerate(pairs):
+            rows.append([None] * width)
+            j0 = max(a.stage, b.stage)
+            if j0 in by_j0:
+                by_j0[j0].append(i)
+            else:
+                by_j0[j0] = [i]
+        for j0, members in by_j0.items():
+            base = self.stage(j0).top
+            refined: dict[tuple, tuple[int, ...]] = {}  # (stage, levels) -> levels at j0
+            for backward, plans in self._plans(j0, shifts, max_stage, cap).items():
+                # source levels at j0 -> (target levels at j0, rows)
+                groups: dict[tuple[int, ...], tuple[list, list[int]]] = {}
+                for i in members:
+                    src, dst = pairs[i]
+                    if backward:
+                        src, dst = dst, src
+                    src = src.levels if src.stage == j0 else self._levels_at(src, j0, refined)
+                    dst = dst.levels if dst.stage == j0 else self._levels_at(dst, j0, refined)
+                    group = groups.get(src)
+                    if group is None:
+                        groups[src] = ([dst], [i])
+                    else:
+                        group[0].append(dst)
+                        group[1].append(i)
+                for src, (targets, sharing) in groups.items():
+                    for col, n, K, budget in plans:
+                        st = self.stage(K)
+                        overflow = 0
+                        if src:
+                            # the top level of the source at stage K is
+                            # src[-1] + (top_K - top_j0); nothing overflows once
+                            # it plus n stays below h_K
+                            peak = n + src[-1] - base
+                            while st.top + peak >= st.h and K < budget:
+                                K += 1
+                                st = self.stage(K)
+                            if st.top + peak >= st.h:
+                                overflow = sum(
+                                    self._count_at_least(j0, K, st.h - n - x) for x in src)
+                        counts = self.pair_counts(src, targets, j0, n, K)
+                        for i, count in zip(sharing, counts):
+                            rows[i][col] = (count, overflow, K)
+        return rows
+
+    def _bounds(self, rows: list[list[tuple[int, int, int]]]) -> list[list[MeasureBound]]:
+        """The rational view of rows of ``(count, overflow, K)`` triples; equal
+        triples share one bound."""
         made: dict[tuple[int, int, int], MeasureBound] = {}
-        bounds = []
-        for triple in counts:
-            bound = made.get(triple)
-            if bound is None:
-                count, overflow, K = triple
-                width = self.stage(K).level_width
-                lo = count * width
-                bound = made[triple] = MeasureBound(
-                    lo, lo + overflow * width if overflow else lo, K)
-            bounds.append(bound)
-        return bounds
+        grid = []
+        for counts in rows:
+            bounds = []
+            for triple in counts:
+                bound = made.get(triple)
+                if bound is None:
+                    count, overflow, K = triple
+                    width = self.stage(K).level_width
+                    # Fraction(int, int) skips the operator dispatch of int * Fraction
+                    lo = Fraction(count * width.numerator, width.denominator)
+                    hi = (Fraction((count + overflow) * width.numerator, width.denominator)
+                          if overflow else lo)
+                    bound = made[triple] = MeasureBound(lo, hi, K)
+                bounds.append(bound)
+            grid.append(bounds)
+        return grid
 
     def level_counts(
         self, a: LevelSet, b: LevelSet, shifts: Iterable[int], max_stage: int | None
@@ -320,14 +398,13 @@ class Tower:
         of the source set pushed past the top of the stage-K tower.  The
         measure interval is ``[count, count + overflow]`` times
         ``stage(K).level_width``; negative n count T^{-n} B /\\ A."""
-        plans = self._plans(max(a.stage, b.stage), shifts, max_stage, env_stage_cap())
-        return self._counts(a, b, plans)
+        return self.grid_counts([(a, b)], shifts, max_stage)[0]
 
     def power_profile(
         self, a: LevelSet, b: LevelSet, shifts: Iterable[int], max_stage: int | None
     ) -> list[MeasureBound]:
         """mu(T^n A /\\ B) for every n in ``shifts``; see ``tower.power_profile``."""
-        return self._bounds(self.level_counts(a, b, shifts, max_stage))
+        return self._bounds(self.grid_counts([(a, b)], shifts, max_stage))[0]
 
     def self_returns(
         self, a: LevelSet, shifts: Iterable[int], max_stage: int | None
@@ -335,13 +412,13 @@ class Tower:
         """mu(T^n A /\\ A) = mu(T^{-n} A /\\ A) for every n in ``shifts``, memoized
         for product scans on the inputs of the stage budget (A, |n|,
         ``max_stage``, ``RANK1_MAX_STAGE``), so a hit plans nothing; one
-        profile fills the misses."""
+        grid row fills the misses."""
         cap = env_stage_cap()
         keys = [(a.stage, a.levels, abs(n), max_stage, cap) for n in shifts]
         missing = [key for key in dict.fromkeys(keys) if key not in self._returns]
         if missing:
-            plans = self._plans(a.stage, [key[2] for key in missing], max_stage, cap)
-            self._returns.update(zip(missing, self._bounds(self._counts(a, a, plans))))
+            rows = self.grid_counts([(a, a)], [key[2] for key in missing], max_stage)
+            self._returns.update(zip(missing, self._bounds(rows)[0]))
         return [self._returns[key] for key in keys]
 
 
@@ -364,7 +441,7 @@ def refine(a: LevelSet, to_stage: int) -> LevelSet:
 
 
 def _check_same_construction(a: LevelSet, b: LevelSet):
-    if a.params != b.params:
+    if a.params is not b.params and a.params != b.params:
         raise ValueError("level sets belong to different constructions")
 
 
@@ -418,23 +495,39 @@ def apply_power_bounds(
     result.  ``RANK1_MAX_STAGE`` caps the budget globally.
     """
     _check_same_construction(a, b)
-    if n < 0:
-        return apply_power_bounds(b, a, -n, max_stage)
     return tower_of(a.params).power_profile(a, b, (n,), max_stage)[0]
+
+
+def power_grid(
+    pairs: Iterable[tuple[LevelSet, LevelSet]], shifts: Iterable[int],
+    max_stage: int | None = None,
+) -> list[list[MeasureBound]]:
+    """``[power_profile(a, b, shifts, max_stage) for a, b in pairs]`` in one call.
+
+    Every set of ``pairs`` must belong to one construction.  The shifts may
+    be negative, repeated and in any order.  The tower is looked up and
+    ``RANK1_MAX_STAGE`` read once for the grid; the shifts are planned once
+    per common stage of a pair, and the pairs that share a source set (A for
+    n >= 0, B for n < 0) share one count per shift.  Equal results share one
+    ``MeasureBound``.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return []
+    first = pairs[0][0]
+    for a, b in pairs:
+        _check_same_construction(first, a)
+        _check_same_construction(a, b)
+    tower = tower_of(first.params)
+    return tower._bounds(tower.grid_counts(pairs, shifts, max_stage))
 
 
 def power_profile(
     a: LevelSet, b: LevelSet, shifts: Iterable[int], max_stage: int | None = None
 ) -> list[MeasureBound]:
-    """``[apply_power_bounds(a, b, n, max_stage) for n in shifts]`` in one call.
-
-    The shifts may be negative, repeated and in any order.  The tower is
-    looked up, ``RANK1_MAX_STAGE`` read and A and B refined to their common
-    stage once for the whole list; each shift is then planned and counted on
-    its own, and equal results share one ``MeasureBound``.
-    """
-    _check_same_construction(a, b)
-    return tower_of(a.params).power_profile(a, b, shifts, max_stage)
+    """``[apply_power_bounds(a, b, n, max_stage) for n in shifts]`` in one call:
+    the one-pair case of ``power_grid``."""
+    return power_grid([(a, b)], shifts, max_stage)[0]
 
 
 # ---------------------------------------------------------------------------

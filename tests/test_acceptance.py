@@ -42,18 +42,19 @@ def test_criterion_1_oracle_equivalence():
 
 
 def _skew_shift_five(monkeypatch, move):
-    """Patch the kernel so that shift 5 of every batch answers ``move(count,
-    overflow)`` in place of its own (count, overflow)."""
-    level_counts = tower.Tower.level_counts
+    """Patch the kernel so that shift 5 of every grid row answers
+    ``move(count, overflow)`` in place of its own (count, overflow)."""
+    grid_counts = tower.Tower.grid_counts
 
-    def skewed(self, a, b, shifts, max_stage):
-        counts = level_counts(self, a, b, shifts, max_stage)
-        if len(counts) > 5:
-            count, overflow, K = counts[5]
-            counts[5] = (*move(count, overflow), K)
-        return counts
+    def skewed(self, pairs, shifts, max_stage):
+        rows = grid_counts(self, pairs, shifts, max_stage)
+        for counts in rows:
+            if len(counts) > 5:
+                count, overflow, K = counts[5]
+                counts[5] = (*move(count, overflow), K)
+        return rows
 
-    monkeypatch.setattr(tower.Tower, "level_counts", skewed)
+    monkeypatch.setattr(tower.Tower, "grid_counts", skewed)
 
 
 def test_criterion_1_catches_a_kernel_off_by_one_level(monkeypatch):
@@ -71,6 +72,27 @@ def test_criterion_1_catches_a_kernel_overflow_off_by_one(monkeypatch):
     result = acceptance.criterion_1()
     assert not result.passed
     assert result.detail.startswith("mismatch at") and result.detail.endswith("n=5")
+
+
+@pytest.mark.parametrize("number,recursions,plannings", [(1, 5341, 61), (7, 900, 5)])
+def test_grid_criteria_count_each_source_once(monkeypatch, number, recursions, plannings):
+    """Criteria 1 and 7 run one recursion per (source, j0, shift) and plan
+    once per (grid, j0), not once per (A, B) pair."""
+    calls = {"pair_counts": 0, "_plans": 0}
+
+    def counted(name):
+        original = getattr(tower.Tower, name)
+
+        def call(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(tower.Tower, name, counted(name))
+    (result,) = acceptance.run_all([number])
+    assert result.passed, result.detail
+    assert calls == {"pair_counts": recursions, "_plans": plannings}
 
 
 def test_criterion_2_halving():

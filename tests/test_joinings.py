@@ -214,22 +214,29 @@ _WITNESS_CASES = [
 def test_witness_equals_per_rectangle_reference(monkeypatch, params, grid, m, j_range,
                                                  eps, max_stage):
     rows, passed = _witness_reference(params, m, grid, j_range, eps, max_stage)
-    calls = {"profile": 0, "single": 0}
+    calls = {"grid": 0, "profile": 0, "single": 0}
+    power_grid = tower_module.power_grid
 
-    def counted_profile(*args, **kwargs):
-        calls["profile"] += 1
-        return tower_module.power_profile(*args, **kwargs)
+    def counted_grid(*args, **kwargs):
+        calls["grid"] += 1
+        return power_grid(*args, **kwargs)
 
-    def counted_single(*args, **kwargs):
-        calls["single"] += 1
-        return tower_module.apply_power_bounds(*args, **kwargs)
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(joinings_module, "power_profile", counted_profile)
-    monkeypatch.setattr(joinings_module, "apply_power_bounds", counted_single)
+    monkeypatch.setattr(joinings_module, "power_grid", counted_grid)
+    monkeypatch.setattr(tower_module, "power_profile",
+                        counted("profile", tower_module.power_profile))
+    for module in (joinings_module, tower_module):
+        monkeypatch.setattr(module, "apply_power_bounds",
+                            counted("single", tower_module.apply_power_bounds))
     report = domination_witness(params, m, grid, j_range, eps, max_stage)
     assert report.rows == rows
     assert (report.passed, report.vacuous) == (passed, False)
-    assert calls == {"profile": len(grid), "single": 0}
+    assert calls == {"grid": 1, "profile": 0, "single": 0}
     if params == TOY and max_stage is None and report.rows:
         assert any(row.margin_lo != row.margin_hi for row in report.rows)
 
@@ -239,6 +246,6 @@ def test_witness_rejects_stages_below_two_before_any_query(monkeypatch, j_range)
     def no_query(*args, **kwargs):
         raise AssertionError("queried before checking the stages")
 
-    monkeypatch.setattr(joinings_module, "power_profile", no_query)
+    monkeypatch.setattr(joinings_module, "power_grid", no_query)
     with pytest.raises(ValueError, match=r"j = [01] must be >= 2.*h_\(j-1\)"):
         domination_witness(UTV, 0, GRID, j_range)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rank1lab.construction import height, params_from_config, stage_geometry, thm2, toy, utv1
+import rank1lab.tower as tower_module
 from rank1lab.oracle import IntervalSystem, OrbitWalker, oracle_intersection
 from rank1lab.tower import (
     LevelSet,
@@ -18,6 +19,7 @@ from rank1lab.tower import (
     intersect,
     measure,
     parse_level_set,
+    power_grid,
     power_profile,
     refine,
     tower_of,
@@ -333,6 +335,105 @@ def test_power_profile_edge_cases():
     assert power_profile(e1, e1, iter([3, -3])) == [apply_power_bounds(e1, e1, 3)] * 2
     with pytest.raises(ValueError):
         power_profile(e1, LevelSet.base(UTV, 1), [1])
+
+
+def _set_env_cap(monkeypatch, cap):
+    if cap is None:
+        monkeypatch.delenv("RANK1_MAX_STAGE", raising=False)
+    else:
+        monkeypatch.setenv("RANK1_MAX_STAGE", str(cap))
+
+
+@st.composite
+def _grid_queries(draw):
+    params = draw(_constructions)
+
+    def level_set():
+        stage = draw(st.integers(1, 4))
+        h = stage_geometry(params, stage).h
+        levels = draw(st.lists(st.integers(0, h - 1), max_size=4))  # may be empty
+        return LevelSet.from_levels(params, stage, levels)
+
+    # a small pool, so that pairs share A, share B and mix stages; a refined
+    # copy is the same source written at a deeper stage
+    pool = [level_set() for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        pool.append(refine(pool[0], pool[0].stage + 1))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+                          max_size=8))
+    reach = stage_geometry(params, draw(st.integers(2, 7))).h
+    # unsorted, with repeats and negative shifts
+    shifts = draw(st.lists(st.integers(-reach, reach), max_size=12))
+    if shifts:
+        shifts += draw(st.lists(st.sampled_from(shifts), max_size=4))
+    max_stage = draw(st.none() | st.integers(1, 12))
+    cap = draw(st.none() | st.integers(1, 12))
+    return pairs, shifts, max_stage, cap
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_grid_queries())
+def test_grid_counts_equal_single_queries(monkeypatch, query):
+    """One grid pass gives every (pair, shift) the triple of its own one-pair,
+    one-shift query, for random config-grammar constructions, grids that
+    share sources and targets, mixed stages, budgets and env caps."""
+    pairs, shifts, max_stage, cap = query
+    _set_env_cap(monkeypatch, cap)
+    if not pairs:
+        return
+    tower = tower_of(pairs[0][0].params)
+    assert tower.grid_counts(pairs, shifts, max_stage) == [
+        [tower.level_counts(a, b, [n], max_stage)[0] for n in shifts] for a, b in pairs]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_grid_queries())
+def test_power_grid_equals_power_profiles(monkeypatch, query):
+    pairs, shifts, max_stage, cap = query
+    _set_env_cap(monkeypatch, cap)
+    grid = power_grid(iter(pairs), shifts, max_stage)
+    assert [[(x.lo, x.hi, x.resolved_stage) for x in row] for row in grid] == [
+        [(x.lo, x.hi, x.resolved_stage) for x in power_profile(a, b, shifts, max_stage)]
+        for a, b in pairs]
+
+
+def test_power_grid_edge_cases():
+    e1, e2 = LevelSet.base(TOY, 1), LevelSet.base(TOY, 2)
+    assert power_grid([], [1, 2]) == []
+    assert power_grid([(e1, e2), (e2, e1)], []) == [[], []]
+    with pytest.raises(ValueError):
+        power_grid([(e1, e1), (LevelSet.base(UTV, 1), LevelSet.base(UTV, 1))], [1])
+    with pytest.raises(ValueError):
+        power_grid([(e1, LevelSet.base(UTV, 1))], [1])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_profile_queries())
+def test_negative_shift_is_the_mirrored_query(monkeypatch, query):
+    """mu(T^n A /\\ B) and mu(T^{-n} B /\\ A) are one query: equal lo, hi and
+    resolved stage."""
+    a, b, shifts, max_stage, cap = query
+    _set_env_cap(monkeypatch, cap)
+    for n in shifts:
+        assert apply_power_bounds(a, b, n, max_stage) == apply_power_bounds(b, a, -n, max_stage)
+
+
+def test_negative_query_enters_apply_power_bounds_once(monkeypatch):
+    entered = []
+    original = tower_module.apply_power_bounds
+
+    def counted(*args, **kwargs):
+        entered.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tower_module, "apply_power_bounds", counted)
+    a, b = LevelSet.single(UTV, 2, 3), LevelSet.single(UTV, 2, 2)
+    bound = tower_module.apply_power_bounds(a, b, -121)
+    assert entered == [-121]
+    assert bound == original(b, a, 121)
 
 
 @pytest.mark.parametrize("level", [1, 3, 5])
