@@ -39,6 +39,7 @@ from .oracle import IntervalSystem, OracleResult, OrbitWalker, oracle_intersecti
 from .products import (
     ProductSystem,
     RectangleReturnReport,
+    dissipativity_grid,
     dissipativity_scan,
     product_return,
     ratio_condition,

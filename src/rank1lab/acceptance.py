@@ -19,7 +19,7 @@ from . import reports
 from .construction import height, stage_geometry, thm2, toy, utv1
 from .joinings import delta_shift, partial_joining, domination_witness
 from .oracle import IntervalSystem, OrbitWalker, oracle_intersection
-from .products import ProductSystem, dissipativity_scan, product_return, sample_shifts
+from .products import ProductSystem, dissipativity_grid, product_return, sample_shifts
 from .spectral import (
     correlation_sequence,
     correlations,
@@ -211,17 +211,17 @@ def criterion_6(samples: int = 256) -> CriterionResult:
     params = thm2(2)
     system = ProductSystem(params, 1, params, 3)
     levels = [LevelSet.single(params, 2, i) for i in range(height(params, 2))]
+    rects = [(a, b) for a in levels for b in levels]
     violations = []
     for j in (4, 5, 6):
         h_j = height(params, j)
-        for a in levels:
-            for b in levels:
-                report = dissipativity_scan(system, a, b, h_j, 8 * h_j, samples)
-                if report.unresolved:
-                    return CriterionResult(6, "dissipativity-scan", False,
-                                           f"unresolved shifts at j={j}")
-                for k, lo, _ in report.nonzero_returns:
-                    violations.append((j, a.levels[0], b.levels[0], k, lo))
+        reports = dissipativity_grid(system, rects, h_j, 8 * h_j, samples)
+        for (a, b), report in zip(rects, reports):
+            if report.unresolved:
+                return CriterionResult(6, "dissipativity-scan", False,
+                                       f"unresolved shifts at j={j}")
+            for k, lo, _ in report.nonzero_returns:
+                violations.append((j, a.levels[0], b.levels[0], k, lo))
     witness_params = utv1()
     e2 = LevelSet.base(witness_params, 2)
     self_product = ProductSystem(witness_params, 1, witness_params, 1)

@@ -147,6 +147,23 @@ class ConstructionParams:
             raise InvalidConstructionError("initial height must be >= 1")
         if self.base_width <= 0:
             raise InvalidConstructionError("base width must be positive")
+        # hashed on every tower, stage-chain and LevelSet lookup: hash the
+        # compared fields once (``family`` is in neither == nor the hash)
+        object.__setattr__(
+            self, "_hash", hash((self.h1, self.cuts, self.spacer_tail, self.base_width)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self):
+        # str hashes differ between processes, so the cached hash is not pickled
+        state = dict(self.__dict__)
+        del state["_hash"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def cut_count(self, j: int) -> int:
         r = self.cuts.evaluate(j)

@@ -4,13 +4,15 @@ Rectangle measures factorize, so a product return is the product of two
 one-dimensional values with interval arithmetic.  The dissipativity scan
 reports finite evidence only: per-k verdicts distinguish values proven zero
 (upper bound exactly 0) from merely unresolved ones, and the report never
-claims anything about unscanned shifts.
+claims anything about unscanned shifts.  ``dissipativity_grid`` scans a list
+of rectangles in one pass; ``dissipativity_scan`` is its one-rectangle case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .construction import ConstructionParams, stage_geometry
 from .tower import LevelSet, MeasureBound, tower_of
@@ -46,8 +48,8 @@ def product_return(
 ) -> MeasureBound:
     """mu(T^{mk} A /\\ A) * mu(T^{nk} A' /\\ A')."""
     _check_rectangle(sys, a, a2)
-    (left,) = tower_of(a.params).self_returns(a, [sys.left_power * k], max_stage)
-    (right,) = tower_of(a2.params).self_returns(a2, [sys.right_power * k], max_stage)
+    ((left,),) = tower_of(a.params).self_returns([a], [sys.left_power * k], max_stage)
+    ((right,),) = tower_of(a2.params).self_returns([a2], [sys.right_power * k], max_stage)
     return left.times(right)
 
 
@@ -72,17 +74,24 @@ class RectangleReturnReport:
 
 
 def sample_shifts(k_lo: int, k_hi: int, samples: int) -> list[int]:
-    """`samples` distinct shifts from the half-open range (k_lo, k_hi]."""
+    """`samples` distinct shifts from the half-open range (k_lo, k_hi], in
+    increasing order: k_lo + t * span // samples for t = 1..samples."""
     if k_hi <= k_lo:
         raise ValueError("empty shift range")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     span = k_hi - k_lo
     samples = min(samples, span)  # more would only repeat points
-    points = set()
-    for t in range(1, samples + 1):
-        points.add(k_lo + max(1, (t * span) // samples))
-    return sorted(points)
+    # with samples <= span, t * span // samples rises by at least 1 per t
+    return [k_lo + t * span // samples for t in range(1, samples + 1)]
+
+
+def _verdict(product: MeasureBound) -> str:
+    if product.hi == 0:
+        return PROVEN_ZERO
+    if product.lo > 0:
+        return NONZERO
+    return UNRESOLVED
 
 
 def dissipativity_scan(
@@ -96,53 +105,98 @@ def dissipativity_scan(
     ratio_target: Fraction | None = None,
     ratio_depth: int = 8,
 ) -> RectangleReturnReport:
-    """Scan product returns of the rectangle A x A' over (k_lo, k_hi].
+    """Scan product returns of the rectangle A x A' over (k_lo, k_hi]: the
+    one-rectangle case of ``dissipativity_grid``."""
+    return dissipativity_grid(
+        sys, [(a, a2)], k_lo, k_hi, samples, max_stage, ratio_target, ratio_depth)[0]
 
-    Right factors are skipped wherever the left factor is proven zero, since
-    the product interval is then [0, 0] regardless.
+
+def dissipativity_grid(
+    sys: ProductSystem,
+    rects: Iterable[tuple[LevelSet, LevelSet]],
+    k_lo: int,
+    k_hi: int,
+    samples: int = 256,
+    max_stage: int | None = None,
+    ratio_target: Fraction | None = None,
+    ratio_depth: int = 8,
+) -> list[RectangleReturnReport]:
+    """``[dissipativity_scan(sys, a, a2, ...) for a, a2 in rects]`` in one pass.
+
+    Every rectangle is validated before any work and the shifts are sampled
+    once.  One ``Tower.self_returns`` call gives the left factors of all
+    rectangles and one more the right factors, on the shifts where some left
+    factor is not proven zero; a row skips its right factor wherever its own
+    left factor is proven zero, since the product interval is then [0, 0]
+    regardless.  Product and verdict are computed once per distinct pair of
+    factor bounds, and rectangles whose factor rows hold the same bounds
+    share one report.
     """
     if k_lo < 1:
         raise ValueError("k_lo must be >= 1")
-    _check_rectangle(sys, a, a2)
+    rects = list(rects)
+    for a, a2 in rects:
+        _check_rectangle(sys, a, a2)
     scanned = sample_shifts(k_lo, k_hi, samples)
-    lefts = tower_of(a.params).self_returns(a, [sys.left_power * k for k in scanned], max_stage)
-    live = [k for k, left in zip(scanned, lefts) if left.hi != 0]
-    rights = dict(zip(live, tower_of(a2.params).self_returns(
-        a2, [sys.right_power * k for k in live], max_stage)))
-    zeros: dict[int, MeasureBound] = {}  # one [0, 0] product per resolved stage
-    rows = []
-    nonzero = []
-    unresolved = []
-    for k, left in zip(scanned, lefts):
-        right = rights.get(k)
-        if right is None:
-            stage = left.resolved_stage
-            if stage not in zeros:
-                zeros[stage] = MeasureBound.exactly(0, stage)
-            product = zeros[stage]
-        else:
-            product = left.times(right)
-        if product.hi == 0:
-            verdict = PROVEN_ZERO
-        elif product.lo > 0:
-            verdict = NONZERO
-            nonzero.append((k, product.lo, product.hi))
-        else:
-            verdict = UNRESOLVED
-            unresolved.append(k)
-        rows.append(ReturnRow(k, left, right, product, verdict))
+    if not rects:
+        return []
+    # rows are keyed on the identities of their bounds, all alive in the memo
+    lefts = tower_of(sys.left_params).self_returns(
+        [a for a, _ in rects], [sys.left_power * k for k in scanned], max_stage)
+    left_keys = [tuple(map(id, row)) for row in lefts]
+    live: dict[tuple[int, ...], list[int]] = {}  # left row -> columns not proven zero
+    for key, row in zip(left_keys, lefts):
+        if key not in live:
+            live[key] = [col for col, left in enumerate(row) if left.hi != 0]
+    cols = sorted(set().union(*live.values()))
+    rights = tower_of(sys.right_params).self_returns(
+        [a2 for _, a2 in rects], [sys.right_power * scanned[col] for col in cols], max_stage)
     ratio = None
     if ratio_target is not None:
         ratio = ratio_condition(sys.left_params, sys.right_params, ratio_depth, ratio_target)
-    return RectangleReturnReport(
-        scanned=tuple(scanned),
-        rows=tuple(rows),
-        nonzero_returns=tuple(nonzero),
-        unresolved=tuple(unresolved),
-        all_proven_zero=all(r.verdict == PROVEN_ZERO for r in rows),
-        note=EVIDENCE_NOTE,
-        ratio_check=ratio,
-    )
+    products: dict[tuple[int, int], tuple[MeasureBound, str]] = {}
+    zeros: dict[int, tuple[MeasureBound, str]] = {}  # one [0, 0] product per resolved stage
+    reports: dict[tuple, RectangleReturnReport] = {}
+    out = []
+    for left_key, left_row, right_row in zip(left_keys, lefts, rights):
+        key = (left_key, tuple(map(id, right_row)))
+        report = reports.get(key)
+        if report is None:
+            right_at = dict(zip(cols, right_row))
+            own = [None] * len(scanned)
+            for col in live[left_key]:
+                own[col] = right_at[col]
+            rows = []
+            nonzero = []
+            unresolved = []
+            for k, left, right in zip(scanned, left_row, own):
+                if right is None:
+                    stage = left.resolved_stage
+                    entry = zeros.get(stage)
+                    if entry is None:
+                        entry = zeros[stage] = (MeasureBound.exactly(0, stage), PROVEN_ZERO)
+                else:
+                    entry = products.get((id(left), id(right)))
+                    if entry is None:
+                        product = left.times(right)
+                        entry = products[id(left), id(right)] = (product, _verdict(product))
+                product, verdict = entry
+                if verdict is NONZERO:
+                    nonzero.append((k, product.lo, product.hi))
+                elif verdict is UNRESOLVED:
+                    unresolved.append(k)
+                rows.append(ReturnRow(k, left, right, product, verdict))
+            report = reports[key] = RectangleReturnReport(
+                scanned=tuple(scanned),
+                rows=tuple(rows),
+                nonzero_returns=tuple(nonzero),
+                unresolved=tuple(unresolved),
+                all_proven_zero=not nonzero and not unresolved,
+                note=EVIDENCE_NOTE,
+                ratio_check=ratio,
+            )
+        out.append(report)
+    return out
 
 
 def ratio_condition(

@@ -47,10 +47,12 @@ The public functions are pure.  The kernel's stage table is the geometry
 chain of the construction (``construction.stage_chain``): each
 ``StageGeometry`` carries the prefix data the kernel reads (``copies``,
 ``top``) and its offset differences.  The one ``Tower`` per construction
-reads that chain and owns only the self-return memo of product scans.  Its
-keys hold the inputs of the stage budget (A, |n|, ``max_stage`` and
-``RANK1_MAX_STAGE``), which fix the budget for one construction, so a hit
-plans nothing.
+reads that chain and owns only the self-return memo of product scans: one
+inner dict per (A's stage, A's levels, ``max_stage``, ``RANK1_MAX_STAGE``),
+keyed on |n|.  Those are the inputs of the stage budget, which fix the
+budget for one construction, so a hit is one int-keyed lookup and plans
+nothing.  ``Tower.self_returns`` answers a list of sets at once and fills
+every miss with one ``grid_counts`` over the distinct sets.
 """
 
 from __future__ import annotations
@@ -185,16 +187,17 @@ class Tower:
     is ``stage(k).top - stage(j0).top`` and it has
     ``stage(k).copies // stage(j0).copies`` elements.  The stage table is the
     chain ``stage_geometry`` builds; the one memo of its own is the
-    self-return memo, keyed on the inputs of the stage budget (A, |n|,
-    ``max_stage``, ``RANK1_MAX_STAGE``), so it follows both and a hit does
-    no planning.
+    self-return memo ``_returns``: for each (A's stage, A's levels,
+    ``max_stage``, ``RANK1_MAX_STAGE``) a dict from |n| to the bound.  The
+    outer key holds the inputs of the stage budget other than |n|, so the
+    memo follows both caps and a hit does no planning.
     """
 
     def __init__(self, params: ConstructionParams):
         self.params = params
         self._chain = stage_chain(params)
-        # (A's stage, A's levels, |n|, max_stage, RANK1_MAX_STAGE) -> bound
-        self._returns: dict[tuple, MeasureBound] = {}
+        # (A's stage, A's levels, max_stage, RANK1_MAX_STAGE) -> {|n|: bound}
+        self._returns: dict[tuple, dict[int, MeasureBound]] = {}
 
     def stage(self, k: int) -> StageGeometry:
         if k > len(self._chain):
@@ -407,19 +410,33 @@ class Tower:
         return self._bounds(self.grid_counts([(a, b)], shifts, max_stage))[0]
 
     def self_returns(
-        self, a: LevelSet, shifts: Iterable[int], max_stage: int | None
-    ) -> list[MeasureBound]:
-        """mu(T^n A /\\ A) = mu(T^{-n} A /\\ A) for every n in ``shifts``, memoized
-        for product scans on the inputs of the stage budget (A, |n|,
-        ``max_stage``, ``RANK1_MAX_STAGE``), so a hit plans nothing; one
-        grid row fills the misses."""
+        self, sets: Sequence[LevelSet], shifts: Iterable[int], max_stage: int | None
+    ) -> list[list[MeasureBound]]:
+        """mu(T^n A /\\ A) = mu(T^{-n} A /\\ A) for every A of ``sets`` and every
+        n in ``shifts``, one row per set, memoized for product scans on the
+        inputs of the stage budget (A, |n|, ``max_stage``, ``RANK1_MAX_STAGE``),
+        so a hit plans nothing.  Equal sets share one row; one grid over the
+        distinct sets and the missing |n| fills every miss, so equal triples
+        share one bound across sets."""
         cap = env_stage_cap()
-        keys = [(a.stage, a.levels, abs(n), max_stage, cap) for n in shifts]
-        missing = [key for key in dict.fromkeys(keys) if key not in self._returns]
+        steps = [abs(n) for n in shifts]
+        keys = [(a.stage, a.levels, max_stage, cap) for a in sets]
+        memos: dict[tuple, tuple[LevelSet, dict[int, MeasureBound]]] = {}
+        for a, key in zip(sets, keys):
+            if key not in memos:
+                memos[key] = (a, self._returns.setdefault(key, {}))
+        missing = list(dict.fromkeys(
+            m for _, memo in memos.values() for m in steps if m not in memo))
         if missing:
-            rows = self.grid_counts([(a, a)], [key[2] for key in missing], max_stage)
-            self._returns.update(zip(missing, self._bounds(rows)[0]))
-        return [self._returns[key] for key in keys]
+            pending = [(a, memo) for a, memo in memos.values()
+                       if not all(m in memo for m in missing)]
+            filled = self._bounds(
+                self.grid_counts([(a, a) for a, _ in pending], missing, max_stage))
+            for (_, memo), row in zip(pending, filled):
+                for m, bound in zip(missing, row):
+                    memo.setdefault(m, bound)  # an existing entry keeps its object
+        rows = {key: [memo[m] for m in steps] for key, (_, memo) in memos.items()}
+        return [rows[key] for key in keys]
 
 
 _towers: dict[ConstructionParams, Tower] = {}

@@ -162,6 +162,29 @@ def test_criterion_6_tail_holds_from_stage_six():
             assert report.all_proven_zero
 
 
+def test_criterion_6_scans_each_stage_in_one_grid(monkeypatch):
+    """One dissipativity grid per stage over all 81 rectangles: the
+    self-returns of the distinct sides fill in 12 kernel grids (60 with one
+    scan per rectangle), and the recursions stay the same."""
+    monkeypatch.setattr(tower, "_towers", {})  # a fresh self-return memo
+    calls = {"dissipativity_grid": 0, "grid_counts": 0, "pair_counts": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, call)
+
+    counted(acceptance, "dissipativity_grid")
+    counted(tower.Tower, "grid_counts")
+    counted(tower.Tower, "pair_counts")
+    result = acceptance.criterion_6()
+    assert result.known_defect
+    assert calls == {"dissipativity_grid": 3, "grid_counts": 12, "pair_counts": 8034}
+
+
 def test_criterion_6_stage_six_window_has_a_nonzero_return():
     """The window (h_6, 8h_6] still has nonzero T x T^3 returns over thm2(2);
     the 256 samples of criterion 6 merely miss them."""

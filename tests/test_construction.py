@@ -254,6 +254,32 @@ def test_config_roundtrip_explicit_form():
         assert params_from_config(params_to_config(params)) == params
 
 
+def test_params_hash_is_cached_over_the_compared_fields():
+    import copy
+    import dataclasses
+    import pickle
+
+    for make in (toy, utv1, lambda: thm2(2), lambda: scaled(Fraction(3, 2))):
+        params, again = make(), make()
+        assert params is not again
+        assert hash(params) == hash(again)
+        renamed = dataclasses.replace(params, family="other")
+        assert renamed == params and hash(renamed) == hash(params)
+        assert hash(params) == hash(
+            (params.h1, params.cuts, params.spacer_tail, params.base_width))
+        assert [f.name for f in dataclasses.fields(params)] == [
+            "h1", "cuts", "spacer_tail", "base_width", "family"]
+        assert repr(params).startswith(f"ConstructionParams(h1={params.h1}, cuts=")
+        assert repr(params).endswith(f"family={params.family!r})")
+        loaded = params_from_config(params_to_config(params))
+        assert loaded == params and hash(loaded) == hash(params)
+        for copied in (pickle.loads(pickle.dumps(params)), copy.deepcopy(params)):
+            assert copied == params and hash(copied) == hash(params)
+            assert repr(copied) == repr(params)
+        # str hashes differ between processes: a pickled hash would go stale
+        assert b"_hash" not in pickle.dumps(params)
+
+
 def test_config_unknown_keys_rejected():
     with pytest.raises(InvalidConstructionError, match="unknown"):
         params_from_config({"family": "toy", "extra": 1})

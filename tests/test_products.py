@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rank1lab.construction import scaled, stage_geometry, thm2, toy, utv1
 from rank1lab.products import (
     NONZERO,
     UNRESOLVED,
     ProductSystem,
+    dissipativity_grid,
     dissipativity_scan,
     product_return,
     ratio_condition,
@@ -115,6 +117,26 @@ def test_sample_shifts_match_the_sampling_loop(span):
             loop = sorted({k_lo + max(1, (t * span) // samples)
                            for t in range(1, samples + 1)})
             assert sample_shifts(k_lo, k_lo + span, samples) == loop
+
+
+@st.composite
+def _sampling(draw):
+    """(k_lo, span, samples) with spans up to 10^15; the edge counts 1,
+    span - 1, span and span + 1 where the literal loop stays short."""
+    k_lo = draw(st.integers(min_value=0, max_value=10**15))
+    span = draw(st.integers(min_value=1, max_value=2000)
+                | st.integers(min_value=1, max_value=10**15))
+    edges = [n for n in (1, span - 1, span, span + 1) if 1 <= n <= 2001]
+    samples = draw(st.sampled_from(edges) | st.integers(min_value=1, max_value=300))
+    return k_lo, span, samples
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sampling())
+def test_sample_shifts_match_the_sampling_loop_on_wide_spans(case):
+    k_lo, span, samples = case
+    loop = sorted({k_lo + max(1, (t * span) // samples) for t in range(1, samples + 1)})
+    assert sample_shifts(k_lo, k_lo + span, samples) == loop
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -227,3 +249,128 @@ def test_scan_with_ratio_table():
 def test_rectangle_sides_validated_against_the_system():
     with pytest.raises(ValueError, match="constructions"):
         product_return(ProductSystem(scaled(2), 1, UTV, 1), E2, E2, 1)
+
+
+def _grid_sides(params):
+    return [LevelSet.single(params, 2, i) for i in range(3)] + [
+        LevelSet.from_levels(params, 3, [0, 2, 5]), LevelSet.base(params, 3)]
+
+
+_GRID_SYSTEMS = [
+    ProductSystem(THM, 1, THM, 3),
+    ProductSystem(scaled(2), -1, UTV, 2),
+    ProductSystem(toy(), 1, toy(), -1),
+]
+
+
+@st.composite
+def _grids(draw):
+    system = draw(st.sampled_from(_GRID_SYSTEMS))
+    rects = draw(st.lists(
+        st.tuples(st.sampled_from(_grid_sides(system.left_params)),
+                  st.sampled_from(_grid_sides(system.right_params))),
+        min_size=1, max_size=6))
+    k_lo = draw(st.integers(min_value=1, max_value=400))
+    k_hi = k_lo + draw(st.integers(min_value=1, max_value=600))
+    samples = draw(st.integers(min_value=1, max_value=24))
+    max_stage = draw(st.none() | st.integers(min_value=3, max_value=8))
+    cap = draw(st.none() | st.integers(min_value=4, max_value=9))
+    ratio = draw(st.none() | st.just(Fraction(2)))
+    return system, rects, k_lo, k_hi, samples, max_stage, cap, ratio
+
+
+def _set_env_cap(monkeypatch, cap):
+    if cap is None:
+        monkeypatch.delenv("RANK1_MAX_STAGE", raising=False)
+    else:
+        monkeypatch.setenv("RANK1_MAX_STAGE", str(cap))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_grids())
+def test_grid_equals_one_scan_per_rectangle(monkeypatch, case):
+    """Grids sharing left or right sides, mixing stages, over two
+    constructions, with negative powers, stage budgets and ratio tables."""
+    system, rects, k_lo, k_hi, samples, max_stage, cap, ratio = case
+    _set_env_cap(monkeypatch, cap)
+    monkeypatch.setattr(tower, "_towers", {})  # a fresh memo for the grid
+    grid = dissipativity_grid(system, rects, k_lo, k_hi, samples, max_stage,
+                              ratio_target=ratio, ratio_depth=4)
+    assert len(grid) == len(rects)
+    for (a, a2), report in zip(rects, grid):
+        monkeypatch.setattr(tower, "_towers", {})  # and for every scan
+        assert report == dissipativity_scan(system, a, a2, k_lo, k_hi, samples, max_stage,
+                                            ratio_target=ratio, ratio_depth=4)
+
+
+def test_grid_keeps_unresolved_rows_and_own_zero_left_factors():
+    t = toy()
+    system = ProductSystem(t, 1, t, 1)
+    rects = [(LevelSet.single(t, 3, 6), LevelSet.single(t, 3, 6)),
+             (LevelSet.base(t, 1), LevelSet.single(t, 3, 6)),
+             (LevelSet.single(t, 3, 0), LevelSet.base(t, 1))]
+    grid = dissipativity_grid(system, rects, 12, 15, samples=3, max_stage=6)
+    assert UNRESOLVED in {row.verdict for row in grid[0].rows}
+    for (a, a2), report in zip(rects, grid):
+        assert report == dissipativity_scan(system, a, a2, 12, 15, samples=3, max_stage=6)
+        for row in report.rows:
+            assert (row.right is None) == (row.left.hi == 0)
+
+
+def test_grid_shares_one_report_per_distinct_pair_of_factor_rows(monkeypatch):
+    monkeypatch.setattr(tower, "_towers", {})
+    system = ProductSystem(THM, 1, THM, 3)
+    levels = [LevelSet.single(THM, 2, i) for i in range(stage_geometry(THM, 2).h)]
+    rects = [(a, b) for a in levels for b in levels]
+    h4, h5 = stage_geometry(THM, 4).h, stage_geometry(THM, 5).h
+    grid = dissipativity_grid(system, rects, h4, 8 * h4)
+    assert len({id(report) for report in grid}) == len(set(grid)) == 2
+    # at stage 5 the single-level self-returns of thm2(2) do not depend on the level
+    grid = dissipativity_grid(system, rects, h5, 8 * h5)
+    assert all(report is grid[0] for report in grid)
+    assert grid[0] == dissipativity_scan(system, levels[3], levels[7], h5, 8 * h5)
+    # equal sides built separately share one report too
+    again = dissipativity_grid(system, [(LevelSet.base(THM, 2), LevelSet.base(THM, 2))] * 2,
+                               h4, 8 * h4)
+    assert again[0] is again[1]
+
+
+def test_grid_validates_every_rectangle_before_any_work(monkeypatch):
+    counted = []
+    grid_counts = Tower.grid_counts
+    monkeypatch.setattr(Tower, "grid_counts",
+                        lambda self, *args: counted.append(args) or grid_counts(self, *args))
+    system = ProductSystem(scaled(2), 1, UTV, 1)
+    good = (LevelSet.base(scaled(2), 2), E2)
+    with pytest.raises(ValueError, match="constructions"):
+        dissipativity_grid(system, [good, (E2, E2)], 1, 30)
+    with pytest.raises(ValueError, match="samples"):
+        dissipativity_grid(system, [good], 1, 30, samples=0)
+    with pytest.raises(ValueError, match="empty shift range"):
+        dissipativity_grid(system, [], 30, 30)
+    assert counted == []
+    assert dissipativity_grid(system, [], 1, 30) == []
+
+
+def test_multi_set_self_returns_equal_per_set_calls(monkeypatch):
+    sets = [LevelSet.single(THM, 2, 4), LevelSet.base(THM, 3), LevelSet.single(THM, 2, 4),
+            LevelSet.from_levels(THM, 3, [1, 9, 30])]
+    shifts = [0, 5, -5, 283, 453, -1359, 3 * 453, 2000]
+    monkeypatch.setattr(tower, "_towers", {})
+    single = [tower.tower_of(THM).self_returns([a], shifts, None)[0] for a in sets]
+    monkeypatch.setattr(tower, "_towers", {})
+    grid = tower.tower_of(THM).self_returns(sets, shifts, None)
+    assert grid == single
+    assert grid[0] is grid[2]  # equal sets share one row
+    assert [[b.lo for b in row] for row in grid] == [
+        [apply_power_bounds(a, a, n).lo for n in shifts] for a in sets]
+    planned = []
+    plans = Tower._plans
+    monkeypatch.setattr(
+        Tower, "_plans", lambda self, *args: planned.append(args) or plans(self, *args))
+    again = tower.tower_of(THM).self_returns(sets, list(reversed(shifts)), None)
+    assert planned == []
+    assert [list(reversed(row)) for row in again] == grid
+    assert all(x is y for row, other in zip(again, grid)
+               for x, y in zip(reversed(row), other))  # hits keep their objects
