@@ -8,7 +8,11 @@ output files are written only after a run completes.
 Rejected input is decided in one place.  The library rejects input with
 ``ValueError`` (``InvalidConstructionError`` for constructions, sometimes only
 at the stage that breaks one), and ``_Main.invoke`` turns every such error into
-a one-line ``Error:`` and exit 2; an unwritable ``--out`` exits 2 the same way.
+a one-line ``Error:`` and exit 2; an unwritable ``--out``, a negative ``--tol``
+or ``--eps``, a ``--grid`` below 1, and a request that runs out of memory or
+hits the recursion limit exit 2 the same way, so a crash never reads as FAIL.
+``_with_construction`` hands each command its parsed construction as
+``params``, and ``_emit`` writes the report and exits with its status.
 ``run`` re-enters ``main`` with its experiment's subcommand path and one
 ``--option`` per params key, so the subcommands' own options are its schema;
 it parses the construction once and hands it over as the click context object.
@@ -105,6 +109,12 @@ def _parse_set(text: str, params) -> LevelSet:
         raise click.UsageError(f"bad set {text!r}: {exc}") from exc
 
 
+def _parse_sets(set_a: str, set_b: str | None, params) -> tuple[LevelSet, LevelSet]:
+    """(A, B) from --set and --set-b; B is A when --set-b is not given."""
+    a = _parse_set(set_a, params)
+    return a, (_parse_set(set_b, params) if set_b else a)
+
+
 def _parse_span(text: str) -> range:
     """"a..b" (inclusive, a <= b) or a single integer."""
     try:
@@ -138,7 +148,19 @@ def _bound_fields(bound) -> dict:
     }
 
 
+def _interval_text(bound) -> str:
+    return format_rational(bound.lo) if bound.exact else f"[{bound.lo},{bound.hi}]"
+
+
+def _scan_status(all_zero: bool, nonzero: bool) -> str:
+    """PASS if all proven zero, FAIL on a proven nonzero value, else INCONCLUSIVE."""
+    if all_zero:
+        return reports.PASS
+    return reports.FAIL if nonzero else reports.INCONCLUSIVE
+
+
 def _emit(meta: dict, rows: list[dict], fmt: str, out: str | None, status: str | None):
+    """Write the report, then exit with the status's code unless it is PASS."""
     if fmt == "json":
         payload = dict(meta)
         if status is not None:
@@ -163,9 +185,6 @@ def _emit(meta: dict, rows: list[dict], fmt: str, out: str | None, status: str |
             raise _BadInput(f"cannot write --out: {exc}") from exc
     else:
         click.echo(text, nl=False)
-
-
-def _finish(status: str | None):
     if status is not None and status != reports.PASS:
         sys.exit(reports.EXIT_CODES[status])
 
@@ -179,17 +198,16 @@ def _meta(params=None, **extra) -> dict:
     return meta
 
 
-_construction_options = [
-    click.option("--family", default=None, help="toy | utv1 | thm2(N) | scaled(p/q)"),
-    click.option("--config", "config_path", default=None, type=click.Path(),
-                 help="construction config JSON file"),
-]
-
-
 def _with_construction(fn):
-    for option in reversed(_construction_options):
-        fn = option(fn)
-    return fn
+    """Add --family and --config; the command gets the construction as ``params``."""
+    @click.option("--family", default=None, help="toy | utv1 | thm2(N) | scaled(p/q)")
+    @click.option("--config", "config_path", default=None, type=click.Path(),
+                  help="construction config JSON file")
+    @functools.wraps(fn)
+    def command(family, config_path, **kwargs):
+        return fn(params=_load_params(family, config_path), **kwargs)
+
+    return command
 
 
 _format_option = click.option("--format", "fmt", default="json",
@@ -208,6 +226,8 @@ class _Main(click.Group):
             raise _BadInput(f"invalid construction: {exc}") from exc
         except ValueError as exc:
             raise _BadInput(str(exc)) from exc
+        except (MemoryError, RecursionError) as exc:  # a crash must not read as FAIL
+            raise _BadInput(f"request too large for this host ({type(exc).__name__})") from exc
 
 
 @click.group(cls=_Main)
@@ -224,9 +244,8 @@ def main():
 @click.option("--measure-sum", is_flag=True, help="include infinite-measure partial sums")
 @_format_option
 @_out_option
-def geometry(family, config_path, span, star_check, measure_sum, fmt, out):
+def geometry(params, span, star_check, measure_sum, fmt, out):
     """Exact stage geometry: heights, widths, offsets, cumulative measure."""
-    params = _load_params(family, config_path)
     stages = _parse_span(span)
     rows = []
     for j in stages:
@@ -264,11 +283,9 @@ def geometry(family, config_path, span, star_check, measure_sum, fmt, out):
 @_max_stage_option
 @_format_option
 @_out_option
-def measure_cmd(family, config_path, set_a, set_b, shifts, max_stage, fmt, out):
+def measure_cmd(params, set_a, set_b, shifts, max_stage, fmt, out):
     """mu(T^n A /\\ B) as exact rational intervals."""
-    params = _load_params(family, config_path)
-    a = _parse_set(set_a, params)
-    b = _parse_set(set_b, params) if set_b else a
+    a, b = _parse_sets(set_a, set_b, params)
     rows = []
     status = reports.PASS
     for n in _parse_int_list(shifts):
@@ -277,7 +294,6 @@ def measure_cmd(family, config_path, set_a, set_b, shifts, max_stage, fmt, out):
             status = reports.INCONCLUSIVE
         rows.append({"n": format_int(n), **_bound_fields(bound)})
     _emit(_meta(params, set_a=set_a, set_b=set_b or set_a), rows, fmt, out, status)
-    _finish(status)
 
 
 @main.command()
@@ -288,11 +304,9 @@ def measure_cmd(family, config_path, set_a, set_b, shifts, max_stage, fmt, out):
 @click.option("--stage", type=int, required=True, help="stage of the materialized system")
 @_format_option
 @_out_option
-def oracle(family, config_path, set_a, set_b, n, stage, fmt, out):
+def oracle(params, set_a, set_b, n, stage, fmt, out):
     """Brute-force interval-model value of mu(T^n A /\\ B)."""
-    params = _load_params(family, config_path)
-    a = _parse_set(set_a, params)
-    b = _parse_set(set_b, params) if set_b else a
+    a, b = _parse_sets(set_a, set_b, params)
     cells = stage_geometry(params, stage).h
     if cells > _ORACLE_MAX_CELLS:
         raise _BadInput(f"stage {stage} has {cells} cells; the oracle "
@@ -323,17 +337,15 @@ def limits():
 @_max_stage_option
 @_format_option
 @_out_option
-def limits_verify(family, config_path, seq, poly, span, pairs, tol, max_stage, fmt, out):
+def limits_verify(params, seq, poly, span, pairs, tol, max_stage, fmt, out):
     """Check mu(T^{n(k)} A /\\ B) against a polynomial limit candidate."""
-    params = _load_params(family, config_path)
     sequence = parse_sequence(seq)
     polynomial = parse_polynomial(poly)
     if pairs:
         test_pairs = []
         for pair in pairs:
             left, _, right = pair.partition("|")
-            a = _parse_set(left, params)
-            test_pairs.append((a, _parse_set(right, params) if right else a))
+            test_pairs.append(_parse_sets(left, right, params))
     else:
         e2 = LevelSet.base(params, 2)
         test_pairs = [(e2, e2)]
@@ -345,15 +357,13 @@ def limits_verify(family, config_path, seq, poly, span, pairs, tol, max_stage, f
         "pair": r.pair_index,
         "lo": format_rational(r.value.lo),
         "hi": format_rational(r.value.hi),
-        "prediction": format_rational(r.prediction.lo)
-        if r.prediction.exact else f"[{r.prediction.lo},{r.prediction.hi}]",
+        "prediction": _interval_text(r.prediction),
         "deviation": format_rational(r.dev_hi),
         "status": r.status,
     } for r in report.rows]
     meta = _meta(params, seq=str(sequence), poly=str(polynomial),
                  max_deviation=format_rational(report.max_deviation))
     _emit(meta, rows, fmt, out, report.status)
-    _finish(report.status)
 
 
 @limits.command("scan")
@@ -366,11 +376,9 @@ def limits_verify(family, config_path, seq, poly, span, pairs, tol, max_stage, f
 @_max_stage_option
 @_format_option
 @_out_option
-def limits_scan(family, config_path, j, set_a, set_b, step, dead_samples, max_stage, fmt, out):
+def limits_scan(params, j, set_a, set_b, step, dead_samples, max_stage, fmt, out):
     """Tabulate the window around h_j and sample the dead zone."""
-    params = _load_params(family, config_path)
-    a = _parse_set(set_a, params)
-    b = _parse_set(set_b, params) if set_b else a
+    a, b = _parse_sets(set_a, set_b, params)
     try:
         samples = None if dead_samples == "all" else int(dead_samples)
     except ValueError:
@@ -382,18 +390,13 @@ def limits_scan(family, config_path, j, set_a, set_b, step, dead_samples, max_st
         for zone, table in (("window", report.window_rows), ("dead", report.dead_rows))
         for n, bound in table
     ]
-    if report.dead_zone_exact_zero:
-        status = reports.PASS
-    elif any(b_.lo > 0 for _, b_ in report.dead_rows):
-        status = reports.FAIL
-    else:
-        status = reports.INCONCLUSIVE
+    status = _scan_status(report.dead_zone_exact_zero,
+                          any(bound.lo > 0 for _, bound in report.dead_rows))
     meta = _meta(params, j=j,
                  window=[format_int(v) for v in report.window],
                  dead_zone=[format_int(v) for v in report.dead_zone],
                  dead_zone_exact_zero=report.dead_zone_exact_zero)
     _emit(meta, rows, fmt, out, status)
-    _finish(status)
 
 
 @limits.command("eq4")
@@ -411,8 +414,7 @@ def limits_scan(family, config_path, j, set_a, set_b, step, dead_samples, max_st
 def limits_eq4(big_n, n, p, set_a, set_b, stages, j_max, tol, max_stage, fmt, out):
     """Check T^{-n h_j'} -> ((N-n)/(N+1)) I + (1/(N+1)) T^p over thm2(N)."""
     params = family_builder("thm2", N=big_n)
-    a = _parse_set(set_a, params)
-    b = _parse_set(set_b, params) if set_b else a
+    a, b = _parse_sets(set_a, set_b, params)
     stage_list = _parse_int_list(stages) if stages else None
     report = verify_mixture_law(big_n, n, p, a, b, stage_list, j_max,
                                 parse_rational(tol), max_stage)
@@ -420,8 +422,7 @@ def limits_eq4(big_n, n, p, set_a, set_b, stages, j_max, tol, max_stage, fmt, ou
         "n": format_int(r.shift),
         "lo": format_rational(r.value.lo),
         "hi": format_rational(r.value.hi),
-        "prediction": format_rational(r.prediction.lo)
-        if r.prediction.exact else f"[{r.prediction.lo},{r.prediction.hi}]",
+        "prediction": _interval_text(r.prediction),
         "deviation": format_rational(r.dev_hi),
         "stage": r.stage,
         "status": r.status,
@@ -429,7 +430,6 @@ def limits_eq4(big_n, n, p, set_a, set_b, stages, j_max, tol, max_stage, fmt, ou
     meta = _meta(params, n=n, p=p, stages=list(report.stages),
                  decreasing=report.decreasing)
     _emit(meta, rows, fmt, out, report.status)
-    _finish(report.status)
 
 
 @main.group()
@@ -446,26 +446,26 @@ def joinings():
 @_max_stage_option
 @_format_option
 @_out_option
-def joinings_witness(family, config_path, m, span, grid, eps, max_stage, fmt, out):
+def joinings_witness(params, m, span, grid, eps, max_stage, fmt, out):
     """Find shifts k(j) whose joining dominates half the base joining."""
-    params = _load_params(family, config_path)
+    if grid < 1:
+        raise _BadInput(f"--grid must be >= 1, got {grid}")
     rect_grid = [
         (LevelSet.single(params, 2, i), LevelSet.single(params, 2, k))
         for i in range(grid)
         for k in range(grid)
     ]
-    report = domination_witness(params, m, rect_grid, _parse_span(span),
-                              parse_rational(eps), max_stage)
+    j_range, tolerance = _parse_span(span), parse_rational(eps)
+    report = domination_witness(params, m, rect_grid, j_range, tolerance, max_stage)
     rows = [row.to_json() for row in report.rows]
     status = reports.PASS if report.passed else reports.FAIL
     if not report.vacuous and any(
-        row.margin_lo is not None and row.margin_lo < -parse_rational(eps) <= row.margin_hi
+        row.margin_lo is not None and row.margin_lo < -tolerance <= row.margin_hi
         for row in report.rows
     ):
         status = reports.INCONCLUSIVE
     meta = _meta(params, m=m, vacuous=report.vacuous)
     _emit(meta, rows, fmt, out, status)
-    _finish(status)
 
 
 @main.group()
@@ -487,34 +487,24 @@ def products():
 @_max_stage_option
 @_format_option
 @_out_option
-def products_scan(family, config_path, right_family, m, n, set_a, set_b, k_lo, k_hi,
-                  samples, ratio_target, max_stage, fmt, out):
+def products_scan(params, right_family, m, n, set_a, set_b, k_lo, k_hi, samples,
+                  ratio_target, max_stage, fmt, out):
     """Rectangle return scan over (k_lo, k_hi]; evidence, never a theorem."""
-    params = _load_params(family, config_path)
     right_params = _parse_family(right_family) if right_family else params
     system = ProductSystem(params, m, right_params, n)
-    a = _parse_set(set_a, params)
-    b = _parse_set(set_b, right_params) if set_b else _parse_set(set_a, right_params)
+    a, b = _parse_set(set_a, params), _parse_set(set_b or set_a, right_params)
     target = parse_rational(ratio_target) if ratio_target else None
     report = dissipativity_scan(system, a, b, k_lo, k_hi, samples, max_stage,
                                 ratio_target=target)
     rows = [{
         "k": format_int(r.k),
-        "left_value": format_rational(r.left.lo)
-        if r.left.exact else f"[{r.left.lo},{r.left.hi}]",
-        "right_value": "" if r.right is None else (
-            format_rational(r.right.lo)
-            if r.right.exact else f"[{r.right.lo},{r.right.hi}]"),
+        "left_value": _interval_text(r.left),
+        "right_value": "" if r.right is None else _interval_text(r.right),
         "product_lo": format_rational(r.product.lo),
         "product_hi": format_rational(r.product.hi),
         "verdict": r.verdict,
     } for r in report.rows]
-    if report.all_proven_zero:
-        status = reports.PASS
-    elif report.nonzero_returns:
-        status = reports.FAIL
-    else:
-        status = reports.INCONCLUSIVE
+    status = _scan_status(report.all_proven_zero, bool(report.nonzero_returns))
     meta = _meta(params, right_family=right_params.label(), m=m, n=n,
                  note=report.note,
                  nonzero_count=len(report.nonzero_returns),
@@ -526,7 +516,6 @@ def products_scan(family, config_path, right_family, m, n, set_a, set_b, k_lo, k
             for i, ha, hb, ratio, dev in report.ratio_check
         ]
     _emit(meta, rows, fmt, out, status)
-    _finish(status)
 
 
 @main.group()
@@ -539,7 +528,7 @@ def _base_sequence(params, set_a, shifts, h_stages, max_stage):
     n_list = _parse_int_list(shifts) if shifts else list(range(9))
     if h_stages:
         n_list += [stage_geometry(params, j).h for j in _parse_span(h_stages)]
-    return a, n_list, correlations(a, n_list, max_stage)
+    return n_list, correlations(a, n_list, max_stage)
 
 
 @spectral.command("corr")
@@ -550,15 +539,14 @@ def _base_sequence(params, set_a, shifts, h_stages, max_stage):
 @_max_stage_option
 @_format_option
 @_out_option
-def spectral_corr(family, config_path, set_a, shifts, h_stages, max_stage, fmt, out):
+def spectral_corr(params, set_a, shifts, h_stages, max_stage, fmt, out):
     """Exact correlations c(n) = mu(T^n A /\\ A)/mu(A)."""
-    params = _load_params(family, config_path)
-    a, n_list, seq = _base_sequence(params, set_a, shifts, h_stages, max_stage)
+    n_list, seq = _base_sequence(params, set_a, shifts, h_stages, max_stage)
+    steps = sorted({abs(n) for n in n_list})
     rows = [{"n": format_int(n), "c_n": format_rational(seq.value(n))}
-            for n in sorted(set(abs(n) for n in n_list)) if seq.has(n)]
-    unresolved = [n for n in sorted(set(abs(n) for n in n_list)) if not seq.has(n)]
-    meta = _meta(params, set=set_a, unresolved=[format_int(n) for n in unresolved])
-    _emit(meta, rows, fmt, out, None)
+            for n in steps if seq.has(n)]
+    unresolved = [format_int(n) for n in steps if not seq.has(n)]
+    _emit(_meta(params, set=set_a, unresolved=unresolved), rows, fmt, out, None)
 
 
 @spectral.command("density")
@@ -571,11 +559,9 @@ def spectral_corr(family, config_path, set_a, shifts, h_stages, max_stage, fmt, 
 @_max_stage_option
 @_format_option
 @_out_option
-def spectral_density(family, config_path, set_a, shifts, h_stages, order, grid,
-                     max_stage, fmt, out):
+def spectral_density(params, set_a, shifts, h_stages, order, grid, max_stage, fmt, out):
     """Fejer spectral-density estimate of the correlation sequence."""
-    params = _load_params(family, config_path)
-    _, _, seq = _base_sequence(params, set_a, shifts, h_stages, max_stage)
+    _, seq = _base_sequence(params, set_a, shifts, h_stages, max_stage)
     est = fejer_density(seq, order, grid)
     rows = [{"theta": f"{theta:.12g}", "F": f"{value:.12g}"}
             for theta, value in zip(est.grid, est.values)]
@@ -592,9 +578,8 @@ def spectral_density(family, config_path, set_a, shifts, h_stages, order, grid,
 @_max_stage_option
 @_format_option
 @_out_option
-def spectral_suspend(family, config_path, set_a, shifts, max_stage, fmt, out):
+def spectral_suspend(params, set_a, shifts, max_stage, fmt, out):
     """Normalized suspension correlations (e^{c(k)} - 1)/(e - 1)."""
-    params = _load_params(family, config_path)
     a = _parse_set(set_a, params)
     ks = _parse_int_list(shifts)
     seq = correlations(a, ks, max_stage)

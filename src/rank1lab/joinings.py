@@ -131,6 +131,8 @@ def domination_witness(
     at m and at every stage's menu.
     """
     eps = Fraction(eps)
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
     j_range = list(j_range)
     for j in j_range:
         if j < 2:

@@ -73,9 +73,6 @@ class CorrelationSequence:
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._table))
 
-    def nonzero_support(self) -> tuple[int, ...]:
-        return tuple(n for n in sorted(self._table) if n and self._table[n] != 0)
-
 
 def correlations(a: LevelSet, n_list, max_stage: int | None = None) -> CorrelationSequence:
     """Exact correlations of the base set A over the requested shifts."""

@@ -311,8 +311,12 @@ class Tower:
         self, pairs: Sequence[tuple[LevelSet, LevelSet]], shifts: Iterable[int],
         max_stage: int | None,
     ) -> list[list[tuple[int, int, int]]]:
-        """One row of ``level_counts`` for each (A, B) of ``pairs``, all of this
-        construction.
+        """One row of ``(count, overflow, K)`` triples for each (A, B) of
+        ``pairs``, all of this construction, one triple per n in ``shifts``:
+        the level pairs (x, y) of A and B at the resolved stage K with
+        y - x = n, and the levels of the source set pushed past the top of the
+        stage-K tower.  The measure interval is ``[count, count + overflow]``
+        times ``stage(K).level_width``; negative n count T^{-n} B /\\ A.
 
         The shifts are planned once per common stage j0 and each set is
         refined once per j0.  A query counts forward from its source set, A
@@ -392,22 +396,6 @@ class Tower:
                 bounds.append(bound)
             grid.append(bounds)
         return grid
-
-    def level_counts(
-        self, a: LevelSet, b: LevelSet, shifts: Iterable[int], max_stage: int | None
-    ) -> list[tuple[int, int, int]]:
-        """``(count, overflow, K)`` for every n in ``shifts``: the level pairs
-        (x, y) of A and B at the resolved stage K with y - x = n, and the levels
-        of the source set pushed past the top of the stage-K tower.  The
-        measure interval is ``[count, count + overflow]`` times
-        ``stage(K).level_width``; negative n count T^{-n} B /\\ A."""
-        return self.grid_counts([(a, b)], shifts, max_stage)[0]
-
-    def power_profile(
-        self, a: LevelSet, b: LevelSet, shifts: Iterable[int], max_stage: int | None
-    ) -> list[MeasureBound]:
-        """mu(T^n A /\\ B) for every n in ``shifts``; see ``tower.power_profile``."""
-        return self._bounds(self.grid_counts([(a, b)], shifts, max_stage))[0]
 
     def self_returns(
         self, sets: Sequence[LevelSet], shifts: Iterable[int], max_stage: int | None
@@ -512,7 +500,8 @@ def apply_power_bounds(
     result.  ``RANK1_MAX_STAGE`` caps the budget globally.
     """
     _check_same_construction(a, b)
-    return tower_of(a.params).power_profile(a, b, (n,), max_stage)[0]
+    tower = tower_of(a.params)
+    return tower._bounds(tower.grid_counts([(a, b)], (n,), max_stage))[0][0]
 
 
 def power_grid(

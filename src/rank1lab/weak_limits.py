@@ -197,6 +197,8 @@ def verify_limit(
     rows; only a deviation certainly above tol yields FAIL.
     """
     tol = Fraction(tol)
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     rows = []
     max_dev = Fraction(0)
     predicted = [(a, b, predict(poly, a, b, max_stage)) for a, b in test_pairs]
@@ -346,6 +348,8 @@ def verify_mixture_law(
         if block_sequence(j) != abs(p):
             raise ValueError(f"stage {j} has spacer value {block_sequence(j)}, not {abs(p)}")
     tol = Fraction(tol)
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     identity_part = MeasureBound.exactly(intersect(a, b).measure).scaled(
         Fraction(N - n, N + 1)
     )

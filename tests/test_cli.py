@@ -1,9 +1,12 @@
+import hashlib
 import json
 import time
 
+import click
 import pytest
 from click.testing import CliRunner
 
+from rank1lab import __version__, cli
 from rank1lab.cli import main
 
 
@@ -384,6 +387,17 @@ _NAMED_REJECTIONS = [
       "--samples", "0"], "samples"),
     (["limits", "scan", "--family", "utv1", "--j", "5", "--dead-samples", "-5"],
      "dead_samples"),
+    # a negative tolerance would turn an exact match into FAIL
+    (["limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/2*T^0",
+      "--j", "3..5", "--tol", "-1"], "tol must be >= 0, got -1"),
+    (["limits", "eq4", "--N", "2", "--n", "1", "--p", "1", "--tol", "-1/100"],
+     "tol must be >= 0, got -1/100"),
+    (["joinings", "witness", "--family", "utv1", "--eps", "-1"], "eps must be >= 0, got -1"),
+    (["joinings", "witness", "--family", "utv1", "--grid", "-3"],
+     "--grid must be >= 1, got -3"),
+    # an empty rectangle grid would be a vacuous PASS
+    (["joinings", "witness", "--family", "utv1", "--grid", "0"],
+     "--grid must be >= 1, got 0"),
 ]
 
 _REJECTED_INPUTS = [args for args, _ in _NAMED_REJECTIONS] + [
@@ -429,6 +443,44 @@ def test_rejection_names_the_bad_input(runner, args, fragment):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert fragment in result.output
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+@pytest.mark.parametrize("target,args", [
+    ("fejer_density", ["spectral", "density", "--family", "utv1", "--n", "0..4",
+                       "--order", "5", "--grid", "8"]),
+    ("dissipativity_scan", ["products", "scan", "--family", "utv1", "--k-lo", "1",
+                            "--k-hi", "30"]),
+], ids=["density", "products"])
+def test_crash_exits_2_not_fail(runner, monkeypatch, error, target, args):
+    """Running out of memory or stack is an error of the request, not FAIL."""
+    def crash(*_args, **_kwargs):
+        raise error("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, target, crash)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    (line,) = result.output.splitlines()
+    assert line.startswith("Error: ")
+
+
+def _leaf_commands(group, path=()):
+    for name, command in sorted(group.commands.items()):
+        if isinstance(command, click.Group):
+            yield from _leaf_commands(command, path + (name,))
+        else:
+            yield path + (name,), command
+
+
+@pytest.mark.parametrize("path,command", list(_leaf_commands(main)),
+                         ids=lambda value: " ".join(value) if isinstance(value, tuple) else "")
+def test_help_shows_the_command_docstring(runner, path, command):
+    doc = (command.callback.__doc__ or "").strip()
+    assert doc
+    result = runner.invoke(main, [*path, "--help"])
+    assert result.exit_code == 0
+    assert doc.splitlines()[0] in result.output
 
 
 _EXPLICIT = {
@@ -494,3 +546,129 @@ def test_run_matches_direct_subcommand(runner, tmp_path, config, direct):
     assert via_run.stdout == via_direct.stdout
     assert via_run.exit_code == via_direct.exit_code
 
+
+
+# Every subcommand on its PASS, FAIL, INCONCLUSIVE and exit-2 paths, pinned by
+# exit code and the sha256 of the whole output (stdout, plus the Error: lines
+# of an exit 2).  The tool version in report meta is masked before hashing, so
+# a version bump moves no digest.  Float-formatted outputs (spectral density,
+# spectral suspend) are left out: their last digits may differ between numpy
+# builds.
+_PINNED_OUTPUTS = [
+    (["geometry", "--family", "utv1", "--j", "1..6"],
+     0, "724431226b7bbd0bce8062e7e1f0784226ef774e70d27c27caab51f166f9fc1f"),
+    (["geometry", "--family", "toy", "--j", "1..4", "--star-check", "--measure-sum",
+      "--format", "csv"],
+     0, "06ffbec4430eac6d64f30944b81f2f63b26d18fe13d03ff7cb09776c773ed689"),
+    (["geometry", "--family", "thm2(3)", "--j", "2..4", "--star-check"],
+     0, "10d18df716180784c2ee41c2c0a41710891b6d64f04cf5cafdc624b5664f5271"),
+    (["geometry", "--family", "scaled(11/10)", "--j", "1..8"],
+     2, "0dcc48a741b837374c96a0397961648ef2e0fa39326d49099380210dabf1f5d9"),
+    (["geometry", "--j", "2"],
+     2, "ea1a66ed759ad6fa1ed32c3875386643fd00bf146849f606b0487f47ef4befeb"),
+    (["measure", "--family", "toy", "--set", "E1", "--n", "-3..3"],
+     0, "5e1e17593f7fabe07b5f9403912015988c5275164881c2785da1eb25e7381ea2"),
+    (["measure", "--family", "utv1", "--set", "stage=3; levels=0,1,3,4", "--set-b", "T^1E3",
+      "--n", "0..10", "--format", "csv"],
+     0, "468c1f2a5f20352071390b279152e29406cf4cae6390ca525ccc9de3f0ad396a"),
+    (["measure", "--family", "toy", "--set", "E1", "--n", "15", "--max-stage", "6"],
+     3, "a348201a2411762512c2be86b1b3b313212a5c8f201f75d06052cc8c99d5f454"),
+    (["measure", "--family", "toy", "--set", "stage=9; shape=odd", "--n", "1"],
+     2, "63b764939ca836c7c14f356ffb48a3cab8b35c79774a3d2eb8e944b96a45a1a0"),
+    (["oracle", "--family", "toy", "--set", "E1", "--n", "3", "--stage", "4"],
+     0, "7dbbbe58d6ad0b253667291fdb14f801cf0c00f1be21807bc74562579411e702"),
+    (["oracle", "--family", "utv1", "--set", "E2", "--set-b", "T^1E2", "--n", "5",
+      "--stage", "5", "--format", "csv"],
+     0, "a490b223e049fdb1156bbfb32c311eaec5d90e4388816aa906f89a2dddfa8684"),
+    (["oracle", "--family", "utv1", "--set", "E2", "--n", "3", "--stage", "30"],
+     2, "39327312202e62c51c702a01e1ee9d1e3c09ea67ff4b0d0b20d330f4440f65ae"),
+    (["limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/2*T^0", "--j",
+      "3..8"],
+     0, "57011c5c1492013578c5f16d0eb6aea2bb8c3b763ebf2c9a8e28157a50d65b52"),
+    (["limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/4*T^0", "--j",
+      "3..5", "--format", "csv"],
+     1, "450e19593c89207c3f142ad03858d3f7855d5f656c3c6a6de5ac3f28a1f17c63"),
+    (["limits", "verify", "--family", "utv1", "--seq", "h_k + 1", "--poly", "1/2*T^1",
+      "--j", "3..6", "--pair", "E2|T^1E2", "--pair", "T^1E2|T^3E2"],
+     0, "f4fb92f18191448c5274788a64bd5cd096da03902034328d612ee73be2d60724"),
+    (["limits", "verify", "--family", "toy", "--seq", "h_k", "--poly", "1/2*T^0", "--j",
+      "3..5", "--max-stage", "3"],
+     3, "27c4b7e145ed9c2ca2dca1aacfdc7bb205eab4b34dce84f580d8af2cce5e7574"),
+    (["limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/4*T^0", "--j",
+      "4..3"],
+     2, "ed5ed050c05dd5d8212bb92b3adc5d861a6c64557bf7a542c7447bfb366d800c"),
+    (["limits", "scan", "--family", "utv1", "--j", "5", "--format", "csv"],
+     0, "abb8637e6361226dd78e2a12e0db391bba6a5c445a361980c24474f8dbac66e6"),
+    (["limits", "scan", "--family", "thm2(2)", "--j", "4"],
+     1, "1aea9ada24abe6356ffcd008835b08c7afb23048a3b33f0a4806849e136b4ddd"),
+    (["limits", "scan", "--family", "thm2(2)", "--j", "6", "--max-stage", "1"],
+     3, "ef12223a7a41b489c70a93e293f969e96a6562280278bf2b7bb2e0818139149b"),
+    (["limits", "scan", "--family", "utv1", "--j", "5", "--set-b", "T^1E2",
+      "--dead-samples", "8", "--step", "7"],
+     0, "aef82125905021cdedd27128c5993566f2369928139ef694a3517315c2a9b8c1"),
+    (["limits", "scan", "--family", "utv1", "--j", "5", "--step", "0"],
+     2, "58aa394e2f8f781848651c5f25ff2f4fccb2b0849e5e954f793d81314195a4a7"),
+    (["limits", "eq4", "--N", "2", "--n", "2", "--p", "1"],
+     0, "23ea0bfe16f20a626e112795bd6acb3275d0ebff4fcf0af810a3b14c0a72253f"),
+    (["limits", "eq4", "--N", "3", "--n", "2", "--p", "-1", "--stages", "3,6", "--format",
+      "csv"],
+     0, "b494f47e4f79c689ff4aafc0e934c5b5ed21603a685ac76fd8997486d739e45c"),
+    (["limits", "eq4", "--N", "3", "--n", "1", "--p", "2", "--stages", "5"],
+     2, "8f94da3bf7cf91fc243d449b16783ce6aa0bac14cf5ad5455acfcbc4fa54499c"),
+    (["joinings", "witness", "--family", "utv1", "--m", "1", "--j", "4..6"],
+     0, "55b2fd03d1fa2c401f8b17dd081b2b1b3b1ff187bfa76640decf07099e9035d8"),
+    (["joinings", "witness", "--family", "thm2(2)", "--m", "1", "--j", "3..5", "--format",
+      "csv"],
+     0, "73d8f7ecc51773ae2216b06029f2dd2e4b15e2dd0b901c5a344e6ac544697f4f"),
+    (["joinings", "witness", "--family", "toy", "--j", "3..5", "--grid", "2", "--m", "2",
+      "--max-stage", "1"],
+     3, "df112cd8fe0beb7cb1a7b8a440471af26bd6a08d821e5ff8ebc46f57f7d83611"),
+    (["joinings", "witness", "--family", "utv1", "--j", "1..3"],
+     2, "d78426e41aca0558ef056377d4110edfbad720594bf4e0b046560a29aa954080"),
+    (["products", "scan", "--family", "thm2(2)", "--m", "1", "--n", "3", "--set", "E2",
+      "--k-lo", "283", "--k-hi", "2264"],
+     1, "2e5a2c5960d7b7312eaa5c44575b90739a9ce8c3f5495ed58d2c492b0063af11"),
+    (["products", "scan", "--family", "thm2(2)", "--m", "1", "--n", "3", "--set", "E2",
+      "--k-lo", "15867", "--k-hi", "126936", "--format", "csv"],
+     0, "c58781df52f1f873ff8f9b258215a05194f495a048068e556b5de746b19cb1f0"),
+    (["products", "scan", "--family", "scaled(2)", "--right-family", "utv1", "--set", "E2",
+      "--k-lo", "1", "--k-hi", "8", "--samples", "4", "--ratio-target", "2/1"],
+     0, "c8346c01478c9797208366ea1a1cdafec1cce75f8db7e07a3513736a9ce99811"),
+    (["products", "scan", "--family", "utv1", "--set", "E2", "--k-lo", "5", "--k-hi", "60",
+      "--samples", "8", "--max-stage", "1"],
+     3, "bc5a06b6d9641a9bbd3f6e791cbc4c5b122b8543033ab8d4a3af1ac36d7f5021"),
+    (["products", "scan", "--family", "toy", "--set", "E1", "--set-b", "T^1E1", "--k-lo",
+      "1", "--k-hi", "30", "--samples", "8", "--max-stage", "2"],
+     2, "a45164091ad3fae6580312ef0809a2f14f5409a4a47cde153e48e3e5048585ca"),
+    (["products", "scan", "--family", "utv1", "--k-lo", "1", "--k-hi", "5", "--m", "0"],
+     2, "669b64968c1504a604613828afa2423fd442d5c3c2037d027a2f7475483eadde"),
+    (["spectral", "corr", "--family", "utv1", "--n", "0..7", "--h-stages", "3..4",
+      "--format", "csv"],
+     0, "2d9cd79b894a888bcc313b97be7577fecca136ea0bcc870f6113098c72dffb6d"),
+    (["spectral", "corr", "--family", "toy", "--n", "0..20", "--max-stage", "4"],
+     0, "2ffae9f2efe35577c545224980e35dda69409ef22d85c40044f1f513839e55a1"),
+    (["acceptance", "--only", "2,3"],
+     0, "3d65816d7debbf982af8120c78a4cacd77661be230f1375473fdce3be8bcd47e"),
+    (["acceptance", "--only", "6"],
+     1, "f391e40db5a9635f08a0a3ebd8f152dd6e38520835f69006e9f59f32687dce22"),
+    (["acceptance", "--only", "10"],
+     2, "8dbf56d448e39dbd4ddd7b32ad7db2ae8fdf72dfe302e4fbd49cd199bc8dc537"),
+    (["run", "--config", {"experiment": "limits", "construction": {"family": "utv1"},
+                          "params": {"seq": "h_k", "poly": "1/2*T^0", "j": "3..6"}}],
+     0, "0a63529e7054ef542aab97ec5a39b6c6b793053545efd637c01b33e0050bcb7e"),
+    (["run", "--config", {"experiment": "eq4", "params": {"N": 2, "n": 1, "p": 1},
+                          "format": "csv"}],
+     0, "5789107964717ccd6139621782e0db6de8f2dcbf034d3a298509b7d3bfe8157d"),
+    (["run", "--config", {"experiment": "teleport"}],
+     2, "4390626a194f8259b1a9c9d3e439c0b432e606e3379eff398b3555f5dad1a74a"),
+]
+
+
+@pytest.mark.parametrize("args,exit_code,digest", _PINNED_OUTPUTS,
+                         ids=[" ".join(a for a in args if isinstance(a, str))
+                              for args, _, _ in _PINNED_OUTPUTS])
+def test_pinned_outputs(runner, tmp_path, args, exit_code, digest):
+    result = runner.invoke(main, _materialize(args, tmp_path))
+    assert result.exit_code == exit_code
+    output = result.output.replace(f'"{__version__}"', '"<version>"')
+    assert hashlib.sha256(output.encode()).hexdigest() == digest

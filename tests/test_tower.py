@@ -322,7 +322,7 @@ def test_level_counts_scale_to_power_profile(monkeypatch, query):
     else:
         monkeypatch.setenv("RANK1_MAX_STAGE", str(cap))
     scaled = []
-    for count, overflow, K in tower_of(a.params).level_counts(a, b, shifts, max_stage):
+    for count, overflow, K in tower_of(a.params).grid_counts([(a, b)], shifts, max_stage)[0]:
         width = stage_geometry(a.params, K).level_width
         scaled.append((count * width, (count + overflow) * width, K))
     assert scaled == [(x.lo, x.hi, x.resolved_stage)
@@ -384,7 +384,8 @@ def test_grid_counts_equal_single_queries(monkeypatch, query):
         return
     tower = tower_of(pairs[0][0].params)
     assert tower.grid_counts(pairs, shifts, max_stage) == [
-        [tower.level_counts(a, b, [n], max_stage)[0] for n in shifts] for a, b in pairs]
+        [tower.grid_counts([(a, b)], [n], max_stage)[0][0] for n in shifts]
+        for a, b in pairs]
 
 
 @settings(max_examples=150, deadline=None,

@@ -4,7 +4,8 @@ import pytest
 
 from rank1lab import reports, weak_limits
 from rank1lab.construction import stage_geometry, thm2, toy, utv1
-from rank1lab.tower import LevelSet, apply_power_bounds, measure
+from rank1lab.joinings import domination_witness
+from rank1lab.tower import LevelSet, Tower, apply_power_bounds, measure
 from rank1lab.weak_limits import (
     CandidateSequence,
     OperatorPolynomial,
@@ -280,3 +281,33 @@ def test_eq4_empty_sets_have_zero_deviation():
     empty = LevelSet.from_levels(THM, 2, [])
     report = verify_mixture_law(2, 2, 1, empty, empty, stage_list=(3, 6))
     assert all(row.dev_hi == 0 for row in report.rows)
+
+
+# one check with a tolerance t per library verifier that takes one
+_TOLERANT_CHECKS = {
+    "verify_limit": lambda t: verify_limit(
+        UTV, parse_sequence("h_k"), parse_polynomial("1/2*T^0"), [(E2, E2)], range(3, 6), t),
+    "verify_mixture_law": lambda t: verify_mixture_law(2, 1, 1, TE2, TE2, tol=t),
+    "domination_witness": lambda t: domination_witness(UTV, 0, [(E2, E2)], range(4, 6), t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TOLERANT_CHECKS))
+def test_negative_tolerance_is_rejected_before_any_query(monkeypatch, name):
+    """A negative tol or eps would turn exact agreement into FAIL, so it is
+    rejected before the kernel is asked anything."""
+    queries = []
+    grid_counts = Tower.grid_counts
+
+    def counted(self, *args, **kwargs):
+        queries.append(args)
+        return grid_counts(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tower, "grid_counts", counted)
+    check = _TOLERANT_CHECKS[name]
+    check(Fraction(0))
+    assert queries  # the counter sees the kernel
+    queries.clear()
+    with pytest.raises(ValueError, match=r"^(tol|eps) must be >= 0, got -1/100$"):
+        check(Fraction(-1, 100))
+    assert queries == []
