@@ -9,8 +9,9 @@ Rejected input is decided in one place.  The library rejects input with
 ``ValueError`` (``InvalidConstructionError`` for constructions, sometimes only
 at the stage that breaks one), and ``_Main.invoke`` turns every such error into
 a one-line ``Error:`` and exit 2; an unwritable ``--out``, a negative ``--tol``
-or ``--eps``, a ``--grid`` below 1, and a request that runs out of memory or
-hits the recursion limit exit 2 the same way, so a crash never reads as FAIL.
+or ``--eps``, a ``--grid`` below 1, a ``limits scan --j`` that opens no dead
+zone, and a request that runs out of memory or hits the recursion limit exit 2
+the same way, so a crash never reads as FAIL.
 ``_with_construction`` hands each command its parsed construction as
 ``params``, and ``_emit`` writes the report and exits with its status.
 ``run`` re-enters ``main`` with its experiment's subcommand path and one
@@ -55,8 +56,8 @@ from .weak_limits import (
 )
 
 # Largest stage the oracle command materializes, in cells (= h_J).  It admits
-# toy stage 20 (~270 MB, about 2 s for any n on a 2-vCPU host with Python
-# 3.11); utv1 stage 30 would need 31! cells.
+# toy stage 20 (at most ~135 MB peak RSS and about 0.5 s for any n on a
+# 2-vCPU host with Python 3.11); utv1 stage 30 would need 31! cells.
 _ORACLE_MAX_CELLS = 1 << 20
 
 _FAMILY_SPEC = re.compile(r"^\s*(\w+)\s*(?:\(\s*([^)]+?)\s*\))?\s*$")
@@ -384,6 +385,11 @@ def limits_scan(params, j, set_a, set_b, step, dead_samples, max_stage, fmt, out
     except ValueError:
         raise _BadInput(f"--dead-samples must be a count or 'all', got {dead_samples!r}") from None
     report = scan_window(params, j, a, b, step, samples, max_stage)
+    dead_lo, dead_hi = report.dead_zone
+    if dead_hi < dead_lo:
+        # no dead-zone shift to check would be a vacuous PASS
+        raise _BadInput(f"--j {j} opens no dead zone on {params.label()}: "
+                        f"it would end at {dead_hi}, below its start {dead_lo}")
     rows = [
         {"zone": zone, "n": format_int(n), **_bound_fields(bound),
          "prediction": "", "deviation": ""}

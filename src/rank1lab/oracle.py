@@ -7,7 +7,11 @@ laid out by replaying the stacking rule literally: stage 1 occupies
 place, and every spacer is allocated at the end of the used part of the line.
 By induction every level of every stage is a single half-open interval and
 the used space is [0, h_J * w_J), so the system is stored as a permutation
-between "cells" (intervals of width w_J) and level indices.  T is the partial
+between "cells" (intervals of width w_J) and level indices: two int arrays,
+``cell_of_level`` and its inverse ``level_of_cell``.  The replay builds them
+one column at a time: column c of stage j+1 is stage j's ``cell_of_level``
+sliced in place (``cell * r + c``), followed by the column's fresh spacer
+cells, numbered consecutively from the end of the used part.  T is the partial
 piecewise translation moving level l onto level l+1; it is undefined on the
 top level, and T^{-1} is undefined on the bottom one.
 
@@ -21,6 +25,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .construction import ConstructionParams
 from .tower import LevelSet
 
@@ -32,10 +38,8 @@ class _Stage:
         self.index = index
         self.cell_of_level = cell_of_level
         self.subdivision = subdivision  # cells per stage-1 cell
-        inverse = [0] * len(cell_of_level)
-        for level, cell in enumerate(cell_of_level):
-            inverse[cell] = level
-        self.level_of_cell = inverse
+        self.level_of_cell = np.empty_like(cell_of_level)
+        self.level_of_cell[cell_of_level] = np.arange(len(cell_of_level))
 
 
 _chains: dict[ConstructionParams, list[_Stage]] = {}
@@ -46,21 +50,19 @@ def _stage(params: ConstructionParams, j: int) -> _Stage:
     with _chains_lock:
         chain = _chains.setdefault(params, [])
         if not chain:
-            chain.append(_Stage(1, list(range(params.h1)), 1))
+            chain.append(_Stage(1, np.arange(params.h1, dtype=np.int64), 1))
         while len(chain) < j:
             prev = chain[-1]
             h = len(prev.cell_of_level)
             r = params.cut_count(prev.index)
             spacers = params.spacer_vector(prev.index, h)
-            cells = []
+            columns = []
             free = h * r
             for column in range(r):
-                for level in range(h):
-                    cells.append(prev.cell_of_level[level] * r + column)
-                for _ in range(spacers[column]):
-                    cells.append(free)
-                    free += 1
-            chain.append(_Stage(prev.index + 1, cells, prev.subdivision * r))
+                columns.append(prev.cell_of_level * r + column)
+                columns.append(np.arange(free, free + spacers[column], dtype=np.int64))
+                free += spacers[column]
+            chain.append(_Stage(prev.index + 1, np.concatenate(columns), prev.subdivision * r))
         return chain[j - 1]
 
 
@@ -85,7 +87,7 @@ class IntervalSystem:
 
     def interval(self, level: int) -> tuple[Fraction, Fraction]:
         """[left, right) endpoints of the given tower level."""
-        cell = self._data.cell_of_level[level]
+        cell = int(self._data.cell_of_level[level])
         w = self.cell_width
         return cell * w, (cell + 1) * w
 
@@ -97,11 +99,8 @@ class IntervalSystem:
             raise ValueError("level set is finer than the system")
         shallow = _stage(self.params, a.stage)
         ratio = self._data.subdivision // shallow.subdivision
-        cells: set[int] = set()
-        for level in a.levels:
-            start = shallow.cell_of_level[level] * ratio
-            cells.update(range(start, start + ratio))
-        return cells
+        starts = shallow.cell_of_level[np.array(a.levels, dtype=np.int64)] * ratio
+        return set((starts[:, None] + np.arange(ratio)).ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -128,9 +127,14 @@ class OrbitWalker:
     def __init__(self, a: LevelSet, stage: int):
         self.system = IntervalSystem(a.params, stage)
         self._data = self.system._data
-        self.cells = self.system.cells_of(a)
+        cells = self.system.cells_of(a)
+        self._cells = np.fromiter(cells, np.int64, len(cells))
         self.lost = 0
         self.power = 0
+
+    @property
+    def cells(self) -> set[int]:
+        return set(self._cells.tolist())
 
     @property
     def undefined(self) -> Fraction:
@@ -138,21 +142,18 @@ class OrbitWalker:
 
     def step(self, n: int = 1):
         # T moves one level at a time, so a cell survives all |n| steps exactly
-        # when its final level is still in the tower
+        # when its final level is still in the tower; clamping n to +-h keeps
+        # that outcome and keeps a huge Python int out of the int64 table
         data = self._data
-        top = len(data.cell_of_level) - 1
-        level_of_cell, cell_of_level = data.level_of_cell, data.cell_of_level
-        moved = set()
-        for cell in self.cells:
-            level = level_of_cell[cell] + n
-            if 0 <= level <= top:
-                moved.add(cell_of_level[level])
-        self.lost += len(self.cells) - len(moved)
-        self.cells = moved
+        h = len(data.cell_of_level)
+        levels = data.level_of_cell[self._cells] + max(-h, min(n, h))
+        levels = levels[(levels >= 0) & (levels < h)]
+        self.lost += len(self._cells) - len(levels)
+        self._cells = data.cell_of_level[levels]
         self.power += n
 
     def value_against(self, b: LevelSet) -> Fraction:
-        hits = self.cells & self.system.cells_of(b)
+        hits = self.system.cells_of(b).intersection(self._cells.tolist())
         return len(hits) * self.system.cell_width
 
 

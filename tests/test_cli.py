@@ -398,6 +398,9 @@ _NAMED_REJECTIONS = [
     # an empty rectangle grid would be a vacuous PASS
     (["joinings", "witness", "--family", "utv1", "--grid", "0"],
      "--grid must be >= 1, got 0"),
+    # toy's spacers never open a dead zone, and an empty one would be a vacuous PASS
+    (["limits", "scan", "--family", "toy", "--j", "4"],
+     "Error: --j 4 opens no dead zone on toy: it would end at 1, below its start 29"),
 ]
 
 _REJECTED_INPUTS = [args for args, _ in _NAMED_REJECTIONS] + [

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rank1lab
 from rank1lab.construction import stage_geometry, thm2, toy, utv1
 from rank1lab.oracle import IntervalSystem, OrbitWalker, oracle_intersection
 from rank1lab.tower import LevelSet, apply_power_bounds, intersect, measure
@@ -144,9 +148,63 @@ def test_deep_power_is_one_pass():
     assert elapsed < 10
 
 
+def test_powers_past_int64_leave_the_tower():
+    walker = OrbitWalker(LevelSet.base(TOY, 1), 4)
+    size = len(walker.cells)
+    walker.step(10**30)
+    assert (walker.cells, walker.lost, walker.power) == (set(), size, 10**30)
+
+
 def test_mismatched_constructions_rejected():
     system = IntervalSystem(TOY, 3)
     with pytest.raises(ValueError):
         system.cells_of(LevelSet.base(UTV, 2))
     with pytest.raises(ValueError):
         system.cells_of(LevelSet.base(TOY, 4))
+
+
+def _plain(value):
+    """A Python int, or a Fraction of Python ints: never a numpy scalar."""
+    if isinstance(value, Fraction):
+        return type(value.numerator) is int and type(value.denominator) is int
+    return type(value) is int
+
+
+@pytest.mark.parametrize("params,stage,n", [(TOY, 5, 3), (TOY, 5, -4), (UTV, 4, 25)])
+def test_results_are_python_numbers(params, stage, n):
+    a = LevelSet.from_levels(params, 2, [0, 1])
+    b = LevelSet.single(params, 3, 2)
+    res = oracle_intersection(a, b, n, stage)
+    assert all(map(_plain, (res.value, res.undefined_mass, res.stage)))
+    walker = OrbitWalker(a, stage)
+    walker.step(n)
+    assert walker.cells and all(map(_plain, walker.cells))
+    assert all(map(_plain, (walker.lost, walker.power, walker.undefined,
+                            walker.value_against(b))))
+    system = IntervalSystem(params, stage)
+    assert all(map(_plain, system.cells_of(b)))
+    assert all(map(_plain, (system.height, system.cell_width,
+                            *system.interval(0), *system.interval(system.height - 1))))
+
+
+_TABLE_BYTES = """
+import tracemalloc
+from rank1lab.construction import toy
+from rank1lab.oracle import IntervalSystem
+tracemalloc.start()
+system = IntervalSystem(toy(), 18)
+print(tracemalloc.get_traced_memory()[0] / system.height)
+"""
+
+
+def test_stage_18_table_holds_at_most_40_bytes_a_cell():
+    # the chain is memoized per construction, so a fresh interpreter builds
+    # toy's stages 1..18 from nothing; tracemalloc sees numpy's buffers too.
+    # Two int64 arrays per stage, summed over the chain, hold 32 bytes per
+    # stage-18 cell; the per-cell lists held 153.
+    src = os.path.dirname(os.path.dirname(rank1lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _TABLE_BYTES], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert float(out) <= 40

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rank1lab.construction import height, params_from_config, stage_geometry, thm2, toy, utv1
+import rank1lab.oracle as oracle_module
 import rank1lab.tower as tower_module
 from rank1lab.oracle import IntervalSystem, OrbitWalker, oracle_intersection
 from rank1lab.tower import (
@@ -271,6 +272,40 @@ def test_walker_power_matches_single_steps(walk):
         lost += dropped
         assert (walker.cells, walker.lost) == (cells, lost)
     assert walker.power == sum(powers)
+
+
+def _replayed_layouts(params, J):
+    """cell_of_level of stages 1..J, replayed one cell at a time: each cut
+    slices every level in place (cell * r + column) and each spacer takes the
+    next free cell at the end of the used line."""
+    cells = list(range(params.h1))
+    layouts = [cells]
+    for index in range(1, J):
+        h, r = len(cells), params.cut_count(index)
+        spacers = params.spacer_vector(index, h)
+        sliced, free = [], h * r
+        for column in range(r):
+            for level in range(h):
+                sliced.append(cells[level] * r + column)
+            for _ in range(spacers[column]):
+                sliced.append(free)
+                free += 1
+        cells = sliced
+        layouts.append(cells)
+    return layouts
+
+
+@settings(max_examples=100, deadline=None)
+@given(_constructions)
+def test_oracle_table_is_the_literal_replay(params):
+    """Every stage's array table is the per-cell replay of the stacking rule,
+    and level_of_cell is its inverse permutation."""
+    for j, cells in enumerate(_replayed_layouts(params, _deepest_oracle_stage(params)), 1):
+        stage = oracle_module._stage(params, j)
+        assert stage.cell_of_level.tolist() == cells
+        levels = list(range(len(cells)))
+        assert stage.level_of_cell[stage.cell_of_level].tolist() == levels
+        assert stage.cell_of_level[stage.level_of_cell].tolist() == levels
 
 
 @st.composite
