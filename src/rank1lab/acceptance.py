@@ -14,11 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+
+import numpy as np
 
 from . import reports
 from .construction import height, stage_geometry, thm2, toy, utv1
 from .joinings import delta_shift, partial_joining, domination_witness
-from .oracle import IntervalSystem, OrbitWalker, oracle_intersection
+from .oracle import IntervalSystem, oracle_intersection
 from .products import ProductSystem, dissipativity_grid, product_return, sample_shifts
 from .spectral import (
     correlation_sequence,
@@ -57,6 +60,10 @@ def criterion_1() -> CriterionResult:
     compared as integer counts on the stage-J grid: a level of stage K <= J
     covers ``scale[K]`` oracle cells, so the kernel's (count, overflow, K)
     scaled by ``scale[K]`` must be the oracle's (cells hit, cells lost).
+    Each source set A costs one oracle pass (``IntervalSystem.orbit_counts``
+    over every target and power) and one ``grid_counts`` call, whose
+    recursions share one index of the targets; the two are compared as
+    integer arrays, and the first mismatch is reported in (A, B, n) order.
     Exact-value equality is asserted wherever the orbit fully resolves at
     J = 6 (all of utv1), plus deep toy spot checks where exactness needs
     stage ~18.
@@ -71,7 +78,7 @@ def criterion_1() -> CriterionResult:
             for lvl in range(height(params, s))
         ]
         system = IntervalSystem(params, J)
-        scale = {}  # oracle cells per kernel level of stage K
+        scale = [0] * (J + 1)  # oracle cells per kernel level of stage K
         for K in range(1, J + 1):
             ratio = stage_geometry(params, K).level_width / system.cell_width
             if ratio.denominator != 1:
@@ -80,33 +87,27 @@ def criterion_1() -> CriterionResult:
                     f"stage-{K} level of {params.label()} is not a whole number of cells",
                 )
             scale[K] = ratio.numerator
+        scale = np.array(scale)
         kernel = tower_of(params)
-        b_cells = {b: frozenset(system.cells_of(b)) for b in sets}
         shifts = range(h4 + 1)
         for a in sets:
-            walker = OrbitWalker(a, J)
-            orbit = []  # (cells, cells lost) of T^n A for each n in shifts
-            for n in shifts:
-                if n:
-                    walker.step(1)
-                orbit.append((walker.cells, walker.lost))
+            hits, lost = system.orbit_counts(a, sets, shifts)
             rows = kernel.grid_counts([(a, b) for b in sets], shifts, J)
-            for b, counts in zip(sets, rows):
-                b_set = b_cells[b]
-                for n, (cells, lost), (count, overflow, K) in zip(shifts, orbit, counts):
-                    checked += 1
-                    if len(cells & b_set) != count * scale[K] or lost != overflow * scale[K]:
-                        return CriterionResult(
-                            1, "oracle-equivalence", False,
-                            f"mismatch at {params.label()} stage{a.stage} n={n}",
-                        )
-                    if lost == 0:
-                        exact += 1
-                        if overflow:
-                            return CriterionResult(
-                                1, "oracle-equivalence", False,
-                                f"calculus not exact where oracle is, n={n}",
-                            )
+            # (B, n, (count, overflow, K))
+            rows = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), np.int64)
+            rows = rows.reshape(len(sets), len(shifts), 3)
+            cells = scale[rows[..., 2]]
+            mismatch = (hits != rows[..., 0] * cells) | (lost != rows[..., 1] * cells)
+            failed = mismatch | ((lost == 0) & (rows[..., 1] != 0))
+            if failed.any():
+                t, i = divmod(int(np.argmax(failed)), len(shifts))
+                return CriterionResult(
+                    1, "oracle-equivalence", False,
+                    f"mismatch at {params.label()} stage{a.stage} n={shifts[i]}"
+                    if mismatch[t, i] else f"calculus not exact where oracle is, n={shifts[i]}",
+                )
+            checked += mismatch.size
+            exact += len(sets) * int(np.count_nonzero(lost == 0))
     # toy needs ~stage 18 for worst-case exactness; spot-check the deep end
     t = toy()
     deep = [

@@ -56,7 +56,7 @@ from .weak_limits import (
 )
 
 # Largest stage the oracle command materializes, in cells (= h_J).  It admits
-# toy stage 20 (at most ~135 MB peak RSS and about 0.5 s for any n on a
+# toy stage 20 (at most ~80 MB peak RSS and about 0.35 s for any n on a
 # 2-vCPU host with Python 3.11); utv1 stage 30 would need 31! cells.
 _ORACLE_MAX_CELLS = 1 << 20
 

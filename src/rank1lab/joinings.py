@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .construction import ConstructionParams, stage_geometry
-from .tower import LevelSet, MeasureBound, apply_power_bounds, power_grid, tower_of
+from .tower import (
+    LevelSet,
+    MeasureBound,
+    TargetIndex,
+    apply_power_bounds,
+    power_grid,
+    tower_of,
+)
 
 
 def delta_shift(a: LevelSet, b: LevelSet, k: int, max_stage: int | None = None) -> MeasureBound:
@@ -35,7 +42,7 @@ def partial_joining(a: LevelSet, b: LevelSet, k: int, j: int) -> MeasureBound:
         raise ValueError("sets are not representable at the requested stage")
     tower = tower_of(a.params)
     (count,) = tower.pair_counts(
-        tower.refined_levels(a, j0), (tower.refined_levels(b, j0),), j0, k, j)
+        tower.refined_levels(a, j0), TargetIndex([tower.refined_levels(b, j0)]), j0, k, j)
     return MeasureBound.exactly(count * geom.level_width, j)
 
 

@@ -13,7 +13,9 @@ one column at a time: column c of stage j+1 is stage j's ``cell_of_level``
 sliced in place (``cell * r + c``), followed by the column's fresh spacer
 cells, numbered consecutively from the end of the used part.  T is the partial
 piecewise translation moving level l onto level l+1; it is undefined on the
-top level, and T^{-1} is undefined on the bottom one.
+top level, and T^{-1} is undefined on the bottom one.  ``OrbitWalker`` applies
+T^n to a set; ``IntervalSystem.orbit_counts`` reads what a walker would at
+every power of a run, against many target sets, in one array pass.
 
 None of the tower-calculus refinement machinery is used here; that module is
 validated against this one, so they share only the construction parameters.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -47,6 +50,9 @@ _chains_lock = threading.Lock()
 
 
 def _stage(params: ConstructionParams, j: int) -> _Stage:
+    chain = _chains.get(params)
+    if chain is not None and len(chain) >= j:  # stages are only ever appended
+        return chain[j - 1]
     with _chains_lock:
         chain = _chains.setdefault(params, [])
         if not chain:
@@ -93,14 +99,69 @@ class IntervalSystem:
 
     def cells_of(self, a: LevelSet) -> set[int]:
         """Cells of this system covered by a shallower-stage level set."""
+        return set(self._cell_array(a).tolist())
+
+    def _cell_array(self, a: LevelSet) -> np.ndarray:
+        """``cells_of(a)`` as a sorted int64 array."""
         if a.params != self.params:
             raise ValueError("level set belongs to a different construction")
         if a.stage > self.stage:
             raise ValueError("level set is finer than the system")
         shallow = _stage(self.params, a.stage)
         ratio = self._data.subdivision // shallow.subdivision
-        starts = shallow.cell_of_level[np.array(a.levels, dtype=np.int64)] * ratio
-        return set((starts[:, None] + np.arange(ratio)).ravel().tolist())
+        # a shallow level is a block of ratio consecutive cells
+        starts = np.sort(shallow.cell_of_level[np.array(a.levels, dtype=np.int64)] * ratio)
+        return (starts[:, None] + np.arange(ratio)).ravel()
+
+    def orbit_counts(
+        self, a: LevelSet, targets: Sequence[LevelSet], powers: Sequence[int],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """What an ``OrbitWalker`` of A reads at every power of ``powers``, in
+        one pass: ``hits[t, i]``, the cells of T^n A in ``targets[t]``, and
+        ``lost[i]``, the cells of A whose orbit leaves the tower on the way,
+        for n = ``powers[i]``; both int64 arrays.
+
+        The walker's rule moves a cell of stage-J level x to level x + n,
+        with n clamped to +-h, and keeps it when that lies in [0, h).  Here
+        x + n indexes a label table padded by h levels on each side: a pad
+        level reads "lost", a tower level the target holding its cell, and
+        one ``bincount`` of (label, power) counts all of them.  Targets may
+        overlap, so they are labelled in layers of pairwise disjoint sets,
+        one table and one ``bincount`` per layer.
+        """
+        data = self._data
+        h = len(data.cell_of_level)
+        width = len(powers)
+        shifts = np.array([max(-h, min(n, h)) for n in powers], dtype=np.int64)
+        # (cell label per layer, target positions); a target joins the first
+        # layer whose labelled cells it misses
+        layers: list[tuple[np.ndarray, list[int]]] = [(np.full(h, -1, np.int64), [])]
+        for t, b in enumerate(targets):
+            cells = self._cell_array(b)
+            for label, members in layers:
+                if (label[cells] < 0).all():
+                    break
+            else:
+                label, members = np.full(h, -1, np.int64), []
+                layers.append((label, members))
+            label[cells] = len(members)
+            members.append(t)
+        padded = (data.level_of_cell[self._cell_array(a)] + h)[:, None] + shifts
+        column = np.arange(width)
+        hits = np.zeros((len(targets), width), dtype=np.int64)
+        for label, members in layers:
+            size = len(members)
+            table = np.full(3 * h, size + 1, np.int64)  # size + 1: lost
+            by_level = label[data.cell_of_level]
+            table[h:2 * h] = np.where(by_level < 0, size, by_level)  # size: no target
+            keys = table[padded]
+            keys *= width
+            keys += column
+            counts = np.bincount(keys.ravel(), minlength=(size + 2) * width)
+            counts = counts.reshape(size + 2, width)
+            hits[members] = counts[:size]
+            lost = counts[size + 1]  # the same in every layer
+        return hits, lost
 
 
 @dataclass(frozen=True)
@@ -127,8 +188,7 @@ class OrbitWalker:
     def __init__(self, a: LevelSet, stage: int):
         self.system = IntervalSystem(a.params, stage)
         self._data = self.system._data
-        cells = self.system.cells_of(a)
-        self._cells = np.fromiter(cells, np.int64, len(cells))
+        self._cells = self.system._cell_array(a)
         self.lost = 0
         self.power = 0
 
@@ -153,8 +213,8 @@ class OrbitWalker:
         self.power += n
 
     def value_against(self, b: LevelSet) -> Fraction:
-        hits = self.system.cells_of(b).intersection(self._cells.tolist())
-        return len(hits) * self.system.cell_width
+        hits = np.isin(self._cells, self.system._cell_array(b), assume_unique=True)
+        return int(np.count_nonzero(hits)) * self.system.cell_width
 
 
 def oracle_intersection(a: LevelSet, b: LevelSet, n: int, stage: int) -> OracleResult:

@@ -38,7 +38,10 @@ the shifts are planned once per common stage j0, with one budget per start
 stage, and every set is refined to j0 once.  The queries are grouped by
 source set (A for n >= 0, B for n < 0): K and the overflow depend on the
 source alone, and ``Tower.pair_counts``, the only counting recursion, runs
-one frontier per (source, j0, |n|, K) and reads every target's count off it.
+one frontier per (source, j0, |n|, K).  Each source group indexes its
+targets once (``TargetIndex``: level -> targets, and their span), and every
+recursion of the group prunes to that span and reads every target's count
+in one walk of its final frontier.
 ``power_grid`` is the rational view of those rows, with equal triples
 sharing one bound; ``power_profile`` is its one-pair case and
 ``apply_power_bounds`` the one-shift case of that.
@@ -180,6 +183,27 @@ def measure(a: LevelSet) -> Fraction:
     return a.measure
 
 
+class TargetIndex:
+    """The stage-j0 levels of a list of target sets, indexed once for
+    ``Tower.pair_counts``: ``holders`` maps a level to the positions of the
+    targets that hold it, and ``[low, high]`` spans every target's levels."""
+
+    __slots__ = ("size", "holders", "low", "high")
+
+    def __init__(self, targets: Sequence[tuple[int, ...]]):
+        self.size = len(targets)
+        self.holders: dict[int, list[int]] = {}
+        for t, levels in enumerate(targets):
+            for y in levels:
+                held = self.holders.get(y)
+                if held is None:
+                    self.holders[y] = [t]
+                else:
+                    held.append(t)
+        self.low = min(self.holders, default=0)
+        self.high = max(self.holders, default=0)
+
+
 class Tower:
     """The kernel of one construction, read off its geometry chain.
 
@@ -219,12 +243,11 @@ class Tower:
         return levels
 
     def pair_counts(
-        self, src_levels: tuple[int, ...], targets: Sequence[tuple[int, ...]],
-        j0: int, n: int, K: int,
+        self, src_levels: tuple[int, ...], targets: TargetIndex, j0: int, n: int, K: int,
     ) -> list[int]:
         """#{(x, y) : x in S, y in B at stage K, y - x = n} for each target B of
-        ``targets``, for K >= j0, given the levels of the source S and of every
-        B at stage j0.
+        ``targets``, for K >= j0, given the levels of the source S and the
+        index of every B's levels at stage j0.
 
         For one B this is sum_{s,b} N_K(n + s - b) over the levels s of S and
         b of B at stage j0: a level pair of stage K is (s + o, b + o') with
@@ -233,18 +256,13 @@ class Tower:
         time with its multiplicity; the pair counts when v ends on a level of
         B.  The frontier never reads B, so one recursion serves every target:
         it prunes only the values that end outside the span of all targets,
-        and each count sums the final frontier over its target's levels.
+        and the final frontier is walked once, each value adding its weight
+        to every target that holds it.
         """
-        if len(targets) == 1:
-            (dst,) = targets
-            if not src_levels or not dst:
-                return [0]
-            low, high = dst[0], dst[-1]
-        else:
-            live = [t for t in targets if t]
-            if not src_levels or not live:
-                return [0] * len(targets)
-            low, high = min(t[0] for t in live), max(t[-1] for t in live)
+        counts = [0] * targets.size
+        if not src_levels or not targets.holders:
+            return counts
+        low, high = targets.low, targets.high
         self.stage(K)  # builds the chain through stage K
         chain = self._chain
         base = chain[j0 - 1].top
@@ -260,9 +278,15 @@ class Tower:
                     rest = v - diffs[i]
                     step[rest] = step.get(rest, 0) + weight * mults[i]
             if not step:
-                return [0] * len(targets)
+                return counts
             frontier = step
-        return [sum(frontier.get(y, 0) for y in dst) for dst in targets]
+        holders = targets.holders
+        for v, weight in frontier.items():
+            held = holders.get(v)
+            if held is not None:
+                for t in held:
+                    counts[t] += weight
+        return counts
 
     def _count_at_least(self, j0: int, K: int, t: int) -> int:
         """#{o in O_{j0,K} : o >= t}.
@@ -322,9 +346,9 @@ class Tower:
         refined once per j0.  A query counts forward from its source set, A
         for n >= 0 and B for n < 0 (mu(T^n A /\\ B) = mu(T^{-n} B /\\ A)).
         Its resolved stage K and overflow depend on the source alone, so the
-        pairs that share a source and j0 share one overflow count and one
-        ``pair_counts`` recursion per shift, and each (pair, shift) costs one
-        store into its row.
+        pairs that share a source and j0 share one ``TargetIndex``, one
+        overflow count and one ``pair_counts`` recursion per shift, and each
+        (pair, shift) costs one store into its row.
         """
         shifts = list(shifts)
         width = len(shifts)
@@ -357,6 +381,7 @@ class Tower:
                         group[0].append(dst)
                         group[1].append(i)
                 for src, (targets, sharing) in groups.items():
+                    index = TargetIndex(targets)
                     for col, n, K, budget in plans:
                         st = self.stage(K)
                         overflow = 0
@@ -371,7 +396,7 @@ class Tower:
                             if st.top + peak >= st.h:
                                 overflow = sum(
                                     self._count_at_least(j0, K, st.h - n - x) for x in src)
-                        counts = self.pair_counts(src, targets, j0, n, K)
+                        counts = self.pair_counts(src, index, j0, n, K)
                         for i, count in zip(sharing, counts):
                             rows[i][col] = (count, overflow, K)
         return rows

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from rank1lab import acceptance, tower
+from rank1lab import acceptance, oracle, tower
 from rank1lab.construction import height, thm2, utv1
 from rank1lab.oracle import oracle_intersection
 from rank1lab.products import ProductSystem, dissipativity_scan
@@ -69,6 +69,22 @@ def test_criterion_1_catches_a_kernel_off_by_one_level(monkeypatch):
 def test_criterion_1_catches_a_kernel_overflow_off_by_one(monkeypatch):
     """Moving one shift's overflow by one level fails the criterion too."""
     _skew_shift_five(monkeypatch, lambda count, overflow: (count, overflow + 1))
+    result = acceptance.criterion_1()
+    assert not result.passed
+    assert result.detail.startswith("mismatch at") and result.detail.endswith("n=5")
+
+
+def test_criterion_1_catches_an_oracle_off_by_one_hit(monkeypatch):
+    """The batched oracle is checked too: moving the first target's hit
+    count at shift 5 by one cell fails the criterion at that shift."""
+    orbit_counts = oracle.IntervalSystem.orbit_counts
+
+    def skewed(self, a, targets, powers):
+        hits, lost = orbit_counts(self, a, targets, powers)
+        hits[0, 5] += 1
+        return hits, lost
+
+    monkeypatch.setattr(oracle.IntervalSystem, "orbit_counts", skewed)
     result = acceptance.criterion_1()
     assert not result.passed
     assert result.detail.startswith("mismatch at") and result.detail.endswith("n=5")

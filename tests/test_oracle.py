@@ -153,6 +153,10 @@ def test_powers_past_int64_leave_the_tower():
     size = len(walker.cells)
     walker.step(10**30)
     assert (walker.cells, walker.lost, walker.power) == (set(), size, 10**30)
+    system, a = IntervalSystem(TOY, 4), LevelSet.from_levels(TOY, 2, [0, 2])
+    size = len(system.cells_of(a))
+    hits, lost = system.orbit_counts(a, [a], [10**30, 0, -10**30])
+    assert (hits.tolist(), lost.tolist()) == ([[0, size, 0]], [size, 0, size])
 
 
 def test_mismatched_constructions_rejected():

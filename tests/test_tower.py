@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rank1lab.construction import height, params_from_config, stage_geometry, thm2, toy, utv1
+from rank1lab.joinings import partial_joining
 import rank1lab.oracle as oracle_module
 import rank1lab.tower as tower_module
 from rank1lab.oracle import IntervalSystem, OrbitWalker, oracle_intersection
@@ -274,6 +275,45 @@ def test_walker_power_matches_single_steps(walk):
     assert walker.power == sum(powers)
 
 
+@st.composite
+def _orbit_grids(draw):
+    params = draw(st.sampled_from([TOY, utv1(), thm2(2)]) | _constructions)
+    J = draw(st.integers(1, _deepest_oracle_stage(params)))
+
+    def level_set():
+        stage = draw(st.integers(1, min(J, 3)))
+        h = stage_geometry(params, stage).h
+        return LevelSet.from_levels(params, stage, draw(st.lists(st.integers(0, h - 1),
+                                                                  max_size=4)))
+
+    targets = [level_set() for _ in range(draw(st.integers(0, 5)))]
+    # a run of powers of one sign, up to past the tower height
+    last = draw(st.integers(0, stage_geometry(params, J).h + 2))
+    return level_set(), targets, J, draw(st.sampled_from([1, -1])), last
+
+
+@settings(max_examples=100, deadline=None)
+@given(_orbit_grids())
+def test_orbit_counts_match_the_literal_walk(grid):
+    """One orbit_counts pass gives, for every power of a run, the hits of a
+    literal walk (step(1) or step(-1), then a set intersection with
+    cells_of(b)) and the cells it lost, on toy, utv1, thm2(2) and random
+    config-grammar constructions, with multi-level, overlapping and empty
+    targets."""
+    a, targets, J, direction, last = grid
+    system = IntervalSystem(a.params, J)
+    powers = [direction * n for n in range(last + 1)]
+    hits, lost = system.orbit_counts(a, targets, powers)
+    assert hits.shape == (len(targets), len(powers)) and lost.shape == (len(powers),)
+    walker = OrbitWalker(a, J)
+    for i in range(len(powers)):
+        if i:
+            walker.step(direction)
+        assert lost[i] == walker.lost
+        for t, b in enumerate(targets):
+            assert hits[t, i] == len(walker.cells & system.cells_of(b))
+
+
 def _replayed_layouts(params, J):
     """cell_of_level of stages 1..J, replayed one cell at a time: each cut
     slices every level in place (cell * r + column) and each spacer takes the
@@ -404,6 +444,45 @@ def _grid_queries(draw):
     max_stage = draw(st.none() | st.integers(1, 12))
     cap = draw(st.none() | st.integers(1, 12))
     return pairs, shifts, max_stage, cap
+
+
+@st.composite
+def _target_grids(draw):
+    params = draw(_constructions)
+    j0 = draw(st.integers(2, 4))
+
+    def level_set(stage):
+        h = stage_geometry(params, stage).h
+        return LevelSet.from_levels(params, stage, draw(st.lists(st.integers(0, h - 1),
+                                                                  max_size=4)))
+
+    # the source sits at j0, so every shallower target is refined to it
+    a = level_set(j0)
+    targets = [level_set(draw(st.integers(1, j0))) for _ in range(draw(st.integers(1, 4)))]
+    targets += [union(targets[0], targets[-1]), LevelSet(params, 1, ()), a]
+    j = draw(st.integers(j0, j0 + 2))
+    reach = stage_geometry(params, j).h
+    shifts = draw(st.lists(st.integers(-reach, reach), min_size=1, max_size=8))
+    return a, targets, shifts, j, draw(st.none() | st.integers(1, 10))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_target_grids())
+def test_one_target_index_serves_every_target(grid):
+    """One source against many targets (multi-level, overlapping, empty and
+    refined from below j0) counts each pair as its own one-pair grid does,
+    and partial_joining equals the literal count of stage-j level pairs."""
+    a, targets, shifts, j, max_stage = grid
+    tower = tower_of(a.params)
+    pairs = [(a, b) for b in targets]
+    assert tower.grid_counts(pairs, shifts, max_stage) == [
+        tower.grid_counts([pair], shifts, max_stage)[0] for pair in pairs]
+    source, width = refine(a, j).levels, stage_geometry(a.params, j).level_width
+    for b in targets:
+        levels = set(refine(b, j).levels)
+        for k in shifts:
+            count = sum(x + k in levels for x in source)
+            assert partial_joining(a, b, k, j).value == count * width
 
 
 @settings(max_examples=150, deadline=None,
