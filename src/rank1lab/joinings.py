@@ -34,16 +34,20 @@ def partial_joining(a: LevelSet, b: LevelSet, k: int, j: int) -> MeasureBound:
     """Stage-j partial joining Delta^k_j(A x B); exact by construction."""
     if a.params != b.params:
         raise ValueError("level sets belong to different constructions")
-    geom = stage_geometry(a.params, j)
+    if j < 1:
+        raise ValueError("stage index must be >= 1")  # Tower.stage(0) reads the last stage
+    tower = tower_of(a.params)
+    geom = tower.stage(j)
     if abs(k) > geom.h:
         raise ValueError(f"|k| = {abs(k)} exceeds tower height {geom.h} at stage {j}")
     j0 = max(a.stage, b.stage)
     if j0 > j:
         raise ValueError("sets are not representable at the requested stage")
-    tower = tower_of(a.params)
     (count,) = tower.pair_counts(
         tower.refined_levels(a, j0), TargetIndex([tower.refined_levels(b, j0)]), j0, k, j)
-    return MeasureBound.exactly(count * geom.level_width, j)
+    width = geom.level_width
+    value = Fraction(count * width.numerator, width.denominator)
+    return MeasureBound(value, value, j)
 
 
 @dataclass(frozen=True)
@@ -152,18 +156,26 @@ def domination_witness(
         return WitnessReport(m=m, rows=rows, passed=True, vacuous=True)
     menus = [_witness_candidates(params, j, m) for j in j_range]
     shifts = [m] + [k for menu in menus for k in menu]
-    profiles = power_grid(rect_grid, shifts, max_stage)
-    half = Fraction(1, 2)
-    half_lo = [p[0].lo * half for p in profiles]
-    half_hi = [p[0].hi * half for p in profiles]
+    # one column of bounds per shift, the column at m first
+    at_m, *columns = zip(*power_grid(rect_grid, shifts, max_stage))
+    # the kernel shares one bound per distinct answer: halve each bound at m
+    # once, and take each margin over the distinct (bound at k, bound at m)
+    halves: dict[int, tuple[Fraction, Fraction]] = {}
+    for bound in at_m:
+        if id(bound) not in halves:
+            halves[id(bound)] = (bound.lo / 2, bound.hi / 2)
+    ids_at_m = list(map(id, at_m))
+    halves_at_m = list(map(halves.__getitem__, ids_at_m))
     rows = []
     passed = True
-    col = 1
+    col = 0
     for j, menu in zip(j_range, menus):
         best = None
         for k in menu:
-            margin_lo = min(p[col].lo - h for p, h in zip(profiles, half_hi))
-            margin_hi = min(p[col].hi - h for p, h in zip(profiles, half_lo))
+            column = columns[col]
+            pairs = dict(zip(zip(map(id, column), ids_at_m), zip(column, halves_at_m))).values()
+            margin_lo = min(bound.lo - half_hi for bound, (_, half_hi) in pairs)
+            margin_hi = min(bound.hi - half_lo for bound, (half_lo, _) in pairs)
             col += 1
             key = (margin_lo, abs(k), k)
             if best is None or key > best[0]:

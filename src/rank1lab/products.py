@@ -1,11 +1,13 @@
 """Product systems T_left^m x T_right^n on rectangles.
 
 Rectangle measures factorize, so a product return is the product of two
-one-dimensional values with interval arithmetic.  The dissipativity scan
-reports finite evidence only: per-k verdicts distinguish values proven zero
-(upper bound exactly 0) from merely unresolved ones, and the report never
-claims anything about unscanned shifts.  ``dissipativity_grid`` scans a list
-of rectangles in one pass; ``dissipativity_scan`` is its one-rectangle case.
+one-dimensional values with interval arithmetic; a product with a
+proven-zero factor is the shared [0, 0] of its stage.  The dissipativity
+scan reports finite evidence only: per-k verdicts distinguish values proven
+zero (upper bound exactly 0) from merely unresolved ones, and the report
+never claims anything about unscanned shifts.  ``dissipativity_grid`` scans
+a list of rectangles in one pass, doing its exact work once per distinct
+kernel bound; ``dissipativity_scan`` is its one-rectangle case.
 """
 
 from __future__ import annotations
@@ -127,9 +129,12 @@ def dissipativity_grid(
     once.  One ``Tower.self_returns`` call gives the left factors of all
     rectangles and one more the right factors, on the shifts where some left
     factor is not proven zero; a row skips its right factor wherever its own
-    left factor is proven zero, since the product interval is then [0, 0]
-    regardless.  Product and verdict are computed once per distinct pair of
-    factor bounds, and rectangles whose factor rows hold the same bounds
+    left factor is proven zero.  A product with a proven-zero factor is the
+    shared [0, 0] of the larger resolved stage of its factors, which is what
+    ``left.times(right)`` gives, so no product is multiplied out for it.
+    The kernel shares one bound per distinct answer, so the zero test runs
+    once per distinct left bound, and product and verdict once per distinct
+    pair of factor bounds; rectangles whose factor rows hold the same bounds
     share one report.
     """
     if k_lo < 1:
@@ -137,25 +142,39 @@ def dissipativity_grid(
     rects = list(rects)
     for a, a2 in rects:
         _check_rectangle(sys, a, a2)
-    scanned = sample_shifts(k_lo, k_hi, samples)
+    scanned = tuple(sample_shifts(k_lo, k_hi, samples))
     if not rects:
         return []
     # rows are keyed on the identities of their bounds, all alive in the memo
     lefts = tower_of(sys.left_params).self_returns(
         [a for a, _ in rects], [sys.left_power * k for k in scanned], max_stage)
     left_keys = [tuple(map(id, row)) for row in lefts]
-    live: dict[tuple[int, ...], list[int]] = {}  # left row -> columns not proven zero
+    zeros: dict[int, MeasureBound] = {}  # resolved stage -> the shared [0, 0]
+
+    def zero(stage: int) -> MeasureBound:
+        bound = zeros.get(stage)
+        if bound is None:
+            bound = zeros[stage] = MeasureBound.exactly(0, stage)
+        return bound
+
+    zero_of: dict[int, MeasureBound | None] = {}  # left bound -> its [0, 0] if proven zero
+    # left row -> (a product per column, None where the left factor is not
+    # proven zero; those live columns)
+    known: dict[tuple[int, ...], tuple[list, list[int]]] = {}
     for key, row in zip(left_keys, lefts):
-        if key not in live:
-            live[key] = [col for col, left in enumerate(row) if left.hi != 0]
-    cols = sorted(set().union(*live.values()))
+        if key not in known:
+            for i, left in dict(zip(key, row)).items():
+                if i not in zero_of:
+                    zero_of[i] = zero(left.resolved_stage) if left.hi == 0 else None
+            dead = list(map(zero_of.__getitem__, key))
+            known[key] = (dead, [col for col, product in enumerate(dead) if product is None])
+    cols = sorted(set().union(*(live for _, live in known.values())))
     rights = tower_of(sys.right_params).self_returns(
         [a2 for _, a2 in rects], [sys.right_power * scanned[col] for col in cols], max_stage)
     ratio = None
     if ratio_target is not None:
         ratio = ratio_condition(sys.left_params, sys.right_params, ratio_depth, ratio_target)
     products: dict[tuple[int, int], tuple[MeasureBound, str]] = {}
-    zeros: dict[int, tuple[MeasureBound, str]] = {}  # one [0, 0] product per resolved stage
     reports: dict[tuple, RectangleReturnReport] = {}
     out = []
     for left_key, left_row, right_row in zip(left_keys, lefts, rights):
@@ -163,32 +182,34 @@ def dissipativity_grid(
         report = reports.get(key)
         if report is None:
             right_at = dict(zip(cols, right_row))
-            own = [None] * len(scanned)
-            for col in live[left_key]:
-                own[col] = right_at[col]
-            rows = []
+            dead, live = known[left_key]
+            row_products = list(dead)
+            row_rights = [None] * len(scanned)
+            verdicts = [PROVEN_ZERO] * len(scanned)
             nonzero = []
             unresolved = []
-            for k, left, right in zip(scanned, left_row, own):
-                if right is None:
-                    stage = left.resolved_stage
-                    entry = zeros.get(stage)
-                    if entry is None:
-                        entry = zeros[stage] = (MeasureBound.exactly(0, stage), PROVEN_ZERO)
-                else:
-                    entry = products.get((id(left), id(right)))
-                    if entry is None:
+            for col in live:
+                left, right = left_row[col], right_at[col]
+                entry = products.get((id(left), id(right)))
+                if entry is None:
+                    if right.hi == 0:
+                        entry = (zero(max(left.resolved_stage, right.resolved_stage)),
+                                 PROVEN_ZERO)
+                    else:
                         product = left.times(right)
-                        entry = products[id(left), id(right)] = (product, _verdict(product))
+                        entry = (product, _verdict(product))
+                    products[id(left), id(right)] = entry
                 product, verdict = entry
+                row_rights[col] = right
+                row_products[col] = product
+                verdicts[col] = verdict
                 if verdict is NONZERO:
-                    nonzero.append((k, product.lo, product.hi))
+                    nonzero.append((scanned[col], product.lo, product.hi))
                 elif verdict is UNRESOLVED:
-                    unresolved.append(k)
-                rows.append(ReturnRow(k, left, right, product, verdict))
+                    unresolved.append(scanned[col])
             report = reports[key] = RectangleReturnReport(
-                scanned=tuple(scanned),
-                rows=tuple(rows),
+                scanned=scanned,
+                rows=tuple(map(ReturnRow, scanned, left_row, row_rights, row_products, verdicts)),
                 nonzero_returns=tuple(nonzero),
                 unresolved=tuple(unresolved),
                 all_proven_zero=not nonzero and not unresolved,

@@ -82,11 +82,17 @@ def correlations(a: LevelSet, n_list, max_stage: int | None = None) -> Correlati
     shifts = sorted({abs(int(n)) for n in n_list} - {0})
     entries: dict[int, Fraction] = {0: Fraction(1)}
     unresolved: dict[int, tuple[Fraction, Fraction]] = {}
+    # the kernel shares one bound per distinct answer: divide once per bound,
+    # and file its shifts under entries if exact, else under unresolved
+    scaled: dict[int, tuple[dict, object]] = {}
     for n, bound in zip(shifts, power_profile(a, a, shifts, max_stage)):
-        if bound.exact:
-            entries[n] = bound.lo / mass
-        else:
-            unresolved[n] = (bound.lo / mass, bound.hi / mass)
+        filed = scaled.get(id(bound))
+        if filed is None:
+            lo = bound.lo / mass
+            filed = scaled[id(bound)] = (
+                (entries, lo) if bound.exact else (unresolved, (lo, bound.hi / mass)))
+        table, value = filed
+        table[n] = value
     return CorrelationSequence(
         entries=tuple(sorted(entries.items())),
         unresolved=tuple(sorted(unresolved.items())),

@@ -64,14 +64,12 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .construction import ConstructionParams, StageGeometry, stage_chain, stage_geometry
 
 DEFAULT_EXTRA_STAGES = 8
 _MAX_STAGE_ENV = "RANK1_MAX_STAGE"
-_height = attrgetter("h")
 
 
 @dataclass(frozen=True)
@@ -315,10 +313,11 @@ class Tower:
         the environment cap ``cap``.  Only the signs that occur get a list."""
         budgets: dict[int, int] = {}  # by start stage
         plans: dict[bool, list[tuple[int, int, int, int]]] = {}
+        # heights increase, so the stages built so far locate the first h > |n|
+        heights = [st.h for st in self._chain]
         for col, n in enumerate(shifts):
             backward, m = n < 0, abs(n)
-            # heights increase, so the stages built so far locate the first h > |n|
-            start = max(j0, bisect_right(self._chain, m, key=_height) + 1)
+            start = max(j0, bisect_right(heights, m) + 1)
             while self.stage(start).h <= m:
                 start += 1
             budget = budgets.get(start)
@@ -438,17 +437,18 @@ class Tower:
         for a, key in zip(sets, keys):
             if key not in memos:
                 memos[key] = (a, self._returns.setdefault(key, {}))
-        missing = list(dict.fromkeys(
-            m for _, memo in memos.values() for m in steps if m not in memo))
-        if missing:
-            pending = [(a, memo) for a, memo in memos.values()
-                       if not all(m in memo for m in missing)]
+        wanted = set(steps)
+        # the sets that miss some |n|; they are the ones that miss some of ``missing``
+        pending = [(a, memo) for a, memo in memos.values() if not memo.keys() >= wanted]
+        if pending:
+            missing = list(dict.fromkeys(
+                m for _, memo in pending for m in steps if m not in memo))
             filled = self._bounds(
                 self.grid_counts([(a, a) for a, _ in pending], missing, max_stage))
             for (_, memo), row in zip(pending, filled):
                 for m, bound in zip(missing, row):
                     memo.setdefault(m, bound)  # an existing entry keeps its object
-        rows = {key: [memo[m] for m in steps] for key, (_, memo) in memos.items()}
+        rows = {key: list(map(memo.__getitem__, steps)) for key, (_, memo) in memos.items()}
         return [rows[key] for key in keys]
 
 

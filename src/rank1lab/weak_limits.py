@@ -71,11 +71,14 @@ def parse_polynomial(text: str) -> OperatorPolynomial:
         m = _POLY_TERM.match(raw)
         if m is None:
             raise ValueError(f"cannot parse polynomial term {raw!r}")
-        if m.group("const") is not None:
-            p, c = 0, Fraction(m.group("const"))
-        else:
-            p = int(m.group("p"))
-            c = Fraction(m.group("c")) if m.group("c") else Fraction(1)
+        try:
+            if m.group("const") is not None:
+                p, c = 0, Fraction(m.group("const"))
+            else:
+                p = int(m.group("p"))
+                c = Fraction(m.group("c")) if m.group("c") else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in polynomial term {raw!r}") from None
         coeffs[p] = coeffs.get(p, Fraction(0)) + c
     return OperatorPolynomial.from_dict(coeffs)
 

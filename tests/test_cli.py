@@ -401,6 +401,11 @@ _NAMED_REJECTIONS = [
     # toy's spacers never open a dead zone, and an empty one would be a vacuous PASS
     (["limits", "scan", "--family", "toy", "--j", "4"],
      "Error: --j 4 opens no dead zone on toy: it would end at 1, below its start 29"),
+    # a zero denominator is a usage error, not a crash that reads as FAIL
+    (["limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/0*T^0",
+      "--j", "4..6"], "Error: zero denominator in polynomial term '1/0*T^0'"),
+    (["limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/0",
+      "--j", "4..6"], "Error: zero denominator in polynomial term '1/0'"),
 ]
 
 _REJECTED_INPUTS = [args for args, _ in _NAMED_REJECTIONS] + [
@@ -426,6 +431,8 @@ _REJECTED_INPUTS = [args for args, _ in _NAMED_REJECTIONS] + [
     ["geometry", "--family", "toy", "--j", "2", "--out", "{tmp}"],
     ["run", "--config", [1, 2]],
     ["run", "--config", {"experiment": "geometry", "params": 5}],
+    ["run", "--config", {"experiment": "limits", "construction": {"family": "utv1"},
+                         "params": {"seq": "h_k", "poly": "1/0*T^0", "j": "4..6"}}],
 ]
 
 

@@ -196,6 +196,10 @@ def _single_grid(params, stage, levels):
 
 
 THM2 = thm2(2)
+# two rectangles share one bound at a candidate shift but not at m
+# (test_witness_case_shares_bounds_at_k_not_at_m), and the smaller margin is
+# the one a key on the bound at k alone would drop
+_SHARED_AT_K_NOT_AT_M = (THM2, _single_grid(THM2, 2, (0, 3, 6)), 3, range(3, 6), 0, None)
 _WITNESS_CASES = [
     # toy keeps its margins unresolved at j = 4, 5 (margin_lo != margin_hi)
     (TOY, _single_grid(TOY, 2, range(3)), 0, range(2, 6), 0, None),
@@ -207,6 +211,7 @@ _WITNESS_CASES = [
     (UTV, GRID[::4], 2, range(3, 7), 0, 7),
     (THM2, _single_grid(THM2, 2, range(0, 9, 2)), -1, range(3, 6), 0, None),
     (THM2, _single_grid(THM2, 2, (0, 4)), 0, range(2, 5), 0, 5),
+    _SHARED_AT_K_NOT_AT_M,
 ]
 
 
@@ -239,6 +244,18 @@ def test_witness_equals_per_rectangle_reference(monkeypatch, params, grid, m, j_
     assert calls == {"grid": 1, "profile": 0, "single": 0}
     if params == TOY and max_stage is None and report.rows:
         assert any(row.margin_lo != row.margin_hi for row in report.rows)
+
+
+def test_witness_case_shares_bounds_at_k_not_at_m():
+    """A margin is taken over distinct (bound at k, bound at m) pairs; the
+    half of Delta^m differs between two rectangles that share the bound at k,
+    so a key on the bound at k alone would drop one of them."""
+    params, grid, m, j_range, _, max_stage = _SHARED_AT_K_NOT_AT_M
+    shifts = [k for j in j_range for k in _witness_candidates(params, j, m)]
+    at_m, *columns = zip(*tower_module.power_grid(grid, [m] + shifts, max_stage))
+    assert any(column[r] is column[s] and at_m[r] != at_m[s]
+               for column in columns
+               for r in range(len(grid)) for s in range(r))
 
 
 @pytest.mark.parametrize("j_range", [range(1, 4), range(0, 1), [4, 1]])

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from rank1lab.construction import scaled, stage_geometry, thm2, toy, utv1
 from rank1lab.products import (
     NONZERO,
+    PROVEN_ZERO,
     UNRESOLVED,
     ProductSystem,
     dissipativity_grid,
@@ -302,6 +303,84 @@ def test_grid_equals_one_scan_per_rectangle(monkeypatch, case):
         monkeypatch.setattr(tower, "_towers", {})  # and for every scan
         assert report == dissipativity_scan(system, a, a2, k_lo, k_hi, samples, max_stage,
                                             ratio_target=ratio, ratio_depth=4)
+
+
+# its left factor is unresolved at k = 34 under max_stage 3, its right factor zero
+_UNRESOLVED_LEFT_ZERO_RIGHT = (
+    _GRID_SYSTEMS[0], [(LevelSet.single(THM, 2, 0), LevelSet.single(THM, 2, 0))],
+    1, 201, 24, 3, None, None)
+_NONZERO_PRODUCT = (  # k = 453, test_thm2_small_stage_counterexample_is_real
+    _GRID_SYSTEMS[0], [(LevelSet.base(THM, 2), LevelSet.base(THM, 2))],
+    452, 453, 1, None, None, None)
+
+
+def test_grid_rows_match_the_per_row_definition(monkeypatch):
+    """Every row of a grid against the literal definition of a row, one
+    kernel query per factor; the draws must include a nonzero product and an
+    unresolved left factor times a proven-zero right one."""
+    seen = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_grids())
+    @example(_UNRESOLVED_LEFT_ZERO_RIGHT)
+    @example(_NONZERO_PRODUCT)
+    def check(case):
+        system, rects, k_lo, k_hi, samples, max_stage, cap, _ = case
+        _set_env_cap(monkeypatch, cap)
+        grid = dissipativity_grid(system, rects, k_lo, k_hi, samples, max_stage)
+        for (a, a2), report in zip(rects, grid):
+            assert report.scanned == tuple(sample_shifts(k_lo, k_hi, samples))
+            assert tuple(row.k for row in report.rows) == report.scanned
+            for row in report.rows:
+                left = apply_power_bounds(a, a, system.left_power * row.k, max_stage)
+                assert row.left == left
+                if left.hi == 0:
+                    assert row.right is None
+                    product = MeasureBound.exactly(0, left.resolved_stage)
+                else:
+                    right = apply_power_bounds(a2, a2, system.right_power * row.k, max_stage)
+                    assert row.right == right
+                    product = left.times(right)
+                    if left.lo < left.hi and right.hi == 0:
+                        seen.add("unresolved left, zero right")
+                assert row.product == product
+                if product.hi == 0:
+                    assert row.verdict == PROVEN_ZERO
+                elif product.lo > 0:
+                    assert row.verdict == NONZERO
+                    seen.add(NONZERO)
+                else:
+                    assert row.verdict == UNRESOLVED
+            rows = report.rows
+            assert report.nonzero_returns == tuple(
+                (row.k, row.product.lo, row.product.hi) for row in rows if row.verdict == NONZERO)
+            assert report.unresolved == tuple(row.k for row in rows if row.verdict == UNRESOLVED)
+            assert report.all_proven_zero == all(row.verdict == PROVEN_ZERO for row in rows)
+
+    check()
+    assert seen == {NONZERO, "unresolved left, zero right"}
+
+
+def test_grid_multiplies_only_products_without_a_zero_factor(monkeypatch):
+    """Criterion 6's 9x9 grid of T x T^3 over thm2(2): on (h_6, 8h_6] every
+    left factor not proven zero meets a proven-zero right one, so no product
+    is multiplied out; on (h_4, 8h_4] at most one per distinct factor pair."""
+    monkeypatch.setattr(tower, "_towers", {})
+    multiplied = []
+    times = MeasureBound.times
+    monkeypatch.setattr(MeasureBound, "times",
+                        lambda self, other: multiplied.append((self, other)) or times(self, other))
+    system = ProductSystem(THM, 1, THM, 3)
+    levels = [LevelSet.single(THM, 2, i) for i in range(stage_geometry(THM, 2).h)]
+    rects = [(a, b) for a in levels for b in levels]
+    assert len(rects) == 81
+    h4, h6 = stage_geometry(THM, 4).h, stage_geometry(THM, 6).h
+    grid = dissipativity_grid(system, rects, h6, 8 * h6)
+    assert any(row.right is not None for report in grid for row in report.rows)
+    assert multiplied == []
+    grid = dissipativity_grid(system, rects, h4, 8 * h4)
+    assert any(report.nonzero_returns for report in grid)
+    assert 0 < len(multiplied) == len({(id(l), id(r)) for l, r in multiplied})
 
 
 def test_grid_keeps_unresolved_rows_and_own_zero_left_factors():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rank1lab.construction import stage_geometry, thm2, utv1
+from rank1lab.construction import stage_geometry, thm2, toy, utv1
 from rank1lab.products import ProductSystem, product_return
 from rank1lab.spectral import (
     CorrelationSequence,
@@ -16,7 +16,7 @@ from rank1lab.spectral import (
     suspension_correlation,
     toeplitz_min_eigenvalue,
 )
-from rank1lab.tower import LevelSet, measure
+from rank1lab.tower import LevelSet, apply_power_bounds, measure
 
 UTV = utv1()
 E2 = LevelSet.base(UTV, 2)
@@ -43,6 +43,27 @@ def test_halving_shifts_correlate_at_one_half():
 def test_dead_zone_shift_correlates_at_zero():
     seq = correlations(E2, [720 + 240 + 17])
     assert seq.value(720 + 240 + 17) == 0
+
+
+@pytest.mark.parametrize("a,shifts,max_stage", [
+    # exact and unresolved shifts mixed, several sharing one bound
+    (LevelSet.single(toy(), 3, 6), range(-40, 41), 6),
+    (E2, [h + d for h in HEIGHTS for d in (-1, 0, 1, 2)] + list(range(40)), None),
+])
+def test_correlations_equal_one_division_per_shift(a, shifts, max_stage):
+    mass = measure(a)
+    entries, unresolved = {0: Fraction(1)}, {}
+    for n in sorted({abs(n) for n in shifts} - {0}):
+        bound = apply_power_bounds(a, a, n, max_stage)
+        if bound.exact:
+            entries[n] = bound.lo / mass
+        else:
+            unresolved[n] = (bound.lo / mass, bound.hi / mass)
+    seq = correlations(a, shifts, max_stage)
+    assert seq.entries == tuple(sorted(entries.items()))
+    assert seq.unresolved == tuple(sorted(unresolved.items()))
+    if max_stage is not None:
+        assert len(seq.entries) > 1 and seq.unresolved
 
 
 def test_unresolved_shifts_are_kept_as_intervals():
