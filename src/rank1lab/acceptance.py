@@ -22,7 +22,7 @@ from . import reports
 from .construction import height, stage_geometry, thm2, toy, utv1
 from .joinings import delta_shift, partial_joining, domination_witness
 from .oracle import IntervalSystem, oracle_intersection
-from .products import ProductSystem, dissipativity_grid, product_return, sample_shifts
+from .products import ProductSystem, dissipativity_grid, dissipativity_scan, product_return
 from .spectral import (
     correlation_sequence,
     correlations,
@@ -201,7 +201,7 @@ def criterion_5() -> CriterionResult:
                            f"stages {stages}; " + "; ".join(details))
 
 
-def criterion_6(samples: int = 256) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     """Dissipativity scan for T x T^3 over thm2(2) plus the T x T witness.
 
     The scan asserts the strong finite-stage form: every sampled return in
@@ -216,7 +216,7 @@ def criterion_6(samples: int = 256) -> CriterionResult:
     violations = []
     for j in (4, 5, 6):
         h_j = height(params, j)
-        reports = dissipativity_grid(system, rects, h_j, 8 * h_j, samples)
+        reports = dissipativity_grid(system, rects, h_j, 8 * h_j)
         for (a, b), report in zip(rects, reports):
             if report.unresolved:
                 return CriterionResult(6, "dissipativity-scan", False,
@@ -290,7 +290,7 @@ def criterion_8() -> CriterionResult:
                            f"{count} (rectangle, k) pairs monotone and exhausted")
 
 
-def criterion_9(probe_samples: int = 256) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     """Spectral indicators.
 
     All single-system clauses hold exactly.  The product-correlation probe
@@ -322,13 +322,9 @@ def criterion_9(probe_samples: int = 256) -> CriterionResult:
     tparams = thm2(2)
     te2 = LevelSet.base(tparams, 2)
     h4 = height(tparams, 4)
-    # the probe mirrors criterion 6's sampler over the zone just above h_4
-    probes = sample_shifts(h4, 8 * h4, probe_samples)
-    probe_corr = correlations(te2, list(probes) + [3 * k for k in probes])
-    bad = [
-        k for k in probes
-        if probe_corr.value(k) != 0 and probe_corr.value(3 * k) != 0
-    ]
+    # the probe is criterion 6's scan of (T^0E2, T^0E2) over the zone above h_4
+    bad = dissipativity_scan(ProductSystem(tparams, 1, tparams, 3), te2, te2,
+                             h4, 8 * h4).nonzero_returns
     # Fejer stabilization of the finitely supported product table
     table = correlations(te2, list(range(h4 + 1)) + [3 * k for k in range(h4 + 1)])
     product_table = correlation_sequence(
@@ -343,8 +339,8 @@ def criterion_9(probe_samples: int = 256) -> CriterionResult:
         return CriterionResult(9, "spectral-indicators", False,
                                f"Fejer estimates drift by {drift}")
     if bad:
-        k = bad[0]
-        value = probe_corr.value(k) * probe_corr.value(3 * k)
+        k, lo, _ = bad[0]
+        value = lo / te2.measure ** 2
         return CriterionResult(
             9, "spectral-indicators", False,
             f"{len(bad)} probed shifts > h_4 with nonzero product correlation; "

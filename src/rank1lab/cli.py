@@ -24,7 +24,9 @@ Exit codes: 0 PASS, 1 FAIL, 2 usage or config error, 3 INCONCLUSIVE
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 import re
 import sys
@@ -172,12 +174,15 @@ def _emit(meta: dict, rows: list[dict], fmt: str, out: str | None, status: str |
         lines = [f"# {key}={json.dumps(value, sort_keys=True)}" for key, value in meta.items()]
         if status is not None:
             lines.append(f"# status={status}")
-        if rows:
-            header = list(rows[0].keys())
-            lines.append(",".join(header))
-            for row in rows:
-                lines.append(",".join(str(row.get(col, "")) for col in header))
         text = "\n".join(lines) + "\n"
+        if rows:
+            # the csv module quotes a cell that holds a comma, such as "[lo,hi]"
+            header = list(rows[0].keys())
+            table = io.StringIO()
+            writer = csv.writer(table, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([str(row.get(col, "")) for col in header] for row in rows)
+            text += table.getvalue()
     if out:
         try:
             with open(out, "w") as fh:
@@ -566,8 +571,13 @@ def spectral_corr(params, set_a, shifts, h_stages, max_stage, fmt, out):
 @_format_option
 @_out_option
 def spectral_density(params, set_a, shifts, h_stages, order, grid, max_stage, fmt, out):
-    """Fejer spectral-density estimate of the correlation sequence."""
+    """Fejer spectral-density estimate of the correlation sequence; INCONCLUSIVE
+    without rows when a shift below the order did not resolve."""
     _, seq = _base_sequence(params, set_a, shifts, h_stages, max_stage)
+    unresolved = [format_int(n) for n, _ in seq.unresolved if n < order]
+    if unresolved:  # an unresolved c(n) is not zero: no estimate rather than a wrong one
+        meta = _meta(params, set=set_a, order=format_int(order), unresolved=unresolved)
+        return _emit(meta, [], fmt, out, reports.INCONCLUSIVE)
     est = fejer_density(seq, order, grid)
     rows = [{"theta": f"{theta:.12g}", "F": f"{value:.12g}"}
             for theta, value in zip(est.grid, est.values)]

@@ -88,14 +88,6 @@ def sample_shifts(k_lo: int, k_hi: int, samples: int) -> list[int]:
     return [k_lo + t * span // samples for t in range(1, samples + 1)]
 
 
-def _verdict(product: MeasureBound) -> str:
-    if product.hi == 0:
-        return PROVEN_ZERO
-    if product.lo > 0:
-        return NONZERO
-    return UNRESOLVED
-
-
 def dissipativity_scan(
     sys: ProductSystem,
     a: LevelSet,
@@ -196,8 +188,9 @@ def dissipativity_grid(
                         entry = (zero(max(left.resolved_stage, right.resolved_stage)),
                                  PROVEN_ZERO)
                     else:
+                        # neither factor is proven zero, so neither is the product
                         product = left.times(right)
-                        entry = (product, _verdict(product))
+                        entry = (product, NONZERO if product.lo > 0 else UNRESOLVED)
                     products[id(left), id(right)] = entry
                 product, verdict = entry
                 row_rights[col] = right

@@ -152,10 +152,14 @@ def fejer_density(c: CorrelationSequence, order: int, grid_size: int) -> Spectra
     finitely supported sequence for free.  Each stored shift adds one vector
     term over the whole grid, in support order, so every grid point receives
     the same float additions in the same order as a per-theta loop would, and
-    memory stays one grid wide.
+    memory stays one grid wide.  A shift below N that did not resolve is
+    rejected with ``ValueError``: its value is an interval, not zero.
     """
     if order < 1 or grid_size < 1:
         raise ValueError("order and grid size must be >= 1")
+    for n, _ in c.unresolved:
+        if n < order:
+            raise ValueError(f"c({n}) did not resolve exactly; it is not zero")
     support = [(n, float(c.value(n))) for n in c.support() if n < order]
     thetas = [2.0 * math.pi * t / grid_size for t in range(grid_size)]
     grid = np.array(thetas)

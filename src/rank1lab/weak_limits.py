@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from . import reports
 from .construction import ConstructionParams, block_sequence, stage_geometry, thm2
-from .tower import LevelSet, MeasureBound, apply_power_bounds, intersect, power_profile
+from .products import sample_shifts
+from .tower import LevelSet, MeasureBound, apply_power_bounds, power_profile
 
 
 @dataclass(frozen=True)
@@ -185,6 +186,27 @@ class LimitReport:
     status: str
 
 
+def _check_limit(points, poly, pairs, tol, max_stage: int | None) -> list[tuple]:
+    """The limit-check loop: for each (key, n) of ``points``, then each (A, B)
+    of ``pairs``, the row ``(key, n, pair index, value, prediction, dev_lo,
+    dev_hi, status)`` comparing mu(T^n A /\\ B) with ``predict(poly, A, B)``.
+
+    A negative tolerance is rejected before any query.
+    """
+    tol = Fraction(tol)
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    predicted = [(a, b, predict(poly, a, b, max_stage)) for a, b in pairs]
+    rows = []
+    for key, n in points:
+        for idx, (a, b, pred) in enumerate(predicted):
+            value = apply_power_bounds(a, b, n, max_stage)
+            dev_lo, dev_hi = value.deviation_from(pred)
+            rows.append((key, n, idx, value, pred, dev_lo, dev_hi,
+                         reports.classify_deviation(dev_lo, dev_hi, tol)))
+    return rows
+
+
 def verify_limit(
     params: ConstructionParams,
     seq: CandidateSequence,
@@ -199,22 +221,10 @@ def verify_limit(
     Pairs whose interval is wider than the tolerance yield INCONCLUSIVE
     rows; only a deviation certainly above tol yields FAIL.
     """
-    tol = Fraction(tol)
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    rows = []
-    max_dev = Fraction(0)
-    predicted = [(a, b, predict(poly, a, b, max_stage)) for a, b in test_pairs]
-    for k in k_range:
-        n = seq.evaluate(params, k)
-        for idx, (a, b, pred) in enumerate(predicted):
-            value = apply_power_bounds(a, b, n, max_stage)
-            dev_lo, dev_hi = value.deviation_from(pred)
-            status = reports.classify_deviation(dev_lo, dev_hi, tol)
-            rows.append(LimitCheckRow(k, n, idx, value, pred, dev_lo, dev_hi, status))
-            max_dev = max(max_dev, dev_hi)
-    status = reports.combine(r.status for r in rows)
-    return LimitReport(tuple(rows), max_dev, status)
+    points = ((k, seq.evaluate(params, k)) for k in k_range)
+    rows = [LimitCheckRow(*row) for row in _check_limit(points, poly, test_pairs, tol, max_stage)]
+    max_dev = max((r.dev_hi for r in rows), default=Fraction(0))
+    return LimitReport(tuple(rows), max_dev, reports.combine(r.status for r in rows))
 
 
 @dataclass(frozen=True)
@@ -225,16 +235,6 @@ class WindowScanReport:
     window_rows: tuple[tuple[int, MeasureBound], ...]
     dead_rows: tuple[tuple[int, MeasureBound], ...]
     dead_zone_exact_zero: bool
-
-
-def _spread(lo: int, hi: int, interior: int) -> list[int]:
-    """lo, hi and `interior` evenly spread sample points of [lo, hi]."""
-    span = hi - lo
-    interior = min(interior, span - 1)  # more would only repeat points
-    points = {lo, hi}
-    for t in range(1, interior + 1):
-        points.add(lo + (t * span) // (interior + 1))
-    return sorted(points)
 
 
 def scan_window(
@@ -274,8 +274,9 @@ def scan_window(
         if dead_hi - dead_lo > 200_000:
             raise ValueError("dead zone too large for an exhaustive scan")
         dead_ns = list(range(dead_lo, dead_hi + 1))
-    else:
-        dead_ns = _spread(dead_lo, dead_hi, dead_samples)
+    else:  # both endpoints and dead_samples interior points, fewer if the zone is short
+        dead_ns = [dead_lo] + (
+            sample_shifts(dead_lo, dead_hi, dead_samples + 1) if dead_hi > dead_lo else [])
     window_rows = tuple(zip(window_ns, power_profile(a, b, window_ns, max_stage)))
     dead_rows = tuple(zip(dead_ns, power_profile(a, b, dead_ns, max_stage)))
     exact_zero = all(bound.exact and bound.lo == 0 for _, bound in dead_rows)
@@ -330,7 +331,8 @@ def verify_mixture_law(
 
     Stages are those with interleaved spacer value |p|; for negative p the
     forward powers T^{+n h_j'} are scanned instead.  Deviations are expected
-    to shrink (non-strictly) along the stage list.
+    to shrink (non-strictly) along the stage list.  The law is the polynomial
+    ((N-n)/(N+1)) T^0 + (1/(N+1)) T^p, checked by ``verify_limit``'s loop.
     """
     if not 1 <= n <= N:
         raise ValueError("need 1 <= n <= N")
@@ -350,24 +352,11 @@ def verify_mixture_law(
     for j in stage_list:
         if block_sequence(j) != abs(p):
             raise ValueError(f"stage {j} has spacer value {block_sequence(j)}, not {abs(p)}")
-    tol = Fraction(tol)
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    identity_part = MeasureBound.exactly(intersect(a, b).measure).scaled(
-        Fraction(N - n, N + 1)
-    )
-    shifted_part = apply_power_bounds(a, b, p, max_stage).scaled(Fraction(1, N + 1))
-    prediction = identity_part + shifted_part
+    law = OperatorPolynomial.from_dict({0: Fraction(N - n, N + 1), p: Fraction(1, N + 1)})
     sign = -1 if p > 0 else 1
-    rows = []
-    for j in stage_list:
-        shift = sign * n * stage_geometry(a.params, j).h
-        value = apply_power_bounds(a, b, shift, max_stage)
-        dev_lo, dev_hi = value.deviation_from(prediction)
-        rows.append(
-            MixtureLawRow(j, shift, value, prediction, dev_lo, dev_hi,
-                          reports.classify_deviation(dev_lo, dev_hi, tol))
-        )
+    points = ((j, sign * n * stage_geometry(a.params, j).h) for j in stage_list)
+    rows = [MixtureLawRow(j, shift, *rest)
+            for j, shift, _, *rest in _check_limit(points, law, [(a, b)], tol, max_stage)]
     decreasing = all(
         later.dev_hi <= earlier.dev_hi and later.dev_lo <= earlier.dev_lo
         for earlier, later in zip(rows, rows[1:])

@@ -9,8 +9,10 @@ implemented faithfully and expected to fail; the attainable content of both
 criteria is covered by the extra green tests at the bottom.
 """
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +215,31 @@ def test_criterion_6_stage_six_window_has_a_nonzero_return():
     assert apply_power_bounds(e2, e2, 3 * k) == MeasureBound.exactly(Fraction(2, 2187), 8)
     res = oracle_intersection(e2, e2, k, 7)
     assert res.fully_defined and res.value == Fraction(1, 729)
+
+
+@pytest.mark.parametrize("j,count,first", [(4, 44, 453), (5, 132, 3742), (6, 113, 35476)])
+def test_criterion_6_windows_scanned_exhaustively(j, count, first):
+    """Every shift of (h_j, 8h_j] (7h_j samples of a 7h_j-wide range): the
+    nonzero T x T^3 returns of (E2, E2) over thm2(2) that the 256 samples of
+    criterion 6 thin out, or miss altogether at j = 6."""
+    params = thm2(2)
+    e2 = LevelSet.base(params, 2)
+    h_j = height(params, j)
+    report = dissipativity_scan(ProductSystem(params, 1, params, 3), e2, e2,
+                                h_j, 8 * h_j, samples=7 * h_j)
+    assert report.scanned == tuple(range(h_j + 1, 8 * h_j + 1))
+    assert report.unresolved == ()
+    assert len(report.nonzero_returns) == count
+    assert report.nonzero_returns[0][0] == first
+
+
+def test_all_detail_lines_match_the_benchmark_reference():
+    """The nine detail lines, byte for byte, as ``perfbench/reference.json``
+    records them."""
+    reference = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
+    details = {f"criterion {r.number}": r.detail for r in acceptance.run_all()}
+    assert details == reference["acceptance"]
 
 
 def test_criterion_9_healthy_clauses():

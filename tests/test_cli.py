@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import time
@@ -263,6 +264,45 @@ def test_spectral_commands(runner):
     ])
     assert suspend.exit_code == 0
     assert "0.377540668798" in suspend.output
+
+
+def test_density_with_unresolved_correlations_is_inconclusive(runner):
+    """c(3..6) do not resolve by stage 3 on toy; counting them as zero would
+    print a wrong estimate with exit 0."""
+    args = ["spectral", "density", "--family", "toy", "--set", "E1", "--n", "0..6",
+            "--order", "7", "--grid", "4"]
+    capped = runner.invoke(main, args + ["--max-stage", "3"])
+    assert capped.exit_code == 3
+    payload = json.loads(capped.output)
+    assert (payload["status"], payload["unresolved"], payload["rows"]) == (
+        "INCONCLUSIVE", ["3", "4", "5", "6"], [])
+    assert runner.invoke(main, args).exit_code == 0
+
+
+def _csv_rows(text: str) -> list[list[str]]:
+    """The table of a --format csv report, without its "# key=value" meta lines."""
+    return list(csv.reader(line for line in text.splitlines() if not line.startswith("#")))
+
+
+@pytest.mark.parametrize("args", [
+    ["products", "scan", "--family", "toy", "--set", "E1", "--k-lo", "1", "--k-hi", "40",
+     "--samples", "3", "--max-stage", "4"],
+    ["limits", "verify", "--family", "toy", "--seq", "h_k", "--poly", "1/2*T^5", "--j",
+     "3..4", "--max-stage", "3", "--pair", "E1|E1"],
+    ["spectral", "suspend", "--family", "toy", "--set", "E1", "--k", "3..5",
+     "--max-stage", "3"],
+    ["acceptance", "--only", "5", "--out", "{tmp}/acceptance.csv"],
+], ids=["products", "limits", "suspend", "acceptance"])
+def test_csv_quotes_cells_that_hold_commas(runner, tmp_path, args):
+    """Intervals "[lo,hi]" and acceptance details hold commas; each row still
+    parses into one field per column."""
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in args] + ["--format", "csv"]
+    result = runner.invoke(main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    text = (tmp_path / "acceptance.csv").read_text() if "--out" in args else result.output
+    header, *rows = _csv_rows(text)
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert any("," in cell for row in rows for cell in row)
 
 
 def test_acceptance_single_criterion(runner):

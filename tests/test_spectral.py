@@ -187,6 +187,19 @@ def test_fejer_rejects_bad_arguments():
         fejer_density(seq, order=0, grid_size=16)
 
 
+def test_fejer_rejects_unresolved_shifts_below_the_order():
+    """An unresolved c(n) is an interval, not zero: below the order it has no
+    place in the sum, above it it does not enter."""
+    t = toy()
+    seq = correlations(LevelSet.base(t, 1), range(7), max_stage=3)
+    assert [n for n, _ in seq.unresolved] == [3, 4, 5, 6]
+    with pytest.raises(ValueError, match=r"^c\(3\) did not resolve exactly"):
+        fejer_density(seq, order=7, grid_size=4)
+    low = fejer_density(seq, order=3, grid_size=4)
+    exact = correlation_sequence(dict(seq.entries))
+    assert low == fejer_density(exact, order=3, grid_size=4)
+
+
 def _fejer_per_theta(c, order, grid_size):
     """The per-theta double loop over the grid and the support, written out."""
     support = [(n, float(c.value(n))) for n in c.support() if n < order]

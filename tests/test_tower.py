@@ -616,6 +616,23 @@ def test_shared_chain_grows_consistently_under_threads():
     assert all(st is chain[k - 1] for k, st in seen)
 
 
+def test_cold_chain_plans_a_shift_above_every_built_stage():
+    """Shifts above every stage built so far make ``Tower._plans`` build the
+    chain one stage at a time to the first h > |n|; the answers are the ones
+    planned again on the built chain, resolved stage included."""
+    # a construction no other test builds, so its chain starts empty here;
+    # h_1 = 2 and h_{j+1} = (j + 4) h_j: 2, 10, 60, 420, 3360, 30240, 302400
+    params = params_from_config(
+        {"h1": 2, "stages": {"r": 4, "spacers": ["zero", "zero", {"rule": "j_times_h"}]}})
+    e2 = LevelSet.base(params, 2)
+    assert len(tower_of(params)._chain) == 2  # built by the set's stage alone
+    shifts = [419, 420, 3359, -3360, 30239, -30240, 30241, 302399]
+    cold = power_profile(e2, e2, shifts)
+    assert [tower_of(params).stage(k).h for k in range(3, 8)] == [60, 420, 3360, 30240, 302400]
+    assert cold == [apply_power_bounds(e2, e2, n) for n in shifts]
+    assert cold[5] == MeasureBound.exactly(Fraction(3, 16), 7)
+
+
 def test_stage_prefix_data_closed_forms():
     # utv1: r = 2 and the second column starts at h_i = (i+1)!
     geoms = [stage_geometry(UTV, j) for j in range(1, 6)]

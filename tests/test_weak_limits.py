@@ -5,9 +5,11 @@ import pytest
 from rank1lab import reports, weak_limits
 from rank1lab.construction import stage_geometry, thm2, toy, utv1
 from rank1lab.joinings import domination_witness
-from rank1lab.tower import LevelSet, Tower, apply_power_bounds, measure
+from rank1lab.products import sample_shifts
+from rank1lab.tower import LevelSet, MeasureBound, Tower, apply_power_bounds, intersect, measure
 from rank1lab.weak_limits import (
     CandidateSequence,
+    MixtureLawRow,
     OperatorPolynomial,
     parse_polynomial,
     parse_sequence,
@@ -215,11 +217,19 @@ def test_scan_window_zero_dead_samples_checks_the_endpoints():
 
 @pytest.mark.parametrize("span", range(0, 61))
 def test_dead_zone_spread_matches_the_sampling_loop(span):
-    for lo in (0, 11):
+    """A dead zone [lo, hi] is sampled at lo, hi and `interior` evenly spread
+    points: ``[lo] + sample_shifts(lo, hi, interior + 1)``, or ``[lo]`` when
+    hi == lo; ``scan_window``'s dead rows are those points."""
+    for lo in (0, 11, 10**12):
         for interior in range(0, 64):
             loop = sorted({lo, lo + span} | {lo + (t * span) // (interior + 1)
                                              for t in range(1, interior + 1)})
-            assert weak_limits._spread(lo, lo + span, interior) == loop
+            spread = [lo] + (sample_shifts(lo, lo + span, interior + 1) if span else [])
+            assert spread == loop
+    report = scan_window(UTV, 4 + span % 3, E2, E2, dead_samples=span)
+    lo, hi = report.dead_zone
+    loop = sorted({lo, hi} | {lo + (t * (hi - lo)) // (span + 1) for t in range(1, span + 1)})
+    assert [n for n, _ in report.dead_rows] == loop
 
 
 def test_scan_window_rejects_sets_too_deep():
@@ -275,6 +285,44 @@ def test_eq4_validates_family_and_range():
         verify_mixture_law(2, 1, 0, TE2, TE2)
     with pytest.raises(ValueError):
         verify_mixture_law(2, 1, 1, E2, E2)  # sets over the wrong construction
+
+
+def _mixture_rows_written_out(N, n, p, a, b, stages, tol, max_stage):
+    """The law's rows from its own formula: ((N-n)/(N+1)) mu(A /\\ B) +
+    (1/(N+1)) mu(T^p A /\\ B) against mu(T^{-n h_j} A /\\ B) (+n h_j for p < 0)."""
+    prediction = (
+        MeasureBound.exactly(intersect(a, b).measure).scaled(Fraction(N - n, N + 1))
+        + apply_power_bounds(a, b, p, max_stage).scaled(Fraction(1, N + 1))
+    )
+    rows = []
+    for j in stages:
+        shift = (-1 if p > 0 else 1) * n * stage_geometry(a.params, j).h
+        value = apply_power_bounds(a, b, shift, max_stage)
+        dev_lo, dev_hi = value.deviation_from(prediction)
+        rows.append(MixtureLawRow(j, shift, value, prediction, dev_lo, dev_hi,
+                                  reports.classify_deviation(dev_lo, dev_hi, tol)))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_mixture_law_matches_its_written_out_formula(N):
+    """The law checked through the limit-check loop gives the same rows as its
+    formula, lo, hi and resolved stage included: n = N drops the T^0 term,
+    p < 0 scans forward powers and stage 1 is accepted when listed."""
+    params = thm2(N)
+    e2 = LevelSet.base(params, 2)
+    pairs = [(e2, e2), (LevelSet.single(params, 2, 1), LevelSet.from_levels(params, 2, [0, 2]))]
+    cases = [(p, None) for p in (1, -1, 2, -2, 3)] + [(1, (1,)), (-1, (1,))]
+    for n in range(1, N + 1):
+        for p, stage_list in cases:
+            for max_stage in (None, 5, 7):
+                for tol in (Fraction(0), Fraction(1, 50)):
+                    for a, b in pairs:
+                        report = verify_mixture_law(N, n, p, a, b, stage_list, 9, tol, max_stage)
+                        assert report.rows == _mixture_rows_written_out(
+                            N, n, p, a, b, report.stages, tol, max_stage)
+                        assert report.stages == (
+                            stage_list or tuple(j for j in block_value_stages(p, 9) if j > 2))
 
 
 def test_eq4_empty_sets_have_zero_deviation():
