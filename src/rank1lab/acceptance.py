@@ -62,7 +62,7 @@ def criterion_1() -> CriterionResult:
     scaled by ``scale[K]`` must be the oracle's (cells hit, cells lost).
     Each source set A costs one oracle pass (``IntervalSystem.orbit_counts``
     over every target and power) and one ``grid_counts`` call, whose
-    recursions share one index of the targets; the two are compared as
+    counts share one index of the targets; the two are compared as
     integer arrays, and the first mismatch is reported in (A, B, n) order.
     Exact-value equality is asserted wherever the orbit fully resolves at
     J = 6 (all of utv1), plus deep toy spot checks where exactness needs

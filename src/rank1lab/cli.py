@@ -574,6 +574,12 @@ def spectral_density(params, set_a, shifts, h_stages, order, grid, max_stage, fm
     """Fejer spectral-density estimate of the correlation sequence; INCONCLUSIVE
     without rows when a shift below the order did not resolve."""
     _, seq = _base_sequence(params, set_a, shifts, h_stages, max_stage)
+    # fejer_density reads a shift it was not given as zero
+    computed = {n for n, _ in seq.entries}.union(n for n, _ in seq.unresolved)
+    missing = next((n for n in range(order) if n not in computed), None)
+    if missing is not None:
+        raise _BadInput(f"--n must cover every shift below --order {format_int(order)}: "
+                        f"{format_int(missing)} is missing")
     unresolved = [format_int(n) for n, _ in seq.unresolved if n < order]
     if unresolved:  # an unresolved c(n) is not zero: no estimate rather than a wrong one
         meta = _meta(params, set=set_a, order=format_int(order), unresolved=unresolved)

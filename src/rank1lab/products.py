@@ -55,13 +55,26 @@ def product_return(
     return left.times(right)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ReturnRow:
     k: int
     left: MeasureBound
     right: MeasureBound | None  # skipped when the left factor is proven zero
     product: MeasureBound
     verdict: str
+
+    def __init__(self, k, left, right, product, verdict):
+        # a scan builds one row per (rectangle, shift): the slot descriptors
+        # store the fields without the frozen __setattr__ guard
+        _set_k(self, k)
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_product(self, product)
+        _set_verdict(self, verdict)
+
+
+_set_k, _set_left, _set_right, _set_product, _set_verdict = (
+    ReturnRow.__dict__[name].__set__ for name in ("k", "left", "right", "product", "verdict"))
 
 
 @dataclass(frozen=True)

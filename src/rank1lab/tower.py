@@ -37,11 +37,11 @@ stage K.  The tower is looked up and ``RANK1_MAX_STAGE`` read once per grid;
 the shifts are planned once per common stage j0, with one budget per start
 stage, and every set is refined to j0 once.  The queries are grouped by
 source set (A for n >= 0, B for n < 0): K and the overflow depend on the
-source alone, and ``Tower.pair_counts``, the only counting recursion, runs
-one frontier per (source, j0, |n|, K).  Each source group indexes its
-targets once (``TargetIndex``: level -> targets, and their span), and every
-recursion of the group prunes to that span and reads every target's count
-in one walk of its final frontier.
+source alone.  Each source group indexes its targets once (``TargetIndex``:
+the distinct differences a - b of a source level a and a target level b,
+and how many pairs of each target have each), and ``Tower.pair_counts``
+reads N_{j0,K}(|n + a - b|) from the tower's pair-count table once per
+difference within reach.
 ``power_grid`` is the rational view of those rows, with equal triples
 sharing one bound; ``power_profile`` is its one-pair case and
 ``apply_power_bounds`` the one-shift case of that.
@@ -50,12 +50,20 @@ The public functions are pure.  The kernel's stage table is the geometry
 chain of the construction (``construction.stage_chain``): each
 ``StageGeometry`` carries the prefix data the kernel reads (``copies``,
 ``top``) and its offset differences.  The one ``Tower`` per construction
-reads that chain and owns only the self-return memo of product scans: one
-inner dict per (A's stage, A's levels, ``max_stage``, ``RANK1_MAX_STAGE``),
-keyed on |n|.  Those are the inputs of the stage budget, which fix the
-budget for one construction, so a hit is one int-keyed lookup and plans
-nothing.  ``Tower.self_returns`` answers a list of sets at once and fills
-every miss with one ``grid_counts`` over the distinct sets.
+reads that chain and owns two memos.  The pair-count table holds
+N_{j0,k}(m) under (j0, k) and |m| (N is even in m, since swapping o and o'
+negates m).  It is filled on demand by the digit recursion and its prune
+|m - d| <= stage(k-1).top - stage(j0).top, in two passes without Python
+recursion, so a walk of a thousand stages needs no deep stack.  An entry
+never changes and lives as long as the tower, that is, the process; the
+table at (j0, k) holds at most top_k - top_j0 + 1 entries, and only those
+some query reached through the pruned recursion.  The self-return memo of
+product scans holds one inner dict per (A's stage, A's levels,
+``max_stage``, ``RANK1_MAX_STAGE``), keyed on |n|.  Those are the inputs of
+the stage budget, which fix the budget for one construction, so a hit is
+one int-keyed lookup and plans nothing.  ``Tower.self_returns`` answers a
+list of sets at once and fills every miss with one ``grid_counts`` over the
+distinct sets.
 """
 
 from __future__ import annotations
@@ -64,12 +72,15 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 from typing import Iterable, Sequence
 
 from .construction import ConstructionParams, StageGeometry, stage_chain, stage_geometry
 
 DEFAULT_EXTRA_STAGES = 8
 _MAX_STAGE_ENV = "RANK1_MAX_STAGE"
+_NO_TABLE: dict[int, int] = {}  # read, never written: a (j0, K) not yet tabled
 
 
 @dataclass(frozen=True)
@@ -182,24 +193,41 @@ def measure(a: LevelSet) -> Fraction:
 
 
 class TargetIndex:
-    """The stage-j0 levels of a list of target sets, indexed once for
-    ``Tower.pair_counts``: ``holders`` maps a level to the positions of the
-    targets that hold it, and ``[low, high]`` spans every target's levels."""
+    """The stage-j0 levels of a list of target sets (``targets``), indexed
+    once for ``Tower.pair_counts``.  A level pair (s, b) of a source and a
+    target counts by its difference s - b alone, so the index keeps, per
+    source, the distinct differences and how many pairs of each target have
+    each: built on the source's first count and read at every shift."""
 
-    __slots__ = ("size", "holders", "low", "high")
+    __slots__ = ("size", "targets", "_by_source")
 
     def __init__(self, targets: Sequence[tuple[int, ...]]):
         self.size = len(targets)
-        self.holders: dict[int, list[int]] = {}
-        for t, levels in enumerate(targets):
-            for y in levels:
-                held = self.holders.get(y)
-                if held is None:
-                    self.holders[y] = [t]
-                else:
-                    held.append(t)
-        self.low = min(self.holders, default=0)
-        self.high = max(self.holders, default=0)
+        self.targets = targets
+        self._by_source: dict[tuple[int, ...], tuple[list, list, list]] = {}
+
+    def differences(
+        self, src: tuple[int, ...]
+    ) -> tuple[list[int], list[int], list[tuple[tuple[int, int], ...]]]:
+        """The distinct differences d = s - b of a level s of ``src`` and a
+        level b of a target, in order; the number of such pairs for each d;
+        and the (target, pairs) each d splits into."""
+        found = self._by_source.get(src)
+        if found is None:
+            split: dict[int, dict[int, int]] = {}  # d -> {target: pairs}
+            for t, levels in enumerate(self.targets):
+                for x in src:
+                    for y in levels:
+                        held = split.get(x - y)
+                        if held is None:
+                            split[x - y] = {t: 1}
+                        else:
+                            held[t] = held.get(t, 0) + 1
+            ds = sorted(split)
+            owners = [tuple(split[d].items()) for d in ds]
+            found = self._by_source[src] = (
+                ds, [sum(pairs for _, pairs in held) for held in owners], owners)
+        return found
 
 
 class Tower:
@@ -208,16 +236,21 @@ class Tower:
     Offset sums of stages j0..k-1 form the set O_{j0,k}; its largest element
     is ``stage(k).top - stage(j0).top`` and it has
     ``stage(k).copies // stage(j0).copies`` elements.  The stage table is the
-    chain ``stage_geometry`` builds; the one memo of its own is the
-    self-return memo ``_returns``: for each (A's stage, A's levels,
-    ``max_stage``, ``RANK1_MAX_STAGE``) a dict from |n| to the bound.  The
-    outer key holds the inputs of the stage budget other than |n|, so the
-    memo follows both caps and a hit does no planning.
+    chain ``stage_geometry`` builds.  The tower owns two memos, both kept for
+    its lifetime.  ``_pairs`` is the pair-count table: for each (j0, k) a
+    dict from |m| to N_{j0,k}(m) = #{(o, o') in O_{j0,k}^2 : o' - o = m},
+    filled by ``_pair_table``.  ``_returns`` is the self-return memo: for
+    each (A's stage, A's levels, ``max_stage``, ``RANK1_MAX_STAGE``) a dict
+    from |n| to the bound.  Its outer key holds the inputs of the stage
+    budget other than |n|, so the memo follows both caps and a hit does no
+    planning.
     """
 
     def __init__(self, params: ConstructionParams):
         self.params = params
         self._chain = stage_chain(params)
+        # (j0, k) -> {|m|: N_{j0,k}(m)}
+        self._pairs: dict[tuple[int, int], dict[int, int]] = {}
         # (A's stage, A's levels, max_stage, RANK1_MAX_STAGE) -> {|n|: bound}
         self._returns: dict[tuple, dict[int, MeasureBound]] = {}
 
@@ -247,44 +280,87 @@ class Tower:
         ``targets``, for K >= j0, given the levels of the source S and the
         index of every B's levels at stage j0.
 
-        For one B this is sum_{s,b} N_K(n + s - b) over the levels s of S and
-        b of B at stage j0: a level pair of stage K is (s + o, b + o') with
-        o, o' in O_{j0,K}.  The recursion runs top-down on
-        v = n + s - (o' - o), peeling one stage's offset difference d at a
-        time with its multiplicity; the pair counts when v ends on a level of
-        B.  The frontier never reads B, so one recursion serves every target:
-        it prunes only the values that end outside the span of all targets,
-        and the final frontier is walked once, each value adding its weight
-        to every target that holds it.
+        For one B this is sum_{s,b} N_{j0,K}(n + s - b) over the levels s of S
+        and b of B at stage j0: a level pair of stage K is (s + o, b + o')
+        with o, o' in O_{j0,K}.  The term depends on s - b alone, so each
+        distinct difference d of ``targets.differences`` adds
+        N_{j0,K}(|n + d|) once for each pair of each target having it.
+        N_{j0,K}(m) is 0 once |m| exceeds the largest element of O_{j0,K},
+        so only the differences within that reach of -n are read.  The
+        values come from the tower's pair-count table, keyed on (j0, K) and
+        |m| and kept for the tower's lifetime, so a value any earlier shift,
+        set or call reached is read, not recounted; ``_pair_table`` fills
+        the missing ones.
         """
         counts = [0] * targets.size
-        if not src_levels or not targets.holders:
+        chain = self._chain
+        if K > len(chain):
+            self.stage(K)
+        reach = chain[K - 1].top - chain[j0 - 1].top
+        differences, pairs, owners = targets.differences(src_levels)
+        # the differences d = s - b with |n + d| <= reach
+        i, e = bisect_left(differences, -reach - n), bisect_right(differences, reach - n)
+        if i == e:
             return counts
-        low, high = targets.low, targets.high
-        self.stage(K)  # builds the chain through stage K
+        keys = list(map(abs, map(n.__add__, differences[i:e])))
+        try:
+            weights = list(map(self._pairs.get((j0, K), _NO_TABLE).__getitem__, keys))
+        except KeyError:
+            weights = list(map(self._pair_table(j0, K, keys).__getitem__, keys))
+        if targets.size == 1:
+            counts[0] = sum(map(mul, weights, pairs[i:e]))
+            return counts
+        for weight, held in zip(compress(weights, weights), compress(owners[i:e], weights)):
+            for t, count in held:
+                counts[t] += weight * count
+        return counts
+
+    def _pair_table(self, j0: int, K: int, wanted: list[int]) -> dict[int, int]:
+        """The table of N_{j0,K}, holding every |m| of ``wanted`` (each at most
+        the largest element of O_{j0,K}).
+
+        A missing entry is filled by the digit recursion
+        N_{j0,k}(m) = sum_d mult_{k-1}(d) N_{j0,k-1}(|m - d|), pruned to
+        |m - d| <= stage(k-1).top - stage(j0).top, with N_{j0,j0}(m) = [m == 0].
+        The fill runs in two passes and no Python recursion, so its depth is
+        not bounded by the interpreter's: top-down it records every missing
+        entry with its (mult, |m - d|) terms, stage by stage until every term
+        is in the table, then bottom-up it sums the recorded terms.
+        """
+        tables = self._pairs
+        table = tables.get((j0, K))
+        if table is None:
+            table = tables.setdefault((j0, K), {0: 1} if K == j0 else {})
+        missing = {m for m in wanted if m not in table}
         chain = self._chain
         base = chain[j0 - 1].top
-        frontier = {n + x: 1 for x in src_levels}
-        for k in range(K - 1, j0 - 1, -1):
-            st = chain[k - 1]
-            reach = st.top - base  # the offset sums still to peel differ by at most this
+        recorded = []  # top-down: (table at k, table at k - 1, [(m, terms)])
+        k, above = K, table
+        # this ends by stage j0 + 1, whose pruned terms reach only |m| = 0, the
+        # one entry of the table at j0
+        while missing:
+            st = chain[k - 2]
+            reach = st.top - base  # the largest element of O_{j0,k-1}
             diffs, mults = st.offset_differences
-            step: dict[int, int] = {}
-            for v, weight in frontier.items():
-                for i in range(bisect_left(diffs, v - high - reach),
-                               bisect_right(diffs, v - low + reach)):
-                    rest = v - diffs[i]
-                    step[rest] = step.get(rest, 0) + weight * mults[i]
-            if not step:
-                return counts
-            frontier = step
-        holders = targets.holders
-        for v, weight in frontier.items():
-            held = holders.get(v)
-            if held is not None:
-                for t in held:
-                    counts[t] += weight
-        return counts
+            below = tables.get((j0, k - 1))
+            if below is None:
+                below = tables.setdefault((j0, k - 1), {0: 1} if k - 1 == j0 else {})
+            nodes = []
+            deeper = set()
+            for m in missing:
+                terms = []
+                for i in range(bisect_left(diffs, m - reach), bisect_right(diffs, m + reach)):
+                    rest = abs(m - diffs[i])
+                    terms.append((mults[i], rest))
+                    if rest not in below:
+                        deeper.add(rest)
+                nodes.append((m, terms))
+            recorded.append((above, below, nodes))
+            missing, k, above = deeper, k - 1, below
+        for above, below, nodes in reversed(recorded):
+            for m, terms in nodes:
+                above[m] = sum(mult * below[rest] for mult, rest in terms)
+        return table
 
     def _count_at_least(self, j0: int, K: int, t: int) -> int:
         """#{o in O_{j0,K} : o >= t}.
@@ -313,12 +389,13 @@ class Tower:
         the environment cap ``cap``.  Only the signs that occur get a list."""
         budgets: dict[int, int] = {}  # by start stage
         plans: dict[bool, list[tuple[int, int, int, int]]] = {}
-        # heights increase, so the stages built so far locate the first h > |n|
+        # heights increase, so the stages built so far locate the first h > |n|;
+        # only a shift above all of them builds more
         heights = [st.h for st in self._chain]
         for col, n in enumerate(shifts):
             backward, m = n < 0, abs(n)
             start = max(j0, bisect_right(heights, m) + 1)
-            while self.stage(start).h <= m:
+            while start > len(heights) and self.stage(start).h <= m:
                 start += 1
             budget = budgets.get(start)
             if budget is None:
@@ -346,7 +423,7 @@ class Tower:
         for n >= 0 and B for n < 0 (mu(T^n A /\\ B) = mu(T^{-n} B /\\ A)).
         Its resolved stage K and overflow depend on the source alone, so the
         pairs that share a source and j0 share one ``TargetIndex``, one
-        overflow count and one ``pair_counts`` recursion per shift, and each
+        overflow count and one ``pair_counts`` call per shift, and each
         (pair, shift) costs one store into its row.
         """
         shifts = list(shifts)
@@ -361,6 +438,7 @@ class Tower:
                 by_j0[j0].append(i)
             else:
                 by_j0[j0] = [i]
+        chain = self._chain
         for j0, members in by_j0.items():
             base = self.stage(j0).top
             refined: dict[tuple, tuple[int, ...]] = {}  # (stage, levels) -> levels at j0
@@ -382,7 +460,7 @@ class Tower:
                 for src, (targets, sharing) in groups.items():
                     index = TargetIndex(targets)
                     for col, n, K, budget in plans:
-                        st = self.stage(K)
+                        st = chain[K - 1]  # planning built the start stage
                         overflow = 0
                         if src:
                             # the top level of the source at stage K is
@@ -431,7 +509,7 @@ class Tower:
         distinct sets and the missing |n| fills every miss, so equal triples
         share one bound across sets."""
         cap = env_stage_cap()
-        steps = [abs(n) for n in shifts]
+        steps = list(map(abs, shifts))
         keys = [(a.stage, a.levels, max_stage, cap) for a in sets]
         memos: dict[tuple, tuple[LevelSet, dict[int, MeasureBound]]] = {}
         for a, key in zip(sets, keys):

@@ -92,9 +92,9 @@ def test_criterion_1_catches_an_oracle_off_by_one_hit(monkeypatch):
     assert result.detail.startswith("mismatch at") and result.detail.endswith("n=5")
 
 
-@pytest.mark.parametrize("number,recursions,plannings", [(1, 5341, 61), (7, 900, 5)])
-def test_grid_criteria_count_each_source_once(monkeypatch, number, recursions, plannings):
-    """Criteria 1 and 7 run one recursion per (source, j0, shift) and plan
+@pytest.mark.parametrize("number,counts,plannings", [(1, 5341, 61), (7, 900, 5)])
+def test_grid_criteria_count_each_source_once(monkeypatch, number, counts, plannings):
+    """Criteria 1 and 7 make one count per (source, j0, shift) and plan
     once per (grid, j0), not once per (A, B) pair."""
     calls = {"pair_counts": 0, "_plans": 0}
 
@@ -110,7 +110,7 @@ def test_grid_criteria_count_each_source_once(monkeypatch, number, recursions, p
         monkeypatch.setattr(tower.Tower, name, counted(name))
     (result,) = acceptance.run_all([number])
     assert result.passed, result.detail
-    assert calls == {"pair_counts": recursions, "_plans": plannings}
+    assert calls == {"pair_counts": counts, "_plans": plannings}
 
 
 def test_criterion_2_halving():
@@ -183,7 +183,7 @@ def test_criterion_6_tail_holds_from_stage_six():
 def test_criterion_6_scans_each_stage_in_one_grid(monkeypatch):
     """One dissipativity grid per stage over all 81 rectangles: the
     self-returns of the distinct sides fill in 12 kernel grids (60 with one
-    scan per rectangle), and the recursions stay the same."""
+    scan per rectangle), and the counts stay the same."""
     monkeypatch.setattr(tower, "_towers", {})  # a fresh self-return memo
     calls = {"dissipativity_grid": 0, "grid_counts": 0, "pair_counts": 0}
 

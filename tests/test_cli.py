@@ -279,6 +279,32 @@ def test_density_with_unresolved_correlations_is_inconclusive(runner):
     assert runner.invoke(main, args).exit_code == 0
 
 
+def test_density_rejects_orders_its_shifts_do_not_cover(runner):
+    """fejer_density reads a shift it was not given as zero, so an order past
+    the computed shifts would print a wrong estimate with exit 0."""
+    args = ["spectral", "density", "--family", "utv1", "--order", "25", "--grid", "4"]
+    short = runner.invoke(main, args + ["--n", "0..4"])
+    assert short.exit_code == 2
+    assert short.output == (
+        "Error: --n must cover every shift below --order 25: 5 is missing\n")
+    # a gap is named even where the computed shifts below it are unresolved
+    gap = runner.invoke(main, ["spectral", "density", "--family", "toy", "--set", "E1",
+                               "--n", "0..3,5", "--order", "7", "--max-stage", "3"])
+    assert gap.exit_code == 2
+    assert "4 is missing" in gap.output
+    assert runner.invoke(main, args + ["--n", "0..24"]).exit_code == 0
+
+
+def test_thousand_stage_measure_exits_inconclusive(runner):
+    """A shift near 2^1050 walks toy to stage 1059 and stays unresolved there:
+    INCONCLUSIVE, not a recursion error read as a usage error."""
+    result = runner.invoke(main, ["measure", "--family", "toy", "--set", "stage=2; levels=0",
+                                  "--n", str(2**1050 + 5)])
+    assert result.exit_code == 3
+    (row,) = json.loads(result.output)["rows"]
+    assert (row["lo"], row["resolved_stage"], row["exact"]) == ("17/256", 1059, False)
+
+
 def _csv_rows(text: str) -> list[list[str]]:
     """The table of a --format csv report, without its "# key=value" meta lines."""
     return list(csv.reader(line for line in text.splitlines() if not line.startswith("#")))

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ from rank1lab.products import (
     PROVEN_ZERO,
     UNRESOLVED,
     ProductSystem,
+    ReturnRow,
     dissipativity_grid,
     dissipativity_scan,
     product_return,
@@ -453,3 +457,27 @@ def test_multi_set_self_returns_equal_per_set_calls(monkeypatch):
     assert [list(reversed(row)) for row in again] == grid
     assert all(x is y for row, other in zip(again, grid)
                for x, y in zip(reversed(row), other))  # hits keep their objects
+
+
+def test_return_row_is_a_frozen_dataclass():
+    """The slotted row with its own __init__ keeps the frozen-dataclass
+    contract: fields, equality, hashing, repr, replace, pickle and deepcopy."""
+    report = dissipativity_scan(ProductSystem(UTV, 1, UTV, 1), E2, E2, 1, 30)
+    row = next(r for r in report.rows if r.right is not None)
+    assert [f.name for f in dataclasses.fields(ReturnRow)] == [
+        "k", "left", "right", "product", "verdict"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.k = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.verdict = NONZERO
+    same = ReturnRow(row.k, row.left, row.right, row.product, row.verdict)
+    assert same == row and hash(same) == hash(row)
+    assert same != dataclasses.replace(row, k=row.k + 1)
+    assert dataclasses.replace(row, right=None).right is None
+    assert repr(row) == (f"ReturnRow(k={row.k!r}, left={row.left!r}, right={row.right!r}, "
+                         f"product={row.product!r}, verdict={row.verdict!r})")
+    assert not hasattr(row, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(row)), copy.deepcopy(row)):
+        assert twin == row and twin is not row and hash(twin) == hash(row)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            twin.k = 0

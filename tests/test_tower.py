@@ -551,6 +551,107 @@ def test_negative_query_enters_apply_power_bounds_once(monkeypatch):
     assert bound == original(b, a, 121)
 
 
+def _frontier_pair_counts(tower, src_levels, targets, j0, n, K):
+    """Reference for ``Tower.pair_counts`` that keeps no table: the digit
+    recursion walked top-down as one frontier of values v = n + s - (o' - o)
+    per call, each peeled stage pruned to the span of every target's levels,
+    and the final frontier read against the targets' holders."""
+    counts = [0] * targets.size
+    holders = {}
+    for t, levels in enumerate(targets.targets):
+        for y in levels:
+            holders.setdefault(y, []).append(t)
+    if not src_levels or not holders:
+        return counts
+    low, high = min(holders), max(holders)
+    base = tower.stage(j0).top
+    frontier = {n + x: 1 for x in src_levels}
+    for k in range(K - 1, j0 - 1, -1):
+        st = tower.stage(k)
+        reach = st.top - base
+        diffs, mults = st.offset_differences
+        step = {}
+        for v, weight in frontier.items():
+            for d, mult in zip(diffs, mults):
+                if v - high - reach <= d <= v - low + reach:
+                    step[v - d] = step.get(v - d, 0) + weight * mult
+        frontier = step
+    for v, weight in frontier.items():
+        for t in holders.get(v, ()):
+            counts[t] += weight
+    return counts
+
+
+@st.composite
+def _kernel_queries(draw):
+    params = draw(_constructions)
+
+    def level_set():
+        stage = draw(st.integers(1, 3))
+        h = stage_geometry(params, stage).h
+        return LevelSet.from_levels(params, stage, draw(st.lists(st.integers(0, h - 1),
+                                                                  max_size=4)))
+
+    pool = [level_set() for _ in range(draw(st.integers(1, 3)))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+                          min_size=1, max_size=5))
+    reach = stage_geometry(params, draw(st.integers(2, 6))).h
+    shifts = draw(st.lists(st.integers(-reach, reach), min_size=1, max_size=10))
+    return pairs, shifts, draw(st.sampled_from([None, 4, 6, 9])), draw(st.integers(0, 3))
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_kernel_queries())
+def test_pair_table_matches_the_frontier_walk(monkeypatch, query):
+    """Counts read from the pair-count table equal the tableless frontier
+    walk's: ``grid_counts`` triples on a fresh tower (random constructions,
+    sets at stages 1-3, negative shifts, stage budgets) and ``partial_joining``
+    values at stages j0..j0+3."""
+    pairs, shifts, max_stage, extra = query
+    monkeypatch.delenv("RANK1_MAX_STAGE", raising=False)
+    params = pairs[0][0].params
+    joinings = [(a, b, k, j) for a, b in pairs
+                for j in [max(a.stage, b.stage) + extra]
+                for k in shifts if abs(k) <= stage_geometry(params, j).h]
+    triples = tower_module.Tower(params).grid_counts(pairs, shifts, max_stage)
+    values = [partial_joining(*args) for args in joinings]
+    with monkeypatch.context() as patched:
+        patched.setattr(tower_module.Tower, "pair_counts", _frontier_pair_counts)
+        assert tower_module.Tower(params).grid_counts(pairs, shifts, max_stage) == triples
+        assert [partial_joining(*args) for args in joinings] == values
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_kernel_queries())
+def test_pair_table_does_not_depend_on_query_order(monkeypatch, query):
+    """Two fresh towers fill their tables in opposite orders, shift by shift
+    and pair by pair, and give the same triples as one grid call."""
+    pairs, shifts, max_stage, _ = query
+    monkeypatch.delenv("RANK1_MAX_STAGE", raising=False)
+    params = pairs[0][0].params
+    forward, backward = tower_module.Tower(params), tower_module.Tower(params)
+    one_by_one = [[forward.grid_counts([pair], [n], max_stage)[0][0] for n in shifts]
+                  for pair in pairs]
+    reversed_grid = backward.grid_counts(pairs[::-1], shifts[::-1], max_stage)
+    assert one_by_one == [row[::-1] for row in reversed_grid[::-1]]
+    assert one_by_one == tower_module.Tower(params).grid_counts(pairs, shifts, max_stage)
+
+
+def test_thousand_stage_walk_needs_no_recursion():
+    """A shift near 2^1050 walks the toy tower to stage 1059; the pair-count
+    table fills its entries without Python recursion, so the interpreter's
+    recursion limit does not bound the depth."""
+    assert sys.getrecursionlimit() < 1059  # a recursion per stage would overflow
+    e = LevelSet.single(TOY, 2, 0)
+    bound = apply_power_bounds(e, e, 2**1050 + 5)
+    assert bound.resolved_stage == 1059
+    assert bound.lo == Fraction(17, 256)
+    # 1/1024 less one stage-1059 level (w = 2^-1058)
+    assert bound.hi - bound.lo == Fraction(1, 1024) - Fraction(1, 2**1058)
+
+
 @pytest.mark.parametrize("level", [1, 3, 5])
 def test_utv1_closed_forms_far_beyond_enumeration(level):
     a = LevelSet.single(UTV, 2, level)
