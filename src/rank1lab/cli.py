@@ -9,9 +9,9 @@ Rejected input is decided in one place.  The library rejects input with
 ``ValueError`` (``InvalidConstructionError`` for constructions, sometimes only
 at the stage that breaks one), and ``_Main.invoke`` turns every such error into
 a one-line ``Error:`` and exit 2; an unwritable ``--out``, a negative ``--tol``
-or ``--eps``, a ``--grid`` below 1, a ``limits scan --j`` that opens no dead
-zone, and a request that runs out of memory or hits the recursion limit exit 2
-the same way, so a crash never reads as FAIL.
+or ``--eps``, a ``--grid`` or ``--max-stage`` below 1, a ``limits scan --j``
+that opens no dead zone, and a request that runs out of memory or hits the
+recursion limit exit 2 the same way, so a crash never reads as FAIL.
 ``_with_construction`` hands each command its parsed construction as
 ``params``, and ``_emit`` writes the report and exits with its status.
 ``run`` re-enters ``main`` with its experiment's subcommand path and one
@@ -219,7 +219,15 @@ def _with_construction(fn):
 _format_option = click.option("--format", "fmt", default="json",
                               type=click.Choice(["json", "csv"]))
 _out_option = click.option("--out", default=None, type=click.Path())
-_max_stage_option = click.option("--max-stage", default=None, type=int,
+
+
+def _stage_cap(ctx, param, value):
+    if value is not None and value < 1:
+        raise _BadInput(f"--max-stage must be >= 1, got {value}")
+    return value
+
+
+_max_stage_option = click.option("--max-stage", default=None, type=int, callback=_stage_cap,
                                  help="absolute resolution stage cap")
 
 

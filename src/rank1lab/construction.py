@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -224,10 +223,6 @@ class StageGeometry:
         return diffs, tuple(mult[d] for d in diffs)
 
 
-_geometry_cache: dict[ConstructionParams, list[StageGeometry]] = {}
-_geometry_lock = threading.Lock()
-
-
 def _build_stage(params: ConstructionParams, below: StageGeometry | None) -> StageGeometry:
     if below is None:
         j, h, width, copies, top = 1, params.h1, params.base_width, 1, 0
@@ -251,22 +246,10 @@ def _build_stage(params: ConstructionParams, below: StageGeometry | None) -> Sta
     )
 
 
-def stage_chain(params: ConstructionParams) -> list[StageGeometry]:
-    """The live list of stages 1, 2, ... built so far.  ``stage_geometry``
-    only appends to it, so a reader may index it without the lock."""
-    with _geometry_lock:
-        return _geometry_cache.setdefault(params, [])
-
-
 def stage_geometry(params: ConstructionParams, j: int) -> StageGeometry:
-    """Geometry of stage j >= 1.  Memoized per construction; observationally pure."""
-    if j < 1:
-        raise ValueError("stage index must be >= 1")
-    with _geometry_lock:
-        chain = _geometry_cache.setdefault(params, [])
-        while len(chain) < j:
-            chain.append(_build_stage(params, chain[-1] if chain else None))
-        return chain[j - 1]
+    """Geometry of stage j >= 1: ``tower_of(params).stage(j)``, read off the
+    one stage chain the construction's ``Tower`` builds and keeps."""
+    return tower_of(params).stage(j)
 
 
 def height(params: ConstructionParams, j: int) -> int:
@@ -546,3 +529,6 @@ def params_to_config(params: ConstructionParams) -> dict:
             "spacers": [_spacer_rule_to_config(rule) for rule in params.spacer_tail],
         },
     }
+
+
+from .tower import tower_of  # noqa: E402  (last: tower imports the names above)

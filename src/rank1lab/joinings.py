@@ -34,8 +34,6 @@ def partial_joining(a: LevelSet, b: LevelSet, k: int, j: int) -> MeasureBound:
     """Stage-j partial joining Delta^k_j(A x B); exact by construction."""
     if a.params != b.params:
         raise ValueError("level sets belong to different constructions")
-    if j < 1:
-        raise ValueError("stage index must be >= 1")  # Tower.stage(0) reads the last stage
     tower = tower_of(a.params)
     geom = tower.stage(j)
     if abs(k) > geom.h:
@@ -43,8 +41,8 @@ def partial_joining(a: LevelSet, b: LevelSet, k: int, j: int) -> MeasureBound:
     j0 = max(a.stage, b.stage)
     if j0 > j:
         raise ValueError("sets are not representable at the requested stage")
-    (count,) = tower.pair_counts(
-        tower.refined_levels(a, j0), TargetIndex([tower.refined_levels(b, j0)]), j0, k, j)
+    index = TargetIndex(tower.refined_levels(a, j0), [tower.refined_levels(b, j0)])
+    (count,) = tower.pair_counts(index, j0, k, j)
     width = geom.level_width
     value = Fraction(count * width.numerator, width.denominator)
     return MeasureBound(value, value, j)

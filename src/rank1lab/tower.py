@@ -46,18 +46,18 @@ difference within reach.
 sharing one bound; ``power_profile`` is its one-pair case and
 ``apply_power_bounds`` the one-shift case of that.
 
-The public functions are pure.  The kernel's stage table is the geometry
-chain of the construction (``construction.stage_chain``): each
-``StageGeometry`` carries the prefix data the kernel reads (``copies``,
-``top``) and its offset differences.  The one ``Tower`` per construction
-reads that chain and owns two memos.  The pair-count table holds
+The public functions are pure.  The one ``Tower`` per construction owns
+its state: the stage chain, which ``construction.stage_geometry`` reads,
+where each ``StageGeometry`` carries the prefix data the kernel reads
+(``copies``, ``top``) and its offset differences; and two memos, which
+``Tower.reset()`` empties while the chain stays.  The pair-count table holds
 N_{j0,k}(m) under (j0, k) and |m| (N is even in m, since swapping o and o'
 negates m).  It is filled on demand by the digit recursion and its prune
 |m - d| <= stage(k-1).top - stage(j0).top, in two passes without Python
 recursion, so a walk of a thousand stages needs no deep stack.  An entry
-never changes and lives as long as the tower, that is, the process; the
-table at (j0, k) holds at most top_k - top_j0 + 1 entries, and only those
-some query reached through the pruned recursion.  The self-return memo of
+never changes and lives until ``Tower.reset()``; the table at (j0, k)
+holds at most top_k - top_j0 + 1 entries, and only those some query
+reached through the pruned recursion.  The self-return memo of
 product scans holds one inner dict per (A's stage, A's levels,
 ``max_stage``, ``RANK1_MAX_STAGE``), keyed on |n|.  Those are the inputs of
 the stage budget, which fix the budget for one construction, so a hit is
@@ -69,6 +69,7 @@ distinct sets.
 from __future__ import annotations
 
 import os
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,7 +77,7 @@ from itertools import compress
 from operator import mul
 from typing import Iterable, Sequence
 
-from .construction import ConstructionParams, StageGeometry, stage_chain, stage_geometry
+from .construction import ConstructionParams, StageGeometry, _build_stage, stage_geometry
 
 DEFAULT_EXTRA_STAGES = 8
 _MAX_STAGE_ENV = "RANK1_MAX_STAGE"
@@ -193,51 +194,37 @@ def measure(a: LevelSet) -> Fraction:
 
 
 class TargetIndex:
-    """The stage-j0 levels of a list of target sets (``targets``), indexed
-    once for ``Tower.pair_counts``.  A level pair (s, b) of a source and a
-    target counts by its difference s - b alone, so the index keeps, per
-    source, the distinct differences and how many pairs of each target have
-    each: built on the source's first count and read at every shift."""
+    """The stage-j0 levels of one source set against a list of target sets,
+    indexed once for ``Tower.pair_counts``.  A level pair (s, b) counts by
+    s - b alone, so the index keeps the distinct d = s - b in order, the
+    number of pairs for each d, and the (target, pairs) each d splits into."""
 
-    __slots__ = ("size", "targets", "_by_source")
+    __slots__ = ("source", "targets", "size", "differences", "pairs", "owners")
 
-    def __init__(self, targets: Sequence[tuple[int, ...]]):
-        self.size = len(targets)
-        self.targets = targets
-        self._by_source: dict[tuple[int, ...], tuple[list, list, list]] = {}
-
-    def differences(
-        self, src: tuple[int, ...]
-    ) -> tuple[list[int], list[int], list[tuple[tuple[int, int], ...]]]:
-        """The distinct differences d = s - b of a level s of ``src`` and a
-        level b of a target, in order; the number of such pairs for each d;
-        and the (target, pairs) each d splits into."""
-        found = self._by_source.get(src)
-        if found is None:
-            split: dict[int, dict[int, int]] = {}  # d -> {target: pairs}
-            for t, levels in enumerate(self.targets):
-                for x in src:
-                    for y in levels:
-                        held = split.get(x - y)
-                        if held is None:
-                            split[x - y] = {t: 1}
-                        else:
-                            held[t] = held.get(t, 0) + 1
-            ds = sorted(split)
-            owners = [tuple(split[d].items()) for d in ds]
-            found = self._by_source[src] = (
-                ds, [sum(pairs for _, pairs in held) for held in owners], owners)
-        return found
+    def __init__(self, source: tuple[int, ...], targets: Sequence[tuple[int, ...]]):
+        self.source, self.targets, self.size = source, targets, len(targets)
+        split: dict[int, dict[int, int]] = {}  # d -> {target: pairs}
+        for t, levels in enumerate(targets):
+            for x in source:
+                for y in levels:
+                    held = split.get(x - y)
+                    if held is None:
+                        split[x - y] = {t: 1}
+                    else:
+                        held[t] = held.get(t, 0) + 1
+        self.differences = sorted(split)
+        self.owners = [tuple(split[d].items()) for d in self.differences]
+        self.pairs = [sum(pairs for _, pairs in held) for held in self.owners]
 
 
 class Tower:
-    """The kernel of one construction, read off its geometry chain.
+    """The kernel of one construction, and the owner of its stage chain.
 
     Offset sums of stages j0..k-1 form the set O_{j0,k}; its largest element
     is ``stage(k).top - stage(j0).top`` and it has
-    ``stage(k).copies // stage(j0).copies`` elements.  The stage table is the
-    chain ``stage_geometry`` builds.  The tower owns two memos, both kept for
-    its lifetime.  ``_pairs`` is the pair-count table: for each (j0, k) a
+    ``stage(k).copies // stage(j0).copies`` elements.  The stage table is
+    ``_chain``, which ``stage`` builds.  The tower owns two memos, both kept
+    until ``reset``.  ``_pairs`` is the pair-count table: for each (j0, k) a
     dict from |m| to N_{j0,k}(m) = #{(o, o') in O_{j0,k}^2 : o' - o = m},
     filled by ``_pair_table``.  ``_returns`` is the self-return memo: for
     each (A's stage, A's levels, ``max_stage``, ``RANK1_MAX_STAGE``) a dict
@@ -248,16 +235,31 @@ class Tower:
 
     def __init__(self, params: ConstructionParams):
         self.params = params
-        self._chain = stage_chain(params)
+        self._chain: list[StageGeometry] = []
+        self._grow = threading.Lock()
         # (j0, k) -> {|m|: N_{j0,k}(m)}
         self._pairs: dict[tuple[int, int], dict[int, int]] = {}
         # (A's stage, A's levels, max_stage, RANK1_MAX_STAGE) -> {|n|: bound}
         self._returns: dict[tuple, dict[int, MeasureBound]] = {}
 
     def stage(self, k: int) -> StageGeometry:
-        if k > len(self._chain):
-            stage_geometry(self.params, k)
-        return self._chain[k - 1]
+        """Stage k >= 1, built on first use.  The chain only grows, under
+        ``_grow``, so a stage already built is read without the lock."""
+        chain = self._chain
+        if 0 < k <= len(chain):
+            return chain[k - 1]
+        if k < 1:
+            raise ValueError("stage index must be >= 1")
+        with self._grow:
+            while len(chain) < k:
+                chain.append(_build_stage(self.params, chain[-1] if chain else None))
+        return chain[k - 1]
+
+    def reset(self):
+        """Empty both memos.  The stage chain stays, so every ``StageGeometry``
+        handed out stays the construction's one object for its stage."""
+        self._pairs.clear()
+        self._returns.clear()
 
     def refined_levels(self, a: LevelSet, to_stage: int) -> tuple[int, ...]:
         levels = a.levels
@@ -273,17 +275,15 @@ class Tower:
             levels = refined[a.stage, a.levels] = self.refined_levels(a, j0)
         return levels
 
-    def pair_counts(
-        self, src_levels: tuple[int, ...], targets: TargetIndex, j0: int, n: int, K: int,
-    ) -> list[int]:
+    def pair_counts(self, index: TargetIndex, j0: int, n: int, K: int) -> list[int]:
         """#{(x, y) : x in S, y in B at stage K, y - x = n} for each target B of
-        ``targets``, for K >= j0, given the levels of the source S and the
-        index of every B's levels at stage j0.
+        ``index``, for K >= j0, given the index of the source S against every
+        B at stage j0.
 
         For one B this is sum_{s,b} N_{j0,K}(n + s - b) over the levels s of S
         and b of B at stage j0: a level pair of stage K is (s + o, b + o')
         with o, o' in O_{j0,K}.  The term depends on s - b alone, so each
-        distinct difference d of ``targets.differences`` adds
+        distinct difference d of ``index.differences`` adds
         N_{j0,K}(|n + d|) once for each pair of each target having it.
         N_{j0,K}(m) is 0 once |m| exceeds the largest element of O_{j0,K},
         so only the differences within that reach of -n are read.  The
@@ -292,12 +292,12 @@ class Tower:
         set or call reached is read, not recounted; ``_pair_table`` fills
         the missing ones.
         """
-        counts = [0] * targets.size
+        counts = [0] * index.size
         chain = self._chain
         if K > len(chain):
             self.stage(K)
         reach = chain[K - 1].top - chain[j0 - 1].top
-        differences, pairs, owners = targets.differences(src_levels)
+        differences = index.differences
         # the differences d = s - b with |n + d| <= reach
         i, e = bisect_left(differences, -reach - n), bisect_right(differences, reach - n)
         if i == e:
@@ -307,10 +307,10 @@ class Tower:
             weights = list(map(self._pairs.get((j0, K), _NO_TABLE).__getitem__, keys))
         except KeyError:
             weights = list(map(self._pair_table(j0, K, keys).__getitem__, keys))
-        if targets.size == 1:
-            counts[0] = sum(map(mul, weights, pairs[i:e]))
+        if index.size == 1:
+            counts[0] = sum(map(mul, weights, index.pairs[i:e]))
             return counts
-        for weight, held in zip(compress(weights, weights), compress(owners[i:e], weights)):
+        for weight, held in zip(compress(weights, weights), compress(index.owners[i:e], weights)):
             for t, count in held:
                 counts[t] += weight * count
         return counts
@@ -458,7 +458,7 @@ class Tower:
                         group[0].append(dst)
                         group[1].append(i)
                 for src, (targets, sharing) in groups.items():
-                    index = TargetIndex(targets)
+                    index = TargetIndex(src, targets)
                     for col, n, K, budget in plans:
                         st = chain[K - 1]  # planning built the start stage
                         overflow = 0
@@ -473,7 +473,7 @@ class Tower:
                             if st.top + peak >= st.h:
                                 overflow = sum(
                                     self._count_at_least(j0, K, st.h - n - x) for x in src)
-                        counts = self.pair_counts(src, index, j0, n, K)
+                        counts = self.pair_counts(index, j0, n, K)
                         for i, count in zip(sharing, counts):
                             rows[i][col] = (count, overflow, K)
         return rows
@@ -575,14 +575,17 @@ def difference(a: LevelSet, b: LevelSet) -> LevelSet:
 
 
 def env_stage_cap() -> int | None:
-    """The global stage cap set by ``RANK1_MAX_STAGE``, if any."""
+    """The global stage cap set by ``RANK1_MAX_STAGE``, if any; at least 1."""
     text = os.environ.get(_MAX_STAGE_ENV)
     if text is None:
         return None
     try:
-        return int(text)
+        cap = int(text)
     except ValueError:
         raise ValueError(f"{_MAX_STAGE_ENV} must be an integer, got {text!r}") from None
+    if cap < 1:
+        raise ValueError(f"{_MAX_STAGE_ENV} must be >= 1, got {text!r}")
+    return cap
 
 
 def _stage_budget(max_stage: int | None, start: int, env_cap: int | None) -> int:

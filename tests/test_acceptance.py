@@ -184,7 +184,8 @@ def test_criterion_6_scans_each_stage_in_one_grid(monkeypatch):
     """One dissipativity grid per stage over all 81 rectangles: the
     self-returns of the distinct sides fill in 12 kernel grids (60 with one
     scan per rectangle), and the counts stay the same."""
-    monkeypatch.setattr(tower, "_towers", {})  # a fresh self-return memo
+    for params in (thm2(2), utv1()):  # fresh self-return memos
+        tower.tower_of(params).reset()
     calls = {"dissipativity_grid": 0, "grid_counts": 0, "pair_counts": 0}
 
     def counted(owner, name):

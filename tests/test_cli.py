@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 import time
 
 import click
@@ -436,7 +437,22 @@ def _materialize(args, tmp_path):
     return out
 
 
-# rejected inputs whose message must name what was wrong: (args, fragment)
+_ENV_ITEM = re.compile(r"[A-Z][A-Z0-9_]*=.*")
+
+
+def _split_env(args):
+    """The leading NAME=value items of args as an environment, as in a shell,
+    and the arguments after them."""
+    env = {}
+    while args and isinstance(args[0], str) and _ENV_ITEM.fullmatch(args[0]):
+        name, _, value = args[0].partition("=")
+        env[name] = value
+        args = args[1:]
+    return env, args
+
+
+# rejected inputs whose message must name what was wrong: (args, fragment);
+# leading NAME=value items set the environment
 _NAMED_REJECTIONS = [
     (["limits", "scan", "--family", "utv1", "--j", "5", "--dead-samples", "abc"],
      "--dead-samples"),
@@ -472,6 +488,11 @@ _NAMED_REJECTIONS = [
       "--j", "4..6"], "Error: zero denominator in polynomial term '1/0*T^0'"),
     (["limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/0",
       "--j", "4..6"], "Error: zero denominator in polynomial term '1/0'"),
+    # a stage cap below 1 would silently lift the budget to the start stage
+    (["measure", "--family", "toy", "--set", "E1", "--n", "3", "--max-stage", "-5"],
+     "Error: --max-stage must be >= 1, got -5"),
+    (["RANK1_MAX_STAGE=0", "measure", "--family", "toy", "--set", "E1", "--n", "3"],
+     "Error: RANK1_MAX_STAGE must be >= 1, got '0'"),
 ]
 
 _REJECTED_INPUTS = [args for args, _ in _NAMED_REJECTIONS] + [
@@ -499,13 +520,16 @@ _REJECTED_INPUTS = [args for args, _ in _NAMED_REJECTIONS] + [
     ["run", "--config", {"experiment": "geometry", "params": 5}],
     ["run", "--config", {"experiment": "limits", "construction": {"family": "utv1"},
                          "params": {"seq": "h_k", "poly": "1/0*T^0", "j": "4..6"}}],
+    ["run", "--config", {"experiment": "measure", "construction": {"family": "toy"},
+                         "params": {"set": "E1", "n": "3", "max_stage": 0}}],
 ]
 
 
 @pytest.mark.parametrize("args", _REJECTED_INPUTS, ids=lambda args: " ".join(
     a if isinstance(a, str) else json.dumps(a) for a in args))
 def test_rejected_input_exits_2_with_one_line(runner, tmp_path, args):
-    result = runner.invoke(main, _materialize(args, tmp_path))
+    env, args = _split_env(args)
+    result = runner.invoke(main, _materialize(args, tmp_path), env=env)
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
@@ -516,7 +540,8 @@ def test_rejected_input_exits_2_with_one_line(runner, tmp_path, args):
 @pytest.mark.parametrize("args,fragment", _NAMED_REJECTIONS,
                          ids=lambda value: " ".join(value) if isinstance(value, list) else None)
 def test_rejection_names_the_bad_input(runner, args, fragment):
-    result = runner.invoke(main, args)
+    env, args = _split_env(args)
+    result = runner.invoke(main, args, env=env)
     assert result.exit_code == 2
     assert fragment in result.output
 

@@ -1,9 +1,14 @@
 import math
+import os
+import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rank1lab
 from rank1lab.construction import (
     ConstructionParams,
     CutRule,
@@ -304,6 +309,24 @@ def test_unknown_family_rejected():
 def test_geometry_rejects_stage_zero():
     with pytest.raises(ValueError):
         stage_geometry(toy(), 0)
+
+
+_SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(rank1lab.__path__))
+
+
+@pytest.mark.parametrize("module", _SUBMODULES)
+def test_any_submodule_imports_first(module):
+    """construction imports tower, which imports construction: whichever
+    submodule a fresh interpreter imports first, the stage chain works."""
+    root = os.path.dirname(os.path.dirname(rank1lab.__file__))
+    paths = [root, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = (f"import rank1lab.{module}\n"
+            "from rank1lab.construction import stage_geometry, toy\n"
+            "assert stage_geometry(toy(), 3).h == 7\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("config", [

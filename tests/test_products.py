@@ -79,7 +79,7 @@ def test_return_memo_honors_env_cap(monkeypatch):
 
 
 def test_return_memo_hits_plan_nothing(monkeypatch):
-    monkeypatch.setattr(tower, "_towers", {})  # a fresh memo for this test
+    tower.tower_of(THM).reset()  # a fresh memo for this test
     planned = []
     plans = Tower._plans
     monkeypatch.setattr(
@@ -104,6 +104,25 @@ def test_return_memo_honors_max_stage():
     direct = apply_power_bounds(e1, e1, 15, max_stage=6)
     assert capped == direct.times(direct)
     assert product_return(system, e1, e1, 15) == free
+
+
+def test_reset_empties_both_memos_of_a_scan():
+    """After one scan, ``reset`` empties the self-return memo and the
+    pair-count table, keeps the stage objects, and the scan is answered
+    again with equal rows, resolved stages included."""
+    thm = tower.tower_of(THM)
+    system = ProductSystem(THM, 1, THM, 3)
+    e2 = LevelSet.base(THM, 2)
+    h4 = stage_geometry(THM, 4).h
+    first = dissipativity_scan(system, e2, e2, h4, 8 * h4)
+    assert thm._returns and thm._pairs
+    chain = list(thm._chain)
+    thm.reset()
+    assert thm._pairs == {} and thm._returns == {}
+    # every bound compares lo, hi and resolved_stage
+    assert dissipativity_scan(system, e2, e2, h4, 8 * h4) == first
+    assert len(thm._chain) == len(chain)
+    assert all(x is y for x, y in zip(thm._chain, chain))
 
 
 def test_sample_shifts_properties():
@@ -291,6 +310,12 @@ def _set_env_cap(monkeypatch, cap):
         monkeypatch.setenv("RANK1_MAX_STAGE", str(cap))
 
 
+def _reset_memos(system):
+    """Empty the memos of both factors' towers; their stage chains stay."""
+    tower.tower_of(system.left_params).reset()
+    tower.tower_of(system.right_params).reset()
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_grids())
@@ -299,12 +324,12 @@ def test_grid_equals_one_scan_per_rectangle(monkeypatch, case):
     constructions, with negative powers, stage budgets and ratio tables."""
     system, rects, k_lo, k_hi, samples, max_stage, cap, ratio = case
     _set_env_cap(monkeypatch, cap)
-    monkeypatch.setattr(tower, "_towers", {})  # a fresh memo for the grid
+    _reset_memos(system)  # a fresh memo for the grid
     grid = dissipativity_grid(system, rects, k_lo, k_hi, samples, max_stage,
                               ratio_target=ratio, ratio_depth=4)
     assert len(grid) == len(rects)
     for (a, a2), report in zip(rects, grid):
-        monkeypatch.setattr(tower, "_towers", {})  # and for every scan
+        _reset_memos(system)  # and for every scan
         assert report == dissipativity_scan(system, a, a2, k_lo, k_hi, samples, max_stage,
                                             ratio_target=ratio, ratio_depth=4)
 
@@ -369,7 +394,7 @@ def test_grid_multiplies_only_products_without_a_zero_factor(monkeypatch):
     """Criterion 6's 9x9 grid of T x T^3 over thm2(2): on (h_6, 8h_6] every
     left factor not proven zero meets a proven-zero right one, so no product
     is multiplied out; on (h_4, 8h_4] at most one per distinct factor pair."""
-    monkeypatch.setattr(tower, "_towers", {})
+    tower.tower_of(THM).reset()
     multiplied = []
     times = MeasureBound.times
     monkeypatch.setattr(MeasureBound, "times",
@@ -401,8 +426,8 @@ def test_grid_keeps_unresolved_rows_and_own_zero_left_factors():
             assert (row.right is None) == (row.left.hi == 0)
 
 
-def test_grid_shares_one_report_per_distinct_pair_of_factor_rows(monkeypatch):
-    monkeypatch.setattr(tower, "_towers", {})
+def test_grid_shares_one_report_per_distinct_pair_of_factor_rows():
+    tower.tower_of(THM).reset()
     system = ProductSystem(THM, 1, THM, 3)
     levels = [LevelSet.single(THM, 2, i) for i in range(stage_geometry(THM, 2).h)]
     rects = [(a, b) for a in levels for b in levels]
@@ -440,10 +465,11 @@ def test_multi_set_self_returns_equal_per_set_calls(monkeypatch):
     sets = [LevelSet.single(THM, 2, 4), LevelSet.base(THM, 3), LevelSet.single(THM, 2, 4),
             LevelSet.from_levels(THM, 3, [1, 9, 30])]
     shifts = [0, 5, -5, 283, 453, -1359, 3 * 453, 2000]
-    monkeypatch.setattr(tower, "_towers", {})
-    single = [tower.tower_of(THM).self_returns([a], shifts, None)[0] for a in sets]
-    monkeypatch.setattr(tower, "_towers", {})
-    grid = tower.tower_of(THM).self_returns(sets, shifts, None)
+    thm = tower.tower_of(THM)
+    thm.reset()
+    single = [thm.self_returns([a], shifts, None)[0] for a in sets]
+    thm.reset()
+    grid = thm.self_returns(sets, shifts, None)
     assert grid == single
     assert grid[0] is grid[2]  # equal sets share one row
     assert [[b.lo for b in row] for row in grid] == [
@@ -452,7 +478,7 @@ def test_multi_set_self_returns_equal_per_set_calls(monkeypatch):
     plans = Tower._plans
     monkeypatch.setattr(
         Tower, "_plans", lambda self, *args: planned.append(args) or plans(self, *args))
-    again = tower.tower_of(THM).self_returns(sets, list(reversed(shifts)), None)
+    again = thm.self_returns(sets, list(reversed(shifts)), None)
     assert planned == []
     assert [list(reversed(row)) for row in again] == grid
     assert all(x is y for row, other in zip(again, grid)

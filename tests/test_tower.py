@@ -551,21 +551,22 @@ def test_negative_query_enters_apply_power_bounds_once(monkeypatch):
     assert bound == original(b, a, 121)
 
 
-def _frontier_pair_counts(tower, src_levels, targets, j0, n, K):
+def _frontier_pair_counts(tower, index, j0, n, K):
     """Reference for ``Tower.pair_counts`` that keeps no table: the digit
     recursion walked top-down as one frontier of values v = n + s - (o' - o)
-    per call, each peeled stage pruned to the span of every target's levels,
-    and the final frontier read against the targets' holders."""
-    counts = [0] * targets.size
+    per call, from the index's raw source and target levels, each peeled
+    stage pruned to the span of every target's levels, and the final
+    frontier read against the targets' holders."""
+    counts = [0] * index.size
     holders = {}
-    for t, levels in enumerate(targets.targets):
+    for t, levels in enumerate(index.targets):
         for y in levels:
             holders.setdefault(y, []).append(t)
-    if not src_levels or not holders:
+    if not index.source or not holders:
         return counts
     low, high = min(holders), max(holders)
     base = tower.stage(j0).top
-    frontier = {n + x: 1 for x in src_levels}
+    frontier = {n + x: 1 for x in index.source}
     for k in range(K - 1, j0 - 1, -1):
         st = tower.stage(k)
         reach = st.top - base
@@ -683,17 +684,23 @@ def test_kernel_and_geometry_share_one_chain(params):
 
 
 def test_shared_chain_grows_consistently_under_threads():
-    # a construction no other test builds, so its chain starts empty here
-    params = params_from_config(
-        {"h1": 3, "stages": {"r": 3, "spacers": ["zero", "zero", {"rule": "constant", "c": 2}]}})
-    tower = tower_of(params)
-    seen, errors = [], []
+    # a construction no other test builds (no strategy draws a base width of
+    # 1/7), so its first tower_of and its first stage happen inside the threads
+    params = params_from_config({"h1": 3, "base_width": "1/7", "stages": {
+        "r": 3, "spacers": ["zero", "zero", {"rule": "constant", "c": 2}]}})
+    assert params not in tower_module._towers
+    seen, towers, errors = [], [], []
 
     def work(offset):
         try:
             for i in range(200):
                 k = 1 + (7 * i + offset) % 40
-                st = tower.stage(k) if offset % 2 else stage_geometry(params, k)
+                if offset % 2:
+                    owner = tower_of(params)
+                    towers.append(owner)
+                    st = owner.stage(k)
+                else:
+                    st = stage_geometry(params, k)
                 seen.append((k, st))
         except Exception as exc:  # reported below; a thread cannot fail the test
             errors.append(exc)
@@ -711,10 +718,40 @@ def test_shared_chain_grows_consistently_under_threads():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(seen) == 8 * 200
+    tower = tower_of(params)
+    assert all(t is tower for t in towers)  # one Tower for the construction
     chain = [stage_geometry(params, k) for k in range(1, 41)]
+    assert len(tower._chain) == 40  # one chain, each stage appended once
     assert [st.j for st in chain] == list(range(1, 41))
     assert [st.copies for st in chain] == [3 ** (k - 1) for k in range(1, 41)]
     assert all(st is chain[k - 1] for k, st in seen)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_stage_rejects_indices_below_one(k):
+    with pytest.raises(ValueError, match="stage index must be >= 1"):
+        tower_of(TOY).stage(k)
+    with pytest.raises(ValueError, match="stage index must be >= 1"):
+        stage_geometry(TOY, k)
+    e1 = LevelSet.base(TOY, 1)
+    with pytest.raises(ValueError, match="stage index must be >= 1"):
+        partial_joining(e1, e1, 0, k)
+
+
+def test_reset_empties_both_memos_and_keeps_the_chain():
+    """``reset`` drops the pair-count table a long profile leaves behind; the
+    stage objects stay the same objects, and the profile is answered again
+    with equal bounds, resolved stages included."""
+    tower = tower_of(TOY)
+    e1 = LevelSet.base(TOY, 1)
+    first = power_profile(e1, e1, range(2001))
+    assert tower._pairs
+    chain = list(tower._chain)
+    tower.reset()
+    assert tower._pairs == {} and tower._returns == {}
+    assert power_profile(e1, e1, range(2001)) == first  # lo, hi and resolved_stage
+    assert len(tower._chain) == len(chain)
+    assert all(x is y for x, y in zip(tower._chain, chain))
 
 
 def test_cold_chain_plans_a_shift_above_every_built_stage():
