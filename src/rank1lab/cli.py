@@ -8,10 +8,12 @@ output files are written only after a run completes.
 Rejected input is decided in one place.  The library rejects input with
 ``ValueError`` (``InvalidConstructionError`` for constructions, sometimes only
 at the stage that breaks one), and ``_Main.invoke`` turns every such error into
-a one-line ``Error:`` and exit 2; an unwritable ``--out``, a negative ``--tol``
-or ``--eps``, a ``--grid`` or ``--max-stage`` below 1, a ``limits scan --j``
-that opens no dead zone, and a request that runs out of memory or hits the
-recursion limit exit 2 the same way, so a crash never reads as FAIL.
+a one-line ``Error:`` and exit 2; an unwritable ``--out``, a malformed
+``--family`` spec, a negative ``--tol`` or ``--eps``, a ``--grid`` or
+``--max-stage`` below 1, a ``limits scan --j`` that opens no dead zone, and a
+request that runs out of memory or hits the recursion limit exit 2 the same
+way, so a crash never reads as FAIL.  ``--max-stage`` is the one stage cap of
+a command; no environment variable changes an answer.
 ``_with_construction`` hands each command its parsed construction as
 ``params``, and ``_emit`` writes the report and exits with its status.
 ``run`` re-enters ``main`` with its experiment's subcommand path and one
@@ -48,7 +50,7 @@ from .oracle import oracle_intersection
 from .products import ProductSystem, dissipativity_scan
 from .serde import format_int, format_rational, parse_rational
 from .spectral import correlations, fejer_density, suspension_correlation
-from .tower import LevelSet, apply_power_bounds, env_stage_cap, parse_level_set
+from .tower import LevelSet, apply_power_bounds, parse_level_set
 from .weak_limits import (
     parse_polynomial,
     parse_sequence,
@@ -64,6 +66,9 @@ _ORACLE_MAX_CELLS = 1 << 20
 
 _FAMILY_SPEC = re.compile(r"^\s*(\w+)\s*(?:\(\s*([^)]+?)\s*\))?\s*$")
 _SET_SUGAR = re.compile(r"^\s*(?:T\^?(-?\d+)\s*)?E_?(\d+)\s*$")
+# the families that take an argument: name -> (keyword, parser, what it must be)
+_FAMILY_ARGUMENTS = {"thm2": ("N", int, "an integer"),
+                     "scaled": ("a", parse_rational, "a rational p/q")}
 
 
 class _BadInput(click.ClickException):
@@ -73,17 +78,21 @@ class _BadInput(click.ClickException):
 
 
 def _parse_family(text: str):
+    """The construction of a --family spec; a malformed spec is quoted in the error."""
     m = _FAMILY_SPEC.match(text)
     if not m:
-        raise click.UsageError(f"cannot parse family {text!r}")
+        raise _BadInput(f"cannot parse family {text!r}, expected e.g. toy, thm2(3) or scaled(5/2)")
     name, arg = m.group(1), m.group(2)
     if arg is None:
         return family_builder(name)
-    if name == "thm2":
-        return family_builder("thm2", N=int(arg))
-    if name == "scaled":
-        return family_builder("scaled", a=parse_rational(arg))
-    raise click.UsageError(f"family {name} takes no argument")
+    if name not in _FAMILY_ARGUMENTS:
+        raise _BadInput(f"bad family {text!r}: only thm2 and scaled take an argument")
+    key, parse, kind = _FAMILY_ARGUMENTS[name]
+    try:
+        value = parse(arg)
+    except ValueError:
+        raise _BadInput(f"bad family {text!r}: the argument of {name} must be {kind}") from None
+    return family_builder(name, **{key: value})
 
 
 def _load_params(family: str | None, config_path: str | None):
@@ -248,7 +257,6 @@ class _Main(click.Group):
 @click.version_option(version=__version__)
 def main():
     """Exact-arithmetic experiments on rank-one cutting-and-stacking systems."""
-    env_stage_cap()  # reject a bad RANK1_MAX_STAGE before any work
 
 
 @main.command()

@@ -33,15 +33,14 @@ mu(T^n A /\\ B) = mu(T^{-n} B /\\ A), so only the forward count exists.
 The kernel answers in integers.  ``Tower.grid_counts`` is its one entry point:
 for each (A, B) of a grid and each shift of a list it gives the triple
 (count, overflow, K) of level pairs and overflowing levels at the resolved
-stage K.  The tower is looked up and ``RANK1_MAX_STAGE`` read once per grid;
-the shifts are planned once per common stage j0, with one budget per start
-stage, and every set is refined to j0 once.  The queries are grouped by
-source set (A for n >= 0, B for n < 0): K and the overflow depend on the
-source alone.  Each source group indexes its targets once (``TargetIndex``:
-the distinct differences a - b of a source level a and a target level b,
-and how many pairs of each target have each), and ``Tower.pair_counts``
-reads N_{j0,K}(|n + a - b|) from the tower's pair-count table once per
-difference within reach.
+stage K.  The tower is looked up once per grid; the shifts are planned once
+per common stage j0, and every set is refined to j0 once.  The queries are
+grouped by source set (A for n >= 0, B for n < 0): K and the overflow depend
+on the source alone.  Each source group indexes its targets once
+(``TargetIndex``: the distinct differences a - b of a source level a and a
+target level b, and how many pairs of each target have each), and
+``Tower.pair_counts`` reads N_{j0,K}(|n + a - b|) from the tower's
+pair-count table once per difference within reach.
 ``power_grid`` is the rational view of those rows, with equal triples
 sharing one bound; ``power_profile`` is its one-pair case and
 ``apply_power_bounds`` the one-shift case of that.
@@ -59,16 +58,15 @@ never changes and lives until ``Tower.reset()``; the table at (j0, k)
 holds at most top_k - top_j0 + 1 entries, and only those some query
 reached through the pruned recursion.  The self-return memo of
 product scans holds one inner dict per (A's stage, A's levels,
-``max_stage``, ``RANK1_MAX_STAGE``), keyed on |n|.  Those are the inputs of
-the stage budget, which fix the budget for one construction, so a hit is
-one int-keyed lookup and plans nothing.  ``Tower.self_returns`` answers a
-list of sets at once and fills every miss with one ``grid_counts`` over the
-distinct sets.
+``max_stage``), keyed on |n|.  Those are the inputs of the stage budget,
+which fix the budget for one construction, so a hit is one int-keyed lookup
+and plans nothing; ``max_stage`` is the one stage cap.  ``Tower.self_returns``
+answers a list of sets at once and fills every miss with one ``grid_counts``
+over the distinct sets.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -80,7 +78,6 @@ from typing import Iterable, Sequence
 from .construction import ConstructionParams, StageGeometry, _build_stage, stage_geometry
 
 DEFAULT_EXTRA_STAGES = 8
-_MAX_STAGE_ENV = "RANK1_MAX_STAGE"
 _NO_TABLE: dict[int, int] = {}  # read, never written: a (j0, K) not yet tabled
 
 
@@ -227,10 +224,9 @@ class Tower:
     until ``reset``.  ``_pairs`` is the pair-count table: for each (j0, k) a
     dict from |m| to N_{j0,k}(m) = #{(o, o') in O_{j0,k}^2 : o' - o = m},
     filled by ``_pair_table``.  ``_returns`` is the self-return memo: for
-    each (A's stage, A's levels, ``max_stage``, ``RANK1_MAX_STAGE``) a dict
-    from |n| to the bound.  Its outer key holds the inputs of the stage
-    budget other than |n|, so the memo follows both caps and a hit does no
-    planning.
+    each (A's stage, A's levels, ``max_stage``) a dict from |n| to the
+    bound.  Its outer key holds the inputs of the stage budget other than
+    |n|, so the memo follows ``max_stage`` and a hit does no planning.
     """
 
     def __init__(self, params: ConstructionParams):
@@ -239,7 +235,7 @@ class Tower:
         self._grow = threading.Lock()
         # (j0, k) -> {|m|: N_{j0,k}(m)}
         self._pairs: dict[tuple[int, int], dict[int, int]] = {}
-        # (A's stage, A's levels, max_stage, RANK1_MAX_STAGE) -> {|n|: bound}
+        # (A's stage, A's levels, max_stage) -> {|n|: bound}
         self._returns: dict[tuple, dict[int, MeasureBound]] = {}
 
     def stage(self, k: int) -> StageGeometry:
@@ -383,11 +379,11 @@ class Tower:
                 return count
         return count + (t <= 0)
 
-    def _plans(self, j0: int, shifts: list[int], max_stage: int | None, cap: int | None):
+    def _plans(self, j0: int, shifts: list[int], max_stage: int | None):
         """The shifts by sign, ``n < 0 -> [(column, |n|, start, budget)]``: start
-        is the first stage >= j0 with h > |n| and budget the stage budget under
-        the environment cap ``cap``.  Only the signs that occur get a list."""
-        budgets: dict[int, int] = {}  # by start stage
+        is the first stage >= j0 with h > |n| and budget the stage budget,
+        ``start + DEFAULT_EXTRA_STAGES`` without ``max_stage`` and else
+        ``max_stage`` but at least start.  Only the signs that occur get a list."""
         plans: dict[bool, list[tuple[int, int, int, int]]] = {}
         # heights increase, so the stages built so far locate the first h > |n|;
         # only a shift above all of them builds more
@@ -397,9 +393,7 @@ class Tower:
             start = max(j0, bisect_right(heights, m) + 1)
             while start > len(heights) and self.stage(start).h <= m:
                 start += 1
-            budget = budgets.get(start)
-            if budget is None:
-                budget = budgets[start] = _stage_budget(max_stage, start, cap)
+            budget = start + DEFAULT_EXTRA_STAGES if max_stage is None else max(max_stage, start)
             plan = (col, m, start, budget)
             if backward in plans:
                 plans[backward].append(plan)
@@ -426,9 +420,9 @@ class Tower:
         overflow count and one ``pair_counts`` call per shift, and each
         (pair, shift) costs one store into its row.
         """
+        _check_max_stage(max_stage)
         shifts = list(shifts)
         width = len(shifts)
-        cap = env_stage_cap()
         rows = []
         by_j0: dict[int, list[int]] = {}
         for i, (a, b) in enumerate(pairs):
@@ -442,7 +436,7 @@ class Tower:
         for j0, members in by_j0.items():
             base = self.stage(j0).top
             refined: dict[tuple, tuple[int, ...]] = {}  # (stage, levels) -> levels at j0
-            for backward, plans in self._plans(j0, shifts, max_stage, cap).items():
+            for backward, plans in self._plans(j0, shifts, max_stage).items():
                 # source levels at j0 -> (target levels at j0, rows)
                 groups: dict[tuple[int, ...], tuple[list, list[int]]] = {}
                 for i in members:
@@ -504,13 +498,13 @@ class Tower:
     ) -> list[list[MeasureBound]]:
         """mu(T^n A /\\ A) = mu(T^{-n} A /\\ A) for every A of ``sets`` and every
         n in ``shifts``, one row per set, memoized for product scans on the
-        inputs of the stage budget (A, |n|, ``max_stage``, ``RANK1_MAX_STAGE``),
-        so a hit plans nothing.  Equal sets share one row; one grid over the
-        distinct sets and the missing |n| fills every miss, so equal triples
-        share one bound across sets."""
-        cap = env_stage_cap()
+        inputs of the stage budget (A, |n|, ``max_stage``), so a hit plans
+        nothing.  Equal sets share one row; one grid over the distinct sets
+        and the missing |n| fills every miss, so equal triples share one bound
+        across sets."""
+        _check_max_stage(max_stage)
         steps = list(map(abs, shifts))
-        keys = [(a.stage, a.levels, max_stage, cap) for a in sets]
+        keys = [(a.stage, a.levels, max_stage) for a in sets]
         memos: dict[tuple, tuple[LevelSet, dict[int, MeasureBound]]] = {}
         for a, key in zip(sets, keys):
             if key not in memos:
@@ -548,6 +542,11 @@ def refine(a: LevelSet, to_stage: int) -> LevelSet:
     return LevelSet(a.params, to_stage, tower_of(a.params).refined_levels(a, to_stage))
 
 
+def _check_max_stage(max_stage: int | None):
+    if max_stage is not None and max_stage < 1:
+        raise ValueError(f"max_stage must be >= 1, got {max_stage}")
+
+
 def _check_same_construction(a: LevelSet, b: LevelSet):
     if a.params is not b.params and a.params != b.params:
         raise ValueError("level sets belong to different constructions")
@@ -574,28 +573,6 @@ def difference(a: LevelSet, b: LevelSet) -> LevelSet:
     return LevelSet.from_levels(a.params, j, set(ra.levels) - set(rb.levels))
 
 
-def env_stage_cap() -> int | None:
-    """The global stage cap set by ``RANK1_MAX_STAGE``, if any; at least 1."""
-    text = os.environ.get(_MAX_STAGE_ENV)
-    if text is None:
-        return None
-    try:
-        cap = int(text)
-    except ValueError:
-        raise ValueError(f"{_MAX_STAGE_ENV} must be an integer, got {text!r}") from None
-    if cap < 1:
-        raise ValueError(f"{_MAX_STAGE_ENV} must be >= 1, got {text!r}")
-    return cap
-
-
-def _stage_budget(max_stage: int | None, start: int, env_cap: int | None) -> int:
-    if max_stage is None:
-        max_stage = start + DEFAULT_EXTRA_STAGES
-    if env_cap is not None:
-        max_stage = min(max_stage, env_cap)
-    return max(max_stage, start)
-
-
 def apply_power_bounds(
     a: LevelSet, b: LevelSet, n: int, max_stage: int | None = None
 ) -> MeasureBound:
@@ -603,7 +580,9 @@ def apply_power_bounds(
 
     The interval collapses (lo == hi) when nothing is pushed past the top of
     the tower by the stage budget; raising ``max_stage`` never widens the
-    result.  ``RANK1_MAX_STAGE`` caps the budget globally.
+    result.  ``max_stage`` must be at least 1; one below a query's start
+    stage (the first stage whose tower is taller than |n|) means the start
+    stage.
     """
     _check_same_construction(a, b)
     tower = tower_of(a.params)
@@ -617,11 +596,11 @@ def power_grid(
     """``[power_profile(a, b, shifts, max_stage) for a, b in pairs]`` in one call.
 
     Every set of ``pairs`` must belong to one construction.  The shifts may
-    be negative, repeated and in any order.  The tower is looked up and
-    ``RANK1_MAX_STAGE`` read once for the grid; the shifts are planned once
-    per common stage of a pair, and the pairs that share a source set (A for
-    n >= 0, B for n < 0) share one count per shift.  Equal results share one
-    ``MeasureBound``.
+    be negative, repeated and in any order, and ``max_stage`` is the stage
+    cap of every query.  The tower is looked up once for the grid; the shifts
+    are planned once per common stage of a pair, and the pairs that share a
+    source set (A for n >= 0, B for n < 0) share one count per shift.  Equal
+    results share one ``MeasureBound``.
     """
     pairs = list(pairs)
     if not pairs:

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rank1lab.construction import scaled, stage_geometry, thm2, toy, utv1
 from rank1lab.products import (
@@ -64,18 +64,6 @@ def test_factorization_against_direct_values():
         right = apply_power_bounds(b, b, 2 * k)
         combined = product_return(system, a, b, k)
         assert (combined.lo, combined.hi) == (left.lo * right.lo, left.hi * right.hi)
-
-
-def test_return_memo_honors_env_cap(monkeypatch):
-    t = toy()
-    e1 = LevelSet.base(t, 1)
-    system = ProductSystem(t, 1, t, 1)
-    free = product_return(system, e1, e1, 15)
-    assert free.resolved_stage == 13
-    monkeypatch.setenv("RANK1_MAX_STAGE", "6")
-    direct = apply_power_bounds(e1, e1, 15)
-    assert direct.resolved_stage == 6
-    assert product_return(system, e1, e1, 15) == direct.times(direct)
 
 
 def test_return_memo_hits_plan_nothing(monkeypatch):
@@ -298,16 +286,8 @@ def _grids(draw):
     k_hi = k_lo + draw(st.integers(min_value=1, max_value=600))
     samples = draw(st.integers(min_value=1, max_value=24))
     max_stage = draw(st.none() | st.integers(min_value=3, max_value=8))
-    cap = draw(st.none() | st.integers(min_value=4, max_value=9))
     ratio = draw(st.none() | st.just(Fraction(2)))
-    return system, rects, k_lo, k_hi, samples, max_stage, cap, ratio
-
-
-def _set_env_cap(monkeypatch, cap):
-    if cap is None:
-        monkeypatch.delenv("RANK1_MAX_STAGE", raising=False)
-    else:
-        monkeypatch.setenv("RANK1_MAX_STAGE", str(cap))
+    return system, rects, k_lo, k_hi, samples, max_stage, ratio
 
 
 def _reset_memos(system):
@@ -316,14 +296,12 @@ def _reset_memos(system):
     tower.tower_of(system.right_params).reset()
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, deadline=None)
 @given(_grids())
-def test_grid_equals_one_scan_per_rectangle(monkeypatch, case):
+def test_grid_equals_one_scan_per_rectangle(case):
     """Grids sharing left or right sides, mixing stages, over two
     constructions, with negative powers, stage budgets and ratio tables."""
-    system, rects, k_lo, k_hi, samples, max_stage, cap, ratio = case
-    _set_env_cap(monkeypatch, cap)
+    system, rects, k_lo, k_hi, samples, max_stage, ratio = case
     _reset_memos(system)  # a fresh memo for the grid
     grid = dissipativity_grid(system, rects, k_lo, k_hi, samples, max_stage,
                               ratio_target=ratio, ratio_depth=4)
@@ -337,13 +315,13 @@ def test_grid_equals_one_scan_per_rectangle(monkeypatch, case):
 # its left factor is unresolved at k = 34 under max_stage 3, its right factor zero
 _UNRESOLVED_LEFT_ZERO_RIGHT = (
     _GRID_SYSTEMS[0], [(LevelSet.single(THM, 2, 0), LevelSet.single(THM, 2, 0))],
-    1, 201, 24, 3, None, None)
+    1, 201, 24, 3, None)
 _NONZERO_PRODUCT = (  # k = 453, test_thm2_small_stage_counterexample_is_real
     _GRID_SYSTEMS[0], [(LevelSet.base(THM, 2), LevelSet.base(THM, 2))],
-    452, 453, 1, None, None, None)
+    452, 453, 1, None, None)
 
 
-def test_grid_rows_match_the_per_row_definition(monkeypatch):
+def test_grid_rows_match_the_per_row_definition():
     """Every row of a grid against the literal definition of a row, one
     kernel query per factor; the draws must include a nonzero product and an
     unresolved left factor times a proven-zero right one."""
@@ -354,8 +332,7 @@ def test_grid_rows_match_the_per_row_definition(monkeypatch):
     @example(_UNRESOLVED_LEFT_ZERO_RIGHT)
     @example(_NONZERO_PRODUCT)
     def check(case):
-        system, rects, k_lo, k_hi, samples, max_stage, cap, _ = case
-        _set_env_cap(monkeypatch, cap)
+        system, rects, k_lo, k_hi, samples, max_stage, _ = case
         grid = dissipativity_grid(system, rects, k_lo, k_hi, samples, max_stage)
         for (a, a2), report in zip(rects, grid):
             assert report.scanned == tuple(sample_shifts(k_lo, k_hi, samples))

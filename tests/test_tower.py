@@ -12,6 +12,7 @@ from rank1lab.joinings import partial_joining
 import rank1lab.oracle as oracle_module
 import rank1lab.tower as tower_module
 from rank1lab.oracle import IntervalSystem, OrbitWalker, oracle_intersection
+from rank1lab.products import ProductSystem, dissipativity_scan, product_return
 from rank1lab.tower import (
     LevelSet,
     MeasureBound,
@@ -125,15 +126,33 @@ def test_monotone_tightening():
         previous = bound
 
 
-def test_env_cap_limits_resolution(monkeypatch):
-    a = LevelSet.base(TOY, 1)
+def test_the_environment_sets_no_stage_cap(monkeypatch):
+    """max_stage is the one stage cap: RANK1_MAX_STAGE, once a global cap,
+    changes no answer of the kernel or of the product-return memo."""
+    e1 = LevelSet.base(TOY, 1)
     monkeypatch.setenv("RANK1_MAX_STAGE", "6")
-    capped = apply_power_bounds(a, a, 15)
-    assert not capped.exact
-    monkeypatch.delenv("RANK1_MAX_STAGE")
-    free = apply_power_bounds(a, a, 15, max_stage=20)
-    assert free.exact
-    assert capped.lo <= free.value <= capped.hi
+    free = apply_power_bounds(e1, e1, 15)
+    assert free.resolved_stage == 13
+    assert product_return(ProductSystem(TOY, 1, TOY, 1), e1, e1, 15) == free.times(free)
+
+
+@pytest.mark.parametrize("query", [
+    lambda e1, max_stage: apply_power_bounds(e1, e1, 3, max_stage),
+    lambda e1, max_stage: power_profile(e1, e1, [3], max_stage),
+    lambda e1, max_stage: power_grid([(e1, e1)], [3], max_stage),
+    lambda e1, max_stage: product_return(ProductSystem(TOY, 1, TOY, 1), e1, e1, 3, max_stage),
+    lambda e1, max_stage: dissipativity_scan(ProductSystem(TOY, 1, TOY, 1), e1, e1, 2, 3, 1,
+                                             max_stage),
+], ids=["apply_power_bounds", "power_profile", "power_grid", "product_return",
+        "dissipativity_scan"])
+def test_a_stage_cap_below_1_is_rejected(query):
+    """A max_stage below 1 is an error, as --max-stage is; one below the start
+    stage (h_3 = 7 > 3 on toy) still means the start stage."""
+    e1 = LevelSet.base(TOY, 1)
+    for max_stage in (-5, 0):
+        with pytest.raises(ValueError, match=f"max_stage must be >= 1, got {max_stage}"):
+            query(e1, max_stage)
+    assert query(e1, 1) == query(e1, 3)
 
 
 _toy_sets = st.builds(
@@ -363,39 +382,27 @@ def _profile_queries(draw):
     # unsorted, with repeats and negative shifts
     shifts = draw(st.lists(st.integers(-reach, reach), min_size=1, max_size=30))
     shifts += draw(st.lists(st.sampled_from(shifts), max_size=5))
-    max_stage = draw(st.none() | st.integers(1, 12))
-    cap = draw(st.none() | st.integers(1, 12))
-    return a, b, shifts, max_stage, cap
+    return a, b, shifts, draw(st.none() | st.integers(1, 12))
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=150, deadline=None)
 @given(_profile_queries())
-def test_power_profile_equals_single_queries(monkeypatch, query):
+def test_power_profile_equals_single_queries(query):
     """One profile call answers exactly like one apply_power_bounds per shift,
-    for random config-grammar constructions, budgets and env caps."""
-    a, b, shifts, max_stage, cap = query
-    if cap is None:
-        monkeypatch.delenv("RANK1_MAX_STAGE", raising=False)
-    else:
-        monkeypatch.setenv("RANK1_MAX_STAGE", str(cap))
+    for random config-grammar constructions and budgets."""
+    a, b, shifts, max_stage = query
     profile = power_profile(a, b, shifts, max_stage)
     single = [apply_power_bounds(a, b, n, max_stage) for n in shifts]
     assert [(x.lo, x.hi, x.resolved_stage) for x in profile] == [
         (x.lo, x.hi, x.resolved_stage) for x in single]
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=150, deadline=None)
 @given(_profile_queries())
-def test_level_counts_scale_to_power_profile(monkeypatch, query):
+def test_level_counts_scale_to_power_profile(query):
     """The kernel's integer triples, times the level width of their stage, are
     exactly the bounds of power_profile."""
-    a, b, shifts, max_stage, cap = query
-    if cap is None:
-        monkeypatch.delenv("RANK1_MAX_STAGE", raising=False)
-    else:
-        monkeypatch.setenv("RANK1_MAX_STAGE", str(cap))
+    a, b, shifts, max_stage = query
     scaled = []
     for count, overflow, K in tower_of(a.params).grid_counts([(a, b)], shifts, max_stage)[0]:
         width = stage_geometry(a.params, K).level_width
@@ -410,13 +417,6 @@ def test_power_profile_edge_cases():
     assert power_profile(e1, e1, iter([3, -3])) == [apply_power_bounds(e1, e1, 3)] * 2
     with pytest.raises(ValueError):
         power_profile(e1, LevelSet.base(UTV, 1), [1])
-
-
-def _set_env_cap(monkeypatch, cap):
-    if cap is None:
-        monkeypatch.delenv("RANK1_MAX_STAGE", raising=False)
-    else:
-        monkeypatch.setenv("RANK1_MAX_STAGE", str(cap))
 
 
 @st.composite
@@ -441,9 +441,7 @@ def _grid_queries(draw):
     shifts = draw(st.lists(st.integers(-reach, reach), max_size=12))
     if shifts:
         shifts += draw(st.lists(st.sampled_from(shifts), max_size=4))
-    max_stage = draw(st.none() | st.integers(1, 12))
-    cap = draw(st.none() | st.integers(1, 12))
-    return pairs, shifts, max_stage, cap
+    return pairs, shifts, draw(st.none() | st.integers(1, 12))
 
 
 @st.composite
@@ -485,15 +483,13 @@ def test_one_target_index_serves_every_target(grid):
             assert partial_joining(a, b, k, j).value == count * width
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=150, deadline=None)
 @given(_grid_queries())
-def test_grid_counts_equal_single_queries(monkeypatch, query):
+def test_grid_counts_equal_single_queries(query):
     """One grid pass gives every (pair, shift) the triple of its own one-pair,
     one-shift query, for random config-grammar constructions, grids that
-    share sources and targets, mixed stages, budgets and env caps."""
-    pairs, shifts, max_stage, cap = query
-    _set_env_cap(monkeypatch, cap)
+    share sources and targets, mixed stages and budgets."""
+    pairs, shifts, max_stage = query
     if not pairs:
         return
     tower = tower_of(pairs[0][0].params)
@@ -502,12 +498,10 @@ def test_grid_counts_equal_single_queries(monkeypatch, query):
         for a, b in pairs]
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=150, deadline=None)
 @given(_grid_queries())
-def test_power_grid_equals_power_profiles(monkeypatch, query):
-    pairs, shifts, max_stage, cap = query
-    _set_env_cap(monkeypatch, cap)
+def test_power_grid_equals_power_profiles(query):
+    pairs, shifts, max_stage = query
     grid = power_grid(iter(pairs), shifts, max_stage)
     assert [[(x.lo, x.hi, x.resolved_stage) for x in row] for row in grid] == [
         [(x.lo, x.hi, x.resolved_stage) for x in power_profile(a, b, shifts, max_stage)]
@@ -524,14 +518,12 @@ def test_power_grid_edge_cases():
         power_grid([(e1, LevelSet.base(UTV, 1))], [1])
 
 
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=100, deadline=None)
 @given(_profile_queries())
-def test_negative_shift_is_the_mirrored_query(monkeypatch, query):
+def test_negative_shift_is_the_mirrored_query(query):
     """mu(T^n A /\\ B) and mu(T^{-n} B /\\ A) are one query: equal lo, hi and
     resolved stage."""
-    a, b, shifts, max_stage, cap = query
-    _set_env_cap(monkeypatch, cap)
+    a, b, shifts, max_stage = query
     for n in shifts:
         assert apply_power_bounds(a, b, n, max_stage) == apply_power_bounds(b, a, -n, max_stage)
 
@@ -610,7 +602,6 @@ def test_pair_table_matches_the_frontier_walk(monkeypatch, query):
     sets at stages 1-3, negative shifts, stage budgets) and ``partial_joining``
     values at stages j0..j0+3."""
     pairs, shifts, max_stage, extra = query
-    monkeypatch.delenv("RANK1_MAX_STAGE", raising=False)
     params = pairs[0][0].params
     joinings = [(a, b, k, j) for a, b in pairs
                 for j in [max(a.stage, b.stage) + extra]
@@ -623,14 +614,12 @@ def test_pair_table_matches_the_frontier_walk(monkeypatch, query):
         assert [partial_joining(*args) for args in joinings] == values
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, deadline=None)
 @given(_kernel_queries())
-def test_pair_table_does_not_depend_on_query_order(monkeypatch, query):
+def test_pair_table_does_not_depend_on_query_order(query):
     """Two fresh towers fill their tables in opposite orders, shift by shift
     and pair by pair, and give the same triples as one grid call."""
     pairs, shifts, max_stage, _ = query
-    monkeypatch.delenv("RANK1_MAX_STAGE", raising=False)
     params = pairs[0][0].params
     forward, backward = tower_module.Tower(params), tower_module.Tower(params)
     one_by_one = [[forward.grid_counts([pair], [n], max_stage)[0][0] for n in shifts]
