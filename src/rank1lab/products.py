@@ -7,14 +7,21 @@ scan reports finite evidence only: per-k verdicts distinguish values proven
 zero (upper bound exactly 0) from merely unresolved ones, and the report
 never claims anything about unscanned shifts.  ``dissipativity_grid`` scans
 a list of rectangles in one pass, doing its exact work once per distinct
-kernel bound; ``dissipativity_scan`` is its one-rectangle case.
+kernel bound; ``dissipativity_scan`` is its one-rectangle case.  What a scan
+reads of its left factor depends on the left set and the window alone, so
+the left factor's ``Tower`` keeps it as a third memo beside the self-returns
+and the pair counts: one left side per (A's stage, A's levels, |left power|,
+``k_lo``, ``k_hi``, ``samples``, ``max_stage``), one row of ``samples``
+entries, until ``Tower.reset()``.  Scans of one left set over one window
+fill it once, share its proven-zero rows and build rows only for its live
+columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .construction import ConstructionParams, stage_geometry
 from .tower import LevelSet, MeasureBound, tower_of
@@ -118,6 +125,20 @@ def dissipativity_scan(
         sys, [(a, a2)], k_lo, k_hi, samples, max_stage, ratio_target, ratio_depth)[0]
 
 
+class _LeftSide(NamedTuple):
+    """What a product scan of one left set over one window reads of its left
+    factor: the scanned shifts, the left factor row, the ids of its bounds
+    (reports share on them), the rows of its dead columns, where the left
+    factor is proven zero (``None`` at the live columns), and the live
+    columns, in order."""
+
+    scanned: tuple[int, ...]
+    row: list[MeasureBound]
+    ids: tuple[int, ...]
+    rows: tuple[ReturnRow | None, ...]
+    live: list[int]
+
+
 def dissipativity_grid(
     sys: ProductSystem,
     rects: Iterable[tuple[LevelSet, LevelSet]],
@@ -130,30 +151,44 @@ def dissipativity_grid(
 ) -> list[RectangleReturnReport]:
     """``[dissipativity_scan(sys, a, a2, ...) for a, a2 in rects]`` in one pass.
 
-    Every rectangle is validated before any work and the shifts are sampled
-    once.  One ``Tower.self_returns`` call gives the left factors of all
-    rectangles and one more the right factors, on the shifts where some left
-    factor is not proven zero; a row skips its right factor wherever its own
-    left factor is proven zero.  A product with a proven-zero factor is the
-    shared [0, 0] of the larger resolved stage of its factors, which is what
-    ``left.times(right)`` gives, so no product is multiplied out for it.
-    The kernel shares one bound per distinct answer, so the zero test runs
-    once per distinct left bound, and product and verdict once per distinct
-    pair of factor bounds; rectangles whose factor rows hold the same bounds
-    share one report.
+    Every rectangle is validated before any work.  The left side of a scan
+    (``_LeftSide``) depends on the left set and the window alone, so the
+    left factor's ``Tower`` keeps it in its scan memo until ``reset``, under
+    (A's stage, A's levels, |left power|, ``k_lo``, ``k_hi``, ``samples``,
+    ``max_stage``).  One ``Tower.self_returns`` call fills every left side
+    the memo misses, and one more gives the right factors of all rectangles
+    on the columns where some left factor is not proven zero: a scan copies
+    the dead rows of its left side and builds rows for its live columns
+    only.  A product with a proven-zero factor is the [0, 0] of the larger
+    resolved stage of its factors, which is what ``left.times(right)``
+    gives, so no product is multiplied out for it; the rows a call builds
+    share one [0, 0] per stage.  The kernel shares one bound per distinct
+    answer, so the zero test runs once per distinct left bound of a fill,
+    and product and verdict once per distinct pair of factor bounds of a
+    call; rectangles whose factor rows hold the same bounds share one
+    report.
     """
     if k_lo < 1:
         raise ValueError("k_lo must be >= 1")
     rects = list(rects)
     for a, a2 in rects:
         _check_rectangle(sys, a, a2)
-    scanned = tuple(sample_shifts(k_lo, k_hi, samples))
     if not rects:
+        sample_shifts(k_lo, k_hi, samples)  # the range and count are still checked
         return []
-    # rows are keyed on the identities of their bounds, all alive in the memo
-    lefts = tower_of(sys.left_params).self_returns(
-        [a for a, _ in rects], [sys.left_power * k for k in scanned], max_stage)
-    left_keys = [tuple(map(id, row)) for row in lefts]
+    left_tower = tower_of(sys.left_params)
+    power = abs(sys.left_power)  # a self-return is even in the shift
+    keys = [(a.stage, a.levels, power, k_lo, k_hi, samples, max_stage) for a, _ in rects]
+    memo = left_tower._sides
+    found: dict[tuple, _LeftSide] = {}
+    pending: dict[tuple, LevelSet] = {}  # left sides to fill, by key
+    for key, (a, _) in zip(keys, rects):
+        if key not in found:
+            side = memo.get(key)
+            if side is None:
+                pending[key] = a
+            else:
+                found[key] = side
     zeros: dict[int, MeasureBound] = {}  # resolved stage -> the shared [0, 0]
 
     def zero(stage: int) -> MeasureBound:
@@ -162,18 +197,31 @@ def dissipativity_grid(
             bound = zeros[stage] = MeasureBound.exactly(0, stage)
         return bound
 
-    zero_of: dict[int, MeasureBound | None] = {}  # left bound -> its [0, 0] if proven zero
-    # left row -> (a product per column, None where the left factor is not
-    # proven zero; those live columns)
-    known: dict[tuple[int, ...], tuple[list, list[int]]] = {}
-    for key, row in zip(left_keys, lefts):
-        if key not in known:
-            for i, left in dict(zip(key, row)).items():
-                if i not in zero_of:
-                    zero_of[i] = zero(left.resolved_stage) if left.hi == 0 else None
-            dead = list(map(zero_of.__getitem__, key))
-            known[key] = (dead, [col for col, product in enumerate(dead) if product is None])
-    cols = sorted(set().union(*(live for _, live in known.values())))
+    if pending:
+        # a miss samples the shifts, which checks the range and count; a hit
+        # was checked when it was filled
+        scanned = tuple(sample_shifts(k_lo, k_hi, samples))
+        lefts = left_tower.self_returns(
+            list(pending.values()), [power * k for k in scanned], max_stage)
+        zero_of: dict[int, MeasureBound | None] = {}  # left bound -> its [0, 0] if proven zero
+        # left row -> (its dead rows, its live columns)
+        known: dict[tuple[int, ...], tuple[tuple, list[int]]] = {}
+        for key, row in zip(pending, lefts):
+            # rows are keyed on the identities of their bounds, alive in the side
+            ids = tuple(map(id, row))
+            if ids not in known:
+                for i, left in dict(zip(ids, row)).items():
+                    if i not in zero_of:
+                        zero_of[i] = zero(left.resolved_stage) if left.hi == 0 else None
+                dead = tuple(
+                    None if product is None else ReturnRow(k, left, None, product, PROVEN_ZERO)
+                    for k, left, product in zip(scanned, row, map(zero_of.__getitem__, ids)))
+                known[ids] = (dead, [col for col, r in enumerate(dead) if r is None])
+            # racing fills of one key agree on the first entry stored
+            found[key] = memo.setdefault(key, _LeftSide(scanned, row, ids, *known[ids]))
+    sides = [found[key] for key in keys]
+    scanned = sides[0].scanned
+    cols = sorted(set().union(*(side.live for side in found.values())))
     rights = tower_of(sys.right_params).self_returns(
         [a2 for _, a2 in rects], [sys.right_power * scanned[col] for col in cols], max_stage)
     ratio = None
@@ -182,40 +230,39 @@ def dissipativity_grid(
     products: dict[tuple[int, int], tuple[MeasureBound, str]] = {}
     reports: dict[tuple, RectangleReturnReport] = {}
     out = []
-    for left_key, left_row, right_row in zip(left_keys, lefts, rights):
-        key = (left_key, tuple(map(id, right_row)))
+    for side, right_row in zip(sides, rights):
+        key = (side.ids, tuple(map(id, right_row)))
         report = reports.get(key)
         if report is None:
-            right_at = dict(zip(cols, right_row))
-            dead, live = known[left_key]
-            row_products = list(dead)
-            row_rights = [None] * len(scanned)
-            verdicts = [PROVEN_ZERO] * len(scanned)
+            rows = side.rows
             nonzero = []
             unresolved = []
-            for col in live:
-                left, right = left_row[col], right_at[col]
-                entry = products.get((id(left), id(right)))
-                if entry is None:
-                    if right.hi == 0:
-                        entry = (zero(max(left.resolved_stage, right.resolved_stage)),
-                                 PROVEN_ZERO)
-                    else:
-                        # neither factor is proven zero, so neither is the product
-                        product = left.times(right)
-                        entry = (product, NONZERO if product.lo > 0 else UNRESOLVED)
-                    products[id(left), id(right)] = entry
-                product, verdict = entry
-                row_rights[col] = right
-                row_products[col] = product
-                verdicts[col] = verdict
-                if verdict is NONZERO:
-                    nonzero.append((scanned[col], product.lo, product.hi))
-                elif verdict is UNRESOLVED:
-                    unresolved.append(scanned[col])
+            if side.live:
+                right_at = dict(zip(cols, right_row))
+                rows = list(rows)
+                for col in side.live:
+                    left, right = side.row[col], right_at[col]
+                    entry = products.get((id(left), id(right)))
+                    if entry is None:
+                        if right.hi == 0:
+                            entry = (zero(max(left.resolved_stage, right.resolved_stage)),
+                                     PROVEN_ZERO)
+                        else:
+                            # neither factor is proven zero, so neither is the product
+                            product = left.times(right)
+                            entry = (product, NONZERO if product.lo > 0 else UNRESOLVED)
+                        products[id(left), id(right)] = entry
+                    product, verdict = entry
+                    k = side.scanned[col]
+                    rows[col] = ReturnRow(k, left, right, product, verdict)
+                    if verdict is NONZERO:
+                        nonzero.append((k, product.lo, product.hi))
+                    elif verdict is UNRESOLVED:
+                        unresolved.append(k)
+                rows = tuple(rows)
             report = reports[key] = RectangleReturnReport(
-                scanned=scanned,
-                rows=tuple(map(ReturnRow, scanned, left_row, row_rights, row_products, verdicts)),
+                scanned=side.scanned,
+                rows=rows,
                 nonzero_returns=tuple(nonzero),
                 unresolved=tuple(unresolved),
                 all_proven_zero=not nonzero and not unresolved,

@@ -48,7 +48,7 @@ sharing one bound; ``power_profile`` is its one-pair case and
 The public functions are pure.  The one ``Tower`` per construction owns
 its state: the stage chain, which ``construction.stage_geometry`` reads,
 where each ``StageGeometry`` carries the prefix data the kernel reads
-(``copies``, ``top``) and its offset differences; and two memos, which
+(``copies``, ``top``) and its offset differences; and three memos, which
 ``Tower.reset()`` empties while the chain stays.  The pair-count table holds
 N_{j0,k}(m) under (j0, k) and |m| (N is even in m, since swapping o and o'
 negates m).  It is filled on demand by the digit recursion and its prune
@@ -62,7 +62,11 @@ product scans holds one inner dict per (A's stage, A's levels,
 which fix the budget for one construction, so a hit is one int-keyed lookup
 and plans nothing; ``max_stage`` is the one stage cap.  ``Tower.self_returns``
 answers a list of sets at once and fills every miss with one ``grid_counts``
-over the distinct sets.
+over the distinct sets.  The third memo holds the left sides of product
+scans, which ``products.dissipativity_grid`` fills: one per (A's stage, A's
+levels, |left power|, ``k_lo``, ``k_hi``, ``samples``, ``max_stage``), each
+one row of ``samples`` entries (the left factor row and the ready rows of
+its proven-zero columns).
 """
 
 from __future__ import annotations
@@ -220,13 +224,20 @@ class Tower:
     Offset sums of stages j0..k-1 form the set O_{j0,k}; its largest element
     is ``stage(k).top - stage(j0).top`` and it has
     ``stage(k).copies // stage(j0).copies`` elements.  The stage table is
-    ``_chain``, which ``stage`` builds.  The tower owns two memos, both kept
+    ``_chain``, which ``stage`` builds.  The tower owns three memos, all kept
     until ``reset``.  ``_pairs`` is the pair-count table: for each (j0, k) a
     dict from |m| to N_{j0,k}(m) = #{(o, o') in O_{j0,k}^2 : o' - o = m},
     filled by ``_pair_table``.  ``_returns`` is the self-return memo: for
     each (A's stage, A's levels, ``max_stage``) a dict from |n| to the
     bound.  Its outer key holds the inputs of the stage budget other than
     |n|, so the memo follows ``max_stage`` and a hit does no planning.
+    ``_sides`` holds the left sides of product scans of this construction's
+    sets, filled by ``products.dissipativity_grid``: for each (A's stage,
+    A's levels, |left power|, ``k_lo``, ``k_hi``, ``samples``, ``max_stage``)
+    the sampled shifts, the left factor row and a ready row per proven-zero
+    column, one row of ``samples`` entries per left set and window.  Every
+    key is a value, never an ``id()``: ``reset`` frees bounds whose ids
+    are then reused.
     """
 
     def __init__(self, params: ConstructionParams):
@@ -237,6 +248,9 @@ class Tower:
         self._pairs: dict[tuple[int, int], dict[int, int]] = {}
         # (A's stage, A's levels, max_stage) -> {|n|: bound}
         self._returns: dict[tuple, dict[int, MeasureBound]] = {}
+        # (A's stage, A's levels, |left power|, k_lo, k_hi, samples, max_stage)
+        # -> the left side of a product scan
+        self._sides: dict[tuple, tuple] = {}
 
     def stage(self, k: int) -> StageGeometry:
         """Stage k >= 1, built on first use.  The chain only grows, under
@@ -252,10 +266,12 @@ class Tower:
         return chain[k - 1]
 
     def reset(self):
-        """Empty both memos.  The stage chain stays, so every ``StageGeometry``
-        handed out stays the construction's one object for its stage."""
+        """Empty the three memos.  The stage chain stays, so every
+        ``StageGeometry`` handed out stays the construction's one object for
+        its stage."""
         self._pairs.clear()
         self._returns.clear()
+        self._sides.clear()
 
     def refined_levels(self, a: LevelSet, to_stage: int) -> tuple[int, ...]:
         levels = a.levels

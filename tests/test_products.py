@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -95,18 +97,21 @@ def test_return_memo_honors_max_stage():
 
 
 def test_reset_empties_both_memos_of_a_scan():
-    """After one scan, ``reset`` empties the self-return memo and the
-    pair-count table, keeps the stage objects, and the scan is answered
-    again with equal rows, resolved stages included."""
+    """After one scan, ``reset`` empties every memo of the tower (the
+    self-return memo, the pair-count table and the left sides of product
+    scans), keeps the stage objects, and the scan is answered again with
+    equal rows, resolved stages included."""
     thm = tower.tower_of(THM)
     system = ProductSystem(THM, 1, THM, 3)
     e2 = LevelSet.base(THM, 2)
     h4 = stage_geometry(THM, 4).h
     first = dissipativity_scan(system, e2, e2, h4, 8 * h4)
-    assert thm._returns and thm._pairs
+    memos = [name for name, value in vars(thm).items() if isinstance(value, dict)]
+    assert sorted(memos) == ["_pairs", "_returns", "_sides"]
+    assert all(getattr(thm, name) for name in memos)
     chain = list(thm._chain)
     thm.reset()
-    assert thm._pairs == {} and thm._returns == {}
+    assert all(getattr(thm, name) == {} for name in memos)
     # every bound compares lo, hi and resolved_stage
     assert dissipativity_scan(system, e2, e2, h4, 8 * h4) == first
     assert len(thm._chain) == len(chain)
@@ -310,6 +315,147 @@ def test_grid_equals_one_scan_per_rectangle(case):
         _reset_memos(system)  # and for every scan
         assert report == dissipativity_scan(system, a, a2, k_lo, k_hi, samples, max_stage,
                                             ratio_target=ratio, ratio_depth=4)
+
+
+# left powers of both signs over one left construction, so scans of one set
+# with different powers meet one scan memo
+_WARM_SYSTEMS = [
+    ProductSystem(THM, 1, THM, 3),
+    ProductSystem(THM, -1, UTV, 2),
+    ProductSystem(THM, 2, THM, -1),
+]
+# windows that share an end, so only k_lo tells some of them apart
+_WARM_WINDOWS = [(1, 300), (2, 300), (150, 300), (40, 90)]
+
+
+@st.composite
+def _warm_sequences(draw):
+    """Per-rectangle scans over few left sets, windows, sample counts and
+    stage caps, so entries repeat and interleave, and the index of one
+    ``reset`` mid-sequence."""
+    steps = draw(st.lists(st.tuples(
+        st.sampled_from(_WARM_SYSTEMS),
+        st.sampled_from(range(2)),
+        st.sampled_from(range(3)),
+        st.sampled_from(_WARM_WINDOWS),
+        st.sampled_from([5, 24]),
+        st.sampled_from([None, 3])), min_size=2, max_size=12))
+    return steps, draw(st.integers(min_value=1, max_value=len(steps) - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_warm_sequences())
+def test_warm_scans_equal_fresh_grids(case):
+    """Scans with no ``reset`` between them, but one mid-sequence, read left
+    sides that earlier scans left in the memo; each report equals a grid
+    over the same inputs from fresh memos, lo, hi and resolved_stage of
+    every bound included."""
+    steps, reset_at = case
+    scans = []
+    for system, i, i2, (k_lo, k_hi), samples, max_stage in steps:
+        a = _grid_sides(system.left_params)[i]
+        a2 = _grid_sides(system.right_params)[i2]
+        scans.append((system, a, a2, k_lo, k_hi, samples, max_stage))
+    fresh = []
+    for system, a, a2, *window in scans:
+        _reset_memos(system)
+        fresh.append(dissipativity_grid(system, [(a, a2)], *window)[0])
+    _reset_memos(_WARM_SYSTEMS[1])  # both constructions
+    for step, ((system, a, a2, *window), expected) in enumerate(zip(scans, fresh)):
+        if step == reset_at:
+            _reset_memos(_WARM_SYSTEMS[1])
+        report = dissipativity_scan(system, a, a2, *window)
+        assert report == expected  # every bound compares lo, hi and resolved_stage
+
+
+def _nine_scans_of_one_left_side():
+    """Nine scans of one left set over one window, as ``sweep`` makes them;
+    the right factors live on another construction, so every self-return
+    call on the left tower is a left fill."""
+    system = ProductSystem(THM, 1, UTV, 1)
+    a = LevelSet.single(THM, 2, 0)
+    h4 = stage_geometry(THM, 4).h
+    return system, a, [LevelSet.single(UTV, 3, i) for i in range(9)], h4, 8 * h4
+
+
+def test_nine_scans_of_one_left_side_fill_it_once(monkeypatch):
+    """One left fill for nine scans; their dead-column rows are the same
+    objects, and each scan after the first builds one row per live column."""
+    system, a, rights, k_lo, k_hi = _nine_scans_of_one_left_side()
+    _reset_memos(system)
+    fills = []
+    self_returns = Tower.self_returns
+    monkeypatch.setattr(Tower, "self_returns", lambda self, *args: (
+        self.params == THM and fills.append(args)) or self_returns(self, *args))
+    built = []
+    init = ReturnRow.__init__
+    monkeypatch.setattr(ReturnRow, "__init__",
+                        lambda self, *args: built.append(args[0]) or init(self, *args))
+    reports = []
+    for b in rights:
+        built.clear()
+        reports.append(dissipativity_scan(system, a, b, k_lo, k_hi))
+        if len(reports) == 1:
+            assert len(built) == len(reports[0].rows) == 256
+        else:
+            live = [row.k for row in reports[-1].rows if row.right is not None]
+            assert 0 < len(built) == len(live) < 256
+            assert built == live
+    assert len(fills) == 1
+    assert len(tower.tower_of(THM)._sides) == 1
+    first = reports[0].rows
+    for report in reports[1:]:
+        for row, other in zip(report.rows, first):
+            assert (row is other) == (row.right is None)
+
+
+def test_left_sides_are_keyed_by_value():
+    """Equal left sets built separately read one left side; a reset frees the
+    side, and a scan after it fills a new one with equal rows."""
+    system, a, rights, k_lo, k_hi = _nine_scans_of_one_left_side()
+    _reset_memos(system)
+    thm = tower.tower_of(THM)
+    first = dissipativity_scan(system, a, rights[0], k_lo, k_hi)
+    twin = LevelSet.single(THM, 2, 0)
+    again = dissipativity_scan(system, twin, rights[0], k_lo, k_hi)
+    assert len(thm._sides) == 1
+    assert again.rows[0] is first.rows[0]  # k = h4 + 1 is a dead column
+    thm.reset()
+    after = dissipativity_scan(system, a, rights[0], k_lo, k_hi)
+    assert after == first and after.rows[0] is not first.rows[0]
+
+
+def test_racing_first_fills_agree_on_one_left_side():
+    """Four threads scan one left side at once: the reports are equal and the
+    memo ends with one entry, which every later scan reads."""
+    system, a, rights, k_lo, k_hi = _nine_scans_of_one_left_side()
+    _reset_memos(system)
+    start = threading.Barrier(4)
+    reports, errors = [None] * 4, []
+
+    def work(t):
+        try:
+            start.wait(timeout=30)
+            reports[t] = dissipativity_scan(system, a, rights[0], k_lo, k_hi)
+        except Exception as exc:  # reported below; a thread cannot fail the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(report == reports[0] for report in reports)
+    (side,) = tower.tower_of(THM)._sides.values()
+    later = dissipativity_scan(system, a, rights[1], k_lo, k_hi)
+    assert all(row is dead for row, dead in zip(later.rows, side.rows) if dead is not None)
 
 
 # its left factor is unresolved at k = 34 under max_stage 3, its right factor zero
