@@ -8,12 +8,15 @@ output files are written only after a run completes.
 Rejected input is decided in one place.  The library rejects input with
 ``ValueError`` (``InvalidConstructionError`` for constructions, sometimes only
 at the stage that breaks one), and ``_Main.invoke`` turns every such error into
-a one-line ``Error:`` and exit 2; an unwritable ``--out``, a malformed
-``--family`` spec, a negative ``--tol`` or ``--eps``, a ``--grid`` or
-``--max-stage`` below 1, a ``limits scan --j`` that opens no dead zone, and a
-request that runs out of memory or hits the recursion limit exit 2 the same
-way, so a crash never reads as FAIL.  ``--max-stage`` is the one stage cap of
-a command; no environment variable changes an answer.
+a one-line ``Error:`` and exit 2, among them a ``limits scan`` whose window or
+dead zone would list more shifts than ``scan_window`` takes; an unwritable
+``--out``, a malformed ``--family`` spec, a negative ``--tol`` or ``--eps``, a
+``--grid`` or ``--max-stage`` below 1, a list option with no integer in it, a
+``limits scan --j`` that opens no dead zone, a ``run`` list for a
+single-valued option, and a request that runs out of memory or hits the
+recursion limit exit 2 the same way, so a crash never reads as FAIL.
+``--max-stage`` is the one stage cap of a command; no environment variable
+changes an answer.
 ``_with_construction`` hands each command its parsed construction as
 ``params``, and ``_emit`` writes the report and exits with its status.
 ``run`` re-enters ``main`` with its experiment's subcommand path and one
@@ -37,6 +40,7 @@ import click
 
 from . import __version__, acceptance, reports
 from .construction import (
+    FAMILY_ARGUMENTS,
     InvalidConstructionError,
     condition_star_check,
     family as family_builder,
@@ -66,9 +70,6 @@ _ORACLE_MAX_CELLS = 1 << 20
 
 _FAMILY_SPEC = re.compile(r"^\s*(\w+)\s*(?:\(\s*([^)]+?)\s*\))?\s*$")
 _SET_SUGAR = re.compile(r"^\s*(?:T\^?(-?\d+)\s*)?E_?(\d+)\s*$")
-# the families that take an argument: name -> (keyword, parser, what it must be)
-_FAMILY_ARGUMENTS = {"thm2": ("N", int, "an integer"),
-                     "scaled": ("a", parse_rational, "a rational p/q")}
 
 
 class _BadInput(click.ClickException):
@@ -85,9 +86,10 @@ def _parse_family(text: str):
     name, arg = m.group(1), m.group(2)
     if arg is None:
         return family_builder(name)
-    if name not in _FAMILY_ARGUMENTS:
-        raise _BadInput(f"bad family {text!r}: only thm2 and scaled take an argument")
-    key, parse, kind = _FAMILY_ARGUMENTS[name]
+    if name not in FAMILY_ARGUMENTS:
+        raise _BadInput(f"bad family {text!r}: only {' and '.join(FAMILY_ARGUMENTS)} "
+                        "take an argument")
+    key, parse, kind = FAMILY_ARGUMENTS[name]
     try:
         value = parse(arg)
     except ValueError:
@@ -142,12 +144,14 @@ def _parse_span(text: str) -> range:
 
 
 def _parse_int_list(text: str) -> list[int]:
+    """Comma-separated integers and ranges; a list with none would be a vacuous run."""
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if not part:
-            continue
-        out.extend(_parse_span(part))
+        if part:
+            out.extend(_parse_span(part))
+    if not out:
+        raise _BadInput(f"no integer in {text!r}, expected e.g. 5, 3..8 or 1,2,8")
     return out
 
 
@@ -442,7 +446,7 @@ def limits_eq4(big_n, n, p, set_a, set_b, stages, j_max, tol, max_stage, fmt, ou
     """Check T^{-n h_j'} -> ((N-n)/(N+1)) I + (1/(N+1)) T^p over thm2(N)."""
     params = family_builder("thm2", N=big_n)
     a, b = _parse_sets(set_a, set_b, params)
-    stage_list = _parse_int_list(stages) if stages else None
+    stage_list = _parse_int_list(stages) if stages is not None else None
     report = verify_mixture_law(big_n, n, p, a, b, stage_list, j_max,
                                 parse_rational(tol), max_stage)
     rows = [{
@@ -552,7 +556,7 @@ def spectral():
 
 def _base_sequence(params, set_a, shifts, h_stages, max_stage):
     a = _parse_set(set_a, params)
-    n_list = _parse_int_list(shifts) if shifts else list(range(9))
+    n_list = _parse_int_list(shifts) if shifts is not None else list(range(9))
     if h_stages:
         n_list += [stage_geometry(params, j).h for j in _parse_span(h_stages)]
     return n_list, correlations(a, n_list, max_stage)
@@ -637,7 +641,7 @@ def spectral_suspend(params, set_a, shifts, max_stage, fmt, out):
 @_out_option
 def acceptance_cmd(only, fmt, out):
     """Run the acceptance criteria and print one verdict line per criterion."""
-    numbers = _parse_int_list(only) if only else None
+    numbers = _parse_int_list(only) if only is not None else None
     results = acceptance.run_all(numbers)
     for res in results:
         marker = " [known-defect]" if res.known_defect else ""
@@ -706,12 +710,14 @@ def run_config(ctx, config_path):
         if op not in spectral.commands:
             raise click.UsageError(f"unknown spectral op {op!r}")
         argv.append(op)
+    command = functools.reduce(lambda group, part: group.commands[part], argv, main)
     construction = None
     if "construction" in config:
-        command = functools.reduce(lambda group, part: group.commands[part], argv, main)
         if not any(param.name == "family" for param in command.params):
             raise click.UsageError(f"experiment {name} takes no construction")
         construction = params_from_config(config["construction"])
+    # click keeps only the last of several values of a single-valued option
+    single = {opt for param in command.params if not param.multiple for opt in param.opts}
     for key, value in exp_params.items():
         if key in _NOT_PARAMS or not _PARAM_KEY.fullmatch(key):
             raise click.UsageError(f"unknown parameter {key!r} for experiment {name}")
@@ -720,6 +726,9 @@ def run_config(ctx, config_path):
             if value:
                 argv.append(flag)
         elif isinstance(value, list):
+            if flag in single:
+                raise _BadInput(f"parameter {key!r} of experiment {name} takes one value, "
+                                "not a list")
             for item in value:
                 argv += [flag, str(item)]
         else:

@@ -18,7 +18,6 @@ config file reproduces a construction exactly.
 
 from __future__ import annotations
 
-import inspect
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -315,6 +314,10 @@ def scaled(a) -> ConstructionParams:
 
 
 _FAMILY_BUILDERS = {"toy": toy, "utv1": utv1, "thm2": thm2, "scaled": scaled}
+# the families that take an argument: name -> (keyword, parser, what it must be);
+# the others take none
+FAMILY_ARGUMENTS = {"thm2": ("N", parse_int, "an integer"),
+                    "scaled": ("a", parse_rational, "a rational p/q")}
 
 
 def family(name: str, **kwargs) -> ConstructionParams:
@@ -322,7 +325,7 @@ def family(name: str, **kwargs) -> ConstructionParams:
     builder = _FAMILY_BUILDERS.get(name) if isinstance(name, str) else None
     if builder is None:
         raise InvalidConstructionError(f"unknown family {name!r}")
-    wanted = list(inspect.signature(builder).parameters)
+    wanted = [FAMILY_ARGUMENTS[name][0]] if name in FAMILY_ARGUMENTS else []
     if set(kwargs) != set(wanted):
         raise InvalidConstructionError(
             f"family {name} takes arguments {wanted}, got {sorted(kwargs)}"
@@ -474,16 +477,12 @@ def params_from_config(config: dict) -> ConstructionParams:
     if not isinstance(config, dict):
         raise InvalidConstructionError("construction config must be an object")
     if "family" in config:
-        unknown = set(config) - {"family", "N", "a"}
+        parsers = {key: parse for key, parse, _ in FAMILY_ARGUMENTS.values()}
+        unknown = set(config) - {"family", *parsers}
         if unknown:
             raise InvalidConstructionError(f"unknown config keys {sorted(unknown)}")
-        name = config["family"]
-        kwargs = {}
-        if "N" in config:
-            kwargs["N"] = parse_int(config["N"])
-        if "a" in config:
-            kwargs["a"] = parse_rational(config["a"])
-        return family(name, **kwargs)
+        kwargs = {key: parse(config[key]) for key, parse in parsers.items() if key in config}
+        return family(config["family"], **kwargs)
     unknown = set(config) - {"h1", "base_width", "stages"}
     if unknown:
         raise InvalidConstructionError(f"unknown config keys {sorted(unknown)}")

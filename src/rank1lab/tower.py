@@ -290,7 +290,8 @@ class Tower:
     def pair_counts(self, index: TargetIndex, j0: int, n: int, K: int) -> list[int]:
         """#{(x, y) : x in S, y in B at stage K, y - x = n} for each target B of
         ``index``, for K >= j0, given the index of the source S against every
-        B at stage j0.
+        B at stage j0.  The caller has built stage K: ``grid_counts`` in its
+        planning and overflow loop, ``partial_joining`` by ``stage(j)``.
 
         For one B this is sum_{s,b} N_{j0,K}(n + s - b) over the levels s of S
         and b of B at stage j0: a level pair of stage K is (s + o, b + o')
@@ -306,8 +307,6 @@ class Tower:
         """
         counts = [0] * index.size
         chain = self._chain
-        if K > len(chain):
-            self.stage(K)
         reach = chain[K - 1].top - chain[j0 - 1].top
         differences = index.differences
         # the differences d = s - b with |n + d| <= reach
@@ -388,9 +387,7 @@ class Tower:
             st = self.stage(k - 1)
             i = bisect_left(st.column_offsets, t)
             count += (st.r - i) * (st.copies // base.copies)
-            if i == 0:
-                return count
-            t -= st.column_offsets[i - 1]
+            t -= st.column_offsets[i - 1]  # i >= 1: column_offsets[0] == 0 < t
             if t > st.top - base.top:
                 return count
         return count + (t <= 0)

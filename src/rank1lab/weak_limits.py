@@ -227,6 +227,11 @@ def verify_limit(
     return LimitReport(tuple(rows), max_dev, reports.combine(r.status for r in rows))
 
 
+# The most shifts either list of a window scan may hold (a dead zone of span
+# 200,000 listed whole): each list and its bounds are built in memory.
+_SCAN_MAX_SHIFTS = 200_001
+
+
 @dataclass(frozen=True)
 class WindowScanReport:
     j: int
@@ -249,8 +254,13 @@ def scan_window(
     """Tabulate mu(T^n A /\\ B) over the active window around h_j and sample
     the dead zone [h_j + 2h_{j-1}, h_{j+1} - 2h_j], where values must vanish.
 
-    ``dead_samples`` interior points are sampled besides the two endpoints;
-    ``None`` scans the dead zone exhaustively (toy-sized constructions only).
+    The window lists every ``step``-th shift from its start, h_j and its end.
+    The dead zone lists its start and ``dead_samples + 1`` evenly spread
+    shifts up to its end, fewer if the zone is short; ``None`` lists every
+    shift of the zone.  Both lists are counted from their bounds before any
+    is built, and a scan that would list more than ``_SCAN_MAX_SHIFTS`` shifts
+    in either is refused with ``ValueError``.  Both go through one
+    ``power_profile``.
     """
     if j < 3:
         raise ValueError("scan needs j >= 3")
@@ -267,18 +277,22 @@ def scan_window(
         raise ValueError(f"step must be >= 1, got {step}")
     if dead_samples is not None and dead_samples < 0:
         raise ValueError(f"dead_samples must be >= 0, got {dead_samples}")
+    span = dead_hi - dead_lo  # negative: spacers too small to open a dead zone here
+    samples = span if dead_samples is None else dead_samples + 1
+    for count, what, remedy in (
+            (len(range(win_lo, win_hi + 1, step)) + 2, "window", "raise step"),
+            (1 + min(span, samples) if span >= 0 else 0, "dead zone", "lower dead_samples")):
+        if count > _SCAN_MAX_SHIFTS:
+            raise ValueError(f"the {what} would list {count} shifts, above the limit "
+                             f"of {_SCAN_MAX_SHIFTS}: {remedy}")
     window_ns = sorted(set(range(win_lo, win_hi + 1, step)) | {h_j, win_hi})
-    if dead_hi < dead_lo:
-        dead_ns = []  # spacers too small to open a dead zone at this stage
-    elif dead_samples is None:
-        if dead_hi - dead_lo > 200_000:
-            raise ValueError("dead zone too large for an exhaustive scan")
-        dead_ns = list(range(dead_lo, dead_hi + 1))
-    else:  # both endpoints and dead_samples interior points, fewer if the zone is short
-        dead_ns = [dead_lo] + (
-            sample_shifts(dead_lo, dead_hi, dead_samples + 1) if dead_hi > dead_lo else [])
-    window_rows = tuple(zip(window_ns, power_profile(a, b, window_ns, max_stage)))
-    dead_rows = tuple(zip(dead_ns, power_profile(a, b, dead_ns, max_stage)))
+    if span < 0:
+        dead_ns = []
+    else:  # the start, then `samples` spread points up to the end, fewer if the zone is short
+        dead_ns = [dead_lo] + (sample_shifts(dead_lo, dead_hi, samples) if span else [])
+    bounds = power_profile(a, b, window_ns + dead_ns, max_stage)
+    window_rows = tuple(zip(window_ns, bounds))
+    dead_rows = tuple(zip(dead_ns, bounds[len(window_ns):]))
     exact_zero = all(bound.exact and bound.lo == 0 for _, bound in dead_rows)
     return WindowScanReport(
         j=j,

@@ -372,6 +372,51 @@ def test_run_config_unknown_experiment(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_run_rejects_a_list_for_a_single_valued_option(runner, tmp_path):
+    """click keeps only the last value of a repeated single-valued option, so
+    a list there would silently drop all but one item; --pair takes many."""
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({
+        "experiment": "measure", "construction": {"family": "utv1"},
+        "params": {"set": "E2", "n": ["1", "5"]},
+    }))
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [
+        "Error: parameter 'n' of experiment measure takes one value, not a list"]
+    config.write_text(json.dumps({
+        "experiment": "limits", "construction": {"family": "utv1"},
+        "params": {"seq": "h_k", "poly": "1/2*T^0", "j": "3..4", "pair": ["E2|E2"]},
+    }))
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("not json", "cannot read experiment config"),
+    (json.dumps({"experiment": "spectral", "construction": {"family": "utv1"},
+                 "params": {"op": "fourier"}}), "unknown spectral op 'fourier'"),
+], ids=["unreadable", "spectral op"])
+def test_run_rejects_a_bad_config(runner, tmp_path, text, fragment):
+    config = tmp_path / "exp.json"
+    config.write_text(text)
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 2
+    assert fragment in result.output
+
+
+def test_run_writes_the_top_level_out(runner, tmp_path):
+    out = tmp_path / "report.csv"
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({
+        "experiment": "geometry", "construction": {"family": "toy"},
+        "params": {"j": "1..3"}, "format": "csv", "out": str(out),
+    }))
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert (result.exit_code, result.output) == (0, "")
+    direct = runner.invoke(main, ["geometry", "--family", "toy", "--j", "1..3", "--format", "csv"])
+    assert out.read_text() == direct.output
+
+
 def test_run_spectral_op(runner, tmp_path):
     config = tmp_path / "exp.json"
     config.write_text(json.dumps({
@@ -479,6 +524,23 @@ _NAMED_REJECTIONS = [
      "Error: bad family 'toy(3)': only thm2 and scaled take an argument"),
     (["products", "scan", "--family", "utv1", "--right-family", "utv1(", "--k-lo", "1",
       "--k-hi", "5"], "Error: cannot parse family 'utv1('"),
+    # a list with no integer in it would be a vacuous run: no rows, or every criterion
+    (["measure", "--family", "utv1", "--set", "E2", "--n", ","],
+     "Error: no integer in ',', expected e.g. 5, 3..8 or 1,2,8"),
+    (["acceptance", "--only", ","], "Error: no integer in ','"),
+    (["acceptance", "--only", ""], "Error: no integer in ''"),
+    (["spectral", "suspend", "--family", "utv1", "--k", ","], "Error: no integer in ','"),
+    (["spectral", "corr", "--family", "utv1", "--n", ""], "Error: no integer in ''"),
+    (["limits", "eq4", "--big-n", "2", "--n", "1", "--p", "1", "--stages", ","],
+     "Error: no integer in ','"),
+    # a scan list is counted before it is built: these would run out of memory
+    (["limits", "scan", "--family", "utv1", "--j", "7", "--dead-samples", "400000"],
+     "Error: the dead zone would list 231841 shifts, above the limit of 200001: "
+     "lower dead_samples"),
+    (["limits", "scan", "--family", "utv1", "--j", "7", "--dead-samples", "all"],
+     "Error: the dead zone would list 231841 shifts"),
+    (["limits", "scan", "--family", "utv1", "--j", "10", "--step", "1"],
+     "Error: the window would list 14515203 shifts, above the limit of 200001: raise step"),
 ]
 
 _REJECTED_INPUTS = [args for args, _ in _NAMED_REJECTIONS] + [

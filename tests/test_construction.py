@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import rank1lab
 from rank1lab.construction import (
+    FAMILY_ARGUMENTS,
     ConstructionParams,
     CutRule,
     InvalidConstructionError,
@@ -257,6 +258,28 @@ def test_explicit_config_example():
 def test_config_roundtrip_explicit_form():
     for params in (toy(), utv1(), thm2(2), scaled(2)):
         assert params_from_config(params_to_config(params)) == params
+
+
+def test_config_roundtrip_j_plus_cut_rule():
+    params = ConstructionParams(
+        h1=2, cuts=CutRule("j_plus", 1), spacer_tail=(SpacerRule("constant", 3),))
+    config = params_to_config(params)
+    assert config["stages"]["r"] == {"rule": "j_plus", "c": 1}
+    assert params_from_config(config) == params
+    assert [stage_geometry(params_from_config(config), j).r for j in (1, 2, 3)] == [2, 3, 4]
+
+
+def test_family_arguments_are_the_one_schema():
+    """``FAMILY_ARGUMENTS`` is what ``family``, the config form and the CLI
+    spec read: each family takes exactly its keyword, parsed by its parser."""
+    assert set(FAMILY_ARGUMENTS) == {"thm2", "scaled"}
+    for name, (key, parse, _) in FAMILY_ARGUMENTS.items():
+        with pytest.raises(InvalidConstructionError, match=rf"takes arguments \['{key}'\]"):
+            family(name)
+        assert params_from_config({"family": name, key: "3"}) == family(name, **{key: parse("3")})
+    for name in ("toy", "utv1"):
+        with pytest.raises(InvalidConstructionError, match=r"takes arguments \[\]"):
+            family(name, N=2)
 
 
 def test_params_hash_is_cached_over_the_compared_fields():

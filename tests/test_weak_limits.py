@@ -1,12 +1,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rank1lab import reports, weak_limits
 from rank1lab.construction import stage_geometry, thm2, toy, utv1
 from rank1lab.joinings import domination_witness
 from rank1lab.products import sample_shifts
-from rank1lab.tower import LevelSet, MeasureBound, Tower, apply_power_bounds, intersect, measure
+from rank1lab.tower import (
+    LevelSet,
+    MeasureBound,
+    Tower,
+    apply_power_bounds,
+    intersect,
+    measure,
+    power_profile,
+)
 from rank1lab.weak_limits import (
     CandidateSequence,
     MixtureLawRow,
@@ -230,6 +239,87 @@ def test_dead_zone_spread_matches_the_sampling_loop(span):
     lo, hi = report.dead_zone
     loop = sorted({lo, hi} | {lo + (t * (hi - lo)) // (span + 1) for t in range(1, span + 1)})
     assert [n for n, _ in report.dead_rows] == loop
+
+
+def _two_path_scan_rows(params, j, a, b, step, dead_samples, max_stage):
+    """The window and dead rows of a scan listed as ``scan_window`` once did:
+    an exhaustive dead zone by a branch of its own, each list through its
+    own ``power_profile``."""
+    h_prev, h_j, h_next = (stage_geometry(params, k).h for k in (j - 1, j, j + 1))
+    win_lo, win_hi = h_j - 2 * h_prev, h_j + 2 * h_prev
+    dead_lo, dead_hi = h_j + 2 * h_prev, h_next - 2 * h_j
+    if step is None:
+        step = max(1, (win_hi - win_lo) // 64)
+    window_ns = sorted(set(range(win_lo, win_hi + 1, step)) | {h_j, win_hi})
+    if dead_hi < dead_lo:
+        dead_ns = []
+    elif dead_samples is None:
+        dead_ns = list(range(dead_lo, dead_hi + 1))
+    else:
+        dead_ns = [dead_lo] + (
+            sample_shifts(dead_lo, dead_hi, dead_samples + 1) if dead_hi > dead_lo else [])
+    return (tuple(zip(window_ns, power_profile(a, b, window_ns, max_stage))),
+            tuple(zip(dead_ns, power_profile(a, b, dead_ns, max_stage))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["utv1", "thm2(2)"]), st.integers(3, 6),
+       st.none() | st.integers(1, 50), st.none() | st.integers(0, 400),
+       st.integers(0, 1), st.sampled_from([None, 4]))
+@example("thm2(2)", 6, 1, None, 1, None)  # the largest: 7,933 + 91,238 shifts
+@example("utv1", 4, 3, 311, 0, None)  # dead_samples = span - 1 lists every shift
+@example("utv1", 3, None, 0, 1, 4)
+def test_scan_window_matches_the_two_path_listing(name, j, step, dead_samples, level, cap):
+    """One list of dead-zone shifts ("all" is every sample), one kernel grid
+    for both lists: the rows equal the two-path listing, shifts and bounds
+    (``MeasureBound`` equality compares lo, hi and the resolved stage)."""
+    params = utv1() if name == "utv1" else thm2(2)
+    stage = 1 if j == 3 else 2  # the sets must sit strictly below stage j - 1
+    a, b = LevelSet.base(params, stage), LevelSet.single(params, stage, level)
+    report = scan_window(params, j, a, b, step, dead_samples, cap)
+    window_rows, dead_rows = _two_path_scan_rows(params, j, a, b, step, dead_samples, cap)
+    assert report.window_rows == window_rows
+    assert report.dead_rows == dead_rows
+
+
+def _no_listing(monkeypatch):
+    """Make listing a dead zone or querying the kernel fail the test."""
+    def listed(*_args, **_kwargs):
+        raise AssertionError("a refused scan listed shifts or queried the kernel")
+
+    monkeypatch.setattr(weak_limits, "sample_shifts", listed)
+    monkeypatch.setattr(weak_limits, "power_profile", listed)
+
+
+# utv1 stage 7: a dead zone of span 231,840; stage 10: a window of width 14,515,200
+@pytest.mark.parametrize("j,step,dead_samples,message", [
+    (7, None, None, "the dead zone would list 231841 shifts, above the limit of 200001"),
+    (7, None, 400_000, "the dead zone would list 231841 shifts, above the limit of 200001"),
+    (7, None, 200_000, "the dead zone would list 200002 shifts"),
+    (10, 1, 64, "the window would list 14515203 shifts, above the limit of 200001: "
+                "raise step"),
+    (10, 72, 64, "the window would list 201603 shifts"),
+])
+def test_scan_window_refuses_an_oversize_list_before_listing(
+        monkeypatch, j, step, dead_samples, message):
+    """Both lists are counted from their bounds and checked against one
+    limit before any shift is listed: an exhaustive dead zone, a numeric one
+    that lists as many shifts and a fine window step alike."""
+    _no_listing(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        scan_window(UTV, j, E2, E2, step, dead_samples)
+
+
+@pytest.mark.parametrize("j,step,dead_samples,window,dead", [
+    (7, None, 199_999, 65, 200_001),  # the dead zone at the limit
+    (10, 73, 0, 198_841, 2),  # the window just below it
+])
+def test_scan_window_admits_lists_up_to_the_limit(monkeypatch, j, step, dead_samples,
+                                                  window, dead):
+    monkeypatch.setattr(weak_limits, "power_profile",
+                        lambda a, b, shifts, max_stage: [MeasureBound.exactly(0)] * len(shifts))
+    report = scan_window(UTV, j, E2, E2, step, dead_samples)
+    assert (len(report.window_rows), len(report.dead_rows)) == (window, dead)
 
 
 def test_scan_window_rejects_sets_too_deep():
