@@ -11,10 +11,10 @@ at the stage that breaks one), and ``_Main.invoke`` turns every such error into
 a one-line ``Error:`` and exit 2, among them a ``limits scan`` whose window or
 dead zone would list more shifts than ``scan_window`` takes; an unwritable
 ``--out``, a malformed ``--family`` spec, a negative ``--tol`` or ``--eps``, a
-``--grid`` or ``--max-stage`` below 1, a list option with no integer in it, a
+``--grid`` or ``--max-stage`` below 1, a list option with no integer or too many, a
 ``limits scan --j`` that opens no dead zone, a ``run`` list for a
-single-valued option, and a request that runs out of memory or hits the
-recursion limit exit 2 the same way, so a crash never reads as FAIL.
+single-valued option, and a request that runs out of memory, overflows a C
+size or hits the recursion limit exit 2 the same way, so a crash never reads as FAIL.
 ``--max-stage`` is the one stage cap of a command; no environment variable
 changes an answer.
 ``_with_construction`` hands each command its parsed construction as
@@ -56,6 +56,7 @@ from .serde import format_int, format_rational, parse_rational
 from .spectral import correlations, fejer_density, suspension_correlation
 from .tower import LevelSet, apply_power_bounds, parse_level_set
 from .weak_limits import (
+    MAX_LISTED,
     parse_polynomial,
     parse_sequence,
     scan_window,
@@ -143,16 +144,16 @@ def _parse_span(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Comma-separated integers and ranges; a list with none would be a vacuous run."""
-    out: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if part:
-            out.extend(_parse_span(part))
-    if not out:
+def _parse_int_list(text: str, option: str) -> list[int]:
+    """Comma-separated integers and ranges, counted from their bounds first: a
+    list with none would be a vacuous run, and one above ``MAX_LISTED`` is refused."""
+    spans = [_parse_span(part) for part in map(str.strip, text.split(",")) if part]
+    count = sum(span.stop - span.start for span in spans)
+    if not count:
         raise _BadInput(f"no integer in {text!r}, expected e.g. 5, 3..8 or 1,2,8")
-    return out
+    if count > MAX_LISTED:
+        raise _BadInput(f"{option} would list {count} integers, above the limit of {MAX_LISTED}")
+    return [n for span in spans for n in span]
 
 
 def _bound_fields(bound) -> dict:
@@ -246,15 +247,17 @@ _max_stage_option = click.option("--max-stage", default=None, type=int, callback
 
 class _Main(click.Group):
     def invoke(self, ctx):
-        # a construction can turn out invalid only at the stage that breaks it
         try:
             return super().invoke(ctx)
-        except InvalidConstructionError as exc:
-            raise _BadInput(f"invalid construction: {exc}") from exc
-        except ValueError as exc:
-            raise _BadInput(str(exc)) from exc
-        except (MemoryError, RecursionError) as exc:  # a crash must not read as FAIL
-            raise _BadInput(f"request too large for this host ({type(exc).__name__})") from exc
+        except (ValueError, MemoryError, RecursionError, OverflowError) as exc:
+            # free the failing frames and the half-built data they hold before
+            # click formats the message: a crash must not read as FAIL
+            exc.__traceback__ = None
+            # a construction can turn out invalid only at the stage that breaks it
+            message = (f"invalid construction: {exc}" if isinstance(exc, InvalidConstructionError)
+                       else str(exc) if isinstance(exc, ValueError)
+                       else f"request too large for this host ({type(exc).__name__})")
+        raise _BadInput(message)  # outside the handler, so it chains no exception
 
 
 @click.group(cls=_Main)
@@ -314,7 +317,7 @@ def measure_cmd(params, set_a, set_b, shifts, max_stage, fmt, out):
     a, b = _parse_sets(set_a, set_b, params)
     rows = []
     status = reports.PASS
-    for n in _parse_int_list(shifts):
+    for n in _parse_int_list(shifts, "--n"):
         bound = apply_power_bounds(a, b, n, max_stage)
         if not bound.exact:
             status = reports.INCONCLUSIVE
@@ -446,7 +449,7 @@ def limits_eq4(big_n, n, p, set_a, set_b, stages, j_max, tol, max_stage, fmt, ou
     """Check T^{-n h_j'} -> ((N-n)/(N+1)) I + (1/(N+1)) T^p over thm2(N)."""
     params = family_builder("thm2", N=big_n)
     a, b = _parse_sets(set_a, set_b, params)
-    stage_list = _parse_int_list(stages) if stages is not None else None
+    stage_list = _parse_int_list(stages, "--stages") if stages is not None else None
     report = verify_mixture_law(big_n, n, p, a, b, stage_list, j_max,
                                 parse_rational(tol), max_stage)
     rows = [{
@@ -556,7 +559,7 @@ def spectral():
 
 def _base_sequence(params, set_a, shifts, h_stages, max_stage):
     a = _parse_set(set_a, params)
-    n_list = _parse_int_list(shifts) if shifts is not None else list(range(9))
+    n_list = _parse_int_list(shifts, "--n") if shifts is not None else list(range(9))
     if h_stages:
         n_list += [stage_geometry(params, j).h for j in _parse_span(h_stages)]
     return n_list, correlations(a, n_list, max_stage)
@@ -623,7 +626,7 @@ def spectral_density(params, set_a, shifts, h_stages, order, grid, max_stage, fm
 def spectral_suspend(params, set_a, shifts, max_stage, fmt, out):
     """Normalized suspension correlations (e^{c(k)} - 1)/(e - 1)."""
     a = _parse_set(set_a, params)
-    ks = _parse_int_list(shifts)
+    ks = _parse_int_list(shifts, "--k")
     seq = correlations(a, ks, max_stage)
     rows = []
     for k in ks:
@@ -641,7 +644,7 @@ def spectral_suspend(params, set_a, shifts, max_stage, fmt, out):
 @_out_option
 def acceptance_cmd(only, fmt, out):
     """Run the acceptance criteria and print one verdict line per criterion."""
-    numbers = _parse_int_list(only) if only is not None else None
+    numbers = _parse_int_list(only, "--only") if only is not None else None
     results = acceptance.run_all(numbers)
     for res in results:
         marker = " [known-defect]" if res.known_defect else ""

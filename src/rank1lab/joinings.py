@@ -38,11 +38,10 @@ def partial_joining(a: LevelSet, b: LevelSet, k: int, j: int) -> MeasureBound:
     geom = tower.stage(j)
     if abs(k) > geom.h:
         raise ValueError(f"|k| = {abs(k)} exceeds tower height {geom.h} at stage {j}")
-    j0 = max(a.stage, b.stage)
-    if j0 > j:
+    if max(a.stage, b.stage) > j:
         raise ValueError("sets are not representable at the requested stage")
-    index = TargetIndex(tower.refined_levels(a, j0), [tower.refined_levels(b, j0)])
-    (count,) = tower.pair_counts(index, j0, k, j)
+    index = TargetIndex((a.stage, a.levels), [(b.stage, b.levels)])
+    (count,) = tower.pair_counts(index, k, j)
     width = geom.level_width
     value = Fraction(count * width.numerator, width.denominator)
     return MeasureBound(value, value, j)

@@ -7,23 +7,24 @@ as the levels {pos_j(i) + l : i = 1..r_j} of stage j+1 and preserves measure
 exactly.
 
 ``apply_power_bounds`` computes mu(T^n A /\\ B), n >= 0, as an exact
-rational interval without listing refined levels.  Bring A and B to their
-common stage j0.  At a stage K >= j0 every level of A is a + o, with a a
-stage-j0 level of A and o in O_{j0,K}, the sums o_{j0}(i_{j0}) + ... +
-o_{K-1}(i_{K-1}) of one column offset per stage; likewise for B.  T^n sends
-level x to x + n while that stays below h_K, so the levels of A_K landing in
-B_K number
+rational interval without listing refined levels.  Let A sit at stage ja and
+B at stage jb.  At a stage K >= max(ja, jb) every level of A is a + o, with a
+a level of A and o in O_{ja,K}, the sums o_{ja}(i_{ja}) + ... +
+o_{K-1}(i_{K-1}) of one column offset per stage; likewise b + o' for B, with
+o' in O_{jb,K}.  T^n sends level x to x + n while that stays below h_K, so
+the levels of A_K landing in B_K number
 
-    sum_{a,b} N_K(n + a - b),  N_K(m) = #{(o, o') in O_{j0,K}^2 : o' - o = m},
+    sum_{a,b} M_K(n + a - b),  M_K(m) = #{(o, o') in O_{ja,K} x O_{jb,K} : o' - o = m},
 
-and N obeys the digit recursion N_K(m) = sum_d mult_{K-1}(d) N_{K-1}(m - d):
-d runs over the stage-(K-1) offset differences o(i') - o(i), mult counts the
-pairs (i, i') giving d, N_{j0}(m) = [m == 0], and N_k(m) = 0 once |m|
-exceeds the largest element of O_{j0,k}, which leaves a few live d per stage.
-The levels pushed past the top, #{x in A_K : x + n >= h_K}, come from the
-same offsets top-down.  With w_K the level width,
+and M obeys the digit recursion M_K(m) = sum_d mult_{K-1}(d) M_{K-1}(m - d)
+down to J = max(ja, jb): d runs over the stage-(K-1) offset differences
+o(i') - o(i), mult counts the pairs (i, i') giving d, M_J(m) = [-m in O_{ja,J}]
+for ja <= jb ([m == 0] for ja == jb), and M_k(m) = 0 outside
+-(top_k - top_ja) <= m <= top_k - top_jb, which leaves a few live d per stage.
+The levels pushed past the top, #{x in A_K : x + n >= h_K}, come from A's
+offsets top-down.  With w_K the level width,
 
-    lo = w_K * sum_{a,b} N_K(n + a - b),   hi = lo + w_K * overflow,
+    lo = w_K * sum_{a,b} M_K(n + a - b),   hi = lo + w_K * overflow,
 
 where K is the first stage with h_K > n at which nothing overflows, capped by
 the stage budget.  Unresolved mass at the budget widens the interval; it
@@ -34,12 +35,12 @@ The kernel answers in integers.  ``Tower.grid_counts`` is its one entry point:
 for each (A, B) of a grid and each shift of a list it gives the triple
 (count, overflow, K) of level pairs and overflowing levels at the resolved
 stage K.  The tower is looked up once per grid; the shifts are planned once
-per common stage j0, and every set is refined to j0 once.  The queries are
+per stage j0 = max(ja, jb) of a pair, and no set is refined.  The queries are
 grouped by source set (A for n >= 0, B for n < 0): K and the overflow depend
 on the source alone.  Each source group indexes its targets once
-(``TargetIndex``: the distinct differences a - b of a source level a and a
-target level b, and how many pairs of each target have each), and
-``Tower.pair_counts`` reads N_{j0,K}(|n + a - b|) from the tower's
+(``TargetIndex``: per target stage, the distinct differences a - b of a
+source level a and a target level b, and how many pairs of each target have
+each), and ``Tower.pair_counts`` reads M_K(n + a - b) from the tower's
 pair-count table once per difference within reach.
 ``power_grid`` is the rational view of those rows, with equal triples
 sharing one bound; ``power_profile`` is its one-pair case and
@@ -50,13 +51,12 @@ its state: the stage chain, which ``construction.stage_geometry`` reads,
 where each ``StageGeometry`` carries the prefix data the kernel reads
 (``copies``, ``top``) and its offset differences; and three memos, which
 ``Tower.reset()`` empties while the chain stays.  The pair-count table holds
-N_{j0,k}(m) under (j0, k) and |m| (N is even in m, since swapping o and o'
-negates m).  It is filled on demand by the digit recursion and its prune
-|m - d| <= stage(k-1).top - stage(j0).top, in two passes without Python
-recursion, so a walk of a thousand stages needs no deep stack.  An entry
-never changes and lives until ``Tower.reset()``; the table at (j0, k)
-holds at most top_k - top_j0 + 1 entries, and only those some query
-reached through the pruned recursion.  The self-return memo of
+M_{js,jt,k}(m) for js <= jt under (js, jt, k) and m, or |m| when js == jt
+(swapping o and o' negates m).  It is filled on demand by the digit
+recursion and its prune, in two passes without Python recursion, so a walk
+of a thousand stages needs no deep stack.  An entry never changes and lives
+until ``Tower.reset()``; a table holds only the entries some query reached
+through the pruned recursion.  The self-return memo of
 product scans holds one inner dict per (A's stage, A's levels,
 ``max_stage``), keyed on |n|.  Those are the inputs of the stage budget,
 which fix the budget for one construction, so a hit is one int-keyed lookup
@@ -75,14 +75,13 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from operator import mul
 from typing import Iterable, Sequence
 
 from .construction import ConstructionParams, StageGeometry, _build_stage, stage_geometry
 
 DEFAULT_EXTRA_STAGES = 8
-_NO_TABLE: dict[int, int] = {}  # read, never written: a (j0, K) not yet tabled
+_NO_TABLE: dict[int, int] = {}  # read, never written: a (js, jt, K) not yet tabled
 
 
 @dataclass(frozen=True)
@@ -195,27 +194,35 @@ def measure(a: LevelSet) -> Fraction:
 
 
 class TargetIndex:
-    """The stage-j0 levels of one source set against a list of target sets,
+    """One source set against a list of target sets, each at its own stage,
     indexed once for ``Tower.pair_counts``.  A level pair (s, b) counts by
-    s - b alone, so the index keeps the distinct d = s - b in order, the
-    number of pairs for each d, and the (target, pairs) each d splits into."""
+    b's stage and s - b alone, so the index keeps, per target stage, the
+    distinct d = s - b in order, the number of pairs for each d, and the
+    (target, pairs) each d splits into."""
 
-    __slots__ = ("source", "targets", "size", "differences", "pairs", "owners")
+    __slots__ = ("stage", "levels", "targets", "size", "by_stage")
 
-    def __init__(self, source: tuple[int, ...], targets: Sequence[tuple[int, ...]]):
-        self.source, self.targets, self.size = source, targets, len(targets)
-        split: dict[int, dict[int, int]] = {}  # d -> {target: pairs}
-        for t, levels in enumerate(targets):
-            for x in source:
+    def __init__(self, source: tuple[int, tuple[int, ...]],
+                 targets: Sequence[tuple[int, tuple[int, ...]]]):
+        self.stage, self.levels = source
+        self.targets, self.size = targets, len(targets)
+        splits: dict[int, dict[int, dict[int, int]]] = {}  # stage -> d -> {target: pairs}
+        for t, (stage, levels) in enumerate(targets):
+            split = splits.setdefault(stage, {})
+            for x in self.levels:
                 for y in levels:
                     held = split.get(x - y)
                     if held is None:
                         split[x - y] = {t: 1}
                     else:
                         held[t] = held.get(t, 0) + 1
-        self.differences = sorted(split)
-        self.owners = [tuple(split[d].items()) for d in self.differences]
-        self.pairs = [sum(pairs for _, pairs in held) for held in self.owners]
+        # (target stage, differences, pairs per difference, owners per difference)
+        self.by_stage = []
+        for stage, split in splits.items():
+            differences = sorted(split)
+            pairs = [sum(split[d].values()) for d in differences]
+            owners = [tuple(split[d].items()) for d in differences]
+            self.by_stage.append((stage, differences, pairs, owners))
 
 
 class Tower:
@@ -225,9 +232,10 @@ class Tower:
     is ``stage(k).top - stage(j0).top`` and it has
     ``stage(k).copies // stage(j0).copies`` elements.  The stage table is
     ``_chain``, which ``stage`` builds.  The tower owns three memos, all kept
-    until ``reset``.  ``_pairs`` is the pair-count table: for each (j0, k) a
-    dict from |m| to N_{j0,k}(m) = #{(o, o') in O_{j0,k}^2 : o' - o = m},
-    filled by ``_pair_table``.  ``_returns`` is the self-return memo: for
+    until ``reset``.  ``_pairs`` is the pair-count table: for each
+    (js, jt, k) with js <= jt a dict from m (|m| when js == jt) to
+    M_{js,jt,k}(m) = #{(o, o') in O_{js,k} x O_{jt,k} : o' - o = m}, filled by
+    ``_pair_table``.  ``_returns`` is the self-return memo: for
     each (A's stage, A's levels, ``max_stage``) a dict from |n| to the
     bound.  Its outer key holds the inputs of the stage budget other than
     |n|, so the memo follows ``max_stage`` and a hit does no planning.
@@ -244,8 +252,8 @@ class Tower:
         self.params = params
         self._chain: list[StageGeometry] = []
         self._grow = threading.Lock()
-        # (j0, k) -> {|m|: N_{j0,k}(m)}
-        self._pairs: dict[tuple[int, int], dict[int, int]] = {}
+        # (js, jt, k) -> {m: M_{js,jt,k}(m)}, keyed on |m| when js == jt
+        self._pairs: dict[tuple[int, int, int], dict[int, int]] = {}
         # (A's stage, A's levels, max_stage) -> {|n|: bound}
         self._returns: dict[tuple, dict[int, MeasureBound]] = {}
         # (A's stage, A's levels, |left power|, k_lo, k_hi, samples, max_stage)
@@ -273,95 +281,85 @@ class Tower:
         self._returns.clear()
         self._sides.clear()
 
-    def refined_levels(self, a: LevelSet, to_stage: int) -> tuple[int, ...]:
-        levels = a.levels
-        for k in range(a.stage, to_stage):
-            # already increasing: consecutive columns sit h + s >= h apart
-            levels = tuple(off + lvl for off in self.stage(k).column_offsets for lvl in levels)
-        return levels
-
-    def _levels_at(self, a: LevelSet, j0: int, refined: dict) -> tuple[int, ...]:
-        """A's levels at stage j0, refined once per ``refined`` memo."""
-        levels = refined.get((a.stage, a.levels))
-        if levels is None:
-            levels = refined[a.stage, a.levels] = self.refined_levels(a, j0)
-        return levels
-
-    def pair_counts(self, index: TargetIndex, j0: int, n: int, K: int) -> list[int]:
+    def pair_counts(self, index: TargetIndex, n: int, K: int) -> list[int]:
         """#{(x, y) : x in S, y in B at stage K, y - x = n} for each target B of
-        ``index``, for K >= j0, given the index of the source S against every
-        B at stage j0.  The caller has built stage K: ``grid_counts`` in its
-        planning and overflow loop, ``partial_joining`` by ``stage(j)``.
+        ``index``, for K at least the stage of S and of every B.  The caller has
+        built stage K: ``grid_counts`` in its planning and overflow loop,
+        ``partial_joining`` by ``stage(j)``.
 
-        For one B this is sum_{s,b} N_{j0,K}(n + s - b) over the levels s of S
-        and b of B at stage j0: a level pair of stage K is (s + o, b + o')
-        with o, o' in O_{j0,K}.  The term depends on s - b alone, so each
-        distinct difference d of ``index.differences`` adds
-        N_{j0,K}(|n + d|) once for each pair of each target having it.
-        N_{j0,K}(m) is 0 once |m| exceeds the largest element of O_{j0,K},
-        so only the differences within that reach of -n are read.  The
-        values come from the tower's pair-count table, keyed on (j0, K) and
-        |m| and kept for the tower's lifetime, so a value any earlier shift,
-        set or call reached is read, not recounted; ``_pair_table`` fills
-        the missing ones.
+        With S at stage js and B at stage jt, this is sum_{s,b} M_{js,jt,K}(n + s - b)
+        over their own levels: each distinct d = s - b of a target stage adds
+        M_{js,jt,K}(n + d) once per pair of each target having it, for the d
+        that put n + d in the span of M.  The values come from the tower's
+        pair-count table (shallower stage first: M_{js,jt,K}(m) = M_{jt,js,K}(-m)),
+        so a value any earlier shift, set or call reached is read, not
+        recounted; ``_pair_table`` fills the missing ones.
         """
         counts = [0] * index.size
         chain = self._chain
-        reach = chain[K - 1].top - chain[j0 - 1].top
-        differences = index.differences
-        # the differences d = s - b with |n + d| <= reach
-        i, e = bisect_left(differences, -reach - n), bisect_right(differences, reach - n)
-        if i == e:
-            return counts
-        keys = list(map(abs, map(n.__add__, differences[i:e])))
-        try:
-            weights = list(map(self._pairs.get((j0, K), _NO_TABLE).__getitem__, keys))
-        except KeyError:
-            weights = list(map(self._pair_table(j0, K, keys).__getitem__, keys))
-        if index.size == 1:
-            counts[0] = sum(map(mul, weights, index.pairs[i:e]))
-            return counts
-        for weight, held in zip(compress(weights, weights), compress(index.owners[i:e], weights)):
-            for t, count in held:
-                counts[t] += weight * count
+        top, js = chain[K - 1].top, index.stage
+        low = chain[js - 1].top - top - n
+        for jt, differences, pairs, owners in index.by_stage:
+            # the differences d = s - b with n + d in the span of M
+            high = top - chain[jt - 1].top - n
+            i, e = bisect_left(differences, low), bisect_right(differences, high)
+            if i == e:
+                continue
+            if js == jt:
+                keys, at = [abs(n + d) for d in differences[i:e]], (js, jt, K)
+            elif js < jt:
+                keys, at = [n + d for d in differences[i:e]], (js, jt, K)
+            else:
+                keys, at = [-n - d for d in differences[i:e]], (jt, js, K)
+            try:
+                weights = list(map(self._pairs.get(at, _NO_TABLE).__getitem__, keys))
+            except KeyError:
+                weights = list(map(self._pair_table(*at, keys).__getitem__, keys))
+            if index.size == 1:
+                counts[0] = sum(map(mul, weights, pairs[i:e]))
+                return counts
+            for weight, held in zip(weights, owners[i:e]):
+                if weight:
+                    for t, count in held:
+                        counts[t] += weight * count
         return counts
 
-    def _pair_table(self, j0: int, K: int, wanted: list[int]) -> dict[int, int]:
-        """The table of N_{j0,K}, holding every |m| of ``wanted`` (each at most
-        the largest element of O_{j0,K}).
+    def _pair_table(self, js: int, jt: int, K: int, wanted: list[int]) -> dict[int, int]:
+        """The table of M_{js,jt,K} for js <= jt, holding every key of
+        ``wanted`` (each in the span of M_{js,jt,K}, and |m| when js == jt).
 
-        A missing entry is filled by the digit recursion
-        N_{j0,k}(m) = sum_d mult_{k-1}(d) N_{j0,k-1}(|m - d|), pruned to
-        |m - d| <= stage(k-1).top - stage(j0).top, with N_{j0,j0}(m) = [m == 0].
-        The fill runs in two passes and no Python recursion, so its depth is
-        not bounded by the interpreter's: top-down it records every missing
-        entry with its (mult, |m - d|) terms, stage by stage until every term
-        is in the table, then bottom-up it sums the recorded terms.
+        A missing entry is filled by the digit recursion, pruned to the span
+        -(top_{k-1} - top_js) <= m - d <= top_{k-1} - top_jt of M_{js,jt,k-1},
+        down to M_{js,jt,jt}(m) = [-m in O_{js,jt}], which ``_count_at_least``
+        answers.  The fill runs in two passes and no Python recursion, so its
+        depth is not bounded by the interpreter's: top-down it records every
+        missing entry with its (mult, m - d) terms, stage by stage until every
+        term is in the table, then bottom-up it sums the recorded terms.
         """
         tables = self._pairs
-        table = tables.get((j0, K))
-        if table is None:
-            table = tables.setdefault((j0, K), {0: 1} if K == j0 else {})
+        table = tables.setdefault((js, jt, K), {})
         missing = {m for m in wanted if m not in table}
         chain = self._chain
-        base = chain[j0 - 1].top
+        top_s, top_t = chain[js - 1].top, chain[jt - 1].top
+        fold = js == jt
         recorded = []  # top-down: (table at k, table at k - 1, [(m, terms)])
         k, above = K, table
-        # this ends by stage j0 + 1, whose pruned terms reach only |m| = 0, the
-        # one entry of the table at j0
         while missing:
+            if k == jt:
+                count = self._count_at_least
+                for m in missing:
+                    above[m] = count(js, jt, -m) - count(js, jt, 1 - m)
+                break
             st = chain[k - 2]
-            reach = st.top - base  # the largest element of O_{j0,k-1}
+            lo, hi = top_s - st.top, st.top - top_t  # the span of M_{k-1}
             diffs, mults = st.offset_differences
-            below = tables.get((j0, k - 1))
-            if below is None:
-                below = tables.setdefault((j0, k - 1), {0: 1} if k - 1 == j0 else {})
+            below = tables.setdefault((js, jt, k - 1), {})
             nodes = []
             deeper = set()
             for m in missing:
                 terms = []
-                for i in range(bisect_left(diffs, m - reach), bisect_right(diffs, m + reach)):
-                    rest = abs(m - diffs[i])
+                for i in range(bisect_left(diffs, m - hi), bisect_right(diffs, m - lo)):
+                    rest = abs(m - diffs[i]) if fold else m - diffs[i]
                     terms.append((mults[i], rest))
                     if rest not in below:
                         deeper.add(rest)
@@ -407,11 +405,7 @@ class Tower:
             while start > len(heights) and self.stage(start).h <= m:
                 start += 1
             budget = start + DEFAULT_EXTRA_STAGES if max_stage is None else max(max_stage, start)
-            plan = (col, m, start, budget)
-            if backward in plans:
-                plans[backward].append(plan)
-            else:
-                plans[backward] = [plan]
+            plans.setdefault(backward, []).append((col, m, start, budget))
         return plans
 
     def grid_counts(
@@ -425,13 +419,12 @@ class Tower:
         stage-K tower.  The measure interval is ``[count, count + overflow]``
         times ``stage(K).level_width``; negative n count T^{-n} B /\\ A.
 
-        The shifts are planned once per common stage j0 and each set is
-        refined once per j0.  A query counts forward from its source set, A
-        for n >= 0 and B for n < 0 (mu(T^n A /\\ B) = mu(T^{-n} B /\\ A)).
-        Its resolved stage K and overflow depend on the source alone, so the
-        pairs that share a source and j0 share one ``TargetIndex``, one
-        overflow count and one ``pair_counts`` call per shift, and each
-        (pair, shift) costs one store into its row.
+        The shifts are planned once per j0 = max(A's stage, B's stage), and no
+        set is refined.  A query counts forward from its source set, A for
+        n >= 0 and B for n < 0 (mu(T^n A /\\ B) = mu(T^{-n} B /\\ A)).  Its K
+        and overflow depend on the source alone, so the pairs that share a
+        source and j0 share one ``TargetIndex``, one overflow count and one
+        ``pair_counts`` call per shift; each (pair, shift) is one store.
         """
         _check_max_stage(max_stage)
         shifts = list(shifts)
@@ -440,38 +433,28 @@ class Tower:
         by_j0: dict[int, list[int]] = {}
         for i, (a, b) in enumerate(pairs):
             rows.append([None] * width)
-            j0 = max(a.stage, b.stage)
-            if j0 in by_j0:
-                by_j0[j0].append(i)
-            else:
-                by_j0[j0] = [i]
+            by_j0.setdefault(max(a.stage, b.stage), []).append(i)
         chain = self._chain
         for j0, members in by_j0.items():
-            base = self.stage(j0).top
-            refined: dict[tuple, tuple[int, ...]] = {}  # (stage, levels) -> levels at j0
             for backward, plans in self._plans(j0, shifts, max_stage).items():
-                # source levels at j0 -> (target levels at j0, rows)
-                groups: dict[tuple[int, ...], tuple[list, list[int]]] = {}
+                # source (stage, levels) -> (targets' (stage, levels), rows)
+                groups: dict[tuple, tuple[list, list[int]]] = {}
                 for i in members:
                     src, dst = pairs[i]
                     if backward:
                         src, dst = dst, src
-                    src = src.levels if src.stage == j0 else self._levels_at(src, j0, refined)
-                    dst = dst.levels if dst.stage == j0 else self._levels_at(dst, j0, refined)
-                    group = groups.get(src)
-                    if group is None:
-                        groups[src] = ([dst], [i])
-                    else:
-                        group[0].append(dst)
-                        group[1].append(i)
-                for src, (targets, sharing) in groups.items():
-                    index = TargetIndex(src, targets)
+                    targets, sharing = groups.setdefault((src.stage, src.levels), ([], []))
+                    targets.append((dst.stage, dst.levels))
+                    sharing.append(i)
+                for (js, src), (targets, sharing) in groups.items():
+                    index = TargetIndex((js, src), targets)
+                    base = chain[js - 1].top
                     for col, n, K, budget in plans:
                         st = chain[K - 1]  # planning built the start stage
                         overflow = 0
                         if src:
                             # the top level of the source at stage K is
-                            # src[-1] + (top_K - top_j0); nothing overflows once
+                            # src[-1] + (top_K - top_js); nothing overflows once
                             # it plus n stays below h_K
                             peak = n + src[-1] - base
                             while st.top + peak >= st.h and K < budget:
@@ -479,8 +462,8 @@ class Tower:
                                 st = self.stage(K)
                             if st.top + peak >= st.h:
                                 overflow = sum(
-                                    self._count_at_least(j0, K, st.h - n - x) for x in src)
-                        counts = self.pair_counts(index, j0, n, K)
+                                    self._count_at_least(js, K, st.h - n - x) for x in src)
+                        counts = self.pair_counts(index, n, K)
                         for i, count in zip(sharing, counts):
                             rows[i][col] = (count, overflow, K)
         return rows
@@ -552,7 +535,12 @@ def refine(a: LevelSet, to_stage: int) -> LevelSet:
     """Same point set, represented at a deeper stage.  Measure is preserved."""
     if to_stage < a.stage:
         raise ValueError("cannot refine to a shallower stage")
-    return LevelSet(a.params, to_stage, tower_of(a.params).refined_levels(a, to_stage))
+    tower = tower_of(a.params)
+    levels = a.levels
+    for k in range(a.stage, to_stage):
+        # already increasing: consecutive columns sit h + s >= h apart
+        levels = tuple(off + lvl for off in tower.stage(k).column_offsets for lvl in levels)
+    return LevelSet(a.params, to_stage, levels)
 
 
 def _check_max_stage(max_stage: int | None):

@@ -227,9 +227,9 @@ def verify_limit(
     return LimitReport(tuple(rows), max_dev, reports.combine(r.status for r in rows))
 
 
-# The most shifts either list of a window scan may hold (a dead zone of span
-# 200,000 listed whole): each list and its bounds are built in memory.
-_SCAN_MAX_SHIFTS = 200_001
+# The most integers a window scan's shift lists or a CLI list option may hold
+# (a dead zone of span 200,000 listed whole): each is built in memory.
+MAX_LISTED = 200_001
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,7 @@ def scan_window(
     The dead zone lists its start and ``dead_samples + 1`` evenly spread
     shifts up to its end, fewer if the zone is short; ``None`` lists every
     shift of the zone.  Both lists are counted from their bounds before any
-    is built, and a scan that would list more than ``_SCAN_MAX_SHIFTS`` shifts
+    is built, and a scan that would list more than ``MAX_LISTED`` shifts
     in either is refused with ``ValueError``.  Both go through one
     ``power_profile``.
     """
@@ -280,11 +280,11 @@ def scan_window(
     span = dead_hi - dead_lo  # negative: spacers too small to open a dead zone here
     samples = span if dead_samples is None else dead_samples + 1
     for count, what, remedy in (
-            (len(range(win_lo, win_hi + 1, step)) + 2, "window", "raise step"),
+            ((win_hi - win_lo) // step + 3, "window", "raise step"),
             (1 + min(span, samples) if span >= 0 else 0, "dead zone", "lower dead_samples")):
-        if count > _SCAN_MAX_SHIFTS:
+        if count > MAX_LISTED:
             raise ValueError(f"the {what} would list {count} shifts, above the limit "
-                             f"of {_SCAN_MAX_SHIFTS}: {remedy}")
+                             f"of {MAX_LISTED}: {remedy}")
     window_ns = sorted(set(range(win_lo, win_hi + 1, step)) | {h_j, win_hi})
     if span < 0:
         dead_ns = []

@@ -1,7 +1,13 @@
 import csv
 import hashlib
 import json
+import math
+import os
+import resource
+import subprocess
+import sys
 import time
+from decimal import Decimal
 
 import click
 import pytest
@@ -541,6 +547,20 @@ _NAMED_REJECTIONS = [
      "Error: the dead zone would list 231841 shifts"),
     (["limits", "scan", "--family", "utv1", "--j", "10", "--step", "1"],
      "Error: the window would list 14515203 shifts, above the limit of 200001: raise step"),
+    # a window of 4 x 40! shifts, counted without a C-sized length
+    (["limits", "scan", "--family", "utv1", "--j", "40", "--step", "1"],
+     "Error: the window would list 3263"),
+    # a list option is counted from its bounds before it is listed, at the same limit
+    (["measure", "--family", "utv1", "--set", "E2", "--n", "0..1000000000"],
+     "Error: --n would list 1000000001 integers, above the limit of 200001"),
+    (["spectral", "corr", "--family", "utv1", "--n", "5,0..200000"],
+     "Error: --n would list 200002 integers"),
+    (["spectral", "suspend", "--family", "utv1", "--k", "-1000000000..0"],
+     "Error: --k would list 1000000001 integers"),
+    (["limits", "eq4", "--big-n", "2", "--n", "1", "--p", "1", "--stages", "1..10000000000"],
+     "Error: --stages would list 10000000000 integers"),
+    (["acceptance", "--only", "1..200002"],
+     "Error: --only would list 200002 integers, above the limit of 200001"),
 ]
 
 _REJECTED_INPUTS = [args for args, _ in _NAMED_REJECTIONS] + [
@@ -591,7 +611,7 @@ def test_rejection_names_the_bad_input(runner, args, fragment):
     assert fragment in result.output
 
 
-@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+@pytest.mark.parametrize("error", [MemoryError, RecursionError, OverflowError])
 @pytest.mark.parametrize("target,args", [
     ("fejer_density", ["spectral", "density", "--family", "utv1", "--n", "0..4",
                        "--order", "5", "--grid", "8"]),
@@ -609,6 +629,89 @@ def test_crash_exits_2_not_fail(runner, monkeypatch, error, target, args):
     assert isinstance(result.exception, SystemExit)
     (line,) = result.output.splitlines()
     assert line.startswith("Error: ")
+
+
+def test_crash_message_chains_no_exception(monkeypatch):
+    """The usage error raised for a crash holds neither the crash nor its
+    frames, which would keep the half-built data of the failing call alive
+    while click formats the message."""
+    def crash(*_args, **_kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "fejer_density", crash)
+    with pytest.raises(cli._BadInput) as raised:
+        main.main(["spectral", "density", "--family", "utv1", "--n", "0..4", "--order", "5",
+                   "--grid", "8"], standalone_mode=False)
+    error = raised.value
+    assert error.__cause__ is None and error.__context__ is None
+    assert error.message == "request too large for this host (MemoryError)"
+    frames = []
+    tb = error.__traceback__
+    while tb is not None:
+        frames.append(tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    assert "crash" not in frames and "spectral_density" not in frames
+
+
+# Requests too large for the memory a child process is given: each must exit 2
+# with one "Error:" line, never a traceback (the range once printed one and
+# exited 1, the FAIL code, under a 1 GB limit).
+_OVERSIZE_REQUESTS = [
+    ["measure", "--family", "utv1", "--set", "E2", "--n", "0..60000000"],
+    ["products", "scan", "--family", "thm2(2)", "--m", "1", "--n", "3", "--set", "E2",
+     "--k-lo", "1", "--k-hi", "1000000000", "--samples", "100000000"],
+    ["spectral", "density", "--family", "utv1", "--set", "E2", "--n", "0..4", "--order", "5",
+     "--grid", "30000000"],
+]
+_CHILD_ADDRESS_SPACE = 1 << 30
+
+
+@pytest.mark.parametrize("args", _OVERSIZE_REQUESTS, ids=lambda args: " ".join(args[:2]))
+def test_oversize_request_exits_2_in_a_limited_child(args):
+    def limit():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
+
+    source = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=source)
+    result = subprocess.run([sys.executable, "-m", "rank1lab.cli", *args], env=env,
+                            preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2, result.stderr[-2000:]
+    assert "Traceback" not in result.stderr
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("Error: ")
+    assert result.stdout == ""
+
+
+def test_list_option_at_the_limit_is_listed(runner):
+    """200,001 integers are the most a list option takes: --only 1..200001 is
+    listed and reaches the criteria, which name the unknown ones."""
+    result = runner.invoke(main, ["acceptance", "--only", "1..200001"])
+    assert result.exit_code == 2
+    assert result.output.startswith("Error: no acceptance criterion 10, 11, 12, ")
+
+
+@pytest.mark.parametrize("args", [
+    ["measure", "--family", "toy", "--set", "E1", "--set-b", "E99", "--n", "3"],
+    ["measure", "--family", "toy", "--set", "E99", "--set-b", "E1", "--n", "-3"],
+], ids=["shallow-source", "deep-source"])
+def test_sets_98_stages_apart_answer_at_once(runner, args):
+    """E1 is never written out at stage 99 (2^98 levels): the pair counts
+    through the stage gap in the kernel's recursion."""
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert time.perf_counter() - start < 1.0
+    (row,) = json.loads(result.output)["rows"]
+    assert row["lo"] == row["hi"] == "0/1" and row["resolved_stage"] == 99
+
+
+def test_integers_past_4300_digits_print(runner):
+    """h_1700 of utv1 is 1701!, with 4,700 digits, past str()'s default limit."""
+    result = runner.invoke(main, ["geometry", "--family", "utv1", "--j", "1700"])
+    assert result.exit_code == 0, result.output
+    (row,) = json.loads(result.output)["rows"]
+    assert int(Decimal(row["h"])) == math.factorial(1701)
+    assert len(row["h"]) > 4300 and row["level_width"].startswith("1/")
 
 
 def _leaf_commands(group, path=()):

@@ -15,7 +15,7 @@ from rank1lab.construction import (
     params_from_config,
     utv1,
 )
-from rank1lab.serde import parse_int, parse_rational
+from rank1lab.serde import MAX_INT_DIGITS, format_int, parse_int, parse_rational
 from rank1lab.spectral import CorrelationSequence
 from rank1lab.tower import LevelSet, MeasureBound
 from rank1lab.weak_limits import OperatorPolynomial, parse_sequence, scan_window
@@ -51,6 +51,12 @@ _REJECTIONS = [
      "need J >= 2 to compare consecutive stages"),
     ("rational from a float", lambda: parse_rational(0.5), "cannot parse rational from 0.5"),
     ("integer from a float", lambda: parse_int(2.0), "cannot parse integer from 2.0"),
+    # decimal would read these, int() would not
+    ("integer in exponent form", lambda: parse_int("1e3"), "cannot parse integer from '1e3'"),
+    ("integer from NaN", lambda: parse_int("NaN"), "cannot parse integer from 'NaN'"),
+    # text past the ceiling would take quadratic time to convert
+    ("integer past the digit ceiling", lambda: parse_int("-" + "9" * (MAX_INT_DIGITS + 1)),
+     f"integer has {MAX_INT_DIGITS + 1} digits, above the limit of {MAX_INT_DIGITS}"),
     ("correlation above 1",
      lambda: CorrelationSequence(((0, Fraction(1)), (1, Fraction(-3, 2)))),
      "|c(n)| <= 1 must hold"),
@@ -71,3 +77,15 @@ _REJECTIONS = [
 def test_rejected_input_names_the_bad_value(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+def test_integers_convert_on_both_sides_of_the_digit_ceiling():
+    """Text of exactly ``MAX_INT_DIGITS`` digits parses, with a sign and
+    underscores as int() takes them, and any integer prints, past Python's
+    4,300-digit limit of str() too."""
+    big = 10 ** MAX_INT_DIGITS - 1
+    assert parse_int(" -" + "9" * MAX_INT_DIGITS + " ") == -big
+    assert parse_int("+1_000") == 1000
+    assert format_int(big) == "9" * MAX_INT_DIGITS
+    assert format_int(-(10 ** 5000)) == "-1" + "0" * 5000
+    assert parse_int(format_int(-big)) == -big

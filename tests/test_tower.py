@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from rank1lab.construction import height, params_from_config, stage_geometry, thm2, toy, utv1
 from rank1lab.joinings import partial_joining
@@ -543,23 +543,32 @@ def test_negative_query_enters_apply_power_bounds_once(monkeypatch):
     assert bound == original(b, a, 121)
 
 
-def _frontier_pair_counts(tower, index, j0, n, K):
-    """Reference for ``Tower.pair_counts`` that keeps no table: the digit
+def _refined(tower, stage, levels, to_stage):
+    """The levels of a stage-``stage`` set written out at ``to_stage``."""
+    for k in range(stage, to_stage):
+        levels = [off + lvl for off in tower.stage(k).column_offsets for lvl in levels]
+    return levels
+
+
+def _frontier_pair_counts(tower, index, n, K):
+    """Reference for ``Tower.pair_counts`` that keeps no table: the index's
+    source and targets refined to their common stage J, then the digit
     recursion walked top-down as one frontier of values v = n + s - (o' - o)
-    per call, from the index's raw source and target levels, each peeled
-    stage pruned to the span of every target's levels, and the final
-    frontier read against the targets' holders."""
+    per call, each peeled stage pruned to the span of every target's refined
+    levels, and the final frontier read against the targets' holders."""
+    J = max([index.stage] + [stage for stage, _ in index.targets])
     counts = [0] * index.size
     holders = {}
-    for t, levels in enumerate(index.targets):
-        for y in levels:
+    for t, (stage, levels) in enumerate(index.targets):
+        for y in _refined(tower, stage, levels, J):
             holders.setdefault(y, []).append(t)
-    if not index.source or not holders:
+    source = _refined(tower, index.stage, index.levels, J)
+    if not source or not holders:
         return counts
     low, high = min(holders), max(holders)
-    base = tower.stage(j0).top
-    frontier = {n + x: 1 for x in index.source}
-    for k in range(K - 1, j0 - 1, -1):
+    base = tower.stage(J).top
+    frontier = {n + x: 1 for x in source}
+    for k in range(K - 1, J - 1, -1):
         st = tower.stage(k)
         reach = st.top - base
         diffs, mults = st.offset_differences
@@ -627,6 +636,84 @@ def test_pair_table_does_not_depend_on_query_order(query):
     reversed_grid = backward.grid_counts(pairs[::-1], shifts[::-1], max_stage)
     assert one_by_one == [row[::-1] for row in reversed_grid[::-1]]
     assert one_by_one == tower_module.Tower(params).grid_counts(pairs, shifts, max_stage)
+
+
+@st.composite
+def _mixed_stage_queries(draw):
+    """Pairs of sets up to ``gap`` stages apart, in both orientations, with
+    shifts of both signs, stage caps and partial-joining stages."""
+    params, gap = draw(st.sampled_from([(TOY, 8), (UTV, 3), (thm2(2), 4), (thm2(3), 4)]))
+
+    def level_set(stage):
+        h = stage_geometry(params, stage).h
+        return LevelSet.from_levels(params, stage, draw(st.lists(st.integers(0, h - 1),
+                                                                  max_size=3)))
+
+    shallow = draw(st.integers(1, 2))
+    deep = shallow + draw(st.integers(1, gap))
+    low, high = level_set(shallow), level_set(deep)
+    pool = [low, high, level_set(draw(st.integers(shallow, deep)))]
+    # the deeper set is the source of (high, low) at n >= 0 and of (low, high) at n < 0
+    pairs = [(low, high), (high, low)] + draw(st.lists(
+        st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=3))
+    reach = stage_geometry(params, deep + draw(st.integers(0, 2))).h
+    shifts = draw(st.lists(st.integers(-reach, reach), min_size=1, max_size=6))
+    max_stage = draw(st.sampled_from([None, deep, deep + 2]))
+    return pairs, shifts, max_stage, draw(st.integers(0, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_stage_queries())
+def test_mixed_stage_pairs_equal_the_refined_pairs(query):
+    """A pair of sets at two stages counts exactly as the pair with its
+    shallower set written out at the deeper stage: equal ``grid_counts``
+    triples (count, overflow and resolved stage) and ``partial_joining``
+    values, for stage gaps up to 8 (toy) and 4 (thm2), a deeper source and
+    n < 0."""
+    pairs, shifts, max_stage, extra = query
+    params = pairs[0][0].params
+    tower = tower_of(params)
+
+    def written_out(a, j0):
+        return LevelSet(params, j0, tuple(_refined(tower, a.stage, list(a.levels), j0)))
+
+    refined = [(written_out(a, j0), written_out(b, j0))
+               for a, b in pairs for j0 in [max(a.stage, b.stage)]]
+    assert (tower_module.Tower(params).grid_counts(pairs, shifts, max_stage)
+            == tower_module.Tower(params).grid_counts(refined, shifts, max_stage))
+    for (a, b), (ra, rb) in zip(pairs, refined):
+        j = ra.stage + extra
+        for k in shifts:
+            if abs(k) <= stage_geometry(params, j).h:
+                assert partial_joining(a, b, k, j) == partial_joining(ra, rb, k, j)
+
+
+@st.composite
+def _mixed_oracle_queries(draw):
+    params = draw(st.sampled_from([TOY, UTV, thm2(2)]) | _constructions)
+    deepest = _deepest_oracle_stage(params)
+    assume(deepest >= 2)
+    J = draw(st.integers(2, deepest))
+    stages = draw(st.lists(st.integers(1, min(J, 3)), min_size=2, max_size=2, unique=True))
+
+    def level_set(stage):
+        h = stage_geometry(params, stage).h
+        return LevelSet.from_levels(params, stage, draw(st.lists(st.integers(0, h - 1),
+                                                                  min_size=1, max_size=4)))
+
+    h_J = stage_geometry(params, J).h
+    return level_set(stages[0]), level_set(stages[1]), draw(st.integers(-(h_J - 1), h_J - 1)), J
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_oracle_queries())
+def test_mixed_stage_pairs_match_oracle(query):
+    """Sets at two different stages: (lo, hi - lo) is the oracle's (value,
+    undefined mass) at stage J, in both orientations of the stages."""
+    a, b, n, J = query
+    bound = apply_power_bounds(a, b, n, max_stage=J)
+    res = oracle_intersection(a, b, n, J) if n >= 0 else oracle_intersection(b, a, -n, J)
+    assert (bound.lo, bound.hi - bound.lo) == (res.value, res.undefined_mass)
 
 
 def test_thousand_stage_walk_needs_no_recursion():
