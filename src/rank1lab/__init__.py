@@ -34,6 +34,7 @@ from .joinings import (
     delta_shift,
     domination_witness,
     partial_joining,
+    partial_joining_grid,
 )
 from .oracle import IntervalSystem, OracleResult, OrbitWalker, oracle_intersection
 from .products import (

@@ -14,13 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
 from . import reports
 from .construction import height, stage_geometry, thm2, toy, utv1
-from .joinings import delta_shift, partial_joining, domination_witness
+from .joinings import domination_witness, partial_joining_grid
 from .oracle import IntervalSystem, oracle_intersection
 from .products import ProductSystem, dissipativity_grid, dissipativity_scan, product_return
 from .spectral import (
@@ -30,7 +29,7 @@ from .spectral import (
     suspension_correlation,
     toeplitz_min_eigenvalue,
 )
-from .tower import LevelSet, apply_power_bounds, tower_of
+from .tower import LevelSet, apply_power_bounds, power_grid, tower_of
 from .weak_limits import block_value_stages, scan_window, verify_mixture_law
 
 
@@ -62,8 +61,9 @@ def criterion_1() -> CriterionResult:
     scaled by ``scale[K]`` must be the oracle's (cells hit, cells lost).
     Each source set A costs one oracle pass (``IntervalSystem.orbit_counts``
     over every target and power) and one ``grid_counts`` call, whose
-    counts share one index of the targets; the two are compared as
-    integer arrays, and the first mismatch is reported in (A, B, n) order.
+    counts share one index of the targets and whose blocks are scattered
+    into (B, n) arrays; the two are compared as integer arrays, and the
+    first mismatch is reported in (A, B, n) order.
     Exact-value equality is asserted wherever the orbit fully resolves at
     J = 6 (all of utv1), plus deep toy spot checks where exactness needs
     stage ~18.
@@ -92,13 +92,17 @@ def criterion_1() -> CriterionResult:
         shifts = range(h4 + 1)
         for a in sets:
             hits, lost = system.orbit_counts(a, sets, shifts)
-            rows = kernel.grid_counts([(a, b) for b in sets], shifts, J)
-            # (B, n, (count, overflow, K))
-            rows = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), np.int64)
-            rows = rows.reshape(len(sets), len(shifts), 3)
-            cells = scale[rows[..., 2]]
-            mismatch = (hits != rows[..., 0] * cells) | (lost != rows[..., 1] * cells)
-            failed = mismatch | ((lost == 0) & (rows[..., 1] != 0))
+            # (B, n) -> count, overflow and K of the kernel
+            count, overflow, stage = (np.zeros(hits.shape, np.int64) for _ in range(3))
+            for rows, cols, counts, overflows, stages in kernel.grid_counts(
+                    [(a, b) for b in sets], shifts, J):
+                cells = np.ix_(rows, cols)
+                count[cells] = np.array(counts, np.int64).T
+                overflow[cells] = overflows
+                stage[cells] = stages
+            cells = scale[stage]
+            mismatch = (hits != count * cells) | (lost != overflow * cells)
+            failed = mismatch | ((lost == 0) & (overflow != 0))
             if failed.any():
                 t, i = divmod(int(np.argmax(failed)), len(shifts))
                 return CriterionResult(
@@ -274,14 +278,16 @@ def criterion_8() -> CriterionResult:
         for i in range(5)
         for k in range(5)
     ]
+    shifts = range(-5, 6)
+    # per rectangle: its row of partial joinings at each j = 2..6, then of full values
+    stages = [partial_joining_grid(grid, shifts, j) for j in range(2, 7)]
     count = 0
-    for a, b in grid:
-        for k in range(-5, 6):
-            values = [partial_joining(a, b, k, j).value for j in range(2, 7)]
+    for *rows, full_row in zip(*stages, power_grid(grid, shifts)):
+        for k, full, *bounds in zip(shifts, full_row, *rows):
+            values = [bound.value for bound in bounds]
             if any(v2 < v1 for v1, v2 in zip(values, values[1:])):
                 return CriterionResult(8, "joining-exhaustion", False,
                                        f"not monotone at k={k}")
-            full = delta_shift(a, b, k)
             if not full.exact or abs(full.value - values[-1]) > tol:
                 return CriterionResult(8, "joining-exhaustion", False,
                                        f"gap at k={k}: {full.value - values[-1]}")

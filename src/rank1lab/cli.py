@@ -12,9 +12,10 @@ a one-line ``Error:`` and exit 2, among them a ``limits scan`` whose window or
 dead zone would list more shifts than ``scan_window`` takes; an unwritable
 ``--out``, a malformed ``--family`` spec, a negative ``--tol`` or ``--eps``, a
 ``--grid`` or ``--max-stage`` below 1, a list option with no integer or too many, a
-``limits scan --j`` that opens no dead zone, a ``run`` list for a
-single-valued option, and a request that runs out of memory, overflows a C
-size or hits the recursion limit exit 2 the same way, so a crash never reads as FAIL.
+stage span or ``--j-max`` above that limit, a ``limits scan --j`` that opens no
+dead zone, a ``run`` list for a single-valued option, and a request that runs
+out of memory, overflows a C size or hits the recursion limit exit 2 the same
+way, so a crash never reads as FAIL.
 ``--max-stage`` is the one stage cap of a command; no environment variable
 changes an answer.
 ``_with_construction`` hands each command its parsed construction as
@@ -130,7 +131,7 @@ def _parse_sets(set_a: str, set_b: str | None, params) -> tuple[LevelSet, LevelS
     return a, (_parse_set(set_b, params) if set_b else a)
 
 
-def _parse_span(text: str) -> range:
+def _span(text: str) -> range:
     """"a..b" (inclusive, a <= b) or a single integer."""
     try:
         if ".." in text:
@@ -144,15 +145,27 @@ def _parse_span(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _check_listed(count: int, option: str):
+    if count > MAX_LISTED:
+        raise _BadInput(f"{option} would list {count} integers, above the limit of {MAX_LISTED}")
+
+
+def _parse_span(text: str, option: str) -> range:
+    """One span of ``_span``'s form, counted from its bounds and refused above
+    ``MAX_LISTED``."""
+    span = _span(text)
+    _check_listed(span.stop - span.start, option)
+    return span
+
+
 def _parse_int_list(text: str, option: str) -> list[int]:
     """Comma-separated integers and ranges, counted from their bounds first: a
     list with none would be a vacuous run, and one above ``MAX_LISTED`` is refused."""
-    spans = [_parse_span(part) for part in map(str.strip, text.split(",")) if part]
+    spans = [_span(part) for part in map(str.strip, text.split(",")) if part]
     count = sum(span.stop - span.start for span in spans)
     if not count:
         raise _BadInput(f"no integer in {text!r}, expected e.g. 5, 3..8 or 1,2,8")
-    if count > MAX_LISTED:
-        raise _BadInput(f"{option} would list {count} integers, above the limit of {MAX_LISTED}")
+    _check_listed(count, option)
     return [n for span in spans for n in span]
 
 
@@ -275,7 +288,7 @@ def main():
 @_out_option
 def geometry(params, span, star_check, measure_sum, fmt, out):
     """Exact stage geometry: heights, widths, offsets, cumulative measure."""
-    stages = _parse_span(span)
+    stages = _parse_span(span, "--j")
     rows = []
     for j in stages:
         geom = stage_geometry(params, j)
@@ -379,7 +392,7 @@ def limits_verify(params, seq, poly, span, pairs, tol, max_stage, fmt, out):
         e2 = LevelSet.base(params, 2)
         test_pairs = [(e2, e2)]
     report = verify_limit(params, sequence, polynomial, test_pairs,
-                          _parse_span(span), parse_rational(tol), max_stage)
+                          _parse_span(span, "--j"), parse_rational(tol), max_stage)
     rows = [{
         "k": r.k,
         "n": format_int(r.n),
@@ -447,6 +460,9 @@ def limits_scan(params, j, set_a, set_b, step, dead_samples, max_stage, fmt, out
 @_out_option
 def limits_eq4(big_n, n, p, set_a, set_b, stages, j_max, tol, max_stage, fmt, out):
     """Check T^{-n h_j'} -> ((N-n)/(N+1)) I + (1/(N+1)) T^p over thm2(N)."""
+    if j_max > MAX_LISTED:
+        # the stages up to --j-max are scanned for the spacer value |p|
+        raise _BadInput(f"--j-max {j_max} is above the limit of {MAX_LISTED}")
     params = family_builder("thm2", N=big_n)
     a, b = _parse_sets(set_a, set_b, params)
     stage_list = _parse_int_list(stages, "--stages") if stages is not None else None
@@ -489,7 +505,7 @@ def joinings_witness(params, m, span, grid, eps, max_stage, fmt, out):
         for i in range(grid)
         for k in range(grid)
     ]
-    j_range, tolerance = _parse_span(span), parse_rational(eps)
+    j_range, tolerance = _parse_span(span, "--j"), parse_rational(eps)
     report = domination_witness(params, m, rect_grid, j_range, tolerance, max_stage)
     rows = [row.to_json() for row in report.rows]
     status = reports.PASS if report.passed else reports.FAIL
@@ -561,7 +577,7 @@ def _base_sequence(params, set_a, shifts, h_stages, max_stage):
     a = _parse_set(set_a, params)
     n_list = _parse_int_list(shifts, "--n") if shifts is not None else list(range(9))
     if h_stages:
-        n_list += [stage_geometry(params, j).h for j in _parse_span(h_stages)]
+        n_list += [stage_geometry(params, j).h for j in _parse_span(h_stages, "--h-stages")]
     return n_list, correlations(a, n_list, max_stage)
 
 

@@ -19,6 +19,7 @@ from .tower import (
     LevelSet,
     MeasureBound,
     TargetIndex,
+    _check_same_construction,
     apply_power_bounds,
     power_grid,
     tower_of,
@@ -30,21 +31,61 @@ def delta_shift(a: LevelSet, b: LevelSet, k: int, max_stage: int | None = None) 
     return apply_power_bounds(a, b, k, max_stage)
 
 
-def partial_joining(a: LevelSet, b: LevelSet, k: int, j: int) -> MeasureBound:
-    """Stage-j partial joining Delta^k_j(A x B); exact by construction."""
-    if a.params != b.params:
-        raise ValueError("level sets belong to different constructions")
-    tower = tower_of(a.params)
+def _joining_tower(pairs, shifts, j: int):
+    """The tower of the pairs' one construction, with its stage j built, once
+    every set has been checked to belong to it and to sit at a stage <= j,
+    and every k of ``shifts`` to have |k| <= h_j."""
+    first = pairs[0][0]
+    for a, b in pairs:
+        _check_same_construction(first, a)
+        _check_same_construction(a, b)
+    tower = tower_of(first.params)
     geom = tower.stage(j)
-    if abs(k) > geom.h:
-        raise ValueError(f"|k| = {abs(k)} exceeds tower height {geom.h} at stage {j}")
-    if max(a.stage, b.stage) > j:
-        raise ValueError("sets are not representable at the requested stage")
+    for k in shifts:
+        if abs(k) > geom.h:
+            raise ValueError(f"|k| = {abs(k)} exceeds tower height {geom.h} at stage {j}")
+    for a, b in pairs:
+        if max(a.stage, b.stage) > j:
+            raise ValueError("sets are not representable at the requested stage")
+    return tower
+
+
+def partial_joining(a: LevelSet, b: LevelSet, k: int, j: int) -> MeasureBound:
+    """Stage-j partial joining Delta^k_j(A x B); exact by construction.  The
+    one-pair, one-shift case of ``partial_joining_grid``, kept as its own
+    path because one call at a time is the common use."""
+    tower = _joining_tower(((a, b),), (k,), j)
     index = TargetIndex((a.stage, a.levels), [(b.stage, b.levels)])
     (count,) = tower.pair_counts(index, k, j)
-    width = geom.level_width
-    value = Fraction(count * width.numerator, width.denominator)
-    return MeasureBound(value, value, j)
+    return tower._bound(count, 0, j)
+
+
+def partial_joining_grid(pairs, shifts, j: int) -> list[list[MeasureBound]]:
+    """``[[partial_joining(a, b, k, j) for k in shifts] for a, b in pairs]``
+    in one call, for pairs of one construction.  The input is checked once;
+    the pairs that share A share one ``TargetIndex`` and one
+    ``Tower.pair_counts`` call per k, and equal values share one bound."""
+    pairs, shifts = list(pairs), list(shifts)
+    if not pairs:
+        return []
+    tower = _joining_tower(pairs, shifts, j)
+    # A's (stage, levels) -> (the B's (stage, levels), rows)
+    groups: dict[tuple, tuple[list, list[int]]] = {}
+    for i, (a, b) in enumerate(pairs):
+        targets, rows = groups.setdefault((a.stage, a.levels), ([], []))
+        targets.append((b.stage, b.levels))
+        rows.append(i)
+    made: dict[int, MeasureBound] = {}
+    grid = [[None] * len(shifts) for _ in pairs]
+    for source, (targets, rows) in groups.items():
+        index = TargetIndex(source, targets)
+        for col, k in enumerate(shifts):
+            for i, count in zip(rows, tower.pair_counts(index, k, j)):
+                bound = made.get(count)
+                if bound is None:
+                    bound = made[count] = tower._bound(count, 0, j)
+                grid[i][col] = bound
+    return grid
 
 
 @dataclass(frozen=True)
@@ -73,11 +114,11 @@ class JoiningCombination:
 
 
 def combination_value(comb: JoiningCombination, a: LevelSet, b: LevelSet) -> MeasureBound:
+    weights = [(k, c) for k, c in comb.weights if c != 0]
+    (values,) = partial_joining_grid([(a, b)], [k for k, _ in weights], comb.stage)
     acc = MeasureBound.exactly(0)
-    for k, c in comb.weights:
-        if c == 0:
-            continue
-        acc = acc + partial_joining(a, b, k, comb.stage).scaled(c)
+    for (_, c), value in zip(weights, values):
+        acc = acc + value.scaled(c)
     return acc
 
 

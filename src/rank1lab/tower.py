@@ -31,19 +31,21 @@ the stage budget.  Unresolved mass at the budget widens the interval; it
 never fabricates a point value.  Negative powers go through
 mu(T^n A /\\ B) = mu(T^{-n} B /\\ A), so only the forward count exists.
 
-The kernel answers in integers.  ``Tower.grid_counts`` is its one entry point:
-for each (A, B) of a grid and each shift of a list it gives the triple
-(count, overflow, K) of level pairs and overflowing levels at the resolved
-stage K.  The tower is looked up once per grid; the shifts are planned once
-per stage j0 = max(ja, jb) of a pair, and no set is refined.  The queries are
-grouped by source set (A for n >= 0, B for n < 0): K and the overflow depend
-on the source alone.  Each source group indexes its targets once
-(``TargetIndex``: per target stage, the distinct differences a - b of a
-source level a and a target level b, and how many pairs of each target have
-each), and ``Tower.pair_counts`` reads M_K(n + a - b) from the tower's
-pair-count table once per difference within reach.
-``power_grid`` is the rational view of those rows, with equal triples
-sharing one bound; ``power_profile`` is its one-pair case and
+The kernel answers in integers and in columns.  ``Tower.grid_counts`` is its
+one entry point: for a grid of (A, B) and a list of shifts it gives, per
+source group, the level pairs counted at each shift and the levels of the
+source pushed past the top of the resolved stage K.  The tower is looked up
+once per grid; the shifts are planned once per stage j0 = max(ja, jb) of a
+pair, and no set is refined.  The queries are grouped by source set (A for
+n >= 0, B for n < 0): K and the overflow depend on the source alone, so a
+block holds one overflow and one K per shift and one count per (pair, shift)
+of its group, and nothing is stored per (pair, shift) but the count.  Each
+source group indexes its targets once (``TargetIndex``: per target stage, the
+distinct differences a - b of a source level a and a target level b, and how
+many pairs of each target have each), and ``Tower.pair_counts`` reads
+M_K(n + a - b) from the tower's pair-count table once per difference within
+reach.  ``power_grid`` is the rational view of those blocks, with equal
+answers sharing one bound; ``power_profile`` is its one-pair case and
 ``apply_power_bounds`` the one-shift case of that.
 
 The public functions are pure.  The one ``Tower`` per construction owns
@@ -391,11 +393,11 @@ class Tower:
         return count + (t <= 0)
 
     def _plans(self, j0: int, shifts: list[int], max_stage: int | None):
-        """The shifts by sign, ``n < 0 -> [(column, |n|, start, budget)]``: start
-        is the first stage >= j0 with h > |n| and budget the stage budget,
-        ``start + DEFAULT_EXTRA_STAGES`` without ``max_stage`` and else
-        ``max_stage`` but at least start.  Only the signs that occur get a list."""
-        plans: dict[bool, list[tuple[int, int, int, int]]] = {}
+        """The shifts by sign, ``n < 0 -> (columns, [(|n|, start, budget)])``:
+        start is the first stage >= j0 with h > |n| and budget the stage
+        budget, ``start + DEFAULT_EXTRA_STAGES`` without ``max_stage`` and else
+        ``max_stage`` but at least start.  Only the signs that occur get lists."""
+        plans: dict[bool, tuple[list[int], list[tuple[int, int, int]]]] = {}
         # heights increase, so the stages built so far locate the first h > |n|;
         # only a shift above all of them builds more
         heights = [st.h for st in self._chain]
@@ -405,51 +407,57 @@ class Tower:
             while start > len(heights) and self.stage(start).h <= m:
                 start += 1
             budget = start + DEFAULT_EXTRA_STAGES if max_stage is None else max(max_stage, start)
-            plans.setdefault(backward, []).append((col, m, start, budget))
+            cols, planned = plans.setdefault(backward, ([], []))
+            cols.append(col)
+            planned.append((m, start, budget))
         return plans
 
     def grid_counts(
         self, pairs: Sequence[tuple[LevelSet, LevelSet]], shifts: Iterable[int],
         max_stage: int | None,
-    ) -> list[list[tuple[int, int, int]]]:
-        """One row of ``(count, overflow, K)`` triples for each (A, B) of
-        ``pairs``, all of this construction, one triple per n in ``shifts``:
-        the level pairs (x, y) of A and B at the resolved stage K with
-        y - x = n, and the levels of the source set pushed past the top of the
-        stage-K tower.  The measure interval is ``[count, count + overflow]``
-        times ``stage(K).level_width``; negative n count T^{-n} B /\\ A.
+    ) -> list[tuple]:
+        """The counts of (A, B) in ``pairs``, all of this construction, at each
+        n in ``shifts``, as blocks ``(rows, cols, counts, overflows, stages)``,
+        one per stage j0 = max(A's stage, B's stage), sign of n and source set.
+        ``rows`` are indices into ``pairs`` and ``cols`` into ``shifts``;
+        ``counts[c]`` holds, for each pair of ``rows``, the level pairs (x, y)
+        of A and B at the resolved stage ``stages[c]`` with y - x = n for
+        n = ``shifts[cols[c]]``, and ``overflows[c]`` the levels of the source
+        set pushed past the top of that stage's tower.  The measure interval
+        of a cell is ``[count, count + overflow]`` times ``stage(K).level_width``;
+        negative n count T^{-n} B /\\ A.  Every (pair, shift) lies in exactly
+        one block.
 
-        The shifts are planned once per j0 = max(A's stage, B's stage), and no
-        set is refined.  A query counts forward from its source set, A for
-        n >= 0 and B for n < 0 (mu(T^n A /\\ B) = mu(T^{-n} B /\\ A)).  Its K
-        and overflow depend on the source alone, so the pairs that share a
-        source and j0 share one ``TargetIndex``, one overflow count and one
-        ``pair_counts`` call per shift; each (pair, shift) is one store.
+        The shifts are planned once per j0, and no set is refined.  A query
+        counts forward from its source set, A for n >= 0 and B for n < 0
+        (mu(T^n A /\\ B) = mu(T^{-n} B /\\ A)).  Its K and overflow depend on
+        the source alone, so the pairs that share a source and j0 form one
+        block, with one ``TargetIndex``, and one overflow count and one
+        ``pair_counts`` call per shift.
         """
         _check_max_stage(max_stage)
         shifts = list(shifts)
-        width = len(shifts)
-        rows = []
         by_j0: dict[int, list[int]] = {}
         for i, (a, b) in enumerate(pairs):
-            rows.append([None] * width)
             by_j0.setdefault(max(a.stage, b.stage), []).append(i)
         chain = self._chain
+        blocks = []
         for j0, members in by_j0.items():
-            for backward, plans in self._plans(j0, shifts, max_stage).items():
+            for backward, (cols, plans) in self._plans(j0, shifts, max_stage).items():
                 # source (stage, levels) -> (targets' (stage, levels), rows)
                 groups: dict[tuple, tuple[list, list[int]]] = {}
                 for i in members:
                     src, dst = pairs[i]
                     if backward:
                         src, dst = dst, src
-                    targets, sharing = groups.setdefault((src.stage, src.levels), ([], []))
+                    targets, rows = groups.setdefault((src.stage, src.levels), ([], []))
                     targets.append((dst.stage, dst.levels))
-                    sharing.append(i)
-                for (js, src), (targets, sharing) in groups.items():
+                    rows.append(i)
+                for (js, src), (targets, rows) in groups.items():
                     index = TargetIndex((js, src), targets)
                     base = chain[js - 1].top
-                    for col, n, K, budget in plans:
+                    columns = []
+                    for n, K, budget in plans:
                         st = chain[K - 1]  # planning built the start stage
                         overflow = 0
                         if src:
@@ -463,31 +471,37 @@ class Tower:
                             if st.top + peak >= st.h:
                                 overflow = sum(
                                     self._count_at_least(js, K, st.h - n - x) for x in src)
-                        counts = self.pair_counts(index, n, K)
-                        for i, count in zip(sharing, counts):
-                            rows[i][col] = (count, overflow, K)
-        return rows
+                        columns.append((self.pair_counts(index, n, K), overflow, K))
+                    blocks.append((rows, cols, *zip(*columns)))
+        return blocks
 
-    def _bounds(self, rows: list[list[tuple[int, int, int]]]) -> list[list[MeasureBound]]:
-        """The rational view of rows of ``(count, overflow, K)`` triples; equal
-        triples share one bound."""
-        made: dict[tuple[int, int, int], MeasureBound] = {}
-        grid = []
-        for counts in rows:
-            bounds = []
-            for triple in counts:
-                bound = made.get(triple)
-                if bound is None:
-                    count, overflow, K = triple
-                    width = self.stage(K).level_width
-                    # Fraction(int, int) skips the operator dispatch of int * Fraction
-                    lo = Fraction(count * width.numerator, width.denominator)
-                    hi = (Fraction((count + overflow) * width.numerator, width.denominator)
-                          if overflow else lo)
-                    bound = made[triple] = MeasureBound(lo, hi, K)
-                bounds.append(bound)
-            grid.append(bounds)
+    def _bounds(self, blocks, height: int, width: int) -> list[list[MeasureBound]]:
+        """The rational view of ``grid_counts`` blocks: ``height`` rows (one
+        per pair) of ``width`` bounds (one per shift).  Equal answers share one
+        bound across the grid; the memo is keyed by (overflow, K) per column,
+        then by count per cell."""
+        grid = [[None] * width for _ in range(height)]
+        made: dict[tuple[int, int], dict[int, MeasureBound]] = {}
+        for rows, cols, counts, overflows, stages in blocks:
+            for col, column, overflow, K in zip(cols, counts, overflows, stages):
+                memo = made.get((overflow, K))
+                if memo is None:
+                    memo = made[overflow, K] = {}
+                for i, count in zip(rows, column):
+                    bound = memo.get(count)
+                    if bound is None:
+                        bound = memo[count] = self._bound(count, overflow, K)
+                    grid[i][col] = bound
         return grid
+
+    def _bound(self, count: int, overflow: int, K: int) -> MeasureBound:
+        """``[count, count + overflow]`` times the level width of stage K."""
+        width = self._chain[K - 1].level_width
+        # Fraction(int, int) skips the operator dispatch of int * Fraction
+        lo = Fraction(count * width.numerator, width.denominator)
+        hi = (Fraction((count + overflow) * width.numerator, width.denominator)
+              if overflow else lo)
+        return MeasureBound(lo, hi, K)
 
     def self_returns(
         self, sets: Sequence[LevelSet], shifts: Iterable[int], max_stage: int | None
@@ -512,7 +526,8 @@ class Tower:
             missing = list(dict.fromkeys(
                 m for _, memo in pending for m in steps if m not in memo))
             filled = self._bounds(
-                self.grid_counts([(a, a) for a, _ in pending], missing, max_stage))
+                self.grid_counts([(a, a) for a, _ in pending], missing, max_stage),
+                len(pending), len(missing))
             for (_, memo), row in zip(pending, filled):
                 for m, bound in zip(missing, row):
                     memo.setdefault(m, bound)  # an existing entry keeps its object
@@ -587,7 +602,8 @@ def apply_power_bounds(
     """
     _check_same_construction(a, b)
     tower = tower_of(a.params)
-    return tower._bounds(tower.grid_counts([(a, b)], (n,), max_stage))[0][0]
+    ((_, _, ((count,),), (overflow,), (K,)),) = tower.grid_counts([(a, b)], (n,), max_stage)
+    return tower._bound(count, overflow, K)
 
 
 def power_grid(
@@ -603,7 +619,7 @@ def power_grid(
     source set (A for n >= 0, B for n < 0) share one count per shift.  Equal
     results share one ``MeasureBound``.
     """
-    pairs = list(pairs)
+    pairs, shifts = list(pairs), list(shifts)
     if not pairs:
         return []
     first = pairs[0][0]
@@ -611,7 +627,7 @@ def power_grid(
         _check_same_construction(first, a)
         _check_same_construction(a, b)
     tower = tower_of(first.params)
-    return tower._bounds(tower.grid_counts(pairs, shifts, max_stage))
+    return tower._bounds(tower.grid_counts(pairs, shifts, max_stage), len(pairs), len(shifts))
 
 
 def power_profile(

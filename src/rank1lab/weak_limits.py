@@ -326,8 +326,20 @@ class MixtureLawReport:
 
 
 def block_value_stages(p: int, j_max: int) -> tuple[int, ...]:
-    """Stages j' <= j_max whose interleaved spacer value equals |p|."""
-    return tuple(j for j in range(1, j_max + 1) if block_sequence(j) == abs(p))
+    """Stages j' <= j_max whose interleaved spacer value equals |p|.
+
+    The values run in blocks 1,2 | 1,2,3 | 1,2,3,4 | ..., so |p| sits at the
+    |p|-th stage of every block of at least |p| stages; the walk takes one
+    step per block, about sqrt(2 j_max) in all."""
+    value = abs(p)
+    stages = []
+    start, length = 0, 2  # the block covers stages start + 1 .. start + length
+    while value and start + value <= j_max:
+        if value <= length:
+            stages.append(start + value)
+        start += length
+        length += 1
+    return tuple(stages)
 
 
 def verify_mixture_law(

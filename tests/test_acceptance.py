@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from kernel_blocks import expand, packed
 from rank1lab import acceptance, oracle, tower
 from rank1lab.construction import height, thm2, utv1
 from rank1lab.oracle import oracle_intersection
@@ -49,12 +50,13 @@ def _skew_shift_five(monkeypatch, move):
     grid_counts = tower.Tower.grid_counts
 
     def skewed(self, pairs, shifts, max_stage):
-        rows = grid_counts(self, pairs, shifts, max_stage)
+        shifts = list(shifts)
+        rows = expand(grid_counts(self, pairs, shifts, max_stage), len(pairs), len(shifts))
         for counts in rows:
             if len(counts) > 5:
                 count, overflow, K = counts[5]
                 counts[5] = (*move(count, overflow), K)
-        return rows
+        return packed(rows)
 
     monkeypatch.setattr(tower.Tower, "grid_counts", skewed)
 

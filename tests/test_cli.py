@@ -561,6 +561,19 @@ _NAMED_REJECTIONS = [
      "Error: --stages would list 10000000000 integers"),
     (["acceptance", "--only", "1..200002"],
      "Error: --only would list 200002 integers, above the limit of 200001"),
+    # a stage span is counted from its bounds too: these would run stage after stage
+    (["limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/2*T^0",
+      "--j", "3..1000000000"],
+     "Error: --j would list 999999998 integers, above the limit of 200001"),
+    (["geometry", "--family", "utv1", "--j", "1..1000000000"],
+     "Error: --j would list 1000000000 integers"),
+    (["joinings", "witness", "--family", "utv1", "--j", "2..1000000000"],
+     "Error: --j would list 999999999 integers"),
+    (["spectral", "corr", "--family", "utv1", "--h-stages", "3..1000000000"],
+     "Error: --h-stages would list 999999998 integers"),
+    # --j-max bounds the stages scanned for the spacer value |p|
+    (["limits", "eq4", "--N", "2", "--n", "1", "--p", "1", "--j-max", "1000000000"],
+     "Error: --j-max 1000000000 is above the limit of 200001"),
 ]
 
 _REJECTED_INPUTS = [args for args, _ in _NAMED_REJECTIONS] + [
@@ -688,6 +701,25 @@ def test_list_option_at_the_limit_is_listed(runner):
     result = runner.invoke(main, ["acceptance", "--only", "1..200001"])
     assert result.exit_code == 2
     assert result.output.startswith("Error: no acceptance criterion 10, 11, 12, ")
+
+
+@pytest.mark.parametrize("args,reached", [
+    (["joinings", "witness", "--family", "utv1", "--j", "1..200001"],
+     "Error: witness stage j = 1 must be >= 2"),
+    # no block of the spacer values below stage 200,001 is 700 stages long
+    (["limits", "eq4", "--N", "2", "--n", "1", "--p", "700", "--j-max", "200001"],
+     "Error: spacer-value preimage empty"),
+], ids=["span", "j-max"])
+def test_stage_options_at_the_limit_reach_the_library(runner, args, reached):
+    """A span of 200,001 stages and a --j-max of 200,001 pass the count and
+    are refused only by the library's own check; one more is refused first."""
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.output.startswith(reached)
+    over = [arg.replace("200001", "200002") for arg in args]
+    result = runner.invoke(main, over)
+    assert result.exit_code == 2
+    assert "above the limit of 200001" in result.output
 
 
 @pytest.mark.parametrize("args", [

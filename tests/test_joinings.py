@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rank1lab.joinings as joinings_module
 import rank1lab.tower as tower_module
@@ -12,6 +13,7 @@ from rank1lab.joinings import (
     combination_value,
     delta_shift,
     partial_joining,
+    partial_joining_grid,
     domination_witness,
 )
 from rank1lab.tower import LevelSet, intersect, measure
@@ -68,6 +70,73 @@ def test_partial_joining_bounds_and_rejections():
         partial_joining(LevelSet.base(UTV, 4), E2, 1, 3)
     with pytest.raises(ValueError):
         partial_joining(E2, LevelSet.base(TOY, 2), 1, 3)
+
+
+@st.composite
+def _joining_grids(draw):
+    """Grids of partial joinings over the named families, with shared and
+    empty sets, repeated and negative shifts, and at most one kind of fault:
+    a shift with |k| > h_j, or a set deeper than j."""
+    params = draw(st.sampled_from([TOY, UTV, thm2(2), thm2(3)]))
+    j = draw(st.integers(1, 5))
+    fault = draw(st.sampled_from([None, None, "shift", "stage"]))
+
+    def level_set(stage):
+        h = stage_geometry(params, stage).h
+        return LevelSet.from_levels(params, stage, draw(st.lists(st.integers(0, h - 1),
+                                                                  max_size=3)))
+
+    pool = [level_set(draw(st.integers(1, j))) for _ in range(draw(st.integers(1, 3)))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+                          min_size=1, max_size=6))
+    if fault == "stage":
+        deep = level_set(j + draw(st.integers(1, 2)))
+        pairs.insert(draw(st.integers(0, len(pairs))),
+                     draw(st.sampled_from([(deep, pool[0]), (pool[0], deep)])))
+    h = stage_geometry(params, j).h
+    shifts = draw(st.lists(st.integers(-h, h), min_size=1, max_size=8))
+    shifts += draw(st.lists(st.sampled_from(shifts), max_size=3))
+    if fault == "shift":
+        shifts.insert(draw(st.integers(0, len(shifts))),
+                      draw(st.sampled_from([1, -1])) * (h + draw(st.integers(1, 3))))
+    return pairs, shifts, j
+
+
+@settings(max_examples=150, deadline=None)
+@given(_joining_grids())
+def test_partial_joining_grid_equals_one_call_per_cell(query):
+    """One grid call answers as one ``partial_joining`` per (pair, k): equal
+    lo, hi and stage, equal values sharing one bound, and the same
+    ValueError for |k| > h_j or a set deeper than j."""
+    pairs, shifts, j = query
+    try:
+        expected = [[partial_joining(a, b, k, j) for k in shifts] for a, b in pairs]
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            partial_joining_grid(pairs, shifts, j)
+        assert str(raised.value) == str(exc)
+        return
+    grid = partial_joining_grid(iter(pairs), iter(shifts), j)
+    assert [[(x.lo, x.hi, x.resolved_stage) for x in row] for row in grid] == [
+        [(x.lo, x.hi, x.resolved_stage) for x in row] for row in expected]
+    shared = {}
+    for row in grid:
+        for bound in row:
+            assert shared.setdefault(bound.lo, bound) is bound
+
+
+def test_partial_joining_grid_edge_cases(monkeypatch):
+    assert partial_joining_grid([], [1, 2], 3) == []
+    assert partial_joining_grid([(E2, E2)], [], 3) == [[]]
+    with pytest.raises(ValueError, match="different constructions"):
+        partial_joining_grid([(E2, E2), (LevelSet.base(TOY, 2),) * 2], [0], 3)
+    # the pairs that share A share one pair_counts call per k
+    calls = []
+    pair_counts = tower_module.Tower.pair_counts
+    monkeypatch.setattr(tower_module.Tower, "pair_counts",
+                        lambda self, index, n, K: calls.append(n) or pair_counts(self, index, n, K))
+    partial_joining_grid(GRID, range(-5, 6), 4)
+    assert calls == list(range(-5, 6)) * 5
 
 
 @pytest.mark.parametrize("k", range(-5, 6))

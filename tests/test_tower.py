@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from kernel_blocks import expand, triples
 from rank1lab.construction import height, params_from_config, stage_geometry, thm2, toy, utv1
 from rank1lab.joinings import partial_joining
 import rank1lab.oracle as oracle_module
@@ -404,7 +405,7 @@ def test_level_counts_scale_to_power_profile(query):
     exactly the bounds of power_profile."""
     a, b, shifts, max_stage = query
     scaled = []
-    for count, overflow, K in tower_of(a.params).grid_counts([(a, b)], shifts, max_stage)[0]:
+    for count, overflow, K in triples(tower_of(a.params), [(a, b)], shifts, max_stage)[0]:
         width = stage_geometry(a.params, K).level_width
         scaled.append((count * width, (count + overflow) * width, K))
     assert scaled == [(x.lo, x.hi, x.resolved_stage)
@@ -473,8 +474,8 @@ def test_one_target_index_serves_every_target(grid):
     a, targets, shifts, j, max_stage = grid
     tower = tower_of(a.params)
     pairs = [(a, b) for b in targets]
-    assert tower.grid_counts(pairs, shifts, max_stage) == [
-        tower.grid_counts([pair], shifts, max_stage)[0] for pair in pairs]
+    assert triples(tower, pairs, shifts, max_stage) == [
+        triples(tower, [pair], shifts, max_stage)[0] for pair in pairs]
     source, width = refine(a, j).levels, stage_geometry(a.params, j).level_width
     for b in targets:
         levels = set(refine(b, j).levels)
@@ -493,9 +494,58 @@ def test_grid_counts_equal_single_queries(query):
     if not pairs:
         return
     tower = tower_of(pairs[0][0].params)
-    assert tower.grid_counts(pairs, shifts, max_stage) == [
-        [tower.grid_counts([(a, b)], [n], max_stage)[0][0] for n in shifts]
+    assert triples(tower, pairs, shifts, max_stage) == [
+        [triples(tower, [(a, b)], [n], max_stage)[0][0] for n in shifts]
         for a, b in pairs]
+
+
+@st.composite
+def _family_grids(draw):
+    """Grids over the named families: sets at stages 1-4 sharing sources and
+    targets, both signs of n, repeated shifts and stage caps."""
+    params = draw(st.sampled_from([TOY, UTV, thm2(2), thm2(3)]))
+
+    def level_set():
+        stage = draw(st.integers(1, 4))
+        h = stage_geometry(params, stage).h
+        return LevelSet.from_levels(params, stage, draw(st.lists(st.integers(0, h - 1),
+                                                                  max_size=3)))
+
+    pool = [level_set() for _ in range(draw(st.integers(1, 4)))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+                          min_size=1, max_size=6))
+    reach = stage_geometry(params, draw(st.integers(2, 6))).h
+    shifts = draw(st.lists(st.integers(-reach, reach), min_size=1, max_size=8))
+    shifts += draw(st.lists(st.sampled_from(shifts), max_size=4))
+    return pairs, shifts, draw(st.sampled_from([None, 1, 3, 5, 8]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_family_grids())
+def test_blocks_equal_one_query_per_cell(query):
+    """Each cell of the expanded ``grid_counts`` blocks is the (count,
+    overflow, K) of its own one-pair, one-shift grid; each block holds the
+    pairs of one source set at one j0 and one sign of n; and ``power_grid``
+    gives each cell the lo, hi and resolved stage of its own
+    ``apply_power_bounds``, with equal answers sharing one bound."""
+    pairs, shifts, max_stage = query
+    tower = tower_of(pairs[0][0].params)
+    blocks = tower.grid_counts(pairs, shifts, max_stage)
+    assert expand(blocks, len(pairs), len(shifts)) == [
+        [triples(tower, [pair], [n], max_stage)[0][0] for n in shifts] for pair in pairs]
+    for rows, cols, *_ in blocks:
+        (backward,) = {shifts[col] < 0 for col in cols}
+        assert len({(pairs[i][backward].stage, pairs[i][backward].levels) for i in rows}) == 1
+        assert len({max(a.stage, b.stage) for a, b in map(pairs.__getitem__, rows)}) == 1
+    grid = power_grid(pairs, shifts, max_stage)
+    assert [[(x.lo, x.hi, x.resolved_stage) for x in row] for row in grid] == [
+        [(x.lo, x.hi, x.resolved_stage)
+         for x in (apply_power_bounds(a, b, n, max_stage) for n in shifts)]
+        for a, b in pairs]
+    shared = {}
+    for row in grid:
+        for x in row:
+            assert shared.setdefault((x.lo, x.hi, x.resolved_stage), x) is x
 
 
 @settings(max_examples=150, deadline=None)
@@ -615,11 +665,11 @@ def test_pair_table_matches_the_frontier_walk(monkeypatch, query):
     joinings = [(a, b, k, j) for a, b in pairs
                 for j in [max(a.stage, b.stage) + extra]
                 for k in shifts if abs(k) <= stage_geometry(params, j).h]
-    triples = tower_module.Tower(params).grid_counts(pairs, shifts, max_stage)
+    counted = triples(tower_module.Tower(params), pairs, shifts, max_stage)
     values = [partial_joining(*args) for args in joinings]
     with monkeypatch.context() as patched:
         patched.setattr(tower_module.Tower, "pair_counts", _frontier_pair_counts)
-        assert tower_module.Tower(params).grid_counts(pairs, shifts, max_stage) == triples
+        assert triples(tower_module.Tower(params), pairs, shifts, max_stage) == counted
         assert [partial_joining(*args) for args in joinings] == values
 
 
@@ -631,11 +681,11 @@ def test_pair_table_does_not_depend_on_query_order(query):
     pairs, shifts, max_stage, _ = query
     params = pairs[0][0].params
     forward, backward = tower_module.Tower(params), tower_module.Tower(params)
-    one_by_one = [[forward.grid_counts([pair], [n], max_stage)[0][0] for n in shifts]
+    one_by_one = [[triples(forward, [pair], [n], max_stage)[0][0] for n in shifts]
                   for pair in pairs]
-    reversed_grid = backward.grid_counts(pairs[::-1], shifts[::-1], max_stage)
+    reversed_grid = triples(backward, pairs[::-1], shifts[::-1], max_stage)
     assert one_by_one == [row[::-1] for row in reversed_grid[::-1]]
-    assert one_by_one == tower_module.Tower(params).grid_counts(pairs, shifts, max_stage)
+    assert one_by_one == triples(tower_module.Tower(params), pairs, shifts, max_stage)
 
 
 @st.composite
@@ -679,8 +729,8 @@ def test_mixed_stage_pairs_equal_the_refined_pairs(query):
 
     refined = [(written_out(a, j0), written_out(b, j0))
                for a, b in pairs for j0 in [max(a.stage, b.stage)]]
-    assert (tower_module.Tower(params).grid_counts(pairs, shifts, max_stage)
-            == tower_module.Tower(params).grid_counts(refined, shifts, max_stage))
+    assert (triples(tower_module.Tower(params), pairs, shifts, max_stage)
+            == triples(tower_module.Tower(params), refined, shifts, max_stage))
     for (a, b), (ra, rb) in zip(pairs, refined):
         j = ra.stage + extra
         for k in shifts:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rank1lab import reports, weak_limits
-from rank1lab.construction import stage_geometry, thm2, toy, utv1
+from rank1lab.construction import block_sequence, stage_geometry, thm2, toy, utv1
 from rank1lab.joinings import domination_witness
 from rank1lab.products import sample_shifts
 from rank1lab.tower import (
@@ -331,6 +331,25 @@ def test_block_value_stages():
     assert block_value_stages(1, 9) == (1, 3, 6)
     assert block_value_stages(4, 14) == (9, 13)
     assert block_value_stages(9, 20) == ()
+
+
+def test_block_value_stages_equal_the_stage_by_stage_scan():
+    """The block walk lists the stages that ``block_sequence`` finds one
+    stage at a time, for every j_max up to 2,000 and p in -6..6."""
+    values = [block_sequence(j) for j in range(1, 2001)]
+    for p in range(-6, 7):
+        expected = []
+        for j_max in range(2001):
+            if j_max and values[j_max - 1] == abs(p):
+                expected.append(j_max)
+            assert block_value_stages(p, j_max) == tuple(expected)
+
+
+def test_block_value_stages_reach_stage_ten_to_the_nine():
+    """Value 1 opens every block, at the triangular stages b(b+1)/2; the
+    walk reaches 10^9 in one step per block (44,720 of them)."""
+    assert block_value_stages(1, 10**9) == tuple(b * (b + 1) // 2 for b in range(1, 44721))
+    assert 44720 * 44721 // 2 <= 10**9 < 44721 * 44722 // 2
 
 
 THM = thm2(2)
