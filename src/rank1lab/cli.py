@@ -12,8 +12,8 @@ a one-line ``Error:`` and exit 2, among them a ``limits scan`` whose window or
 dead zone would list more shifts than ``scan_window`` takes; an unwritable
 ``--out``, a malformed ``--family`` spec, a negative ``--tol`` or ``--eps``, a
 ``--grid`` or ``--max-stage`` below 1, a list option with no integer or too many, a
-stage span or ``--j-max`` above that limit, a ``limits scan --j`` that opens no
-dead zone, a ``run`` list for a single-valued option, and a request that runs
+stage past ``STAGE_CEILING`` (a stage option, span end or set), a ``limits scan --j``
+that opens no dead zone, a ``run`` list for a single-valued option, and a request that runs
 out of memory, overflows a C size or hits the recursion limit exit 2 the same
 way, so a crash never reads as FAIL.
 ``--max-stage`` is the one stage cap of a command; no environment variable
@@ -53,9 +53,9 @@ from .construction import (
 from .joinings import domination_witness
 from .oracle import oracle_intersection
 from .products import ProductSystem, dissipativity_scan
-from .serde import format_int, format_rational, parse_rational
+from .serde import format_int, format_number, format_rational, parse_rational
 from .spectral import correlations, fejer_density, suspension_correlation
-from .tower import LevelSet, apply_power_bounds, parse_level_set
+from .tower import LevelSet, apply_power_bounds, level_set_fields
 from .weak_limits import (
     MAX_LISTED,
     parse_polynomial,
@@ -65,6 +65,10 @@ from .weak_limits import (
     verify_limit,
 )
 
+# The deepest stage a command may name, checked before any stage is built: a
+# command builds every stage up to the deepest it names.  geometry --j 1..2000
+# takes about 2 s on utv1 and 4 s on thm2(5) (Python 3.11, 2 vCPUs).
+STAGE_CEILING = 2000
 # Largest stage the oracle command materializes, in cells (= h_J).  It admits
 # toy stage 20 (at most ~80 MB peak RSS and about 0.35 s for any n on a
 # 2-vCPU host with Python 3.11); utv1 stage 30 would need 31! cells.
@@ -114,21 +118,29 @@ def _load_params(family: str | None, config_path: str | None):
         raise _BadInput(f"bad construction config: {exc}") from exc
 
 
-def _parse_set(text: str, params) -> LevelSet:
+def _check_stage(stage: int, option: str):
+    if stage > STAGE_CEILING:
+        raise _BadInput(f"{option} names stage {format_int(stage)}, above the ceiling of "
+                        f"{STAGE_CEILING} stages")
+
+
+def _parse_set(text: str, params, option: str) -> LevelSet:
+    """The set of ``option``'s text, its stage checked against the ceiling
+    before the set is built."""
     m = _SET_SUGAR.match(text)
     try:
-        if m:
-            shift = int(m.group(1) or 0)
-            return LevelSet.single(params, int(m.group(2)), shift)
-        return parse_level_set(text, params)
+        stage, levels = (int(m.group(2)), (int(m.group(1) or 0),)) if m else level_set_fields(text)
+        _check_stage(stage, option)
+        return LevelSet.from_levels(params, stage, levels)
     except ValueError as exc:
         raise click.UsageError(f"bad set {text!r}: {exc}") from exc
 
 
-def _parse_sets(set_a: str, set_b: str | None, params) -> tuple[LevelSet, LevelSet]:
+def _parse_sets(set_a: str, set_b: str | None, params,
+                options=("--set", "--set-b")) -> tuple[LevelSet, LevelSet]:
     """(A, B) from --set and --set-b; B is A when --set-b is not given."""
-    a = _parse_set(set_a, params)
-    return a, (_parse_set(set_b, params) if set_b else a)
+    a = _parse_set(set_a, params, options[0])
+    return a, (_parse_set(set_b, params, options[1]) if set_b else a)
 
 
 def _span(text: str) -> range:
@@ -145,16 +157,10 @@ def _span(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _check_listed(count: int, option: str):
-    if count > MAX_LISTED:
-        raise _BadInput(f"{option} would list {count} integers, above the limit of {MAX_LISTED}")
-
-
 def _parse_span(text: str, option: str) -> range:
-    """One span of ``_span``'s form, counted from its bounds and refused above
-    ``MAX_LISTED``."""
+    """A span of stages in ``_span``'s form, its end checked against the ceiling."""
     span = _span(text)
-    _check_listed(span.stop - span.start, option)
+    _check_stage(span[-1], option)
     return span
 
 
@@ -165,7 +171,9 @@ def _parse_int_list(text: str, option: str) -> list[int]:
     count = sum(span.stop - span.start for span in spans)
     if not count:
         raise _BadInput(f"no integer in {text!r}, expected e.g. 5, 3..8 or 1,2,8")
-    _check_listed(count, option)
+    if count > MAX_LISTED:
+        raise _BadInput(f"{option} would list {format_int(count)} integers, above the limit "
+                        f"of {MAX_LISTED}")
     return [n for span in spans for n in span]
 
 
@@ -179,7 +187,8 @@ def _bound_fields(bound) -> dict:
 
 
 def _interval_text(bound) -> str:
-    return format_rational(bound.lo) if bound.exact else f"[{bound.lo},{bound.hi}]"
+    return (format_rational(bound.lo) if bound.exact
+            else f"[{format_number(bound.lo)},{format_number(bound.hi)}]")
 
 
 def _scan_status(all_zero: bool, nonzero: bool) -> str:
@@ -348,10 +357,11 @@ def measure_cmd(params, set_a, set_b, shifts, max_stage, fmt, out):
 @_out_option
 def oracle(params, set_a, set_b, n, stage, fmt, out):
     """Brute-force interval-model value of mu(T^n A /\\ B)."""
+    _check_stage(stage, "--stage")
     a, b = _parse_sets(set_a, set_b, params)
     cells = stage_geometry(params, stage).h
     if cells > _ORACLE_MAX_CELLS:
-        raise _BadInput(f"stage {stage} has {cells} cells; the oracle "
+        raise _BadInput(f"stage {stage} has {format_int(cells)} cells; the oracle "
                         f"materializes at most {_ORACLE_MAX_CELLS}")
     result = oracle_intersection(a, b, n, stage)
     rows = [{
@@ -387,7 +397,7 @@ def limits_verify(params, seq, poly, span, pairs, tol, max_stage, fmt, out):
         test_pairs = []
         for pair in pairs:
             left, _, right = pair.partition("|")
-            test_pairs.append(_parse_sets(left, right, params))
+            test_pairs.append(_parse_sets(left, right, params, ("--pair", "--pair")))
     else:
         e2 = LevelSet.base(params, 2)
         test_pairs = [(e2, e2)]
@@ -420,6 +430,7 @@ def limits_verify(params, seq, poly, span, pairs, tol, max_stage, fmt, out):
 @_out_option
 def limits_scan(params, j, set_a, set_b, step, dead_samples, max_stage, fmt, out):
     """Tabulate the window around h_j and sample the dead zone."""
+    _check_stage(j, "--j")
     a, b = _parse_sets(set_a, set_b, params)
     try:
         samples = None if dead_samples == "all" else int(dead_samples)
@@ -460,12 +471,12 @@ def limits_scan(params, j, set_a, set_b, step, dead_samples, max_stage, fmt, out
 @_out_option
 def limits_eq4(big_n, n, p, set_a, set_b, stages, j_max, tol, max_stage, fmt, out):
     """Check T^{-n h_j'} -> ((N-n)/(N+1)) I + (1/(N+1)) T^p over thm2(N)."""
-    if j_max > MAX_LISTED:
-        # the stages up to --j-max are scanned for the spacer value |p|
-        raise _BadInput(f"--j-max {j_max} is above the limit of {MAX_LISTED}")
+    _check_stage(j_max, "--j-max")
+    stage_list = _parse_int_list(stages, "--stages") if stages is not None else None
+    if stage_list is not None:
+        _check_stage(max(stage_list), "--stages")
     params = family_builder("thm2", N=big_n)
     a, b = _parse_sets(set_a, set_b, params)
-    stage_list = _parse_int_list(stages, "--stages") if stages is not None else None
     report = verify_mixture_law(big_n, n, p, a, b, stage_list, j_max,
                                 parse_rational(tol), max_stage)
     rows = [{
@@ -542,7 +553,8 @@ def products_scan(params, right_family, m, n, set_a, set_b, k_lo, k_hi, samples,
     """Rectangle return scan over (k_lo, k_hi]; evidence, never a theorem."""
     right_params = _parse_family(right_family) if right_family else params
     system = ProductSystem(params, m, right_params, n)
-    a, b = _parse_set(set_a, params), _parse_set(set_b or set_a, right_params)
+    a = _parse_set(set_a, params, "--set")
+    b = _parse_set(set_b or set_a, right_params, "--set-b" if set_b else "--set")
     target = parse_rational(ratio_target) if ratio_target else None
     report = dissipativity_scan(system, a, b, k_lo, k_hi, samples, max_stage,
                                 ratio_target=target)
@@ -574,7 +586,7 @@ def spectral():
 
 
 def _base_sequence(params, set_a, shifts, h_stages, max_stage):
-    a = _parse_set(set_a, params)
+    a = _parse_set(set_a, params, "--set")
     n_list = _parse_int_list(shifts, "--n") if shifts is not None else list(range(9))
     if h_stages:
         n_list += [stage_geometry(params, j).h for j in _parse_span(h_stages, "--h-stages")]
@@ -641,7 +653,7 @@ def spectral_density(params, set_a, shifts, h_stages, order, grid, max_stage, fm
 @_out_option
 def spectral_suspend(params, set_a, shifts, max_stage, fmt, out):
     """Normalized suspension correlations (e^{c(k)} - 1)/(e - 1)."""
-    a = _parse_set(set_a, params)
+    a = _parse_set(set_a, params, "--set")
     ks = _parse_int_list(shifts, "--k")
     seq = correlations(a, ks, max_stage)
     rows = []

@@ -6,7 +6,9 @@ point x with T^k x.  The stage-j partial joining restricts that graph to the
 pairs whose both coordinates sit inside the stage-j tower, which makes every
 value a plain level count: for k >= 0 it counts levels i with i in A's
 stage-j levels and i+k in B's, i+k < h_j (mirrored for k < 0), times the
-level width.  Partial joinings grow with j and exhaust the full value.
+level width.  Partial joinings grow with j and exhaust the full value.  They
+are counted by ``Tower.stage_grid``, the kernel's path at a fixed stage, a
+grid at a time; one partial joining is a one-cell grid.
 """
 
 from __future__ import annotations
@@ -14,16 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construction import ConstructionParams, stage_geometry
-from .tower import (
-    LevelSet,
-    MeasureBound,
-    TargetIndex,
-    _check_same_construction,
-    apply_power_bounds,
-    power_grid,
-    tower_of,
-)
+from .construction import ConstructionParams, height, stage_geometry
+from .serde import format_int, format_number
+from .tower import LevelSet, MeasureBound, apply_power_bounds, grid_tower, power_grid
 
 
 def delta_shift(a: LevelSet, b: LevelSet, k: int, max_stage: int | None = None) -> MeasureBound:
@@ -31,61 +26,30 @@ def delta_shift(a: LevelSet, b: LevelSet, k: int, max_stage: int | None = None) 
     return apply_power_bounds(a, b, k, max_stage)
 
 
-def _joining_tower(pairs, shifts, j: int):
-    """The tower of the pairs' one construction, with its stage j built, once
-    every set has been checked to belong to it and to sit at a stage <= j,
-    and every k of ``shifts`` to have |k| <= h_j."""
-    first = pairs[0][0]
-    for a, b in pairs:
-        _check_same_construction(first, a)
-        _check_same_construction(a, b)
-    tower = tower_of(first.params)
-    geom = tower.stage(j)
-    for k in shifts:
-        if abs(k) > geom.h:
-            raise ValueError(f"|k| = {abs(k)} exceeds tower height {geom.h} at stage {j}")
-    for a, b in pairs:
-        if max(a.stage, b.stage) > j:
-            raise ValueError("sets are not representable at the requested stage")
-    return tower
-
-
 def partial_joining(a: LevelSet, b: LevelSet, k: int, j: int) -> MeasureBound:
     """Stage-j partial joining Delta^k_j(A x B); exact by construction.  The
-    one-pair, one-shift case of ``partial_joining_grid``, kept as its own
-    path because one call at a time is the common use."""
-    tower = _joining_tower(((a, b),), (k,), j)
-    index = TargetIndex((a.stage, a.levels), [(b.stage, b.levels)])
-    (count,) = tower.pair_counts(index, k, j)
-    return tower._bound(count, 0, j)
+    one-pair, one-shift case of ``partial_joining_grid``."""
+    return partial_joining_grid([(a, b)], [k], j)[0][0]
 
 
 def partial_joining_grid(pairs, shifts, j: int) -> list[list[MeasureBound]]:
     """``[[partial_joining(a, b, k, j) for k in shifts] for a, b in pairs]``
-    in one call, for pairs of one construction.  The input is checked once;
-    the pairs that share A share one ``TargetIndex`` and one
-    ``Tower.pair_counts`` call per k, and equal values share one bound."""
+    in one call, for pairs of one construction with every set at a stage
+    <= j and every |k| <= h_j, checked once.  The pairs that share A share
+    one kernel count per k, and equal values share one bound."""
     pairs, shifts = list(pairs), list(shifts)
     if not pairs:
         return []
-    tower = _joining_tower(pairs, shifts, j)
-    # A's (stage, levels) -> (the B's (stage, levels), rows)
-    groups: dict[tuple, tuple[list, list[int]]] = {}
-    for i, (a, b) in enumerate(pairs):
-        targets, rows = groups.setdefault((a.stage, a.levels), ([], []))
-        targets.append((b.stage, b.levels))
-        rows.append(i)
-    made: dict[int, MeasureBound] = {}
-    grid = [[None] * len(shifts) for _ in pairs]
-    for source, (targets, rows) in groups.items():
-        index = TargetIndex(source, targets)
-        for col, k in enumerate(shifts):
-            for i, count in zip(rows, tower.pair_counts(index, k, j)):
-                bound = made.get(count)
-                if bound is None:
-                    bound = made[count] = tower._bound(count, 0, j)
-                grid[i][col] = bound
-    return grid
+    tower = grid_tower(pairs)
+    h = height(tower.params, j)
+    for k in shifts:
+        if abs(k) > h:
+            raise ValueError(f"|k| = {format_int(abs(k))} exceeds tower height "
+                             f"{format_int(h)} at stage {j}")
+    for a, b in pairs:
+        if a.stage > j or b.stage > j:
+            raise ValueError("sets are not representable at the requested stage")
+    return tower.stage_grid(pairs, shifts, j)
 
 
 @dataclass(frozen=True)
@@ -132,9 +96,9 @@ class WitnessRow:
     def to_json(self) -> dict:
         return {
             "j": self.j,
-            "k_chosen": str(self.k_chosen) if self.k_chosen is not None else None,
-            "margin_lo": str(self.margin_lo) if self.margin_lo is not None else None,
-            "margin_hi": str(self.margin_hi) if self.margin_hi is not None else None,
+            "k_chosen": format_int(self.k_chosen) if self.k_chosen is not None else None,
+            "margin_lo": format_number(self.margin_lo) if self.margin_lo is not None else None,
+            "margin_hi": format_number(self.margin_hi) if self.margin_hi is not None else None,
         }
 
 

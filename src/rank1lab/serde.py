@@ -49,3 +49,9 @@ def parse_int(value) -> int:
 
 def format_int(value: int) -> str:
     return str(Decimal(int(value)))
+
+
+def format_number(value) -> str:
+    """``str(value)`` of an int or Fraction, free of its digit limit: "3", "-1/2"."""
+    value = Fraction(value)
+    return format_int(value.numerator) if value.denominator == 1 else format_rational(value)

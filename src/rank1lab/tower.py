@@ -31,44 +31,29 @@ the stage budget.  Unresolved mass at the budget widens the interval; it
 never fabricates a point value.  Negative powers go through
 mu(T^n A /\\ B) = mu(T^{-n} B /\\ A), so only the forward count exists.
 
-The kernel answers in integers and in columns.  ``Tower.grid_counts`` is its
-one entry point: for a grid of (A, B) and a list of shifts it gives, per
-source group, the level pairs counted at each shift and the levels of the
-source pushed past the top of the resolved stage K.  The tower is looked up
-once per grid; the shifts are planned once per stage j0 = max(ja, jb) of a
-pair, and no set is refined.  The queries are grouped by source set (A for
-n >= 0, B for n < 0): K and the overflow depend on the source alone, so a
-block holds one overflow and one K per shift and one count per (pair, shift)
-of its group, and nothing is stored per (pair, shift) but the count.  Each
-source group indexes its targets once (``TargetIndex``: per target stage, the
-distinct differences a - b of a source level a and a target level b, and how
-many pairs of each target have each), and ``Tower.pair_counts`` reads
-M_K(n + a - b) from the tower's pair-count table once per difference within
-reach.  ``power_grid`` is the rational view of those blocks, with equal
-answers sharing one bound; ``power_profile`` is its one-pair case and
-``apply_power_bounds`` the one-shift case of that.
+The kernel answers in integers and in columns, and counts along one path.
+The pairs are grouped by source set (``_by_source``: A for n >= 0, B for
+n < 0), each source indexes its targets once (``TargetIndex``: per target
+stage, the distinct differences a - b of a source level a and a target level
+b, and how many pairs of each target have each), and ``Tower.pair_counts``
+reads M_K(n + a - b) from the tower's pair-count table once per difference
+within reach; no set is refined.  ``Tower.grid_counts`` plans the shifts once
+per stage j0 = max(ja, jb) of a pair and gives one block per source group:
+a K and an overflow per shift, which depend on the source alone, and a count
+per (pair, shift).  ``Tower._bounds`` is the rational view of blocks, with
+equal answers sharing one bound.  ``power_grid`` is that view of
+``grid_counts``; ``power_profile`` is its one-pair case and
+``apply_power_bounds`` the one-shift case of that.  ``Tower.stage_grid``
+counts at a fixed stage j instead, in blocks with overflow 0 and K = j, for
+the partial joinings of ``joinings``.
 
 The public functions are pure.  The one ``Tower`` per construction owns
 its state: the stage chain, which ``construction.stage_geometry`` reads,
-where each ``StageGeometry`` carries the prefix data the kernel reads
-(``copies``, ``top``) and its offset differences; and three memos, which
-``Tower.reset()`` empties while the chain stays.  The pair-count table holds
-M_{js,jt,k}(m) for js <= jt under (js, jt, k) and m, or |m| when js == jt
-(swapping o and o' negates m).  It is filled on demand by the digit
-recursion and its prune, in two passes without Python recursion, so a walk
-of a thousand stages needs no deep stack.  An entry never changes and lives
-until ``Tower.reset()``; a table holds only the entries some query reached
-through the pruned recursion.  The self-return memo of
-product scans holds one inner dict per (A's stage, A's levels,
-``max_stage``), keyed on |n|.  Those are the inputs of the stage budget,
-which fix the budget for one construction, so a hit is one int-keyed lookup
-and plans nothing; ``max_stage`` is the one stage cap.  ``Tower.self_returns``
-answers a list of sets at once and fills every miss with one ``grid_counts``
-over the distinct sets.  The third memo holds the left sides of product
-scans, which ``products.dissipativity_grid`` fills: one per (A's stage, A's
-levels, |left power|, ``k_lo``, ``k_hi``, ``samples``, ``max_stage``), each
-one row of ``samples`` entries (the left factor row and the ready rows of
-its proven-zero columns).
+and the three memos its docstring describes, which ``Tower.reset()``
+empties while the chain stays.  The pair-count table is filled on demand by
+the digit recursion and its prune, in two passes without Python recursion,
+so a walk of a thousand stages needs no deep stack.  ``max_stage`` is the
+one stage cap.
 """
 
 from __future__ import annotations
@@ -77,10 +62,11 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import lt, mul
 from typing import Iterable, Sequence
 
 from .construction import ConstructionParams, StageGeometry, _build_stage, stage_geometry
+from .serde import format_int
 
 DEFAULT_EXTRA_STAGES = 8
 _NO_TABLE: dict[int, int] = {}  # read, never written: a (js, jt, K) not yet tabled
@@ -154,14 +140,11 @@ class LevelSet:
     levels: tuple[int, ...]
 
     def __post_init__(self):
-        geom = stage_geometry(self.params, self.stage)
-        prev = -1
-        for lvl in self.levels:
-            if lvl <= prev:
-                raise ValueError("levels must be strictly increasing")
-            prev = lvl
-        if self.levels and not (0 <= self.levels[0] and self.levels[-1] < geom.h):
-            raise ValueError(f"levels must lie in [0, {geom.h}) at stage {self.stage}")
+        h, levels = stage_geometry(self.params, self.stage).h, self.levels
+        if levels and not (0 <= min(levels) and max(levels) < h):
+            raise ValueError(f"levels must lie in [0, {format_int(h)}) at stage {self.stage}")
+        if not all(map(lt, levels, levels[1:])):
+            raise ValueError("levels must be strictly increasing")
 
     @classmethod
     def from_levels(cls, params, stage: int, levels: Iterable[int]) -> "LevelSet":
@@ -287,7 +270,7 @@ class Tower:
         """#{(x, y) : x in S, y in B at stage K, y - x = n} for each target B of
         ``index``, for K at least the stage of S and of every B.  The caller has
         built stage K: ``grid_counts`` in its planning and overflow loop,
-        ``partial_joining`` by ``stage(j)``.
+        ``stage_grid`` by ``stage(j)``.
 
         With S at stage js and B at stage jt, this is sum_{s,b} M_{js,jt,K}(n + s - b)
         over their own levels: each distinct d = s - b of a target stage adds
@@ -426,14 +409,8 @@ class Tower:
         set pushed past the top of that stage's tower.  The measure interval
         of a cell is ``[count, count + overflow]`` times ``stage(K).level_width``;
         negative n count T^{-n} B /\\ A.  Every (pair, shift) lies in exactly
-        one block.
-
-        The shifts are planned once per j0, and no set is refined.  A query
-        counts forward from its source set, A for n >= 0 and B for n < 0
-        (mu(T^n A /\\ B) = mu(T^{-n} B /\\ A)).  Its K and overflow depend on
-        the source alone, so the pairs that share a source and j0 form one
-        block, with one ``TargetIndex``, and one overflow count and one
-        ``pair_counts`` call per shift.
+        one block, which makes one overflow count and one ``pair_counts``
+        call per shift.  The shifts are planned once per j0.
         """
         _check_max_stage(max_stage)
         shifts = list(shifts)
@@ -444,17 +421,8 @@ class Tower:
         blocks = []
         for j0, members in by_j0.items():
             for backward, (cols, plans) in self._plans(j0, shifts, max_stage).items():
-                # source (stage, levels) -> (targets' (stage, levels), rows)
-                groups: dict[tuple, tuple[list, list[int]]] = {}
-                for i in members:
-                    src, dst = pairs[i]
-                    if backward:
-                        src, dst = dst, src
-                    targets, rows = groups.setdefault((src.stage, src.levels), ([], []))
-                    targets.append((dst.stage, dst.levels))
-                    rows.append(i)
-                for (js, src), (targets, rows) in groups.items():
-                    index = TargetIndex((js, src), targets)
+                for index, rows in _by_source(pairs, members, backward):
+                    js, src = index.stage, index.levels
                     base = chain[js - 1].top
                     columns = []
                     for n, K, budget in plans:
@@ -474,6 +442,22 @@ class Tower:
                         columns.append((self.pair_counts(index, n, K), overflow, K))
                     blocks.append((rows, cols, *zip(*columns)))
         return blocks
+
+    def stage_grid(self, pairs: Sequence[tuple[LevelSet, LevelSet]], shifts: Sequence[int],
+                   j: int) -> list[list[MeasureBound]]:
+        """For each (A, B) of ``pairs``, sets at stages <= j, and each n of
+        ``shifts``, either sign: the level pairs (x, y) of A and B at stage j,
+        all in [0, h_j), with y - x = n, times the level width of stage j.
+        The counts form ``grid_counts`` blocks with overflow 0 and K = j, one
+        per source set A, with one ``pair_counts`` call per (A, n)."""
+        self.stage(j)
+        width = len(shifts)
+        cols, overflows, stages = range(width), [0] * width, [j] * width
+        blocks = []
+        for index, rows in _by_source(pairs, range(len(pairs)), False):
+            counts = [self.pair_counts(index, n, j) for n in shifts]
+            blocks.append((rows, cols, counts, overflows, stages))
+        return self._bounds(blocks, len(pairs), width)
 
     def _bounds(self, blocks, height: int, width: int) -> list[list[MeasureBound]]:
         """The rational view of ``grid_counts`` blocks: ``height`` rows (one
@@ -535,6 +519,22 @@ class Tower:
         return [rows[key] for key in keys]
 
 
+def _by_source(pairs, rows: Iterable[int], backward: bool) -> list[tuple[TargetIndex, list]]:
+    """The pairs of ``rows`` grouped by source set, A (B when ``backward``):
+    one ``(TargetIndex, rows)`` per distinct source, the index over the other
+    sets of those rows' pairs."""
+    groups: dict[tuple, tuple[list, list[int]]] = {}
+    for i in rows:
+        src, dst = pairs[i]
+        if backward:
+            src, dst = dst, src
+        targets, members = groups.setdefault((src.stage, src.levels), ([], []))
+        targets.append((dst.stage, dst.levels))
+        members.append(i)
+    return [(TargetIndex(source, targets), members)
+            for source, (targets, members) in groups.items()]
+
+
 _towers: dict[ConstructionParams, Tower] = {}
 
 
@@ -556,6 +556,16 @@ def refine(a: LevelSet, to_stage: int) -> LevelSet:
         # already increasing: consecutive columns sit h + s >= h apart
         levels = tuple(off + lvl for off in tower.stage(k).column_offsets for lvl in levels)
     return LevelSet(a.params, to_stage, levels)
+
+
+def grid_tower(pairs: Sequence[tuple[LevelSet, LevelSet]]) -> Tower:
+    """The one ``Tower`` of every set of ``pairs`` (at least one pair);
+    ``ValueError`` if the sets belong to more than one construction."""
+    first = pairs[0][0]
+    for a, b in pairs:
+        _check_same_construction(first, a)
+        _check_same_construction(a, b)
+    return tower_of(first.params)
 
 
 def _check_max_stage(max_stage: int | None):
@@ -622,11 +632,7 @@ def power_grid(
     pairs, shifts = list(pairs), list(shifts)
     if not pairs:
         return []
-    first = pairs[0][0]
-    for a, b in pairs:
-        _check_same_construction(first, a)
-        _check_same_construction(a, b)
-    tower = tower_of(first.params)
+    tower = grid_tower(pairs)
     return tower._bounds(tower.grid_counts(pairs, shifts, max_stage), len(pairs), len(shifts))
 
 
@@ -647,6 +653,12 @@ def format_level_set(a: LevelSet) -> str:
 
 
 def parse_level_set(text: str, params: ConstructionParams) -> LevelSet:
+    return LevelSet.from_levels(params, *level_set_fields(text))
+
+
+def level_set_fields(text: str) -> tuple[int, tuple[int, ...]]:
+    """The stage and the levels of the textual form, read before any stage
+    is built."""
     stage = None
     levels: tuple[int, ...] | None = None
     for part in text.split(";"):
@@ -664,4 +676,4 @@ def parse_level_set(text: str, params: ConstructionParams) -> LevelSet:
             raise ValueError(f"unknown level-set field {key!r}")
     if stage is None or levels is None:
         raise ValueError(f"level-set text needs stage= and levels=: {text!r}")
-    return LevelSet.from_levels(params, stage, levels)
+    return stage, levels

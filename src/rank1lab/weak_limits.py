@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import reports
 from .construction import ConstructionParams, block_sequence, stage_geometry, thm2
 from .products import sample_shifts
+from .serde import format_int
 from .tower import LevelSet, MeasureBound, apply_power_bounds, power_profile
 
 
@@ -283,7 +284,7 @@ def scan_window(
             ((win_hi - win_lo) // step + 3, "window", "raise step"),
             (1 + min(span, samples) if span >= 0 else 0, "dead zone", "lower dead_samples")):
         if count > MAX_LISTED:
-            raise ValueError(f"the {what} would list {count} shifts, above the limit "
+            raise ValueError(f"the {what} would list {format_int(count)} shifts, above the limit "
                              f"of {MAX_LISTED}: {remedy}")
     window_ns = sorted(set(range(win_lo, win_hi + 1, step)) | {h_j, win_hi})
     if span < 0:

@@ -478,6 +478,20 @@ def _materialize(args, tmp_path):
     return out
 
 
+# stage options past the ceiling, each of which ran on for more than 20 s or
+# ran out of memory before the ceiling was checked: (args, fragment)
+_CEILING_REJECTIONS = [
+    (["geometry", "--family", "utv1", "--j", "200001"],
+     "Error: --j names stage 200001, above the ceiling of 2000 stages"),
+    (["limits", "scan", "--family", "utv1", "--j", "50000"], "Error: --j names stage 50000"),
+    (["limits", "eq4", "--N", "2", "--n", "1", "--p", "1", "--stages", "150426"],
+     "Error: --stages names stage 150426"),
+    (["measure", "--family", "utv1", "--set", "E50000", "--n", "1"],
+     "Error: --set names stage 50000"),
+    (["oracle", "--family", "toy", "--set", "E1", "--n", "1", "--stage", "100000"],
+     "Error: --stage names stage 100000"),
+]
+
 # rejected inputs whose message must name what was wrong: (args, fragment)
 _NAMED_REJECTIONS = [
     (["limits", "scan", "--family", "utv1", "--j", "5", "--dead-samples", "abc"],
@@ -550,6 +564,9 @@ _NAMED_REJECTIONS = [
     # a window of 4 x 40! shifts, counted without a C-sized length
     (["limits", "scan", "--family", "utv1", "--j", "40", "--step", "1"],
      "Error: the window would list 3263"),
+    # 4 x 1901! has about 5,400 digits, more than str() prints
+    (["limits", "scan", "--family", "utv1", "--j", "1900", "--step", "1"],
+     "Error: the window would list 12967969135116205684298516149128040740029045534"),
     # a list option is counted from its bounds before it is listed, at the same limit
     (["measure", "--family", "utv1", "--set", "E2", "--n", "0..1000000000"],
      "Error: --n would list 1000000001 integers, above the limit of 200001"),
@@ -561,19 +578,30 @@ _NAMED_REJECTIONS = [
      "Error: --stages would list 10000000000 integers"),
     (["acceptance", "--only", "1..200002"],
      "Error: --only would list 200002 integers, above the limit of 200001"),
-    # a stage span is counted from its bounds too: these would run stage after stage
+    # every stage a command names is checked against the stage ceiling before
+    # any stage is built: these would build stage after stage
     (["limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/2*T^0",
       "--j", "3..1000000000"],
-     "Error: --j would list 999999998 integers, above the limit of 200001"),
+     "Error: --j names stage 1000000000, above the ceiling of 2000 stages"),
     (["geometry", "--family", "utv1", "--j", "1..1000000000"],
-     "Error: --j would list 1000000000 integers"),
+     "Error: --j names stage 1000000000"),
     (["joinings", "witness", "--family", "utv1", "--j", "2..1000000000"],
-     "Error: --j would list 999999999 integers"),
+     "Error: --j names stage 1000000000"),
     (["spectral", "corr", "--family", "utv1", "--h-stages", "3..1000000000"],
-     "Error: --h-stages would list 999999998 integers"),
+     "Error: --h-stages names stage 1000000000"),
     # --j-max bounds the stages scanned for the spacer value |p|
     (["limits", "eq4", "--N", "2", "--n", "1", "--p", "1", "--j-max", "1000000000"],
-     "Error: --j-max 1000000000 is above the limit of 200001"),
+     "Error: --j-max names stage 1000000000, above the ceiling of 2000 stages"),
+    *_CEILING_REJECTIONS,
+    (["spectral", "suspend", "--family", "utv1", "--set", "stage=2001; levels=0", "--k", "3"],
+     "Error: --set names stage 2001"),
+    (["products", "scan", "--family", "utv1", "--set-b", "E3000", "--k-lo", "1", "--k-hi", "5"],
+     "Error: --set-b names stage 3000"),
+    (["limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/2*T^0",
+      "--j", "3..4", "--pair", "E2|E5000"], "Error: --pair names stage 5000"),
+    # h_1700 of utv1 has 4,700 digits, more than str() prints
+    (["oracle", "--family", "utv1", "--set", "E2", "--n", "1", "--stage", "1700"],
+     "Error: stage 1700 has 51001988026548691790866240277455074952051416167347008023"),
 ]
 
 _REJECTED_INPUTS = [args for args, _ in _NAMED_REJECTIONS] + [
@@ -703,23 +731,39 @@ def test_list_option_at_the_limit_is_listed(runner):
     assert result.output.startswith("Error: no acceptance criterion 10, 11, 12, ")
 
 
+@pytest.mark.parametrize("args,fragment", _CEILING_REJECTIONS,
+                         ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_stage_past_the_ceiling_is_refused_at_once(runner, args, fragment):
+    """Refused before any stage is built; the message is checked with the
+    other named rejections."""
+    start = time.perf_counter()
+    assert runner.invoke(main, args).exit_code == 2
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("args,reached", [
-    (["joinings", "witness", "--family", "utv1", "--j", "1..200001"],
+    (["joinings", "witness", "--family", "utv1", "--j", "1..2000"],
      "Error: witness stage j = 1 must be >= 2"),
-    # no block of the spacer values below stage 200,001 is 700 stages long
-    (["limits", "eq4", "--N", "2", "--n", "1", "--p", "700", "--j-max", "200001"],
+    # no block of the spacer values below stage 2,000 is 700 stages long
+    (["limits", "eq4", "--N", "2", "--n", "1", "--p", "700", "--j-max", "2000"],
      "Error: spacer-value preimage empty"),
-], ids=["span", "j-max"])
+    # toy stage 2,000 has 2^2000 - 1 cells, and its levels lie below that
+    (["oracle", "--family", "toy", "--set", "E1", "--n", "1", "--stage", "2000"],
+     "Error: stage 2000 has 1148130695274254524232833201177681984022"),
+    (["measure", "--family", "toy", "--set", "stage=2000; levels=-1", "--n", "1"],
+     "Error: bad set 'stage=2000; levels=-1': levels must lie in [0, 114813069527425"),
+], ids=["span", "j-max", "stage", "set"])
 def test_stage_options_at_the_limit_reach_the_library(runner, args, reached):
-    """A span of 200,001 stages and a --j-max of 200,001 pass the count and
-    are refused only by the library's own check; one more is refused first."""
+    """Stage 2,000, the ceiling, passes the check and is refused only by the
+    library's own; stage 2,001 is refused first."""
+    assert cli.STAGE_CEILING == 2000
     result = runner.invoke(main, args)
     assert result.exit_code == 2
-    assert result.output.startswith(reached)
-    over = [arg.replace("200001", "200002") for arg in args]
+    assert reached in result.output
+    over = [arg.replace("2000", "2001") for arg in args]
     result = runner.invoke(main, over)
     assert result.exit_code == 2
-    assert "above the limit of 200001" in result.output
+    assert "names stage 2001, above the ceiling of 2000 stages" in result.output
 
 
 @pytest.mark.parametrize("args", [
@@ -744,6 +788,16 @@ def test_integers_past_4300_digits_print(runner):
     (row,) = json.loads(result.output)["rows"]
     assert int(Decimal(row["h"])) == math.factorial(1701)
     assert len(row["h"]) > 4300 and row["level_width"].startswith("1/")
+
+
+def test_witness_prints_shifts_past_4300_digits(runner):
+    """The stage-1650 witness shift of utv1 has about 4,600 digits."""
+    result = runner.invoke(main, ["joinings", "witness", "--family", "utv1", "--j", "1650"])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["status"] == "PASS"
+    (row,) = report["rows"]
+    assert len(row["k_chosen"]) > 4300 and row["margin_lo"] == "0"
 
 
 def _leaf_commands(group, path=()):

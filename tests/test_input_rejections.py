@@ -1,5 +1,6 @@
 """Library input checks, each with the message it rejects its input with."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -69,6 +70,14 @@ _REJECTIONS = [
     ("sequence prefix", lambda: parse_sequence("x h_k"), "cannot parse sequence near 'x'"),
     ("scan stage", lambda: scan_window(UTV, 2, LevelSet.base(UTV, 1), LevelSet.base(UTV, 1)),
      "scan needs j >= 3"),
+    # the range is checked before the order, so a negative level is out of range
+    ("negative level", lambda: LevelSet.from_levels(UTV, 2, [-3]),
+     "levels must lie in [0, 6) at stage 2"),
+    ("level order", lambda: LevelSet(UTV, 2, (3, 1)), "levels must be strictly increasing"),
+    ("repeated level", lambda: LevelSet(UTV, 2, (1, 1)), "levels must be strictly increasing"),
+    # h_1700 of utv1 is 1701!, with 4,700 digits, more than str() prints
+    ("level past a 4,700-digit height", lambda: LevelSet(UTV, 1700, (0, -1)),
+     f"levels must lie in [0, {format_int(math.factorial(1701))}) at stage 1700"),
 ]
 
 

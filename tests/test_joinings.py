@@ -16,7 +16,7 @@ from rank1lab.joinings import (
     partial_joining_grid,
     domination_witness,
 )
-from rank1lab.tower import LevelSet, intersect, measure
+from rank1lab.tower import LevelSet, intersect, measure, refine
 
 TOY = toy()
 UTV = utv1()
@@ -102,23 +102,41 @@ def _joining_grids(draw):
     return pairs, shifts, j
 
 
+def _literal_joining(a, b, k, j):
+    """Delta^k_j(A x B) written out: A and B refined to stage j, and the level
+    pairs (x, y) inside [0, h_j) with y - x = k counted one by one."""
+    geom = stage_geometry(a.params, j)
+    targets = set(refine(b, j).levels)
+    count = sum(0 <= x + k < geom.h and x + k in targets for x in refine(a, j).levels)
+    return count * geom.level_width
+
+
 @settings(max_examples=150, deadline=None)
 @given(_joining_grids())
 def test_partial_joining_grid_equals_one_call_per_cell(query):
-    """One grid call answers as one ``partial_joining`` per (pair, k): equal
-    lo, hi and stage, equal values sharing one bound, and the same
-    ValueError for |k| > h_j or a set deeper than j."""
+    """Every cell of one grid call is the literal stage-j count of its pair
+    and shift, exact at stage j, and ``partial_joining`` of that cell; equal
+    values share one bound.  A grid with |k| > h_j or a set deeper than j
+    raises the same ValueError as that cell alone."""
     pairs, shifts, j = query
-    try:
-        expected = [[partial_joining(a, b, k, j) for k in shifts] for a, b in pairs]
-    except ValueError as exc:
+    h = stage_geometry(pairs[0][0].params, j).h
+    wide = [k for k in shifts if abs(k) > h]
+    deep = [(a, b) for a, b in pairs if max(a.stage, b.stage) > j]
+    if wide or deep:
+        message = (f"|k| = {abs(wide[0])} exceeds tower height {h} at stage {j}" if wide
+                   else "sets are not representable at the requested stage")
         with pytest.raises(ValueError) as raised:
             partial_joining_grid(pairs, shifts, j)
-        assert str(raised.value) == str(exc)
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            partial_joining(*(deep or pairs)[0], (wide or shifts)[0], j)
+        assert str(raised.value) == message
         return
     grid = partial_joining_grid(iter(pairs), iter(shifts), j)
     assert [[(x.lo, x.hi, x.resolved_stage) for x in row] for row in grid] == [
-        [(x.lo, x.hi, x.resolved_stage) for x in row] for row in expected]
+        [(value, value, j) for value in (_literal_joining(a, b, k, j) for k in shifts)]
+        for a, b in pairs]
+    assert grid == [[partial_joining(a, b, k, j) for k in shifts] for a, b in pairs]
     shared = {}
     for row in grid:
         for bound in row:
@@ -234,6 +252,11 @@ def test_witness_row_json_uses_decimal_strings():
     row = report.rows[0].to_json()
     assert set(row) == {"j", "k_chosen", "margin_lo", "margin_hi"}
     assert isinstance(row["k_chosen"], str)
+    # str() stops at 4,300 digits; a whole margin prints as str() prints it
+    k = -(10 ** 4699)
+    row = WitnessRow(1650, k, Fraction(0), Fraction(k, 3)).to_json()
+    assert row == {"j": 1650, "k_chosen": "-1" + "0" * 4699, "margin_lo": "0",
+                   "margin_hi": "-1" + "0" * 4699 + "/3"}
 
 
 def _witness_reference(params, m, rect_grid, j_range, eps=Fraction(0), max_stage=None):
