@@ -134,41 +134,36 @@ def criterion_1() -> CriterionResult:
 def criterion_2() -> CriterionResult:
     """Halving: mu(T^{h_j} A /\\ A) = mu(A)/2 exactly, utv1, j = 3..8."""
     params = utv1()
-    count = 0
-    for a in _stage2_sets(params):
-        for j in range(3, 9):
-            bound = apply_power_bounds(a, a, height(params, j))
+    sets, stages = _stage2_sets(params), range(3, 9)
+    grid = power_grid([(a, a) for a in sets], [height(params, j) for j in stages])
+    for a, row in zip(sets, grid):
+        for j, bound in zip(stages, row):
             if not (bound.exact and bound.value == a.measure / 2):
                 return CriterionResult(2, "halving", False, f"failed at j={j}")
-            count += 1
-    return CriterionResult(2, "halving", True, f"{count} exact equalities")
+    return CriterionResult(2, "halving", True, f"{len(sets) * len(stages)} exact equalities")
 
 
 def criterion_3() -> CriterionResult:
     """Iterated halving and the unit-shift reduction identity, utv1."""
     params = utv1()
-    sets = _stage2_sets(params)
-    quarters = shifts = 0
-    for a in sets:
-        for i in range(3, 8):
-            for j in range(i + 1, 9):
-                n = height(params, j) + height(params, i)
-                bound = apply_power_bounds(a, a, n)
-                if not (bound.exact and bound.value == a.measure / 4):
-                    return CriterionResult(3, "iterated-halving", False,
-                                           f"quarter failed at i={i} j={j}")
-                quarters += 1
-    for a in sets:
-        for b in sets:
-            base = apply_power_bounds(a, b, 1)
-            for j in range(3, 9):
-                bound = apply_power_bounds(a, b, height(params, j) + 1)
-                if not (bound.exact and base.exact and bound.value == base.value / 2):
-                    return CriterionResult(3, "iterated-halving", False,
-                                           f"shift identity failed at j={j}")
-                shifts += 1
+    sets, stages = _stage2_sets(params), range(3, 9)
+    stage_pairs = [(i, j) for i in stages for j in stages if i < j]
+    grid = power_grid([(a, a) for a in sets],
+                      [height(params, j) + height(params, i) for i, j in stage_pairs])
+    for a, row in zip(sets, grid):
+        for (i, j), bound in zip(stage_pairs, row):
+            if not (bound.exact and bound.value == a.measure / 4):
+                return CriterionResult(3, "iterated-halving", False,
+                                       f"quarter failed at i={i} j={j}")
+    pairs = [(a, b) for a in sets for b in sets]
+    for base, *row in power_grid(pairs, [1] + [height(params, j) + 1 for j in stages]):
+        for j, bound in zip(stages, row):
+            if not (bound.exact and base.exact and bound.value == base.value / 2):
+                return CriterionResult(3, "iterated-halving", False,
+                                       f"shift identity failed at j={j}")
     return CriterionResult(3, "iterated-halving", True,
-                           f"{quarters} quarter + {shifts} shift identities")
+                           f"{len(sets) * len(stage_pairs)} quarter + "
+                           f"{len(pairs) * len(stages)} shift identities")
 
 
 def criterion_4() -> CriterionResult:

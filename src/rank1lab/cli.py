@@ -12,10 +12,12 @@ a one-line ``Error:`` and exit 2, among them a ``limits scan`` whose window or
 dead zone would list more shifts than ``scan_window`` takes; an unwritable
 ``--out``, a malformed ``--family`` spec, a negative ``--tol`` or ``--eps``, a
 ``--grid`` or ``--max-stage`` below 1, a list option with no integer or too many, a
-stage past ``STAGE_CEILING`` (a stage option, span end or set), a ``limits scan --j``
-that opens no dead zone, a ``run`` list for a single-valued option, and a request that runs
-out of memory, overflows a C size or hits the recursion limit exit 2 the same
-way, so a crash never reads as FAIL.
+``products scan --samples`` or ``spectral density --grid`` that would list more than
+``MAX_LISTED`` shifts or grid points, a stage past ``STAGE_CEILING`` (a stage option,
+span end, set or ``--max-stage``), a ``limits scan --j`` that opens no dead
+zone, a ``run`` list for a single-valued option, and a request that runs out
+of memory, overflows a C size or hits the recursion limit exit 2 the same way,
+so a crash never reads as FAIL.
 ``--max-stage`` is the one stage cap of a command; no environment variable
 changes an answer.
 ``_with_construction`` hands each command its parsed construction as
@@ -55,7 +57,7 @@ from .oracle import oracle_intersection
 from .products import ProductSystem, dissipativity_scan
 from .serde import format_int, format_number, format_rational, parse_rational
 from .spectral import correlations, fejer_density, suspension_correlation
-from .tower import LevelSet, apply_power_bounds, level_set_fields
+from .tower import LevelSet, level_set_fields, power_profile
 from .weak_limits import (
     MAX_LISTED,
     parse_polynomial,
@@ -164,6 +166,13 @@ def _parse_span(text: str, option: str) -> range:
     return span
 
 
+def _check_count(count: int, option: str, items: str):
+    """Refuse an option that would list more than ``MAX_LISTED`` items."""
+    if count > MAX_LISTED:
+        raise _BadInput(f"{option} would list {format_int(count)} {items}, above the limit "
+                        f"of {MAX_LISTED}")
+
+
 def _parse_int_list(text: str, option: str) -> list[int]:
     """Comma-separated integers and ranges, counted from their bounds first: a
     list with none would be a vacuous run, and one above ``MAX_LISTED`` is refused."""
@@ -171,9 +180,7 @@ def _parse_int_list(text: str, option: str) -> list[int]:
     count = sum(span.stop - span.start for span in spans)
     if not count:
         raise _BadInput(f"no integer in {text!r}, expected e.g. 5, 3..8 or 1,2,8")
-    if count > MAX_LISTED:
-        raise _BadInput(f"{option} would list {format_int(count)} integers, above the limit "
-                        f"of {MAX_LISTED}")
+    _check_count(count, option, "integers")
     return [n for span in spans for n in span]
 
 
@@ -258,8 +265,10 @@ _out_option = click.option("--out", default=None, type=click.Path())
 
 
 def _stage_cap(ctx, param, value):
-    if value is not None and value < 1:
-        raise _BadInput(f"--max-stage must be >= 1, got {value}")
+    if value is not None:
+        if value < 1:
+            raise _BadInput(f"--max-stage must be >= 1, got {value}")
+        _check_stage(value, "--max-stage")
     return value
 
 
@@ -337,13 +346,10 @@ def geometry(params, span, star_check, measure_sum, fmt, out):
 def measure_cmd(params, set_a, set_b, shifts, max_stage, fmt, out):
     """mu(T^n A /\\ B) as exact rational intervals."""
     a, b = _parse_sets(set_a, set_b, params)
-    rows = []
-    status = reports.PASS
-    for n in _parse_int_list(shifts, "--n"):
-        bound = apply_power_bounds(a, b, n, max_stage)
-        if not bound.exact:
-            status = reports.INCONCLUSIVE
-        rows.append({"n": format_int(n), **_bound_fields(bound)})
+    ns = _parse_int_list(shifts, "--n")
+    bounds = power_profile(a, b, ns, max_stage)
+    rows = [{"n": format_int(n), **_bound_fields(bound)} for n, bound in zip(ns, bounds)]
+    status = reports.PASS if all(bound.exact for bound in bounds) else reports.INCONCLUSIVE
     _emit(_meta(params, set_a=set_a, set_b=set_b or set_a), rows, fmt, out, status)
 
 
@@ -551,6 +557,7 @@ def products():
 def products_scan(params, right_family, m, n, set_a, set_b, k_lo, k_hi, samples,
                   ratio_target, max_stage, fmt, out):
     """Rectangle return scan over (k_lo, k_hi]; evidence, never a theorem."""
+    _check_count(min(samples, k_hi - k_lo), "--samples", "shifts")
     right_params = _parse_family(right_family) if right_family else params
     system = ProductSystem(params, m, right_params, n)
     a = _parse_set(set_a, params, "--set")
@@ -624,6 +631,7 @@ def spectral_corr(params, set_a, shifts, h_stages, max_stage, fmt, out):
 def spectral_density(params, set_a, shifts, h_stages, order, grid, max_stage, fmt, out):
     """Fejer spectral-density estimate of the correlation sequence; INCONCLUSIVE
     without rows when a shift below the order did not resolve."""
+    _check_count(grid, "--grid", "grid points")
     _, seq = _base_sequence(params, set_a, shifts, h_stages, max_stage)
     # fejer_density reads a shift it was not given as zero
     computed = {n for n, _ in seq.entries}.union(n for n, _ in seq.unresolved)

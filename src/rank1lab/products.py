@@ -33,6 +33,8 @@ UNRESOLVED = "UNRESOLVED"
 EVIDENCE_NOTE = (
     "finite scan: evidence for the dissipative tail, not a certified theorem"
 )
+# the stages i <= RATIO_DEPTH whose heights a scan with a ratio target compares
+RATIO_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -117,12 +119,11 @@ def dissipativity_scan(
     samples: int = 256,
     max_stage: int | None = None,
     ratio_target: Fraction | None = None,
-    ratio_depth: int = 8,
 ) -> RectangleReturnReport:
     """Scan product returns of the rectangle A x A' over (k_lo, k_hi]: the
     one-rectangle case of ``dissipativity_grid``."""
     return dissipativity_grid(
-        sys, [(a, a2)], k_lo, k_hi, samples, max_stage, ratio_target, ratio_depth)[0]
+        sys, [(a, a2)], k_lo, k_hi, samples, max_stage, ratio_target)[0]
 
 
 class _LeftSide(NamedTuple):
@@ -147,7 +148,6 @@ def dissipativity_grid(
     samples: int = 256,
     max_stage: int | None = None,
     ratio_target: Fraction | None = None,
-    ratio_depth: int = 8,
 ) -> list[RectangleReturnReport]:
     """``[dissipativity_scan(sys, a, a2, ...) for a, a2 in rects]`` in one pass.
 
@@ -226,7 +226,7 @@ def dissipativity_grid(
         [a2 for _, a2 in rects], [sys.right_power * scanned[col] for col in cols], max_stage)
     ratio = None
     if ratio_target is not None:
-        ratio = ratio_condition(sys.left_params, sys.right_params, ratio_depth, ratio_target)
+        ratio = ratio_condition(sys.left_params, sys.right_params, RATIO_DEPTH, ratio_target)
     products: dict[tuple[int, int], tuple[MeasureBound, str]] = {}
     reports: dict[tuple, RectangleReturnReport] = {}
     out = []

@@ -34,18 +34,19 @@ mu(T^n A /\\ B) = mu(T^{-n} B /\\ A), so only the forward count exists.
 The kernel answers in integers and in columns, and counts along one path.
 The pairs are grouped by source set (``_by_source``: A for n >= 0, B for
 n < 0), each source indexes its targets once (``TargetIndex``: per target
-stage, the distinct differences a - b of a source level a and a target level
-b, and how many pairs of each target have each), and ``Tower.pair_counts``
-reads M_K(n + a - b) from the tower's pair-count table once per difference
-within reach; no set is refined.  ``Tower.grid_counts`` plans the shifts once
-per stage j0 = max(ja, jb) of a pair and gives one block per source group:
-a K and an overflow per shift, which depend on the source alone, and a count
-per (pair, shift).  ``Tower._bounds`` is the rational view of blocks, with
-equal answers sharing one bound.  ``power_grid`` is that view of
-``grid_counts``; ``power_profile`` is its one-pair case and
-``apply_power_bounds`` the one-shift case of that.  ``Tower.stage_grid``
-counts at a fixed stage j instead, in blocks with overflow 0 and K = j, for
-the partial joinings of ``joinings``.
+stage, the distinct differences d = a - b of a source level a and a target
+level b, and the targets with how many pairs hold each), and
+``Tower.pair_counts`` reads M_K(n + d) from the tower's pair-count table once
+per difference within reach and adds it to the targets holding d; no set is
+refined.  ``Tower.grid_counts`` plans the shifts once per stage
+j0 = max(ja, jb) of a pair and gives one block per source group: a K and an
+overflow per shift, which depend on the source alone, and a count per
+(pair, shift).  ``Tower._bounds`` is the rational view of blocks, with equal
+answers sharing one bound.  ``power_grid`` is that view of ``grid_counts``;
+``power_profile`` is its one-pair case and ``apply_power_bounds`` the
+one-shift case of that.  ``Tower.stage_grid`` counts at a fixed stage j
+instead, in blocks with overflow 0 and K = j, for the partial joinings of
+``joinings``.
 
 The public functions are pure.  The one ``Tower`` per construction owns
 its state: the stage chain, which ``construction.stage_geometry`` reads,
@@ -62,13 +63,14 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import lt, mul
+from operator import attrgetter, lt
 from typing import Iterable, Sequence
 
 from .construction import ConstructionParams, StageGeometry, _build_stage, stage_geometry
 from .serde import format_int
 
 DEFAULT_EXTRA_STAGES = 8
+_height = attrgetter("h")
 _NO_TABLE: dict[int, int] = {}  # read, never written: a (js, jt, K) not yet tabled
 
 
@@ -182,8 +184,7 @@ class TargetIndex:
     """One source set against a list of target sets, each at its own stage,
     indexed once for ``Tower.pair_counts``.  A level pair (s, b) counts by
     b's stage and s - b alone, so the index keeps, per target stage, the
-    distinct d = s - b in order, the number of pairs for each d, and the
-    (target, pairs) each d splits into."""
+    distinct d = s - b in order and the (target, pairs) each d splits into."""
 
     __slots__ = ("stage", "levels", "targets", "size", "by_stage")
 
@@ -196,18 +197,14 @@ class TargetIndex:
             split = splits.setdefault(stage, {})
             for x in self.levels:
                 for y in levels:
-                    held = split.get(x - y)
-                    if held is None:
-                        split[x - y] = {t: 1}
-                    else:
-                        held[t] = held.get(t, 0) + 1
-        # (target stage, differences, pairs per difference, owners per difference)
+                    held = split.setdefault(x - y, {})
+                    held[t] = held.get(t, 0) + 1
+        # (target stage, differences, owners per difference)
         self.by_stage = []
         for stage, split in splits.items():
             differences = sorted(split)
-            pairs = [sum(split[d].values()) for d in differences]
             owners = [tuple(split[d].items()) for d in differences]
-            self.by_stage.append((stage, differences, pairs, owners))
+            self.by_stage.append((stage, differences, owners))
 
 
 class Tower:
@@ -284,7 +281,7 @@ class Tower:
         chain = self._chain
         top, js = chain[K - 1].top, index.stage
         low = chain[js - 1].top - top - n
-        for jt, differences, pairs, owners in index.by_stage:
+        for jt, differences, owners in index.by_stage:
             # the differences d = s - b with n + d in the span of M
             high = top - chain[jt - 1].top - n
             i, e = bisect_left(differences, low), bisect_right(differences, high)
@@ -300,9 +297,6 @@ class Tower:
                 weights = list(map(self._pairs.get(at, _NO_TABLE).__getitem__, keys))
             except KeyError:
                 weights = list(map(self._pair_table(*at, keys).__getitem__, keys))
-            if index.size == 1:
-                counts[0] = sum(map(mul, weights, pairs[i:e]))
-                return counts
             for weight, held in zip(weights, owners[i:e]):
                 if weight:
                     for t, count in held:
@@ -382,12 +376,11 @@ class Tower:
         ``max_stage`` but at least start.  Only the signs that occur get lists."""
         plans: dict[bool, tuple[list[int], list[tuple[int, int, int]]]] = {}
         # heights increase, so the stages built so far locate the first h > |n|;
-        # only a shift above all of them builds more
-        heights = [st.h for st in self._chain]
+        # only a shift above all of them builds more, one stage at a time
         for col, n in enumerate(shifts):
             backward, m = n < 0, abs(n)
-            start = max(j0, bisect_right(heights, m) + 1)
-            while start > len(heights) and self.stage(start).h <= m:
+            start = max(j0, bisect_right(self._chain, m, key=_height) + 1)
+            while self.stage(start).h <= m:
                 start += 1
             budget = start + DEFAULT_EXTRA_STAGES if max_stage is None else max(max_stage, start)
             cols, planned = plans.setdefault(backward, ([], []))

@@ -17,7 +17,7 @@ from . import reports
 from .construction import ConstructionParams, block_sequence, stage_geometry, thm2
 from .products import sample_shifts
 from .serde import format_int
-from .tower import LevelSet, MeasureBound, apply_power_bounds, power_profile
+from .tower import LevelSet, MeasureBound, power_profile
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,9 @@ def predict(
     poly: OperatorPolynomial, a: LevelSet, b: LevelSet, max_stage: int | None = None
 ) -> MeasureBound:
     """sum_p c_p mu(T^p A /\\ B); unresolved pieces propagate as intervals."""
-    acc = MeasureBound.exactly(0)
-    for p, c in poly.coeffs:
-        acc = acc + apply_power_bounds(a, b, p, max_stage).scaled(c)
-    return acc
+    bounds = power_profile(a, b, [p for p, _ in poly.coeffs], max_stage)
+    return sum((bound.scaled(c) for (_, c), bound in zip(poly.coeffs, bounds)),
+               MeasureBound.exactly(0))
 
 
 @dataclass(frozen=True)
@@ -192,18 +191,20 @@ def _check_limit(points, poly, pairs, tol, max_stage: int | None) -> list[tuple]
     of ``pairs``, the row ``(key, n, pair index, value, prediction, dev_lo,
     dev_hi, status)`` comparing mu(T^n A /\\ B) with ``predict(poly, A, B)``.
 
-    A negative tolerance is rejected before any query.
+    A negative tolerance is rejected before any query.  Each pair makes one
+    ``power_profile`` of the points, so the pairs may mix constructions.
     """
     tol = Fraction(tol)
     if tol < 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
-    predicted = [(a, b, predict(poly, a, b, max_stage)) for a, b in pairs]
+    predicted = [predict(poly, a, b, max_stage) for a, b in pairs]
+    points = list(points)
+    values = [power_profile(a, b, [n for _, n in points], max_stage) for a, b in pairs]
     rows = []
-    for key, n in points:
-        for idx, (a, b, pred) in enumerate(predicted):
-            value = apply_power_bounds(a, b, n, max_stage)
-            dev_lo, dev_hi = value.deviation_from(pred)
-            rows.append((key, n, idx, value, pred, dev_lo, dev_hi,
+    for col, (key, n) in enumerate(points):
+        for idx, (pred, row) in enumerate(zip(predicted, values)):
+            dev_lo, dev_hi = row[col].deviation_from(pred)
+            rows.append((key, n, idx, row[col], pred, dev_lo, dev_hi,
                          reports.classify_deviation(dev_lo, dev_hi, tol)))
     return rows
 

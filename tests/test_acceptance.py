@@ -115,6 +115,18 @@ def test_grid_criteria_count_each_source_once(monkeypatch, number, counts, plann
     assert calls == {"pair_counts": counts, "_plans": plannings}
 
 
+@pytest.mark.parametrize("number,detail", [(2, "failed at j=8"),
+                                           (3, "quarter failed at i=4 j=5")])
+def test_grid_criteria_name_their_first_failure(monkeypatch, number, detail):
+    """Criteria 2 and 3 ask one grid per identity family and still name the
+    first identity that fails, in set-then-stage order: one level more at
+    the sixth shift of every row fails the first set there."""
+    _skew_shift_five(monkeypatch, lambda count, overflow: (count + 1, overflow))
+    (result,) = acceptance.run_all([number])
+    assert not result.passed
+    assert result.detail == detail
+
+
 def test_criterion_2_halving():
     result = _report(acceptance.criterion_2())
     assert result.passed, result.detail

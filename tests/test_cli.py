@@ -15,6 +15,10 @@ from click.testing import CliRunner
 
 from rank1lab import __version__, cli
 from rank1lab.cli import main
+from rank1lab.construction import toy
+from rank1lab.serde import format_rational
+from rank1lab.tower import LevelSet, apply_power_bounds
+from rank1lab.weak_limits import MAX_LISTED
 
 
 @pytest.fixture
@@ -100,6 +104,65 @@ def test_measure_inconclusive_exit_code(runner):
     ])
     assert result.exit_code == 3
     assert json.loads(result.output)["status"] == "INCONCLUSIVE"
+
+
+def test_measure_rows_equal_one_query_per_shift(runner):
+    """The one ``power_profile`` behind ``measure`` gives every --n, negative,
+    repeated and unresolved ones included, the lo, hi, exactness and resolved
+    stage of its own ``apply_power_bounds``, and the status they imply."""
+    shifts = [*range(-40, 41), 7, 7]
+    result = runner.invoke(main, ["measure", "--family", "toy", "--set", "E1",
+                                  "--n", "-40..40,7,7", "--max-stage", "6"])
+    e1 = LevelSet.base(toy(), 1)
+    single = [apply_power_bounds(e1, e1, n, 6) for n in shifts]
+    assert not all(bound.exact for bound in single)
+    payload = json.loads(result.output)
+    assert (result.exit_code, payload["status"]) == (3, "INCONCLUSIVE")
+    assert [[row[key] for key in ("n", "lo", "hi", "exact", "resolved_stage")]
+            for row in payload["rows"]] == [
+        [str(n), format_rational(bound.lo), format_rational(bound.hi), bound.exact,
+         bound.resolved_stage] for n, bound in zip(shifts, single)]
+
+
+def test_a_stage_cap_at_the_ceiling_answers(runner):
+    """--max-stage 2000, the stage ceiling, is a cap and builds nothing a
+    query does not reach: a shallow query answers at once."""
+    result = runner.invoke(main, ["measure", "--family", "utv1", "--set", "E2", "--n", "1",
+                                  "--max-stage", "2000"])
+    assert result.exit_code == 0, result.output
+
+
+_SCAN = ["products", "scan", "--family", "thm2(2)", "--m", "1", "--n", "3", "--set", "E2",
+         "--k-lo", "1"]
+_DENSITY = ["spectral", "density", "--family", "utv1", "--set", "E2", "--n", "0..4",
+            "--order", "5"]
+
+
+# (args, the library call they reach, the refusal if they do not)
+@pytest.mark.parametrize("args,callee,refusal", [
+    # --samples counts the shifts sample_shifts lists, min(samples, k_hi - k_lo)
+    (_SCAN + ["--k-hi", "1000000000", "--samples", "200001"], "dissipativity_scan", None),
+    (_SCAN + ["--k-hi", "200002", "--samples", "1000000000"], "dissipativity_scan", None),
+    (_SCAN + ["--k-hi", "1000000000", "--samples", "200002"], "dissipativity_scan",
+     "--samples would list 200002 shifts"),
+    (_SCAN + ["--k-hi", "200003", "--samples", "1000000000"], "dissipativity_scan",
+     "--samples would list 200002 shifts"),
+    (_DENSITY + ["--grid", "200001"], "fejer_density", None),
+    (_DENSITY + ["--grid", "200002"], "fejer_density", "--grid would list 200002 grid points"),
+])
+def test_counted_options_are_refused_past_the_limit_only(runner, monkeypatch, args, callee,
+                                                         refusal):
+    """--samples and --grid are counted against the list limit before
+    anything is built: at the limit the command reaches the library, one
+    past it the command exits 2 with one line naming the option."""
+    def reached(*args, **kwargs):
+        raise ValueError("reached")
+
+    monkeypatch.setattr(cli, callee, reached)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.output == (f"Error: {refusal}, above the limit of {MAX_LISTED}\n"
+                             if refusal else "Error: reached\n")
 
 
 def test_the_environment_sets_no_stage_cap(runner):
@@ -490,6 +553,9 @@ _CEILING_REJECTIONS = [
      "Error: --set names stage 50000"),
     (["oracle", "--family", "toy", "--set", "E1", "--n", "1", "--stage", "100000"],
      "Error: --stage names stage 100000"),
+    # a stage cap lets a query walk the chain up to it
+    (["measure", "--family", "toy", "--set", "E1", "--n", "1", "--max-stage", "2001"],
+     "Error: --max-stage names stage 2001, above the ceiling of 2000 stages"),
 ]
 
 # rejected inputs whose message must name what was wrong: (args, fragment)

@@ -257,7 +257,7 @@ def test_scan_with_ratio_table():
     doubled = scaled(2)
     report = dissipativity_scan(
         ProductSystem(doubled, 1, UTV, 1), LevelSet.base(doubled, 2), E2,
-        1, 4, samples=2, ratio_target=Fraction(2), ratio_depth=4,
+        1, 4, samples=2, ratio_target=Fraction(2),
     )
     assert report.ratio_check is not None
     assert all(row[3] == 2 for row in report.ratio_check)
@@ -309,12 +309,12 @@ def test_grid_equals_one_scan_per_rectangle(case):
     system, rects, k_lo, k_hi, samples, max_stage, ratio = case
     _reset_memos(system)  # a fresh memo for the grid
     grid = dissipativity_grid(system, rects, k_lo, k_hi, samples, max_stage,
-                              ratio_target=ratio, ratio_depth=4)
+                              ratio_target=ratio)
     assert len(grid) == len(rects)
     for (a, a2), report in zip(rects, grid):
         _reset_memos(system)  # and for every scan
         assert report == dissipativity_scan(system, a, a2, k_lo, k_hi, samples, max_stage,
-                                            ratio_target=ratio, ratio_depth=4)
+                                            ratio_target=ratio)
 
 
 # left powers of both signs over one left construction, so scans of one set

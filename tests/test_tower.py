@@ -897,6 +897,24 @@ def test_cold_chain_plans_a_shift_above_every_built_stage():
     assert cold[5] == MeasureBound.exactly(Fraction(3, 16), 7)
 
 
+@pytest.mark.parametrize("params", [UTV, TOY], ids=["utv1", "toy"])
+def test_planning_reads_a_warm_chain_like_a_fresh_one(params):
+    """Shifts one below, at and one above every height of a 40-stage chain,
+    of both signs, start at the stage a fresh tower finds by building its
+    chain on demand: a warm tower's grid gives each the triple, and so the
+    bound, of its own query on a fresh tower."""
+    warm = tower_module.Tower(params)
+    warm.stage(40)
+    e1 = LevelSet.base(params, 1)
+    pairs = [(e1, e1), (e1, LevelSet.single(params, 2, 1))]
+    for k in range(1, 41):
+        h = warm.stage(k).h
+        shifts = [sign * n for n in (h - 1, h, h + 1) for sign in (1, -1)]
+        fresh = [triples(tower_module.Tower(params), pairs, [n], None) for n in shifts]
+        assert triples(warm, pairs, shifts, None) == [
+            [cells[i][0] for cells in fresh] for i in range(len(pairs))]
+
+
 def test_stage_prefix_data_closed_forms():
     # utv1: r = 2 and the second column starts at h_i = (i+1)!
     geoms = [stage_geometry(UTV, j) for j in range(1, 6)]
