@@ -59,11 +59,12 @@ def criterion_1() -> CriterionResult:
     compared as integer counts on the stage-J grid: a level of stage K <= J
     covers ``scale[K]`` oracle cells, so the kernel's (count, overflow, K)
     scaled by ``scale[K]`` must be the oracle's (cells hit, cells lost).
-    Each source set A costs one oracle pass (``IntervalSystem.orbit_counts``
-    over every target and power) and one ``grid_counts`` call, whose
-    counts share one index of the targets and whose blocks are scattered
-    into (B, n) arrays; the two are compared as integer arrays, and the
-    first mismatch is reported in (A, B, n) order.
+    Each construction makes one ``IntervalSystem.orbit_counts`` call, which
+    labels the targets once and yields every source's (B, n) arrays of hits
+    and lost cells in turn.  Each source set A costs one ``grid_counts``
+    call, whose counts share one index of the targets and whose blocks are
+    scattered into (B, n) arrays; the two are compared as integer arrays,
+    and the first mismatch is reported in (A, B, n) order.
     Exact-value equality is asserted wherever the orbit fully resolves at
     J = 6 (all of utv1), plus deep toy spot checks where exactness needs
     stage ~18.
@@ -90,8 +91,7 @@ def criterion_1() -> CriterionResult:
         scale = np.array(scale)
         kernel = tower_of(params)
         shifts = range(h4 + 1)
-        for a in sets:
-            hits, lost = system.orbit_counts(a, sets, shifts)
+        for a, (hits, lost) in zip(sets, system.orbit_counts(sets, sets, shifts)):
             # (B, n) -> count, overflow and K of the kernel
             count, overflow, stage = (np.zeros(hits.shape, np.int64) for _ in range(3))
             for rows, cols, counts, overflows, stages in kernel.grid_counts(

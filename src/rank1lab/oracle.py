@@ -7,15 +7,18 @@ laid out by replaying the stacking rule literally: stage 1 occupies
 place, and every spacer is allocated at the end of the used part of the line.
 By induction every level of every stage is a single half-open interval and
 the used space is [0, h_J * w_J), so the system is stored as a permutation
-between "cells" (intervals of width w_J) and level indices: two int arrays,
-``cell_of_level`` and its inverse ``level_of_cell``.  The replay builds them
-one column at a time: column c of stage j+1 is stage j's ``cell_of_level``
-sliced in place (``cell * r + c``), followed by the column's fresh spacer
-cells, numbered consecutively from the end of the used part.  T is the partial
-piecewise translation moving level l onto level l+1; it is undefined on the
-top level, and T^{-1} is undefined on the bottom one.  ``OrbitWalker`` applies
-T^n to a set; ``IntervalSystem.orbit_counts`` reads what a walker would at
-every power of a run, against many target sets, in one array pass.
+between "cells" (intervals of width w_J) and level indices: an int array
+``cell_of_level`` and its inverse ``level_of_cell``.  The replay builds the
+first one column at a time: column c of stage j+1 is stage j's
+``cell_of_level`` sliced in place (``cell * r + c``), followed by the column's
+fresh spacer cells, numbered consecutively from the end of the used part.  The
+replay never reads an inverse, so a stage computes ``level_of_cell`` on first
+read: only the stages that are walked hold one.  T is the partial piecewise
+translation moving level l onto level l+1; it is undefined on the top level,
+and T^{-1} is undefined on the bottom one.  ``OrbitWalker`` applies T^n to a
+set; ``IntervalSystem.orbit_counts`` reads what a walker of each of many
+sources would at every power of a run, against many target sets, labelling
+the targets once for all sources.
 
 None of the tower-calculus refinement machinery is used here; that module is
 validated against this one, so they share only the construction parameters.
@@ -26,7 +29,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,14 +38,27 @@ from .tower import LevelSet
 
 
 class _Stage:
-    __slots__ = ("index", "cell_of_level", "level_of_cell", "subdivision")
+    """One stage of the replay: ``cell_of_level`` and, computed on first read,
+    its inverse ``level_of_cell``."""
+
+    __slots__ = ("index", "cell_of_level", "subdivision", "_level_of_cell")
 
     def __init__(self, index, cell_of_level, subdivision):
         self.index = index
         self.cell_of_level = cell_of_level
         self.subdivision = subdivision  # cells per stage-1 cell
-        self.level_of_cell = np.empty_like(cell_of_level)
-        self.level_of_cell[cell_of_level] = np.arange(len(cell_of_level))
+        self._level_of_cell = None
+
+    @property
+    def level_of_cell(self) -> np.ndarray:
+        inverse = self._level_of_cell
+        if inverse is None:
+            # filled in a local array and published whole, so a concurrent
+            # first read sees either nothing or a complete inverse
+            inverse = np.empty_like(self.cell_of_level)
+            inverse[self.cell_of_level] = np.arange(len(self.cell_of_level))
+            self._level_of_cell = inverse
+        return inverse
 
 
 _chains: dict[ConstructionParams, list[_Stage]] = {}
@@ -92,8 +108,13 @@ class IntervalSystem:
         return self.params.base_width / self._data.subdivision
 
     def interval(self, level: int) -> tuple[Fraction, Fraction]:
-        """[left, right) endpoints of the given tower level."""
-        cell = int(self._data.cell_of_level[level])
+        """[left, right) endpoints of the given tower level, in [0, h)."""
+        data = self._data
+        h = len(data.cell_of_level)
+        if not 0 <= level < h:
+            raise ValueError(f"level {level} is outside [0, {h}), "
+                             f"the levels of the stage-{self.stage} tower")
+        cell = int(data.cell_of_level[level])
         w = self.cell_width
         return cell * w, (cell + 1) * w
 
@@ -114,11 +135,13 @@ class IntervalSystem:
         return (starts[:, None] + np.arange(ratio)).ravel()
 
     def orbit_counts(
-        self, a: LevelSet, targets: Sequence[LevelSet], powers: Sequence[int],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """What an ``OrbitWalker`` of A reads at every power of ``powers``, in
-        one pass: ``hits[t, i]``, the cells of T^n A in ``targets[t]``, and
-        ``lost[i]``, the cells of A whose orbit leaves the tower on the way,
+        self, sources: Sequence[LevelSet], targets: Sequence[LevelSet],
+        powers: Sequence[int],
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """What an ``OrbitWalker`` of each source A reads at every power of
+        ``powers``: one ``(hits, lost)`` per source, in order, where
+        ``hits[t, i]`` counts the cells of T^n A in ``targets[t]`` and
+        ``lost[i]`` the cells of A whose orbit leaves the tower on the way,
         for n = ``powers[i]``; both int64 arrays.
 
         The walker's rule moves a cell of stage-J level x to level x + n,
@@ -127,7 +150,9 @@ class IntervalSystem:
         level reads "lost", a tower level the target holding its cell, and
         one ``bincount`` of (label, power) counts all of them.  Targets may
         overlap, so they are labelled in layers of pairwise disjoint sets,
-        one table and one ``bincount`` per layer.
+        one table and one ``bincount`` per layer.  The tables are built once
+        and serve every source; the sources are counted one at a time, as
+        they are read.
         """
         data = self._data
         h = len(data.cell_of_level)
@@ -146,22 +171,27 @@ class IntervalSystem:
                 layers.append((label, members))
             label[cells] = len(members)
             members.append(t)
-        padded = (data.level_of_cell[self._cell_array(a)] + h)[:, None] + shifts
-        column = np.arange(width)
-        hits = np.zeros((len(targets), width), dtype=np.int64)
+        tables = []
         for label, members in layers:
             size = len(members)
             table = np.full(3 * h, size + 1, np.int64)  # size + 1: lost
             by_level = label[data.cell_of_level]
             table[h:2 * h] = np.where(by_level < 0, size, by_level)  # size: no target
-            keys = table[padded]
-            keys *= width
-            keys += column
-            counts = np.bincount(keys.ravel(), minlength=(size + 2) * width)
-            counts = counts.reshape(size + 2, width)
-            hits[members] = counts[:size]
-            lost = counts[size + 1]  # the same in every layer
-        return hits, lost
+            tables.append((table, members))
+        column = np.arange(width)
+        for a in sources:
+            padded = (data.level_of_cell[self._cell_array(a)] + h)[:, None] + shifts
+            hits = np.zeros((len(targets), width), dtype=np.int64)
+            for table, members in tables:
+                size = len(members)
+                keys = table[padded]
+                keys *= width
+                keys += column
+                counts = np.bincount(keys.ravel(), minlength=(size + 2) * width)
+                counts = counts.reshape(size + 2, width)
+                hits[members] = counts[:size]
+                lost = counts[size + 1]  # the same in every layer
+            yield hits, lost
 
 
 @dataclass(frozen=True)

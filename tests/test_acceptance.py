@@ -18,7 +18,7 @@ import pytest
 
 from kernel_blocks import expand, packed
 from rank1lab import acceptance, oracle, tower
-from rank1lab.construction import height, thm2, utv1
+from rank1lab.construction import height, thm2, toy, utv1
 from rank1lab.oracle import oracle_intersection
 from rank1lab.products import ProductSystem, dissipativity_scan
 from rank1lab.spectral import correlations, fejer_density, correlation_sequence
@@ -78,20 +78,39 @@ def test_criterion_1_catches_a_kernel_overflow_off_by_one(monkeypatch):
     assert result.detail.startswith("mismatch at") and result.detail.endswith("n=5")
 
 
-def test_criterion_1_catches_an_oracle_off_by_one_hit(monkeypatch):
-    """The batched oracle is checked too: moving the first target's hit
-    count at shift 5 by one cell fails the criterion at that shift."""
+def _skew_oracle_row(monkeypatch, params, source, n):
+    """Move the first target's hit count of one yielded oracle row (the
+    source-th of ``params``) at shift n by one cell."""
     orbit_counts = oracle.IntervalSystem.orbit_counts
 
-    def skewed(self, a, targets, powers):
-        hits, lost = orbit_counts(self, a, targets, powers)
-        hits[0, 5] += 1
-        return hits, lost
+    def skewed(self, sources, targets, powers):
+        for position, (hits, lost) in enumerate(
+                orbit_counts(self, sources, targets, powers)):
+            if self.params == params and position == source:
+                hits[0, n] += 1
+            yield hits, lost
 
     monkeypatch.setattr(oracle.IntervalSystem, "orbit_counts", skewed)
+
+
+def test_criterion_1_catches_an_oracle_off_by_one_hit(monkeypatch):
+    """The batched oracle is checked too: moving the first source's hit
+    count against the first target at shift 5 by one cell fails the
+    criterion at that shift."""
+    _skew_oracle_row(monkeypatch, toy(), 0, 5)
     result = acceptance.criterion_1()
     assert not result.passed
     assert result.detail.startswith("mismatch at") and result.detail.endswith("n=5")
+
+
+def test_criterion_1_keeps_each_oracle_row_with_its_source(monkeypatch):
+    """The third utv1 source is T^0 E_2, the first at stage 2: a skew of its
+    row is named at stage 2, where a zip that drifted by one source would
+    name stage 1 or pass."""
+    _skew_oracle_row(monkeypatch, utv1(), 2, 7)
+    result = acceptance.criterion_1()
+    assert not result.passed
+    assert result.detail == "mismatch at utv1 stage2 n=7"
 
 
 @pytest.mark.parametrize("number,counts,plannings", [(1, 5341, 61), (7, 900, 5)])

@@ -1,13 +1,17 @@
+import dataclasses
 import os
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rank1lab
+from rank1lab import oracle as oracle_module
 from rank1lab.construction import stage_geometry, thm2, toy, utv1
 from rank1lab.oracle import IntervalSystem, OrbitWalker, oracle_intersection
 from rank1lab.tower import LevelSet, apply_power_bounds, intersect, measure
@@ -155,8 +159,71 @@ def test_powers_past_int64_leave_the_tower():
     assert (walker.cells, walker.lost, walker.power) == (set(), size, 10**30)
     system, a = IntervalSystem(TOY, 4), LevelSet.from_levels(TOY, 2, [0, 2])
     size = len(system.cells_of(a))
-    hits, lost = system.orbit_counts(a, [a], [10**30, 0, -10**30])
+    (hits, lost), = system.orbit_counts([a], [a], [10**30, 0, -10**30])
     assert (hits.tolist(), lost.tolist()) == ([[0, size, 0]], [size, 0, size])
+
+
+def test_interval_refuses_levels_outside_the_tower():
+    system = IntervalSystem(TOY, 3)  # h_3 = 7
+    for level in (-1, 7):
+        with pytest.raises(ValueError, match=r"level -?\d+ is outside \[0, 7\)"):
+            system.interval(level)
+    w = system.cell_width
+    for level in (0, 6):
+        left, right = system.interval(level)
+        assert right - left == w and 0 <= left < 7 * w
+
+
+def _cold(width):
+    """toy with its own base width: a construction no other test walks, so
+    its oracle chain starts empty."""
+    params = dataclasses.replace(TOY, base_width=width)
+    assert params not in oracle_module._chains
+    return params
+
+
+def test_only_the_walked_stage_holds_an_inverse():
+    # the replay of stages 1..J reads only cell_of_level, so a walk at stage
+    # J inverts stage J and no stage below it
+    params = _cold(Fraction(5, 7))
+    a, b = LevelSet.base(params, 1), LevelSet.single(params, 3, 2)
+    oracle_intersection(a, b, 5, 6)
+    chain = oracle_module._chains[params]
+    assert [stage._level_of_cell is not None for stage in chain] == [False] * 5 + [True]
+
+
+def test_concurrent_first_reads_get_a_whole_inverse():
+    # 8 threads make the first read of each cold stage together and copy
+    # what they got at once; a switch interval of 1 us lets a thread run
+    # between any two bytecodes of another's read, so an inverse published
+    # before it is filled is seen part-filled
+    params = _cold(Fraction(5, 9))
+    stages = [oracle_module._stage(params, j) for j in range(8, 17)]
+    assert all(stage._level_of_cell is None for stage in stages)
+    barrier = threading.Barrier(8)
+    seen = [[None] * 8 for _ in stages]
+
+    def first_reads(i):
+        for k, stage in enumerate(stages):
+            barrier.wait(timeout=60)
+            seen[k][i] = stage.level_of_cell.copy()
+
+    threads = [threading.Thread(target=first_reads, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for stage, inverses in zip(stages, seen):
+        levels = np.arange(len(stage.cell_of_level))
+        for inverse in inverses:
+            assert np.array_equal(inverse[stage.cell_of_level], levels)
+            assert np.array_equal(stage.cell_of_level[inverse], levels)
 
 
 def test_mismatched_constructions_rejected():

@@ -306,32 +306,39 @@ def _orbit_grids(draw):
         return LevelSet.from_levels(params, stage, draw(st.lists(st.integers(0, h - 1),
                                                                   max_size=4)))
 
+    # 0-4 sources, each a fresh (possibly empty) set or a repeat of an earlier one
+    sources = []
+    for _ in range(draw(st.integers(0, 4))):
+        repeat = sources and draw(st.booleans())
+        sources.append(draw(st.sampled_from(sources)) if repeat else level_set())
     targets = [level_set() for _ in range(draw(st.integers(0, 5)))]
     # a run of powers of one sign, up to past the tower height
     last = draw(st.integers(0, stage_geometry(params, J).h + 2))
-    return level_set(), targets, J, draw(st.sampled_from([1, -1])), last
+    return params, sources, targets, J, draw(st.sampled_from([1, -1])), last
 
 
 @settings(max_examples=100, deadline=None)
 @given(_orbit_grids())
 def test_orbit_counts_match_the_literal_walk(grid):
-    """One orbit_counts pass gives, for every power of a run, the hits of a
-    literal walk (step(1) or step(-1), then a set intersection with
-    cells_of(b)) and the cells it lost, on toy, utv1, thm2(2) and random
-    config-grammar constructions, with multi-level, overlapping and empty
-    targets."""
-    a, targets, J, direction, last = grid
-    system = IntervalSystem(a.params, J)
+    """One orbit_counts call yields, for each source in order and every power
+    of a run, the hits of a literal walk of that source (step(1) or step(-1),
+    then a set intersection with cells_of(b)) and the cells it lost, on toy,
+    utv1, thm2(2) and random config-grammar constructions, with repeated and
+    empty sources and multi-level, overlapping and empty targets."""
+    params, sources, targets, J, direction, last = grid
+    system = IntervalSystem(params, J)
     powers = [direction * n for n in range(last + 1)]
-    hits, lost = system.orbit_counts(a, targets, powers)
-    assert hits.shape == (len(targets), len(powers)) and lost.shape == (len(powers),)
-    walker = OrbitWalker(a, J)
-    for i in range(len(powers)):
-        if i:
-            walker.step(direction)
-        assert lost[i] == walker.lost
-        for t, b in enumerate(targets):
-            assert hits[t, i] == len(walker.cells & system.cells_of(b))
+    rows = list(system.orbit_counts(sources, targets, powers))
+    assert len(rows) == len(sources)
+    for a, (hits, lost) in zip(sources, rows):
+        assert hits.shape == (len(targets), len(powers)) and lost.shape == (len(powers),)
+        walker = OrbitWalker(a, J)
+        for i in range(len(powers)):
+            if i:
+                walker.step(direction)
+            assert lost[i] == walker.lost
+            for t, b in enumerate(targets):
+                assert hits[t, i] == len(walker.cells & system.cells_of(b))
 
 
 def _replayed_layouts(params, J):
