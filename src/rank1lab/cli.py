@@ -72,7 +72,7 @@ from .weak_limits import (
 # takes about 2 s on utv1 and 4 s on thm2(5) (Python 3.11, 2 vCPUs).
 STAGE_CEILING = 2000
 # Largest stage the oracle command materializes, in cells (= h_J).  It admits
-# toy stage 20 (at most ~80 MB peak RSS and about 0.35 s for any n on a
+# toy stage 20 (at most 56 MB peak RSS and about 0.15 s for any n on a
 # 2-vCPU host with Python 3.11); utv1 stage 30 would need 31! cells.
 _ORACLE_MAX_CELLS = 1 << 20
 

@@ -7,18 +7,23 @@ laid out by replaying the stacking rule literally: stage 1 occupies
 place, and every spacer is allocated at the end of the used part of the line.
 By induction every level of every stage is a single half-open interval and
 the used space is [0, h_J * w_J), so the system is stored as a permutation
-between "cells" (intervals of width w_J) and level indices: an int array
+between "cells" (intervals of width w_J) and level indices: an int32 array
 ``cell_of_level`` and its inverse ``level_of_cell``.  The replay builds the
-first one column at a time: column c of stage j+1 is stage j's
-``cell_of_level`` sliced in place (``cell * r + c``), followed by the column's
-fresh spacer cells, numbered consecutively from the end of the used part.  The
-replay never reads an inverse, so a stage computes ``level_of_cell`` on first
-read: only the stages that are walked hold one.  T is the partial piecewise
-translation moving level l onto level l+1; it is undefined on the top level,
-and T^{-1} is undefined on the bottom one.  ``OrbitWalker`` applies T^n to a
-set; ``IntervalSystem.orbit_counts`` reads what a walker of each of many
-sources would at every power of a run, against many target sets, labelling
-the targets once for all sources.
+first in place: it allocates stage j+1's array once and fills it column by
+column, column c being stage j's ``cell_of_level`` sliced in place
+(``cell * r + c``, written straight into the column's slice) followed by the
+column's fresh spacer cells, numbered consecutively from the end of the used
+part.  The replay never reads an inverse, so a stage computes
+``level_of_cell`` on first read: only the stages that are walked hold one.
+A cell or level index is below h_J, so int32 holds it while h_J < 2^31; the
+replay refuses, with ``ValueError``, a stage of 2^31 cells or more before
+allocating it, and a sum that can pass h_J (a level plus a power, or a padded
+index) is computed in int64.
+T is the partial piecewise translation moving level l onto level l+1; it is
+undefined on the top level, and T^{-1} is undefined on the bottom one.
+``OrbitWalker`` applies T^n to a set; ``IntervalSystem.orbit_counts`` reads
+what a walker of each of many sources would at every power of a run, against
+many target sets, labelling the targets once for all sources.
 
 None of the tower-calculus refinement machinery is used here; that module is
 validated against this one, so they share only the construction parameters.
@@ -37,9 +42,22 @@ from .construction import ConstructionParams
 from .tower import LevelSet
 
 
+_CELL = np.int32  # dtype of the stage tables and of the cell arrays that index them
+_MAX_CELLS = 1 << 31  # the first stage size whose indices int32 cannot hold
+
+
+def _check_cells(j: int, cells: int) -> None:
+    if cells >= _MAX_CELLS:
+        raise ValueError(f"stage {j} has {cells} cells; the oracle's int32 tables "
+                         f"hold fewer than 2^31")
+
+
 class _Stage:
     """One stage of the replay: ``cell_of_level`` and, computed on first read,
-    its inverse ``level_of_cell``."""
+    its inverse ``level_of_cell``, both int32 arrays of the stage's h cells,
+    4 bytes a cell each.  ``_stage`` fills ``cell_of_level`` in place, one
+    column's slice at a time, and refuses a stage of 2^31 cells or more
+    before allocating it, so every index fits."""
 
     __slots__ = ("index", "cell_of_level", "subdivision", "_level_of_cell")
 
@@ -56,7 +74,7 @@ class _Stage:
             # filled in a local array and published whole, so a concurrent
             # first read sees either nothing or a complete inverse
             inverse = np.empty_like(self.cell_of_level)
-            inverse[self.cell_of_level] = np.arange(len(self.cell_of_level))
+            inverse[self.cell_of_level] = np.arange(len(self.cell_of_level), dtype=_CELL)
             self._level_of_cell = inverse
         return inverse
 
@@ -72,19 +90,27 @@ def _stage(params: ConstructionParams, j: int) -> _Stage:
     with _chains_lock:
         chain = _chains.setdefault(params, [])
         if not chain:
-            chain.append(_Stage(1, np.arange(params.h1, dtype=np.int64), 1))
+            _check_cells(1, params.h1)
+            chain.append(_Stage(1, np.arange(params.h1, dtype=_CELL), 1))
         while len(chain) < j:
             prev = chain[-1]
             h = len(prev.cell_of_level)
             r = params.cut_count(prev.index)
             spacers = params.spacer_vector(prev.index, h)
-            columns = []
-            free = h * r
-            for column in range(r):
-                columns.append(prev.cell_of_level * r + column)
-                columns.append(np.arange(free, free + spacers[column], dtype=np.int64))
-                free += spacers[column]
-            chain.append(_Stage(prev.index + 1, np.concatenate(columns), prev.subdivision * r))
+            free = h * r  # the first spacer cell
+            size = free + sum(spacers)
+            _check_cells(prev.index + 1, size)
+            cell_of_level = np.empty(size, _CELL)
+            start = 0
+            for column, spacer in enumerate(spacers):
+                sliced = cell_of_level[start:start + h]
+                np.multiply(prev.cell_of_level, r, out=sliced)
+                sliced += column
+                start += h
+                cell_of_level[start:start + spacer] = np.arange(free, free + spacer, dtype=_CELL)
+                start += spacer
+                free += spacer
+            chain.append(_Stage(prev.index + 1, cell_of_level, prev.subdivision * r))
         return chain[j - 1]
 
 
@@ -123,7 +149,7 @@ class IntervalSystem:
         return set(self._cell_array(a).tolist())
 
     def _cell_array(self, a: LevelSet) -> np.ndarray:
-        """``cells_of(a)`` as a sorted int64 array."""
+        """``cells_of(a)`` as a sorted int32 array."""
         if a.params != self.params:
             raise ValueError("level set belongs to a different construction")
         if a.stage > self.stage:
@@ -132,7 +158,7 @@ class IntervalSystem:
         ratio = self._data.subdivision // shallow.subdivision
         # a shallow level is a block of ratio consecutive cells
         starts = np.sort(shallow.cell_of_level[np.array(a.levels, dtype=np.int64)] * ratio)
-        return (starts[:, None] + np.arange(ratio)).ravel()
+        return (starts[:, None] + np.arange(ratio, dtype=_CELL)).ravel()
 
     def orbit_counts(
         self, sources: Sequence[LevelSet], targets: Sequence[LevelSet],
@@ -179,8 +205,9 @@ class IntervalSystem:
             table[h:2 * h] = np.where(by_level < 0, size, by_level)  # size: no target
             tables.append((table, members))
         column = np.arange(width)
+        padding = shifts + h  # int64, so the int32 levels are padded in int64
         for a in sources:
-            padded = (data.level_of_cell[self._cell_array(a)] + h)[:, None] + shifts
+            padded = data.level_of_cell[self._cell_array(a)][:, None] + padding
             hits = np.zeros((len(targets), width), dtype=np.int64)
             for table, members in tables:
                 size = len(members)
@@ -233,10 +260,11 @@ class OrbitWalker:
     def step(self, n: int = 1):
         # T moves one level at a time, so a cell survives all |n| steps exactly
         # when its final level is still in the tower; clamping n to +-h keeps
-        # that outcome and keeps a huge Python int out of the int64 table
+        # that outcome and keeps a huge Python int out of the tables; the sum
+        # is taken in int64, where int32 levels would wrap past 2^31
         data = self._data
         h = len(data.cell_of_level)
-        levels = data.level_of_cell[self._cells] + max(-h, min(n, h))
+        levels = data.level_of_cell[self._cells].astype(np.int64) + max(-h, min(n, h))
         levels = levels[(levels >= 0) & (levels < h)]
         self.lost += len(self._cells) - len(levels)
         self._cells = data.cell_of_level[levels]

@@ -15,6 +15,7 @@ from rank1lab import oracle as oracle_module
 from rank1lab.construction import stage_geometry, thm2, toy, utv1
 from rank1lab.oracle import IntervalSystem, OrbitWalker, oracle_intersection
 from rank1lab.tower import LevelSet, apply_power_bounds, intersect, measure
+from test_construction import _params
 
 TOY = toy()
 UTV = utv1()
@@ -258,24 +259,108 @@ def test_results_are_python_numbers(params, stage, n):
                             *system.interval(0), *system.interval(system.height - 1))))
 
 
-_TABLE_BYTES = """
-import tracemalloc
-from rank1lab.construction import toy
-from rank1lab.oracle import IntervalSystem
-tracemalloc.start()
-system = IntervalSystem(toy(), 18)
-print(tracemalloc.get_traced_memory()[0] / system.height)
-"""
-
-
-def test_stage_18_table_holds_at_most_40_bytes_a_cell():
-    # the chain is memoized per construction, so a fresh interpreter builds
-    # toy's stages 1..18 from nothing; tracemalloc sees numpy's buffers too.
-    # Two int64 arrays per stage, summed over the chain, hold 32 bytes per
-    # stage-18 cell; the per-cell lists held 153.
+def _child(source):
+    """stdout of ``source`` run in a fresh interpreter that imports this
+    checkout's rank1lab."""
     src = os.path.dirname(os.path.dirname(rank1lab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _TABLE_BYTES], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert float(out) <= 40
+    return subprocess.run([sys.executable, "-c", source], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+_TABLE_BYTES = """
+import tracemalloc
+from rank1lab.construction import toy
+from rank1lab.oracle import IntervalSystem, oracle_intersection
+from rank1lab.tower import LevelSet
+tracemalloc.start()
+h = IntervalSystem(toy(), 18).height
+print(tracemalloc.get_traced_memory()[0] / h)
+e1 = LevelSet.base(toy(), 1)
+oracle_intersection(e1, e1, 15, 18)
+print(tracemalloc.get_traced_memory()[0] / h)
+"""
+
+
+def test_stage_18_tables_hold_int32_cells():
+    # the chain is memoized per construction, so a fresh interpreter builds
+    # toy's stages 1..18 from nothing when it reads the height, and only then
+    # is the memory read; tracemalloc sees numpy's buffers too.  Toy's
+    # heights double, so the chain holds about two stage-18 tables: 8 bytes
+    # a stage-18 cell in int32 (16 in int64).  A walk at stage 18 adds that
+    # stage's inverse: 12 bytes a cell (24 in int64).  Each bound lies
+    # halfway between the two layouts.
+    chain, walked = map(float, _child(_TABLE_BYTES).split())
+    assert chain <= 12
+    assert walked <= 18
+
+
+_HUGE_STAGES = """
+import dataclasses, resource, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from rank1lab.construction import SpacerRule, toy
+from rank1lab.oracle import IntervalSystem, oracle_intersection
+from rank1lab.tower import LevelSet
+wide = dataclasses.replace(toy(), h1=2**31)
+tall = dataclasses.replace(toy(), spacer_tail=(SpacerRule("constant", 2**31 - 2),))
+for params, stage in ((wide, 1), (wide, 3), (tall, 2)):
+    e1 = LevelSet.base(params, 1)
+    for call in (lambda: IntervalSystem(params, stage).height,
+                 lambda: oracle_intersection(e1, e1, 1, stage)):
+        start = time.perf_counter()
+        try:
+            call()
+        except ValueError as exc:
+            print(f"{time.perf_counter() - start:.3f} {exc}")
+"""
+
+
+def test_stages_of_2_31_cells_are_refused_before_allocation():
+    # int32 tables hold indices below 2^31, so the replay refuses a larger
+    # stage by its size, before allocating it: stage 1 of 2^31 cells, and a
+    # stage 2 of 2 + (2^31 - 2) cells over a one-cell stage 1.  The child's
+    # 2 GiB address-space limit turns an attempted allocation (16 GB for
+    # the int64 stage 1) into a MemoryError, which would not match.
+    lines = _child(_HUGE_STAGES).splitlines()
+    expected = ["stage 1 has 2147483648 cells"] * 4 + ["stage 2 has 2147483648 cells"] * 2
+    assert len(lines) == len(expected)
+    for line, message in zip(lines, expected):
+        elapsed, text = line.split(" ", 1)
+        assert text.startswith(message) and "2^31" in text
+        assert float(elapsed) < 1
+
+
+def _replay_int64(params, stages):
+    """``cell_of_level`` of stages 1..``stages`` as the replay once built it:
+    int64 arrays, each column appended to a list, then concatenated."""
+    chain = [np.arange(params.h1, dtype=np.int64)]
+    for j in range(1, stages):
+        prev = chain[-1]
+        h = len(prev)
+        r = params.cut_count(j)
+        spacers = params.spacer_vector(j, h)
+        columns = []
+        free = h * r
+        for column in range(r):
+            columns.append(prev * r + column)
+            columns.append(np.arange(free, free + spacers[column], dtype=np.int64))
+            free += spacers[column]
+        chain.append(np.concatenate(columns))
+    return chain
+
+
+@settings(max_examples=60, deadline=None)
+@given(_params())
+def test_in_place_replay_matches_the_column_list_replay(params):
+    # every stage up to 20,000 cells: the in-place int32 replay and its
+    # inverse equal the int64 column-list replay element for element
+    stages = 1
+    while stage_geometry(params, stages + 1).h <= 20_000:
+        stages += 1
+    for j, reference in enumerate(_replay_int64(params, stages), start=1):
+        stage = oracle_module._stage(params, j)
+        assert stage.cell_of_level.dtype == np.int32
+        assert np.array_equal(stage.cell_of_level, reference)
+        assert stage.level_of_cell.dtype == np.int32
+        assert np.array_equal(stage.level_of_cell, np.argsort(reference))

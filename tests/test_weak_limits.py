@@ -4,7 +4,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rank1lab import reports, weak_limits
-from rank1lab.construction import block_sequence, stage_geometry, thm2, toy, utv1
+from rank1lab.construction import (
+    ConstructionParams,
+    CutRule,
+    SpacerRule,
+    block_sequence,
+    stage_geometry,
+    thm2,
+    toy,
+    utv1,
+)
 from rank1lab.joinings import domination_witness
 from rank1lab.products import sample_shifts
 from rank1lab.tower import (
@@ -205,6 +214,20 @@ def test_scan_window_degenerate_zone_for_toy():
     assert hi < lo
     assert report.dead_rows == ()
     assert report.dead_zone_exact_zero  # vacuously
+
+
+def test_scan_window_one_point_dead_zone_keeps_its_shift():
+    # r = 3 with 6j spacers gives heights 1, 9, 39, 135, so h_4 = 3h_3 + 2h_2
+    # and stage 3's dead zone [h_3 + 2h_2, h_4 - 2h_3] is the one shift 57,
+    # where these spacers are too small to make the value vanish
+    params = ConstructionParams(h1=1, cuts=CutRule("constant", 3),
+                                spacer_tail=(SpacerRule("linear", 6),))
+    e1 = LevelSet.base(params, 1)
+    report = scan_window(params, 3, e1, e1)
+    assert report.dead_zone == (57, 57)
+    assert report.dead_rows == ((57, apply_power_bounds(e1, e1, 57)),)
+    assert report.dead_rows[0][1].lo > 0
+    assert not report.dead_zone_exact_zero
 
 
 @pytest.mark.parametrize("step", [0, -2])
@@ -432,6 +455,31 @@ def test_mixture_law_matches_its_written_out_formula(N):
                             N, n, p, a, b, report.stages, tol, max_stage)
                         assert report.stages == (
                             stage_list or tuple(j for j in block_value_stages(p, 9) if j > 2))
+
+
+def test_eq4_default_tolerance_is_zero():
+    # at stage 2 the law misses by exactly 1/8, which a default tolerance of
+    # 1/8 or more would pass
+    a = LevelSet.single(thm2(3), 1, 1)
+    report = verify_mixture_law(3, 3, 2, a, a)
+    assert report.stages == (2, 4, 7)
+    first = report.rows[0]
+    assert (first.stage, first.dev_lo, first.dev_hi) == (2, Fraction(1, 8), Fraction(1, 8))
+    assert first.status == reports.FAIL and report.status == reports.FAIL
+    assert verify_mixture_law(3, 3, 2, a, a, tol=Fraction(1, 8)).status == reports.PASS
+
+
+def test_eq4_decreasing_compares_each_row_with_the_next():
+    # thm2(4)'s deviations for n = 4, p = 1 on the stage-1 base are 4/25,
+    # 18/125 and 0 at stages 1, 3 and 6; listed as (1, 6, 3) they fall and
+    # then rise at the last step, though the last is below the first
+    params = thm2(4)
+    a = LevelSet.base(params, 1)
+    report = verify_mixture_law(4, 4, 1, a, a, stage_list=(1, 6, 3))
+    assert [row.dev_hi for row in report.rows] == [Fraction(4, 25), 0, Fraction(18, 125)]
+    assert [row.dev_lo for row in report.rows] == [row.dev_hi for row in report.rows]
+    assert not report.decreasing
+    assert verify_mixture_law(4, 4, 1, a, a, stage_list=(1, 3, 6)).decreasing
 
 
 def test_eq4_empty_sets_have_zero_deviation():
