@@ -55,11 +55,10 @@ from .construction import (
 from .joinings import domination_witness
 from .oracle import oracle_intersection
 from .products import ProductSystem, dissipativity_scan
-from .serde import format_int, format_number, format_rational, parse_rational
+from .serde import MAX_LISTED, format_int, format_number, format_rational, parse_rational
 from .spectral import correlations, fejer_density, suspension_correlation
 from .tower import LevelSet, level_set_fields, power_profile
 from .weak_limits import (
-    MAX_LISTED,
     parse_polynomial,
     parse_sequence,
     scan_window,

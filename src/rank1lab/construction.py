@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .serde import format_int, format_rational, parse_int, parse_rational
+from .serde import MAX_LISTED, format_int, format_rational, parse_int, parse_rational
 
 
 class InvalidConstructionError(ValueError):
@@ -167,6 +167,9 @@ class ConstructionParams:
         r = self.cuts.evaluate(j)
         if r < 2:
             raise InvalidConstructionError(f"cut count {r} < 2 at stage {j}")
+        if r > MAX_LISTED:  # a stage lists its r columns before anything is sized
+            raise InvalidConstructionError(f"cut count {format_int(r)} at stage {j} is above "
+                                           f"the limit of {MAX_LISTED}")
         return r
 
     def spacer_vector(self, j: int, h: int) -> tuple[int, ...]:

@@ -13,12 +13,14 @@ first in place: it allocates stage j+1's array once and fills it column by
 column, column c being stage j's ``cell_of_level`` sliced in place
 (``cell * r + c``, written straight into the column's slice) followed by the
 column's fresh spacer cells, numbered consecutively from the end of the used
-part.  The replay never reads an inverse, so a stage computes
-``level_of_cell`` on first read: only the stages that are walked hold one.
-A cell or level index is below h_J, so int32 holds it while h_J < 2^31; the
-replay refuses, with ``ValueError``, a stage of 2^31 cells or more before
-allocating it, and a sum that can pass h_J (a level plus a power, or a padded
-index) is computed in int64.
+part.  Each ``IntervalSystem`` replays stages 1..J once and owns their
+tables, which are freed with it: the module keeps no state between calls.
+The replay never reads an inverse, so a system computes stage J's
+``level_of_cell`` on first read.  A cell or level index is below h_J, so
+int32 holds it while h_J < 2^31; the replay refuses, with ``ValueError``, a
+stage below 1 before it starts and a stage of 2^31 cells or more before
+allocating it, and a sum that can pass h_J (a level plus a power, or a
+padded index) is computed in int64.
 T is the partial piecewise translation moving level l onto level l+1; it is
 undefined on the top level, and T^{-1} is undefined on the bottom one.
 ``OrbitWalker`` applies T^n to a set; ``IntervalSystem.orbit_counts`` reads
@@ -31,7 +33,6 @@ validated against this one, so they share only the construction parameters.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -52,19 +53,39 @@ def _check_cells(j: int, cells: int) -> None:
                          f"hold fewer than 2^31")
 
 
-class _Stage:
-    """One stage of the replay: ``cell_of_level`` and, computed on first read,
-    its inverse ``level_of_cell``, both int32 arrays of the stage's h cells,
-    4 bytes a cell each.  ``_stage`` fills ``cell_of_level`` in place, one
-    column's slice at a time, and refuses a stage of 2^31 cells or more
-    before allocating it, so every index fits."""
+class IntervalSystem:
+    """Stage-J tower as explicit rational intervals of the line.  It keeps
+    every replayed stage's ``cell_of_level`` and cells per stage-1 cell, as
+    a shallower set reads its own stage's table."""
 
-    __slots__ = ("index", "cell_of_level", "subdivision", "_level_of_cell")
-
-    def __init__(self, index, cell_of_level, subdivision):
-        self.index = index
-        self.cell_of_level = cell_of_level
-        self.subdivision = subdivision  # cells per stage-1 cell
+    def __init__(self, params: ConstructionParams, stage: int):
+        if stage < 1:
+            raise ValueError(f"stage {stage} is below 1, the first stage of a tower")
+        self.params = params
+        self.stage = stage
+        _check_cells(1, params.h1)
+        # (cell_of_level, cells per stage-1 cell) of stages 1..J
+        self._stages = [(np.arange(params.h1, dtype=_CELL), 1)]
+        for j in range(1, stage):
+            prev, subdivision = self._stages[-1]
+            h = len(prev)
+            r = params.cut_count(j)
+            spacers = params.spacer_vector(j, h)
+            free = h * r  # the first spacer cell
+            size = free + sum(spacers)
+            _check_cells(j + 1, size)
+            cell_of_level = np.empty(size, _CELL)
+            start = 0
+            for column, spacer in enumerate(spacers):
+                sliced = cell_of_level[start:start + h]
+                np.multiply(prev, r, out=sliced)
+                sliced += column
+                start += h
+                cell_of_level[start:start + spacer] = np.arange(free, free + spacer, dtype=_CELL)
+                start += spacer
+                free += spacer
+            self._stages.append((cell_of_level, subdivision * r))
+        self.cell_of_level, self._subdivision = self._stages[-1]
         self._level_of_cell = None
 
     @property
@@ -74,73 +95,25 @@ class _Stage:
             # filled in a local array and published whole, so a concurrent
             # first read sees either nothing or a complete inverse
             inverse = np.empty_like(self.cell_of_level)
-            inverse[self.cell_of_level] = np.arange(len(self.cell_of_level), dtype=_CELL)
+            inverse[self.cell_of_level] = np.arange(self.height, dtype=_CELL)
             self._level_of_cell = inverse
         return inverse
 
-
-_chains: dict[ConstructionParams, list[_Stage]] = {}
-_chains_lock = threading.Lock()
-
-
-def _stage(params: ConstructionParams, j: int) -> _Stage:
-    chain = _chains.get(params)
-    if chain is not None and len(chain) >= j:  # stages are only ever appended
-        return chain[j - 1]
-    with _chains_lock:
-        chain = _chains.setdefault(params, [])
-        if not chain:
-            _check_cells(1, params.h1)
-            chain.append(_Stage(1, np.arange(params.h1, dtype=_CELL), 1))
-        while len(chain) < j:
-            prev = chain[-1]
-            h = len(prev.cell_of_level)
-            r = params.cut_count(prev.index)
-            spacers = params.spacer_vector(prev.index, h)
-            free = h * r  # the first spacer cell
-            size = free + sum(spacers)
-            _check_cells(prev.index + 1, size)
-            cell_of_level = np.empty(size, _CELL)
-            start = 0
-            for column, spacer in enumerate(spacers):
-                sliced = cell_of_level[start:start + h]
-                np.multiply(prev.cell_of_level, r, out=sliced)
-                sliced += column
-                start += h
-                cell_of_level[start:start + spacer] = np.arange(free, free + spacer, dtype=_CELL)
-                start += spacer
-                free += spacer
-            chain.append(_Stage(prev.index + 1, cell_of_level, prev.subdivision * r))
-        return chain[j - 1]
-
-
-@dataclass(frozen=True)
-class IntervalSystem:
-    """Stage-J tower as explicit rational intervals of the line."""
-
-    params: ConstructionParams
-    stage: int
-
-    @property
-    def _data(self) -> _Stage:
-        return _stage(self.params, self.stage)
-
     @property
     def height(self) -> int:
-        return len(self._data.cell_of_level)
+        return len(self.cell_of_level)
 
     @property
     def cell_width(self) -> Fraction:
-        return self.params.base_width / self._data.subdivision
+        return self.params.base_width / self._subdivision
 
     def interval(self, level: int) -> tuple[Fraction, Fraction]:
         """[left, right) endpoints of the given tower level, in [0, h)."""
-        data = self._data
-        h = len(data.cell_of_level)
+        h = self.height
         if not 0 <= level < h:
             raise ValueError(f"level {level} is outside [0, {h}), "
                              f"the levels of the stage-{self.stage} tower")
-        cell = int(data.cell_of_level[level])
+        cell = int(self.cell_of_level[level])
         w = self.cell_width
         return cell * w, (cell + 1) * w
 
@@ -154,10 +127,10 @@ class IntervalSystem:
             raise ValueError("level set belongs to a different construction")
         if a.stage > self.stage:
             raise ValueError("level set is finer than the system")
-        shallow = _stage(self.params, a.stage)
-        ratio = self._data.subdivision // shallow.subdivision
+        shallow, subdivision = self._stages[a.stage - 1]
+        ratio = self._subdivision // subdivision
         # a shallow level is a block of ratio consecutive cells
-        starts = np.sort(shallow.cell_of_level[np.array(a.levels, dtype=np.int64)] * ratio)
+        starts = np.sort(shallow[np.array(a.levels, dtype=np.int64)] * ratio)
         return (starts[:, None] + np.arange(ratio, dtype=_CELL)).ravel()
 
     def orbit_counts(
@@ -180,8 +153,7 @@ class IntervalSystem:
         and serve every source; the sources are counted one at a time, as
         they are read.
         """
-        data = self._data
-        h = len(data.cell_of_level)
+        h = self.height
         width = len(powers)
         shifts = np.array([max(-h, min(n, h)) for n in powers], dtype=np.int64)
         # (cell label per layer, target positions); a target joins the first
@@ -201,13 +173,13 @@ class IntervalSystem:
         for label, members in layers:
             size = len(members)
             table = np.full(3 * h, size + 1, np.int64)  # size + 1: lost
-            by_level = label[data.cell_of_level]
+            by_level = label[self.cell_of_level]
             table[h:2 * h] = np.where(by_level < 0, size, by_level)  # size: no target
             tables.append((table, members))
         column = np.arange(width)
         padding = shifts + h  # int64, so the int32 levels are padded in int64
         for a in sources:
-            padded = data.level_of_cell[self._cell_array(a)][:, None] + padding
+            padded = self.level_of_cell[self._cell_array(a)][:, None] + padding
             hits = np.zeros((len(targets), width), dtype=np.int64)
             for table, members in tables:
                 size = len(members)
@@ -243,9 +215,11 @@ class OrbitWalker:
     """
 
     def __init__(self, a: LevelSet, stage: int):
-        self.system = IntervalSystem(a.params, stage)
-        self._data = self.system._data
-        self._cells = self.system._cell_array(a)
+        self._start(IntervalSystem(a.params, stage), a)
+
+    def _start(self, system: IntervalSystem, a: LevelSet):
+        self.system = system
+        self._cells = system._cell_array(a)
         self.lost = 0
         self.power = 0
 
@@ -262,12 +236,12 @@ class OrbitWalker:
         # when its final level is still in the tower; clamping n to +-h keeps
         # that outcome and keeps a huge Python int out of the tables; the sum
         # is taken in int64, where int32 levels would wrap past 2^31
-        data = self._data
-        h = len(data.cell_of_level)
-        levels = data.level_of_cell[self._cells].astype(np.int64) + max(-h, min(n, h))
+        system = self.system
+        h = system.height
+        levels = system.level_of_cell[self._cells].astype(np.int64) + max(-h, min(n, h))
         levels = levels[(levels >= 0) & (levels < h)]
         self.lost += len(self._cells) - len(levels)
-        self._cells = data.cell_of_level[levels]
+        self._cells = system.cell_of_level[levels]
         self.power += n
 
     def value_against(self, b: LevelSet) -> Fraction:
@@ -285,6 +259,7 @@ def oracle_intersection(a: LevelSet, b: LevelSet, n: int, stage: int) -> OracleR
     system = IntervalSystem(a.params, stage)
     if abs(n) >= system.height:
         raise ValueError(f"|n| = {abs(n)} >= tower height {system.height} at stage {stage}")
-    walker = OrbitWalker(a, stage)
+    walker = OrbitWalker.__new__(OrbitWalker)  # walks the system just built
+    walker._start(system, a)
     walker.step(n)
     return OracleResult(walker.value_against(b), walker.undefined, stage)

@@ -14,6 +14,10 @@ from decimal import Decimal
 from fractions import Fraction
 
 MAX_INT_DIGITS = 10_000
+# The most integers a window scan's shift lists or a CLI list option may hold
+# (a dead zone of span 200,000 listed whole), and the largest cut count: each
+# is built in memory.
+MAX_LISTED = 200_001
 _INT_TEXT = re.compile(r"[+-]?\d+(?:_\d+)*")  # int()'s decimal grammar
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import reports
 from .construction import ConstructionParams, block_sequence, stage_geometry, thm2
 from .products import sample_shifts
-from .serde import format_int
+from .serde import MAX_LISTED, format_int
 from .tower import LevelSet, MeasureBound, power_profile
 
 
@@ -227,11 +227,6 @@ def verify_limit(
     rows = [LimitCheckRow(*row) for row in _check_limit(points, poly, test_pairs, tol, max_stage)]
     max_dev = max((r.dev_hi for r in rows), default=Fraction(0))
     return LimitReport(tuple(rows), max_dev, reports.combine(r.status for r in rows))
-
-
-# The most integers a window scan's shift lists or a CLI list option may hold
-# (a dead zone of span 200,000 listed whole): each is built in memory.
-MAX_LISTED = 200_001
 
 
 @dataclass(frozen=True)

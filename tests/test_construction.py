@@ -27,6 +27,7 @@ from rank1lab.construction import (
     toy,
     utv1,
 )
+from rank1lab.serde import MAX_LISTED
 
 
 def test_toy_stage_four():
@@ -108,6 +109,16 @@ def test_growing_cut_rule():
         assert geom.r == j + 1
         nxt = stage_geometry(params, j + 1)
         assert nxt.h == geom.h * geom.r + sum(geom.spacers)
+
+
+def test_cut_count_above_the_listed_limit_rejected():
+    # a stage lists its r columns, so r is bounded as a listed option is; a
+    # j_plus rule is refused at the first stage where j + c passes the limit
+    params = ConstructionParams(h1=1, cuts=CutRule("j_plus", MAX_LISTED - 1), spacer_tail=())
+    assert params.cut_count(1) == MAX_LISTED
+    with pytest.raises(InvalidConstructionError, match=f"cut count {MAX_LISTED + 1} at "
+                       f"stage 2 is above the limit of {MAX_LISTED}"):
+        params.cut_count(2)
 
 
 def test_spacer_tail_longer_than_columns_rejected():

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -11,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rank1lab
-from rank1lab import oracle as oracle_module
 from rank1lab.construction import stage_geometry, thm2, toy, utv1
 from rank1lab.oracle import IntervalSystem, OrbitWalker, oracle_intersection
 from rank1lab.tower import LevelSet, apply_power_bounds, intersect, measure
@@ -175,22 +173,31 @@ def test_interval_refuses_levels_outside_the_tower():
         assert right - left == w and 0 <= left < 7 * w
 
 
-def _cold(width):
-    """toy with its own base width: a construction no other test walks, so
-    its oracle chain starts empty."""
-    params = dataclasses.replace(TOY, base_width=width)
-    assert params not in oracle_module._chains
-    return params
+def test_a_system_holds_no_inverse_until_first_read():
+    # the replay of stages 1..J reads only cell_of_level, and so do height,
+    # interval and cells_of; a walk reads stage J's inverse, computed then
+    a = LevelSet.base(TOY, 1)
+    walker = OrbitWalker(a, 6)
+    system = walker.system
+    system.cells_of(LevelSet.single(TOY, 3, 2)), system.interval(0), system.height
+    assert system._level_of_cell is None
+    walker.step(5)
+    assert system._level_of_cell is not None
+    levels = np.arange(system.height)
+    assert np.array_equal(system.level_of_cell[system.cell_of_level], levels)
 
 
-def test_only_the_walked_stage_holds_an_inverse():
-    # the replay of stages 1..J reads only cell_of_level, so a walk at stage
-    # J inverts stage J and no stage below it
-    params = _cold(Fraction(5, 7))
-    a, b = LevelSet.base(params, 1), LevelSet.single(params, 3, 2)
-    oracle_intersection(a, b, 5, 6)
-    chain = oracle_module._chains[params]
-    assert [stage._level_of_cell is not None for stage in chain] == [False] * 5 + [True]
+def test_stages_below_one_are_refused_before_the_replay():
+    # a stage below 1 names no tower, so it must not read as another stage's
+    # (h = 31 for stage 0, once stage 5 was built): stage 5 is built first
+    e1 = LevelSet.base(TOY, 1)
+    assert IntervalSystem(TOY, 5).height == 31
+    for stage in (0, -3):
+        for call in (lambda: IntervalSystem(TOY, stage).height,
+                     lambda: OrbitWalker(e1, stage),
+                     lambda: oracle_intersection(e1, e1, 0, stage)):
+            with pytest.raises(ValueError, match=f"stage {stage} is below 1"):
+                call()
 
 
 def test_concurrent_first_reads_get_a_whole_inverse():
@@ -198,16 +205,15 @@ def test_concurrent_first_reads_get_a_whole_inverse():
     # what they got at once; a switch interval of 1 us lets a thread run
     # between any two bytecodes of another's read, so an inverse published
     # before it is filled is seen part-filled
-    params = _cold(Fraction(5, 9))
-    stages = [oracle_module._stage(params, j) for j in range(8, 17)]
-    assert all(stage._level_of_cell is None for stage in stages)
+    systems = [IntervalSystem(TOY, j) for j in range(8, 17)]
+    assert all(system._level_of_cell is None for system in systems)
     barrier = threading.Barrier(8)
-    seen = [[None] * 8 for _ in stages]
+    seen = [[None] * 8 for _ in systems]
 
     def first_reads(i):
-        for k, stage in enumerate(stages):
+        for k, system in enumerate(systems):
             barrier.wait(timeout=60)
-            seen[k][i] = stage.level_of_cell.copy()
+            seen[k][i] = system.level_of_cell.copy()
 
     threads = [threading.Thread(target=first_reads, args=(i,)) for i in range(8)]
     interval = sys.getswitchinterval()
@@ -220,11 +226,11 @@ def test_concurrent_first_reads_get_a_whole_inverse():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    for stage, inverses in zip(stages, seen):
-        levels = np.arange(len(stage.cell_of_level))
+    for system, inverses in zip(systems, seen):
+        levels = np.arange(system.height)
         for inverse in inverses:
-            assert np.array_equal(inverse[stage.cell_of_level], levels)
-            assert np.array_equal(stage.cell_of_level[inverse], levels)
+            assert np.array_equal(inverse[system.cell_of_level], levels)
+            assert np.array_equal(system.cell_of_level[inverse], levels)
 
 
 def test_mismatched_constructions_rejected():
@@ -272,22 +278,22 @@ def _child(source):
 _TABLE_BYTES = """
 import tracemalloc
 from rank1lab.construction import toy
-from rank1lab.oracle import IntervalSystem, oracle_intersection
+from rank1lab.oracle import IntervalSystem
 from rank1lab.tower import LevelSet
 tracemalloc.start()
-h = IntervalSystem(toy(), 18).height
+system = IntervalSystem(toy(), 18)
+h = system.height
 print(tracemalloc.get_traced_memory()[0] / h)
 e1 = LevelSet.base(toy(), 1)
-oracle_intersection(e1, e1, 15, 18)
+list(system.orbit_counts([e1], [e1], [15]))
 print(tracemalloc.get_traced_memory()[0] / h)
 """
 
 
 def test_stage_18_tables_hold_int32_cells():
-    # the chain is memoized per construction, so a fresh interpreter builds
-    # toy's stages 1..18 from nothing when it reads the height, and only then
-    # is the memory read; tracemalloc sees numpy's buffers too.  Toy's
-    # heights double, so the chain holds about two stage-18 tables: 8 bytes
+    # the system replays toy's stages 1..18 when it is built, and stays alive
+    # across both readings; tracemalloc sees numpy's buffers too.  Toy's
+    # heights double, so the system holds about two stage-18 tables: 8 bytes
     # a stage-18 cell in int32 (16 in int64).  A walk at stage 18 adds that
     # stage's inverse: 12 bytes a cell (24 in int64).  Each bound lies
     # halfway between the two layouts.
@@ -331,6 +337,36 @@ def test_stages_of_2_31_cells_are_refused_before_allocation():
         assert float(elapsed) < 1
 
 
+_HUGE_CUTS = """
+import dataclasses, resource, time
+from rank1lab.construction import CutRule, InvalidConstructionError, stage_geometry, toy
+from rank1lab.oracle import IntervalSystem
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+for rule in (CutRule("constant", 2**40), CutRule("j_plus", 2**40)):
+    params = dataclasses.replace(toy(), cuts=rule)
+    for call in (lambda: stage_geometry(params, 1), lambda: IntervalSystem(params, 2)):
+        start = time.perf_counter()
+        try:
+            call()
+        except InvalidConstructionError as exc:
+            print(f"{time.perf_counter() - start:.3f} {exc}")
+"""
+
+
+def test_huge_cut_counts_are_refused_before_listing_columns():
+    # a stage lists its r columns' spacers, so the kernel and the oracle
+    # must refuse r = 2^40 by its size before building that list; under the
+    # child's 1 GiB address-space limit building it raises MemoryError, and
+    # any error but InvalidConstructionError fails the child
+    lines = _child(_HUGE_CUTS).splitlines()
+    expected = ["cut count 1099511627776 at stage 1", "cut count 1099511627777 at stage 1"]
+    assert len(lines) == 4
+    for line, message in zip(lines, [m for m in expected for _ in range(2)]):
+        elapsed, text = line.split(" ", 1)
+        assert text == f"{message} is above the limit of 200001"
+        assert float(elapsed) < 1
+
+
 def _replay_int64(params, stages):
     """``cell_of_level`` of stages 1..``stages`` as the replay once built it:
     int64 arrays, each column appended to a list, then concatenated."""
@@ -359,8 +395,8 @@ def test_in_place_replay_matches_the_column_list_replay(params):
     while stage_geometry(params, stages + 1).h <= 20_000:
         stages += 1
     for j, reference in enumerate(_replay_int64(params, stages), start=1):
-        stage = oracle_module._stage(params, j)
-        assert stage.cell_of_level.dtype == np.int32
-        assert np.array_equal(stage.cell_of_level, reference)
-        assert stage.level_of_cell.dtype == np.int32
-        assert np.array_equal(stage.level_of_cell, np.argsort(reference))
+        system = IntervalSystem(params, j)
+        assert system.cell_of_level.dtype == np.int32
+        assert np.array_equal(system.cell_of_level, reference)
+        assert system.level_of_cell.dtype == np.int32
+        assert np.array_equal(system.level_of_cell, np.argsort(reference))

@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from kernel_blocks import expand, triples
 from rank1lab.construction import height, params_from_config, stage_geometry, thm2, toy, utv1
 from rank1lab.joinings import partial_joining
-import rank1lab.oracle as oracle_module
 import rank1lab.tower as tower_module
 from rank1lab.oracle import IntervalSystem, OrbitWalker, oracle_intersection
 from rank1lab.products import ProductSystem, dissipativity_scan, product_return
@@ -368,11 +367,11 @@ def test_oracle_table_is_the_literal_replay(params):
     """Every stage's array table is the per-cell replay of the stacking rule,
     and level_of_cell is its inverse permutation."""
     for j, cells in enumerate(_replayed_layouts(params, _deepest_oracle_stage(params)), 1):
-        stage = oracle_module._stage(params, j)
-        assert stage.cell_of_level.tolist() == cells
+        system = IntervalSystem(params, j)
+        assert system.cell_of_level.tolist() == cells
         levels = list(range(len(cells)))
-        assert stage.level_of_cell[stage.cell_of_level].tolist() == levels
-        assert stage.cell_of_level[stage.level_of_cell].tolist() == levels
+        assert system.level_of_cell[system.cell_of_level].tolist() == levels
+        assert system.cell_of_level[system.level_of_cell].tolist() == levels
 
 
 @st.composite
