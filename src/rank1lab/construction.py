@@ -12,7 +12,8 @@ and column i's base sits at offset pos(i) = sum_{i'<i} (h_j + s_j(i')) inside
 the stage-(j+1) tower.  All widths and measures are exact rationals.
 
 Spacer rules form a closed enumeration (zero, constant, c*j, c*h_j, j*h_j,
-the block sequence 1,2, 1,2,3, 1,2,3,4, ..., and a scaled-height target) so a
+the block sequence 1,2, 1,2,3, 1,2,3,4, ..., and a scaled-height target), and
+each rule takes only the one parameter its kind reads (c, a or none), so a
 config file reproduces a construction exactly.
 """
 
@@ -55,51 +56,55 @@ def _reference_height(j: int) -> int:
     return math.factorial(j + 1)
 
 
-_SPACER_RULE_KINDS = (
-    "zero",
-    "constant",
-    "linear",        # c * j
-    "times_height",  # c * h_j
-    "j_times_h",     # j * h_j
-    "blocks",        # block_sequence(j)
-    "scaled_target",
-)
+# The spacer-rule grammar: kind -> (the one parameter it reads, or None; its
+# spacer count as a function of that parameter, j and h_j).  scaled_target
+# pushes the height from H_j to H_{j+1} = ceil(a * ref(j+1)), assuming r_j = 2
+# and a single nonzero spacer.
+_SPACER_RULES = {
+    "zero": (None, lambda _, j, h: 0),
+    "constant": ("c", lambda c, j, h: c),
+    "linear": ("c", lambda c, j, h: c * j),
+    "times_height": ("c", lambda c, j, h: c * h),
+    "j_times_h": (None, lambda _, j, h: j * h),
+    "blocks": (None, lambda _, j, h: block_sequence(j)),
+    "scaled_target": ("a", lambda a, j, h: _ceil(a * _reference_height(j + 1)) - 2 * h),
+}
+# parameter -> (its value on a rule that does not read it, its config parser);
+# a null a is a missing one
+_SPACER_PARAMETERS = {"c": (1, parse_int),
+                      "a": (None, lambda a: a if a is None else parse_rational(a))}
+
+
+def _spacer_reads(kind) -> str | None:
+    # the parameter a spacer rule of ``kind`` reads; an unhashable kind is unknown too
+    entry = _SPACER_RULES.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        raise InvalidConstructionError(f"unknown spacer rule {kind!r}")
+    return entry[0]
 
 
 @dataclass(frozen=True)
 class SpacerRule:
-    """Deterministic spacer count as a function of (j, h_j)."""
+    """Deterministic spacer count as a function of (j, h_j).  A rule sets
+    only the parameter its kind reads, so rules that count alike are equal."""
 
     kind: str
-    c: int = 1
+    c: int = 1  # constant, linear and times_height only
     a: Fraction | None = None  # scaled_target only
 
     def __post_init__(self):
-        if self.kind not in _SPACER_RULE_KINDS:
-            raise InvalidConstructionError(f"unknown spacer rule {self.kind!r}")
-        if self.kind == "scaled_target":
-            if self.a is None or self.a <= 1:
-                raise InvalidConstructionError("scaled_target needs a rational a > 1")
-        elif self.c < 0:
+        reads = _spacer_reads(self.kind)
+        if self.c < 0:
             raise InvalidConstructionError("spacer multiplier must be >= 0")
+        if reads == "a" and (self.a is None or self.a <= 1):
+            raise InvalidConstructionError("scaled_target needs a rational a > 1")
+        for name, (unread, _) in _SPACER_PARAMETERS.items():
+            if name != reads and getattr(self, name) != unread:
+                raise InvalidConstructionError(f"spacer rule {self.kind!r} reads no {name}")
 
     def evaluate(self, j: int, h: int) -> int:
-        if self.kind == "zero":
-            return 0
-        if self.kind == "constant":
-            return self.c
-        if self.kind == "linear":
-            return self.c * j
-        if self.kind == "times_height":
-            return self.c * h
-        if self.kind == "j_times_h":
-            return j * h
-        if self.kind == "blocks":
-            return block_sequence(j)
-        # scaled_target: push the height from H_j to H_{j+1} = ceil(a * ref(j+1))
-        # assuming r_j = 2 and a single nonzero spacer.
-        target_next = _ceil(self.a * _reference_height(j + 1))
-        return target_next - 2 * h
+        reads, count = _SPACER_RULES[self.kind]
+        return count(reads and getattr(self, reads), j, h)
 
 
 @dataclass(frozen=True)
@@ -442,31 +447,32 @@ def condition_star_check(params: ConstructionParams, J: int) -> StarConditionRep
 # Config files
 
 
+def _reject_unknown_keys(entry: dict, known: set, what: str) -> None:
+    unknown = set(entry) - known
+    if unknown:
+        raise InvalidConstructionError(f"unknown {what} keys {sorted(unknown)}")
+
+
 def _spacer_rule_from_config(entry) -> SpacerRule:
     if isinstance(entry, str):
         entry = {"rule": entry}
     if not isinstance(entry, dict):
         raise InvalidConstructionError(f"bad spacer rule {entry!r}")
-    unknown = set(entry) - {"rule", "c", "a"}
-    if unknown:
-        raise InvalidConstructionError(f"unknown spacer rule keys {sorted(unknown)}")
     kind = entry.get("rule")
-    if kind == "scaled_target":
-        a = entry.get("a")
-        return SpacerRule(kind, a=None if a is None else parse_rational(a))
-    if "c" in entry:
-        return SpacerRule(kind, c=parse_int(entry["c"]))
-    return SpacerRule(kind)
+    reads = _spacer_reads(kind)  # before the keys, so an unknown kind is named
+    _reject_unknown_keys(entry, {"rule", reads} - {None}, "spacer rule")
+    if reads not in entry:
+        return SpacerRule(kind)
+    return SpacerRule(kind, **{reads: _SPACER_PARAMETERS[reads][1](entry[reads])})
 
 
 def _spacer_rule_to_config(rule: SpacerRule):
     if rule.kind == "zero":
         return "zero"
+    reads = _SPACER_RULES[rule.kind][0]
     out = {"rule": rule.kind}
-    if rule.kind == "scaled_target":
-        out["a"] = format_rational(rule.a)
-    elif rule.kind not in ("j_times_h", "blocks"):
-        out["c"] = rule.c
+    if reads:
+        out[reads] = rule.c if reads == "c" else format_rational(rule.a)
     return out
 
 
@@ -481,27 +487,19 @@ def params_from_config(config: dict) -> ConstructionParams:
         raise InvalidConstructionError("construction config must be an object")
     if "family" in config:
         parsers = {key: parse for key, parse, _ in FAMILY_ARGUMENTS.values()}
-        unknown = set(config) - {"family", *parsers}
-        if unknown:
-            raise InvalidConstructionError(f"unknown config keys {sorted(unknown)}")
+        _reject_unknown_keys(config, {"family", *parsers}, "config")
         kwargs = {key: parse(config[key]) for key, parse in parsers.items() if key in config}
         return family(config["family"], **kwargs)
-    unknown = set(config) - {"h1", "base_width", "stages"}
-    if unknown:
-        raise InvalidConstructionError(f"unknown config keys {sorted(unknown)}")
+    _reject_unknown_keys(config, {"h1", "base_width", "stages"}, "config")
     if "h1" not in config or "stages" not in config:
         raise InvalidConstructionError("config needs either 'family' or 'h1' + 'stages'")
     stages = config["stages"]
     if not isinstance(stages, dict):
         raise InvalidConstructionError("'stages' must be an object")
-    unknown = set(stages) - {"r", "spacers"}
-    if unknown:
-        raise InvalidConstructionError(f"unknown stage keys {sorted(unknown)}")
+    _reject_unknown_keys(stages, {"r", "spacers"}, "stage")
     r_entry = stages.get("r")
     if isinstance(r_entry, dict):
-        unknown = set(r_entry) - {"rule", "c"}
-        if unknown:
-            raise InvalidConstructionError(f"unknown cut rule keys {sorted(unknown)}")
+        _reject_unknown_keys(r_entry, {"rule", "c"}, "cut rule")
         cuts = CutRule(r_entry.get("rule"), parse_int(r_entry.get("c", 1)))
     else:
         cuts = CutRule("constant", parse_int(r_entry))

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .construction import ConstructionParams, height, stage_geometry
 from .serde import format_int, format_number
-from .tower import LevelSet, MeasureBound, apply_power_bounds, grid_tower, power_grid
+from .tower import (LevelSet, MeasureBound, apply_power_bounds, check_construction,
+                    grid_tower, power_grid)
 
 
 def delta_shift(a: LevelSet, b: LevelSet, k: int, max_stage: int | None = None) -> MeasureBound:
@@ -140,8 +141,9 @@ def domination_witness(
     PASS needs margin >= -eps at every stage.  Candidates are the finite menu
     k = m, +-h_j + m, +-h_j +- h_{j-1} + m; ties prefer the largest |k| so the
     reported witness is a genuinely escaping shift.  The menu needs h_{j-1},
-    so every stage must be >= 2.  One ``power_grid`` answers every rectangle
-    at m and at every stage's menu.
+    so every stage must be >= 2, and it reads ``params``, so every set must
+    belong to it.  One ``power_grid`` answers every rectangle at m and at
+    every stage's menu.
     """
     eps = Fraction(eps)
     if eps < 0:
@@ -153,6 +155,7 @@ def domination_witness(
                 f"witness stage j = {j} must be >= 2: its shift menu uses h_(j-1)"
             )
     rect_grid = list(rect_grid)
+    check_construction(params, (s for rect in rect_grid for s in rect))  # the menu reads params
     if not rect_grid:
         rows = tuple(WitnessRow(j, None, None, None) for j in j_range)
         return WitnessReport(m=m, rows=rows, passed=True, vacuous=True)

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .construction import ConstructionParams, stage_geometry
+from .serde import MAX_LISTED, format_int
 from .tower import LevelSet, MeasureBound, tower_of
 
 PROVEN_ZERO = "PROVEN-ZERO"
@@ -99,13 +100,16 @@ class RectangleReturnReport:
 
 def sample_shifts(k_lo: int, k_hi: int, samples: int) -> list[int]:
     """`samples` distinct shifts from the half-open range (k_lo, k_hi], in
-    increasing order: k_lo + t * span // samples for t = 1..samples."""
+    increasing order: k_lo + t * span // samples for t = 1..samples.  More
+    than ``MAX_LISTED``, after the cap at the span, are refused unlisted."""
     if k_hi <= k_lo:
         raise ValueError("empty shift range")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     span = k_hi - k_lo
     samples = min(samples, span)  # more would only repeat points
+    if samples > MAX_LISTED:
+        raise ValueError(f"{format_int(samples)} sampled shifts are above the limit of {MAX_LISTED}")
     # with samples <= span, t * span // samples rises by at least 1 per t
     return [k_lo + t * span // samples for t in range(1, samples + 1)]
 
@@ -161,12 +165,12 @@ def dissipativity_grid(
     the dead rows of its left side and builds rows for its live columns
     only.  A product with a proven-zero factor is the [0, 0] of the larger
     resolved stage of its factors, which is what ``left.times(right)``
-    gives, so no product is multiplied out for it; the rows a call builds
-    share one [0, 0] per stage.  The kernel shares one bound per distinct
-    answer, so the zero test runs once per distinct left bound of a fill,
-    and product and verdict once per distinct pair of factor bounds of a
-    call; rectangles whose factor rows hold the same bounds share one
-    report.
+    gives, so no product is multiplied out for it: a dead row's product is
+    its left bound itself, and the live rows a call builds with a
+    proven-zero right factor share one [0, 0] per stage.  The kernel shares
+    one bound per distinct answer, so product and verdict are computed once
+    per distinct pair of factor bounds of a call; rectangles whose factor
+    rows hold the same bounds share one report.
     """
     if k_lo < 1:
         raise ValueError("k_lo must be >= 1")
@@ -203,19 +207,15 @@ def dissipativity_grid(
         scanned = tuple(sample_shifts(k_lo, k_hi, samples))
         lefts = left_tower.self_returns(
             list(pending.values()), [power * k for k in scanned], max_stage)
-        zero_of: dict[int, MeasureBound | None] = {}  # left bound -> its [0, 0] if proven zero
-        # left row -> (its dead rows, its live columns)
+        # left row -> (its dead rows, its live columns); a proven-zero left
+        # bound is the [0, 0] of its own stage, so it is its row's product
         known: dict[tuple[int, ...], tuple[tuple, list[int]]] = {}
         for key, row in zip(pending, lefts):
             # rows are keyed on the identities of their bounds, alive in the side
             ids = tuple(map(id, row))
             if ids not in known:
-                for i, left in dict(zip(ids, row)).items():
-                    if i not in zero_of:
-                        zero_of[i] = zero(left.resolved_stage) if left.hi == 0 else None
-                dead = tuple(
-                    None if product is None else ReturnRow(k, left, None, product, PROVEN_ZERO)
-                    for k, left, product in zip(scanned, row, map(zero_of.__getitem__, ids)))
+                dead = tuple(ReturnRow(k, left, None, left, PROVEN_ZERO) if left.hi == 0 else None
+                             for k, left in zip(scanned, row))
                 known[ids] = (dead, [col for col, r in enumerate(dead) if r is None])
             # racing fills of one key agree on the first entry stored
             found[key] = memo.setdefault(key, _LeftSide(scanned, row, ids, *known[ids]))

@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .serde import MAX_LISTED, format_int
 from .tower import LevelSet, power_profile
 
 
@@ -153,10 +154,13 @@ def fejer_density(c: CorrelationSequence, order: int, grid_size: int) -> Spectra
     term over the whole grid, in support order, so every grid point receives
     the same float additions in the same order as a per-theta loop would, and
     memory stays one grid wide.  A shift below N that did not resolve is
-    rejected with ``ValueError``: its value is an interval, not zero.
+    rejected with ``ValueError``: its value is an interval, not zero.  So is
+    a grid of more than ``MAX_LISTED`` points.
     """
     if order < 1 or grid_size < 1:
         raise ValueError("order and grid size must be >= 1")
+    if grid_size > MAX_LISTED:
+        raise ValueError(f"grid size {format_int(grid_size)} is above the limit of {MAX_LISTED}")
     for n, _ in c.unresolved:
         if n < order:
             raise ValueError(f"c({n}) did not resolve exactly; it is not zero")

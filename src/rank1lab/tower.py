@@ -554,11 +554,10 @@ def refine(a: LevelSet, to_stage: int) -> LevelSet:
 def grid_tower(pairs: Sequence[tuple[LevelSet, LevelSet]]) -> Tower:
     """The one ``Tower`` of every set of ``pairs`` (at least one pair);
     ``ValueError`` if the sets belong to more than one construction."""
-    first = pairs[0][0]
-    for a, b in pairs:
-        _check_same_construction(first, a)
-        _check_same_construction(a, b)
-    return tower_of(first.params)
+    params = pairs[0][0].params
+    for pair in pairs:
+        check_construction(params, pair)
+    return tower_of(params)
 
 
 def _check_max_stage(max_stage: int | None):
@@ -566,13 +565,15 @@ def _check_max_stage(max_stage: int | None):
         raise ValueError(f"max_stage must be >= 1, got {max_stage}")
 
 
-def _check_same_construction(a: LevelSet, b: LevelSet):
-    if a.params is not b.params and a.params != b.params:
-        raise ValueError("level sets belong to different constructions")
+def check_construction(params: ConstructionParams, sets: Iterable[LevelSet]) -> None:
+    """``ValueError`` unless every set of ``sets`` belongs to ``params``."""
+    for s in sets:
+        if s.params is not params and s.params != params:
+            raise ValueError("level sets belong to different constructions")
 
 
 def _align(a: LevelSet, b: LevelSet) -> tuple[LevelSet, LevelSet, int]:
-    _check_same_construction(a, b)
+    check_construction(a.params, (b,))
     j = max(a.stage, b.stage)
     return refine(a, j), refine(b, j), j
 
@@ -603,7 +604,7 @@ def apply_power_bounds(
     stage (the first stage whose tower is taller than |n|) means the start
     stage.
     """
-    _check_same_construction(a, b)
+    check_construction(a.params, (b,))
     tower = tower_of(a.params)
     ((_, _, ((count,),), (overflow,), (K,)),) = tower.grid_counts([(a, b)], (n,), max_stage)
     return tower._bound(count, overflow, K)

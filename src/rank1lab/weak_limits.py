@@ -17,7 +17,7 @@ from . import reports
 from .construction import ConstructionParams, block_sequence, stage_geometry, thm2
 from .products import sample_shifts
 from .serde import MAX_LISTED, format_int
-from .tower import LevelSet, MeasureBound, power_profile
+from .tower import LevelSet, MeasureBound, check_construction, power_profile
 
 
 @dataclass(frozen=True)
@@ -221,11 +221,16 @@ def verify_limit(
     """Compare mu(T^{n(k)} A /\\ B) against the polynomial prediction.
 
     Pairs whose interval is wider than the tolerance yield INCONCLUSIVE
-    rows; only a deviation certainly above tol yields FAIL.
+    rows; only a deviation certainly above tol yields FAIL.  No pairs or no
+    k would check nothing, and either is refused with ``ValueError``.
     """
+    test_pairs, k_range = list(test_pairs), list(k_range)
+    for given, what in ((test_pairs, "test pairs"), (k_range, "k values")):
+        if not given:
+            raise ValueError(f"no {what}: a limit check over none would pass vacuously")
     points = ((k, seq.evaluate(params, k)) for k in k_range)
     rows = [LimitCheckRow(*row) for row in _check_limit(points, poly, test_pairs, tol, max_stage)]
-    max_dev = max((r.dev_hi for r in rows), default=Fraction(0))
+    max_dev = max(r.dev_hi for r in rows)
     return LimitReport(tuple(rows), max_dev, reports.combine(r.status for r in rows))
 
 
@@ -256,11 +261,12 @@ def scan_window(
     shifts up to its end, fewer if the zone is short; ``None`` lists every
     shift of the zone.  Both lists are counted from their bounds before any
     is built, and a scan that would list more than ``MAX_LISTED`` shifts
-    in either is refused with ``ValueError``.  Both go through one
-    ``power_profile``.
+    in either is refused with ``ValueError``, and so are sets of another
+    construction than ``params``.  Both go through one ``power_profile``.
     """
     if j < 3:
         raise ValueError("scan needs j >= 3")
+    check_construction(params, (a, b))  # the heights are read from params
     if max(a.stage, b.stage) > j - 2:
         raise ValueError("test sets must be measurable strictly below stage j-1")
     h_prev = stage_geometry(params, j - 1).h

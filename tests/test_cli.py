@@ -70,6 +70,21 @@ def test_construction_config_file(runner, tmp_path):
     assert json.loads(result.output)["rows"][0]["h"] == "3"
 
 
+@pytest.mark.parametrize("entry,message", [
+    ({"rule": "zero", "c": 9}, "unknown spacer rule keys ['c']"),
+    ({"rule": "constant", "c": 1, "a": "7/2"}, "unknown spacer rule keys ['a']"),
+    ({"rule": [1]}, "unknown spacer rule [1]"),
+    ({"rule": "fibonacci", "c": 2}, "unknown spacer rule 'fibonacci'"),
+])
+def test_bad_spacer_rule_in_a_config_is_a_config_error(runner, tmp_path, entry, message):
+    # an unhashable kind too exits 2 with the rule named, not 1 with a traceback
+    config = tmp_path / "construction.json"
+    config.write_text(json.dumps({"h1": 1, "stages": {"r": 2, "spacers": ["zero", entry]}}))
+    result = runner.invoke(main, ["geometry", "--config", str(config), "--j", "1"])
+    assert result.exit_code == 2
+    assert result.output == f"Error: bad construction config: {message}\n"
+
+
 def test_family_and_config_are_exclusive(runner, tmp_path):
     config = tmp_path / "c.json"
     config.write_text("{}")

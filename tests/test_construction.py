@@ -1,6 +1,8 @@
+import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -326,6 +328,75 @@ def test_config_unknown_keys_rejected():
         params_from_config({"h1": 1, "stages": {"r": 2, "spacers": []}, "oops": 0})
     with pytest.raises(InvalidConstructionError, match="unknown"):
         params_from_config({"h1": 1, "stages": {"r": 2, "spacers": [{"rule": "zero", "x": 1}]}})
+
+
+# every spacer kind, with the one parameter it reads
+_SPACER_READS = {"zero": None, "constant": "c", "linear": "c", "times_height": "c",
+                 "j_times_h": None, "blocks": None, "scaled_target": "a"}
+
+
+@st.composite
+def _any_spacer_rule(draw):
+    kind = draw(st.sampled_from(sorted(_SPACER_READS)))
+    if _SPACER_READS[kind] == "c":
+        return SpacerRule(kind, c=draw(st.integers(0, 10**30).filter(lambda c: c != 1)))
+    if _SPACER_READS[kind] == "a":
+        a = draw(st.fractions(min_value=1, max_value=10**6, max_denominator=10**4))
+        return SpacerRule(kind, a=a if a > 1 else a + Fraction(1, 3))
+    return SpacerRule(kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_any_spacer_rule(), min_size=1, max_size=4), st.integers(1, 10**20),
+       st.sampled_from([CutRule("constant", 4), CutRule("j_plus", 3)]),
+       st.fractions(min_value=Fraction(1, 10**6), max_value=10**6))
+def test_every_spacer_rule_round_trips_through_its_config(tail, h1, cuts, width):
+    params = ConstructionParams(h1, cuts, tuple(tail), width)
+    config = json.loads(json.dumps(params_to_config(params)))
+    loaded = params_from_config(config)
+    assert loaded == params and hash(loaded) == hash(params)
+    assert params_to_config(loaded) == config
+
+
+_UNREAD_PARAMETERS = (
+    [(kind, "c", 9) for kind, reads in _SPACER_READS.items() if reads != "c"]
+    + [(kind, "a", "7/2") for kind, reads in _SPACER_READS.items() if reads != "a"])
+
+
+@pytest.mark.parametrize("kind,key,value", _UNREAD_PARAMETERS)
+def test_a_parameter_the_kind_does_not_read_is_rejected(kind, key, value):
+    """A rule sets only the parameter its kind reads: the config reader
+    refuses any other as an unknown key, and the constructor refuses it too,
+    so two rules that count alike are equal."""
+    entry = {"rule": kind, key: value, **({"a": "3/2"} if kind == "scaled_target" else {})}
+    config = {"h1": 1, "stages": {"r": 2, "spacers": ["zero", entry]}}
+    with pytest.raises(InvalidConstructionError,
+                       match=re.escape(f"unknown spacer rule keys ['{key}']")):
+        params_from_config(config)
+    kwargs = {"a": Fraction(3, 2)} if kind == "scaled_target" else {}
+    kwargs[key] = Fraction(value) if key == "a" else value
+    with pytest.raises(InvalidConstructionError, match=f"spacer rule '{kind}' reads no {key}$"):
+        SpacerRule(kind, **kwargs)
+
+
+def test_missing_multipliers_read_as_one():
+    loaded = params_from_config(
+        {"h1": 1, "stages": {"r": 2, "spacers": ["zero", {"rule": "constant"}]}})
+    assert loaded == toy() and hash(loaded) == hash(toy())
+    loaded = params_from_config({"h1": 1, "stages": {"r": {"rule": "j_plus"}, "spacers": []}})
+    assert loaded.cuts == CutRule("j_plus", 1)
+
+
+def test_each_spacer_kind_counts_by_its_rule():
+    # at j = 3, h_j = 10: c = 4 where read, and a = 3/2 targets ceil(3/2 * 5!) = 180
+    rules = {"zero": SpacerRule("zero"), "constant": SpacerRule("constant", 4),
+             "linear": SpacerRule("linear", 4), "times_height": SpacerRule("times_height", 4),
+             "j_times_h": SpacerRule("j_times_h"), "blocks": SpacerRule("blocks"),
+             "scaled_target": SpacerRule("scaled_target", a=Fraction(3, 2))}
+    assert set(rules) == set(_SPACER_READS)
+    counts = {kind: rule.evaluate(3, 10) for kind, rule in rules.items()}
+    assert counts == {"zero": 0, "constant": 4, "linear": 12, "times_height": 40,
+                      "j_times_h": 30, "blocks": block_sequence(3), "scaled_target": 180 - 2 * 10}
 
 
 def test_config_big_integers_as_strings():

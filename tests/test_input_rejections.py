@@ -1,11 +1,15 @@
 """Library input checks, each with the message it rejects its input with."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import rank1lab
 from rank1lab.construction import (
     ConstructionParams,
     CutRule,
@@ -16,8 +20,9 @@ from rank1lab.construction import (
     params_from_config,
     utv1,
 )
-from rank1lab.serde import MAX_INT_DIGITS, format_int, parse_int, parse_rational
-from rank1lab.spectral import CorrelationSequence
+from rank1lab.products import sample_shifts
+from rank1lab.serde import MAX_INT_DIGITS, MAX_LISTED, format_int, parse_int, parse_rational
+from rank1lab.spectral import CorrelationSequence, fejer_density
 from rank1lab.tower import LevelSet, MeasureBound
 from rank1lab.weak_limits import OperatorPolynomial, parse_sequence, scan_window
 
@@ -32,9 +37,20 @@ def _explicit(stages) -> dict:
 _REJECTIONS = [
     ("block index 0", lambda: block_sequence(0), "index must be >= 1"),
     ("spacer rule kind", lambda: SpacerRule("fibonacci"), "unknown spacer rule 'fibonacci'"),
+    # an unhashable kind is unknown too, not a TypeError
+    ("unhashable spacer rule kind", lambda: SpacerRule([1]), "unknown spacer rule [1]"),
+    ("unhashable spacer rule in a config",
+     lambda: params_from_config(_explicit({"r": 2, "spacers": [{"rule": [1]}]})),
+     "unknown spacer rule [1]"),
+    # the kind is checked before the keys it may take
+    ("unknown spacer rule with a key",
+     lambda: params_from_config(_explicit({"r": 2, "spacers": [{"rule": "fibonacci", "c": 2}]})),
+     "unknown spacer rule 'fibonacci'"),
     ("cut rule kind", lambda: CutRule("random", 2), "unknown cut rule 'random'"),
     ("spacer multiplier", lambda: SpacerRule("constant", -1),
      "spacer multiplier must be >= 0"),
+    ("scale factor of 1", lambda: SpacerRule("scaled_target", a=Fraction(1)),
+     "scaled_target needs a rational a > 1"),
     ("j_plus offset", lambda: CutRule("j_plus", 0), "j_plus cut rule needs c >= 1"),
     ("initial height", lambda: ConstructionParams(0, _TWO_COLUMNS, ()),
      "initial height must be >= 1"),
@@ -98,3 +114,52 @@ def test_integers_convert_on_both_sides_of_the_digit_ceiling():
     assert format_int(big) == "9" * MAX_INT_DIGITS
     assert format_int(-(10 ** 5000)) == "-1" + "0" * 5000
     assert parse_int(format_int(-big)) == -big
+
+
+_HUGE_LISTS = """
+import resource, time
+from fractions import Fraction
+from rank1lab.construction import utv1
+from rank1lab.products import ProductSystem, dissipativity_scan, sample_shifts
+from rank1lab.spectral import CorrelationSequence, fejer_density
+from rank1lab.tower import LevelSet
+params = utv1()
+e2, square = LevelSet.base(params, 2), ProductSystem(params, 1, params, 1)
+flat = CorrelationSequence(((0, Fraction(1)),))
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+for call in (lambda: sample_shifts(1, 10**9 + 1, 10**9),
+             lambda: dissipativity_scan(square, e2, e2, 1, 10**9 + 1, samples=10**9),
+             lambda: fejer_density(flat, 5, 10**9)):
+    start = time.perf_counter()
+    try:
+        call()
+    except ValueError as exc:
+        print(f"{time.perf_counter() - start:.3f} {exc}")
+"""
+
+
+def test_huge_lists_are_refused_before_they_are_built():
+    # 10^9 sampled shifts or grid points would take gigabytes; under the
+    # child's 1 GiB address-space limit, set in the child only after its
+    # imports, building them raises MemoryError, which fails the child
+    src = os.path.dirname(os.path.dirname(rank1lab.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    lines = subprocess.run([sys.executable, "-c", _HUGE_LISTS], env=env, check=True,
+                           capture_output=True, text=True, timeout=120).stdout.splitlines()
+    expected = [f"1000000000 sampled shifts are above the limit of {MAX_LISTED}"] * 2 + [
+        f"grid size 1000000000 is above the limit of {MAX_LISTED}"]
+    assert [line.split(" ", 1)[1] for line in lines] == expected
+    assert all(float(line.split(" ", 1)[0]) < 1 for line in lines)
+
+
+def test_lists_at_the_limit_are_built():
+    assert len(sample_shifts(0, MAX_LISTED + 7, MAX_LISTED)) == MAX_LISTED
+    # more samples than the span holds are capped at the span first
+    assert sample_shifts(0, 3, 10**9) == [1, 2, 3]
+    with pytest.raises(ValueError, match=f"^{MAX_LISTED + 1} sampled shifts are above"):
+        sample_shifts(0, MAX_LISTED + 1, MAX_LISTED + 1)
+    flat = CorrelationSequence(((0, Fraction(1)),))
+    assert len(fejer_density(flat, 1, MAX_LISTED).values) == MAX_LISTED
+    with pytest.raises(ValueError, match=f"^grid size {MAX_LISTED + 1} is above the limit"):
+        fejer_density(flat, 1, MAX_LISTED + 1)

@@ -350,6 +350,20 @@ def test_witness_case_shares_bounds_at_k_not_at_m():
                for r in range(len(grid)) for s in range(r))
 
 
+def test_witness_refuses_sets_of_another_construction(monkeypatch):
+    # the shift menu comes from the params' heights: utv1's menu must not be
+    # applied to toy sets, which once passed
+    def no_query(*args, **kwargs):
+        raise AssertionError("queried before checking the construction")
+
+    monkeypatch.setattr(joinings_module, "power_grid", no_query)
+    toy_e2 = LevelSet.base(TOY, 2)
+    toy_rect = (toy_e2, LevelSet.from_levels(TOY, 2, [1]))
+    for grid in ([toy_rect], GRID[:2] + [toy_rect], [(E2, toy_e2)]):
+        with pytest.raises(ValueError, match="level sets belong to different constructions"):
+            domination_witness(UTV, 0, grid, range(4, 6))
+
+
 @pytest.mark.parametrize("j_range", [range(1, 4), range(0, 1), [4, 1]])
 def test_witness_rejects_stages_below_two_before_any_query(monkeypatch, j_range):
     def no_query(*args, **kwargs):

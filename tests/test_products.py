@@ -208,7 +208,10 @@ def test_scan_verdicts_on_self_product():
 
 def test_scan_skips_right_factor_when_left_is_zero():
     report = dissipativity_scan(SELF_PRODUCT, E2, E2, 1, 3, samples=2)
-    assert all(row.right is None for row in report.rows if row.left.hi == 0)
+    dead = [row for row in report.rows if row.left.hi == 0]
+    assert dead and all(row.right is None for row in dead)
+    # the product is the [0, 0] of the left factor's own stage
+    assert all(row.product == MeasureBound.exactly(0, row.left.resolved_stage) for row in dead)
 
 
 def test_scan_rows_match_single_queries():

@@ -33,6 +33,16 @@ TOY = toy()
 UTV = utv1()
 
 
+def test_sets_of_equal_constructions_built_apart_mix():
+    # a construction is its value: sets over two equal params objects pair
+    a, b = LevelSet.base(toy(), 1), LevelSet.base(toy(), 2)
+    assert a.params is not b.params
+    same = LevelSet.base(a.params, 2)
+    assert apply_power_bounds(a, b, 3) == apply_power_bounds(a, same, 3)
+    assert power_grid([(a, same), (a, b)], [3]) == [[apply_power_bounds(a, b, 3)]] * 2
+    assert intersect(a, b) == intersect(a, same)
+
+
 def test_refine_base_level_through_stages():
     e1 = LevelSet.base(TOY, 1)
     assert refine(e1, 2).levels == (0, 1)

@@ -166,6 +166,16 @@ def test_verify_limit_wrong_candidate_fails():
     assert report.max_deviation == Fraction(1, 8)
 
 
+@pytest.mark.parametrize("pairs,k_range,what", [
+    ([], range(3, 6), "test pairs"), ([(E2, E2)], range(3, 3), "k values")])
+def test_verify_limit_refuses_a_check_of_nothing(monkeypatch, pairs, k_range, what):
+    # the same candidate FAILs on (E2, E2) over range(3, 6): with no pair or
+    # no k there is nothing it could fail on, so no PASS is given
+    monkeypatch.setattr(weak_limits, "power_profile", None)  # no query is made
+    with pytest.raises(ValueError, match=f"^no {what}: a limit check over none"):
+        verify_limit(UTV, parse_sequence("h_k"), parse_polynomial("1/4*T^0"), pairs, k_range)
+
+
 def test_verify_limit_unresolved_is_inconclusive_not_fail():
     t = toy()
     a = LevelSet.single(t, 3, 6)
@@ -196,6 +206,16 @@ def test_scan_window_empty_set_is_zero():
     report = scan_window(UTV, 4, empty, empty)
     assert all(bound.value == 0 for _, bound in report.window_rows)
     assert report.dead_zone_exact_zero
+
+
+def test_scan_window_refuses_sets_of_another_construction(monkeypatch):
+    # the window comes from the params' heights, the values from the sets':
+    # utv1's window (480, 960) must not be reported with toy's values
+    monkeypatch.setattr(weak_limits, "power_profile", None)  # no query is made
+    toy_e2 = LevelSet.base(toy(), 2)
+    for a, b in ((toy_e2, toy_e2), (E2, toy_e2), (toy_e2, E2)):
+        with pytest.raises(ValueError, match="level sets belong to different constructions"):
+            scan_window(UTV, 5, a, b)
 
 
 def test_scan_window_exhaustive_zone():
