@@ -8,16 +8,18 @@ output files are written only after a run completes.
 Rejected input is decided in one place.  The library rejects input with
 ``ValueError`` (``InvalidConstructionError`` for constructions, sometimes only
 at the stage that breaks one), and ``_Main.invoke`` turns every such error into
-a one-line ``Error:`` and exit 2, among them a ``limits scan`` whose window or
-dead zone would list more shifts than ``scan_window`` takes; an unwritable
+a one-line ``Error:`` and exit 2, among them a ``limits scan`` that opens no
+dead zone or would list more shifts than ``scan_window`` takes; an unwritable
 ``--out``, a malformed ``--family`` spec, a negative ``--tol`` or ``--eps``, a
-``--grid`` or ``--max-stage`` below 1, a list option with no integer or too many, a
-``products scan --samples`` or ``spectral density --grid`` that would list more than
-``MAX_LISTED`` shifts or grid points, a stage past ``STAGE_CEILING`` (a stage option,
-span end, set or ``--max-stage``), a ``limits scan --j`` that opens no dead
-zone, a ``run`` list for a single-valued option, and a request that runs out
-of memory, overflows a C size or hits the recursion limit exit 2 the same way,
-so a crash never reads as FAIL.
+``--grid`` or ``--max-stage`` below 1, a list option with no integer or too
+many, a ``products scan --samples`` or ``spectral density --grid`` that would
+list more than ``MAX_LISTED`` shifts or grid points, a stage past
+``STAGE_CEILING`` (a stage option, span end, set or ``--max-stage``), a shift
+whose stage budget walks past it (``measure`` and ``spectral`` ``--n``,
+``spectral suspend --k``, ``products scan --k-hi``), a ``run`` list for a
+single-valued option, and a request that runs out of memory, overflows a C
+size or hits the recursion limit exit 2 the same way, so a crash never reads
+as FAIL.
 ``--max-stage`` is the one stage cap of a command; no environment variable
 changes an answer.
 ``_with_construction`` hands each command its parsed construction as
@@ -57,7 +59,7 @@ from .oracle import oracle_intersection
 from .products import ProductSystem, dissipativity_scan
 from .serde import MAX_LISTED, format_int, format_number, format_rational, parse_rational
 from .spectral import correlations, fejer_density, suspension_correlation
-from .tower import LevelSet, level_set_fields, power_profile
+from .tower import LevelSet, level_set_fields, power_profile, stage_budget
 from .weak_limits import (
     parse_polynomial,
     parse_sequence,
@@ -123,6 +125,19 @@ def _check_stage(stage: int, option: str):
     if stage > STAGE_CEILING:
         raise _BadInput(f"{option} names stage {format_int(stage)}, above the ceiling of "
                         f"{STAGE_CEILING} stages")
+
+
+def _check_shift(params, shift: int, max_stage: int | None, option: str):
+    """Refuse a shift whose stage budget passes the ceiling, before any kernel
+    work.  Its start, the first stage taller than |shift|, is found by walking
+    the stage heights, and the walk builds no stage past the ceiling."""
+    start, m = 1, abs(shift)
+    while start <= STAGE_CEILING and stage_geometry(params, start).h <= m:
+        start += 1
+    budget = stage_budget(start, max_stage)
+    if budget > STAGE_CEILING:
+        reach = f"to stage {budget}" if start <= STAGE_CEILING else f"past stage {STAGE_CEILING}"
+        raise _BadInput(f"{option} walks {reach}, above the ceiling of {STAGE_CEILING} stages")
 
 
 def _parse_set(text: str, params, option: str) -> LevelSet:
@@ -346,6 +361,7 @@ def measure_cmd(params, set_a, set_b, shifts, max_stage, fmt, out):
     """mu(T^n A /\\ B) as exact rational intervals."""
     a, b = _parse_sets(set_a, set_b, params)
     ns = _parse_int_list(shifts, "--n")
+    _check_shift(params, max(ns, key=abs), max_stage, "--n")
     bounds = power_profile(a, b, ns, max_stage)
     rows = [{"n": format_int(n), **_bound_fields(bound)} for n, bound in zip(ns, bounds)]
     status = reports.PASS if all(bound.exact for bound in bounds) else reports.INCONCLUSIVE
@@ -442,11 +458,6 @@ def limits_scan(params, j, set_a, set_b, step, dead_samples, max_stage, fmt, out
     except ValueError:
         raise _BadInput(f"--dead-samples must be a count or 'all', got {dead_samples!r}") from None
     report = scan_window(params, j, a, b, step, samples, max_stage)
-    dead_lo, dead_hi = report.dead_zone
-    if dead_hi < dead_lo:
-        # no dead-zone shift to check would be a vacuous PASS
-        raise _BadInput(f"--j {j} opens no dead zone on {params.label()}: "
-                        f"it would end at {dead_hi}, below its start {dead_lo}")
     rows = [
         {"zone": zone, "n": format_int(n), **_bound_fields(bound),
          "prediction": "", "deviation": ""}
@@ -562,6 +573,8 @@ def products_scan(params, right_family, m, n, set_a, set_b, k_lo, k_hi, samples,
     a = _parse_set(set_a, params, "--set")
     b = _parse_set(set_b or set_a, right_params, "--set-b" if set_b else "--set")
     target = parse_rational(ratio_target) if ratio_target else None
+    _check_shift(params, m * k_hi, max_stage, "--k-hi")  # k_hi is the largest k scanned
+    _check_shift(right_params, n * k_hi, max_stage, "--k-hi")
     report = dissipativity_scan(system, a, b, k_lo, k_hi, samples, max_stage,
                                 ratio_target=target)
     rows = [{
@@ -594,6 +607,7 @@ def spectral():
 def _base_sequence(params, set_a, shifts, h_stages, max_stage):
     a = _parse_set(set_a, params, "--set")
     n_list = _parse_int_list(shifts, "--n") if shifts is not None else list(range(9))
+    _check_shift(params, max(n_list, key=abs), max_stage, "--n")
     if h_stages:
         n_list += [stage_geometry(params, j).h for j in _parse_span(h_stages, "--h-stages")]
     return n_list, correlations(a, n_list, max_stage)
@@ -662,6 +676,7 @@ def spectral_suspend(params, set_a, shifts, max_stage, fmt, out):
     """Normalized suspension correlations (e^{c(k)} - 1)/(e - 1)."""
     a = _parse_set(set_a, params, "--set")
     ks = _parse_int_list(shifts, "--k")
+    _check_shift(params, max(ks, key=abs), max_stage, "--k")
     seq = correlations(a, ks, max_stage)
     rows = []
     for k in ks:

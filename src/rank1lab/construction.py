@@ -498,6 +498,8 @@ def params_from_config(config: dict) -> ConstructionParams:
         raise InvalidConstructionError("'stages' must be an object")
     _reject_unknown_keys(stages, {"r", "spacers"}, "stage")
     r_entry = stages.get("r")
+    if r_entry is None:
+        raise InvalidConstructionError("'stages' needs 'r'")
     if isinstance(r_entry, dict):
         _reject_unknown_keys(r_entry, {"rule", "c"}, "cut rule")
         cuts = CutRule(r_entry.get("rule"), parse_int(r_entry.get("c", 1)))

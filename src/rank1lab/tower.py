@@ -371,9 +371,8 @@ class Tower:
 
     def _plans(self, j0: int, shifts: list[int], max_stage: int | None):
         """The shifts by sign, ``n < 0 -> (columns, [(|n|, start, budget)])``:
-        start is the first stage >= j0 with h > |n| and budget the stage
-        budget, ``start + DEFAULT_EXTRA_STAGES`` without ``max_stage`` and else
-        ``max_stage`` but at least start.  Only the signs that occur get lists."""
+        start is the first stage >= j0 with h > |n| and budget its
+        ``stage_budget``.  Only the signs that occur get lists."""
         plans: dict[bool, tuple[list[int], list[tuple[int, int, int]]]] = {}
         # heights increase, so the stages built so far locate the first h > |n|;
         # only a shift above all of them builds more, one stage at a time
@@ -382,7 +381,7 @@ class Tower:
             start = max(j0, bisect_right(self._chain, m, key=_height) + 1)
             while self.stage(start).h <= m:
                 start += 1
-            budget = start + DEFAULT_EXTRA_STAGES if max_stage is None else max(max_stage, start)
+            budget = stage_budget(start, max_stage)
             cols, planned = plans.setdefault(backward, ([], []))
             cols.append(col)
             planned.append((m, start, budget))
@@ -560,6 +559,13 @@ def grid_tower(pairs: Sequence[tuple[LevelSet, LevelSet]]) -> Tower:
     return tower_of(params)
 
 
+def stage_budget(start: int, max_stage: int | None) -> int:
+    """The deepest stage a query that starts at stage ``start`` (the first
+    stage taller than its |n|) may walk to: ``start + DEFAULT_EXTRA_STAGES``
+    without ``max_stage``, else ``max_stage`` but at least ``start``."""
+    return start + DEFAULT_EXTRA_STAGES if max_stage is None else max(max_stage, start)
+
+
 def _check_max_stage(max_stage: int | None):
     if max_stage is not None and max_stage < 1:
         raise ValueError(f"max_stage must be >= 1, got {max_stage}")
@@ -652,9 +658,10 @@ def parse_level_set(text: str, params: ConstructionParams) -> LevelSet:
 
 def level_set_fields(text: str) -> tuple[int, tuple[int, ...]]:
     """The stage and the levels of the textual form, read before any stage
-    is built."""
+    is built; a field given twice is refused."""
     stage = None
     levels: tuple[int, ...] | None = None
+    seen = set()
     for part in text.split(";"):
         part = part.strip()
         if not part:
@@ -662,6 +669,9 @@ def level_set_fields(text: str) -> tuple[int, tuple[int, ...]]:
         key, _, value = part.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in seen:  # keeping the last would answer for a set not meant
+            raise ValueError(f"level-set field {key!r} given twice")
+        seen.add(key)
         if key == "stage":
             stage = int(value)
         elif key == "levels":

@@ -17,7 +17,7 @@ from . import reports
 from .construction import ConstructionParams, block_sequence, stage_geometry, thm2
 from .products import sample_shifts
 from .serde import MAX_LISTED, format_int
-from .tower import LevelSet, MeasureBound, check_construction, power_profile
+from .tower import LevelSet, MeasureBound, check_construction, power_grid, power_profile
 
 
 @dataclass(frozen=True)
@@ -191,15 +191,15 @@ def _check_limit(points, poly, pairs, tol, max_stage: int | None) -> list[tuple]
     of ``pairs``, the row ``(key, n, pair index, value, prediction, dev_lo,
     dev_hi, status)`` comparing mu(T^n A /\\ B) with ``predict(poly, A, B)``.
 
-    A negative tolerance is rejected before any query.  Each pair makes one
-    ``power_profile`` of the points, so the pairs may mix constructions.
+    A negative tolerance is rejected, and the points are evaluated, before
+    any query.  The values of every pair come from one ``power_grid``.
     """
     tol = Fraction(tol)
     if tol < 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
-    predicted = [predict(poly, a, b, max_stage) for a, b in pairs]
     points = list(points)
-    values = [power_profile(a, b, [n for _, n in points], max_stage) for a, b in pairs]
+    predicted = [predict(poly, a, b, max_stage) for a, b in pairs]
+    values = power_grid(pairs, [n for _, n in points], max_stage)
     rows = []
     for col, (key, n) in enumerate(points):
         for idx, (pred, row) in enumerate(zip(predicted, values)):
@@ -222,12 +222,14 @@ def verify_limit(
 
     Pairs whose interval is wider than the tolerance yield INCONCLUSIVE
     rows; only a deviation certainly above tol yields FAIL.  No pairs or no
-    k would check nothing, and either is refused with ``ValueError``.
+    k would check nothing; either is refused with ``ValueError`` before any
+    query, as are sets of another construction and an n(k) below stage 2.
     """
     test_pairs, k_range = list(test_pairs), list(k_range)
     for given, what in ((test_pairs, "test pairs"), (k_range, "k values")):
         if not given:
             raise ValueError(f"no {what}: a limit check over none would pass vacuously")
+    check_construction(params, (s for pair in test_pairs for s in pair))  # n(k) reads params
     points = ((k, seq.evaluate(params, k)) for k in k_range)
     rows = [LimitCheckRow(*row) for row in _check_limit(points, poly, test_pairs, tol, max_stage)]
     max_dev = max(r.dev_hi for r in rows)
@@ -261,8 +263,9 @@ def scan_window(
     shifts up to its end, fewer if the zone is short; ``None`` lists every
     shift of the zone.  Both lists are counted from their bounds before any
     is built, and a scan that would list more than ``MAX_LISTED`` shifts
-    in either is refused with ``ValueError``, and so are sets of another
-    construction than ``params``.  Both go through one ``power_profile``.
+    in either is refused with ``ValueError`` before any query, as are sets
+    of another construction than ``params`` and a j that opens no dead zone,
+    where the scan would check nothing.  Both go through one ``power_profile``.
     """
     if j < 3:
         raise ValueError("scan needs j >= 3")
@@ -274,25 +277,26 @@ def scan_window(
     h_next = stage_geometry(params, j + 1).h
     win_lo, win_hi = h_j - 2 * h_prev, h_j + 2 * h_prev
     dead_lo, dead_hi = h_j + 2 * h_prev, h_next - 2 * h_j
+    if dead_hi < dead_lo:  # spacers too small to open a dead zone here
+        raise ValueError(f"j = {j} opens no dead zone on {params.label()}: it would end at "
+                         f"{format_int(dead_hi)}, below its start {format_int(dead_lo)}")
     if step is None:
         step = max(1, (win_hi - win_lo) // 64)
     elif step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     if dead_samples is not None and dead_samples < 0:
         raise ValueError(f"dead_samples must be >= 0, got {dead_samples}")
-    span = dead_hi - dead_lo  # negative: spacers too small to open a dead zone here
+    span = dead_hi - dead_lo
     samples = span if dead_samples is None else dead_samples + 1
     for count, what, remedy in (
             ((win_hi - win_lo) // step + 3, "window", "raise step"),
-            (1 + min(span, samples) if span >= 0 else 0, "dead zone", "lower dead_samples")):
+            (1 + min(span, samples), "dead zone", "lower dead_samples")):
         if count > MAX_LISTED:
             raise ValueError(f"the {what} would list {format_int(count)} shifts, above the limit "
                              f"of {MAX_LISTED}: {remedy}")
     window_ns = sorted(set(range(win_lo, win_hi + 1, step)) | {h_j, win_hi})
-    if span < 0:
-        dead_ns = []
-    else:  # the start, then `samples` spread points up to the end, fewer if the zone is short
-        dead_ns = [dead_lo] + (sample_shifts(dead_lo, dead_hi, samples) if span else [])
+    # the start, then `samples` spread points up to the end, fewer if the zone is short
+    dead_ns = [dead_lo] + (sample_shifts(dead_lo, dead_hi, samples) if span else [])
     bounds = power_profile(a, b, window_ns + dead_ns, max_stage)
     window_rows = tuple(zip(window_ns, bounds))
     dead_rows = tuple(zip(dead_ns, bounds[len(window_ns):]))

@@ -556,8 +556,9 @@ def _materialize(args, tmp_path):
     return out
 
 
-# stage options past the ceiling, each of which ran on for more than 20 s or
-# ran out of memory before the ceiling was checked: (args, fragment)
+_TOY_2002 = str(10**600)  # toy's start stage is 1994, its budget 2002
+# stage options and shifts past the ceiling, each of which ran on for more
+# than 7 s or ran out of memory before the ceiling was checked: (args, fragment)
 _CEILING_REJECTIONS = [
     (["geometry", "--family", "utv1", "--j", "200001"],
      "Error: --j names stage 200001, above the ceiling of 2000 stages"),
@@ -571,6 +572,19 @@ _CEILING_REJECTIONS = [
     # a stage cap lets a query walk the chain up to it
     (["measure", "--family", "toy", "--set", "E1", "--n", "1", "--max-stage", "2001"],
      "Error: --max-stage names stage 2001, above the ceiling of 2000 stages"),
+    # a shift is walked to its stage budget: 10^600 starts toy at stage 1994
+    # and walks 8 stages on (7.2 s and 1.68 GB once)
+    (["measure", "--family", "toy", "--set", "E1", "--n", _TOY_2002],
+     "Error: --n walks to stage 2002, above the ceiling of 2000 stages"),
+    (["spectral", "corr", "--family", "toy", "--set", "E1", "--n", f"0,{_TOY_2002}"],
+     "Error: --n walks to stage 2002"),
+    (["spectral", "suspend", "--family", "toy", "--set", "E1", "--k", f"-{_TOY_2002}"],
+     "Error: --k walks to stage 2002"),
+    # products scan walks m*k on the left construction and n*k on the right one
+    (["products", "scan", "--family", "toy", "--set", "E1", "--m", "1000", "--k-lo", "1",
+      "--k-hi", _TOY_2002[:-3]], "Error: --k-hi walks to stage 2002"),
+    (["products", "scan", "--family", "toy", "--set", "E1", "--n", "-1000", "--k-lo", "1",
+      "--k-hi", _TOY_2002[:-3]], "Error: --k-hi walks to stage 2002"),
 ]
 
 # rejected inputs whose message must name what was wrong: (args, fragment)
@@ -603,7 +617,7 @@ _NAMED_REJECTIONS = [
      "--grid must be >= 1, got 0"),
     # toy's spacers never open a dead zone, and an empty one would be a vacuous PASS
     (["limits", "scan", "--family", "toy", "--j", "4"],
-     "Error: --j 4 opens no dead zone on toy: it would end at 1, below its start 29"),
+     "Error: j = 4 opens no dead zone on toy: it would end at 1, below its start 29"),
     # a zero denominator is a usage error, not a crash that reads as FAIL
     (["limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/0*T^0",
       "--j", "4..6"], "Error: zero denominator in polynomial term '1/0*T^0'"),
@@ -784,6 +798,9 @@ _OVERSIZE_REQUESTS = [
      "--k-lo", "1", "--k-hi", "1000000000", "--samples", "100000000"],
     ["spectral", "density", "--family", "utv1", "--set", "E2", "--n", "0..4", "--order", "5",
      "--grid", "30000000"],
+    # toy's stage chain past stage 4,900 (once a MemoryError after 5.3 s at 1.84 GB);
+    # --set first keeps its id apart from the range's
+    ["measure", "--set", "E1", "--family", "toy", "--n", str(10**1500)],
 ]
 _CHILD_ADDRESS_SPACE = 1 << 30
 
@@ -845,6 +862,33 @@ def test_stage_options_at_the_limit_reach_the_library(runner, args, reached):
     result = runner.invoke(main, over)
     assert result.exit_code == 2
     assert "names stage 2001, above the ceiling of 2000 stages" in result.output
+
+
+# (the shift whose stage budget is the ceiling, the one past it, the stage
+# cap, the refusal of the one past it)
+@pytest.mark.parametrize("under,over,cap,refusal", [
+    (2**1991, 2**1992, [], "--n walks to stage 2001"),
+    # |n| = h_1991 starts at stage 1992, and |n| = h_1992 at stage 1993
+    (-(2**1991 - 1), -(2**1992 - 1), [], "--n walks to stage 2001"),
+    (2**1991, 2**1999, [], "--n walks to stage 2008"),
+    (2**1999, 2**2000, ["--max-stage", "2000"], "--n walks past stage 2000"),
+    (2**1999, 2**2000, ["--max-stage", "1"], "--n walks past stage 2000"),
+], ids=["budget", "negative-height", "start-at-ceiling", "max-stage", "low-max-stage"])
+def test_shifts_at_the_limit_reach_the_library(runner, monkeypatch, under, over, cap, refusal):
+    """A toy shift (h_j = 2^j - 1) whose stage budget is the ceiling passes
+    the check and reaches the kernel; one walking a stage further is refused
+    first.  The budget is the first stage taller than |n|, plus 8 without
+    --max-stage, else --max-stage but at least that stage."""
+    def reached(*args, **kwargs):
+        raise ValueError("reached")
+
+    monkeypatch.setattr(cli, "power_profile", reached)
+    args = ["measure", "--family", "toy", "--set", "E1", *cap, "--n"]
+    result = runner.invoke(main, args + [str(under)])
+    assert (result.exit_code, result.output) == (2, "Error: reached\n")
+    result = runner.invoke(main, args + [str(over)])
+    assert result.exit_code == 2
+    assert result.output == f"Error: {refusal}, above the ceiling of 2000 stages\n"
 
 
 @pytest.mark.parametrize("args", [
@@ -991,6 +1035,9 @@ _PINNED_OUTPUTS = [
      3, "a348201a2411762512c2be86b1b3b313212a5c8f201f75d06052cc8c99d5f454"),
     (["measure", "--family", "toy", "--set", "stage=9; shape=odd", "--n", "1"],
      2, "63b764939ca836c7c14f356ffb48a3cab8b35c79774a3d2eb8e944b96a45a1a0"),
+    # a field given twice would answer for its last value, here stage 3
+    (["measure", "--family", "toy", "--set", "stage=2; stage=3; levels=0", "--n", "1"],
+     2, "f309d44a08daa819adb82b86c1711b530ff711f360e8ef31f073d31b55f212d5"),
     (["oracle", "--family", "toy", "--set", "E1", "--n", "3", "--stage", "4"],
      0, "7dbbbe58d6ad0b253667291fdb14f801cf0c00f1be21807bc74562579411e702"),
     (["oracle", "--family", "utv1", "--set", "E2", "--set-b", "T^1E2", "--n", "5",

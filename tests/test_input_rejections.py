@@ -23,7 +23,7 @@ from rank1lab.construction import (
 from rank1lab.products import sample_shifts
 from rank1lab.serde import MAX_INT_DIGITS, MAX_LISTED, format_int, parse_int, parse_rational
 from rank1lab.spectral import CorrelationSequence, fejer_density
-from rank1lab.tower import LevelSet, MeasureBound
+from rank1lab.tower import LevelSet, MeasureBound, level_set_fields
 from rank1lab.weak_limits import OperatorPolynomial, parse_sequence, scan_window
 
 UTV = utv1()
@@ -60,6 +60,10 @@ _REJECTIONS = [
      "bad spacer rule 5"),
     ("stage keys", lambda: params_from_config(_explicit({"r": 2, "depth": 3})),
      "unknown stage keys ['depth']"),
+    ("stages without r", lambda: params_from_config(_explicit({"spacers": ["zero"]})),
+     "'stages' needs 'r'"),
+    ("stages with a null r", lambda: params_from_config(_explicit({"r": None})),
+     "'stages' needs 'r'"),
     ("cut rule keys",
      lambda: params_from_config(_explicit({"r": {"rule": "j_plus", "c": 1, "d": 2}})),
      "unknown cut rule keys ['d']"),
@@ -91,6 +95,11 @@ _REJECTIONS = [
      "levels must lie in [0, 6) at stage 2"),
     ("level order", lambda: LevelSet(UTV, 2, (3, 1)), "levels must be strictly increasing"),
     ("repeated level", lambda: LevelSet(UTV, 2, (1, 1)), "levels must be strictly increasing"),
+    # keeping the last of a repeated field would answer for a set not meant
+    ("repeated set stage", lambda: level_set_fields("stage=2; stage=3; levels=0"),
+     "level-set field 'stage' given twice"),
+    ("repeated set levels", lambda: level_set_fields("levels=0; stage=2; levels=1"),
+     "level-set field 'levels' given twice"),
     # h_1700 of utv1 is 1701!, with 4,700 digits, more than str() prints
     ("level past a 4,700-digit height", lambda: LevelSet(UTV, 1700, (0, -1)),
      f"levels must lie in [0, {format_int(math.factorial(1701))}) at stage 1700"),

@@ -176,6 +176,20 @@ def test_verify_limit_refuses_a_check_of_nothing(monkeypatch, pairs, k_range, wh
         verify_limit(UTV, parse_sequence("h_k"), parse_polynomial("1/4*T^0"), pairs, k_range)
 
 
+@pytest.mark.parametrize("pairs,seq,k_range,message", [
+    # utv1's n = 24, 120, 720 must not be checked on toy's sets
+    ([(LevelSet.base(toy(), 2), LevelSet.base(toy(), 2))], "h_k", range(3, 6),
+     "level sets belong to different constructions"),
+    ([(E2, E2), (E2, LevelSet.base(toy(), 2))], "h_k", range(3, 6),
+     "level sets belong to different constructions"),
+    ([(E2, E2)], "h_{k-2}", range(2, 5), "k = 2 selects a stage below 2"),
+], ids=["foreign pair", "foreign set", "stage below 2"])
+def test_verify_limit_refuses_before_any_query(monkeypatch, pairs, seq, k_range, message):
+    monkeypatch.setattr(Tower, "grid_counts", None)  # a kernel query would raise TypeError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_limit(UTV, parse_sequence(seq), parse_polynomial("1/2*T^0"), pairs, k_range)
+
+
 def test_verify_limit_unresolved_is_inconclusive_not_fail():
     t = toy()
     a = LevelSet.single(t, 3, 6)
@@ -226,14 +240,14 @@ def test_scan_window_exhaustive_zone():
     assert report.dead_zone_exact_zero
 
 
-def test_scan_window_degenerate_zone_for_toy():
-    # toy's spacers grow too slowly to open a dead zone: the bounds invert
+def test_scan_window_degenerate_zone_for_toy(monkeypatch):
+    # toy's spacers grow too slowly to open a dead zone: the bounds invert, and
+    # a zone with no shift to check would pass vacuously
+    monkeypatch.setattr(weak_limits, "power_profile", None)  # no query is made
     t = toy()
-    report = scan_window(t, 4, LevelSet.base(t, 2), LevelSet.base(t, 2))
-    lo, hi = report.dead_zone
-    assert hi < lo
-    assert report.dead_rows == ()
-    assert report.dead_zone_exact_zero  # vacuously
+    with pytest.raises(ValueError, match="^j = 4 opens no dead zone on toy: it would end at 1, "
+                                         "below its start 29$"):
+        scan_window(t, 4, LevelSet.base(t, 2), LevelSet.base(t, 2))
 
 
 def test_scan_window_one_point_dead_zone_keeps_its_shift():
