@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -50,6 +52,28 @@ def _stage2_sets(params, shifts=(0, 1, 3)):
     return [LevelSet.single(params, 2, i) for i in shifts]
 
 
+def _kernel_rows(kernel, sets, shifts, J):
+    """For each source A of ``sets`` in turn (ordered by stage), the kernel's
+    (B, n) arrays of count, overflow and K over the targets ``sets``: one
+    ``grid_counts`` per source stage, whose sources share their reads.  Each
+    source's blocks are dropped once its arrays are built."""
+    width = len(sets)
+    for _, group in groupby(sets, attrgetter("stage")):
+        sources = list(group)
+        by_source = [[] for _ in sources]  # every block holds one source's pairs
+        for block in kernel.grid_counts([(a, b) for a in sources for b in sets], shifts, J):
+            by_source[block[0][0] // width].append(block)
+        for s in range(len(sources)):
+            count, overflow, stage = (np.zeros((width, len(shifts)), np.int64) for _ in range(3))
+            for rows, cols, counts, overflows, stages in by_source[s]:
+                cells = np.ix_([i - s * width for i in rows], cols)
+                count[cells] = np.array(counts, np.int64).T
+                overflow[cells] = overflows
+                stage[cells] = stages
+            by_source[s] = None
+            yield count, overflow, stage
+
+
 def criterion_1() -> CriterionResult:
     """Oracle equivalence on toy and utv1 at matched stage budget J = 6.
 
@@ -61,14 +85,30 @@ def criterion_1() -> CriterionResult:
     scaled by ``scale[K]`` must be the oracle's (cells hit, cells lost).
     Each construction makes one ``IntervalSystem.orbit_counts`` call, which
     labels the targets once and yields every source's (B, n) arrays of hits
-    and lost cells in turn.  Each source set A costs one ``grid_counts``
-    call, whose counts share one index of the targets and whose blocks are
-    scattered into (B, n) arrays; the two are compared as integer arrays,
-    and the first mismatch is reported in (A, B, n) order.
+    and lost cells in turn.  The kernel makes one ``grid_counts`` call per
+    source stage (``_kernel_rows``), whose sources share their pair-table
+    reads, and each source's blocks are scattered into (B, n) arrays as the
+    oracle reaches it; the two are compared as integer arrays, and the first
+    mismatch is reported in (A, B, n) order.
     Exact-value equality is asserted wherever the orbit fully resolves at
     J = 6 (all of utv1), plus deep toy spot checks where exactness needs
-    stage ~18.
+    stage ~18.  The deep checks run first: their stage-18 oracle then does
+    not land on the memory of the grids, and a deep failure is reported
+    before any matched-budget mismatch.
     """
+    # toy needs ~stage 18 for worst-case exactness; spot-check the deep end
+    t = toy()
+    deep = [
+        (LevelSet.base(t, 1), LevelSet.base(t, 1), 15, 16),
+        (LevelSet.single(t, 3, 6), LevelSet.single(t, 3, 0), 15, 18),
+        (LevelSet.single(t, 2, 2), LevelSet.single(t, 3, 5), 14, 17),
+    ]
+    for a, b, n, deep_stage in deep:
+        res = oracle_intersection(a, b, n, deep_stage)
+        calc = apply_power_bounds(a, b, n, max_stage=deep_stage)
+        if not (res.fully_defined and calc.exact and res.value == calc.value):
+            return CriterionResult(1, "oracle-equivalence", False,
+                                   f"deep toy check failed at n={n}")
     J = 6
     checked = exact = 0
     for params in (toy(), utv1()):
@@ -89,17 +129,10 @@ def criterion_1() -> CriterionResult:
                 )
             scale[K] = ratio.numerator
         scale = np.array(scale)
-        kernel = tower_of(params)
         shifts = range(h4 + 1)
-        for a, (hits, lost) in zip(sets, system.orbit_counts(sets, sets, shifts)):
-            # (B, n) -> count, overflow and K of the kernel
-            count, overflow, stage = (np.zeros(hits.shape, np.int64) for _ in range(3))
-            for rows, cols, counts, overflows, stages in kernel.grid_counts(
-                    [(a, b) for b in sets], shifts, J):
-                cells = np.ix_(rows, cols)
-                count[cells] = np.array(counts, np.int64).T
-                overflow[cells] = overflows
-                stage[cells] = stages
+        kernel = _kernel_rows(tower_of(params), sets, shifts, J)
+        for a, (hits, lost), (count, overflow, stage) in zip(
+                sets, system.orbit_counts(sets, sets, shifts), kernel):
             cells = scale[stage]
             mismatch = (hits != count * cells) | (lost != overflow * cells)
             failed = mismatch | ((lost == 0) & (overflow != 0))
@@ -112,19 +145,6 @@ def criterion_1() -> CriterionResult:
                 )
             checked += mismatch.size
             exact += len(sets) * int(np.count_nonzero(lost == 0))
-    # toy needs ~stage 18 for worst-case exactness; spot-check the deep end
-    t = toy()
-    deep = [
-        (LevelSet.base(t, 1), LevelSet.base(t, 1), 15, 16),
-        (LevelSet.single(t, 3, 6), LevelSet.single(t, 3, 0), 15, 18),
-        (LevelSet.single(t, 2, 2), LevelSet.single(t, 3, 5), 14, 17),
-    ]
-    for a, b, n, deep_stage in deep:
-        res = oracle_intersection(a, b, n, deep_stage)
-        calc = apply_power_bounds(a, b, n, max_stage=deep_stage)
-        if not (res.fully_defined and calc.exact and res.value == calc.value):
-            return CriterionResult(1, "oracle-equivalence", False,
-                                   f"deep toy check failed at n={n}")
     return CriterionResult(
         1, "oracle-equivalence", True,
         f"{checked} matched-budget identities, {exact} exact, 3 deep toy checks",

@@ -622,13 +622,15 @@ def _base_sequence(params, set_a, shifts, h_stages, max_stage):
 @_format_option
 @_out_option
 def spectral_corr(params, set_a, shifts, h_stages, max_stage, fmt, out):
-    """Exact correlations c(n) = mu(T^n A /\\ A)/mu(A)."""
+    """Exact correlations c(n) = mu(T^n A /\\ A)/mu(A); INCONCLUSIVE when a
+    requested c(n) did not resolve."""
     n_list, seq = _base_sequence(params, set_a, shifts, h_stages, max_stage)
     steps = sorted({abs(n) for n in n_list})
     rows = [{"n": format_int(n), "c_n": format_rational(seq.value(n))}
             for n in steps if seq.has(n)]
     unresolved = [format_int(n) for n in steps if not seq.has(n)]
-    _emit(_meta(params, set=set_a, unresolved=unresolved), rows, fmt, out, None)
+    status = reports.INCONCLUSIVE if unresolved else None
+    _emit(_meta(params, set=set_a, unresolved=unresolved), rows, fmt, out, status)
 
 
 @spectral.command("density")
@@ -673,19 +675,22 @@ def spectral_density(params, set_a, shifts, h_stages, order, grid, max_stage, fm
 @_format_option
 @_out_option
 def spectral_suspend(params, set_a, shifts, max_stage, fmt, out):
-    """Normalized suspension correlations (e^{c(k)} - 1)/(e - 1)."""
+    """Normalized suspension correlations (e^{c(k)} - 1)/(e - 1); INCONCLUSIVE
+    when a value is an interval because its c(k) did not resolve."""
     a = _parse_set(set_a, params, "--set")
     ks = _parse_int_list(shifts, "--k")
     _check_shift(params, max(ks, key=abs), max_stage, "--k")
     seq = correlations(a, ks, max_stage)
     rows = []
+    status = None
     for k in ks:
         value = suspension_correlation(seq, k)
         if isinstance(value, tuple):
             rows.append({"k": format_int(k), "value": f"[{value[0]:.12g},{value[1]:.12g}]"})
+            status = reports.INCONCLUSIVE
         else:
             rows.append({"k": format_int(k), "value": f"{value:.12g}"})
-    _emit(_meta(params, set=set_a), rows, fmt, out, None)
+    _emit(_meta(params, set=set_a), rows, fmt, out, status)
 
 
 @main.command("acceptance")

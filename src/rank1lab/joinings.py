@@ -143,7 +143,8 @@ def domination_witness(
     reported witness is a genuinely escaping shift.  The menu needs h_{j-1},
     so every stage must be >= 2, and it reads ``params``, so every set must
     belong to it.  One ``power_grid`` answers every rectangle at m and at
-    every stage's menu.
+    every stage's menu.  With no rectangle or no stage the report is
+    vacuous, and the kernel is not asked.
     """
     eps = Fraction(eps)
     if eps < 0:
@@ -156,7 +157,7 @@ def domination_witness(
             )
     rect_grid = list(rect_grid)
     check_construction(params, (s for rect in rect_grid for s in rect))  # the menu reads params
-    if not rect_grid:
+    if not rect_grid or not j_range:  # nothing to check: no PASS is earned
         rows = tuple(WitnessRow(j, None, None, None) for j in j_range)
         return WitnessReport(m=m, rows=rows, passed=True, vacuous=True)
     menus = [_witness_candidates(params, j, m) for j in j_range]

@@ -33,19 +33,24 @@ mu(T^n A /\\ B) = mu(T^{-n} B /\\ A), so only the forward count exists.
 
 The kernel answers in integers and in columns, and counts along one path.
 The pairs are grouped by source set (``_by_source``: A for n >= 0, B for
-n < 0), each source indexes its targets once (``TargetIndex``: per target
-stage, the distinct differences d = a - b of a source level a and a target
-level b, and the targets with how many pairs hold each), and
+n < 0), and the sources of a grid share one index of their targets
+(``TargetIndex``: per source stage and target stage, the distinct
+differences d = a - b of a source level a and a target level b, and the
+(source, target) cells with how many pairs hold each).
 ``Tower.pair_counts`` reads M_K(n + d) from the tower's pair-count table once
-per difference within reach and adds it to the targets holding d; no set is
-refined.  ``Tower.grid_counts`` plans the shifts once per stage
-j0 = max(ja, jb) of a pair and gives one block per source group: a K and an
-overflow per shift, which depend on the source alone, and a count per
-(pair, shift).  ``Tower._bounds`` is the rational view of blocks, with equal
-answers sharing one bound.  ``power_grid`` is that view of ``grid_counts``;
-``power_profile`` is its one-pair case and ``apply_power_bounds`` the
-one-shift case of that.  ``Tower.stage_grid`` counts at a fixed stage j
-instead, in blocks with overflow 0 and K = j, for the partial joinings of
+per difference within reach and adds it to every cell holding d, whichever
+source it belongs to; no set is refined.  ``Tower.grid_counts`` plans the
+shifts once per stage j0 = max(ja, jb) of a pair, indexes the sources once
+per j0 and sign, and gives one block per source: a K and an overflow per
+shift, which depend on the source alone, and a count per (pair, shift).
+Where the sources of one shift resolve at different K, each K is read only
+for the differences of its own sources, so the table gets exactly the
+entries one source at a time would give it.  ``Tower._bounds`` is the
+rational view of blocks, with equal answers sharing one bound.
+``power_grid`` is that view of ``grid_counts``; ``power_profile`` is its
+one-pair case and ``apply_power_bounds`` the one-shift case of that.
+``Tower.stage_grid`` counts at a fixed stage j instead, through the same
+index, in blocks with overflow 0 and K = j, for the partial joinings of
 ``joinings``.
 
 The public functions are pure.  The one ``Tower`` per construction owns
@@ -63,7 +68,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, lt
+from operator import add, attrgetter, lt
 from typing import Iterable, Sequence
 
 from .construction import ConstructionParams, StageGeometry, _build_stage, stage_geometry
@@ -181,30 +186,38 @@ def measure(a: LevelSet) -> Fraction:
 
 
 class TargetIndex:
-    """One source set against a list of target sets, each at its own stage,
-    indexed once for ``Tower.pair_counts``.  A level pair (s, b) counts by
-    b's stage and s - b alone, so the index keeps, per target stage, the
-    distinct d = s - b in order and the (target, pairs) each d splits into."""
+    """Source sets, each against its own list of target sets, every set at
+    its own stage, indexed once for ``Tower.pair_counts``.  A cell is one
+    (source, target) pair, numbered source by source in the order given.  A
+    level pair (s, b) counts by the stages of its sets and s - b alone, so
+    the index keeps, per (source stage, target stage), the distinct
+    d = s - b over all those sources in order and the (cell, pairs) each d
+    splits into: the sources of one stage share every d they hold."""
 
-    __slots__ = ("stage", "levels", "targets", "size", "by_stage")
+    __slots__ = ("sources", "targets", "size", "by_stage")
 
-    def __init__(self, source: tuple[int, tuple[int, ...]],
-                 targets: Sequence[tuple[int, tuple[int, ...]]]):
-        self.stage, self.levels = source
-        self.targets, self.size = targets, len(targets)
-        splits: dict[int, dict[int, dict[int, int]]] = {}  # stage -> d -> {target: pairs}
-        for t, (stage, levels) in enumerate(targets):
-            split = splits.setdefault(stage, {})
-            for x in self.levels:
-                for y in levels:
-                    held = split.setdefault(x - y, {})
-                    held[t] = held.get(t, 0) + 1
-        # (target stage, differences, owners per difference)
+    def __init__(self, sources: Sequence[tuple[int, tuple[int, ...]]],
+                 targets: Sequence[Sequence[tuple[int, tuple[int, ...]]]]):
+        # the (stage, levels) of each source, and of each of its targets
+        self.sources, self.targets = sources, targets
+        # (source stage, target stage) -> d -> {cell: pairs}
+        splits: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
+        cell = 0
+        for (js, source), row in zip(sources, targets):
+            for jt, target in row:
+                split = splits.setdefault((js, jt), {})
+                for x in source:
+                    for y in target:
+                        held = split.setdefault(x - y, {})
+                        held[cell] = held.get(cell, 0) + 1
+                cell += 1
+        self.size = cell
+        # (source stage, target stage, differences, owners per difference)
         self.by_stage = []
-        for stage, split in splits.items():
+        for (js, jt), split in splits.items():
             differences = sorted(split)
             owners = [tuple(split[d].items()) for d in differences]
-            self.by_stage.append((stage, differences, owners))
+            self.by_stage.append((js, jt, differences, owners))
 
 
 class Tower:
@@ -263,44 +276,58 @@ class Tower:
         self._returns.clear()
         self._sides.clear()
 
-    def pair_counts(self, index: TargetIndex, n: int, K: int) -> list[int]:
-        """#{(x, y) : x in S, y in B at stage K, y - x = n} for each target B of
-        ``index``, for K at least the stage of S and of every B.  The caller has
-        built stage K: ``grid_counts`` in its planning and overflow loop,
-        ``stage_grid`` by ``stage(j)``.
+    def pair_counts(self, index: TargetIndex, n: int, K: int,
+                    sources: Sequence[bool] | None = None) -> list[int]:
+        """#{(x, y) : x in S, y in B at stage K, y - x = n} for each cell (S, B)
+        of ``index``, for K at least the stage of every set; with ``sources``
+        (one flag per source of ``index``), only for the cells of the flagged
+        sources, the others 0.  The caller has built stage K: ``grid_counts``
+        in its planning and overflow loop, ``stage_grid`` by ``stage(j)``.
 
         With S at stage js and B at stage jt, this is sum_{s,b} M_{js,jt,K}(n + s - b)
-        over their own levels: each distinct d = s - b of a target stage adds
-        M_{js,jt,K}(n + d) once per pair of each target having it, for the d
-        that put n + d in the span of M.  The values come from the tower's
-        pair-count table (shallower stage first: M_{js,jt,K}(m) = M_{jt,js,K}(-m)),
-        so a value any earlier shift, set or call reached is read, not
-        recounted; ``_pair_table`` fills the missing ones.
+        over their own levels: each distinct d = s - b of a (js, jt) adds
+        M_{js,jt,K}(n + d) once per pair of each cell having it, for the d
+        that put n + d in the span of M.  Each value is read once and added
+        to every cell that holds its d, whichever source the cell is of; with
+        ``sources``, only the d that a flagged source holds are read, which
+        are the reads of those sources one at a time.  The values come from
+        the tower's pair-count table (shallower stage first:
+        M_{js,jt,K}(m) = M_{jt,js,K}(-m)), so a value any earlier shift, set
+        or call reached is read, not recounted; ``_pair_table`` fills the
+        missing ones.
         """
         counts = [0] * index.size
         chain = self._chain
-        top, js = chain[K - 1].top, index.stage
-        low = chain[js - 1].top - top - n
-        for jt, differences, owners in index.by_stage:
+        top = chain[K - 1].top
+        if sources is not None:  # which cells count
+            counted = [flag for flag, row in zip(sources, index.targets) for _ in row]
+        for js, jt, differences, owners in index.by_stage:
             # the differences d = s - b with n + d in the span of M
-            high = top - chain[jt - 1].top - n
+            low, high = chain[js - 1].top - top - n, top - chain[jt - 1].top - n
             i, e = bisect_left(differences, low), bisect_right(differences, high)
             if i == e:
                 continue
+            held, ds = owners[i:e], differences[i:e]
+            if sources is not None:  # only the d that a counted cell holds
+                held = [[owner for owner in cells if counted[owner[0]]] for cells in held]
+                ds = [d for d, cells in zip(ds, held) if cells]
+                if not ds:
+                    continue
+                held = [cells for cells in held if cells]
             if js == jt:
-                keys, at = [abs(n + d) for d in differences[i:e]], (js, jt, K)
+                keys, at = [abs(n + d) for d in ds], (js, jt, K)
             elif js < jt:
-                keys, at = [n + d for d in differences[i:e]], (js, jt, K)
+                keys, at = [n + d for d in ds], (js, jt, K)
             else:
-                keys, at = [-n - d for d in differences[i:e]], (jt, js, K)
+                keys, at = [-n - d for d in ds], (jt, js, K)
             try:
                 weights = list(map(self._pairs.get(at, _NO_TABLE).__getitem__, keys))
             except KeyError:
                 weights = list(map(self._pair_table(*at, keys).__getitem__, keys))
-            for weight, held in zip(weights, owners[i:e]):
+            for weight, cells in zip(weights, held):
                 if weight:
-                    for t, count in held:
-                        counts[t] += weight * count
+                    for cell, count in cells:
+                        counts[cell] += weight * count
         return counts
 
     def _pair_table(self, js: int, jt: int, K: int, wanted: list[int]) -> dict[int, int]:
@@ -347,7 +374,11 @@ class Tower:
             missing, k, above = deeper, k - 1, below
         for above, below, nodes in reversed(recorded):
             for m, terms in nodes:
-                above[m] = sum(mult * below[rest] for mult, rest in terms)
+                # most entries have a term or three; a generator costs more than their sum
+                total = 0
+                for mult, rest in terms:
+                    total += mult * below[rest]
+                above[m] = total
         return table
 
     def _count_at_least(self, j0: int, K: int, t: int) -> int:
@@ -401,8 +432,11 @@ class Tower:
         set pushed past the top of that stage's tower.  The measure interval
         of a cell is ``[count, count + overflow]`` times ``stage(K).level_width``;
         negative n count T^{-n} B /\\ A.  Every (pair, shift) lies in exactly
-        one block, which makes one overflow count and one ``pair_counts``
-        call per shift.  The shifts are planned once per j0.
+        one block.  The shifts are planned once per j0.  Each source set finds
+        its own K and overflow per shift; the sources of one j0 and sign share
+        one ``TargetIndex`` and make one ``pair_counts`` call per shift (one
+        per K where they resolve apart), so the sources of one stage read each
+        M_K(n + d) once.
         """
         _check_max_stage(max_stage)
         shifts = list(shifts)
@@ -413,17 +447,19 @@ class Tower:
         blocks = []
         for j0, members in by_j0.items():
             for backward, (cols, plans) in self._plans(j0, shifts, max_stage).items():
-                for index, rows in _by_source(pairs, members, backward):
-                    js, src = index.stage, index.levels
+                index, rows = _by_source(pairs, members, backward)
+                # per source, its K and overflow at each shift
+                stage_rows, overflow_rows = [], []
+                for js, src in index.sources:
                     base = chain[js - 1].top
-                    columns = []
+                    stages, overflows = [], []
                     for n, K, budget in plans:
-                        st = chain[K - 1]  # planning built the start stage
                         overflow = 0
                         if src:
                             # the top level of the source at stage K is
                             # src[-1] + (top_K - top_js); nothing overflows once
                             # it plus n stays below h_K
+                            st = chain[K - 1]  # planning built the start stage
                             peak = n + src[-1] - base
                             while st.top + peak >= st.h and K < budget:
                                 K += 1
@@ -431,25 +467,63 @@ class Tower:
                             if st.top + peak >= st.h:
                                 overflow = sum(
                                     self._count_at_least(js, K, st.h - n - x) for x in src)
-                        columns.append((self.pair_counts(index, n, K), overflow, K))
-                    blocks.append((rows, cols, *zip(*columns)))
+                        stages.append(K)
+                        overflows.append(overflow)
+                    stage_rows.append(stages)
+                    overflow_rows.append(overflows)
+                if stage_rows.count(stage_rows[0]) == len(stage_rows):  # one K per shift
+                    counts = []
+                    for (n, _, _), K in zip(plans, stage_rows[0]):
+                        counts.append(self.pair_counts(index, n, K))
+                else:
+                    counts = self._columns_apart(index, plans, stage_rows)
+                if len(rows) == 1:
+                    blocks.append((rows[0], cols, counts, overflow_rows[0], stage_rows[0]))
+                    continue
+                # one block per source: its own slice of every column
+                start = 0
+                for own, overflows, stages in zip(rows, overflow_rows, stage_rows):
+                    end = start + len(own)
+                    blocks.append((own, cols, [column[start:end] for column in counts],
+                                   overflows, stages))
+                    start = end
         return blocks
+
+    def _columns_apart(self, index: TargetIndex, plans,
+                       stage_rows: list[list[int]]) -> list[list[int]]:
+        """The ``pair_counts`` of ``index`` at the n of each plan, each source
+        at its own K of ``stage_rows`` (one K per plan for each source): one
+        call per shift whose sources share a K, else one per K of the shift,
+        each reading only what its own sources hold."""
+        columns = []
+        for (n, _, _), stages in zip(plans, zip(*stage_rows)):
+            K = stages[0]
+            if stages.count(K) == len(stages):
+                columns.append(self.pair_counts(index, n, K))
+                continue
+            column = [0] * index.size
+            for K in set(stages):  # the cells of other sources are 0 in this call
+                flags = [at == K for at in stages]
+                column = list(map(add, column, self.pair_counts(index, n, K, flags)))
+            columns.append(column)
+        return columns
 
     def stage_grid(self, pairs: Sequence[tuple[LevelSet, LevelSet]], shifts: Sequence[int],
                    j: int) -> list[list[MeasureBound]]:
         """For each (A, B) of ``pairs``, sets at stages <= j, and each n of
         ``shifts``, either sign: the level pairs (x, y) of A and B at stage j,
         all in [0, h_j), with y - x = n, times the level width of stage j.
-        The counts form ``grid_counts`` blocks with overflow 0 and K = j, one
-        per source set A, with one ``pair_counts`` call per (A, n)."""
+        The sources (A) share one ``TargetIndex`` and one ``pair_counts`` call
+        per n, so the sources of one stage read each M_j(n + d) once, and the
+        counts form one ``grid_counts`` block over every pair, in the index's
+        cell order, with overflow 0 and K = j."""
         self.stage(j)
+        index, rows = _by_source(pairs, range(len(pairs)), False)
+        counts = [self.pair_counts(index, n, j) for n in shifts]
         width = len(shifts)
-        cols, overflows, stages = range(width), [0] * width, [j] * width
-        blocks = []
-        for index, rows in _by_source(pairs, range(len(pairs)), False):
-            counts = [self.pair_counts(index, n, j) for n in shifts]
-            blocks.append((rows, cols, counts, overflows, stages))
-        return self._bounds(blocks, len(pairs), width)
+        block = ([i for members in rows for i in members], range(width), counts,
+                 [0] * width, [j] * width)
+        return self._bounds([block], len(pairs), width)
 
     def _bounds(self, blocks, height: int, width: int) -> list[list[MeasureBound]]:
         """The rational view of ``grid_counts`` blocks: ``height`` rows (one
@@ -511,10 +585,10 @@ class Tower:
         return [rows[key] for key in keys]
 
 
-def _by_source(pairs, rows: Iterable[int], backward: bool) -> list[tuple[TargetIndex, list]]:
-    """The pairs of ``rows`` grouped by source set, A (B when ``backward``):
-    one ``(TargetIndex, rows)`` per distinct source, the index over the other
-    sets of those rows' pairs."""
+def _by_source(pairs, rows: Iterable[int], backward: bool) -> tuple[TargetIndex, tuple]:
+    """The pairs of ``rows`` (at least one) grouped by source set, A (B when
+    ``backward``): one ``TargetIndex`` over the distinct sources, each
+    against the other sets of its pairs, and the rows of each source."""
     groups: dict[tuple, tuple[list, list[int]]] = {}
     for i in rows:
         src, dst = pairs[i]
@@ -523,8 +597,8 @@ def _by_source(pairs, rows: Iterable[int], backward: bool) -> list[tuple[TargetI
         targets, members = groups.setdefault((src.stage, src.levels), ([], []))
         targets.append((dst.stage, dst.levels))
         members.append(i)
-    return [(TargetIndex(source, targets), members)
-            for source, (targets, members) in groups.items()]
+    targets, members = zip(*groups.values())
+    return TargetIndex(tuple(groups), targets), members
 
 
 _towers: dict[ConstructionParams, Tower] = {}
@@ -625,9 +699,10 @@ def power_grid(
     Every set of ``pairs`` must belong to one construction.  The shifts may
     be negative, repeated and in any order, and ``max_stage`` is the stage
     cap of every query.  The tower is looked up once for the grid; the shifts
-    are planned once per common stage of a pair, and the pairs that share a
-    source set (A for n >= 0, B for n < 0) share one count per shift.  Equal
-    results share one ``MeasureBound``.
+    are planned once per common stage of a pair, and the source sets (A for
+    n >= 0, B for n < 0) of one common stage share one count per shift, in
+    which each pair-table value is read once.  Equal results share one
+    ``MeasureBound``.
     """
     pairs, shifts = list(pairs), list(shifts)
     if not pairs:

@@ -113,10 +113,15 @@ def test_criterion_1_keeps_each_oracle_row_with_its_source(monkeypatch):
     assert result.detail == "mismatch at utv1 stage2 n=7"
 
 
-@pytest.mark.parametrize("number,counts,plannings", [(1, 5341, 61), (7, 900, 5)])
-def test_grid_criteria_count_each_source_once(monkeypatch, number, counts, plannings):
-    """Criteria 1 and 7 make one count per (source, j0, shift) and plan
-    once per (grid, j0), not once per (A, B) pair."""
+@pytest.mark.parametrize("number,counts,plannings", [(1, 937, 15), (7, 192, 5)])
+def test_grid_criteria_share_counts_across_sources(monkeypatch, number, counts, plannings):
+    """Criteria 1 and 7 make one count per (grid, j0, sign, shift), one more
+    per extra K where the sources of a shift resolve apart, and plan once
+    per (grid, j0), not once per source or (A, B) pair.  Criterion 1 asks
+    one grid per source stage (6) and three single queries: 822 counts per
+    (grid, j0, shift), 112 more for the extra K of the 97 of those whose
+    sources resolve apart, and 3 single counts, where one grid per source
+    made 5,341 counts and 61 plannings."""
     calls = {"pair_counts": 0, "_plans": 0}
 
     def counted(name):
@@ -132,6 +137,22 @@ def test_grid_criteria_count_each_source_once(monkeypatch, number, counts, plann
     (result,) = acceptance.run_all([number])
     assert result.passed, result.detail
     assert calls == {"pair_counts": counts, "_plans": plannings}
+
+
+def test_run_all_fills_the_pair_tables_it_always_filled():
+    """The criteria fill exactly the pair-table entries that one source at a
+    time filled: sharing reads across the sources of a stage, and reading
+    each K only for its own sources where they resolve apart, adds none.
+    Counted on fresh tables as (tables, entries) per construction."""
+    families = (toy(), utv1(), thm2(2))
+    for params in families:
+        tower.tower_of(params).reset()
+    acceptance.run_all()
+    filled = {}
+    for params in families:
+        tables = tower.tower_of(params)._pairs
+        filled[params.label()] = (len(tables), sum(map(len, tables.values())))
+    assert filled == {"toy": (60, 636), "utv1": (26, 1155), "thm2(2)": (7, 1464)}
 
 
 @pytest.mark.parametrize("number,detail", [(2, "failed at j=8"),
@@ -216,7 +237,9 @@ def test_criterion_6_tail_holds_from_stage_six():
 def test_criterion_6_scans_each_stage_in_one_grid(monkeypatch):
     """One dissipativity grid per stage over all 81 rectangles: the
     self-returns of the distinct sides fill in 12 kernel grids (60 with one
-    scan per rectangle), and the counts stay the same."""
+    scan per rectangle), and the counts stay the same.  The sides of one
+    grid share their counts: 899 ``pair_counts`` calls, where one per side
+    and shift made 8,034."""
     for params in (thm2(2), utv1()):  # fresh self-return memos
         tower.tower_of(params).reset()
     calls = {"dissipativity_grid": 0, "grid_counts": 0, "pair_counts": 0}
@@ -234,7 +257,7 @@ def test_criterion_6_scans_each_stage_in_one_grid(monkeypatch):
     counted(tower.Tower, "pair_counts")
     result = acceptance.criterion_6()
     assert result.known_defect
-    assert calls == {"dissipativity_grid": 3, "grid_counts": 12, "pair_counts": 8034}
+    assert calls == {"dissipativity_grid": 3, "grid_counts": 12, "pair_counts": 899}
 
 
 def test_criterion_6_stage_six_window_has_a_nonzero_return():

@@ -354,6 +354,49 @@ def test_density_with_unresolved_correlations_is_inconclusive(runner):
     assert runner.invoke(main, args).exit_code == 0
 
 
+def test_correlations_with_unresolved_values_are_inconclusive(runner):
+    """c(5..20) of toy E2 do not resolve by stage 4, as measure's n = 15 does
+    not: corr lists them as unresolved and exits 3 (INCONCLUSIVE), where it
+    once exited 0; c(0..4) alone resolve under the same cap: exit 0, no
+    status."""
+    capped = runner.invoke(main, ["spectral", "corr", "--family", "toy", "--n", "0..20",
+                                  "--max-stage", "4"])
+    assert capped.exit_code == 3
+    payload = json.loads(capped.output)
+    assert payload["status"] == "INCONCLUSIVE"
+    assert payload["unresolved"] == [str(n) for n in range(5, 21)]
+    assert [row["n"] for row in payload["rows"]] == ["0", "1", "2", "3", "4"]
+    measured = runner.invoke(main, ["measure", "--family", "toy", "--set", "E2", "--n", "15",
+                                    "--max-stage", "4"])
+    assert measured.exit_code == 3
+    resolved = runner.invoke(main, ["spectral", "corr", "--family", "toy", "--n", "0..4",
+                                    "--max-stage", "4"])
+    assert resolved.exit_code == 0
+    assert json.loads(resolved.output)["unresolved"] == []
+    assert "status" not in json.loads(resolved.output)
+
+
+def test_suspension_with_unresolved_values_is_inconclusive(runner):
+    """spectral suspend --family toy --k 3..6 --max-stage 3: c(3) resolves,
+    c(4..6) do not, so their values are intervals and the run exits 3
+    (INCONCLUSIVE), where it once exited 0; a resolved run keeps exit 0 and
+    prints no status."""
+    capped = runner.invoke(main, ["spectral", "suspend", "--family", "toy", "--k", "3..6",
+                                  "--max-stage", "3"])
+    assert capped.exit_code == 3
+    payload = json.loads(capped.output)
+    assert payload["status"] == "INCONCLUSIVE"
+    assert payload["rows"] == [
+        {"k": "3", "value": "0.377540668798"},
+        {"k": "4", "value": "[0,0.377540668798]"},
+        {"k": "5", "value": "[0,0.377540668798]"},
+        {"k": "6", "value": "[0,0.377540668798]"},
+    ]
+    resolved = runner.invoke(main, ["spectral", "suspend", "--family", "toy", "--k", "3"])
+    assert resolved.exit_code == 0
+    assert "status" not in json.loads(resolved.output)
+
+
 def test_density_rejects_orders_its_shifts_do_not_cover(runner):
     """fejer_density reads a shift it was not given as zero, so an order past
     the computed shifts would print a wrong estimate with exit 0."""
@@ -1109,7 +1152,7 @@ _PINNED_OUTPUTS = [
       "--format", "csv"],
      0, "2d9cd79b894a888bcc313b97be7577fecca136ea0bcc870f6113098c72dffb6d"),
     (["spectral", "corr", "--family", "toy", "--n", "0..20", "--max-stage", "4"],
-     0, "2ffae9f2efe35577c545224980e35dda69409ef22d85c40044f1f513839e55a1"),
+     3, "2cf9c55bc075b3b269db704196b73f255e53ee5060d6885f8b937bd44dacb533"),
     (["acceptance", "--only", "2,3"],
      0, "3d65816d7debbf982af8120c78a4cacd77661be230f1375473fdce3be8bcd47e"),
     (["acceptance", "--only", "6"],

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
 from kernel_blocks import expand, triples
 from rank1lab.construction import height, params_from_config, stage_geometry, thm2, toy, utv1
@@ -616,37 +616,43 @@ def _refined(tower, stage, levels, to_stage):
     return levels
 
 
-def _frontier_pair_counts(tower, index, n, K):
-    """Reference for ``Tower.pair_counts`` that keeps no table: the index's
-    source and targets refined to their common stage J, then the digit
+def _frontier_pair_counts(tower, index, n, K, sources=None):
+    """Reference for ``Tower.pair_counts`` that keeps no table: for each
+    source of the index (each flagged one when ``sources`` is given), the
+    source and its targets refined to their common stage J, then the digit
     recursion walked top-down as one frontier of values v = n + s - (o' - o)
-    per call, each peeled stage pruned to the span of every target's refined
-    levels, and the final frontier read against the targets' holders."""
-    J = max([index.stage] + [stage for stage, _ in index.targets])
+    per source, each peeled stage pruned to the span of the source's refined
+    targets, and the final frontier read against the targets' holders."""
     counts = [0] * index.size
-    holders = {}
-    for t, (stage, levels) in enumerate(index.targets):
-        for y in _refined(tower, stage, levels, J):
-            holders.setdefault(y, []).append(t)
-    source = _refined(tower, index.stage, index.levels, J)
-    if not source or not holders:
-        return counts
-    low, high = min(holders), max(holders)
-    base = tower.stage(J).top
-    frontier = {n + x: 1 for x in source}
-    for k in range(K - 1, J - 1, -1):
-        st = tower.stage(k)
-        reach = st.top - base
-        diffs, mults = st.offset_differences
-        step = {}
+    first = 0  # the source's first cell
+    for s, ((stage, levels), row) in enumerate(zip(index.sources, index.targets)):
+        cells, first = range(first, first + len(row)), first + len(row)
+        if sources is not None and not sources[s]:
+            continue
+        J = max([stage] + [target_stage for target_stage, _ in row])
+        holders = {}
+        for t, (target_stage, target) in zip(cells, row):
+            for y in _refined(tower, target_stage, target, J):
+                holders.setdefault(y, []).append(t)
+        source = _refined(tower, stage, levels, J)
+        if not source or not holders:
+            continue
+        low, high = min(holders), max(holders)
+        base = tower.stage(J).top
+        frontier = {n + x: 1 for x in source}
+        for k in range(K - 1, J - 1, -1):
+            st = tower.stage(k)
+            reach = st.top - base
+            diffs, mults = st.offset_differences
+            step = {}
+            for v, weight in frontier.items():
+                for d, mult in zip(diffs, mults):
+                    if v - high - reach <= d <= v - low + reach:
+                        step[v - d] = step.get(v - d, 0) + weight * mult
+            frontier = step
         for v, weight in frontier.items():
-            for d, mult in zip(diffs, mults):
-                if v - high - reach <= d <= v - low + reach:
-                    step[v - d] = step.get(v - d, 0) + weight * mult
-        frontier = step
-    for v, weight in frontier.items():
-        for t in holders.get(v, ()):
-            counts[t] += weight
+            for t in holders.get(v, ()):
+                counts[t] += weight
     return counts
 
 
@@ -702,6 +708,102 @@ def test_pair_table_does_not_depend_on_query_order(query):
     reversed_grid = triples(backward, pairs[::-1], shifts[::-1], max_stage)
     assert one_by_one == [row[::-1] for row in reversed_grid[::-1]]
     assert one_by_one == triples(tower_module.Tower(params), pairs, shifts, max_stage)
+
+
+@st.composite
+def _shared_stage_grids(draw):
+    """Many source sets at one stage (single levels, random sets and the
+    empty set) against targets at stages around it, in both orientations, so
+    each sign of n has many sources per stage; shifts next to tower heights,
+    where the sources' top levels cross the top at different stages, and
+    stage caps that leave some of them unresolved."""
+    params = draw(st.sampled_from([TOY, UTV, thm2(2), thm2(3)]))
+    stage = draw(st.integers(1, 3))
+    h = stage_geometry(params, stage).h
+
+    def level_set(at):
+        top = stage_geometry(params, at).h
+        return LevelSet.from_levels(params, at, draw(st.lists(st.integers(0, top - 1),
+                                                               max_size=3)))
+
+    singles = draw(st.lists(st.integers(0, h - 1), min_size=min(2, h), max_size=6,
+                            unique=True))
+    sources = [LevelSet.single(params, stage, level) for level in singles]
+    sources += [level_set(stage) for _ in range(draw(st.integers(0, 2)))]
+    sources.append(LevelSet(params, stage, ()))
+    targets = [level_set(draw(st.integers(1, stage + 1))) for _ in range(draw(st.integers(1, 3)))]
+    targets.append(LevelSet(params, draw(st.integers(1, stage + 1)), ()))
+    pairs = [(a, b) for a in sources for b in targets] + [(b, a) for a in sources for b in targets]
+    # n = h_K - (top_K - top_stage) - l puts the top of level l's copies at
+    # stage K just past h_K, so the sources above l need a deeper K
+    base = stage_geometry(params, stage).top
+    edges = [stage_geometry(params, k).h - stage_geometry(params, k).top + base
+             for k in range(stage, stage + 4)]
+    near = st.builds(lambda edge, level, sign: sign * max(0, edge - level),
+                     st.sampled_from(edges), st.integers(-1, h), st.sampled_from([1, -1]))
+    reach = stage_geometry(params, stage + 3).h
+    shifts = draw(st.lists(st.one_of(near, near, st.integers(-reach, reach)), min_size=1,
+                           max_size=6))
+    max_stage = draw(st.sampled_from([None, stage + 1, stage + 2, stage + 4]))
+    return pairs, shifts, max_stage
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shared_stage_grids())
+def test_shared_index_equals_one_query_per_cell(query):
+    """The sources of one stage share one index and read each pair-table
+    value once, and where they resolve a shift at different K each K is read
+    for its own sources only.  Every cell's (count, overflow, K) gives the
+    lo, hi and resolved stage of its own ``apply_power_bounds``, and a fresh
+    tower's pair table ends with exactly the entries of one grid per pair."""
+    pairs, shifts, max_stage = query
+    params = pairs[0][0].params
+    shared = tower_module.Tower(params)
+    cells = triples(shared, pairs, shifts, max_stage)
+    apart = 0
+    for (a, b), row in zip(pairs, cells):
+        for n, (count, overflow, K) in zip(shifts, row):
+            width = stage_geometry(params, K).level_width
+            bound = apply_power_bounds(a, b, n, max_stage)
+            assert (count * width, (count + overflow) * width, K) == (
+                bound.lo, bound.hi, bound.resolved_stage)
+    for col, n in enumerate(shifts):
+        for backward in (False, True):
+            stages = {row[col][2] for (a, b), row in zip(pairs, cells)
+                      if (a, b)[backward].levels and (n < 0) == backward}
+            apart += len(stages) > 1
+    event(f"shifts whose sources resolve apart: {min(apart, 3)}")
+    alone = tower_module.Tower(params)
+    for pair in pairs:
+        triples(alone, [pair], shifts, max_stage)
+    assert shared._pairs == alone._pairs
+
+
+def test_sources_resolved_apart_read_only_their_own_differences(monkeypatch):
+    """toy's seven stage-3 levels against E3 at n = 7 (h_4 = 15): T^7 keeps
+    levels 0 and 1 of the stage-4 tower inside, the others overflow and
+    resolve deeper, so one shift needs several K.  Each K is a call of its
+    own that counts only its sources' cells, and the counts equal one query
+    per source."""
+    sources = [LevelSet.single(TOY, 3, level) for level in range(7)]
+    target = LevelSet.base(TOY, 3)
+    pairs = [(a, target) for a in sources]
+    calls = []
+    pair_counts = tower_module.Tower.pair_counts
+
+    def counted(self, index, n, K, flags=None):
+        calls.append((n, K, None if flags is None else tuple(flags)))
+        return pair_counts(self, index, n, K, flags)
+
+    monkeypatch.setattr(tower_module.Tower, "pair_counts", counted)
+    rows = triples(tower_module.Tower(TOY), pairs, [7], 6)
+    stages = [K for ((_, _, K),) in rows]
+    assert len(set(stages)) > 1
+    assert sorted(K for _, K, _ in calls) == sorted(set(stages))
+    for _, K, flags in calls:
+        assert flags == tuple(at == K for at in stages)
+    monkeypatch.undo()
+    assert rows == [triples(tower_module.Tower(TOY), [pair], [7], 6)[0] for pair in pairs]
 
 
 @st.composite
