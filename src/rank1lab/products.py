@@ -6,8 +6,8 @@ proven-zero factor is the shared [0, 0] of its stage.  The dissipativity
 scan reports finite evidence only: per-k verdicts distinguish values proven
 zero (upper bound exactly 0) from merely unresolved ones, and the report
 never claims anything about unscanned shifts.  ``dissipativity_grid`` scans
-a list of rectangles in one pass, doing its exact work once per distinct
-kernel bound; ``dissipativity_scan`` is its one-rectangle case.  What a scan
+a list of rectangles in one pass, building one report per distinct pair of
+factor rows; ``dissipativity_scan`` is its one-rectangle case.  What a scan
 reads of its left factor depends on the left set and the window alone, so
 the left factor's ``Tower`` keeps it as a third memo beside the self-returns
 and the pair counts: one left side per (A's stage, A's levels, |left power|,
@@ -167,10 +167,10 @@ def dissipativity_grid(
     resolved stage of its factors, which is what ``left.times(right)``
     gives, so no product is multiplied out for it: a dead row's product is
     its left bound itself, and the live rows a call builds with a
-    proven-zero right factor share one [0, 0] per stage.  The kernel shares
-    one bound per distinct answer, so product and verdict are computed once
-    per distinct pair of factor bounds of a call; rectangles whose factor
-    rows hold the same bounds share one report.
+    proven-zero right factor share one [0, 0] per stage.  Every other live
+    cell multiplies its two factors in place.  The kernel shares one bound
+    per distinct answer, so rectangles whose factor rows hold the same
+    bounds share one report, computed once.
     """
     if k_lo < 1:
         raise ValueError("k_lo must be >= 1")
@@ -227,7 +227,6 @@ def dissipativity_grid(
     ratio = None
     if ratio_target is not None:
         ratio = ratio_condition(sys.left_params, sys.right_params, RATIO_DEPTH, ratio_target)
-    products: dict[tuple[int, int], tuple[MeasureBound, str]] = {}
     reports: dict[tuple, RectangleReturnReport] = {}
     out = []
     for side, right_row in zip(sides, rights):
@@ -242,17 +241,13 @@ def dissipativity_grid(
                 rows = list(rows)
                 for col in side.live:
                     left, right = side.row[col], right_at[col]
-                    entry = products.get((id(left), id(right)))
-                    if entry is None:
-                        if right.hi == 0:
-                            entry = (zero(max(left.resolved_stage, right.resolved_stage)),
-                                     PROVEN_ZERO)
-                        else:
-                            # neither factor is proven zero, so neither is the product
-                            product = left.times(right)
-                            entry = (product, NONZERO if product.lo > 0 else UNRESOLVED)
-                        products[id(left), id(right)] = entry
-                    product, verdict = entry
+                    if right.hi == 0:
+                        product = zero(max(left.resolved_stage, right.resolved_stage))
+                        verdict = PROVEN_ZERO
+                    else:
+                        # neither factor is proven zero, so neither is the product
+                        product = left.times(right)
+                        verdict = NONZERO if product.lo > 0 else UNRESOLVED
                     k = side.scanned[col]
                     rows[col] = ReturnRow(k, left, right, product, verdict)
                     if verdict is NONZERO:

@@ -43,10 +43,11 @@ source it belongs to; no set is refined.  ``Tower.grid_counts`` plans the
 shifts once per stage j0 = max(ja, jb) of a pair, indexes the sources once
 per j0 and sign, and gives one block per source: a K and an overflow per
 shift, which depend on the source alone, and a count per (pair, shift).
-Where the sources of one shift resolve at different K, each K is read only
-for the differences of its own sources, so the table gets exactly the
-entries one source at a time would give it.  ``Tower._bounds`` is the
-rational view of blocks, with equal answers sharing one bound.
+Each shift is counted once, at the deepest K of its sources; a source
+that resolved at a shallower K overflows nothing there, so its count is
+the deeper one divided by the ratio of the two stages' copies.
+``Tower._bounds`` is the rational view of blocks, with equal answers
+sharing one bound.
 ``power_grid`` is that view of ``grid_counts``; ``power_profile`` is its
 one-pair case and ``apply_power_bounds`` the one-shift case of that.
 ``Tower.stage_grid`` counts at a fixed stage j instead, through the same
@@ -68,7 +69,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, attrgetter, lt
+from operator import attrgetter, lt
 from typing import Iterable, Sequence
 
 from .construction import ConstructionParams, StageGeometry, _build_stage, stage_geometry
@@ -276,22 +277,18 @@ class Tower:
         self._returns.clear()
         self._sides.clear()
 
-    def pair_counts(self, index: TargetIndex, n: int, K: int,
-                    sources: Sequence[bool] | None = None) -> list[int]:
+    def pair_counts(self, index: TargetIndex, n: int, K: int) -> list[int]:
         """#{(x, y) : x in S, y in B at stage K, y - x = n} for each cell (S, B)
-        of ``index``, for K at least the stage of every set; with ``sources``
-        (one flag per source of ``index``), only for the cells of the flagged
-        sources, the others 0.  The caller has built stage K: ``grid_counts``
-        in its planning and overflow loop, ``stage_grid`` by ``stage(j)``.
+        of ``index``, for K at least the stage of every set.  The caller has
+        built stage K: ``grid_counts`` in its planning and overflow loop,
+        ``stage_grid`` by ``stage(j)``.
 
         With S at stage js and B at stage jt, this is sum_{s,b} M_{js,jt,K}(n + s - b)
         over their own levels: each distinct d = s - b of a (js, jt) adds
         M_{js,jt,K}(n + d) once per pair of each cell having it, for the d
         that put n + d in the span of M.  Each value is read once and added
-        to every cell that holds its d, whichever source the cell is of; with
-        ``sources``, only the d that a flagged source holds are read, which
-        are the reads of those sources one at a time.  The values come from
-        the tower's pair-count table (shallower stage first:
+        to every cell that holds its d, whichever source the cell is of.  The
+        values come from the tower's pair-count table (shallower stage first:
         M_{js,jt,K}(m) = M_{jt,js,K}(-m)), so a value any earlier shift, set
         or call reached is read, not recounted; ``_pair_table`` fills the
         missing ones.
@@ -299,8 +296,6 @@ class Tower:
         counts = [0] * index.size
         chain = self._chain
         top = chain[K - 1].top
-        if sources is not None:  # which cells count
-            counted = [flag for flag, row in zip(sources, index.targets) for _ in row]
         for js, jt, differences, owners in index.by_stage:
             # the differences d = s - b with n + d in the span of M
             low, high = chain[js - 1].top - top - n, top - chain[jt - 1].top - n
@@ -308,12 +303,6 @@ class Tower:
             if i == e:
                 continue
             held, ds = owners[i:e], differences[i:e]
-            if sources is not None:  # only the d that a counted cell holds
-                held = [[owner for owner in cells if counted[owner[0]]] for cells in held]
-                ds = [d for d, cells in zip(ds, held) if cells]
-                if not ds:
-                    continue
-                held = [cells for cells in held if cells]
             if js == jt:
                 keys, at = [abs(n + d) for d in ds], (js, jt, K)
             elif js < jt:
@@ -434,9 +423,13 @@ class Tower:
         negative n count T^{-n} B /\\ A.  Every (pair, shift) lies in exactly
         one block.  The shifts are planned once per j0.  Each source set finds
         its own K and overflow per shift; the sources of one j0 and sign share
-        one ``TargetIndex`` and make one ``pair_counts`` call per shift (one
-        per K where they resolve apart), so the sources of one stage read each
-        M_K(n + d) once.
+        one ``TargetIndex`` and make one ``pair_counts`` call per shift, at the
+        deepest K' of its sources, so the sources of one stage read each
+        M_K'(n + d) once.  A source that resolved at K < K' overflows nothing
+        at K, so no level pair of it crosses a column of stages K..K' and its
+        count at K' is its count at K times ``stage(K').copies //
+        stage(K).copies``; its cells are divided back by that ratio, and its
+        block keeps its own K and overflow.
         """
         _check_max_stage(max_stage)
         shifts = list(shifts)
@@ -471,42 +464,27 @@ class Tower:
                         overflows.append(overflow)
                     stage_rows.append(stages)
                     overflow_rows.append(overflows)
-                if stage_rows.count(stage_rows[0]) == len(stage_rows):  # one K per shift
-                    counts = []
-                    for (n, _, _), K in zip(plans, stage_rows[0]):
-                        counts.append(self.pair_counts(index, n, K))
-                else:
-                    counts = self._columns_apart(index, plans, stage_rows)
+                # one count per shift, at the deepest K of its sources
+                deepest = stage_rows[0] if len(rows) == 1 else list(map(max, *stage_rows))
+                counts = [self.pair_counts(index, n, K) for (n, _, _), K in zip(plans, deepest)]
                 if len(rows) == 1:
-                    blocks.append((rows[0], cols, counts, overflow_rows[0], stage_rows[0]))
+                    blocks.append((rows[0], cols, counts, overflow_rows[0], deepest))
                     continue
-                # one block per source: its own slice of every column
+                # one block per source: its own slice of every column, divided
+                # back to its own K where that is shallower than the column's
                 start = 0
                 for own, overflows, stages in zip(rows, overflow_rows, stage_rows):
                     end = start + len(own)
-                    blocks.append((own, cols, [column[start:end] for column in counts],
-                                   overflows, stages))
+                    own_counts = []
+                    for column, K, deep in zip(counts, stages, deepest):
+                        cells = column[start:end]
+                        if K != deep:
+                            ratio = chain[deep - 1].copies // chain[K - 1].copies
+                            cells = [count // ratio for count in cells]
+                        own_counts.append(cells)
+                    blocks.append((own, cols, own_counts, overflows, stages))
                     start = end
         return blocks
-
-    def _columns_apart(self, index: TargetIndex, plans,
-                       stage_rows: list[list[int]]) -> list[list[int]]:
-        """The ``pair_counts`` of ``index`` at the n of each plan, each source
-        at its own K of ``stage_rows`` (one K per plan for each source): one
-        call per shift whose sources share a K, else one per K of the shift,
-        each reading only what its own sources hold."""
-        columns = []
-        for (n, _, _), stages in zip(plans, zip(*stage_rows)):
-            K = stages[0]
-            if stages.count(K) == len(stages):
-                columns.append(self.pair_counts(index, n, K))
-                continue
-            column = [0] * index.size
-            for K in set(stages):  # the cells of other sources are 0 in this call
-                flags = [at == K for at in stages]
-                column = list(map(add, column, self.pair_counts(index, n, K, flags)))
-            columns.append(column)
-        return columns
 
     def stage_grid(self, pairs: Sequence[tuple[LevelSet, LevelSet]], shifts: Sequence[int],
                    j: int) -> list[list[MeasureBound]]:

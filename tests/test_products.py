@@ -519,7 +519,9 @@ def test_grid_rows_match_the_per_row_definition():
 def test_grid_multiplies_only_products_without_a_zero_factor(monkeypatch):
     """Criterion 6's 9x9 grid of T x T^3 over thm2(2): on (h_6, 8h_6] every
     left factor not proven zero meets a proven-zero right one, so no product
-    is multiplied out; on (h_4, 8h_4] at most one per distinct factor pair."""
+    is multiplied out; on (h_4, 8h_4] exactly one per live cell of each
+    distinct report whose right factor is not proven zero either, so a
+    product with a proven-zero factor is never multiplied."""
     tower.tower_of(THM).reset()
     multiplied = []
     times = MeasureBound.times
@@ -535,7 +537,12 @@ def test_grid_multiplies_only_products_without_a_zero_factor(monkeypatch):
     assert multiplied == []
     grid = dissipativity_grid(system, rects, h4, 8 * h4)
     assert any(report.nonzero_returns for report in grid)
-    assert 0 < len(multiplied) == len({(id(l), id(r)) for l, r in multiplied})
+    reports = {id(report): report for report in grid}.values()
+    live = [(row.left, row.right) for report in reports for row in report.rows
+            if row.right is not None and row.right.hi > 0]
+    assert 0 < len(multiplied) == len(live)
+    assert all(left is l and right is r for (left, right), (l, r) in zip(multiplied, live))
+    assert all(left.hi > 0 and right.hi > 0 for left, right in multiplied)
 
 
 def test_grid_keeps_unresolved_rows_and_own_zero_left_factors():

@@ -616,19 +616,17 @@ def _refined(tower, stage, levels, to_stage):
     return levels
 
 
-def _frontier_pair_counts(tower, index, n, K, sources=None):
+def _frontier_pair_counts(tower, index, n, K):
     """Reference for ``Tower.pair_counts`` that keeps no table: for each
-    source of the index (each flagged one when ``sources`` is given), the
-    source and its targets refined to their common stage J, then the digit
-    recursion walked top-down as one frontier of values v = n + s - (o' - o)
-    per source, each peeled stage pruned to the span of the source's refined
-    targets, and the final frontier read against the targets' holders."""
+    source of the index, the source and its targets refined to their common
+    stage J, then the digit recursion walked top-down as one frontier of
+    values v = n + s - (o' - o) per source, each peeled stage pruned to the
+    span of the source's refined targets, and the final frontier read
+    against the targets' holders."""
     counts = [0] * index.size
     first = 0  # the source's first cell
-    for s, ((stage, levels), row) in enumerate(zip(index.sources, index.targets)):
+    for (stage, levels), row in zip(index.sources, index.targets):
         cells, first = range(first, first + len(row)), first + len(row)
-        if sources is not None and not sources[s]:
-            continue
         J = max([stage] + [target_stage for target_stage, _ in row])
         holders = {}
         for t, (target_stage, target) in zip(cells, row):
@@ -752,56 +750,68 @@ def _shared_stage_grids(draw):
 @given(_shared_stage_grids())
 def test_shared_index_equals_one_query_per_cell(query):
     """The sources of one stage share one index and read each pair-table
-    value once, and where they resolve a shift at different K each K is read
-    for its own sources only.  Every cell's (count, overflow, K) gives the
-    lo, hi and resolved stage of its own ``apply_power_bounds``, and a fresh
-    tower's pair table ends with exactly the entries of one grid per pair."""
+    value once, at the deepest K of their shift.  Every cell's (count,
+    overflow, K) gives the lo, hi and resolved stage of its own
+    ``apply_power_bounds``; a source resolved at K below the deepest K' of
+    its (j0, sign) group overflows nothing at K, and its count at K' is its
+    count at K times ``copies_K' // copies_K``.  The shared tower's pair
+    table holds every entry of one grid per pair, with the same value."""
     pairs, shifts, max_stage = query
     params = pairs[0][0].params
     shared = tower_module.Tower(params)
     cells = triples(shared, pairs, shifts, max_stage)
-    apart = 0
     for (a, b), row in zip(pairs, cells):
         for n, (count, overflow, K) in zip(shifts, row):
             width = stage_geometry(params, K).level_width
             bound = apply_power_bounds(a, b, n, max_stage)
             assert (count * width, (count + overflow) * width, K) == (
                 bound.lo, bound.hi, bound.resolved_stage)
-    for col, n in enumerate(shifts):
-        for backward in (False, True):
-            stages = {row[col][2] for (a, b), row in zip(pairs, cells)
-                      if (a, b)[backward].levels and (n < 0) == backward}
-            apart += len(stages) > 1
-    event(f"shifts whose sources resolve apart: {min(apart, 3)}")
     alone = tower_module.Tower(params)
     for pair in pairs:
         triples(alone, [pair], shifts, max_stage)
-    assert shared._pairs == alone._pairs
+    for at, table in alone._pairs.items():
+        assert table.items() <= shared._pairs[at].items()
+    apart = 0
+    for col, n in enumerate(shifts):
+        deepest = {}  # j0 -> the deepest K of its sources at n (one sign per column)
+        for (a, b), row in zip(pairs, cells):
+            group = max(a.stage, b.stage)
+            deepest[group] = max(deepest.get(group, 0), row[col][2])
+        for (a, b), row in zip(pairs, cells):
+            count, overflow, K = row[col]
+            deep = deepest[max(a.stage, b.stage)]
+            if K == deep:
+                continue
+            apart += 1
+            source, target = (b, a) if n < 0 else (a, b)
+            index = tower_module.TargetIndex([(source.stage, source.levels)],
+                                              [[(target.stage, target.levels)]])
+            ratio = alone.stage(deep).copies // alone.stage(K).copies
+            assert overflow == 0
+            assert alone.pair_counts(index, abs(n), deep) == [ratio * count]
+    event(f"cells resolved below their shift's deepest K: {min(apart, 3)}")
 
 
-def test_sources_resolved_apart_read_only_their_own_differences(monkeypatch):
+def test_sources_resolved_apart_share_one_count_at_the_deepest_stage(monkeypatch):
     """toy's seven stage-3 levels against E3 at n = 7 (h_4 = 15): T^7 keeps
     levels 0 and 1 of the stage-4 tower inside, the others overflow and
-    resolve deeper, so one shift needs several K.  Each K is a call of its
-    own that counts only its sources' cells, and the counts equal one query
-    per source."""
+    resolve deeper, so one shift needs several K.  The shift is still one
+    call, at the deepest K, and the counts equal one query per source."""
     sources = [LevelSet.single(TOY, 3, level) for level in range(7)]
     target = LevelSet.base(TOY, 3)
     pairs = [(a, target) for a in sources]
     calls = []
     pair_counts = tower_module.Tower.pair_counts
 
-    def counted(self, index, n, K, flags=None):
-        calls.append((n, K, None if flags is None else tuple(flags)))
-        return pair_counts(self, index, n, K, flags)
+    def counted(self, index, n, K):
+        calls.append((n, K))
+        return pair_counts(self, index, n, K)
 
     monkeypatch.setattr(tower_module.Tower, "pair_counts", counted)
     rows = triples(tower_module.Tower(TOY), pairs, [7], 6)
     stages = [K for ((_, _, K),) in rows]
     assert len(set(stages)) > 1
-    assert sorted(K for _, K, _ in calls) == sorted(set(stages))
-    for _, K, flags in calls:
-        assert flags == tuple(at == K for at in stages)
+    assert calls == [(7, max(stages))]
     monkeypatch.undo()
     assert rows == [triples(tower_module.Tower(TOY), [pair], [7], 6)[0] for pair in pairs]
 
