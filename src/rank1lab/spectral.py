@@ -46,7 +46,19 @@ class CorrelationSequence:
         return dict(self.unresolved)
 
     def __post_init__(self):
+        # a shift stored twice would answer for one of its values, or read as
+        # exact through value() and as unresolved through fejer_density
         table = dict(self.entries)
+        pending = dict(self.unresolved)
+        for pairs, unique, where in ((self.entries, table, "entries"),
+                                     (self.unresolved, pending, "unresolved")):
+            if len(unique) < len(pairs):
+                shifts = [n for n, _ in pairs]
+                n = next(n for n in shifts if shifts.count(n) > 1)
+                raise ValueError(f"shift {n} is stored twice in {where}")
+        both = table.keys() & pending.keys()
+        if both:
+            raise ValueError(f"shift {min(both)} is both resolved and unresolved")
         if table.get(0) != 1:
             raise ValueError("correlation sequences are normalized to c(0) = 1")
         if any(n < 0 for n in table) or any(n < 0 for n, _ in self.unresolved):
@@ -148,14 +160,18 @@ class SpectralDensityEstimate:
 def fejer_density(c: CorrelationSequence, order: int, grid_size: int) -> SpectralDensityEstimate:
     """F_N(theta) = sum_{|n|<N} (1 - |n|/N) c(n) cos(n theta) on a uniform grid.
 
-    Shifts not stored in the sequence count as zero, so the cost scales with
-    the support, not with N; a huge N therefore probes stabilization of a
-    finitely supported sequence for free.  Each stored shift adds one vector
-    term over the whole grid, in support order, so every grid point receives
-    the same float additions in the same order as a per-theta loop would, and
-    memory stays one grid wide.  A shift below N that did not resolve is
-    rejected with ``ValueError``: its value is an interval, not zero.  So is
-    a grid of more than ``MAX_LISTED`` points.
+    Shifts not stored in the sequence count as zero, and so do stored shifts
+    whose value is 0.0 as a float, so the cost scales with the nonzero
+    support, not with N or the stored support; a huge N therefore probes
+    stabilization of a finitely supported sequence for free.  Skipping a zero
+    term changes no bit: the term is +-0.0, and the sum it would join is never
+    -0.0 (it starts at +0.0, and an exactly zero float sum rounds to +0.0), so
+    adding the term returns the sum unchanged.  Each other shift adds one
+    vector term over the whole grid, in support order, so every grid point
+    receives the same float additions in the same order as a per-theta loop
+    would, less the zeros, and memory stays one grid wide.  A shift below N
+    that did not resolve is rejected with ``ValueError``: its value is an
+    interval, not zero.  So is a grid of more than ``MAX_LISTED`` points.
     """
     if order < 1 or grid_size < 1:
         raise ValueError("order and grid size must be >= 1")
@@ -171,7 +187,7 @@ def fejer_density(c: CorrelationSequence, order: int, grid_size: int) -> Spectra
     for n, cn in support:
         if n == 0:
             acc += cn
-        else:
+        elif cn != 0.0:
             acc += 2.0 * (1.0 - n / order) * cn * np.cos(n * grid)
     values = acc.tolist()
     mean = sum(values) / grid_size

@@ -1,11 +1,14 @@
 """Console-script steps of the CI workflow (``.github/workflows/tests.yml``)
-run as real processes: "Acceptance", "Criterion 1" and "Product scan exit
-codes" through the console script.  Each command goes through the installed
-``rank1lab`` script when there is one on the PATH, else through
-``python -m rank1lab.cli``, with this checkout's sources first on the path
-either way, and each test asserts the step's exit codes and lines.  Unlike
-CliRunner, this covers the entry point and the exit status a shell sees."""
+run as real processes: "Acceptance", "Criterion 1", "Product scan exit
+codes", "Density exit code and CSV rows", "Correlations exit code" and
+"Joining witness exit codes" through the console script.  Each command goes
+through the installed ``rank1lab`` script when there is one on the PATH, else
+through ``python -m rank1lab.cli``, with this checkout's sources first on the
+path either way, and each test asserts the step's exit codes and lines.
+Unlike CliRunner, this covers the entry point and the exit status a shell
+sees."""
 
+import csv
 import os
 import shutil
 import subprocess
@@ -56,4 +59,42 @@ def test_product_scan_exit_codes(k_lo, k_hi, status):
     the stage-6 window are all proven zero, so that scan exits exactly 0."""
     result = _run("products", "scan", "--family", "thm2(2)", "--m", "1", "--n", "3",
                   "--set", "E2", "--k-lo", str(k_lo), "--k-hi", str(k_hi))
+    assert result.returncode == status
+
+
+def test_density_exit_code_and_csv_rows():
+    """c(3..6) of toy E1 do not resolve by stage 3, so the density exits
+    exactly 3 (INCONCLUSIVE) rather than count them as zero; the toy product
+    scan prints "[lo,hi]" cells and exits exactly 1, and every CSV row still
+    has one field per header column."""
+    density = _run("spectral", "density", "--family", "toy", "--set", "E1", "--n", "0..6",
+                   "--order", "7", "--grid", "4", "--max-stage", "3")
+    assert density.returncode == 3
+    scan = _run("products", "scan", "--family", "toy", "--set", "E1", "--k-lo", "1",
+                "--k-hi", "40", "--samples", "3", "--max-stage", "4", "--format", "csv")
+    assert scan.returncode == 1
+    rows = list(csv.reader(line for line in scan.stdout.splitlines()
+                           if not line.startswith("#")))
+    assert len(rows) > 1
+    assert any("[" in field for row in rows[1:] for field in row)
+    assert {len(row) for row in rows} == {len(rows[0])}
+
+
+def test_correlations_exit_code():
+    """c(5..20) of toy E2 do not resolve by stage 4, so spectral corr exits
+    exactly 3 (INCONCLUSIVE), as measure does on the same shifts, not 0 with
+    the unresolved shifts only listed."""
+    result = _run("spectral", "corr", "--family", "toy", "--n", "0..20", "--max-stage", "4")
+    assert result.returncode == 3
+
+
+@pytest.mark.parametrize("args,status", [
+    (["--family", "toy", "--m", "5", "--j", "2..4", "--grid", "3", "--max-stage", "5"], 3),
+    (["--family", "utv1", "--m", "0", "--j", "4..8"], 0),
+], ids=["toy margin across zero", "utv1 stages 4..8"])
+def test_joining_witness_exit_codes(args, status):
+    """At max stage 5 a toy margin is an unresolved interval across zero, so
+    the witness exits exactly 3 (INCONCLUSIVE); on utv1 every stage 4..8 has
+    a witness, so it exits exactly 0."""
+    result = _run("joinings", "witness", *args)
     assert result.returncode == status

@@ -81,6 +81,20 @@ _REJECTIONS = [
     ("correlation above 1",
      lambda: CorrelationSequence(((0, Fraction(1)), (1, Fraction(-3, 2)))),
      "|c(n)| <= 1 must hold"),
+    # keeping the last of a repeated shift would answer for a value not meant
+    ("repeated resolved shift",
+     lambda: CorrelationSequence(((0, Fraction(1)), (3, Fraction(1, 2)), (3, Fraction(1, 4)))),
+     "shift 3 is stored twice in entries"),
+    ("repeated unresolved shift",
+     lambda: CorrelationSequence(((0, Fraction(1)),),
+                                 ((3, (Fraction(0), Fraction(1, 2))),
+                                  (3, (Fraction(1, 4), Fraction(1, 2))))),
+     "shift 3 is stored twice in unresolved"),
+    # value() would read it as exact, fejer_density refuse it as unresolved
+    ("shift both resolved and unresolved",
+     lambda: CorrelationSequence(((0, Fraction(1)), (3, Fraction(1, 2))),
+                                 ((3, (Fraction(0), Fraction(1, 2))),)),
+     "shift 3 is both resolved and unresolved"),
     ("negative scale", lambda: MeasureBound.exactly(1).scaled(-1),
      "scale factor must be >= 0"),
     ("duplicate power",

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -227,20 +228,77 @@ _sparse_sequences = st.dictionaries(
     max_size=30,
 ).map(correlation_sequence)
 
+# mostly zeros, as the dead zones make real tables; a value below the float
+# range is a nonzero Fraction whose float is +-0.0, and is skipped as a zero
+_zero_heavy_sequences = st.tuples(
+    st.sets(st.integers(min_value=1, max_value=400), max_size=80),
+    st.dictionaries(
+        st.integers(min_value=1, max_value=400),
+        st.fractions(min_value=-1, max_value=1, max_denominator=1000)
+        | st.sampled_from([Fraction(1, 10**400), Fraction(-1, 10**400)]),
+        max_size=6,
+    ),
+).map(lambda parts: correlation_sequence({**dict.fromkeys(parts[0], 0), **parts[1]}))
 
-@settings(max_examples=100, deadline=None)
+
+@settings(max_examples=150, deadline=None)
 @given(
-    _sparse_sequences,
+    _sparse_sequences | _zero_heavy_sequences,
     st.one_of(st.integers(min_value=1, max_value=3000), st.just(10**12),
               st.integers(min_value=1, max_value=10**13)),
     st.one_of(st.sampled_from([1, 257]), st.integers(min_value=1, max_value=300)),
 )
 def test_fejer_equals_per_theta_loop(seq, order, grid_size):
     # exact equality: each grid point receives the same float additions in the
-    # same order; a failure here means np.cos and math.cos differ on this host
+    # same order, less the zero terms the reference still adds (a +-0.0 term
+    # leaves a sum that is never -0.0 unchanged); a failure here means np.cos
+    # and math.cos differ on this host
     est = fejer_density(seq, order, grid_size)
     values, ratio, top_share = _fejer_per_theta(seq, order, grid_size)
     assert (list(est.values), est.max_mean_ratio, est.top_share) == (values, ratio, top_share)
+
+
+def _criterion_9_product_table():
+    """Criterion 9's table: c(k) c(3k) of thm2(2) E2 for k up to h_4."""
+    params = thm2(2)
+    e2 = LevelSet.base(params, 2)
+    h4 = stage_geometry(params, 4).h
+    table = correlations(e2, list(range(h4 + 1)) + [3 * k for k in range(h4 + 1)])
+    return correlation_sequence({k: table.value(k) * table.value(3 * k) for k in range(h4 + 1)})
+
+
+_SPARSE_TABLES = [
+    *[pytest.param(lambda level=level: correlations(LevelSet.single(UTV, 2, level), range(2049)),
+                   2049, id=f"utv1 T^{level}E2 n<2049") for level in range(4)],
+    pytest.param(_criterion_9_product_table, 10**12, id="criterion 9 product table"),
+]
+
+
+@pytest.mark.parametrize("build,order", _SPARSE_TABLES)
+def test_fejer_on_sparse_tables_equals_per_theta_loop(build, order):
+    seq = build()
+    zeros = sum(1 for _, c in seq.entries if c == 0)
+    assert zeros > len(seq.entries) // 2
+    est = fejer_density(seq, order, 24)
+    values, ratio, top_share = _fejer_per_theta(seq, order, 24)
+    assert (list(est.values), est.max_mean_ratio, est.top_share) == (values, ratio, top_share)
+
+
+def test_fejer_computes_one_cosine_per_nonzero_shift(monkeypatch):
+    """np.cos runs once per stored shift 0 < n < order whose float is not
+    0.0: not for c(0), the zeros, a value below the float range, or shifts
+    at or past the order."""
+    counted = []
+    cos = np.cos
+    monkeypatch.setattr(np, "cos", lambda x: counted.append(1) or cos(x))
+    seq = correlation_sequence({1: Fraction(1, 2), 2: 0, 3: 0, 5: Fraction(-1, 3),
+                                7: Fraction(1, 4), 8: Fraction(1, 10**400), 10: Fraction(1, 8)})
+    fejer_density(seq, 10, 16)
+    assert len(counted) == 3
+    counted.clear()
+    # the dead zones leave 41 of these 2,049 values nonzero, c(0) among them
+    fejer_density(correlations(E2, range(2049)), 2049, 16)
+    assert len(counted) == 40
 
 
 @pytest.mark.parametrize("order", [0, -1])
