@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter
 
 import numpy as np
@@ -67,7 +67,8 @@ def _kernel_rows(kernel, sets, shifts, J):
             count, overflow, stage = (np.zeros((width, len(shifts)), np.int64) for _ in range(3))
             for rows, cols, counts, overflows, stages in by_source[s]:
                 cells = np.ix_([i - s * width for i in rows], cols)
-                count[cells] = np.array(counts, np.int64).T
+                flat = np.fromiter(chain.from_iterable(counts), np.int64, len(cols) * len(rows))
+                count[cells] = flat.reshape(len(cols), len(rows)).T
                 overflow[cells] = overflows
                 stage[cells] = stages
             by_source[s] = None

@@ -15,17 +15,21 @@ column, column c being stage j's ``cell_of_level`` sliced in place
 column's fresh spacer cells, numbered consecutively from the end of the used
 part.  Each ``IntervalSystem`` replays stages 1..J once and owns their
 tables, which are freed with it: the module keeps no state between calls.
-The replay never reads an inverse, so a system computes stage J's
-``level_of_cell`` on first read.  A cell or level index is below h_J, so
-int32 holds it while h_J < 2^31; the replay refuses, with ``ValueError``, a
-stage below 1 before it starts and a stage of 2^31 cells or more before
-allocating it, and a sum that can pass h_J (a level plus a power, or a
-padded index) is computed in int64.
+Neither the replay nor a walk reads an inverse.  A walk holds its set's
+stage-J levels, found in one sequential pass over ``cell_of_level`` that
+tests the owner of each level's cell at the set's own stage against a mark
+per cell of that stage.  Only ``orbit_counts``, which serves many sources at
+once, reads ``level_of_cell``, which a system computes on first read.  A cell
+or level index is below h_J, so int32 holds it while h_J < 2^31; the replay
+refuses, with ``ValueError``, a stage below 1 before it starts and a stage of
+2^31 cells or more before allocating it, and a sum that can pass h_J (a level
+plus a power, or a padded index) is computed in int64.
 T is the partial piecewise translation moving level l onto level l+1; it is
 undefined on the top level, and T^{-1} is undefined on the bottom one.
-``OrbitWalker`` applies T^n to a set; ``IntervalSystem.orbit_counts`` reads
-what a walker of each of many sources would at every power of a run, against
-many target sets, labelling the targets once for all sources.
+``OrbitWalker`` applies T^n to a set by moving its levels;
+``IntervalSystem.orbit_counts`` reads what a walker of each of many sources
+would at every power of a run, against many target sets, labelling the
+targets once for all sources.
 
 None of the tower-calculus refinement machinery is used here; that module is
 validated against this one, so they share only the construction parameters.
@@ -90,6 +94,8 @@ class IntervalSystem:
 
     @property
     def level_of_cell(self) -> np.ndarray:
+        """The inverse of ``cell_of_level``, computed on first read; only
+        ``orbit_counts`` reads it, once for all its sources."""
         inverse = self._level_of_cell
         if inverse is None:
             # filled in a local array and published whole, so a concurrent
@@ -121,17 +127,32 @@ class IntervalSystem:
         """Cells of this system covered by a shallower-stage level set."""
         return set(self._cell_array(a).tolist())
 
-    def _cell_array(self, a: LevelSet) -> np.ndarray:
-        """``cells_of(a)`` as a sorted int32 array."""
+    def _shallow(self, a: LevelSet) -> tuple[np.ndarray, int]:
+        """A's own stage's ``cell_of_level`` and the cells of this system per
+        cell of that stage, once A is checked to be a set of this system."""
         if a.params != self.params:
             raise ValueError("level set belongs to a different construction")
         if a.stage > self.stage:
             raise ValueError("level set is finer than the system")
         shallow, subdivision = self._stages[a.stage - 1]
-        ratio = self._subdivision // subdivision
+        return shallow, self._subdivision // subdivision
+
+    def _cell_array(self, a: LevelSet) -> np.ndarray:
+        """``cells_of(a)`` as a sorted int32 array."""
+        shallow, ratio = self._shallow(a)
         # a shallow level is a block of ratio consecutive cells
         starts = np.sort(shallow[np.array(a.levels, dtype=np.int64)] * ratio)
         return (starts[:, None] + np.arange(ratio, dtype=_CELL)).ravel()
+
+    def _owned(self, a: LevelSet, cells: np.ndarray) -> np.ndarray:
+        """Which of ``cells`` (cells of this system) lie in A: a cell lies in
+        the shallow cell ``cell // ratio`` of A's stage, tested against a mark
+        per cell of that stage.  Spacers added after that stage sit past its
+        cells, so their owners index padding that is never marked."""
+        shallow, ratio = self._shallow(a)
+        marks = np.zeros(-(-self.height // ratio), dtype=bool)
+        marks[shallow[np.array(a.levels, dtype=np.int64)]] = True
+        return marks[cells // ratio]
 
     def orbit_counts(
         self, sources: Sequence[LevelSet], targets: Sequence[LevelSet],
@@ -207,11 +228,14 @@ class OracleResult:
 class OrbitWalker:
     """Tracks the image of a set under powers of T.
 
-    ``step(n)`` applies T^n (T^{-|n|} for n < 0) in one pass over the cells.
-    Cells whose orbit leaves the stage-J tower on the way are removed and
-    counted in ``lost``; their mass is ``undefined``.  ``power`` is the
-    total power applied so far, so a sweep over consecutive powers steps by
-    1 and a single power is one step.
+    The walker holds the stage-J levels of its set, sorted, and never the
+    inverse table: its start finds them in one pass over ``cell_of_level``,
+    testing the owner of each level's cell at the set's own stage.
+    ``step(n)`` applies T^n (T^{-|n|} for n < 0) in one pass over the
+    levels.  Levels whose orbit leaves the stage-J tower on the way are
+    removed and counted in ``lost``; their mass is ``undefined``.
+    ``power`` is the total power applied so far, so a sweep over
+    consecutive powers steps by 1 and a single power is one step.
     """
 
     def __init__(self, a: LevelSet, stage: int):
@@ -219,13 +243,13 @@ class OrbitWalker:
 
     def _start(self, system: IntervalSystem, a: LevelSet):
         self.system = system
-        self._cells = system._cell_array(a)
+        self._levels = np.flatnonzero(system._owned(a, system.cell_of_level))
         self.lost = 0
         self.power = 0
 
     @property
     def cells(self) -> set[int]:
-        return set(self._cells.tolist())
+        return set(self.system.cell_of_level[self._levels].tolist())
 
     @property
     def undefined(self) -> Fraction:
@@ -234,29 +258,33 @@ class OrbitWalker:
     def step(self, n: int = 1):
         # T moves one level at a time, so a cell survives all |n| steps exactly
         # when its final level is still in the tower; clamping n to +-h keeps
-        # that outcome and keeps a huge Python int out of the tables; the sum
-        # is taken in int64, where int32 levels would wrap past 2^31
-        system = self.system
-        h = system.height
-        levels = system.level_of_cell[self._cells].astype(np.int64) + max(-h, min(n, h))
-        levels = levels[(levels >= 0) & (levels < h)]
-        self.lost += len(self._cells) - len(levels)
-        self._cells = system.cell_of_level[levels]
+        # that outcome and keeps a huge Python int out of the tables; the
+        # levels are int64, where int32 ones would wrap past 2^31
+        h = self.system.height
+        levels = self._levels + max(-h, min(n, h))
+        kept = levels[(levels >= 0) & (levels < h)]
+        self.lost += len(levels) - len(kept)
+        self._levels = kept
         self.power += n
 
     def value_against(self, b: LevelSet) -> Fraction:
-        hits = np.isin(self._cells, self.system._cell_array(b), assume_unique=True)
-        return int(np.count_nonzero(hits)) * self.system.cell_width
+        system = self.system
+        hits = system._owned(b, system.cell_of_level[self._levels])
+        return int(np.count_nonzero(hits)) * system.cell_width
 
 
 def oracle_intersection(a: LevelSet, b: LevelSet, n: int, stage: int) -> OracleResult:
     """mu(T^n A /\\ B) by explicit orbit tracking in the stage-J system.
 
-    Refuses |n| >= h_J (everything would leave the tower).  The returned
-    value covers exactly the mass whose whole orbit segment stays inside the
-    stage-J tower; the rest is reported as undefined, never guessed.
+    Both sets are checked to be sets of the system before anything else;
+    then |n| >= h_J is refused (everything would leave the tower).  The
+    returned value covers exactly the mass whose whole orbit segment stays
+    inside the stage-J tower; the rest is reported as undefined, never
+    guessed.
     """
     system = IntervalSystem(a.params, stage)
+    for s in (a, b):
+        system._shallow(s)  # raises for a set of another construction or stage
     if abs(n) >= system.height:
         raise ValueError(f"|n| = {abs(n)} >= tower height {system.height} at stage {stage}")
     walker = OrbitWalker.__new__(OrbitWalker)  # walks the system just built

@@ -161,9 +161,11 @@ def fejer_density(c: CorrelationSequence, order: int, grid_size: int) -> Spectra
     """F_N(theta) = sum_{|n|<N} (1 - |n|/N) c(n) cos(n theta) on a uniform grid.
 
     Shifts not stored in the sequence count as zero, and so do stored shifts
-    whose value is 0.0 as a float, so the cost scales with the nonzero
+    whose value is 0.0 as a float, so the grid work scales with the nonzero
     support, not with N or the stored support; a huge N therefore probes
-    stabilization of a finitely supported sequence for free.  Skipping a zero
+    stabilization of a finitely supported sequence for free.  The stored
+    entries are walked once, in shift order, and an exact zero is skipped
+    before any float conversion.  Skipping a zero
     term changes no bit: the term is +-0.0, and the sum it would join is never
     -0.0 (it starts at +0.0, and an exactly zero float sum rounds to +0.0), so
     adding the term returns the sum unchanged.  Each other shift adds one
@@ -180,11 +182,15 @@ def fejer_density(c: CorrelationSequence, order: int, grid_size: int) -> Spectra
     for n, _ in c.unresolved:
         if n < order:
             raise ValueError(f"c({n}) did not resolve exactly; it is not zero")
-    support = [(n, float(c.value(n))) for n in c.support() if n < order]
     thetas = [2.0 * math.pi * t / grid_size for t in range(grid_size)]
     grid = np.array(thetas)
     acc = np.zeros(grid_size)
-    for n, cn in support:
+    for n, value in sorted(c.entries):  # shifts are distinct: no value is compared
+        if n >= order:
+            break
+        if not value:
+            continue
+        cn = float(value)
         if n == 0:
             acc += cn
         elif cn != 0.0:

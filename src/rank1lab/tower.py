@@ -37,22 +37,27 @@ n < 0), and the sources of a grid share one index of their targets
 (``TargetIndex``: per source stage and target stage, the distinct
 differences d = a - b of a source level a and a target level b, and the
 (source, target) cells with how many pairs hold each).
-``Tower.pair_counts`` reads M_K(n + d) from the tower's pair-count table once
-per difference within reach and adds it to every cell holding d, whichever
-source it belongs to; no set is refined.  ``Tower.grid_counts`` plans the
-shifts once per stage j0 = max(ja, jb) of a pair, indexes the sources once
-per j0 and sign, and gives one block per source: a K and an overflow per
-shift, which depend on the source alone, and a count per (pair, shift).
-Each shift is counted once, at the deepest K of its sources; a source
-that resolved at a shallower K overflows nothing there, so its count is
-the deeper one divided by the ratio of the two stages' copies.
-``Tower._bounds`` is the rational view of blocks, with equal answers
-sharing one bound.
+``Tower.pair_counts`` counts a batch of shifts that share one stage K: per
+(source stage, target stage) it gathers the keys n + d of every shift and
+difference within reach, reads M_K at them from the tower's pair-count table
+once, fills the missing ones in one pass, and adds each value to every cell
+holding d, whichever source it belongs to, in one column per shift; no set
+is refined.  ``Tower.grid_counts`` plans the shifts once per stage
+j0 = max(ja, jb) of a pair, indexing the stage heights, indexes the sources
+once per j0 and sign, and gives one block per source: a K and an overflow
+per shift, which depend on the source alone, and a count per (pair, shift).
+Where the highest source level plus n fits below the start stage's height,
+every source resolves there and the sources share that row.  Each shift is
+counted once, at the deepest K of its sources, in one ``pair_counts`` batch
+per distinct K; a source that resolved at a shallower K overflows nothing
+there, so its count is the deeper one divided by the ratio of the two
+stages' copies.  ``Tower._bounds`` is the rational view of blocks, with
+equal answers sharing one bound.
 ``power_grid`` is that view of ``grid_counts``; ``power_profile`` is its
 one-pair case and ``apply_power_bounds`` the one-shift case of that.
 ``Tower.stage_grid`` counts at a fixed stage j instead, through the same
-index, in blocks with overflow 0 and K = j, for the partial joinings of
-``joinings``.
+index and one batch of every shift, in blocks with overflow 0 and K = j, for
+the partial joinings of ``joinings``.
 
 The public functions are pure.  The one ``Tower`` per construction owns
 its state: the stage chain, which ``construction.stage_geometry`` reads,
@@ -69,18 +74,17 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, lt
+from operator import lt
 from typing import Iterable, Sequence
 
 from .construction import ConstructionParams, StageGeometry, _build_stage, stage_geometry
 from .serde import format_int
 
 DEFAULT_EXTRA_STAGES = 8
-_height = attrgetter("h")
 _NO_TABLE: dict[int, int] = {}  # read, never written: a (js, jt, K) not yet tabled
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MeasureBound:
     """Exact rational interval [lo, hi] bracketing a measure value."""
 
@@ -88,13 +92,19 @@ class MeasureBound:
     hi: Fraction
     resolved_stage: int
 
-    def __post_init__(self):
-        if not (0 <= self.lo <= self.hi):
-            raise ValueError(f"bad measure interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo, hi, resolved_stage):
+        if not (0 <= lo and (lo is hi or lo <= hi)):
+            raise ValueError(f"bad measure interval [{lo}, {hi}]")
+        # a grid builds one bound per distinct answer: the slot descriptors
+        # store the fields without the frozen __setattr__ guard
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        _set_resolved_stage(self, resolved_stage)
 
     @property
     def exact(self) -> bool:
-        return self.lo == self.hi
+        # ``Tower._bound`` shares one object for lo and hi when nothing overflows
+        return self.lo is self.hi or self.lo == self.hi
 
     @property
     def unresolved_mass(self) -> Fraction:
@@ -137,6 +147,10 @@ class MeasureBound:
         dev_lo = max(Fraction(0), self.lo - target.hi, target.lo - self.hi)
         dev_hi = max(self.hi - target.lo, target.hi - self.lo)
         return dev_lo, dev_hi
+
+
+_set_lo, _set_hi, _set_resolved_stage = (
+    MeasureBound.__dict__[name].__set__ for name in ("lo", "hi", "resolved_stage"))
 
 
 @dataclass(frozen=True)
@@ -227,7 +241,8 @@ class Tower:
     Offset sums of stages j0..k-1 form the set O_{j0,k}; its largest element
     is ``stage(k).top - stage(j0).top`` and it has
     ``stage(k).copies // stage(j0).copies`` elements.  The stage table is
-    ``_chain``, which ``stage`` builds.  The tower owns three memos, all kept
+    ``_chain``, which ``stage`` builds, and ``_heights`` holds its heights, in
+    order, for planning to bisect.  The tower owns three memos, all kept
     until ``reset``.  ``_pairs`` is the pair-count table: for each
     (js, jt, k) with js <= jt a dict from m (|m| when js == jt) to
     M_{js,jt,k}(m) = #{(o, o') in O_{js,k} x O_{jt,k} : o' - o = m}, filled by
@@ -247,6 +262,7 @@ class Tower:
     def __init__(self, params: ConstructionParams):
         self.params = params
         self._chain: list[StageGeometry] = []
+        self._heights: list[int] = []  # stage(k).h at k - 1, appended after the stage
         self._grow = threading.Lock()
         # (js, jt, k) -> {m: M_{js,jt,k}(m)}, keyed on |m| when js == jt
         self._pairs: dict[tuple[int, int, int], dict[int, int]] = {}
@@ -267,6 +283,7 @@ class Tower:
         with self._grow:
             while len(chain) < k:
                 chain.append(_build_stage(self.params, chain[-1] if chain else None))
+                self._heights.append(chain[-1].h)
         return chain[k - 1]
 
     def reset(self):
@@ -277,27 +294,69 @@ class Tower:
         self._returns.clear()
         self._sides.clear()
 
-    def pair_counts(self, index: TargetIndex, n: int, K: int) -> list[int]:
-        """#{(x, y) : x in S, y in B at stage K, y - x = n} for each cell (S, B)
-        of ``index``, for K at least the stage of every set.  The caller has
-        built stage K: ``grid_counts`` in its planning and overflow loop,
-        ``stage_grid`` by ``stage(j)``.
+    def pair_counts(self, index: TargetIndex, shifts: Sequence[int], K: int) -> list[list[int]]:
+        """One column per n of ``shifts``: #{(x, y) : x in S, y in B at stage K,
+        y - x = n} for each cell (S, B) of ``index``, for K at least the stage
+        of every set.  The caller has built stage K: ``grid_counts`` in its
+        planning and overflow loop, ``stage_grid`` by ``stage(j)``.
 
         With S at stage js and B at stage jt, this is sum_{s,b} M_{js,jt,K}(n + s - b)
         over their own levels: each distinct d = s - b of a (js, jt) adds
         M_{js,jt,K}(n + d) once per pair of each cell having it, for the d
-        that put n + d in the span of M.  Each value is read once and added
-        to every cell that holds its d, whichever source the cell is of.  The
-        values come from the tower's pair-count table (shallower stage first:
-        M_{js,jt,K}(m) = M_{jt,js,K}(-m)), so a value any earlier shift, set
-        or call reached is read, not recounted; ``_pair_table`` fills the
-        missing ones.
+        that put n + d in the span of M.  Each value is read once per shift
+        and added to every cell that holds its d, whichever source the cell
+        is of.  The values come from the tower's pair-count table (shallower
+        stage first: M_{js,jt,K}(m) = M_{jt,js,K}(-m)), so a value any earlier
+        shift, set or call reached is read, not recounted.  Per (js, jt) the
+        keys of the whole batch are gathered and read together, and
+        ``_pair_table`` fills the missing ones in one pass.  A batch of one
+        shift is ``_pair_column``'s.
         """
-        counts = [0] * index.size
+        if len(shifts) == 1:
+            return [self._pair_column(index, shifts[0], K)]
+        size = index.size
+        columns = [[0] * size for _ in shifts]
         chain = self._chain
         top = chain[K - 1].top
         for js, jt, differences, owners in index.by_stage:
             # the differences d = s - b with n + d in the span of M
+            low, high = chain[js - 1].top - top, top - chain[jt - 1].top
+            keys: list[int] = []
+            spans = []  # (column, the owners of its keys), in key order
+            for n, counts in zip(shifts, columns):
+                i, e = bisect_left(differences, low - n), bisect_right(differences, high - n)
+                if i == e:
+                    continue
+                if js == jt:
+                    keys += [abs(n + d) for d in differences[i:e]]
+                elif js < jt:
+                    keys += [n + d for d in differences[i:e]]
+                else:
+                    keys += [-n - d for d in differences[i:e]]
+                spans.append((counts, owners[i:e]))
+            if not keys:
+                continue
+            at = (js, jt, K) if js <= jt else (jt, js, K)
+            try:
+                weights = iter(list(map(self._pairs.get(at, _NO_TABLE).__getitem__, keys)))
+            except KeyError:
+                weights = iter(list(map(self._pair_table(*at, keys).__getitem__, keys)))
+            for counts, held in spans:
+                # held first: zip stops on it without taking the next span's weight
+                for cells, weight in zip(held, weights):
+                    if weight:
+                        for cell, count in cells:
+                            counts[cell] += weight * count
+        return columns
+
+    def _pair_column(self, index: TargetIndex, n: int, K: int) -> list[int]:
+        """``pair_counts`` of the one shift n, without a batch's gathering,
+        which costs a lone query more than it saves: the same reads, the
+        same fill and the same counts."""
+        counts = [0] * index.size
+        chain = self._chain
+        top = chain[K - 1].top
+        for js, jt, differences, owners in index.by_stage:
             low, high = chain[js - 1].top - top - n, top - chain[jt - 1].top - n
             i, e = bisect_left(differences, low), bisect_right(differences, high)
             if i == e:
@@ -371,17 +430,18 @@ class Tower:
         return table
 
     def _count_at_least(self, j0: int, K: int, t: int) -> int:
-        """#{o in O_{j0,K} : o >= t}.
+        """#{o in O_{j0,K} : o >= t}, for a built stage K.
 
         Columns of a stage sit more than the largest offset sum of the stages
         below apart, so at most one column per stage counts only partly.
         """
-        base = self.stage(j0)
+        chain = self._chain
+        base = chain[j0 - 1]
         count = 0
         for k in range(K, j0, -1):
             if t <= 0:
-                return count + self.stage(k).copies // base.copies
-            st = self.stage(k - 1)
+                return count + chain[k - 1].copies // base.copies
+            st = chain[k - 2]
             i = bisect_left(st.column_offsets, t)
             count += (st.r - i) * (st.copies // base.copies)
             t -= st.column_offsets[i - 1]  # i >= 1: column_offsets[0] == 0 < t
@@ -390,22 +450,72 @@ class Tower:
         return count + (t <= 0)
 
     def _plans(self, j0: int, shifts: list[int], max_stage: int | None):
-        """The shifts by sign, ``n < 0 -> (columns, [(|n|, start, budget)])``:
-        start is the first stage >= j0 with h > |n| and budget its
-        ``stage_budget``.  Only the signs that occur get lists."""
-        plans: dict[bool, tuple[list[int], list[tuple[int, int, int]]]] = {}
+        """The shifts by sign, ``n < 0 -> (columns, |n|s, starts, budgets)``,
+        one entry per shift of that sign: start is the first stage >= j0
+        with h > |n| and budget its ``stage_budget``.  Only the signs that
+        occur get lists."""
+        plans: dict[bool, tuple[list[int], list[int], list[int], list[int]]] = {}
         # heights increase, so the stages built so far locate the first h > |n|;
-        # only a shift above all of them builds more, one stage at a time
+        # only a start past all of them builds more, one stage at a time
+        heights = self._heights
         for col, n in enumerate(shifts):
             backward, m = n < 0, abs(n)
-            start = max(j0, bisect_right(self._chain, m, key=_height) + 1)
-            while self.stage(start).h <= m:
-                start += 1
-            budget = stage_budget(start, max_stage)
-            cols, planned = plans.setdefault(backward, ([], []))
+            start = max(j0, bisect_right(heights, m) + 1)
+            if start > len(heights):
+                while self.stage(start).h <= m:
+                    start += 1
+            plan = plans.get(backward)
+            if plan is None:
+                plan = plans[backward] = ([], [], [], [])
+            cols, ms, starts, budgets = plan
             cols.append(col)
-            planned.append((m, start, budget))
+            ms.append(m)
+            starts.append(start)
+            budgets.append(stage_budget(start, max_stage))
         return plans
+
+    def _resolve(self, sources, ms: list[int], starts: list[int], budgets: list[int]):
+        """For each source of ``sources`` ((stage, levels) pairs) and each |n|
+        of ``ms``, the first stage K >= its start at which nothing of the
+        source overflows, capped by its budget, and the levels that overflow
+        there: ``(stage_rows, overflow_rows, deepest)``, one row per source
+        and the deepest K per column.  The top level of a source at stage K
+        is its top level plus top_K - top_js.  Where the highest of them plus
+        n stays below the start stage's height, every source resolves there
+        with overflow 0, so of several sources only the other columns are
+        stepped, and a source with nothing to step shares the start row."""
+        chain = self._chain
+        zeros = [0] * len(ms)
+        stage_rows, overflow_rows = [starts] * len(sources), [zeros] * len(sources)
+        pending = range(len(ms))
+        if len(sources) > 1:
+            peaks = [src[-1] - chain[js - 1].top for js, src in sources if src]
+            if not peaks:
+                return stage_rows, overflow_rows, starts
+            reach = max(peaks)
+            pending = [c for c in pending
+                       if chain[starts[c] - 1].top + ms[c] + reach >= chain[starts[c] - 1].h]
+        if not pending:
+            return stage_rows, overflow_rows, starts
+        for s, (js, src) in enumerate(sources):
+            if not src:
+                continue
+            stages, overflows = starts.copy(), zeros.copy()
+            peak = src[-1] - chain[js - 1].top
+            for c in pending:
+                above, K, budget = ms[c] + peak, starts[c], budgets[c]
+                st = chain[K - 1]  # planning built the start stage
+                while st.top + above >= st.h and K < budget:
+                    K += 1
+                    # a walk to the budget steps through every stage: read a
+                    # built one in place, and only build past the chain
+                    st = chain[K - 1] if K <= len(chain) else self.stage(K)
+                if st.top + above >= st.h:
+                    overflows[c] = sum(self._count_at_least(js, K, st.h - ms[c] - x) for x in src)
+                stages[c] = K
+            stage_rows[s], overflow_rows[s] = stages, overflows
+        deepest = stage_rows[0] if len(sources) == 1 else list(map(max, *stage_rows))
+        return stage_rows, overflow_rows, deepest
 
     def grid_counts(
         self, pairs: Sequence[tuple[LevelSet, LevelSet]], shifts: Iterable[int],
@@ -421,15 +531,18 @@ class Tower:
         set pushed past the top of that stage's tower.  The measure interval
         of a cell is ``[count, count + overflow]`` times ``stage(K).level_width``;
         negative n count T^{-n} B /\\ A.  Every (pair, shift) lies in exactly
-        one block.  The shifts are planned once per j0.  Each source set finds
-        its own K and overflow per shift; the sources of one j0 and sign share
-        one ``TargetIndex`` and make one ``pair_counts`` call per shift, at the
-        deepest K' of its sources, so the sources of one stage read each
-        M_K'(n + d) once.  A source that resolved at K < K' overflows nothing
-        at K, so no level pair of it crosses a column of stages K..K' and its
-        count at K' is its count at K times ``stage(K').copies //
-        stage(K).copies``; its cells are divided back by that ratio, and its
-        block keeps its own K and overflow.
+        one block, and blocks may share their lists.  The shifts are planned
+        once per j0.  Each source set finds its own K and overflow per shift;
+        where the highest source level plus n stays inside the start stage's
+        tower, every source resolves there with overflow 0 and the sources
+        share that row.  The sources of one j0 and sign share one
+        ``TargetIndex`` and count each shift once, at the deepest K' of its
+        sources, in one ``pair_counts`` batch per distinct K', so the sources
+        of one stage read each M_K'(n + d) once.  A source that resolved at
+        K < K' overflows nothing at K, so no level pair of it crosses a column
+        of stages K..K' and its count at K' is its count at K times
+        ``stage(K').copies // stage(K).copies``; its cells are divided back by
+        that ratio, and its block keeps its own K and overflow.
         """
         _check_max_stage(max_stage)
         shifts = list(shifts)
@@ -439,34 +552,25 @@ class Tower:
         chain = self._chain
         blocks = []
         for j0, members in by_j0.items():
-            for backward, (cols, plans) in self._plans(j0, shifts, max_stage).items():
+            for backward, (cols, ms, starts, budgets) in self._plans(
+                    j0, shifts, max_stage).items():
                 index, rows = _by_source(pairs, members, backward)
-                # per source, its K and overflow at each shift
-                stage_rows, overflow_rows = [], []
-                for js, src in index.sources:
-                    base = chain[js - 1].top
-                    stages, overflows = [], []
-                    for n, K, budget in plans:
-                        overflow = 0
-                        if src:
-                            # the top level of the source at stage K is
-                            # src[-1] + (top_K - top_js); nothing overflows once
-                            # it plus n stays below h_K
-                            st = chain[K - 1]  # planning built the start stage
-                            peak = n + src[-1] - base
-                            while st.top + peak >= st.h and K < budget:
-                                K += 1
-                                st = self.stage(K)
-                            if st.top + peak >= st.h:
-                                overflow = sum(
-                                    self._count_at_least(js, K, st.h - n - x) for x in src)
-                        stages.append(K)
-                        overflows.append(overflow)
-                    stage_rows.append(stages)
-                    overflow_rows.append(overflows)
-                # one count per shift, at the deepest K of its sources
-                deepest = stage_rows[0] if len(rows) == 1 else list(map(max, *stage_rows))
-                counts = [self.pair_counts(index, n, K) for (n, _, _), K in zip(plans, deepest)]
+                stage_rows, overflow_rows, deepest = self._resolve(
+                    index.sources, ms, starts, budgets)
+                # one count per shift, at the deepest K of its sources, in one
+                # batch per distinct K
+                K = deepest[0]
+                if deepest.count(K) == len(deepest):
+                    counts = self.pair_counts(index, ms, K)
+                else:
+                    by_stage: dict[int, list[int]] = {}
+                    for c, K in enumerate(deepest):
+                        by_stage.setdefault(K, []).append(c)
+                    counts = [None] * len(ms)
+                    for K, batch in by_stage.items():
+                        columns = self.pair_counts(index, [ms[c] for c in batch], K)
+                        for c, column in zip(batch, columns):
+                            counts[c] = column
                 if len(rows) == 1:
                     blocks.append((rows[0], cols, counts, overflow_rows[0], deepest))
                     continue
@@ -475,13 +579,16 @@ class Tower:
                 start = 0
                 for own, overflows, stages in zip(rows, overflow_rows, stage_rows):
                     end = start + len(own)
-                    own_counts = []
-                    for column, K, deep in zip(counts, stages, deepest):
-                        cells = column[start:end]
-                        if K != deep:
-                            ratio = chain[deep - 1].copies // chain[K - 1].copies
-                            cells = [count // ratio for count in cells]
-                        own_counts.append(cells)
+                    if stages is deepest:  # a shared row: nothing to divide
+                        own_counts = [column[start:end] for column in counts]
+                    else:
+                        own_counts = []
+                        for column, K, deep in zip(counts, stages, deepest):
+                            cells = column[start:end]
+                            if K != deep:
+                                ratio = chain[deep - 1].copies // chain[K - 1].copies
+                                cells = [count // ratio for count in cells]
+                            own_counts.append(cells)
                     blocks.append((own, cols, own_counts, overflows, stages))
                     start = end
         return blocks
@@ -491,13 +598,13 @@ class Tower:
         """For each (A, B) of ``pairs``, sets at stages <= j, and each n of
         ``shifts``, either sign: the level pairs (x, y) of A and B at stage j,
         all in [0, h_j), with y - x = n, times the level width of stage j.
-        The sources (A) share one ``TargetIndex`` and one ``pair_counts`` call
-        per n, so the sources of one stage read each M_j(n + d) once, and the
-        counts form one ``grid_counts`` block over every pair, in the index's
-        cell order, with overflow 0 and K = j."""
+        The sources (A) share one ``TargetIndex`` and one ``pair_counts``
+        batch of every n, so the sources of one stage read each M_j(n + d)
+        once, and the counts form one ``grid_counts`` block over every pair,
+        in the index's cell order, with overflow 0 and K = j."""
         self.stage(j)
         index, rows = _by_source(pairs, range(len(pairs)), False)
-        counts = [self.pair_counts(index, n, j) for n in shifts]
+        counts = self.pair_counts(index, shifts, j)
         width = len(shifts)
         block = ([i for members in rows for i in members], range(width), counts,
                  [0] * width, [j] * width)

@@ -115,23 +115,26 @@ def test_criterion_1_keeps_each_oracle_row_with_its_source(monkeypatch):
 
 @pytest.mark.parametrize("number,counts,plannings", [(1, 825, 15), (7, 180, 5)])
 def test_grid_criteria_share_counts_across_sources(monkeypatch, number, counts, plannings):
-    """Criteria 1 and 7 make one count per (grid, j0, sign, shift), at the
+    """Criteria 1 and 7 count each shift once per (grid, j0, sign), at the
     deepest K of its sources, and plan once per (grid, j0), not once per
     source or (A, B) pair.  Criterion 1 asks one grid per source stage (6)
-    and three single queries: 822 counts per (grid, j0, shift) and 3 single
-    counts, where one grid per source made 5,341 counts and 61 plannings."""
+    and three single queries: 822 shifts counted per (grid, j0) and 3 single
+    ones, where one grid per source counted 5,341 shifts and made 61
+    plannings.  The shifts passed to ``pair_counts`` are counted, not its
+    calls, which batch the shifts of one K."""
     calls = {"pair_counts": 0, "_plans": 0}
+    pair_counts, plans = tower.Tower.pair_counts, tower.Tower._plans
 
-    def counted(name):
-        original = getattr(tower.Tower, name)
+    def counted_shifts(self, index, shifts, K):
+        calls["pair_counts"] += len(shifts)
+        return pair_counts(self, index, shifts, K)
 
-        def call(self, *args):
-            calls[name] += 1
-            return original(self, *args)
-        return call
+    def counted_plans(self, *args):
+        calls["_plans"] += 1
+        return plans(self, *args)
 
-    for name in calls:
-        monkeypatch.setattr(tower.Tower, name, counted(name))
+    monkeypatch.setattr(tower.Tower, "pair_counts", counted_shifts)
+    monkeypatch.setattr(tower.Tower, "_plans", counted_plans)
     (result,) = acceptance.run_all([number])
     assert result.passed, result.detail
     assert calls == {"pair_counts": counts, "_plans": plannings}
@@ -237,8 +240,8 @@ def test_criterion_6_scans_each_stage_in_one_grid(monkeypatch):
     """One dissipativity grid per stage over all 81 rectangles: the
     self-returns of the distinct sides fill in 12 kernel grids (60 with one
     scan per rectangle), and the counts stay the same.  The sides of one
-    grid share their counts: 898 ``pair_counts`` calls, one per (grid, j0,
-    sign, shift), where one per side and shift made 8,034."""
+    grid share their counts: 898 shifts passed to ``pair_counts``, each once
+    per (grid, j0, sign), where one count per side and shift made 8,034."""
     for params in (thm2(2), utv1()):  # fresh self-return memos
         tower.tower_of(params).reset()
     calls = {"dissipativity_grid": 0, "grid_counts": 0, "pair_counts": 0}
@@ -253,7 +256,12 @@ def test_criterion_6_scans_each_stage_in_one_grid(monkeypatch):
 
     counted(acceptance, "dissipativity_grid")
     counted(tower.Tower, "grid_counts")
-    counted(tower.Tower, "pair_counts")
+    pair_counts = tower.Tower.pair_counts
+
+    def counted_shifts(self, index, shifts, K):
+        calls["pair_counts"] += len(shifts)
+        return pair_counts(self, index, shifts, K)
+    monkeypatch.setattr(tower.Tower, "pair_counts", counted_shifts)
     result = acceptance.criterion_6()
     assert result.known_defect
     assert calls == {"dissipativity_grid": 3, "grid_counts": 12, "pair_counts": 898}

@@ -666,6 +666,9 @@ _NAMED_REJECTIONS = [
       "--j", "4..6"], "Error: zero denominator in polynomial term '1/0*T^0'"),
     (["limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/0",
       "--j", "4..6"], "Error: zero denominator in polynomial term '1/0'"),
+    # the set is checked before the shift is compared with h_2 = 3
+    (["oracle", "--family", "toy", "--set", "E3", "--n", "5", "--stage", "2"],
+     "Error: level set is finer than the system"),
     # a stage cap below 1 would silently lift the budget to the start stage
     (["measure", "--family", "toy", "--set", "E1", "--n", "3", "--max-stage", "-5"],
      "Error: --max-stage must be >= 1, got -5"),

@@ -1,18 +1,21 @@
 """Console-script steps of the CI workflow (``.github/workflows/tests.yml``)
 run as real processes: "Acceptance", "Criterion 1", "Product scan exit
-codes", "Density exit code and CSV rows", "Correlations exit code" and
-"Joining witness exit codes" through the console script.  Each command goes
-through the installed ``rank1lab`` script when there is one on the PATH, else
-through ``python -m rank1lab.cli``, with this checkout's sources first on the
-path either way, and each test asserts the step's exit codes and lines.
-Unlike CliRunner, this covers the entry point and the exit status a shell
-sees."""
+codes", "Density exit code and CSV rows", "Correlations exit code", "Joining
+witness exit codes", "Oracle cell cap", "Thousand-stage walk" and "Stage
+caps below 1" through the console script.  Each command goes through the
+installed ``rank1lab`` script when there is one on the PATH, else through
+``python -m rank1lab.cli``, with this checkout's sources first on the path
+either way, and each test asserts the step's exit codes and lines.  Unlike
+CliRunner, this covers the entry point and the exit status a shell sees.
+Children run one at a time, and a time or memory limit applies to its
+child only."""
 
 import csv
 import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -21,14 +24,24 @@ from rank1lab import cli
 _SOURCE = os.path.dirname(os.path.dirname(cli.__file__))
 _SCRIPT = shutil.which("rank1lab")
 _COMMAND = [_SCRIPT] if _SCRIPT else [sys.executable, "-m", "rank1lab.cli"]
+_ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=_SOURCE)
+_ENV.pop("RANK1_MAX_STAGE", None)
 
 
-def _run(*args):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=_SOURCE)
-    result = subprocess.run([*_COMMAND, *args], env=env, capture_output=True, text=True,
-                            timeout=120)
+def _run(*args, timeout=120, env=None):
+    result = subprocess.run([*_COMMAND, *args], env=dict(_ENV, **(env or {})),
+                            capture_output=True, text=True, timeout=timeout)
     assert "Traceback" not in result.stderr, result.stderr[-2000:]
     return result
+
+
+# A fresh interpreter that runs one command as its only child and prints the
+# child's exit status and peak RSS in KiB (Linux reports ru_maxrss in KiB).
+_PEAK = """
+import resource, subprocess, sys
+status = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, timeout=120).returncode
+print(status, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
 
 
 def test_acceptance_fails_exactly_the_two_known_defects():
@@ -98,3 +111,46 @@ def test_joining_witness_exit_codes(args, status):
     a witness, so it exits exactly 0."""
     result = _run("joinings", "witness", *args)
     assert result.returncode == status
+
+
+def test_oracle_cell_cap():
+    """Toy stage 20 (h_20 = 2^20 - 1 cells) is the largest stage the cell
+    cap admits: it exits 0 below 64 MB peak RSS, where int64 tables would
+    take about 72 MB, and stage 21 is refused with exit 2."""
+    peak = subprocess.run(
+        [sys.executable, "-c", _PEAK, *_COMMAND, "oracle", "--family", "toy", "--set", "E1",
+         "--n", "1000", "--stage", "20"],
+        env=_ENV, capture_output=True, text=True, timeout=150)
+    assert peak.returncode == 0, peak.stderr[-2000:]
+    status, kib = map(int, peak.stdout.split())
+    assert status == 0
+    assert kib / 1024 < 64, f"peak RSS {kib / 1024:.1f} MB is not below 64 MB"
+    refused = _run("oracle", "--family", "toy", "--set", "E1", "--n", "1000", "--stage", "21")
+    assert refused.returncode == 2
+    assert refused.stderr.startswith("Error: stage 21 has ")
+
+
+def test_thousand_stage_walk():
+    """A shift near 2^1050 takes toy to stage 1059 and stays unresolved
+    there, so measure exits exactly 3 (INCONCLUSIVE) within 60 s; a kernel
+    that recursed once per stage would exit 2 with a RecursionError."""
+    start = time.monotonic()
+    result = _run("measure", "--family", "toy", "--set", "stage=2; levels=0",
+                  "--n", str(2**1050 + 5), timeout=60)
+    assert result.returncode == 3
+    assert time.monotonic() - start < 60
+
+
+def test_stage_caps_below_1():
+    """A stage cap below 1 is a usage error that exits exactly 2, where a
+    cap that lifted itself to the start stage would exit 0 or 3.  The
+    removed RANK1_MAX_STAGE variable leaves the output byte-identical: n = 20
+    resolves at stage 4, so a cap of 1 that still took effect would exit 3
+    with a wider interval."""
+    assert _run("measure", "--family", "toy", "--set", "E1", "--n", "3",
+                "--max-stage", "0").returncode == 2
+    free = _run("measure", "--family", "utv1", "--set", "E2", "--n", "20")
+    capped = _run("measure", "--family", "utv1", "--set", "E2", "--n", "20",
+                  env={"RANK1_MAX_STAGE": "1"})
+    assert free.returncode == capped.returncode == 0
+    assert free.stdout == capped.stdout

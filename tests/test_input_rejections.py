@@ -18,8 +18,10 @@ from rank1lab.construction import (
     condition_star_check,
     infinite_measure_partial_sum,
     params_from_config,
+    toy,
     utv1,
 )
+from rank1lab.oracle import oracle_intersection
 from rank1lab.products import sample_shifts
 from rank1lab.serde import MAX_INT_DIGITS, MAX_LISTED, format_int, parse_int, parse_rational
 from rank1lab.spectral import CorrelationSequence, fejer_density
@@ -27,6 +29,7 @@ from rank1lab.tower import LevelSet, MeasureBound, level_set_fields
 from rank1lab.weak_limits import OperatorPolynomial, parse_sequence, scan_window
 
 UTV = utv1()
+TOY = toy()
 _TWO_COLUMNS = CutRule("constant", 2)
 
 
@@ -95,6 +98,14 @@ _REJECTIONS = [
      lambda: CorrelationSequence(((0, Fraction(1)), (3, Fraction(1, 2))),
                                  ((3, (Fraction(0), Fraction(1, 2))),)),
      "shift 3 is both resolved and unresolved"),
+    # both sets are checked before the shift is compared with the height
+    # (h_2 = 3 on toy), and before any walk
+    ("oracle set finer than the system",
+     lambda: oracle_intersection(LevelSet.base(TOY, 1), LevelSet.base(TOY, 3), 5, 2),
+     "level set is finer than the system"),
+    ("oracle set of another construction",
+     lambda: oracle_intersection(LevelSet.base(TOY, 1), LevelSet.base(UTV, 1), 5, 2),
+     "level set belongs to a different construction"),
     ("negative scale", lambda: MeasureBound.exactly(1).scaled(-1),
      "scale factor must be >= 0"),
     ("duplicate power",

@@ -148,12 +148,13 @@ def test_partial_joining_grid_edge_cases(monkeypatch):
     assert partial_joining_grid([(E2, E2)], [], 3) == [[]]
     with pytest.raises(ValueError, match="different constructions"):
         partial_joining_grid([(E2, E2), (LevelSet.base(TOY, 2),) * 2], [0], 3)
-    # all the pairs share one index and one pair_counts call per k, though
-    # they have 5 sources
+    # all the pairs share one index and count each k once, though they have
+    # 5 sources
     calls = []
     pair_counts = tower_module.Tower.pair_counts
-    monkeypatch.setattr(tower_module.Tower, "pair_counts",
-                        lambda self, index, n, K: calls.append(n) or pair_counts(self, index, n, K))
+    monkeypatch.setattr(
+        tower_module.Tower, "pair_counts",
+        lambda self, index, shifts, K: calls.extend(shifts) or pair_counts(self, index, shifts, K))
     partial_joining_grid(GRID, range(-5, 6), 4)
     assert len({a for a, _ in GRID}) == 5
     assert calls == list(range(-5, 6))

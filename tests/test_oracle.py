@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import rank1lab
 from rank1lab.construction import stage_geometry, thm2, toy, utv1
@@ -137,6 +137,66 @@ def test_walker_sweep_matches_one_shot_runs():
             assert walker.lost * system.cell_width == res.undefined_mass
 
 
+class _CellWalker:
+    """Reference for ``OrbitWalker``: the walk over the set's cells, each
+    step through the stage's inverse table ``level_of_cell``."""
+
+    def __init__(self, system, a):
+        self.system, self.lost = system, 0
+        self.cells = np.array(sorted(system.cells_of(a)), dtype=np.int64)
+
+    def step(self, n):
+        h = self.system.height
+        levels = self.system.level_of_cell[self.cells].astype(np.int64) + max(-h, min(n, h))
+        levels = levels[(levels >= 0) & (levels < h)]
+        self.lost += len(self.cells) - len(levels)
+        self.cells = self.system.cell_of_level[levels]
+
+    def value_against(self, b):
+        hits = np.isin(self.cells, sorted(self.system.cells_of(b)))
+        return int(np.count_nonzero(hits)) * self.system.cell_width
+
+
+@st.composite
+def _walks(draw):
+    """A system of a random construction at a stage of at most 4,000
+    levels, two sets at stages up to it, and steps of both signs next to
+    the height and past it, huge ones included."""
+    params = draw(st.one_of(st.sampled_from([TOY, UTV, thm2(2)]), _params()))
+    stage = draw(st.integers(1, 6))
+    assume(stage_geometry(params, stage).h <= 4000)
+
+    def level_set():
+        at = draw(st.integers(1, stage))
+        h = stage_geometry(params, at).h
+        return LevelSet.from_levels(params, at, draw(st.lists(st.integers(0, h - 1),
+                                                               max_size=5)))
+
+    h = stage_geometry(params, stage).h
+    steps = st.one_of(st.integers(-h - 2, h + 2), st.integers(-3, 3),
+                      st.sampled_from([10**30, -10**30, 2**63, -2**63 - 1]))
+    return params, stage, level_set(), level_set(), draw(st.lists(steps, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_walks())
+def test_level_walker_equals_the_cell_walk(walk):
+    """The walker that moves its set's levels reads what the walk of its
+    cells through ``level_of_cell`` reads, after every step: the same cells,
+    the same lost count and the same value against another set."""
+    params, stage, a, b, steps = walk
+    system = IntervalSystem(params, stage)
+    walker = OrbitWalker(a, stage)
+    reference = _CellWalker(system, a)
+    for n in [0, *steps]:
+        walker.step(n)
+        reference.step(n)
+        assert walker.cells == set(reference.cells.tolist())
+        assert walker.lost == reference.lost
+        assert walker.value_against(b) == reference.value_against(b)
+        assert walker.value_against(a) == reference.value_against(a)
+
+
 def test_deep_power_is_one_pass():
     # a per-step walk costs about n x |A| set operations, here 65,534 steps
     # over 32,768 cells; the bound is a count no such loop can finish, so
@@ -175,13 +235,17 @@ def test_interval_refuses_levels_outside_the_tower():
 
 def test_a_system_holds_no_inverse_until_first_read():
     # the replay of stages 1..J reads only cell_of_level, and so do height,
-    # interval and cells_of; a walk reads stage J's inverse, computed then
+    # interval, cells_of and a walk, which moves its set's levels; only
+    # orbit_counts reads stage J's inverse, computed then
     a = LevelSet.base(TOY, 1)
     walker = OrbitWalker(a, 6)
     system = walker.system
     system.cells_of(LevelSet.single(TOY, 3, 2)), system.interval(0), system.height
-    assert system._level_of_cell is None
     walker.step(5)
+    walker.value_against(LevelSet.single(TOY, 3, 2)), walker.cells
+    oracle_intersection(a, a, 5, 6)
+    assert system._level_of_cell is None
+    list(system.orbit_counts([a], [a], [5]))
     assert system._level_of_cell is not None
     levels = np.arange(system.height)
     assert np.array_equal(system.level_of_cell[system.cell_of_level], levels)

@@ -301,6 +301,26 @@ def test_fejer_computes_one_cosine_per_nonzero_shift(monkeypatch):
     assert len(counted) == 40
 
 
+def test_fejer_converts_no_stored_zero_to_float(monkeypatch):
+    """Only the stored shifts below the order whose exact value is not 0 are
+    converted to float, c(0) and a value below the float range among them:
+    never an exact zero, and never a shift at or past the order."""
+    converted = []
+    to_float = Fraction.__float__
+    monkeypatch.setattr(Fraction, "__float__",
+                        lambda self: converted.append(self) or to_float(self))
+    seq = correlation_sequence({1: Fraction(1, 2), 2: 0, 3: 0, 5: Fraction(-1, 3),
+                                7: Fraction(1, 4), 8: Fraction(1, 10**400), 9: 0,
+                                10: Fraction(1, 8)})
+    fejer_density(seq, 10, 16)
+    assert converted == [1, Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4),
+                         Fraction(1, 10**400)]
+    converted.clear()
+    # 41 of these 2,049 values are nonzero, c(0) among them
+    fejer_density(correlations(E2, range(2049)), 2049, 16)
+    assert len(converted) == 41 and all(converted)
+
+
 @pytest.mark.parametrize("order", [0, -1])
 def test_toeplitz_rejects_orders_below_one(order):
     seq = correlation_sequence({0: Fraction(1)})

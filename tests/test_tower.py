@@ -616,13 +616,19 @@ def _refined(tower, stage, levels, to_stage):
     return levels
 
 
-def _frontier_pair_counts(tower, index, n, K):
-    """Reference for ``Tower.pair_counts`` that keeps no table: for each
-    source of the index, the source and its targets refined to their common
-    stage J, then the digit recursion walked top-down as one frontier of
-    values v = n + s - (o' - o) per source, each peeled stage pruned to the
-    span of the source's refined targets, and the final frontier read
-    against the targets' holders."""
+def _frontier_pair_counts(tower, index, shifts, K):
+    """Reference for ``Tower.pair_counts`` that keeps no table and counts one
+    shift at a time: a column per n of ``shifts``."""
+    return [_frontier_column(tower, index, n, K) for n in shifts]
+
+
+def _frontier_column(tower, index, n, K):
+    """One shift of ``_frontier_pair_counts``: for each source of the index,
+    the source and its targets refined to their common stage J, then the
+    digit recursion walked top-down as one frontier of values
+    v = n + s - (o' - o) per source, each peeled stage pruned to the span of
+    the source's refined targets, and the final frontier read against the
+    targets' holders."""
     counts = [0] * index.size
     first = 0  # the source's first cell
     for (stage, levels), row in zip(index.sources, index.targets):
@@ -652,6 +658,48 @@ def _frontier_pair_counts(tower, index, n, K):
             for t in holders.get(v, ()):
                 counts[t] += weight
     return counts
+
+
+@st.composite
+def _batches(draw):
+    """Sources, each against its own targets, at mixed stages, and a batch
+    of shifts of both signs at a stage K at or below three past them, with
+    repeats, plus a few of the batch's shifts counted first."""
+    params = draw(st.sampled_from([TOY, UTV, thm2(2), thm2(3)]))
+
+    def level_set():
+        stage = draw(st.integers(1, 3))
+        h = stage_geometry(params, stage).h
+        return stage, tuple(sorted(set(draw(st.lists(st.integers(0, h - 1), max_size=4)))))
+
+    sources = [level_set() for _ in range(draw(st.integers(1, 3)))]
+    targets = [[level_set() for _ in range(draw(st.integers(1, 3)))] for _ in sources]
+    K = max(stage for stage, _ in [*sources, *(t for row in targets for t in row)])
+    K += draw(st.integers(0, 3))
+    reach = stage_geometry(params, K).h
+    menu = draw(st.lists(st.integers(-reach, reach), min_size=1, max_size=6))
+    shifts = draw(st.lists(st.sampled_from(menu), min_size=1, max_size=10))
+    first = draw(st.lists(st.sampled_from(menu), max_size=3))
+    return params, tower_module.TargetIndex(sources, targets), shifts, first, K
+
+
+@settings(max_examples=120, deadline=None)
+@given(_batches())
+def test_batched_pair_counts_equal_one_shift_at_a_time(batch):
+    """One ``pair_counts`` batch gives, per shift, the column of the
+    tableless walk that counts one shift at a time: on a cold tower, and on
+    one whose table already holds the keys of some of the batch's shifts.
+    The batch leaves the table entries that one call per shift leaves."""
+    params, index, shifts, first, K = batch
+    expected = _frontier_pair_counts(tower_module.Tower(params), index, shifts, K)
+    cold, warm, single = (tower_module.Tower(params) for _ in range(3))
+    for kernel in (cold, warm, single):
+        kernel.stage(K)
+    assert cold.pair_counts(index, shifts, K) == expected
+    warm.pair_counts(index, first, K)
+    assert warm.pair_counts(index, shifts, K) == expected
+    assert [single.pair_counts(index, [n], K)[0] for n in shifts] == expected
+    assert single._pairs == cold._pairs
 
 
 @st.composite
@@ -788,30 +836,30 @@ def test_shared_index_equals_one_query_per_cell(query):
                                               [[(target.stage, target.levels)]])
             ratio = alone.stage(deep).copies // alone.stage(K).copies
             assert overflow == 0
-            assert alone.pair_counts(index, abs(n), deep) == [ratio * count]
+            assert alone.pair_counts(index, [abs(n)], deep) == [[ratio * count]]
     event(f"cells resolved below their shift's deepest K: {min(apart, 3)}")
 
 
 def test_sources_resolved_apart_share_one_count_at_the_deepest_stage(monkeypatch):
     """toy's seven stage-3 levels against E3 at n = 7 (h_4 = 15): T^7 keeps
     levels 0 and 1 of the stage-4 tower inside, the others overflow and
-    resolve deeper, so one shift needs several K.  The shift is still one
-    call, at the deepest K, and the counts equal one query per source."""
+    resolve deeper, so one shift needs several K.  The shift is still counted
+    once, at the deepest K, and the counts equal one query per source."""
     sources = [LevelSet.single(TOY, 3, level) for level in range(7)]
     target = LevelSet.base(TOY, 3)
     pairs = [(a, target) for a in sources]
     calls = []
     pair_counts = tower_module.Tower.pair_counts
 
-    def counted(self, index, n, K):
-        calls.append((n, K))
-        return pair_counts(self, index, n, K)
+    def counted(self, index, shifts, K):
+        calls.append((list(shifts), K))
+        return pair_counts(self, index, shifts, K)
 
     monkeypatch.setattr(tower_module.Tower, "pair_counts", counted)
     rows = triples(tower_module.Tower(TOY), pairs, [7], 6)
     stages = [K for ((_, _, K),) in rows]
     assert len(set(stages)) > 1
-    assert calls == [(7, max(stages))]
+    assert calls == [([7], max(stages))]
     monkeypatch.undo()
     assert rows == [triples(tower_module.Tower(TOY), [pair], [7], 6)[0] for pair in pairs]
 
@@ -943,7 +991,7 @@ def test_shared_chain_grows_consistently_under_threads():
     params = params_from_config({"h1": 3, "base_width": "1/7", "stages": {
         "r": 3, "spacers": ["zero", "zero", {"rule": "constant", "c": 2}]}})
     assert params not in tower_module._towers
-    seen, towers, errors = [], [], []
+    seen, towers, errors, planned = [], [], [], []
 
     def work(offset):
         try:
@@ -953,6 +1001,10 @@ def test_shared_chain_grows_consistently_under_threads():
                     owner = tower_of(params)
                     towers.append(owner)
                     st = owner.stage(k)
+                    # planning bisects the heights while other threads grow
+                    # them: h_k - 1 and h_{k-1} both start at stage k
+                    shifts = [st.h - 1] + ([owner.stage(k - 1).h] if k > 1 else [])
+                    planned.append((k, owner._plans(1, shifts, None)[False][2]))
                 else:
                     st = stage_geometry(params, k)
                 seen.append((k, st))
@@ -976,6 +1028,9 @@ def test_shared_chain_grows_consistently_under_threads():
     assert all(t is tower for t in towers)  # one Tower for the construction
     chain = [stage_geometry(params, k) for k in range(1, 41)]
     assert len(tower._chain) == 40  # one chain, each stage appended once
+    assert tower._heights == [st.h for st in chain]
+    assert len(planned) == 4 * 200
+    assert all(starts == [k] * len(starts) for k, starts in planned)
     assert [st.j for st in chain] == list(range(1, 41))
     assert [st.copies for st in chain] == [3 ** (k - 1) for k in range(1, 41)]
     assert all(st is chain[k - 1] for k, st in seen)
