@@ -43,9 +43,9 @@ difference within reach, reads M_K at them from the tower's pair-count table
 once, fills the missing ones in one pass, and adds each value to every cell
 holding d, whichever source it belongs to, in one column per shift; no set
 is refined.  ``Tower.grid_counts`` plans the shifts once per stage
-j0 = max(ja, jb) of a pair, indexing the stage heights, indexes the sources
-once per j0 and sign, and gives one block per source: a K and an overflow
-per shift, which depend on the source alone, and a count per (pair, shift).
+j0 = max(ja, jb) of a pair, indexes the sources once per j0 and sign, and
+gives one block per source: a K and an overflow per shift, which depend on
+the source alone, and a count per (pair, shift).
 Where the highest source level plus n fits below the start stage's height,
 every source resolves there and the sources share that row.  Each shift is
 counted once, at the deepest K of its sources, in one ``pair_counts`` batch
@@ -74,13 +74,14 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import lt
+from operator import attrgetter, lt
 from typing import Iterable, Sequence
 
 from .construction import ConstructionParams, StageGeometry, _build_stage, stage_geometry
 from .serde import format_int
 
 DEFAULT_EXTRA_STAGES = 8
+_height = attrgetter("h")
 _NO_TABLE: dict[int, int] = {}  # read, never written: a (js, jt, K) not yet tabled
 
 
@@ -241,8 +242,7 @@ class Tower:
     Offset sums of stages j0..k-1 form the set O_{j0,k}; its largest element
     is ``stage(k).top - stage(j0).top`` and it has
     ``stage(k).copies // stage(j0).copies`` elements.  The stage table is
-    ``_chain``, which ``stage`` builds, and ``_heights`` holds its heights, in
-    order, for planning to bisect.  The tower owns three memos, all kept
+    ``_chain``, which ``stage`` builds.  The tower owns three memos, all kept
     until ``reset``.  ``_pairs`` is the pair-count table: for each
     (js, jt, k) with js <= jt a dict from m (|m| when js == jt) to
     M_{js,jt,k}(m) = #{(o, o') in O_{js,k} x O_{jt,k} : o' - o = m}, filled by
@@ -262,7 +262,6 @@ class Tower:
     def __init__(self, params: ConstructionParams):
         self.params = params
         self._chain: list[StageGeometry] = []
-        self._heights: list[int] = []  # stage(k).h at k - 1, appended after the stage
         self._grow = threading.Lock()
         # (js, jt, k) -> {m: M_{js,jt,k}(m)}, keyed on |m| when js == jt
         self._pairs: dict[tuple[int, int, int], dict[int, int]] = {}
@@ -283,7 +282,6 @@ class Tower:
         with self._grow:
             while len(chain) < k:
                 chain.append(_build_stage(self.params, chain[-1] if chain else None))
-                self._heights.append(chain[-1].h)
         return chain[k - 1]
 
     def reset(self):
@@ -309,11 +307,8 @@ class Tower:
         stage first: M_{js,jt,K}(m) = M_{jt,js,K}(-m)), so a value any earlier
         shift, set or call reached is read, not recounted.  Per (js, jt) the
         keys of the whole batch are gathered and read together, and
-        ``_pair_table`` fills the missing ones in one pass.  A batch of one
-        shift is ``_pair_column``'s.
+        ``_pair_table`` fills the missing ones in one pass.
         """
-        if len(shifts) == 1:
-            return [self._pair_column(index, shifts[0], K)]
         size = index.size
         columns = [[0] * size for _ in shifts]
         chain = self._chain
@@ -348,35 +343,6 @@ class Tower:
                         for cell, count in cells:
                             counts[cell] += weight * count
         return columns
-
-    def _pair_column(self, index: TargetIndex, n: int, K: int) -> list[int]:
-        """``pair_counts`` of the one shift n, without a batch's gathering,
-        which costs a lone query more than it saves: the same reads, the
-        same fill and the same counts."""
-        counts = [0] * index.size
-        chain = self._chain
-        top = chain[K - 1].top
-        for js, jt, differences, owners in index.by_stage:
-            low, high = chain[js - 1].top - top - n, top - chain[jt - 1].top - n
-            i, e = bisect_left(differences, low), bisect_right(differences, high)
-            if i == e:
-                continue
-            held, ds = owners[i:e], differences[i:e]
-            if js == jt:
-                keys, at = [abs(n + d) for d in ds], (js, jt, K)
-            elif js < jt:
-                keys, at = [n + d for d in ds], (js, jt, K)
-            else:
-                keys, at = [-n - d for d in ds], (jt, js, K)
-            try:
-                weights = list(map(self._pairs.get(at, _NO_TABLE).__getitem__, keys))
-            except KeyError:
-                weights = list(map(self._pair_table(*at, keys).__getitem__, keys))
-            for weight, cells in zip(weights, held):
-                if weight:
-                    for cell, count in cells:
-                        counts[cell] += weight * count
-        return counts
 
     def _pair_table(self, js: int, jt: int, K: int, wanted: list[int]) -> dict[int, int]:
         """The table of M_{js,jt,K} for js <= jt, holding every key of
@@ -456,14 +422,12 @@ class Tower:
         occur get lists."""
         plans: dict[bool, tuple[list[int], list[int], list[int], list[int]]] = {}
         # heights increase, so the stages built so far locate the first h > |n|;
-        # only a start past all of them builds more, one stage at a time
-        heights = self._heights
+        # only a shift above all of them builds more, one stage at a time
         for col, n in enumerate(shifts):
             backward, m = n < 0, abs(n)
-            start = max(j0, bisect_right(heights, m) + 1)
-            if start > len(heights):
-                while self.stage(start).h <= m:
-                    start += 1
+            start = max(j0, bisect_right(self._chain, m, key=_height) + 1)
+            while self.stage(start).h <= m:
+                start += 1
             plan = plans.get(backward)
             if plan is None:
                 plan = plans[backward] = ([], [], [], [])
@@ -559,18 +523,14 @@ class Tower:
                     index.sources, ms, starts, budgets)
                 # one count per shift, at the deepest K of its sources, in one
                 # batch per distinct K
-                K = deepest[0]
-                if deepest.count(K) == len(deepest):
-                    counts = self.pair_counts(index, ms, K)
-                else:
-                    by_stage: dict[int, list[int]] = {}
-                    for c, K in enumerate(deepest):
-                        by_stage.setdefault(K, []).append(c)
-                    counts = [None] * len(ms)
-                    for K, batch in by_stage.items():
-                        columns = self.pair_counts(index, [ms[c] for c in batch], K)
-                        for c, column in zip(batch, columns):
-                            counts[c] = column
+                by_stage: dict[int, list[int]] = {}
+                for c, K in enumerate(deepest):
+                    by_stage.setdefault(K, []).append(c)
+                counts = [None] * len(ms)
+                for K, batch in by_stage.items():
+                    columns = self.pair_counts(index, [ms[c] for c in batch], K)
+                    for c, column in zip(batch, columns):
+                        counts[c] = column
                 if len(rows) == 1:
                     blocks.append((rows[0], cols, counts, overflow_rows[0], deepest))
                     continue
@@ -579,16 +539,13 @@ class Tower:
                 start = 0
                 for own, overflows, stages in zip(rows, overflow_rows, stage_rows):
                     end = start + len(own)
-                    if stages is deepest:  # a shared row: nothing to divide
-                        own_counts = [column[start:end] for column in counts]
-                    else:
-                        own_counts = []
-                        for column, K, deep in zip(counts, stages, deepest):
-                            cells = column[start:end]
-                            if K != deep:
-                                ratio = chain[deep - 1].copies // chain[K - 1].copies
-                                cells = [count // ratio for count in cells]
-                            own_counts.append(cells)
+                    own_counts = []
+                    for column, K, deep in zip(counts, stages, deepest):
+                        cells = column[start:end]
+                        if K != deep:
+                            ratio = chain[deep - 1].copies // chain[K - 1].copies
+                            cells = [count // ratio for count in cells]
+                        own_counts.append(cells)
                     blocks.append((own, cols, own_counts, overflows, stages))
                     start = end
         return blocks

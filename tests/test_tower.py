@@ -991,6 +991,11 @@ def test_shared_chain_grows_consistently_under_threads():
     params = params_from_config({"h1": 3, "base_width": "1/7", "stages": {
         "r": 3, "spacers": ["zero", "zero", {"rule": "constant", "c": 2}]}})
     assert params not in tower_module._towers
+    # the heights from a private tower, so planning below meets stages that
+    # are not yet built in the shared one
+    private = tower_module.Tower(params)
+    heights = [private.stage(k).h for k in range(1, 42)]
+    assert params not in tower_module._towers
     seen, towers, errors, planned = [], [], [], []
 
     def work(offset):
@@ -1000,11 +1005,16 @@ def test_shared_chain_grows_consistently_under_threads():
                 if offset % 2:
                     owner = tower_of(params)
                     towers.append(owner)
+                    # planning bisects the built chain while other threads grow
+                    # it, before this thread builds stage k: h_k - 1 and
+                    # h_{k-1} both start at stage k, and h_{k+1} - 1 at k + 1,
+                    # often above every stage built so far
+                    shifts = [heights[k - 1] - 1, heights[k] - 1]
+                    if k > 1:
+                        shifts.append(heights[k - 2])
+                    starts = owner._plans(1, shifts, None)[False][2]
+                    planned.append((k, starts))
                     st = owner.stage(k)
-                    # planning bisects the heights while other threads grow
-                    # them: h_k - 1 and h_{k-1} both start at stage k
-                    shifts = [st.h - 1] + ([owner.stage(k - 1).h] if k > 1 else [])
-                    planned.append((k, owner._plans(1, shifts, None)[False][2]))
                 else:
                     st = stage_geometry(params, k)
                 seen.append((k, st))
@@ -1026,14 +1036,37 @@ def test_shared_chain_grows_consistently_under_threads():
     assert len(seen) == 8 * 200
     tower = tower_of(params)
     assert all(t is tower for t in towers)  # one Tower for the construction
-    chain = [stage_geometry(params, k) for k in range(1, 41)]
-    assert len(tower._chain) == 40  # one chain, each stage appended once
-    assert tower._heights == [st.h for st in chain]
+    chain = [stage_geometry(params, k) for k in range(1, 42)]
+    assert len(tower._chain) == 41  # one chain, each stage appended once
+    assert [st.h for st in chain] == heights
     assert len(planned) == 4 * 200
-    assert all(starts == [k] * len(starts) for k, starts in planned)
-    assert [st.j for st in chain] == list(range(1, 41))
-    assert [st.copies for st in chain] == [3 ** (k - 1) for k in range(1, 41)]
+    assert all(starts == [k, k + 1] + [k] * (k > 1) for k, starts in planned)
+    assert [st.j for st in chain] == list(range(1, 42))
+    assert [st.copies for st in chain] == [3 ** (k - 1) for k in range(1, 42)]
     assert all(st is chain[k - 1] for k, st in seen)
+
+
+def test_planning_holds_when_a_stage_is_built_between_its_reads(monkeypatch):
+    # planning reads the built chain without the lock, so another thread may
+    # append a stage right after the bisect; here the bisect itself builds
+    # one, once, to hold that window open
+    tower = tower_module.Tower(TOY)
+    heights = [tower_module.Tower(TOY).stage(k).h for k in range(1, 6)]
+    tower.stage(2)
+    real, grown = tower_module.bisect_right, []
+
+    def bisect_then_grow(*args, **kwargs):
+        found = real(*args, **kwargs)
+        if not grown:
+            grown.append(tower.stage(len(tower._chain) + 1))
+        return found
+
+    monkeypatch.setattr(tower_module, "bisect_right", bisect_then_grow)
+    # h_4 - 1 lies above both built stages and above the one built in the
+    # window, so it starts at stage 4, and so does the budget's count
+    plan = tower._plans(1, [heights[3] - 1, -heights[3]], 6)
+    assert grown and plan[False][2] == [4] and plan[True][2] == [5]
+    assert plan[False][3] == [tower_module.stage_budget(4, 6)]
 
 
 @pytest.mark.parametrize("k", [0, -1])
