@@ -56,19 +56,23 @@ def _kernel_rows(kernel, sets, shifts, J):
     """For each source A of ``sets`` in turn (ordered by stage), the kernel's
     (B, n) arrays of count, overflow and K over the targets ``sets``: one
     ``grid_counts`` per source stage, whose sources share their reads.  Each
-    source's blocks are dropped once its arrays are built."""
+    source's spans are dropped once its arrays are built."""
     width = len(sets)
     for _, group in groupby(sets, attrgetter("stage")):
         sources = list(group)
-        by_source = [[] for _ in sources]  # every block holds one source's pairs
+        by_source = [[] for _ in sources]  # (block, start, span) of each source
         for block in kernel.grid_counts([(a, b) for a in sources for b in sets], shifts, J):
-            by_source[block[0][0] // width].append(block)
+            start = 0
+            for span in block[3]:
+                by_source[block[0][start] // width].append((block, start, span))
+                start = span[0]
         for s in range(len(sources)):
             count, overflow, stage = (np.zeros((width, len(shifts)), np.int64) for _ in range(3))
-            for rows, cols, counts, overflows, stages in by_source[s]:
-                cells = np.ix_([i - s * width for i in rows], cols)
-                flat = np.fromiter(chain.from_iterable(counts), np.int64, len(cols) * len(rows))
-                count[cells] = flat.reshape(len(cols), len(rows)).T
+            for (rows, cols, counts, _), start, (end, overflows, stages) in by_source[s]:
+                cells = np.ix_([i - s * width for i in rows[start:end]], cols)
+                flat = np.fromiter(chain.from_iterable(column[start:end] for column in counts),
+                                   np.int64, len(cols) * (end - start))
+                count[cells] = flat.reshape(len(cols), end - start).T
                 overflow[cells] = overflows
                 stage[cells] = stages
             by_source[s] = None
@@ -88,9 +92,9 @@ def criterion_1() -> CriterionResult:
     labels the targets once and yields every source's (B, n) arrays of hits
     and lost cells in turn.  The kernel makes one ``grid_counts`` call per
     source stage (``_kernel_rows``), whose sources share their pair-table
-    reads, and each source's blocks are scattered into (B, n) arrays as the
-    oracle reaches it; the two are compared as integer arrays, and the first
-    mismatch is reported in (A, B, n) order.
+    reads, and each source's spans of the blocks are scattered into (B, n)
+    arrays as the oracle reaches it; the two are compared as integer
+    arrays, and the first mismatch is reported in (A, B, n) order.
     Exact-value equality is asserted wherever the orbit fully resolves at
     J = 6 (all of utv1), plus deep toy spot checks where exactness needs
     stage ~18.  The deep checks run first: their stage-18 oracle then does

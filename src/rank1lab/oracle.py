@@ -8,18 +8,16 @@ place, and every spacer is allocated at the end of the used part of the line.
 By induction every level of every stage is a single half-open interval and
 the used space is [0, h_J * w_J), so the system is stored as a permutation
 between "cells" (intervals of width w_J) and level indices: an int32 array
-``cell_of_level`` and its inverse ``level_of_cell``.  The replay builds the
-first in place: it allocates stage j+1's array once and fills it column by
+``cell_of_level``; no inverse of it is built.  The replay builds it in
+place: it allocates stage j+1's array once and fills it column by
 column, column c being stage j's ``cell_of_level`` sliced in place
 (``cell * r + c``, written straight into the column's slice) followed by the
 column's fresh spacer cells, numbered consecutively from the end of the used
 part.  Each ``IntervalSystem`` replays stages 1..J once and owns their
 tables, which are freed with it: the module keeps no state between calls.
-Neither the replay nor a walk reads an inverse.  A walk holds its set's
-stage-J levels, found in one sequential pass over ``cell_of_level`` that
-tests the owner of each level's cell at the set's own stage against a mark
-per cell of that stage.  Only ``orbit_counts``, which serves many sources at
-once, reads ``level_of_cell``, which a system computes on first read.  A cell
+A walk and ``orbit_counts`` find a set's stage-J levels the same way, in one
+sequential pass over ``cell_of_level`` that tests the owner of each level's
+cell at the set's own stage against a mark per cell of that stage.  A cell
 or level index is below h_J, so int32 holds it while h_J < 2^31; the replay
 refuses, with ``ValueError``, a stage below 1 before it starts and a stage of
 2^31 cells or more before allocating it, and a sum that can pass h_J (a level
@@ -90,20 +88,6 @@ class IntervalSystem:
                 free += spacer
             self._stages.append((cell_of_level, subdivision * r))
         self.cell_of_level, self._subdivision = self._stages[-1]
-        self._level_of_cell = None
-
-    @property
-    def level_of_cell(self) -> np.ndarray:
-        """The inverse of ``cell_of_level``, computed on first read; only
-        ``orbit_counts`` reads it, once for all its sources."""
-        inverse = self._level_of_cell
-        if inverse is None:
-            # filled in a local array and published whole, so a concurrent
-            # first read sees either nothing or a complete inverse
-            inverse = np.empty_like(self.cell_of_level)
-            inverse[self.cell_of_level] = np.arange(self.height, dtype=_CELL)
-            self._level_of_cell = inverse
-        return inverse
 
     @property
     def height(self) -> int:
@@ -200,7 +184,7 @@ class IntervalSystem:
         column = np.arange(width)
         padding = shifts + h  # int64, so the int32 levels are padded in int64
         for a in sources:
-            padded = self.level_of_cell[self._cell_array(a)][:, None] + padding
+            padded = np.flatnonzero(self._owned(a, self.cell_of_level))[:, None] + padding
             hits = np.zeros((len(targets), width), dtype=np.int64)
             for table, members in tables:
                 size = len(members)
@@ -228,9 +212,9 @@ class OracleResult:
 class OrbitWalker:
     """Tracks the image of a set under powers of T.
 
-    The walker holds the stage-J levels of its set, sorted, and never the
-    inverse table: its start finds them in one pass over ``cell_of_level``,
-    testing the owner of each level's cell at the set's own stage.
+    The walker holds the stage-J levels of its set, sorted: its start finds
+    them in one pass over ``cell_of_level``, testing the owner of each
+    level's cell at the set's own stage.
     ``step(n)`` applies T^n (T^{-|n|} for n < 0) in one pass over the
     levels.  Levels whose orbit leaves the stage-J tower on the way are
     removed and counted in ``lost``; their mass is ``undefined``.

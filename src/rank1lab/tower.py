@@ -44,15 +44,16 @@ once, fills the missing ones in one pass, and adds each value to every cell
 holding d, whichever source it belongs to, in one column per shift; no set
 is refined.  ``Tower.grid_counts`` plans the shifts once per stage
 j0 = max(ja, jb) of a pair, indexes the sources once per j0 and sign, and
-gives one block per source: a K and an overflow per shift, which depend on
-the source alone, and a count per (pair, shift).
+gives one block per j0 and sign: one column of counts per shift over all
+the group's pairs, and per source a span of those pairs with a K and an
+overflow per shift, which depend on the source alone.
 Where the highest source level plus n fits below the start stage's height,
 every source resolves there and the sources share that row.  Each shift is
 counted once, at the deepest K of its sources, in one ``pair_counts`` batch
 per distinct K; a source that resolved at a shallower K overflows nothing
 there, so its count is the deeper one divided by the ratio of the two
-stages' copies.  ``Tower._bounds`` is the rational view of blocks, with
-equal answers sharing one bound.
+stages' copies, in place in its span of the column.  ``Tower._bounds`` is
+the rational view of blocks, with equal answers sharing one bound.
 ``power_grid`` is that view of ``grid_counts``; ``power_profile`` is its
 one-pair case and ``apply_power_bounds`` the one-shift case of that.
 ``Tower.stage_grid`` counts at a fixed stage j instead, through the same
@@ -486,16 +487,19 @@ class Tower:
         max_stage: int | None,
     ) -> list[tuple]:
         """The counts of (A, B) in ``pairs``, all of this construction, at each
-        n in ``shifts``, as blocks ``(rows, cols, counts, overflows, stages)``,
-        one per stage j0 = max(A's stage, B's stage), sign of n and source set.
-        ``rows`` are indices into ``pairs`` and ``cols`` into ``shifts``;
-        ``counts[c]`` holds, for each pair of ``rows``, the level pairs (x, y)
-        of A and B at the resolved stage ``stages[c]`` with y - x = n for
-        n = ``shifts[cols[c]]``, and ``overflows[c]`` the levels of the source
-        set pushed past the top of that stage's tower.  The measure interval
+        n in ``shifts``, as blocks ``(rows, cols, counts, spans)``, one per
+        stage j0 = max(A's stage, B's stage) and sign of n.  ``rows`` are
+        indices into ``pairs``, grouped by source set, and ``cols`` into
+        ``shifts``; ``spans`` holds one ``(end, overflows, stages)`` per
+        source set, whose pairs are ``rows[start:end]`` with ``start`` the
+        previous span's end (0 for the first).  ``counts[c]`` holds, for each
+        pair of ``rows``, the level pairs (x, y) of A and B at its source's
+        resolved stage ``stages[c]`` with y - x = n for
+        n = ``shifts[cols[c]]``, and that source's ``overflows[c]`` the levels
+        of it pushed past the top of that stage's tower.  The measure interval
         of a cell is ``[count, count + overflow]`` times ``stage(K).level_width``;
         negative n count T^{-n} B /\\ A.  Every (pair, shift) lies in exactly
-        one block, and blocks may share their lists.  The shifts are planned
+        one block, and spans may share their lists.  The shifts are planned
         once per j0.  Each source set finds its own K and overflow per shift;
         where the highest source level plus n stays inside the start stage's
         tower, every source resolves there with overflow 0 and the sources
@@ -505,8 +509,9 @@ class Tower:
         of one stage read each M_K'(n + d) once.  A source that resolved at
         K < K' overflows nothing at K, so no level pair of it crosses a column
         of stages K..K' and its count at K' is its count at K times
-        ``stage(K').copies // stage(K).copies``; its cells are divided back by
-        that ratio, and its block keeps its own K and overflow.
+        ``stage(K').copies // stage(K).copies``; its span of the column is
+        divided back by that ratio in place, and its span keeps its own K and
+        overflow.
         """
         _check_max_stage(max_stage)
         shifts = list(shifts)
@@ -531,23 +536,19 @@ class Tower:
                     columns = self.pair_counts(index, [ms[c] for c in batch], K)
                     for c, column in zip(batch, columns):
                         counts[c] = column
-                if len(rows) == 1:
-                    blocks.append((rows[0], cols, counts, overflow_rows[0], deepest))
-                    continue
-                # one block per source: its own slice of every column, divided
-                # back to its own K where that is shallower than the column's
-                start = 0
+                # each source's cell range, divided in place back to its own K
+                # where that is shallower than the column's
+                cells, spans = [], []
                 for own, overflows, stages in zip(rows, overflow_rows, stage_rows):
-                    end = start + len(own)
-                    own_counts = []
+                    start = len(cells)
+                    cells += own
+                    end = len(cells)
                     for column, K, deep in zip(counts, stages, deepest):
-                        cells = column[start:end]
                         if K != deep:
                             ratio = chain[deep - 1].copies // chain[K - 1].copies
-                            cells = [count // ratio for count in cells]
-                        own_counts.append(cells)
-                    blocks.append((own, cols, own_counts, overflows, stages))
-                    start = end
+                            column[start:end] = [count // ratio for count in column[start:end]]
+                    spans.append((end, overflows, stages))
+                blocks.append((cells, cols, counts, spans))
         return blocks
 
     def stage_grid(self, pairs: Sequence[tuple[LevelSet, LevelSet]], shifts: Sequence[int],
@@ -558,32 +559,36 @@ class Tower:
         The sources (A) share one ``TargetIndex`` and one ``pair_counts``
         batch of every n, so the sources of one stage read each M_j(n + d)
         once, and the counts form one ``grid_counts`` block over every pair,
-        in the index's cell order, with overflow 0 and K = j."""
+        in the index's cell order, with one span of overflow 0 and K = j."""
         self.stage(j)
         index, rows = _by_source(pairs, range(len(pairs)), False)
         counts = self.pair_counts(index, shifts, j)
         width = len(shifts)
         block = ([i for members in rows for i in members], range(width), counts,
-                 [0] * width, [j] * width)
+                 [(index.size, [0] * width, [j] * width)])
         return self._bounds([block], len(pairs), width)
 
     def _bounds(self, blocks, height: int, width: int) -> list[list[MeasureBound]]:
         """The rational view of ``grid_counts`` blocks: ``height`` rows (one
-        per pair) of ``width`` bounds (one per shift).  Equal answers share one
-        bound across the grid; the memo is keyed by (overflow, K) per column,
-        then by count per cell."""
+        per pair) of ``width`` bounds (one per shift), read span by span.
+        Equal answers share one bound across the grid; the memo is keyed by
+        (overflow, K) per span and column, then by count per cell."""
         grid = [[None] * width for _ in range(height)]
         made: dict[tuple[int, int], dict[int, MeasureBound]] = {}
-        for rows, cols, counts, overflows, stages in blocks:
-            for col, column, overflow, K in zip(cols, counts, overflows, stages):
-                memo = made.get((overflow, K))
-                if memo is None:
-                    memo = made[overflow, K] = {}
-                for i, count in zip(rows, column):
-                    bound = memo.get(count)
-                    if bound is None:
-                        bound = memo[count] = self._bound(count, overflow, K)
-                    grid[i][col] = bound
+        for rows, cols, counts, spans in blocks:
+            start = 0
+            for end, overflows, stages in spans:
+                own = rows[start:end]
+                for col, column, overflow, K in zip(cols, counts, overflows, stages):
+                    memo = made.get((overflow, K))
+                    if memo is None:
+                        memo = made[overflow, K] = {}
+                    for i, count in zip(own, column[start:end]):
+                        bound = memo.get(count)
+                        if bound is None:
+                            bound = memo[count] = self._bound(count, overflow, K)
+                        grid[i][col] = bound
+                start = end
         return grid
 
     def _bound(self, count: int, overflow: int, K: int) -> MeasureBound:
@@ -728,7 +733,8 @@ def apply_power_bounds(
     """
     check_construction(a.params, (b,))
     tower = tower_of(a.params)
-    ((_, _, ((count,),), (overflow,), (K,)),) = tower.grid_counts([(a, b)], (n,), max_stage)
+    ((_, _, ((count,),), ((_, (overflow,), (K,)),)),) = tower.grid_counts(
+        [(a, b)], (n,), max_stage)
     return tower._bound(count, overflow, K)
 
 

@@ -1,8 +1,9 @@
 """Console-script steps of the CI workflow (``.github/workflows/tests.yml``)
 run as real processes: "Acceptance", "Criterion 1", "Product scan exit
 codes", "Density exit code and CSV rows", "Correlations exit code", "Joining
-witness exit codes", "Oracle cell cap", "Thousand-stage walk" and "Stage
-caps below 1" through the console script.  Each command goes through the
+witness exit codes", "Oracle cell cap", "Thousand-stage walk", "Stage
+caps below 1", "Huge cut count", "Construction config grammar" and
+"Mixed-stage pairs" through the console script.  Each command goes through the
 installed ``rank1lab`` script when there is one on the PATH, else through
 ``python -m rank1lab.cli``, with this checkout's sources first on the path
 either way, and each test asserts the step's exit codes and lines.  Unlike
@@ -11,7 +12,9 @@ Children run one at a time, and a time or memory limit applies to its
 child only."""
 
 import csv
+import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -28,9 +31,15 @@ _ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=_SOURCE)
 _ENV.pop("RANK1_MAX_STAGE", None)
 
 
-def _run(*args, timeout=120, env=None):
+def _run(*args, timeout=120, env=None, address_space=None):
+    """The command's result; ``address_space`` caps the child's own
+    ``RLIMIT_AS`` in bytes, so a run that allocates without end fails alone."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     result = subprocess.run([*_COMMAND, *args], env=dict(_ENV, **(env or {})),
-                            capture_output=True, text=True, timeout=timeout)
+                            capture_output=True, text=True, timeout=timeout,
+                            preexec_fn=limit if address_space else None)
     assert "Traceback" not in result.stderr, result.stderr[-2000:]
     return result
 
@@ -154,3 +163,54 @@ def test_stage_caps_below_1():
                   env={"RANK1_MAX_STAGE": "1"})
     assert free.returncode == capped.returncode == 0
     assert free.stdout == capped.stdout
+
+
+def test_huge_cut_count(tmp_path):
+    """A stage lists its r columns, so a config with r = 2^40 once failed
+    with a bare MemoryError after trying to list them: it exits exactly 2
+    within 20 s, as an invalid construction, under a 1 GiB address space."""
+    config = tmp_path / "huge_r.json"
+    config.write_text('{"h1": 1, "stages": {"r": 1099511627776, "spacers": []}}')
+    start = time.monotonic()
+    result = _run("geometry", "--config", str(config), "--j", "1", timeout=20,
+                  address_space=1 << 30)
+    assert time.monotonic() - start < 20
+    assert result.returncode == 2
+    assert "invalid construction" in result.stdout + result.stderr
+
+
+def test_construction_config_grammar(tmp_path):
+    """The config that geometry prints for scaled(3/2) reads back to the
+    same rows, and a parameter its rule does not read (a c on "zero") is an
+    unknown key: exit exactly 2."""
+    family = _run("geometry", "--family", "scaled(3/2)", "--j", "1..6")
+    assert family.returncode == 0
+    config = tmp_path / "scaled.json"
+    config.write_text(json.dumps(json.loads(family.stdout)["config"]))
+    read_back = _run("geometry", "--config", str(config), "--j", "1..6")
+    assert read_back.returncode == 0
+    assert json.loads(read_back.stdout)["rows"] == json.loads(family.stdout)["rows"]
+    unread = tmp_path / "unread_c.json"
+    unread.write_text('{"h1": 1, "stages": {"r": 2, "spacers": '
+                      '["zero", {"rule": "zero", "c": 9}]}}')
+    result = _run("geometry", "--config", str(unread), "--j", "1")
+    assert result.returncode == 2
+    assert "unknown spacer rule keys ['c']" in result.stdout + result.stderr
+
+
+def test_mixed_stage_pairs():
+    """Sets 98 stages apart: the kernel counts E1 against E99 through the
+    stage gap, in the kernel's mixed-stage grouping, and never writes E1 out
+    at stage 99 (2^98 levels), so both orientations exit exactly 0 within
+    10 s each, with the same exact row at stage 99."""
+    rows = []
+    for args in (["--set", "E1", "--set-b", "E99", "--n", "3"],
+                 ["--set", "E99", "--set-b", "E1", "--n", "-3"]):
+        start = time.monotonic()
+        result = _run("measure", "--family", "toy", *args, timeout=10)
+        assert time.monotonic() - start < 10
+        assert result.returncode == 0
+        (row,) = json.loads(result.stdout)["rows"]
+        rows.append({key: value for key, value in row.items() if key != "n"})
+    assert rows[0] == rows[1]
+    assert rows[0]["exact"] and rows[0]["resolved_stage"] == 99

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import threading
 import time
 from fractions import Fraction
 
@@ -139,15 +138,16 @@ def test_walker_sweep_matches_one_shot_runs():
 
 class _CellWalker:
     """Reference for ``OrbitWalker``: the walk over the set's cells, each
-    step through the stage's inverse table ``level_of_cell``."""
+    step through the stage's inverse table, computed here by ``argsort``."""
 
     def __init__(self, system, a):
         self.system, self.lost = system, 0
+        self.level_of_cell = np.argsort(system.cell_of_level)
         self.cells = np.array(sorted(system.cells_of(a)), dtype=np.int64)
 
     def step(self, n):
         h = self.system.height
-        levels = self.system.level_of_cell[self.cells].astype(np.int64) + max(-h, min(n, h))
+        levels = self.level_of_cell[self.cells] + max(-h, min(n, h))
         levels = levels[(levels >= 0) & (levels < h)]
         self.lost += len(self.cells) - len(levels)
         self.cells = self.system.cell_of_level[levels]
@@ -182,7 +182,7 @@ def _walks(draw):
 @given(_walks())
 def test_level_walker_equals_the_cell_walk(walk):
     """The walker that moves its set's levels reads what the walk of its
-    cells through ``level_of_cell`` reads, after every step: the same cells,
+    cells through the inverse table reads, after every step: the same cells,
     the same lost count and the same value against another set."""
     params, stage, a, b, steps = walk
     system = IntervalSystem(params, stage)
@@ -233,10 +233,11 @@ def test_interval_refuses_levels_outside_the_tower():
         assert right - left == w and 0 <= left < 7 * w
 
 
-def test_a_system_holds_no_inverse_until_first_read():
+def test_no_system_holds_an_inverse_after_walks_and_orbit_counts():
     # the replay of stages 1..J reads only cell_of_level, and so do height,
-    # interval, cells_of and a walk, which moves its set's levels; only
-    # orbit_counts reads stage J's inverse, computed then
+    # interval, cells_of, a walk, which moves its set's levels, and
+    # orbit_counts, which finds its sources' levels as a walk does: after
+    # all of them the system holds its replayed tables and no other array
     a = LevelSet.base(TOY, 1)
     walker = OrbitWalker(a, 6)
     system = walker.system
@@ -244,11 +245,14 @@ def test_a_system_holds_no_inverse_until_first_read():
     walker.step(5)
     walker.value_against(LevelSet.single(TOY, 3, 2)), walker.cells
     oracle_intersection(a, a, 5, 6)
-    assert system._level_of_cell is None
-    list(system.orbit_counts([a], [a], [5]))
-    assert system._level_of_cell is not None
-    levels = np.arange(system.height)
-    assert np.array_equal(system.level_of_cell[system.cell_of_level], levels)
+    sources = [a, LevelSet.single(TOY, 3, 2), LevelSet.from_levels(TOY, 6, [0, 40, 62])]
+    rows = list(system.orbit_counts(sources, sources, [-5, 0, 5]))
+    assert len(rows) == 3
+    arrays = [value for value in vars(system).values() if isinstance(value, np.ndarray)]
+    assert len(arrays) == 1 and arrays[0] is system.cell_of_level
+    assert [len(table) for table, _ in system._stages] == [
+        stage_geometry(TOY, j).h for j in range(1, 7)]
+    assert not hasattr(system, "level_of_cell")
 
 
 def test_stages_below_one_are_refused_before_the_replay():
@@ -262,39 +266,6 @@ def test_stages_below_one_are_refused_before_the_replay():
                      lambda: oracle_intersection(e1, e1, 0, stage)):
             with pytest.raises(ValueError, match=f"stage {stage} is below 1"):
                 call()
-
-
-def test_concurrent_first_reads_get_a_whole_inverse():
-    # 8 threads make the first read of each cold stage together and copy
-    # what they got at once; a switch interval of 1 us lets a thread run
-    # between any two bytecodes of another's read, so an inverse published
-    # before it is filled is seen part-filled
-    systems = [IntervalSystem(TOY, j) for j in range(8, 17)]
-    assert all(system._level_of_cell is None for system in systems)
-    barrier = threading.Barrier(8)
-    seen = [[None] * 8 for _ in systems]
-
-    def first_reads(i):
-        for k, system in enumerate(systems):
-            barrier.wait(timeout=60)
-            seen[k][i] = system.level_of_cell.copy()
-
-    threads = [threading.Thread(target=first_reads, args=(i,)) for i in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    for system, inverses in zip(systems, seen):
-        levels = np.arange(system.height)
-        for inverse in inverses:
-            assert np.array_equal(inverse[system.cell_of_level], levels)
-            assert np.array_equal(system.cell_of_level[inverse], levels)
 
 
 def test_mismatched_constructions_rejected():
@@ -453,8 +424,8 @@ def _replay_int64(params, stages):
 @settings(max_examples=60, deadline=None)
 @given(_params())
 def test_in_place_replay_matches_the_column_list_replay(params):
-    # every stage up to 20,000 cells: the in-place int32 replay and its
-    # inverse equal the int64 column-list replay element for element
+    # every stage up to 20,000 cells: the in-place int32 replay equals the
+    # int64 column-list replay element for element, and is a permutation
     stages = 1
     while stage_geometry(params, stages + 1).h <= 20_000:
         stages += 1
@@ -462,5 +433,6 @@ def test_in_place_replay_matches_the_column_list_replay(params):
         system = IntervalSystem(params, j)
         assert system.cell_of_level.dtype == np.int32
         assert np.array_equal(system.cell_of_level, reference)
-        assert system.level_of_cell.dtype == np.int32
-        assert np.array_equal(system.level_of_cell, np.argsort(reference))
+        inverse = np.argsort(system.cell_of_level)
+        assert np.array_equal(inverse[reference], np.arange(len(reference)))
+        assert np.array_equal(reference[inverse], np.arange(len(reference)))

@@ -1,9 +1,11 @@
 import math
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
@@ -375,13 +377,14 @@ def _replayed_layouts(params, J):
 @given(_constructions)
 def test_oracle_table_is_the_literal_replay(params):
     """Every stage's array table is the per-cell replay of the stacking rule,
-    and level_of_cell is its inverse permutation."""
+    and a permutation of the cells: ``argsort`` inverts it both ways."""
     for j, cells in enumerate(_replayed_layouts(params, _deepest_oracle_stage(params)), 1):
         system = IntervalSystem(params, j)
         assert system.cell_of_level.tolist() == cells
         levels = list(range(len(cells)))
-        assert system.level_of_cell[system.cell_of_level].tolist() == levels
-        assert system.cell_of_level[system.level_of_cell].tolist() == levels
+        inverse = np.argsort(system.cell_of_level)
+        assert inverse[system.cell_of_level].tolist() == levels
+        assert system.cell_of_level[inverse].tolist() == levels
 
 
 @st.composite
@@ -540,19 +543,29 @@ def _family_grids(draw):
 @given(_family_grids())
 def test_blocks_equal_one_query_per_cell(query):
     """Each cell of the expanded ``grid_counts`` blocks is the (count,
-    overflow, K) of its own one-pair, one-shift grid; each block holds the
-    pairs of one source set at one j0 and one sign of n; and ``power_grid``
-    gives each cell the lo, hi and resolved stage of its own
-    ``apply_power_bounds``, with equal answers sharing one bound."""
+    overflow, K) of its own one-pair, one-shift grid; there is one block per
+    j0 and sign of n, and each span of a block holds the pairs of its own
+    source set; and ``power_grid`` gives each cell the lo, hi and resolved stage of
+    its own ``apply_power_bounds``, with equal answers sharing one bound."""
     pairs, shifts, max_stage = query
     tower = tower_of(pairs[0][0].params)
     blocks = tower.grid_counts(pairs, shifts, max_stage)
     assert expand(blocks, len(pairs), len(shifts)) == [
         [triples(tower, [pair], [n], max_stage)[0][0] for n in shifts] for pair in pairs]
-    for rows, cols, *_ in blocks:
+    groups = set()
+    for rows, cols, _, spans in blocks:
         (backward,) = {shifts[col] < 0 for col in cols}
-        assert len({(pairs[i][backward].stage, pairs[i][backward].levels) for i in rows}) == 1
-        assert len({max(a.stage, b.stage) for a, b in map(pairs.__getitem__, rows)}) == 1
+        (j0,) = {max(a.stage, b.stage) for a, b in map(pairs.__getitem__, rows)}
+        groups.add((j0, backward))
+        sources, start = set(), 0
+        for end, _, _ in spans:
+            (source,) = {(pairs[i][backward].stage, pairs[i][backward].levels)
+                         for i in rows[start:end]}
+            sources.add(source)
+            start = end
+        assert len(sources) == len(spans)
+    assert len(groups) == len(blocks) == len(
+        {(max(a.stage, b.stage), n < 0) for a, b in pairs for n in shifts})
     grid = power_grid(pairs, shifts, max_stage)
     assert [[(x.lo, x.hi, x.resolved_stage) for x in row] for row in grid] == [
         [(x.lo, x.hi, x.resolved_stage)
@@ -562,6 +575,31 @@ def test_blocks_equal_one_query_per_cell(query):
     for row in grid:
         for x in row:
             assert shared.setdefault((x.lo, x.hi, x.resolved_stage), x) is x
+
+
+def test_a_grid_holds_one_count_list_per_group_and_shift():
+    """utv1's 120 stage-4 levels, each against E4 and the top level, over
+    the 719 shifts in (-3h_4, 3h_4): two (j0, sign) groups, one forward and
+    one backward, so the blocks hold one count list per shift, 719 in all,
+    not one per source and shift (43,918).  With the pair tables warm, the
+    blocks hold under 20 bytes per (pair, shift) cell (a list slot is 8);
+    per-source copies of the columns held about 30."""
+    h4 = stage_geometry(UTV, 4).h
+    pairs = [(LevelSet.single(UTV, 4, level), b) for level in range(h4)
+             for b in (LevelSet.base(UTV, 4), LevelSet.single(UTV, 4, h4 - 1))]
+    shifts = range(-3 * h4 + 1, 3 * h4)
+    tower = tower_module.Tower(UTV)
+    tower.grid_counts(pairs, shifts, None)  # fills the pair tables
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        blocks = tower.grid_counts(pairs, shifts, None)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) == 2
+    assert len({id(column) for _, _, counts, _ in blocks for column in counts}) == len(shifts)
+    assert held / (len(pairs) * len(shifts)) < 20
 
 
 @settings(max_examples=150, deadline=None)
