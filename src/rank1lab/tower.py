@@ -570,7 +570,8 @@ class Tower:
 
     def _bounds(self, blocks, height: int, width: int) -> list[list[MeasureBound]]:
         """The rational view of ``grid_counts`` blocks: ``height`` rows (one
-        per pair) of ``width`` bounds (one per shift), read span by span.
+        per pair) of ``width`` bounds (one per shift), read span by span
+        and each span's cells by index, so no column is sliced.
         Equal answers share one bound across the grid; the memo is keyed by
         (overflow, K) per span and column, then by count per cell."""
         grid = [[None] * width for _ in range(height)]
@@ -578,16 +579,16 @@ class Tower:
         for rows, cols, counts, spans in blocks:
             start = 0
             for end, overflows, stages in spans:
-                own = rows[start:end]
                 for col, column, overflow, K in zip(cols, counts, overflows, stages):
                     memo = made.get((overflow, K))
                     if memo is None:
                         memo = made[overflow, K] = {}
-                    for i, count in zip(own, column[start:end]):
+                    for cell in range(start, end):
+                        count = column[cell]
                         bound = memo.get(count)
                         if bound is None:
                             bound = memo[count] = self._bound(count, overflow, K)
-                        grid[i][col] = bound
+                        grid[rows[cell]][col] = bound
                 start = end
         return grid
 
