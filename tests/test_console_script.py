@@ -3,8 +3,8 @@ run as real processes: "Acceptance", "Criterion 1", "Product scan exit
 codes", "Density exit code and CSV rows", "Correlations exit code", "Joining
 witness exit codes", "Oracle cell cap", "Thousand-stage walk", "Stage
 caps below 1", "Huge cut count", "Construction config grammar" and
-"Mixed-stage pairs" through the console script.  Each command goes through the
-installed ``rank1lab`` script when there is one on the PATH, else through
+"Mixed-stage pairs" through the console script.  Each command goes through
+the installed ``rank1lab`` script when there is one on the PATH, else through
 ``python -m rank1lab.cli``, with this checkout's sources first on the path
 either way, and each test asserts the step's exit codes and lines.  Unlike
 CliRunner, this covers the entry point and the exit status a shell sees.

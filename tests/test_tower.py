@@ -545,8 +545,9 @@ def test_blocks_equal_one_query_per_cell(query):
     """Each cell of the expanded ``grid_counts`` blocks is the (count,
     overflow, K) of its own one-pair, one-shift grid; there is one block per
     j0 and sign of n, and each span of a block holds the pairs of its own
-    source set; and ``power_grid`` gives each cell the lo, hi and resolved stage of
-    its own ``apply_power_bounds``, with equal answers sharing one bound."""
+    source set; and ``power_grid`` gives each cell the lo, hi and resolved
+    stage of its own ``apply_power_bounds``, with equal answers sharing one
+    bound."""
     pairs, shifts, max_stage = query
     tower = tower_of(pairs[0][0].params)
     blocks = tower.grid_counts(pairs, shifts, max_stage)
