@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .construction import ConstructionParams, height, stage_geometry
+from .construction import ConstructionParams, stage_geometry
 from .serde import format_int, format_number
 from .tower import (LevelSet, MeasureBound, apply_power_bounds, check_construction,
                     grid_tower, power_grid)
@@ -42,7 +43,7 @@ def partial_joining_grid(pairs, shifts, j: int) -> list[list[MeasureBound]]:
     if not pairs:
         return []
     tower = grid_tower(pairs)
-    h = height(tower.params, j)
+    h = tower.stage(j).h
     for k in shifts:
         if abs(k) > h:
             raise ValueError(f"|k| = {format_int(abs(k))} exceeds tower height "
@@ -162,31 +163,39 @@ def domination_witness(
         return WitnessReport(m=m, rows=rows, passed=True, vacuous=True)
     menus = [_witness_candidates(params, j, m) for j in j_range]
     shifts = [m] + [k for menu in menus for k in menu]
-    # one column of bounds per shift, the column at m first
-    at_m, *columns = zip(*power_grid(rect_grid, shifts, max_stage))
-    # the kernel shares one bound per distinct answer: halve each bound at m
-    # once, and take each margin over the distinct (bound at k, bound at m)
-    halves: dict[int, tuple[Fraction, Fraction]] = {}
-    for bound in at_m:
-        if id(bound) not in halves:
-            halves[id(bound)] = (bound.lo / 2, bound.hi / 2)
-    ids_at_m = list(map(id, at_m))
-    halves_at_m = list(map(halves.__getitem__, ids_at_m))
+    # one column of bounds per shift, the column at m first, and their ids
+    columns = list(zip(*power_grid(rect_grid, shifts, max_stage)))
+    ids = [list(map(id, column)) for column in columns]
+    # margins in integers: a bound is a count of its stage's level widths,
+    # and each width a multiple of the deepest one, so in units of half the
+    # deepest width every bound is an even integer and its half an integer.
+    # The kernel shares one bound per distinct answer: each is scaled once.
+    bounds = dict(zip(chain.from_iterable(ids), chain.from_iterable(columns)))
+    deepest = max(bound.resolved_stage for bound in bounds.values())
+    unit = stage_geometry(params, deepest).level_width / 2
+    num, den = unit.denominator, unit.numerator  # x / unit = x * num / den
+    lo_units, hi_units = {}, {}
+    for key, bound in bounds.items():
+        lo, hi = bound.lo, bound.hi
+        lo_units[key] = lo.numerator * num // (lo.denominator * den)
+        hi_units[key] = hi.numerator * num // (hi.denominator * den)
+    at_m, *ids = ids
     rows = []
     passed = True
     col = 0
     for j, menu in zip(j_range, menus):
         best = None
         for k in menu:
-            column = columns[col]
-            pairs = dict(zip(zip(map(id, column), ids_at_m), zip(column, halves_at_m))).values()
-            margin_lo = min(bound.lo - half_hi for bound, (_, half_hi) in pairs)
-            margin_hi = min(bound.hi - half_lo for bound, (half_lo, _) in pairs)
+            # each margin over the distinct (bound at k, bound at m)
+            pairs = set(zip(ids[col], at_m))
+            margin_lo = min([lo_units[at_k] - hi_units[at] // 2 for at_k, at in pairs])
+            margin_hi = min([hi_units[at_k] - lo_units[at] // 2 for at_k, at in pairs])
             col += 1
             key = (margin_lo, abs(k), k)
             if best is None or key > best[0]:
                 best = (key, k, margin_lo, margin_hi)
         _, k_chosen, margin_lo, margin_hi = best
+        margin_lo, margin_hi = margin_lo * unit, margin_hi * unit
         rows.append(WitnessRow(j, k_chosen, margin_lo, margin_hi))
         if margin_lo < -eps:
             passed = False

@@ -128,14 +128,22 @@ class IntervalSystem:
         starts = np.sort(shallow[np.array(a.levels, dtype=np.int64)] * ratio)
         return (starts[:, None] + np.arange(ratio, dtype=_CELL)).ravel()
 
-    def _owned(self, a: LevelSet, cells: np.ndarray) -> np.ndarray:
-        """Which of ``cells`` (cells of this system) lie in A: a cell lies in
-        the shallow cell ``cell // ratio`` of A's stage, tested against a mark
-        per cell of that stage.  Spacers added after that stage sit past its
-        cells, so their owners index padding that is never marked."""
+    def _marks(self, a: LevelSet) -> tuple[np.ndarray, int]:
+        """A mark per cell of A's stage, set on A's cells, padded to cover
+        ``cell // ratio`` for every cell of this system, and that ratio:
+        the cells of this system per cell of A's stage.  Spacers added after
+        that stage sit past its cells, so their owners index padding that
+        is never marked."""
         shallow, ratio = self._shallow(a)
         marks = np.zeros(-(-self.height // ratio), dtype=bool)
         marks[shallow[np.array(a.levels, dtype=np.int64)]] = True
+        return marks, ratio
+
+    def _owned(self, a: LevelSet, cells: np.ndarray) -> np.ndarray:
+        """Which of ``cells`` (cells of this system) lie in A: a cell lies in
+        the shallow cell ``cell // ratio`` of A's stage, tested against
+        ``_marks``."""
+        marks, ratio = self._marks(a)
         return marks[cells // ratio]
 
     def orbit_counts(
@@ -156,7 +164,11 @@ class IntervalSystem:
         overlap, so they are labelled in layers of pairwise disjoint sets,
         one table and one ``bincount`` per layer.  The tables are built once
         and serve every source; the sources are counted one at a time, as
-        they are read.
+        they are read.  Each level's owner at a source's stage (its cell
+        divided by that stage's ratio, as in ``_owned``) is computed once
+        per run of sources at one stage, so sources given in stage order
+        divide once per stage, and one owner array is alive at a time; a
+        source only gathers its marks at its owners.
         """
         h = self.height
         width = len(powers)
@@ -183,8 +195,13 @@ class IntervalSystem:
             tables.append((table, members))
         column = np.arange(width)
         padding = shifts + h  # int64, so the int32 levels are padded in int64
+        owner, owned = None, 0  # each level's cell // owned, for the last ratio seen
         for a in sources:
-            padded = np.flatnonzero(self._owned(a, self.cell_of_level))[:, None] + padding
+            marks, ratio = self._marks(a)
+            if ratio != owned:
+                # intp owners: a gather by int32 ones first casts them, per source
+                owner, owned = (self.cell_of_level // ratio).astype(np.intp), ratio
+            padded = np.flatnonzero(marks[owner])[:, None] + padding
             hits = np.zeros((len(targets), width), dtype=np.int64)
             for table, members in tables:
                 size = len(members)

@@ -166,11 +166,12 @@ def dissipativity_grid(
     only.  A product with a proven-zero factor is the [0, 0] of the larger
     resolved stage of its factors, which is what ``left.times(right)``
     gives, so no product is multiplied out for it: a dead row's product is
-    its left bound itself, and the live rows a call builds with a
-    proven-zero right factor share one [0, 0] per stage.  Every other live
-    cell multiplies its two factors in place.  The kernel shares one bound
-    per distinct answer, so rectangles whose factor rows hold the same
-    bounds share one report, computed once.
+    its left bound itself, and a live row's with a proven-zero right factor
+    is its right bound itself where that bound's stage is the larger (a new
+    [0, 0] at the left's stage, else).  Every other live cell multiplies its
+    two factors in place.  The kernel shares one bound per distinct answer,
+    so rectangles whose factor rows hold the same bounds share one report,
+    computed once.
     """
     if k_lo < 1:
         raise ValueError("k_lo must be >= 1")
@@ -193,14 +194,6 @@ def dissipativity_grid(
                 pending[key] = a
             else:
                 found[key] = side
-    zeros: dict[int, MeasureBound] = {}  # resolved stage -> the shared [0, 0]
-
-    def zero(stage: int) -> MeasureBound:
-        bound = zeros.get(stage)
-        if bound is None:
-            bound = zeros[stage] = MeasureBound.exactly(0, stage)
-        return bound
-
     if pending:
         # a miss samples the shifts, which checks the range and count; a hit
         # was checked when it was filled
@@ -214,8 +207,8 @@ def dissipativity_grid(
             # rows are keyed on the identities of their bounds, alive in the side
             ids = tuple(map(id, row))
             if ids not in known:
-                dead = tuple(ReturnRow(k, left, None, left, PROVEN_ZERO) if left.hi == 0 else None
-                             for k, left in zip(scanned, row))
+                dead = tuple([ReturnRow(k, left, None, left, PROVEN_ZERO) if not left.hi else None
+                              for k, left in zip(scanned, row)])
                 known[ids] = (dead, [col for col, r in enumerate(dead) if r is None])
             # racing fills of one key agree on the first entry stored
             found[key] = memo.setdefault(key, _LeftSide(scanned, row, ids, *known[ids]))
@@ -241,13 +234,15 @@ def dissipativity_grid(
                 rows = list(rows)
                 for col in side.live:
                     left, right = side.row[col], right_at[col]
-                    if right.hi == 0:
-                        product = zero(max(left.resolved_stage, right.resolved_stage))
+                    # a bound's lo and hi are >= 0: a Fraction is false at 0
+                    if not right.hi:
+                        product = (right if right.resolved_stage >= left.resolved_stage
+                                   else MeasureBound.exactly(0, left.resolved_stage))
                         verdict = PROVEN_ZERO
                     else:
                         # neither factor is proven zero, so neither is the product
                         product = left.times(right)
-                        verdict = NONZERO if product.lo > 0 else UNRESOLVED
+                        verdict = NONZERO if product.lo else UNRESOLVED
                     k = side.scanned[col]
                     rows[col] = ReturnRow(k, left, right, product, verdict)
                     if verdict is NONZERO:

@@ -46,19 +46,24 @@ is refined.  ``Tower.grid_counts`` plans the shifts once per stage
 j0 = max(ja, jb) of a pair, indexes the sources once per j0 and sign, and
 gives one block per j0 and sign: one column of counts per shift over all
 the group's pairs, and per source a span of those pairs with a K and an
-overflow per shift, which depend on the source alone.
-Where the highest source level plus n fits below the start stage's height,
-every source resolves there and the sources share that row.  Each shift is
-counted once, at the deepest K of its sources, in one ``pair_counts`` batch
-per distinct K; a source that resolved at a shallower K overflows nothing
-there, so its count is the deeper one divided by the ratio of the two
-stages' copies, in place in its span of the column.  ``Tower._bounds`` is
-the rational view of blocks, with equal answers sharing one bound.
-``power_grid`` is that view of ``grid_counts``; ``power_profile`` is its
-one-pair case and ``apply_power_bounds`` the one-shift case of that.
-``Tower.stage_grid`` counts at a fixed stage j instead, through the same
-index and one batch of every shift, in blocks with overflow 0 and K = j, for
-the partial joinings of ``joinings``.
+overflow per shift, which depend on the source alone.  Planning splits the
+shifts by sign in one pass and finds every start stage by a bisect of the
+built stages' heights, in comprehensions.  Where the highest source level
+plus n fits below the start stage's height, every source resolves there and
+the sources share that row: one filter keeps the other columns, and only
+they are stepped.  Each shift is counted once, at the deepest K of its
+sources, in one ``pair_counts`` batch per distinct K; a source that resolved
+at a shallower K overflows nothing there, so its count is the deeper one
+divided by the ratio of the two stages' copies, in place in its span of the
+column, and a source whose stage row is the deepest row divides nothing.
+``Tower._bounds`` is the rational view of blocks: equal (count, overflow, K)
+share one bound, and ``Tower._bound`` checks its integers and fills the
+bound's slots.  ``power_grid`` is that view of ``grid_counts``;
+``power_profile`` is its one-pair case and ``apply_power_bounds`` the
+one-shift case of that.  ``Tower.stage_grid`` counts at a fixed stage j
+instead, through the same index and one batch of every shift, for the
+partial joinings of ``joinings``; every cell has overflow 0 and K = j, so it
+builds its bounds straight off the columns, by count alone, and no block.
 
 The public functions are pure.  The one ``Tower`` per construction owns
 its state: the stage chain, which ``construction.stage_geometry`` reads,
@@ -75,14 +80,13 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, lt
+from operator import index, lt
 from typing import Iterable, Sequence
 
 from .construction import ConstructionParams, StageGeometry, _build_stage, stage_geometry
 from .serde import format_int
 
 DEFAULT_EXTRA_STAGES = 8
-_height = attrgetter("h")
 _NO_TABLE: dict[int, int] = {}  # read, never written: a (js, jt, K) not yet tabled
 
 
@@ -164,6 +168,7 @@ class LevelSet:
     levels: tuple[int, ...]
 
     def __post_init__(self):
+        _integers((self.stage, *self.levels))
         h, levels = stage_geometry(self.params, self.stage).h, self.levels
         if levels and not (0 <= min(levels) and max(levels) < h):
             raise ValueError(f"levels must lie in [0, {format_int(h)}) at stage {self.stage}")
@@ -172,7 +177,7 @@ class LevelSet:
 
     @classmethod
     def from_levels(cls, params, stage: int, levels: Iterable[int]) -> "LevelSet":
-        return cls(params, stage, tuple(sorted(set(int(v) for v in levels))))
+        return cls(params, stage, tuple(sorted(set(_integers(levels)))))
 
     @classmethod
     def base(cls, params, stage: int) -> "LevelSet":
@@ -182,7 +187,7 @@ class LevelSet:
     @classmethod
     def single(cls, params, stage: int, level: int) -> "LevelSet":
         """T^level E_stage, a single tower level."""
-        return cls(params, stage, (int(level),))
+        return cls(params, stage, tuple(_integers((level,))))
 
     @classmethod
     def full_tower(cls, params, stage: int) -> "LevelSet":
@@ -196,6 +201,16 @@ class LevelSet:
     @property
     def measure(self) -> Fraction:
         return len(self.levels) * self.width
+
+
+def _integers(values: Iterable) -> list[int]:
+    """``operator.index`` of each value: int and numpy integers pass, as
+    Python ints, and nothing is rounded.  A value that is not an integer
+    names no level of any tower, so it is a ``ValueError``."""
+    try:
+        return list(map(index, values))
+    except TypeError as exc:
+        raise ValueError(f"a level set's stage and levels must be integers: {exc}") from None
 
 
 def measure(a: LevelSet) -> Fraction:
@@ -243,7 +258,8 @@ class Tower:
     Offset sums of stages j0..k-1 form the set O_{j0,k}; its largest element
     is ``stage(k).top - stage(j0).top`` and it has
     ``stage(k).copies // stage(j0).copies`` elements.  The stage table is
-    ``_chain``, which ``stage`` builds.  The tower owns three memos, all kept
+    ``_chain``, which ``stage`` builds, with each stage's height in
+    ``_heights`` for planning's bisects.  The tower owns three memos, all kept
     until ``reset``.  ``_pairs`` is the pair-count table: for each
     (js, jt, k) with js <= jt a dict from m (|m| when js == jt) to
     M_{js,jt,k}(m) = #{(o, o') in O_{js,k} x O_{jt,k} : o' - o = m}, filled by
@@ -263,6 +279,9 @@ class Tower:
     def __init__(self, params: ConstructionParams):
         self.params = params
         self._chain: list[StageGeometry] = []
+        # each stage's h, appended before the stage: its first len(_chain)
+        # entries are there whenever _chain is read
+        self._heights: list[int] = []
         self._grow = threading.Lock()
         # (js, jt, k) -> {m: M_{js,jt,k}(m)}, keyed on |m| when js == jt
         self._pairs: dict[tuple[int, int, int], dict[int, int]] = {}
@@ -282,7 +301,9 @@ class Tower:
             raise ValueError("stage index must be >= 1")
         with self._grow:
             while len(chain) < k:
-                chain.append(_build_stage(self.params, chain[-1] if chain else None))
+                st = _build_stage(self.params, chain[-1] if chain else None)
+                self._heights.append(st.h)
+                chain.append(st)
         return chain[k - 1]
 
     def reset(self):
@@ -315,31 +336,31 @@ class Tower:
         chain = self._chain
         top = chain[K - 1].top
         for js, jt, differences, owners in index.by_stage:
-            # the differences d = s - b with n + d in the span of M
+            # per shift, the differences d = s - b with n + d in the span of M:
+            # differences[i:e]
             low, high = chain[js - 1].top - top, top - chain[jt - 1].top
-            keys: list[int] = []
-            spans = []  # (column, the owners of its keys), in key order
+            spans = []  # (n, its column, i, e), in key order
             for n, counts in zip(shifts, columns):
                 i, e = bisect_left(differences, low - n), bisect_right(differences, high - n)
-                if i == e:
-                    continue
-                if js == jt:
-                    keys += [abs(n + d) for d in differences[i:e]]
-                elif js < jt:
-                    keys += [n + d for d in differences[i:e]]
-                else:
-                    keys += [-n - d for d in differences[i:e]]
-                spans.append((counts, owners[i:e]))
-            if not keys:
+                if i != e:
+                    spans.append((n, counts, i, e))
+            if not spans:
                 continue
+            # the keys of every shift in one comprehension
+            if js == jt:
+                keys = [abs(n + d) for n, _, i, e in spans for d in differences[i:e]]
+            elif js < jt:
+                keys = [n + d for n, _, i, e in spans for d in differences[i:e]]
+            else:
+                keys = [-n - d for n, _, i, e in spans for d in differences[i:e]]
             at = (js, jt, K) if js <= jt else (jt, js, K)
             try:
                 weights = iter(list(map(self._pairs.get(at, _NO_TABLE).__getitem__, keys)))
             except KeyError:
                 weights = iter(list(map(self._pair_table(*at, keys).__getitem__, keys)))
-            for counts, held in spans:
-                # held first: zip stops on it without taking the next span's weight
-                for cells, weight in zip(held, weights):
+            for _, counts, i, e in spans:
+                # owners first: zip stops on them without taking the next span's weight
+                for cells, weight in zip(owners[i:e], weights):
                     if weight:
                         for cell, count in cells:
                             counts[cell] += weight * count
@@ -420,23 +441,37 @@ class Tower:
         """The shifts by sign, ``n < 0 -> (columns, |n|s, starts, budgets)``,
         one entry per shift of that sign: start is the first stage >= j0
         with h > |n| and budget its ``stage_budget``.  Only the signs that
-        occur get lists."""
-        plans: dict[bool, tuple[list[int], list[int], list[int], list[int]]] = {}
-        # heights increase, so the stages built so far locate the first h > |n|;
-        # only a shift above all of them builds more, one stage at a time
+        occur get lists.
+
+        One pass splits the columns by sign.  Per sign, the start of the
+        largest |n| is found first, building stages until one is taller
+        than it; every start is then a bisect of the heights of the stages
+        j0..that one, all built, and every budget one more comprehension.
+        The heights are read only up to ``len(_chain)``, so a stage that
+        another thread is appending is never read half-made."""
+        forward: list[int] = []
+        backward: list[int] = []
         for col, n in enumerate(shifts):
-            backward, m = n < 0, abs(n)
-            start = max(j0, bisect_right(self._chain, m, key=_height) + 1)
-            while self.stage(start).h <= m:
-                start += 1
-            plan = plans.get(backward)
-            if plan is None:
-                plan = plans[backward] = ([], [], [], [])
-            cols, ms, starts, budgets = plan
-            cols.append(col)
-            ms.append(m)
-            starts.append(start)
-            budgets.append(stage_budget(start, max_stage))
+            (backward if n < 0 else forward).append(col)
+        plans: dict[bool, tuple[list[int], list[int], list[int], list[int]]] = {}
+        chain, heights = self._chain, self._heights
+        for sign, cols in ((False, forward), (True, backward)):
+            if not cols:
+                continue
+            ms = [abs(shifts[col]) for col in cols]
+            peak = max(ms)
+            # heights increase, so the stages built so far locate the first
+            # h > peak from j0 on (a j0 past them reads as j0); only a peak
+            # above all of them builds more
+            built = len(chain)
+            last = bisect_right(heights, peak, j0 - 1, built) + 1
+            while last > built and self.stage(last).h <= peak:
+                last += 1
+            starts = [bisect_right(heights, m, j0 - 1, last) + 1 for m in ms]
+            # ``stage_budget`` of each start, without a call per shift
+            budgets = ([start + DEFAULT_EXTRA_STAGES for start in starts] if max_stage is None
+                       else [max(max_stage, start) for start in starts])
+            plans[sign] = (cols, ms, starts, budgets)
         return plans
 
     def _resolve(self, sources, ms: list[int], starts: list[int], budgets: list[int]):
@@ -445,23 +480,31 @@ class Tower:
         source overflows, capped by its budget, and the levels that overflow
         there: ``(stage_rows, overflow_rows, deepest)``, one row per source
         and the deepest K per column.  The top level of a source at stage K
-        is its top level plus top_K - top_js.  Where the highest of them plus
-        n stays below the start stage's height, every source resolves there
-        with overflow 0, so of several sources only the other columns are
-        stepped, and a source with nothing to step shares the start row."""
+        is its top level plus top_K - top_js.  Where the highest level of all
+        the sources plus n stays below the start stage's height, every
+        source resolves there with overflow 0: one filter keeps the other
+        columns, the pending ones, and only those are stepped, per source.
+        When no column is pending every source shares the start row, which
+        is then the deepest row; when one source steps, its row is the
+        deepest row itself, and of several it is their elementwise max."""
         chain = self._chain
         zeros = [0] * len(ms)
         stage_rows, overflow_rows = [starts] * len(sources), [zeros] * len(sources)
-        pending = range(len(ms))
-        if len(sources) > 1:
-            peaks = [src[-1] - chain[js - 1].top for js, src in sources if src]
-            if not peaks:
-                return stage_rows, overflow_rows, starts
-            reach = max(peaks)
-            pending = [c for c in pending
-                       if chain[starts[c] - 1].top + ms[c] + reach >= chain[starts[c] - 1].h]
+        # the highest source level over its stage's top; a set with no level
+        # overflows nothing
+        reach = None
+        for js, src in sources:
+            if src and (reach is None or src[-1] - chain[js - 1].top > reach):
+                reach = src[-1] - chain[js - 1].top
+        pending = []
+        if reach is not None:
+            for c, (m, K) in enumerate(zip(ms, starts)):
+                st = chain[K - 1]
+                if st.top + m + reach >= st.h:
+                    pending.append(c)
         if not pending:
             return stage_rows, overflow_rows, starts
+        deepest = starts
         for s, (js, src) in enumerate(sources):
             if not src:
                 continue
@@ -479,7 +522,9 @@ class Tower:
                     overflows[c] = sum(self._count_at_least(js, K, st.h - ms[c] - x) for x in src)
                 stages[c] = K
             stage_rows[s], overflow_rows[s] = stages, overflows
-        deepest = stage_rows[0] if len(sources) == 1 else list(map(max, *stage_rows))
+            # every stepped row is at least the start row, so the first one
+            # stepped is the max so far
+            deepest = stages if deepest is starts else list(map(max, deepest, stages))
         return stage_rows, overflow_rows, deepest
 
     def grid_counts(
@@ -537,16 +582,19 @@ class Tower:
                     for c, column in zip(batch, columns):
                         counts[c] = column
                 # each source's cell range, divided in place back to its own K
-                # where that is shallower than the column's
+                # where that is shallower than the column's; a source whose
+                # stage row is the deepest row has nothing to divide
                 cells, spans = [], []
                 for own, overflows, stages in zip(rows, overflow_rows, stage_rows):
                     start = len(cells)
                     cells += own
                     end = len(cells)
-                    for column, K, deep in zip(counts, stages, deepest):
-                        if K != deep:
-                            ratio = chain[deep - 1].copies // chain[K - 1].copies
-                            column[start:end] = [count // ratio for count in column[start:end]]
+                    if stages is not deepest:
+                        for column, K, deep in zip(counts, stages, deepest):
+                            if K != deep:
+                                ratio = chain[deep - 1].copies // chain[K - 1].copies
+                                column[start:end] = [count // ratio
+                                                     for count in column[start:end]]
                     spans.append((end, overflows, stages))
                 blocks.append((cells, cols, counts, spans))
         return blocks
@@ -558,32 +606,49 @@ class Tower:
         all in [0, h_j), with y - x = n, times the level width of stage j.
         The sources (A) share one ``TargetIndex`` and one ``pair_counts``
         batch of every n, so the sources of one stage read each M_j(n + d)
-        once, and the counts form one ``grid_counts`` block over every pair,
-        in the index's cell order, with one span of overflow 0 and K = j."""
+        once.  Every cell has overflow 0 and K = j, so the bounds follow
+        ``_bounds``' rule with one count -> bound memo, read across the
+        columns one cell at a time, in the index's cell order, each row
+        built whole: no block is built."""
         self.stage(j)
         index, rows = _by_source(pairs, range(len(pairs)), False)
         counts = self.pair_counts(index, shifts, j)
-        width = len(shifts)
-        block = ([i for members in rows for i in members], range(width), counts,
-                 [(index.size, [0] * width, [j] * width)])
-        return self._bounds([block], len(pairs), width)
+        grid: list[list[MeasureBound]] = [[] for _ in pairs]
+        made: dict[int, MeasureBound] = {}
+        # the columns read across: one row of counts per cell, in cell order
+        cells = [i for members in rows for i in members]
+        for row, values in zip(cells, zip(*counts)):
+            out = grid[row]
+            for count in values:
+                bound = made.get(count)
+                if bound is None:
+                    bound = made[count] = self._bound(count, 0, j)
+                out.append(bound)
+        return grid
 
     def _bounds(self, blocks, height: int, width: int) -> list[list[MeasureBound]]:
         """The rational view of ``grid_counts`` blocks: ``height`` rows (one
         per pair) of ``width`` bounds (one per shift), read span by span
         and each span's cells by index, so no column is sliced.
-        Equal answers share one bound across the grid; the memo is keyed by
-        (overflow, K) per span and column, then by count per cell."""
+        Equal answers share one bound across the grid: equal (count,
+        overflow, K) give one bound.  The memo is keyed by (overflow, K),
+        then by count; a span looks its (overflow, K) memo up only where
+        that pair changes from the previous column, which along a run of
+        one stage and no overflow is once."""
         grid = [[None] * width for _ in range(height)]
         made: dict[tuple[int, int], dict[int, MeasureBound]] = {}
         for rows, cols, counts, spans in blocks:
             start = 0
             for end, overflows, stages in spans:
-                for col, column, overflow, K in zip(cols, counts, overflows, stages):
-                    memo = made.get((overflow, K))
-                    if memo is None:
-                        memo = made[overflow, K] = {}
-                    for cell in range(start, end):
+                cells = range(start, end)
+                overflow = K = None
+                for col, column, here, stage in zip(cols, counts, overflows, stages):
+                    if here != overflow or stage != K:
+                        overflow, K = here, stage
+                        memo = made.get((overflow, K))
+                        if memo is None:
+                            memo = made[overflow, K] = {}
+                    for cell in cells:
                         count = column[cell]
                         bound = memo.get(count)
                         if bound is None:
@@ -593,13 +658,23 @@ class Tower:
         return grid
 
     def _bound(self, count: int, overflow: int, K: int) -> MeasureBound:
-        """``[count, count + overflow]`` times the level width of stage K."""
+        """``[count, count + overflow]`` times the level width of stage K.
+        Widths are positive, so ``MeasureBound``'s check 0 <= lo <= hi is
+        count >= 0 and overflow >= 0, made here on the integers before the
+        slots are filled."""
         width = self._chain[K - 1].level_width
+        num, den = width.numerator, width.denominator
+        if count < 0 or overflow < 0:
+            raise ValueError(
+                f"bad measure interval [{count * width}, {(count + overflow) * width}]")
         # Fraction(int, int) skips the operator dispatch of int * Fraction
-        lo = Fraction(count * width.numerator, width.denominator)
-        hi = (Fraction((count + overflow) * width.numerator, width.denominator)
-              if overflow else lo)
-        return MeasureBound(lo, hi, K)
+        lo = Fraction(count * num, den)
+        hi = Fraction((count + overflow) * num, den) if overflow else lo
+        bound = object.__new__(MeasureBound)
+        _set_lo(bound, lo)
+        _set_hi(bound, hi)
+        _set_resolved_stage(bound, K)
+        return bound
 
     def self_returns(
         self, sets: Sequence[LevelSet], shifts: Iterable[int], max_stage: int | None
@@ -621,8 +696,8 @@ class Tower:
         # the sets that miss some |n|; they are the ones that miss some of ``missing``
         pending = [(a, memo) for a, memo in memos.values() if not memo.keys() >= wanted]
         if pending:
-            missing = list(dict.fromkeys(
-                m for _, memo in pending for m in steps if m not in memo))
+            # each |n| that some pending set misses, once, in increasing order
+            missing = sorted(set().union(*[wanted - memo.keys() for _, memo in pending]))
             filled = self._bounds(
                 self.grid_counts([(a, a) for a, _ in pending], missing, max_stage),
                 len(pending), len(missing))

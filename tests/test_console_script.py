@@ -2,7 +2,8 @@
 run as real processes: "Acceptance", "Criterion 1", "Product scan exit
 codes", "Density exit code and CSV rows", "Correlations exit code", "Joining
 witness exit codes", "Oracle cell cap", "Thousand-stage walk", "Stage
-caps below 1", "Huge cut count", "Construction config grammar" and
+caps below 1", "Oversize and empty lists", "Shift budgets and scan
+preconditions", "Huge cut count", "Construction config grammar" and
 "Mixed-stage pairs" through the console script.  Each command goes through
 the installed ``rank1lab`` script when there is one on the PATH, else through
 ``python -m rank1lab.cli``, with this checkout's sources first on the path
@@ -163,6 +164,70 @@ def test_stage_caps_below_1():
                   env={"RANK1_MAX_STAGE": "1"})
     assert free.returncode == capped.returncode == 0
     assert free.stdout == capped.stdout
+
+
+# Each oversize request once built its list, stage span or table until it ran
+# out of memory or ran on with no end; each must now be refused up front.
+_OVERSIZE = [
+    ("limits", "scan", "--family", "utv1", "--j", "7", "--dead-samples", "400000"),
+    ("limits", "scan", "--family", "utv1", "--j", "10", "--step", "1"),
+    ("measure", "--family", "utv1", "--set", "E2", "--n", ","),
+    ("measure", "--family", "utv1", "--set", "E2", "--n", "0..60000000"),
+    ("limits", "verify", "--family", "utv1", "--seq", "h_k", "--poly", "1/2*T^0",
+     "--j", "3..1000000000"),
+    ("limits", "eq4", "--N", "2", "--n", "1", "--p", "1", "--j-max", "1000000000"),
+    ("geometry", "--family", "utv1", "--j", "200001"),
+    ("limits", "scan", "--family", "utv1", "--j", "50000"),
+    ("oracle", "--family", "toy", "--set", "E1", "--n", "1", "--stage", "100000"),
+    ("measure", "--family", "toy", "--set", "stage=2; levels=0", "--n", str(2**1050 + 5),
+     "--max-stage", "3000"),
+    ("products", "scan", "--family", "thm2(2)", "--m", "1", "--n", "3", "--set", "E2",
+     "--k-lo", "1", "--k-hi", "1000000000", "--samples", "100000000"),
+    ("spectral", "density", "--family", "utv1", "--set", "E2", "--n", "0..4", "--order", "5",
+     "--grid", "30000000"),
+]
+
+
+@pytest.mark.parametrize("args", _OVERSIZE, ids=[
+    "dead zone of 400,000 samples", "one-step window of 14.5M shifts", "list with no integer",
+    "range of 6x10^7 shifts", "span of 10^9 stages", "j-max of 10^9", "stage 200,001",
+    "scan at stage 50,000", "oracle stage 100,000", "max-stage 3,000",
+    "10^8 samples", "grid of 3x10^7"])
+def test_oversize_and_empty_lists(args):
+    """A numeric dead zone that lists as many shifts as the refused "all"
+    (231,841 at utv1 stage 7) and a one-step window of 14.5M shifts each ran
+    out of memory once; a shift list with no integer once passed with no
+    rows, and a range of 6x10^7 shifts once crashed with exit 1; a span of
+    10^9 stages and a --j-max of 10^9 ran on with no end, as did a single
+    stage of 200,001 or 50,000; an oracle stage of 100,000 was built before
+    the cell cap, and a --max-stage of 3,000 walked the toy chain, until
+    each ran out of memory; a --samples of 10^8 and a --grid of 3x10^7
+    allocated until they did.  Each exits exactly 2 within 20 s, under a
+    1 GiB address space."""
+    start = time.monotonic()
+    result = _run(*args, timeout=20, address_space=1 << 30)
+    assert time.monotonic() - start < 20
+    assert result.returncode == 2, (result.stdout + result.stderr)[-2000:]
+
+
+def test_shift_budgets_and_scan_preconditions():
+    """Toy's n = 10^600 starts at stage 1994 and would walk to stage 2002,
+    past the stage ceiling (once 7.2 s and 1.68 GB before exit 3), so it
+    exits exactly 2 within 20 s, under a 1 GiB address space, naming the
+    ceiling; toy's j = 4 opens no dead zone, and a scan of none would pass
+    over nothing, so it exits exactly 2 and says so; and a set field given
+    twice exits exactly 2, not answering for its last value."""
+    start = time.monotonic()
+    budget = _run("measure", "--family", "toy", "--set", "E1", "--n", str(10**600),
+                  timeout=20, address_space=1 << 30)
+    assert time.monotonic() - start < 20
+    assert budget.returncode == 2
+    assert "above the ceiling of 2000 stages" in budget.stdout + budget.stderr
+    dead_zone = _run("limits", "scan", "--family", "toy", "--j", "4")
+    assert dead_zone.returncode == 2
+    assert "opens no dead zone" in dead_zone.stdout + dead_zone.stderr
+    twice = _run("measure", "--family", "toy", "--set", "stage=2; stage=3; levels=0", "--n", "1")
+    assert twice.returncode == 2
 
 
 def test_huge_cut_count(tmp_path):

@@ -342,6 +342,51 @@ def test_witness_equals_per_rectangle_reference(monkeypatch, params, grid, m, j_
         assert any(row.margin_lo != row.margin_hi for row in report.rows)
 
 
+def _fraction_witness(params, m, grid, j_range, eps, max_stage):
+    """The witness's rows and verdict from one ``power_grid``, with every
+    margin a min of Fraction differences bound.lo - (bound at m).hi / 2 and
+    bound.hi - (bound at m).lo / 2, and the shift kept by the largest
+    (margin_lo, |k|, k); also the number of rows whose best margin_lo is
+    shared by more than one shift."""
+    menus = [_witness_candidates(params, j, m) for j in j_range]
+    at_m, *columns = zip(*tower_module.power_grid(
+        grid, [m] + [k for menu in menus for k in menu], max_stage))
+    rows, passed, ties = [], True, 0
+    columns = iter(columns)
+    for j, menu in zip(j_range, menus):
+        keyed = []
+        for k in menu:
+            column = next(columns)
+            margin_lo = min(b.lo - h.hi / 2 for b, h in zip(column, at_m))
+            margin_hi = min(b.hi - h.lo / 2 for b, h in zip(column, at_m))
+            keyed.append(((margin_lo, abs(k), k), margin_lo, margin_hi))
+        (_, _, k_chosen), margin_lo, margin_hi = max(keyed)
+        ties += sum(key[0] == margin_lo for key, _, _ in keyed) > 1
+        rows.append(WitnessRow(j, k_chosen, margin_lo, margin_hi))
+        passed = passed and margin_lo >= -eps
+    return tuple(rows), passed, ties
+
+
+def test_integer_margins_equal_the_fraction_reference():
+    """The witness takes its margins in integer units of half the deepest
+    level width and turns each row's margins back into Fractions once: the
+    rows, the chosen k of each stage and the verdict are those of the margins
+    taken in Fractions, over the cases above (unresolved intervals, stage
+    caps, bounds at several resolved stages), with ties on margin_lo that
+    |k| and k break."""
+    ties = 0
+    for params, grid, m, j_range, eps, max_stage in _WITNESS_CASES:
+        if not list(j_range):
+            continue
+        rows, passed, tied = _fraction_witness(params, m, grid, j_range, eps, max_stage)
+        report = domination_witness(params, m, grid, j_range, eps, max_stage)
+        assert (report.rows, report.passed) == (rows, passed)
+        assert all(type(row.margin_lo) is Fraction and type(row.margin_hi) is Fraction
+                   for row in report.rows)
+        ties += tied
+    assert ties > 0
+
+
 def test_witness_case_shares_bounds_at_k_not_at_m():
     """A margin is taken over distinct (bound at k, bound at m) pairs; the
     half of Delta^m differs between two rectangles that share the bound at k,

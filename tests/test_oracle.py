@@ -222,6 +222,36 @@ def test_powers_past_int64_leave_the_tower():
     assert (hits.tolist(), lost.tolist()) == ([[0, size, 0]], [size, 0, size])
 
 
+@pytest.mark.parametrize("params,J", [(TOY, 8), (utv1(), 6), (thm2(2), 5)],
+                         ids=["toy", "utv1", "thm2(2)"])
+def test_orbit_counts_equal_a_walker_per_source_over_mixed_stages(params, J):
+    """``orbit_counts`` finds each level's owner once per distinct source
+    stage and reads every source of that stage through it: each source's
+    row is still what its own ``OrbitWalker`` reads, for sources at every
+    stage 1..J, several at one stage, repeated and empty, against targets
+    at mixed stages, over powers of both signs past the tower height."""
+    sources = []
+    for stage in range(1, J + 1):
+        h = stage_geometry(params, stage).h
+        sources += [LevelSet.single(params, stage, h - 1),
+                    LevelSet.from_levels(params, stage, range(0, h, 3))]
+    sources += [sources[3], LevelSet(params, 2, ())]
+    targets = [LevelSet.single(params, 1, 0), LevelSet.from_levels(params, 3, [1, 2]),
+               LevelSet.base(params, J)]
+    h = stage_geometry(params, J).h
+    powers = [-h - 1, -h // 2, -3, 0, 1, 5, h // 3, h - 1, h]
+    system = IntervalSystem(params, J)
+    rows = list(system.orbit_counts(sources, targets, powers))
+    assert len(rows) == len(sources)
+    for a, (hits, lost) in zip(sources, rows):
+        for i, n in enumerate(powers):
+            walker = OrbitWalker(a, J)
+            walker.step(n)
+            assert lost[i] == walker.lost
+            assert hits[:, i].tolist() == [len(walker.cells & system.cells_of(b))
+                                           for b in targets]
+
+
 def test_interval_refuses_levels_outside_the_tower():
     system = IntervalSystem(TOY, 3)  # h_3 = 7
     for level in (-1, 7):

@@ -468,18 +468,25 @@ _UNRESOLVED_LEFT_ZERO_RIGHT = (
 _NONZERO_PRODUCT = (  # k = 453, test_thm2_small_stage_counterexample_is_real
     _GRID_SYSTEMS[0], [(LevelSet.base(THM, 2), LevelSet.base(THM, 2))],
     452, 453, 1, None, None)
+# T^3 x T: at k = 3 the left factor resolves at stage 3, not proven zero, and
+# the right factor is proven zero at stage 2
+_ZERO_RIGHT_BELOW_LEFT = (
+    ProductSystem(THM, 3, THM, 1), [(LevelSet.single(THM, 2, 0), LevelSet.single(THM, 2, 0))],
+    1, 60, 59, None, None)
 
 
 def test_grid_rows_match_the_per_row_definition():
     """Every row of a grid against the literal definition of a row, one
-    kernel query per factor; the draws must include a nonzero product and an
-    unresolved left factor times a proven-zero right one."""
+    kernel query per factor; the draws must include a nonzero product, an
+    unresolved left factor times a proven-zero right one, and proven-zero
+    right factors at a stage above and below their left factor's."""
     seen = set()
 
     @settings(max_examples=60, deadline=None)
     @given(_grids())
     @example(_UNRESOLVED_LEFT_ZERO_RIGHT)
     @example(_NONZERO_PRODUCT)
+    @example(_ZERO_RIGHT_BELOW_LEFT)
     def check(case):
         system, rects, k_lo, k_hi, samples, max_stage, _ = case
         grid = dissipativity_grid(system, rects, k_lo, k_hi, samples, max_stage)
@@ -498,6 +505,10 @@ def test_grid_rows_match_the_per_row_definition():
                     product = left.times(right)
                     if left.lo < left.hi and right.hi == 0:
                         seen.add("unresolved left, zero right")
+                    if right.hi == 0:
+                        seen.add("zero right below the left's stage"
+                                 if right.resolved_stage < left.resolved_stage
+                                 else "zero right at the larger stage")
                 assert row.product == product
                 if product.hi == 0:
                     assert row.verdict == PROVEN_ZERO
@@ -513,7 +524,8 @@ def test_grid_rows_match_the_per_row_definition():
             assert report.all_proven_zero == all(row.verdict == PROVEN_ZERO for row in rows)
 
     check()
-    assert seen == {NONZERO, "unresolved left, zero right"}
+    assert seen == {NONZERO, "unresolved left, zero right", "zero right below the left's stage",
+                    "zero right at the larger stage"}
 
 
 def test_grid_multiplies_only_products_without_a_zero_factor(monkeypatch):

@@ -98,6 +98,40 @@ def test_levels_validated():
     assert LevelSet.from_levels(TOY, 2, [1, 0, 1]).levels == (0, 1)
 
 
+_NOT_INTEGERS = [1.5, 2.0, 2.9, Fraction(1), Fraction(3, 2), np.float64(1), np.float32(0.5)]
+
+
+@pytest.mark.parametrize("value", _NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda v: LevelSet(UTV, 2, (v,)),
+    lambda v: LevelSet(UTV, 2, (0, v)),
+    lambda v: LevelSet(UTV, v, (1,)),
+    lambda v: LevelSet.single(UTV, 2, v),
+    lambda v: LevelSet.from_levels(UTV, 2, [0.5, v]),
+    lambda v: LevelSet.from_levels(UTV, 2, [v]),
+], ids=["level", "second level", "stage", "single", "from_levels mixed", "from_levels"])
+def test_levels_and_stages_that_are_not_integers_are_refused(build, value):
+    """A level or a stage that is not an integer names no level of any tower:
+    ``LevelSet(utv1(), 2, (1.5,))`` once stood for a set that does not exist
+    (``apply_power_bounds`` gave it an exact 0), and ``single`` and
+    ``from_levels`` once rounded 2.9 to 2 and 1.99 to 1.  Each is a
+    ``ValueError`` now, even a float or a Fraction with an integral value."""
+    with pytest.raises(ValueError, match="stage and levels must be integers"):
+        build(value)
+
+
+def test_numpy_integer_levels_and_stages_pass():
+    """``operator.index`` admits numpy integers: ``single`` and
+    ``from_levels`` turn them into Python ints, and a set built directly on
+    them is the same set."""
+    single = LevelSet.single(UTV, np.int32(2), np.int64(3))
+    assert single == LevelSet.single(UTV, 2, 3)
+    assert all(type(v) is int for v in single.levels)
+    listed = LevelSet.from_levels(UTV, 2, np.array([4, 1, 4], dtype=np.int64))
+    assert listed.levels == (1, 4) and all(type(v) is int for v in listed.levels)
+    assert LevelSet(UTV, np.int64(2), (np.int64(1), np.int16(4))) == listed
+
+
 def test_apply_power_toy_examples():
     e1 = LevelSet.base(TOY, 1)
     one = apply_power_bounds(e1, e1, 1)
@@ -1083,6 +1117,8 @@ def test_shared_chain_grows_consistently_under_threads():
     assert [st.j for st in chain] == list(range(1, 42))
     assert [st.copies for st in chain] == [3 ** (k - 1) for k in range(1, 42)]
     assert all(st is chain[k - 1] for k, st in seen)
+    # planning bisects these heights: one per stage, in the chain's order
+    assert tower._heights == heights
 
 
 def test_planning_holds_when_a_stage_is_built_between_its_reads(monkeypatch):
@@ -1106,6 +1142,112 @@ def test_planning_holds_when_a_stage_is_built_between_its_reads(monkeypatch):
     plan = tower._plans(1, [heights[3] - 1, -heights[3]], 6)
     assert grown and plan[False][2] == [4] and plan[True][2] == [5]
     assert plan[False][3] == [tower_module.stage_budget(4, 6)]
+
+
+def _plans_one_shift_at_a_time(tower, j0, shifts, max_stage):
+    """``Tower._plans`` as a loop over the shifts: each shift's start walks
+    the chain from j0 to the first stage taller than |n|, and its budget is
+    ``stage_budget`` of that start."""
+    plans = {}
+    for col, n in enumerate(shifts):
+        start = j0
+        while tower.stage(start).h <= abs(n):
+            start += 1
+        cols, ms, starts, budgets = plans.setdefault(n < 0, ([], [], [], []))
+        cols.append(col)
+        ms.append(abs(n))
+        starts.append(start)
+        budgets.append(tower_module.stage_budget(start, max_stage))
+    return plans
+
+
+@st.composite
+def _plan_queries(draw):
+    """Shifts of either sign one below, at and one above tower heights, and
+    anywhere below them, for a pair stage j0, with or without a stage cap,
+    on a tower whose chain is cold, partly built or built past the shifts."""
+    params = draw(st.sampled_from([TOY, UTV, thm2(2), thm2(3)]))
+    heights = [stage_geometry(params, k).h for k in range(1, 12)]
+    near = st.builds(lambda h, d: h + d, st.sampled_from(heights), st.integers(-1, 1))
+    shifts = draw(st.lists(st.builds(lambda m, sign: sign * m,
+                                     near | st.integers(0, heights[-1]),
+                                     st.sampled_from([1, -1])), max_size=12))
+    j0 = draw(st.integers(1, 5))
+    max_stage = draw(st.sampled_from([None, 1, j0, j0 + 3, 15]))
+    built = draw(st.integers(0, 13))
+    return params, j0, shifts, max_stage, built
+
+
+@settings(max_examples=150, deadline=None)
+@given(_plan_queries())
+def test_plans_equal_the_per_shift_loop(query):
+    """The comprehension plan gives the columns, |n|s, starts and budgets of
+    the per-shift loop for both signs, whatever part of the chain is built."""
+    params, j0, shifts, max_stage, built = query
+    tower = tower_module.Tower(params)
+    if built:
+        tower.stage(built)
+    plans = tower._plans(j0, shifts, max_stage)
+    assert plans == _plans_one_shift_at_a_time(tower_module.Tower(params), j0, shifts,
+                                                max_stage)
+    assert tower._heights == [stage.h for stage in tower._chain]
+
+
+@st.composite
+def _stage_grids(draw):
+    """Pairs of one construction at stages up to j, with repeated and empty
+    sets, against shifts of both signs up to h_j, repeated."""
+    params = draw(st.sampled_from([TOY, UTV, thm2(2)]))
+    j = draw(st.integers(2, 5))
+
+    def level_set():
+        stage = draw(st.integers(1, j))
+        h = stage_geometry(params, stage).h
+        return LevelSet.from_levels(params, stage, draw(st.lists(st.integers(0, h - 1),
+                                                                  max_size=4)))
+
+    pool = [level_set() for _ in range(draw(st.integers(1, 4)))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+                          min_size=1, max_size=6))
+    h = stage_geometry(params, j).h
+    shifts = draw(st.lists(st.integers(-h, h), min_size=1, max_size=8))
+    return pairs, shifts + draw(st.lists(st.sampled_from(shifts), max_size=3)), j
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stage_grids())
+def test_stage_grid_equals_one_cell_grids_and_shares_equal_bounds(query):
+    """``Tower.stage_grid`` builds its bounds off the counted columns: each
+    cell equals the one-cell grid of its pair and shift (lo, hi and stage j),
+    and within one grid equal values are one bound object."""
+    pairs, shifts, j = query
+    tower = tower_of(pairs[0][0].params)
+    grid = tower.stage_grid(pairs, shifts, j)
+    cells = [[tower.stage_grid([pair], [k], j)[0][0] for k in shifts] for pair in pairs]
+    assert [[(x.lo, x.hi, x.resolved_stage) for x in row] for row in grid] == [
+        [(x.lo, x.hi, x.resolved_stage) for x in row] for row in cells]
+    assert all(x.lo is x.hi and x.resolved_stage == j for row in grid for x in row)
+    shared = {}
+    for row in grid:
+        for bound in row:
+            assert shared.setdefault(bound.lo, bound) is bound
+
+
+def test_a_lone_source_that_steps_has_the_deepest_row_itself():
+    """``_resolve`` hands a source whose stage row is the deepest row that
+    very list, so ``grid_counts`` divides nothing for it; of two sources
+    that step, the deepest row is their elementwise max, a list of its own."""
+    tower = tower_of(UTV)
+    h = tower.stage(6).h
+    top = LevelSet.single(UTV, 2, 5)
+    (_, ms, starts, budgets), = tower._plans(2, [h - 1, h - 3, 5], None).values()
+    stage_rows, _, deepest = tower._resolve([(2, top.levels)], ms, starts, budgets)
+    assert deepest is stage_rows[0] and deepest != starts
+    low = LevelSet.single(UTV, 2, 0)
+    sources = [(2, top.levels), (2, low.levels)]
+    stage_rows, _, deepest = tower._resolve(sources, ms, starts, budgets)
+    assert deepest == list(map(max, *stage_rows))
+    assert all(row is not deepest for row in stage_rows)
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -1202,6 +1344,22 @@ def test_textual_form_errors():
         parse_level_set("levels=0,1", TOY)
     with pytest.raises(ValueError):
         parse_level_set("stage=2; shape=round", TOY)
+
+
+def test_a_bound_from_a_negative_count_or_overflow_is_refused():
+    """``Tower._bound`` checks count >= 0 and overflow >= 0 on the integers
+    before it fills the slots, which is ``MeasureBound``'s own check
+    0 <= lo <= hi, since every level width is positive."""
+    tower = tower_of(UTV)
+    width = tower.stage(4).level_width
+    for count, overflow in ((-1, 0), (-3, 5), (2, -1)):
+        with pytest.raises(ValueError, match="bad measure interval"):
+            tower._bound(count, overflow, 4)
+        with pytest.raises(ValueError, match="bad measure interval"):
+            MeasureBound(count * width, (count + overflow) * width, 4)
+    exact, open_ = tower._bound(3, 0, 4), tower._bound(3, 2, 4)
+    assert exact == MeasureBound(3 * width, 3 * width, 4) and exact.lo is exact.hi
+    assert open_ == MeasureBound(3 * width, 5 * width, 4) and not open_.exact
 
 
 def test_measure_bound_validation_and_arithmetic():
