@@ -20,7 +20,7 @@ from itertools import chain
 from .construction import ConstructionParams, stage_geometry
 from .serde import format_int, format_number
 from .tower import (LevelSet, MeasureBound, apply_power_bounds, check_construction,
-                    grid_tower, power_grid)
+                    grid_tower, integers, power_grid)
 
 
 def delta_shift(a: LevelSet, b: LevelSet, k: int, max_stage: int | None = None) -> MeasureBound:
@@ -39,7 +39,7 @@ def partial_joining_grid(pairs, shifts, j: int) -> list[list[MeasureBound]]:
     in one call, for pairs of one construction with every set at a stage
     <= j and every |k| <= h_j, checked once.  The pairs that share A share
     one kernel count per k, and equal values share one bound."""
-    pairs, shifts = list(pairs), list(shifts)
+    pairs, shifts = list(pairs), integers(shifts, "shifts")
     if not pairs:
         return []
     tower = grid_tower(pairs)
@@ -76,7 +76,8 @@ class JoiningCombination:
 
     @classmethod
     def from_dict(cls, stage: int, weights: dict[int, Fraction]) -> "JoiningCombination":
-        return cls(stage, tuple(sorted((int(k), Fraction(c)) for k, c in weights.items())))
+        shifts = integers(weights, "a joining combination's shifts")
+        return cls(stage, tuple(sorted(zip(shifts, map(Fraction, weights.values())))))
 
 
 def combination_value(comb: JoiningCombination, a: LevelSet, b: LevelSet) -> MeasureBound:

@@ -42,7 +42,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .construction import ConstructionParams
-from .tower import LevelSet
+from .tower import LevelSet, integers
 
 
 _CELL = np.int32  # dtype of the stage tables and of the cell arrays that index them
@@ -144,7 +144,7 @@ class IntervalSystem:
         the shallow cell ``cell // ratio`` of A's stage, tested against
         ``_marks``."""
         marks, ratio = self._marks(a)
-        return marks[cells // ratio]
+        return marks[_owners(cells, ratio)]
 
     def orbit_counts(
         self, sources: Sequence[LevelSet], targets: Sequence[LevelSet],
@@ -172,7 +172,8 @@ class IntervalSystem:
         """
         h = self.height
         width = len(powers)
-        shifts = np.array([max(-h, min(n, h)) for n in powers], dtype=np.int64)
+        shifts = np.array([max(-h, min(n, h)) for n in integers(powers, "powers")],
+                          dtype=np.int64)
         # (cell label per layer, target positions); a target joins the first
         # layer whose labelled cells it misses
         layers: list[tuple[np.ndarray, list[int]]] = [(np.full(h, -1, np.int64), [])]
@@ -199,8 +200,7 @@ class IntervalSystem:
         for a in sources:
             marks, ratio = self._marks(a)
             if ratio != owned:
-                # intp owners: a gather by int32 ones first casts them, per source
-                owner, owned = (self.cell_of_level // ratio).astype(np.intp), ratio
+                owner, owned = _owners(self.cell_of_level, ratio), ratio
             padded = np.flatnonzero(marks[owner])[:, None] + padding
             hits = np.zeros((len(targets), width), dtype=np.int64)
             for table, members in tables:
@@ -213,6 +213,13 @@ class IntervalSystem:
                 hits[members] = counts[:size]
                 lost = counts[size + 1]  # the same in every layer
             yield hits, lost
+
+
+def _owners(cells: np.ndarray, ratio: int) -> np.ndarray:
+    """``cells // ratio`` as intp, divided in intp: numpy gathers by intp
+    indices as they are, and first casts an int32 index array to intp on
+    every gather."""
+    return np.floor_divide(cells, ratio, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -261,6 +268,7 @@ class OrbitWalker:
         # when its final level is still in the tower; clamping n to +-h keeps
         # that outcome and keeps a huge Python int out of the tables; the
         # levels are int64, where int32 ones would wrap past 2^31
+        (n,) = integers((n,), "powers")
         h = self.system.height
         levels = self._levels + max(-h, min(n, h))
         kept = levels[(levels >= 0) & (levels < h)]

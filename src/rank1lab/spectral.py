@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .serde import MAX_LISTED, format_int
-from .tower import LevelSet, power_profile
+from .tower import LevelSet, integers, power_profile
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def correlations(a: LevelSet, n_list, max_stage: int | None = None) -> Correlati
     mass = a.measure
     if mass == 0:
         raise ValueError("base set must have positive measure")
-    shifts = sorted({abs(int(n)) for n in n_list} - {0})
+    shifts = sorted(set(map(abs, integers(n_list, "shifts"))) - {0})
     entries: dict[int, Fraction] = {0: Fraction(1)}
     unresolved: dict[int, tuple[Fraction, Fraction]] = {}
     # the kernel shares one bound per distinct answer: divide once per bound,
@@ -117,9 +117,9 @@ def correlations(a: LevelSet, n_list, max_stage: int | None = None) -> Correlati
 def correlation_sequence(values: dict[int, Fraction]) -> CorrelationSequence:
     """Build a sequence from literal values (keys may be negative)."""
     table: dict[int, Fraction] = {}
-    for n, c in values.items():
+    for n, c in zip(integers(values, "correlation shifts"), values.values()):
         c = Fraction(c)
-        key = abs(int(n))
+        key = abs(n)
         if key in table and table[key] != c:
             raise ValueError(f"conflicting values for |n| = {key}")
         table[key] = c

@@ -159,6 +159,9 @@ _set_lo, _set_hi, _set_resolved_stage = (
     MeasureBound.__dict__[name].__set__ for name in ("lo", "hi", "resolved_stage"))
 
 
+_LEVEL_SET = "a level set's stage and levels"
+
+
 @dataclass(frozen=True)
 class LevelSet:
     """Union of distinct levels of one stage's tower."""
@@ -168,7 +171,7 @@ class LevelSet:
     levels: tuple[int, ...]
 
     def __post_init__(self):
-        _integers((self.stage, *self.levels))
+        integers((self.stage, *self.levels), _LEVEL_SET)
         h, levels = stage_geometry(self.params, self.stage).h, self.levels
         if levels and not (0 <= min(levels) and max(levels) < h):
             raise ValueError(f"levels must lie in [0, {format_int(h)}) at stage {self.stage}")
@@ -177,7 +180,7 @@ class LevelSet:
 
     @classmethod
     def from_levels(cls, params, stage: int, levels: Iterable[int]) -> "LevelSet":
-        return cls(params, stage, tuple(sorted(set(_integers(levels)))))
+        return cls(params, stage, tuple(sorted(set(integers(levels, _LEVEL_SET)))))
 
     @classmethod
     def base(cls, params, stage: int) -> "LevelSet":
@@ -187,7 +190,7 @@ class LevelSet:
     @classmethod
     def single(cls, params, stage: int, level: int) -> "LevelSet":
         """T^level E_stage, a single tower level."""
-        return cls(params, stage, tuple(_integers((level,))))
+        return cls(params, stage, tuple(integers((level,), _LEVEL_SET)))
 
     @classmethod
     def full_tower(cls, params, stage: int) -> "LevelSet":
@@ -203,14 +206,16 @@ class LevelSet:
         return len(self.levels) * self.width
 
 
-def _integers(values: Iterable) -> list[int]:
-    """``operator.index`` of each value: int and numpy integers pass, as
-    Python ints, and nothing is rounded.  A value that is not an integer
-    names no level of any tower, so it is a ``ValueError``."""
+def integers(values: Iterable, what: str) -> list[int]:
+    """``operator.index`` of each value, in one pass: int, bool and numpy
+    integers pass, as Python ints, and nothing is rounded.  A value that is
+    not an integer (2.0 and Fraction(2) too) names no level, stage, shift or
+    power, so it is a ``ValueError`` saying that ``what`` must be integers."""
+    each = map(index, values)  # a non-iterable stays a TypeError
     try:
-        return list(map(index, values))
+        return list(each)
     except TypeError as exc:
-        raise ValueError(f"a level set's stage and levels must be integers: {exc}") from None
+        raise ValueError(f"{what} must be integers: {exc}") from None
 
 
 def measure(a: LevelSet) -> Fraction:
@@ -286,9 +291,11 @@ class Tower:
         # (js, jt, k) -> {m: M_{js,jt,k}(m)}, keyed on |m| when js == jt
         self._pairs: dict[tuple[int, int, int], dict[int, int]] = {}
         # (A's stage, A's levels, max_stage) -> {|n|: bound}
+        # without it sweep's timed phase takes 101.8 ms, not 85.7 (10/10 runs slower)
         self._returns: dict[tuple, dict[int, MeasureBound]] = {}
         # (A's stage, A's levels, |left power|, k_lo, k_hi, samples, max_stage)
         # -> the left side of a product scan
+        # without it sweep's timed phase takes 171.6 ms, not 83.8 (10/10 runs slower)
         self._sides: dict[tuple, tuple] = {}
 
     def stage(self, k: int) -> StageGeometry:
@@ -559,7 +566,7 @@ class Tower:
         overflow.
         """
         _check_max_stage(max_stage)
-        shifts = list(shifts)
+        shifts = integers(shifts, "shifts")
         by_j0: dict[int, list[int]] = {}
         for i, (a, b) in enumerate(pairs):
             by_j0.setdefault(max(a.stage, b.stage), []).append(i)
@@ -636,6 +643,7 @@ class Tower:
         that pair changes from the previous column, which along a run of
         one stage and no overflow is once."""
         grid = [[None] * width for _ in range(height)]
+        # without it criterion 6 takes 42.0 ms, not 12.7, and sweep 135.9, not 83.8
         made: dict[tuple[int, int], dict[int, MeasureBound]] = {}
         for rows, cols, counts, spans in blocks:
             start = 0
@@ -686,7 +694,8 @@ class Tower:
         and the missing |n| fills every miss, so equal triples share one bound
         across sets."""
         _check_max_stage(max_stage)
-        steps = list(map(abs, shifts))
+        # checked before the memo, so a hit cannot answer for 2.0 as for 2
+        steps = list(map(abs, integers(shifts, "shifts")))
         keys = [(a.stage, a.levels, max_stage) for a in sets]
         memos: dict[tuple, tuple[LevelSet, dict[int, MeasureBound]]] = {}
         for a, key in zip(sets, keys):

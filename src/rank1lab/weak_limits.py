@@ -17,7 +17,8 @@ from . import reports
 from .construction import ConstructionParams, block_sequence, stage_geometry, thm2
 from .products import sample_shifts
 from .serde import MAX_LISTED, format_int
-from .tower import LevelSet, MeasureBound, check_construction, power_grid, power_profile
+from .tower import (LevelSet, MeasureBound, check_construction, integers, power_grid,
+                    power_profile)
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,9 @@ class OperatorPolynomial:
 
     @classmethod
     def from_dict(cls, coeffs: dict[int, Fraction]) -> "OperatorPolynomial":
-        cleaned = tuple(sorted((int(p), Fraction(c)) for p, c in coeffs.items() if c != 0))
+        powers = integers(coeffs, "an operator polynomial's powers")
+        cleaned = tuple(sorted((p, Fraction(c))
+                               for p, c in zip(powers, coeffs.values()) if c != 0))
         return cls(cleaned)
 
     @property

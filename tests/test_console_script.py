@@ -1,15 +1,16 @@
-"""Console-script steps of the CI workflow (``.github/workflows/tests.yml``)
-run as real processes: "Acceptance", "Criterion 1", "Product scan exit
-codes", "Density exit code and CSV rows", "Correlations exit code", "Joining
-witness exit codes", "Oracle cell cap", "Thousand-stage walk", "Stage
-caps below 1", "Oversize and empty lists", "Shift budgets and scan
-preconditions", "Huge cut count", "Construction config grammar" and
-"Mixed-stage pairs" through the console script.  Each command goes through
-the installed ``rank1lab`` script when there is one on the PATH, else through
-``python -m rank1lab.cli``, with this checkout's sources first on the path
-either way, and each test asserts the step's exit codes and lines.  Unlike
-CliRunner, this covers the entry point and the exit status a shell sees.
-Children run one at a time, and a time or memory limit applies to its
+"""The console script's exit codes and output, checked as real processes.
+
+The ``rank1lab`` script's exit statuses are a contract: 0 PASS, 1 FAIL, 2
+usage error, 3 INCONCLUSIVE.  This module is the one place that contract is
+checked end to end, command by command: acceptance, criterion 1, product
+scans, density and CSV rows, correlations, joining witnesses, the oracle's
+cell cap, a thousand-stage walk, stage caps, oversize and empty lists, shift
+budgets and scan preconditions, a huge cut count, the construction config
+grammar and mixed-stage pairs.  Each command goes through the installed
+``rank1lab`` script when there is one on the PATH, else through ``python -m
+rank1lab.cli``, with this checkout's sources first on the path either way.
+Unlike CliRunner, this covers the entry point and the exit status a shell
+sees.  Children run one at a time, and a time or memory limit applies to its
 child only."""
 
 import csv
@@ -39,8 +40,10 @@ def _run(*args, timeout=120, env=None, address_space=None):
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     result = subprocess.run([*_COMMAND, *args], env=dict(_ENV, **(env or {})),
-                            capture_output=True, text=True, timeout=timeout,
+                            capture_output=True, timeout=timeout,
                             preexec_fn=limit if address_space else None)
+    # decoded with no newline translation, so equal text is equal bytes
+    result.stdout, result.stderr = result.stdout.decode(), result.stderr.decode()
     assert "Traceback" not in result.stderr, result.stderr[-2000:]
     return result
 
@@ -208,6 +211,8 @@ def test_oversize_and_empty_lists(args):
     result = _run(*args, timeout=20, address_space=1 << 30)
     assert time.monotonic() - start < 20
     assert result.returncode == 2, (result.stdout + result.stderr)[-2000:]
+    # refused by its size up front, not by a MemoryError under the 1 GiB cap
+    assert "request too large for this host" not in result.stderr
 
 
 def test_shift_budgets_and_scan_preconditions():

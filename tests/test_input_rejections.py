@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import rank1lab
@@ -21,11 +22,14 @@ from rank1lab.construction import (
     toy,
     utv1,
 )
-from rank1lab.oracle import oracle_intersection
-from rank1lab.products import sample_shifts
+from rank1lab.joinings import JoiningCombination, partial_joining_grid
+from rank1lab.oracle import IntervalSystem, OrbitWalker, oracle_intersection
+from rank1lab.products import ProductSystem, dissipativity_scan, product_return, sample_shifts
 from rank1lab.serde import MAX_INT_DIGITS, MAX_LISTED, format_int, parse_int, parse_rational
-from rank1lab.spectral import CorrelationSequence, fejer_density
-from rank1lab.tower import LevelSet, MeasureBound, level_set_fields
+from rank1lab.spectral import (CorrelationSequence, correlation_sequence, correlations,
+                               fejer_density)
+from rank1lab.tower import (LevelSet, MeasureBound, apply_power_bounds, level_set_fields,
+                            power_profile, tower_of)
 from rank1lab.weak_limits import OperatorPolynomial, parse_sequence, scan_window
 
 UTV = utv1()
@@ -136,6 +140,71 @@ _REJECTIONS = [
 def test_rejected_input_names_the_bad_value(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+# Levels 1 and 3 of utv1's stage 2, and the product of utv1 with itself
+_LOW, _HIGH = LevelSet.single(UTV, 2, 1), LevelSet.single(UTV, 2, 3)
+_SQUARE = ProductSystem(UTV, 1, UTV, 1)
+
+
+def _self_return_after_a_hit(v):
+    tower_of(UTV).self_returns([_LOW], [2], None)  # the memo now holds |n| = 2
+    return tower_of(UTV).self_returns([_LOW], [v], None)
+
+
+def _scan_after_a_hit(v):
+    dissipativity_scan(_SQUARE, _LOW, _LOW, 2, 20, samples=4)  # the memo holds k_lo = 2
+    return dissipativity_scan(_SQUARE, _LOW, _LOW, v, 20, samples=4)
+
+
+# Each way a shift or a power enters, with the message that refuses a value
+# that is not an integer.  Each once answered for such a value or failed
+# with another error: a shift of 2.5 or 1.9 got an exact [0, 0] from
+# apply_power_bounds, 2.0 and Fraction(2) the answer for 2, correlations
+# filed c(2.9) under 2, the from_dict builders, correlation_sequence and
+# orbit_counts truncated theirs, and a walk raised an IndexError.
+_NOT_INTEGER_SHIFTS = [
+    ("apply_power_bounds", lambda v: apply_power_bounds(_LOW, _HIGH, v), "shifts"),
+    ("power_profile", lambda v: power_profile(_LOW, _HIGH, [1, v]), "shifts"),
+    ("grid_counts", lambda v: tower_of(UTV).grid_counts([(_LOW, _HIGH)], [v], None), "shifts"),
+    ("self_returns after a memo hit", _self_return_after_a_hit, "shifts"),
+    ("partial_joining_grid", lambda v: partial_joining_grid([(_LOW, _HIGH)], [0, v], 3),
+     "shifts"),
+    ("correlations", lambda v: correlations(_LOW, [1, v]), "shifts"),
+    ("correlation_sequence", lambda v: correlation_sequence({v: Fraction(1, 2)}),
+     "correlation shifts"),
+    ("OperatorPolynomial.from_dict",
+     lambda v: OperatorPolynomial.from_dict({v: Fraction(1, 2)}),
+     "an operator polynomial's powers"),
+    ("JoiningCombination.from_dict", lambda v: JoiningCombination.from_dict(3, {v: 1}),
+     "a joining combination's shifts"),
+    ("product_return", lambda v: product_return(_SQUARE, _LOW, _LOW, v), "shifts"),
+    ("product exponent", lambda v: ProductSystem(UTV, v, UTV, 1), "product exponents"),
+    ("scan window after a memo hit", _scan_after_a_hit, "a scan's window and sample count"),
+    ("oracle_intersection", lambda v: oracle_intersection(_LOW, _HIGH, v, 4), "powers"),
+    ("OrbitWalker.step", lambda v: OrbitWalker(_LOW, 4).step(v), "powers"),
+    ("orbit_counts",
+     lambda v: list(IntervalSystem(UTV, 4).orbit_counts([_LOW], [_HIGH], [1, v])), "powers"),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, 1.9, 2.0, np.float64(2.0), Fraction(2)], ids=repr)
+@pytest.mark.parametrize("build,what", [case[1:] for case in _NOT_INTEGER_SHIFTS],
+                         ids=[case[0] for case in _NOT_INTEGER_SHIFTS])
+def test_shifts_and_powers_that_are_not_integers_are_refused(build, what, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} must be integers: "):
+        build(value)
+
+
+def test_numpy_integer_and_bool_shifts_pass():
+    """``operator.index`` admits numpy integers and bools, as the ints they are."""
+    assert apply_power_bounds(_LOW, _HIGH, np.int64(2)) == apply_power_bounds(_LOW, _HIGH, 2)
+    assert apply_power_bounds(_LOW, _HIGH, True) == apply_power_bounds(_LOW, _HIGH, 1)
+    assert correlations(_LOW, np.arange(4, dtype=np.int32)) == correlations(_LOW, range(4))
+    assert (OperatorPolynomial.from_dict({np.int16(-1): Fraction(1, 2)})
+            == OperatorPolynomial.from_dict({-1: Fraction(1, 2)}))
+    assert (partial_joining_grid([(_LOW, _HIGH)], [np.int8(2)], 3)
+            == partial_joining_grid([(_LOW, _HIGH)], [2], 3))
 
 
 def test_integers_convert_on_both_sides_of_the_digit_ceiling():

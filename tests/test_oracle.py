@@ -252,6 +252,29 @@ def test_orbit_counts_equal_a_walker_per_source_over_mixed_stages(params, J):
                                            for b in targets]
 
 
+@pytest.mark.parametrize("params,J", [(TOY, 9), (utv1(), 6), (thm2(2), 5)],
+                         ids=["toy", "utv1", "thm2(2)"])
+def test_owned_gathers_as_the_int32_division(params, J):
+    """``_owned`` divides in intp before it gathers: for sets at every stage
+    1..J, empty, single, sparse and full, over every cell, a shuffled part
+    of them and none, it reads what ``marks[cells // ratio]`` reads with
+    the int32 stage tables."""
+    system = IntervalSystem(params, J)
+    assert system.cell_of_level.dtype == np.int32
+    everything = system.cell_of_level
+    some = np.random.default_rng(0).permutation(everything)[: len(everything) // 3]
+    for stage in range(1, J + 1):
+        h = stage_geometry(params, stage).h
+        for a in (LevelSet(params, stage, ()), LevelSet.single(params, stage, h - 1),
+                  LevelSet.from_levels(params, stage, range(1, h, 3)),
+                  LevelSet.full_tower(params, stage)):
+            marks, ratio = system._marks(a)
+            for cells in (everything, some, everything[:0]):
+                owned = system._owned(a, cells)
+                assert owned.dtype == bool
+                assert np.array_equal(owned, marks[cells // ratio])
+
+
 def test_interval_refuses_levels_outside_the_tower():
     system = IntervalSystem(TOY, 3)  # h_3 = 7
     for level in (-1, 7):
