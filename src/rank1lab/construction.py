@@ -255,8 +255,9 @@ def _build_stage(params: ConstructionParams, below: StageGeometry | None) -> Sta
 
 def stage_geometry(params: ConstructionParams, j: int) -> StageGeometry:
     """Geometry of stage j >= 1: ``tower_of(params).stage(j)``, read off the
-    one stage chain the construction's ``Tower`` builds and keeps."""
-    return tower_of(params).stage(j)
+    one stage chain the construction's ``Tower`` builds and keeps; j must be
+    an integer."""
+    return tower_of(params).stage(integer(j, "stages"))
 
 
 def height(params: ConstructionParams, j: int) -> int:
@@ -533,4 +534,4 @@ def params_to_config(params: ConstructionParams) -> dict:
     }
 
 
-from .tower import tower_of  # noqa: E402  (last: tower imports the names above)
+from .tower import integer, tower_of  # noqa: E402  (last: tower imports the names above)

@@ -20,7 +20,7 @@ from itertools import chain
 from .construction import ConstructionParams, stage_geometry
 from .serde import format_int, format_number
 from .tower import (LevelSet, MeasureBound, apply_power_bounds, check_construction,
-                    grid_tower, integers, power_grid)
+                    grid_tower, integer, integers, power_grid)
 
 
 def delta_shift(a: LevelSet, b: LevelSet, k: int, max_stage: int | None = None) -> MeasureBound:
@@ -40,10 +40,11 @@ def partial_joining_grid(pairs, shifts, j: int) -> list[list[MeasureBound]]:
     <= j and every |k| <= h_j, checked once.  The pairs that share A share
     one kernel count per k, and equal values share one bound."""
     pairs, shifts = list(pairs), integers(shifts, "shifts")
+    j = integer(j, "stages")  # checked before the memo of bounds at K = j
     if not pairs:
         return []
     tower = grid_tower(pairs)
-    h = tower.stage(j).h
+    h = tower.stage(j).h  # builds stage j for ``stage_grid``
     for k in shifts:
         if abs(k) > h:
             raise ValueError(f"|k| = {format_int(abs(k))} exceeds tower height "

@@ -9,12 +9,12 @@ never claims anything about unscanned shifts.  ``dissipativity_grid`` scans
 a list of rectangles in one pass, building one report per distinct pair of
 factor rows; ``dissipativity_scan`` is its one-rectangle case.  What a scan
 reads of its left factor depends on the left set and the window alone, so
-the left factor's ``Tower`` keeps it as a third memo beside the self-returns
-and the pair counts: one left side per (A's stage, A's levels, |left power|,
-``k_lo``, ``k_hi``, ``samples``, ``max_stage``), one row of ``samples``
-entries, until ``Tower.reset()``.  Scans of one left set over one window
-fill it once, share its proven-zero rows and build rows only for its live
-columns.
+the left factor's ``Tower`` keeps it beside the self-returns and the pair
+counts: one left side per (A's stage, A's levels, |left power|, ``k_lo``,
+``k_hi``, ``samples``, ``max_stage``), one row of ``samples`` entries, until
+``Tower.reset()``, and one report per left row and right row.  Scans of one
+left row over one window fill it once, share its proven-zero rows and build
+rows only for its live columns.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple
 
 from .construction import ConstructionParams, stage_geometry
 from .serde import MAX_LISTED, format_int
-from .tower import LevelSet, MeasureBound, integers, tower_of
+from .tower import LevelSet, MeasureBound, _check_max_stage, integers, tower_of
 
 PROVEN_ZERO = "PROVEN-ZERO"
 NONZERO = "NONZERO"
@@ -132,15 +132,14 @@ def dissipativity_scan(
 
 
 class _LeftSide(NamedTuple):
-    """What a product scan of one left set over one window reads of its left
-    factor: the scanned shifts, the left factor row, the ids of its bounds
-    (reports share on them), the rows of its dead columns, where the left
+    """What a product scan over one window reads of one left factor row: the
+    scanned shifts, the row, the rows of its dead columns, where the left
     factor is proven zero (``None`` at the live columns), and the live
-    columns, in order."""
+    columns, in order.  Left sets whose rows over one window are equal share
+    one side."""
 
     scanned: tuple[int, ...]
     row: list[MeasureBound]
-    ids: tuple[int, ...]
     rows: tuple[ReturnRow | None, ...]
     live: list[int]
 
@@ -160,22 +159,24 @@ def dissipativity_grid(
     (``_LeftSide``) depends on the left set and the window alone, so the
     left factor's ``Tower`` keeps it in its scan memo until ``reset``, under
     (A's stage, A's levels, |left power|, ``k_lo``, ``k_hi``, ``samples``,
-    ``max_stage``).  One ``Tower.self_returns`` call fills every left side
-    the memo misses, and one more gives the right factors of all rectangles
-    on the columns where some left factor is not proven zero: a scan copies
-    the dead rows of its left side and builds rows for its live columns
-    only.  A product with a proven-zero factor is the [0, 0] of the larger
-    resolved stage of its factors, which is what ``left.times(right)``
-    gives, so no product is multiplied out for it: a dead row's product is
-    its left bound itself, and a live row's with a proven-zero right factor
-    is its right bound itself where that bound's stage is the larger (a new
-    [0, 0] at the left's stage, else).  Every other live cell multiplies its
-    two factors in place.  The kernel shares one bound per distinct answer,
+    ``max_stage``); left sets with equal rows share one side.  One
+    ``Tower.self_returns`` call fills every left side the memo misses, and
+    one more gives the right factors of all rectangles on the columns where
+    some left factor is not proven zero: a scan copies the dead rows of its
+    left side and builds rows for its live columns only.  A product with a
+    proven-zero factor is the [0, 0] of the larger resolved stage of its
+    factors, which is what ``left.times(right)`` gives, so no product is
+    multiplied out for it: a dead row's product is its left bound itself,
+    and a live row's with a proven-zero right factor is its right bound
+    itself where that bound's stage is the larger (the left tower's [0, 0]
+    at the left's stage, else).  Every other live cell multiplies its two
+    factors in place.  The kernel shares one bound per distinct answer,
     so rectangles whose factor rows hold the same bounds share one report,
-    computed once.
+    which the left factor's ``Tower`` keeps until ``reset``.
     """
     # checked before the scan memo, so a hit cannot answer for 1.0 as for 1
     integers((k_lo, k_hi, samples), "a scan's window and sample count")
+    max_stage = _check_max_stage(max_stage)
     if k_lo < 1:
         raise ValueError("k_lo must be >= 1")
     rects = list(rects)
@@ -203,19 +204,23 @@ def dissipativity_grid(
         scanned = tuple(sample_shifts(k_lo, k_hi, samples))
         lefts = left_tower.self_returns(
             list(pending.values()), [power * k for k in scanned], max_stage)
-        # left row -> (its dead rows, its live columns); a proven-zero left
-        # bound is the [0, 0] of its own stage, so it is its row's product;
-        # without it criterion 6 takes 17.1 ms, not 12.7 (10/10 runs slower)
-        known: dict[tuple[int, ...], tuple[tuple, list[int]]] = {}
+        by_row = left_tower._side_rows
         for key, row in zip(pending, lefts):
-            # rows are keyed on the identities of their bounds, alive in the side
+            # the tower shares one bound per answer, so equal rows hold the
+            # same ids, alive in the side stored under them
             ids = tuple(map(id, row))
-            if ids not in known:
-                dead = tuple([ReturnRow(k, left, None, left, PROVEN_ZERO) if not left.hi else None
-                              for k, left in zip(scanned, row)])
-                known[ids] = (dead, [col for col, r in enumerate(dead) if r is None])
-            # racing fills of one key agree on the first entry stored
-            found[key] = memo.setdefault(key, _LeftSide(scanned, row, ids, *known[ids]))
+            row_key = (k_lo, k_hi, samples, ids)
+            side = by_row.get(row_key)
+            if side is None:
+                # a proven-zero left bound is the [0, 0] of its own stage, so
+                # it is its row's product; each distinct bound is tested once
+                zero = {i for i, left in dict(zip(ids, row)).items() if not left.hi}
+                dead = tuple([ReturnRow(k, left, None, left, PROVEN_ZERO) if i in zero else None
+                              for k, left, i in zip(scanned, row, ids)])
+                live = [col for col, i in enumerate(ids) if i not in zero]
+                # racing fills agree on the first side stored
+                side = by_row.setdefault(row_key, _LeftSide(scanned, row, dead, live))
+            found[key] = memo.setdefault(key, side)
     sides = [found[key] for key in keys]
     scanned = sides[0].scanned
     cols = sorted(set().union(*(side.live for side in found.values())))
@@ -224,25 +229,26 @@ def dissipativity_grid(
     ratio = None
     if ratio_target is not None:
         ratio = ratio_condition(sys.left_params, sys.right_params, RATIO_DEPTH, ratio_target)
-    # without it criterion 6 takes 27.7 ms, not 12.7 (10/10 runs slower)
-    reports: dict[tuple, RectangleReturnReport] = {}
+    reports = left_tower._reports
     out = []
     for side, right_row in zip(sides, rights):
-        key = (side.ids, tuple(map(id, right_row)))
+        right_at = dict(zip(cols, right_row))
+        rights_live = [right_at[col] for col in side.live]
+        # equal left rows are one side, and equal right bounds one object
+        key = (id(side), sys.right_params, ratio_target, *map(id, rights_live))
         report = reports.get(key)
         if report is None:
             rows = side.rows
             nonzero = []
             unresolved = []
             if side.live:
-                right_at = dict(zip(cols, right_row))
                 rows = list(rows)
-                for col in side.live:
-                    left, right = side.row[col], right_at[col]
+                for col, right in zip(side.live, rights_live):
+                    left = side.row[col]
                     # a bound's lo and hi are >= 0: a Fraction is false at 0
                     if not right.hi:
                         product = (right if right.resolved_stage >= left.resolved_stage
-                                   else MeasureBound.exactly(0, left.resolved_stage))
+                                   else left_tower._shared[0, left.resolved_stage][0])
                         verdict = PROVEN_ZERO
                     else:
                         # neither factor is proven zero, so neither is the product
@@ -255,7 +261,8 @@ def dissipativity_grid(
                     elif verdict is UNRESOLVED:
                         unresolved.append(k)
                 rows = tuple(rows)
-            report = reports[key] = RectangleReturnReport(
+            # racing scans agree on the first report stored
+            report = reports.setdefault(key, RectangleReturnReport(
                 scanned=side.scanned,
                 rows=rows,
                 nonzero_returns=tuple(nonzero),
@@ -263,7 +270,7 @@ def dissipativity_grid(
                 all_proven_zero=not nonzero and not unresolved,
                 note=EVIDENCE_NOTE,
                 ratio_check=ratio,
-            )
+            ))
         out.append(report)
     return out
 

@@ -32,11 +32,11 @@ never fabricates a point value.  Negative powers go through
 mu(T^n A /\\ B) = mu(T^{-n} B /\\ A), so only the forward count exists.
 
 The kernel answers in integers and in columns, and counts along one path.
-The pairs are grouped by source set (``_by_source``: A for n >= 0, B for
-n < 0), and the sources of a grid share one index of their targets
+Every (source, target) pair of a count is a cell of one index
 (``TargetIndex``: per source stage and target stage, the distinct
 differences d = a - b of a source level a and a target level b, and the
-(source, target) cells with how many pairs hold each).
+cells with how many level pairs hold each), the source being A for n >= 0
+and B for n < 0.
 ``Tower.pair_counts`` counts a batch of shifts that share one stage K: per
 (source stage, target stage) it gathers the keys n + d of every shift and
 difference within reach, reads M_K at them from the tower's pair-count table
@@ -45,8 +45,9 @@ holding d, whichever source it belongs to, in one column per shift; no set
 is refined.  ``Tower.grid_counts`` plans the shifts once per stage
 j0 = max(ja, jb) of a pair, indexes the sources once per j0 and sign, and
 gives one block per j0 and sign: one column of counts per shift over all
-the group's pairs, and per source a span of those pairs with a K and an
-overflow per shift, which depend on the source alone.  Planning splits the
+the group's pairs, ordered source by source (``_by_source``), and per source
+a span of those pairs with a K and an overflow per shift, which depend on
+the source alone.  Planning splits the
 shifts by sign in one pass and finds every start stage by a bisect of the
 built stages' heights, in comprehensions.  Where the highest source level
 plus n fits below the start stage's height, every source resolves there and
@@ -56,18 +57,20 @@ sources, in one ``pair_counts`` batch per distinct K; a source that resolved
 at a shallower K overflows nothing there, so its count is the deeper one
 divided by the ratio of the two stages' copies, in place in its span of the
 column, and a source whose stage row is the deepest row divides nothing.
-``Tower._bounds`` is the rational view of blocks: equal (count, overflow, K)
-share one bound, and ``Tower._bound`` checks its integers and fills the
+``Tower._bounds`` is the rational view of blocks.  A tower hands out one
+bound per distinct (count, overflow, K), from its bound memo ``_shared``,
+which ``Tower._bound`` fills on a miss: it checks the integers and fills the
 bound's slots.  ``power_grid`` is that view of ``grid_counts``;
 ``power_profile`` is its one-pair case and ``apply_power_bounds`` the
 one-shift case of that.  ``Tower.stage_grid`` counts at a fixed stage j
-instead, through the same index and one batch of every shift, for the
-partial joinings of ``joinings``; every cell has overflow 0 and K = j, so it
-builds its bounds straight off the columns, by count alone, and no block.
+instead, its pairs in order as the index's cells and one batch of every
+shift, for the partial joinings of ``joinings``; every cell has overflow 0
+and K = j, so it reads its bounds straight off the columns, by count alone,
+and builds no block.
 
 The public functions are pure.  The one ``Tower`` per construction owns
 its state: the stage chain, which ``construction.stage_geometry`` reads,
-and the three memos its docstring describes, which ``Tower.reset()``
+and the six memos its docstring describes, which ``Tower.reset()``
 empties while the chain stays.  The pair-count table is filled on demand by
 the digit recursion and its prune, in two passes without Python recursion,
 so a walk of a thousand stages needs no deep stack.  ``max_stage`` is the
@@ -87,7 +90,6 @@ from .construction import ConstructionParams, StageGeometry, _build_stage, stage
 from .serde import format_int
 
 DEFAULT_EXTRA_STAGES = 8
-_NO_TABLE: dict[int, int] = {}  # read, never written: a (js, jt, K) not yet tabled
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -172,7 +174,7 @@ class LevelSet:
 
     def __post_init__(self):
         integers((self.stage, *self.levels), _LEVEL_SET)
-        h, levels = stage_geometry(self.params, self.stage).h, self.levels
+        h, levels = tower_of(self.params).stage(self.stage).h, self.levels
         if levels and not (0 <= min(levels) and max(levels) < h):
             raise ValueError(f"levels must lie in [0, {format_int(h)}) at stage {self.stage}")
         if not all(map(lt, levels, levels[1:])):
@@ -199,7 +201,7 @@ class LevelSet:
 
     @property
     def width(self) -> Fraction:
-        return stage_geometry(self.params, self.stage).level_width
+        return tower_of(self.params).stage(self.stage).level_width
 
     @property
     def measure(self) -> Fraction:
@@ -218,43 +220,75 @@ def integers(values: Iterable, what: str) -> list[int]:
         raise ValueError(f"{what} must be integers: {exc}") from None
 
 
+def integer(value, what: str) -> int:
+    """``integers`` of one value, without the list."""
+    try:
+        return index(value)
+    except TypeError as exc:
+        raise ValueError(f"{what} must be integers: {exc}") from None
+
+
 def measure(a: LevelSet) -> Fraction:
     return a.measure
 
 
+class _Bounds(dict):
+    """count -> the one bound of (count, overflow, K), made by
+    ``Tower._bound`` on a miss."""
+
+    __slots__ = ("tower", "overflow", "K")
+
+    def __init__(self, tower: "Tower", overflow: int, K: int):
+        self.tower, self.overflow, self.K = tower, overflow, K
+
+    def __missing__(self, count: int) -> MeasureBound:
+        # racing makers agree on the first bound stored
+        return self.setdefault(count, self.tower._bound(count, self.overflow, self.K))
+
+
+class _SharedBounds(dict):
+    """(overflow, K) -> its ``_Bounds``, made on first use."""
+
+    __slots__ = ("tower",)
+
+    def __init__(self, tower: "Tower"):
+        self.tower = tower
+
+    def __missing__(self, key: tuple[int, int]) -> _Bounds:
+        return self.setdefault(key, _Bounds(self.tower, *key))
+
+
 class TargetIndex:
-    """Source sets, each against its own list of target sets, every set at
-    its own stage, indexed once for ``Tower.pair_counts``.  A cell is one
-    (source, target) pair, numbered source by source in the order given.  A
-    level pair (s, b) counts by the stages of its sets and s - b alone, so
-    the index keeps, per (source stage, target stage), the distinct
-    d = s - b over all those sources in order and the (cell, pairs) each d
-    splits into: the sources of one stage share every d they hold."""
+    """(source, target) pairs of level sets, every set at its own stage,
+    indexed once for ``Tower.pair_counts``.  A cell is one pair, numbered in
+    the order given.  A level pair (s, b) counts by the stages of its sets
+    and s - b alone, so the index keeps, per (source stage, target stage),
+    the distinct d = s - b over all those cells in order and the (cell,
+    pairs) each d splits into: the cells of one pair of stages share every d
+    they hold, whichever source they are of."""
 
-    __slots__ = ("sources", "targets", "size", "by_stage")
+    __slots__ = ("cells", "size", "by_stage")
 
-    def __init__(self, sources: Sequence[tuple[int, tuple[int, ...]]],
-                 targets: Sequence[Sequence[tuple[int, tuple[int, ...]]]]):
-        # the (stage, levels) of each source, and of each of its targets
-        self.sources, self.targets = sources, targets
-        # (source stage, target stage) -> d -> {cell: pairs}
-        splits: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
-        cell = 0
-        for (js, source), row in zip(sources, targets):
-            for jt, target in row:
-                split = splits.setdefault((js, jt), {})
-                for x in source:
-                    for y in target:
-                        held = split.setdefault(x - y, {})
-                        held[cell] = held.get(cell, 0) + 1
-                cell += 1
-        self.size = cell
+    def __init__(self, cells: Sequence[tuple[LevelSet, LevelSet]]):
+        self.cells = cells
+        # (source stage, target stage) -> d -> [[cell, pairs], ...] in cell
+        # order: a cell's level pairs come one after another
+        splits: dict[tuple[int, int], dict[int, list[list[int]]]] = {}
+        for cell, (source, target) in enumerate(cells):
+            split = splits.setdefault((source.stage, target.stage), {})
+            for x in source.levels:
+                for y in target.levels:
+                    held = split.setdefault(x - y, [])
+                    if held and held[-1][0] == cell:
+                        held[-1][1] += 1
+                    else:
+                        held.append([cell, 1])
+        self.size = len(cells)
         # (source stage, target stage, differences, owners per difference)
         self.by_stage = []
         for (js, jt), split in splits.items():
             differences = sorted(split)
-            owners = [tuple(split[d].items()) for d in differences]
-            self.by_stage.append((js, jt, differences, owners))
+            self.by_stage.append((js, jt, differences, list(map(split.__getitem__, differences))))
 
 
 class Tower:
@@ -264,7 +298,7 @@ class Tower:
     is ``stage(k).top - stage(j0).top`` and it has
     ``stage(k).copies // stage(j0).copies`` elements.  The stage table is
     ``_chain``, which ``stage`` builds, with each stage's height in
-    ``_heights`` for planning's bisects.  The tower owns three memos, all kept
+    ``_heights`` for planning's bisects.  The tower owns six memos, all kept
     until ``reset``.  ``_pairs`` is the pair-count table: for each
     (js, jt, k) with js <= jt a dict from m (|m| when js == jt) to
     M_{js,jt,k}(m) = #{(o, o') in O_{js,k} x O_{jt,k} : o' - o = m}, filled by
@@ -276,9 +310,11 @@ class Tower:
     sets, filled by ``products.dissipativity_grid``: for each (A's stage,
     A's levels, |left power|, ``k_lo``, ``k_hi``, ``samples``, ``max_stage``)
     the sampled shifts, the left factor row and a ready row per proven-zero
-    column, one row of ``samples`` entries per left set and window.  Every
-    key is a value, never an ``id()``: ``reset`` frees bounds whose ids
-    are then reused.
+    column, one row of ``samples`` entries per left set and window.
+    ``_side_rows``, ``_reports`` and the bound memo ``_shared`` are
+    described where ``__init__`` makes them.  The keys of ``_side_rows``
+    and ``_reports`` hold ids of objects their entries keep alive; every
+    other key is a value.
     """
 
     def __init__(self, params: ConstructionParams):
@@ -297,6 +333,22 @@ class Tower:
         # -> the left side of a product scan
         # without it sweep's timed phase takes 171.6 ms, not 83.8 (10/10 runs slower)
         self._sides: dict[tuple, tuple] = {}
+        # (k_lo, k_hi, samples, ids of a left row's bounds) -> the one left
+        # side of that row over that window, which keeps those bounds alive;
+        # without it sweep's 324 scans take 88.2 ms, not 74.3 (12/12 slower)
+        self._side_rows: dict[tuple, tuple] = {}
+        # (id of a left side, the right construction, ratio target, ids of the
+        # right bounds at the side's live columns) -> the scan's report, which
+        # holds those bounds; one report per distinct pair of factor rows;
+        # without it criterion 6 took 27.7 ms, not 12.7, and with a memo per
+        # call instead, sweep's 324 scans take 50.9 ms, not 35.6 (12/12 slower)
+        self._reports: dict[tuple, object] = {}
+        # (overflow, K) -> {count: bound}, the one bound of each answer: read
+        # ``_shared[overflow, K][count]``, and a miss is made.  With no sharing
+        # criterion 6 took 42.0 ms, not 12.7, and sweep 135.9, not 83.8; with a
+        # memo per call instead of per tower, sweep's 324 scans take 67.1 ms,
+        # not 54.5, and its 2,376 partial joinings 25.1, not 21.0 (10/12 slower)
+        self._shared = _SharedBounds(self)
 
     def stage(self, k: int) -> StageGeometry:
         """Stage k >= 1, built on first use.  The chain only grows, under
@@ -314,12 +366,15 @@ class Tower:
         return chain[k - 1]
 
     def reset(self):
-        """Empty the three memos.  The stage chain stays, so every
+        """Empty the six memos.  The stage chain stays, so every
         ``StageGeometry`` handed out stays the construction's one object for
         its stage."""
         self._pairs.clear()
         self._returns.clear()
         self._sides.clear()
+        self._side_rows.clear()
+        self._reports.clear()
+        self._shared.clear()
 
     def pair_counts(self, index: TargetIndex, shifts: Sequence[int], K: int) -> list[list[int]]:
         """One column per n of ``shifts``: #{(x, y) : x in S, y in B at stage K,
@@ -335,8 +390,9 @@ class Tower:
         is of.  The values come from the tower's pair-count table (shallower
         stage first: M_{js,jt,K}(m) = M_{jt,js,K}(-m)), so a value any earlier
         shift, set or call reached is read, not recounted.  Per (js, jt) the
-        keys of the whole batch are gathered and read together, and
-        ``_pair_table`` fills the missing ones in one pass.
+        values of the whole batch are read in one pass; if the table lacks
+        one, the batch's keys are gathered and ``_pair_table`` fills the
+        missing ones in one pass.
         """
         size = index.size
         columns = [[0] * size for _ in shifts]
@@ -353,18 +409,32 @@ class Tower:
                     spans.append((n, counts, i, e))
             if not spans:
                 continue
-            # the keys of every shift in one comprehension
-            if js == jt:
-                keys = [abs(n + d) for n, _, i, e in spans for d in differences[i:e]]
-            elif js < jt:
-                keys = [n + d for n, _, i, e in spans for d in differences[i:e]]
-            else:
-                keys = [-n - d for n, _, i, e in spans for d in differences[i:e]]
+            # the value at the key of every shift, in one comprehension; a key
+            # the table lacks, or a table not made yet, sends every key of the
+            # batch to one fill
             at = (js, jt, K) if js <= jt else (jt, js, K)
-            try:
-                weights = iter(list(map(self._pairs.get(at, _NO_TABLE).__getitem__, keys)))
-            except KeyError:
-                weights = iter(list(map(self._pair_table(*at, keys).__getitem__, keys)))
+            table = self._pairs.get(at)
+            weights = None
+            if table is not None:
+                try:
+                    if js == jt:
+                        weights = [table[abs(n + d)]
+                                   for n, _, i, e in spans for d in differences[i:e]]
+                    elif js < jt:
+                        weights = [table[n + d] for n, _, i, e in spans for d in differences[i:e]]
+                    else:
+                        weights = [table[-n - d] for n, _, i, e in spans for d in differences[i:e]]
+                except KeyError:
+                    pass
+            if weights is None:
+                if js == jt:
+                    keys = [abs(n + d) for n, _, i, e in spans for d in differences[i:e]]
+                elif js < jt:
+                    keys = [n + d for n, _, i, e in spans for d in differences[i:e]]
+                else:
+                    keys = [-n - d for n, _, i, e in spans for d in differences[i:e]]
+                weights = list(map(self._pair_table(*at, keys).__getitem__, keys))
+            weights = iter(weights)
             for _, counts, i, e in spans:
                 # owners first: zip stops on them without taking the next span's weight
                 for cells, weight in zip(owners[i:e], weights):
@@ -565,7 +635,7 @@ class Tower:
         divided back by that ratio in place, and its span keeps its own K and
         overflow.
         """
-        _check_max_stage(max_stage)
+        max_stage = _check_max_stage(max_stage)
         shifts = integers(shifts, "shifts")
         by_j0: dict[int, list[int]] = {}
         for i, (a, b) in enumerate(pairs):
@@ -575,9 +645,8 @@ class Tower:
         for j0, members in by_j0.items():
             for backward, (cols, ms, starts, budgets) in self._plans(
                     j0, shifts, max_stage).items():
-                index, rows = _by_source(pairs, members, backward)
-                stage_rows, overflow_rows, deepest = self._resolve(
-                    index.sources, ms, starts, budgets)
+                index, sources, rows, order = _by_source(pairs, members, backward)
+                stage_rows, overflow_rows, deepest = self._resolve(sources, ms, starts, budgets)
                 # one count per shift, at the deepest K of its sources, in one
                 # batch per distinct K
                 by_stage: dict[int, list[int]] = {}
@@ -591,11 +660,10 @@ class Tower:
                 # each source's cell range, divided in place back to its own K
                 # where that is shallower than the column's; a source whose
                 # stage row is the deepest row has nothing to divide
-                cells, spans = [], []
+                spans = []
+                end = 0
                 for own, overflows, stages in zip(rows, overflow_rows, stage_rows):
-                    start = len(cells)
-                    cells += own
-                    end = len(cells)
+                    start, end = end, end + len(own)
                     if stages is not deepest:
                         for column, K, deep in zip(counts, stages, deepest):
                             if K != deep:
@@ -603,7 +671,7 @@ class Tower:
                                 column[start:end] = [count // ratio
                                                      for count in column[start:end]]
                     spans.append((end, overflows, stages))
-                blocks.append((cells, cols, counts, spans))
+                blocks.append((order, cols, counts, spans))
         return blocks
 
     def stage_grid(self, pairs: Sequence[tuple[LevelSet, LevelSet]], shifts: Sequence[int],
@@ -611,40 +679,27 @@ class Tower:
         """For each (A, B) of ``pairs``, sets at stages <= j, and each n of
         ``shifts``, either sign: the level pairs (x, y) of A and B at stage j,
         all in [0, h_j), with y - x = n, times the level width of stage j.
-        The sources (A) share one ``TargetIndex`` and one ``pair_counts``
-        batch of every n, so the sources of one stage read each M_j(n + d)
-        once.  Every cell has overflow 0 and K = j, so the bounds follow
-        ``_bounds``' rule with one count -> bound memo, read across the
-        columns one cell at a time, in the index's cell order, each row
-        built whole: no block is built."""
-        self.stage(j)
-        index, rows = _by_source(pairs, range(len(pairs)), False)
-        counts = self.pair_counts(index, shifts, j)
-        grid: list[list[MeasureBound]] = [[] for _ in pairs]
-        made: dict[int, MeasureBound] = {}
-        # the columns read across: one row of counts per cell, in cell order
-        cells = [i for members in rows for i in members]
-        for row, values in zip(cells, zip(*counts)):
-            out = grid[row]
-            for count in values:
-                bound = made.get(count)
-                if bound is None:
-                    bound = made[count] = self._bound(count, 0, j)
-                out.append(bound)
-        return grid
+        The caller has built stage j.  The pairs, in order, are the cells of
+        one ``TargetIndex`` and one ``pair_counts`` batch of every n, so the
+        sources of one stage read each M_j(n + d) once.  Every cell has
+        overflow 0 and K = j, so each row reads its bounds off the tower's
+        (0, j) memo of ``_shared`` by count alone, and no block is built."""
+        counts = self.pair_counts(TargetIndex(pairs), shifts, j)
+        read = self._shared[0, j].__getitem__
+        # the columns read across, one row of counts per pair; with no column,
+        # each pair's row is empty
+        return [list(map(read, values)) for values in zip(*counts)] or [[] for _ in pairs]
 
     def _bounds(self, blocks, height: int, width: int) -> list[list[MeasureBound]]:
         """The rational view of ``grid_counts`` blocks: ``height`` rows (one
         per pair) of ``width`` bounds (one per shift), read span by span
         and each span's cells by index, so no column is sliced.
-        Equal answers share one bound across the grid: equal (count,
-        overflow, K) give one bound.  The memo is keyed by (overflow, K),
-        then by count; a span looks its (overflow, K) memo up only where
+        Each cell reads the tower's one bound of its (count, overflow, K)
+        off ``_shared``; a span looks its (overflow, K) memo up only where
         that pair changes from the previous column, which along a run of
         one stage and no overflow is once."""
         grid = [[None] * width for _ in range(height)]
-        # without it criterion 6 takes 42.0 ms, not 12.7, and sweep 135.9, not 83.8
-        made: dict[tuple[int, int], dict[int, MeasureBound]] = {}
+        shared = self._shared
         for rows, cols, counts, spans in blocks:
             start = 0
             for end, overflows, stages in spans:
@@ -653,15 +708,9 @@ class Tower:
                 for col, column, here, stage in zip(cols, counts, overflows, stages):
                     if here != overflow or stage != K:
                         overflow, K = here, stage
-                        memo = made.get((overflow, K))
-                        if memo is None:
-                            memo = made[overflow, K] = {}
+                        memo = shared[overflow, K]
                     for cell in cells:
-                        count = column[cell]
-                        bound = memo.get(count)
-                        if bound is None:
-                            bound = memo[count] = self._bound(count, overflow, K)
-                        grid[rows[cell]][col] = bound
+                        grid[rows[cell]][col] = memo[column[cell]]
                 start = end
         return grid
 
@@ -690,47 +739,49 @@ class Tower:
         """mu(T^n A /\\ A) = mu(T^{-n} A /\\ A) for every A of ``sets`` and every
         n in ``shifts``, one row per set, memoized for product scans on the
         inputs of the stage budget (A, |n|, ``max_stage``), so a hit plans
-        nothing.  Equal sets share one row; one grid over the distinct sets
-        and the missing |n| fills every miss, so equal triples share one bound
-        across sets."""
-        _check_max_stage(max_stage)
+        nothing.  Equal sets share one row; one grid over the sets that miss
+        some |n| fills every miss, storing the tower's one bound per answer."""
         # checked before the memo, so a hit cannot answer for 2.0 as for 2
+        max_stage = _check_max_stage(max_stage)
         steps = list(map(abs, integers(shifts, "shifts")))
         keys = [(a.stage, a.levels, max_stage) for a in sets]
         memos: dict[tuple, tuple[LevelSet, dict[int, MeasureBound]]] = {}
         for a, key in zip(sets, keys):
             if key not in memos:
                 memos[key] = (a, self._returns.setdefault(key, {}))
-        wanted = set(steps)
-        # the sets that miss some |n|; they are the ones that miss some of ``missing``
-        pending = [(a, memo) for a, memo in memos.values() if not memo.keys() >= wanted]
+        rows: dict[tuple, list[MeasureBound]] = {}
+        pending = []  # (key, set, memo) of each set that misses some |n|
+        for key, (a, memo) in memos.items():
+            try:
+                rows[key] = list(map(memo.__getitem__, steps))
+            except KeyError:
+                pending.append((key, a, memo))
         if pending:
             # each |n| that some pending set misses, once, in increasing order
-            missing = sorted(set().union(*[wanted - memo.keys() for _, memo in pending]))
+            wanted = set(steps)
+            missing = sorted(set().union(*[wanted - memo.keys() for _, _, memo in pending]))
             filled = self._bounds(
-                self.grid_counts([(a, a) for a, _ in pending], missing, max_stage),
+                self.grid_counts([(a, a) for _, a, _ in pending], missing, max_stage),
                 len(pending), len(missing))
-            for (_, memo), row in zip(pending, filled):
-                for m, bound in zip(missing, row):
-                    memo.setdefault(m, bound)  # an existing entry keeps its object
-        rows = {key: list(map(memo.__getitem__, steps)) for key, (_, memo) in memos.items()}
+            for (key, _, memo), row in zip(pending, filled):
+                memo.update(zip(missing, row))
+                rows[key] = list(map(memo.__getitem__, steps))
         return [rows[key] for key in keys]
 
 
-def _by_source(pairs, rows: Iterable[int], backward: bool) -> tuple[TargetIndex, tuple]:
+def _by_source(pairs, rows: Iterable[int], backward: bool):
     """The pairs of ``rows`` (at least one) grouped by source set, A (B when
-    ``backward``): one ``TargetIndex`` over the distinct sources, each
-    against the other sets of its pairs, and the rows of each source."""
-    groups: dict[tuple, tuple[list, list[int]]] = {}
+    ``backward``): ``(index, sources, members, order)``, the ``TargetIndex``
+    of the (source, target) pairs of ``order``, the distinct sources, the
+    rows of each and those rows source by source."""
+    groups: dict[tuple, list[int]] = {}
     for i in rows:
-        src, dst = pairs[i]
-        if backward:
-            src, dst = dst, src
-        targets, members = groups.setdefault((src.stage, src.levels), ([], []))
-        targets.append((dst.stage, dst.levels))
-        members.append(i)
-    targets, members = zip(*groups.values())
-    return TargetIndex(tuple(groups), targets), members
+        src = pairs[i][backward]
+        groups.setdefault((src.stage, src.levels), []).append(i)
+    members = list(groups.values())
+    order = [i for own in members for i in own]
+    cells = [pairs[i][::-1] for i in order] if backward else [pairs[i] for i in order]
+    return TargetIndex(cells), tuple(groups), members, order
 
 
 _towers: dict[ConstructionParams, Tower] = {}
@@ -760,8 +811,9 @@ def grid_tower(pairs: Sequence[tuple[LevelSet, LevelSet]]) -> Tower:
     """The one ``Tower`` of every set of ``pairs`` (at least one pair);
     ``ValueError`` if the sets belong to more than one construction."""
     params = pairs[0][0].params
-    for pair in pairs:
-        check_construction(params, pair)
+    for a, b in pairs:
+        if a.params is not params or b.params is not params:  # equal is fine too
+            check_construction(params, (a, b))
     return tower_of(params)
 
 
@@ -772,9 +824,14 @@ def stage_budget(start: int, max_stage: int | None) -> int:
     return start + DEFAULT_EXTRA_STAGES if max_stage is None else max(max_stage, start)
 
 
-def _check_max_stage(max_stage: int | None):
-    if max_stage is not None and max_stage < 1:
+def _check_max_stage(max_stage: int | None) -> int | None:
+    """``max_stage`` as an int, or None; ``ValueError`` unless an integer >= 1."""
+    if max_stage is None:
+        return None
+    max_stage = integer(max_stage, "stage caps")
+    if max_stage < 1:
         raise ValueError(f"max_stage must be >= 1, got {max_stage}")
+    return max_stage
 
 
 def check_construction(params: ConstructionParams, sets: Iterable[LevelSet]) -> None:
@@ -820,7 +877,7 @@ def apply_power_bounds(
     tower = tower_of(a.params)
     ((_, _, ((count,),), ((_, (overflow,), (K,)),)),) = tower.grid_counts(
         [(a, b)], (n,), max_stage)
-    return tower._bound(count, overflow, K)
+    return tower._shared[overflow, K][count]
 
 
 def power_grid(

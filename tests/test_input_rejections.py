@@ -17,12 +17,15 @@ from rank1lab.construction import (
     SpacerRule,
     block_sequence,
     condition_star_check,
+    height,
     infinite_measure_partial_sum,
+    level_width,
     params_from_config,
+    stage_geometry,
     toy,
     utv1,
 )
-from rank1lab.joinings import JoiningCombination, partial_joining_grid
+from rank1lab.joinings import JoiningCombination, partial_joining, partial_joining_grid
 from rank1lab.oracle import IntervalSystem, OrbitWalker, oracle_intersection
 from rank1lab.products import ProductSystem, dissipativity_scan, product_return, sample_shifts
 from rank1lab.serde import MAX_INT_DIGITS, MAX_LISTED, format_int, parse_int, parse_rational
@@ -155,6 +158,62 @@ def _self_return_after_a_hit(v):
 def _scan_after_a_hit(v):
     dissipativity_scan(_SQUARE, _LOW, _LOW, 2, 20, samples=4)  # the memo holds k_lo = 2
     return dissipativity_scan(_SQUARE, _LOW, _LOW, v, 20, samples=4)
+
+
+# toy's level 2 of stage 2 at n = 21: a cap of 6 gives [1/16, 3/16] at stage 6
+_TOY_A = LevelSet.single(TOY, 2, 0)
+
+
+def _self_return_cap_after_a_hit(v):
+    tower_of(UTV).self_returns([_LOW], [2], 2)  # the memo now holds max_stage = 2
+    return tower_of(UTV).self_returns([_LOW], [2], v)
+
+
+def _scan_cap_after_a_hit(v):
+    dissipativity_scan(_SQUARE, _LOW, _LOW, 2, 20, samples=4, max_stage=2)
+    return dissipativity_scan(_SQUARE, _LOW, _LOW, 2, 20, samples=4, max_stage=v)
+
+
+# Each way a stage or a stage cap enters, with the message that refuses a
+# value that is not an integer.  A cap of 6.5 once walked to stage 7, 2.0
+# read a memo filled for 2, and the stage functions and a partial joining's
+# stage raised a TypeError.
+_NOT_INTEGER_STAGES = [
+    ("apply_power_bounds cap", lambda v: apply_power_bounds(_TOY_A, _TOY_A, 21, v), "stage caps"),
+    ("power_profile cap", lambda v: power_profile(_TOY_A, _TOY_A, [21], v), "stage caps"),
+    ("self_returns cap after a memo hit", _self_return_cap_after_a_hit, "stage caps"),
+    ("scan cap after a memo hit", _scan_cap_after_a_hit, "stage caps"),
+    ("product_return cap", lambda v: product_return(_SQUARE, _LOW, _LOW, 2, v), "stage caps"),
+    ("partial_joining stage", lambda v: partial_joining(_LOW, _HIGH, 1, v), "stages"),
+    ("partial_joining_grid stage", lambda v: partial_joining_grid([(_LOW, _HIGH)], [1], v),
+     "stages"),
+    ("stage_geometry", lambda v: stage_geometry(UTV, v), "stages"),
+    ("height", lambda v: height(UTV, v), "stages"),
+    ("level_width", lambda v: level_width(UTV, v), "stages"),
+]
+
+
+@pytest.mark.parametrize("value", [6.5, 2.0, np.float64(5.0), Fraction(5)], ids=repr)
+@pytest.mark.parametrize("build,what", [case[1:] for case in _NOT_INTEGER_STAGES],
+                         ids=[case[0] for case in _NOT_INTEGER_STAGES])
+def test_stages_and_caps_that_are_not_integers_are_refused(build, what, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} must be integers: "):
+        build(value)
+
+
+def test_numpy_integer_and_bool_stages_pass_as_ints():
+    """A numpy stage or cap, and a bool cap, answer as the int they are,
+    with a resolved stage of type int: a tower-wide memo of bounds keyed on
+    K must never hand a numpy stage to a later int query."""
+    joining = partial_joining(_LOW, _HIGH, 1, np.int64(5))
+    assert joining == partial_joining(_LOW, _HIGH, 1, 5)
+    assert type(joining.resolved_stage) is int
+    capped = apply_power_bounds(_TOY_A, _TOY_A, 21, np.int64(6))
+    assert capped == apply_power_bounds(_TOY_A, _TOY_A, 21, 6)
+    assert (capped.lo, capped.hi) == (Fraction(1, 16), Fraction(3, 16))
+    assert type(capped.resolved_stage) is int
+    assert apply_power_bounds(_TOY_A, _TOY_A, 21, True) == apply_power_bounds(_TOY_A, _TOY_A, 21, 1)
+    assert stage_geometry(UTV, np.int32(3)) is stage_geometry(UTV, 3)
 
 
 # Each way a shift or a power enters, with the message that refuses a value

@@ -98,16 +98,16 @@ def test_return_memo_honors_max_stage():
 
 def test_reset_empties_both_memos_of_a_scan():
     """After one scan, ``reset`` empties every memo of the tower (the
-    self-return memo, the pair-count table and the left sides of product
-    scans), keeps the stage objects, and the scan is answered again with
-    equal rows, resolved stages included."""
+    self-return memo, the pair-count table, the left sides of product scans
+    and the shared bounds), keeps the stage objects, and the scan is
+    answered again with equal rows, resolved stages included."""
     thm = tower.tower_of(THM)
     system = ProductSystem(THM, 1, THM, 3)
     e2 = LevelSet.base(THM, 2)
     h4 = stage_geometry(THM, 4).h
     first = dissipativity_scan(system, e2, e2, h4, 8 * h4)
     memos = [name for name, value in vars(thm).items() if isinstance(value, dict)]
-    assert sorted(memos) == ["_pairs", "_returns", "_sides"]
+    assert sorted(memos) == ["_pairs", "_reports", "_returns", "_shared", "_side_rows", "_sides"]
     assert all(getattr(thm, name) for name in memos)
     chain = list(thm._chain)
     thm.reset()
@@ -383,7 +383,10 @@ def _nine_scans_of_one_left_side():
 
 def test_nine_scans_of_one_left_side_fill_it_once(monkeypatch):
     """One left fill for nine scans; their dead-column rows are the same
-    objects, and each scan after the first builds one row per live column."""
+    objects, and each scan after the first that builds its report builds
+    one row per live column.  The nine right rows (the right bounds at the
+    live columns) are one row, so with the report memo kept, the scans
+    after the first read the first one's report and build no row."""
     system, a, rights, k_lo, k_hi = _nine_scans_of_one_left_side()
     _reset_memos(system)
     fills = []
@@ -394,9 +397,11 @@ def test_nine_scans_of_one_left_side_fill_it_once(monkeypatch):
     init = ReturnRow.__init__
     monkeypatch.setattr(ReturnRow, "__init__",
                         lambda self, *args: built.append(args[0]) or init(self, *args))
+    thm = tower.tower_of(THM)
     reports = []
     for b in rights:
         built.clear()
+        thm._reports.clear()  # each scan builds its report
         reports.append(dissipativity_scan(system, a, b, k_lo, k_hi))
         if len(reports) == 1:
             assert len(built) == len(reports[0].rows) == 256
@@ -405,11 +410,17 @@ def test_nine_scans_of_one_left_side_fill_it_once(monkeypatch):
             assert 0 < len(built) == len(live) < 256
             assert built == live
     assert len(fills) == 1
-    assert len(tower.tower_of(THM)._sides) == 1
+    assert len(thm._sides) == 1
     first = reports[0].rows
     for report in reports[1:]:
         for row, other in zip(report.rows, first):
             assert (row is other) == (row.right is None)
+    thm._reports.clear()
+    built.clear()
+    again = [dissipativity_scan(system, a, b, k_lo, k_hi) for b in rights]
+    # the first scan builds its live rows, and the eight after it read its report
+    assert built == [row.k for row in first if row.right is not None]
+    assert again == reports and all(report is again[0] for report in again)
 
 
 def test_left_sides_are_keyed_by_value():
@@ -426,6 +437,29 @@ def test_left_sides_are_keyed_by_value():
     thm.reset()
     after = dissipativity_scan(system, a, rights[0], k_lo, k_hi)
     assert after == first and after.rows[0] is not first.rows[0]
+
+
+def test_left_sets_with_equal_rows_share_one_side_across_calls():
+    """Single levels of thm2(2)'s stage 2 have one left row over (h5, 8h5]:
+    scans of two of them in separate calls fill two left sides, keyed by
+    set, which are one object, so the second scan builds no dead row and,
+    against one right set, reads the first scan's report; a reset frees the
+    shared side with the rest."""
+    system = ProductSystem(THM, 1, UTV, 1)
+    _reset_memos(system)
+    thm = tower.tower_of(THM)
+    h5 = stage_geometry(THM, 5).h
+    b = LevelSet.single(UTV, 3, 0)
+    first = dissipativity_scan(system, LevelSet.single(THM, 2, 3), b, h5, 8 * h5)
+    second = dissipativity_scan(system, LevelSet.single(THM, 2, 7), b, h5, 8 * h5)
+    assert len(thm._sides) == 2 and len(thm._side_rows) == 1
+    left, other = thm._sides.values()
+    assert left is other
+    assert second is first
+    assert any(row.right is None for row in first.rows)
+    thm.reset()
+    assert thm._side_rows == {} and thm._reports == {}
+    assert dissipativity_scan(system, LevelSet.single(THM, 2, 7), b, h5, 8 * h5) == first
 
 
 def test_racing_first_fills_agree_on_one_left_side():

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, event, given, settings, strategies a
 
 from kernel_blocks import expand, triples
 from rank1lab.construction import height, params_from_config, stage_geometry, thm2, toy, utv1
-from rank1lab.joinings import partial_joining
+from rank1lab.joinings import partial_joining, partial_joining_grid
 import rank1lab.tower as tower_module
 from rank1lab.oracle import IntervalSystem, OrbitWalker, oracle_intersection
 from rank1lab.products import ProductSystem, dissipativity_scan, product_return
@@ -696,23 +696,18 @@ def _frontier_pair_counts(tower, index, shifts, K):
 
 
 def _frontier_column(tower, index, n, K):
-    """One shift of ``_frontier_pair_counts``: for each source of the index,
-    the source and its targets refined to their common stage J, then the
-    digit recursion walked top-down as one frontier of values
-    v = n + s - (o' - o) per source, each peeled stage pruned to the span of
-    the source's refined targets, and the final frontier read against the
-    targets' holders."""
-    counts = [0] * index.size
-    first = 0  # the source's first cell
-    for (stage, levels), row in zip(index.sources, index.targets):
-        cells, first = range(first, first + len(row)), first + len(row)
-        J = max([stage] + [target_stage for target_stage, _ in row])
-        holders = {}
-        for t, (target_stage, target) in zip(cells, row):
-            for y in _refined(tower, target_stage, target, J):
-                holders.setdefault(y, []).append(t)
-        source = _refined(tower, stage, levels, J)
+    """One shift of ``_frontier_pair_counts``: for each cell (source, target)
+    of the index, both sets refined to their common stage J, then the digit
+    recursion walked top-down as one frontier of values v = n + s - (o' - o),
+    each peeled stage pruned to the span of the refined target, and the
+    final frontier read against the target's levels."""
+    counts = []
+    for source_set, target_set in index.cells:
+        J = max(source_set.stage, target_set.stage)
+        holders = set(_refined(tower, target_set.stage, target_set.levels, J))
+        source = _refined(tower, source_set.stage, source_set.levels, J)
         if not source or not holders:
+            counts.append(0)
             continue
         low, high = min(holders), max(holders)
         base = tower.stage(J).top
@@ -727,15 +722,13 @@ def _frontier_column(tower, index, n, K):
                     if v - high - reach <= d <= v - low + reach:
                         step[v - d] = step.get(v - d, 0) + weight * mult
             frontier = step
-        for v, weight in frontier.items():
-            for t in holders.get(v, ()):
-                counts[t] += weight
+        counts.append(sum(weight for v, weight in frontier.items() if v in holders))
     return counts
 
 
 @st.composite
 def _batches(draw):
-    """Sources, each against its own targets, at mixed stages, and a batch
+    """Cells of sources, each against its own targets, at mixed stages, and a batch
     of shifts of both signs at a stage K at or below three past them, with
     repeats, plus a few of the batch's shifts counted first."""
     params = draw(st.sampled_from([TOY, UTV, thm2(2), thm2(3)]))
@@ -743,17 +736,19 @@ def _batches(draw):
     def level_set():
         stage = draw(st.integers(1, 3))
         h = stage_geometry(params, stage).h
-        return stage, tuple(sorted(set(draw(st.lists(st.integers(0, h - 1), max_size=4)))))
+        return LevelSet.from_levels(params, stage, draw(st.lists(st.integers(0, h - 1),
+                                                                  max_size=4)))
 
     sources = [level_set() for _ in range(draw(st.integers(1, 3)))]
-    targets = [[level_set() for _ in range(draw(st.integers(1, 3)))] for _ in sources]
-    K = max(stage for stage, _ in [*sources, *(t for row in targets for t in row)])
+    cells = [(source, level_set()) for source in sources
+             for _ in range(draw(st.integers(1, 3)))]
+    K = max(max(source.stage, target.stage) for source, target in cells)
     K += draw(st.integers(0, 3))
     reach = stage_geometry(params, K).h
     menu = draw(st.lists(st.integers(-reach, reach), min_size=1, max_size=6))
     shifts = draw(st.lists(st.sampled_from(menu), min_size=1, max_size=10))
     first = draw(st.lists(st.sampled_from(menu), max_size=3))
-    return params, tower_module.TargetIndex(sources, targets), shifts, first, K
+    return params, tower_module.TargetIndex(cells), shifts, first, K
 
 
 @settings(max_examples=120, deadline=None)
@@ -905,8 +900,7 @@ def test_shared_index_equals_one_query_per_cell(query):
                 continue
             apart += 1
             source, target = (b, a) if n < 0 else (a, b)
-            index = tower_module.TargetIndex([(source.stage, source.levels)],
-                                              [[(target.stage, target.levels)]])
+            index = tower_module.TargetIndex([(source, target)])
             ratio = alone.stage(deep).copies // alone.stage(K).copies
             assert overflow == 0
             assert alone.pair_counts(index, [abs(n)], deep) == [[ratio * count]]
@@ -1271,10 +1265,126 @@ def test_reset_empties_both_memos_and_keeps_the_chain():
     assert tower._pairs
     chain = list(tower._chain)
     tower.reset()
-    assert tower._pairs == {} and tower._returns == {}
+    assert tower._pairs == {} and tower._returns == {} and tower._shared == {}
     assert power_profile(e1, e1, range(2001)) == first  # lo, hi and resolved_stage
     assert len(tower._chain) == len(chain)
     assert all(x is y for x, y in zip(tower._chain, chain))
+
+
+def _resolved_at_4(a):
+    """A shift n that ``apply_power_bounds(a, a, n)`` answers exactly at
+    stage 4, where the stage-4 partial joining counts the same level pairs."""
+    return next(n for n in range(height(UTV, 3), height(UTV, 4))
+                if (bound := apply_power_bounds(a, a, n)).resolved_stage == 4 and bound.exact)
+
+
+def test_equal_answers_are_one_bound_across_calls_and_entry_points():
+    """One ``MeasureBound`` per distinct (count, overflow, K) per tower: a
+    query asked again, its mirror, a grid, a self-return and a partial
+    joining with the same answer all hand out the first object, until
+    ``reset``, after which the answer is an equal new object."""
+    tower = tower_of(UTV)
+    tower.reset()
+    a = LevelSet.single(UTV, 2, 1)
+    n = _resolved_at_4(a)
+    first = apply_power_bounds(a, a, n)
+    assert first.resolved_stage == 4 and first.lo > 0
+    assert apply_power_bounds(a, a, n) is first
+    assert apply_power_bounds(a, a, -n) is first
+    assert all(bound is first for bound in power_grid([(a, a)], [n, -n, n])[0])
+    assert tower.self_returns([a], [n, -n], None)[0] == [first, first]
+    assert all(bound is first for bound in tower.self_returns([a], [n, -n], None)[0])
+    assert partial_joining(a, a, n, 4) is first
+    assert dissipativity_scan(ProductSystem(UTV, 1, UTV, 1), a, a, n - 1, n, 1).rows[0].left \
+        is first
+    tower.reset()
+    assert tower._shared == {}
+    again = apply_power_bounds(a, a, n)
+    assert again == first and again is not first
+
+
+def test_a_known_answer_makes_no_bound(monkeypatch):
+    """A lone partial joining or query whose answer the tower already holds
+    reads it: ``Tower._bound`` is not called.  A new answer makes exactly
+    one bound, however often the call that found it repeats it."""
+    tower = tower_of(UTV)
+    a, b = LevelSet.single(UTV, 2, 1), LevelSet.single(UTV, 3, 7)
+    joining, query = partial_joining(a, b, 3, 6), apply_power_bounds(a, b, 25)
+    made = []
+    bound = tower_module.Tower._bound
+    monkeypatch.setattr(tower_module.Tower, "_bound",
+                        lambda self, *args: made.append(args) or bound(self, *args))
+    assert partial_joining(a, b, 3, 6) is joining
+    assert apply_power_bounds(a, b, 25) is query
+    assert made == []
+    tower.reset()
+    row = partial_joining_grid([(a, b)] * 3, [3] * 4, 6)
+    assert made == [(joining.lo / tower.stage(6).level_width, 0, 6)]
+    assert all(cell is row[0][0] for cells in row for cell in cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_queries())
+def test_answers_after_a_reset_equal_fresh_answers(query):
+    """Grids and partial joinings asked again after ``reset`` equal the
+    answers given before it and those of a fresh tower, resolved stages
+    included and of type int; on the tower, equal answers are one object."""
+    pairs, shifts, max_stage, extra = query
+    params = pairs[0][0].params
+    joinings = [(a, b, k, j) for a, b in pairs
+                for j in [max(a.stage, b.stage) + extra]
+                for k in shifts if abs(k) <= stage_geometry(params, j).h]
+    before = (power_grid(pairs, shifts, max_stage), [partial_joining(*q) for q in joinings])
+    tower_of(params).reset()
+    after = (power_grid(pairs, shifts, max_stage), [partial_joining(*q) for q in joinings])
+    fresh = tower_module.Tower(params)
+    grid = fresh._bounds(fresh.grid_counts(pairs, shifts, max_stage), len(pairs), len(shifts))
+    assert before == after
+    assert after[0] == grid
+    fresh.stage(max([j for *_, j in joinings], default=1))  # stage_grid's caller builds j
+    assert after[1] == [fresh.stage_grid([(a, b)], [k], j)[0][0] for a, b, k, j in joinings]
+    answers = [bound for row in after[0] for bound in row] + after[1]
+    assert all(type(bound.resolved_stage) is int for bound in answers)
+    first = {}
+    assert all(first.setdefault(bound, bound) is bound for bound in answers)
+
+
+def test_racing_threads_get_one_bound_per_answer():
+    """Four threads ask one grid and one partial joining grid of a freshly
+    reset tower at once: they get equal rows, and each answer is one object
+    across all of them."""
+    tower = tower_of(TOY)
+    sets = [LevelSet.single(TOY, 3, level) for level in range(7)]
+    pairs = [(a, b) for a in sets for b in sets[:3]]
+    start = threading.Barrier(4)
+    results, errors = [None] * 4, []
+
+    def work(t):
+        try:
+            start.wait(timeout=30)
+            results[t] = (power_grid(pairs, range(-20, 21)),
+                          partial_joining_grid(pairs, range(-7, 8), 4))
+        except Exception as exc:  # reported below; a thread cannot fail the test
+            errors.append(exc)
+
+    tower.reset()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(result == results[0] for result in results)
+    for grids in zip(*results):
+        for rows in zip(*grids):
+            for cells in zip(*rows):
+                assert all(cell is cells[0] for cell in cells)
 
 
 def test_cold_chain_plans_a_shift_above_every_built_stage():
