@@ -70,7 +70,7 @@ and builds no block.
 
 The public functions are pure.  The one ``Tower`` per construction owns
 its state: the stage chain, which ``construction.stage_geometry`` reads,
-and the six memos its docstring describes, which ``Tower.reset()``
+and the five memos its docstring describes, which ``Tower.reset()``
 empties while the chain stays.  The pair-count table is filled on demand by
 the digit recursion and its prune, in two passes without Python recursion,
 so a walk of a thousand stages needs no deep stack.  ``max_stage`` is the
@@ -298,7 +298,7 @@ class Tower:
     is ``stage(k).top - stage(j0).top`` and it has
     ``stage(k).copies // stage(j0).copies`` elements.  The stage table is
     ``_chain``, which ``stage`` builds, with each stage's height in
-    ``_heights`` for planning's bisects.  The tower owns six memos, all kept
+    ``_heights`` for planning's bisects.  The tower owns five memos, all kept
     until ``reset``.  ``_pairs`` is the pair-count table: for each
     (js, jt, k) with js <= jt a dict from m (|m| when js == jt) to
     M_{js,jt,k}(m) = #{(o, o') in O_{js,k} x O_{jt,k} : o' - o = m}, filled by
@@ -306,15 +306,14 @@ class Tower:
     each (A's stage, A's levels, ``max_stage``) a dict from |n| to the
     bound.  Its outer key holds the inputs of the stage budget other than
     |n|, so the memo follows ``max_stage`` and a hit does no planning.
-    ``_sides`` holds the left sides of product scans of this construction's
-    sets, filled by ``products.dissipativity_grid``: for each (A's stage,
-    A's levels, |left power|, ``k_lo``, ``k_hi``, ``samples``, ``max_stage``)
-    the sampled shifts, the left factor row and a ready row per proven-zero
-    column, one row of ``samples`` entries per left set and window.
-    ``_side_rows``, ``_reports`` and the bound memo ``_shared`` are
-    described where ``__init__`` makes them.  The keys of ``_side_rows``
-    and ``_reports`` hold ids of objects their entries keep alive; every
-    other key is a value.
+    The bound memo ``_shared`` maps (overflow, K) to a dict from count to
+    the tower's one bound of (count, overflow, K) (``bound``); with a memo
+    per call instead, sweep's 324 product scans took 67.1 ms, not 54.5,
+    and its 2,376 partial joinings 25.1, not 21.0.  The keys of these
+    three memos are values.  ``_sides`` and ``_side_rows`` hold the left
+    sides of product scans of this construction's sets;
+    ``products.dissipativity_grid`` alone reads and writes them and
+    documents their keys.
     """
 
     def __init__(self, params: ConstructionParams):
@@ -329,20 +328,10 @@ class Tower:
         # (A's stage, A's levels, max_stage) -> {|n|: bound}
         # without it sweep's timed phase takes 101.8 ms, not 85.7 (10/10 runs slower)
         self._returns: dict[tuple, dict[int, MeasureBound]] = {}
-        # (A's stage, A's levels, |left power|, k_lo, k_hi, samples, max_stage)
-        # -> the left side of a product scan
+        # the product scans' left sides, laid out by products.dissipativity_grid
         # without it sweep's timed phase takes 171.6 ms, not 83.8 (10/10 runs slower)
         self._sides: dict[tuple, tuple] = {}
-        # (k_lo, k_hi, samples, ids of a left row's bounds) -> the one left
-        # side of that row over that window, which keeps those bounds alive;
-        # without it sweep's 324 scans take 88.2 ms, not 74.3 (12/12 slower)
         self._side_rows: dict[tuple, tuple] = {}
-        # (id of a left side, the right construction, ratio target, ids of the
-        # right bounds at the side's live columns) -> the scan's report, which
-        # holds those bounds; one report per distinct pair of factor rows;
-        # without it criterion 6 took 27.7 ms, not 12.7, and with a memo per
-        # call instead, sweep's 324 scans take 50.9 ms, not 35.6 (12/12 slower)
-        self._reports: dict[tuple, object] = {}
         # (overflow, K) -> {count: bound}, the one bound of each answer: read
         # ``_shared[overflow, K][count]``, and a miss is made.  With no sharing
         # criterion 6 took 42.0 ms, not 12.7, and sweep 135.9, not 83.8; with a
@@ -365,15 +354,18 @@ class Tower:
                 chain.append(st)
         return chain[k - 1]
 
+    def bound(self, count: int, overflow: int, K: int) -> MeasureBound:
+        """The tower's one bound of (count, overflow, K), made on first use."""
+        return self._shared[overflow, K][count]
+
     def reset(self):
-        """Empty the six memos.  The stage chain stays, so every
+        """Empty the five memos.  The stage chain stays, so every
         ``StageGeometry`` handed out stays the construction's one object for
         its stage."""
         self._pairs.clear()
         self._returns.clear()
         self._sides.clear()
         self._side_rows.clear()
-        self._reports.clear()
         self._shared.clear()
 
     def pair_counts(self, index: TargetIndex, shifts: Sequence[int], K: int) -> list[list[int]]:
@@ -390,9 +382,8 @@ class Tower:
         is of.  The values come from the tower's pair-count table (shallower
         stage first: M_{js,jt,K}(m) = M_{jt,js,K}(-m)), so a value any earlier
         shift, set or call reached is read, not recounted.  Per (js, jt) the
-        values of the whole batch are read in one pass; if the table lacks
-        one, the batch's keys are gathered and ``_pair_table`` fills the
-        missing ones in one pass.
+        keys of the whole batch are gathered and read together, and
+        ``_pair_table`` fills the missing ones in one pass.
         """
         size = index.size
         columns = [[0] * size for _ in shifts]
@@ -409,30 +400,24 @@ class Tower:
                     spans.append((n, counts, i, e))
             if not spans:
                 continue
-            # the value at the key of every shift, in one comprehension; a key
-            # the table lacks, or a table not made yet, sends every key of the
-            # batch to one fill
+            # the keys of every shift in one comprehension
+            if js == jt:
+                keys = [abs(n + d) for n, _, i, e in spans for d in differences[i:e]]
+            elif js < jt:
+                keys = [n + d for n, _, i, e in spans for d in differences[i:e]]
+            else:
+                keys = [-n - d for n, _, i, e in spans for d in differences[i:e]]
             at = (js, jt, K) if js <= jt else (jt, js, K)
             table = self._pairs.get(at)
             weights = None
             if table is not None:
                 try:
-                    if js == jt:
-                        weights = [table[abs(n + d)]
-                                   for n, _, i, e in spans for d in differences[i:e]]
-                    elif js < jt:
-                        weights = [table[n + d] for n, _, i, e in spans for d in differences[i:e]]
-                    else:
-                        weights = [table[-n - d] for n, _, i, e in spans for d in differences[i:e]]
+                    weights = list(map(table.__getitem__, keys))
                 except KeyError:
                     pass
             if weights is None:
-                if js == jt:
-                    keys = [abs(n + d) for n, _, i, e in spans for d in differences[i:e]]
-                elif js < jt:
-                    keys = [n + d for n, _, i, e in spans for d in differences[i:e]]
-                else:
-                    keys = [-n - d for n, _, i, e in spans for d in differences[i:e]]
+                # a table not made yet goes straight to its fill: a raised
+                # KeyError costs a cold query about 1.5 us
                 weights = list(map(self._pair_table(*at, keys).__getitem__, keys))
             weights = iter(weights)
             for _, counts, i, e in spans:
@@ -635,7 +620,7 @@ class Tower:
         divided back by that ratio in place, and its span keeps its own K and
         overflow.
         """
-        max_stage = _check_max_stage(max_stage)
+        max_stage = check_max_stage(max_stage)
         shifts = integers(shifts, "shifts")
         by_j0: dict[int, list[int]] = {}
         for i, (a, b) in enumerate(pairs):
@@ -742,7 +727,7 @@ class Tower:
         nothing.  Equal sets share one row; one grid over the sets that miss
         some |n| fills every miss, storing the tower's one bound per answer."""
         # checked before the memo, so a hit cannot answer for 2.0 as for 2
-        max_stage = _check_max_stage(max_stage)
+        max_stage = check_max_stage(max_stage)
         steps = list(map(abs, integers(shifts, "shifts")))
         keys = [(a.stage, a.levels, max_stage) for a in sets]
         memos: dict[tuple, tuple[LevelSet, dict[int, MeasureBound]]] = {}
@@ -824,7 +809,7 @@ def stage_budget(start: int, max_stage: int | None) -> int:
     return start + DEFAULT_EXTRA_STAGES if max_stage is None else max(max_stage, start)
 
 
-def _check_max_stage(max_stage: int | None) -> int | None:
+def check_max_stage(max_stage: int | None) -> int | None:
     """``max_stage`` as an int, or None; ``ValueError`` unless an integer >= 1."""
     if max_stage is None:
         return None
@@ -877,7 +862,7 @@ def apply_power_bounds(
     tower = tower_of(a.params)
     ((_, _, ((count,),), ((_, (overflow,), (K,)),)),) = tower.grid_counts(
         [(a, b)], (n,), max_stage)
-    return tower._shared[overflow, K][count]
+    return tower.bound(count, overflow, K)
 
 
 def power_grid(

@@ -107,7 +107,7 @@ def test_reset_empties_both_memos_of_a_scan():
     h4 = stage_geometry(THM, 4).h
     first = dissipativity_scan(system, e2, e2, h4, 8 * h4)
     memos = [name for name, value in vars(thm).items() if isinstance(value, dict)]
-    assert sorted(memos) == ["_pairs", "_reports", "_returns", "_shared", "_side_rows", "_sides"]
+    assert sorted(memos) == ["_pairs", "_returns", "_shared", "_side_rows", "_sides"]
     assert all(getattr(thm, name) for name in memos)
     chain = list(thm._chain)
     thm.reset()
@@ -381,6 +381,11 @@ def _nine_scans_of_one_left_side():
     return system, a, [LevelSet.single(UTV, 3, i) for i in range(9)], h4, 8 * h4
 
 
+def _forget_reports(thm):
+    for side in thm._side_rows.values():
+        side.reports.clear()
+
+
 def test_nine_scans_of_one_left_side_fill_it_once(monkeypatch):
     """One left fill for nine scans; their dead-column rows are the same
     objects, and each scan after the first that builds its report builds
@@ -401,7 +406,7 @@ def test_nine_scans_of_one_left_side_fill_it_once(monkeypatch):
     reports = []
     for b in rights:
         built.clear()
-        thm._reports.clear()  # each scan builds its report
+        _forget_reports(thm)  # each scan builds its report
         reports.append(dissipativity_scan(system, a, b, k_lo, k_hi))
         if len(reports) == 1:
             assert len(built) == len(reports[0].rows) == 256
@@ -415,7 +420,7 @@ def test_nine_scans_of_one_left_side_fill_it_once(monkeypatch):
     for report in reports[1:]:
         for row, other in zip(report.rows, first):
             assert (row is other) == (row.right is None)
-    thm._reports.clear()
+    _forget_reports(thm)
     built.clear()
     again = [dissipativity_scan(system, a, b, k_lo, k_hi) for b in rights]
     # the first scan builds its live rows, and the eight after it read its report
@@ -458,8 +463,42 @@ def test_left_sets_with_equal_rows_share_one_side_across_calls():
     assert second is first
     assert any(row.right is None for row in first.rows)
     thm.reset()
-    assert thm._side_rows == {} and thm._reports == {}
+    assert thm._side_rows == {}
     assert dissipativity_scan(system, LevelSet.single(THM, 2, 7), b, h5, 8 * h5) == first
+
+
+def test_scan_memo_keys_hold_ids_their_entries_keep_alive(monkeypatch):
+    """An id in a key of ``_side_rows`` or of a side's reports is the id of a
+    bound that the entry under that key holds, so no id in a stored key can
+    name a later object.  A report is stored in its left side, so a scan
+    that a reset overtakes stores it in a side the tower no longer holds."""
+    system = ProductSystem(THM, 1, UTV, 1)
+    _reset_memos(system)
+    thm = tower.tower_of(THM)
+    h5 = stage_geometry(THM, 5).h
+    rights = [LevelSet.single(UTV, 3, 0), LevelSet.base(UTV, 1)]
+    fresh = [[dissipativity_scan(system, LevelSet.single(THM, 2, i), b, h5, 8 * h5)
+              for b in rights] for i in (3, 7)]
+    assert len(thm._side_rows) == 1
+    for (_, _, _, ids), side in thm._side_rows.items():
+        assert ids == tuple(map(id, side.row))
+        assert len(side.reports) == 2
+        for (_, _, *right_ids), report in side.reports.items():
+            held = [row.right for row in report.rows if row.right is not None]
+            assert right_ids == list(map(id, held))
+    # a reset between the left side's lookup and the report's store
+    self_returns = Tower.self_returns
+    monkeypatch.setattr(Tower, "self_returns", lambda self, *args: (
+        self.params == UTV and thm.reset()) or self_returns(self, *args))
+    other = LevelSet.base(UTV, 2)  # a right row no scan met: a new report
+    raced = dissipativity_scan(system, LevelSet.single(THM, 2, 3), other, h5, 8 * h5)
+    # of the tower's memos, only the bound memo, keyed on values, may hold
+    # anything of the raced scan
+    assert all(not memo for name, memo in vars(thm).items()
+               if isinstance(memo, dict) and name != "_shared")
+    monkeypatch.undo()
+    _reset_memos(system)
+    assert raced == dissipativity_scan(system, LevelSet.single(THM, 2, 3), other, h5, 8 * h5)
 
 
 def test_racing_first_fills_agree_on_one_left_side():
